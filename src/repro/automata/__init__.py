@@ -11,8 +11,8 @@ Public surface:
 * :data:`~repro.automata.nfa.EPSILON` — the ε label.
 * :mod:`~repro.automata.ops` — determinize, minimize, product, complement,
   union, emptiness, containment, equivalence.
-* :mod:`~repro.automata.finiteness` — language finiteness via useful-SCC
-  analysis (drives the FCR check).
+* :mod:`~repro.automata.finiteness` — language finiteness and graph loops
+  via one linear useful-SCC pass (drives the FCR and WCR checks).
 * :mod:`~repro.automata.canonical` — canonical minimal-DFA signatures used
   to deduplicate language-equal automata.
 """
@@ -28,7 +28,12 @@ from repro.automata.ops import (
     minimize,
     union,
 )
-from repro.automata.finiteness import enumerate_words, has_graph_cycle, language_is_finite
+from repro.automata.finiteness import (
+    enumerate_words,
+    has_graph_cycle,
+    language_is_finite,
+    loop_analysis,
+)
 from repro.automata.canonical import canonical_signature
 
 __all__ = [
@@ -44,6 +49,7 @@ __all__ = [
     "language_contains",
     "language_equal",
     "language_is_finite",
+    "loop_analysis",
     "minimize",
     "union",
 ]

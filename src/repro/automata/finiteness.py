@@ -9,49 +9,52 @@ one real symbol.  ε-only cycles do not lengthen accepted words, so they
 are ignored by :func:`language_is_finite` (but reported by
 :func:`has_graph_cycle`, which mirrors the paper's cruder "no loops"
 statement on trimmed automata).
+
+Both answers come out of one :func:`loop_analysis` in O(|S| + |δ|): one
+Tarjan pass over the considered states builds a state → SCC-id map, then
+one scan of the edges between considered states decides both.  An edge
+with both endpoints in one SCC lies on a cycle (a singleton SCC only has
+such an edge as a self-loop), so the graph has a loop iff such an edge
+exists, and the language is infinite iff one of them reads a real symbol.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 
 from repro.automata.nfa import EPSILON, NFA
 
 Symbol = Hashable
+State = Hashable
 
 
-def _strongly_connected_components(nfa: NFA, restrict: frozenset) -> list[set]:
-    """Iterative Tarjan over the transition graph restricted to ``restrict``."""
+def _scc_ids(successors: dict[State, list[State]]) -> dict[State, int]:
+    """Iterative Tarjan: map every node of ``successors`` to its SCC id."""
     index_of: dict = {}
     lowlink: dict = {}
     on_stack: set = set()
     stack: list = []
-    components: list[set] = []
+    component_of: dict = {}
     counter = 0
 
-    adjacency: dict = {state: set() for state in restrict}
-    for src, _label, dst in nfa.transitions():
-        if src in restrict and dst in restrict:
-            adjacency[src].add(dst)
-
-    for root in restrict:
+    for root in successors:
         if root in index_of:
             continue
-        work = [(root, iter(adjacency[root]))]
+        work = [(root, iter(successors[root]))]
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
         while work:
-            node, successors = work[-1]
+            node, pending = work[-1]
             advanced = False
-            for nxt in successors:
+            for nxt in pending:
                 if nxt not in index_of:
                     index_of[nxt] = lowlink[nxt] = counter
                     counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(adjacency[nxt])))
+                    work.append((nxt, iter(successors[nxt])))
                     advanced = True
                     break
                 if nxt in on_stack:
@@ -63,15 +66,45 @@ def _strongly_connected_components(nfa: NFA, restrict: frozenset) -> list[set]:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
             if lowlink[node] == index_of[node]:
-                component: set = set()
+                component = index_of[node]
                 while True:
                     member = stack.pop()
                     on_stack.discard(member)
-                    component.add(member)
+                    component_of[member] = component
                     if member == node:
                         break
-                components.append(component)
-    return components
+    return component_of
+
+
+def loop_analysis(
+    nfa: NFA, initial: Iterable[State] | None = None, useful_only: bool = True
+) -> tuple[bool, bool]:
+    """``(language finite, graph has a loop)`` in one linear pass.
+
+    ``initial`` overrides the automaton's initial states without copying
+    it (a PSA's control states act as its initial states).  With
+    ``useful_only`` (the default) only states on initial→accepting paths
+    are considered; finiteness is always decided on those.
+    """
+    useful = nfa.useful_states(initial)
+    considered = useful if useful_only else nfa.states
+    successors: dict[State, list[State]] = {state: [] for state in considered}
+    edges = []
+    for src, label, dst in nfa.transitions():
+        if src in considered and dst in considered:
+            successors[src].append(dst)
+            edges.append((src, label, dst))
+    component_of = _scc_ids(successors)
+    finite = True
+    has_loop = False
+    for src, label, dst in edges:
+        if component_of[src] != component_of[dst]:
+            continue
+        has_loop = True
+        if label is not EPSILON and src in useful and dst in useful:
+            finite = False
+            break
+    return finite, has_loop
 
 
 def language_is_finite(nfa: NFA) -> bool:
@@ -81,16 +114,7 @@ def language_is_finite(nfa: NFA) -> bool:
     with a real (non-ε) symbol: that edge can be pumped on an accepting
     path arbitrarily often.
     """
-    useful = nfa.useful_states()
-    if not useful:
-        return True
-    for component in _strongly_connected_components(nfa, useful):
-        for src, label, dst in nfa.transitions():
-            # An edge with both endpoints in one SCC lies on a cycle
-            # (singleton SCCs only qualify via self-loops, src == dst).
-            if src in component and dst in component and label is not EPSILON:
-                return False
-    return True
+    return loop_analysis(nfa)[0]
 
 
 def has_graph_cycle(nfa: NFA, useful_only: bool = True) -> bool:
@@ -99,15 +123,7 @@ def has_graph_cycle(nfa: NFA, useful_only: bool = True) -> bool:
     With ``useful_only`` (the default) only states on initial→accepting
     paths are considered, matching the paper's reading of PSA loops.
     """
-    restrict = nfa.useful_states() if useful_only else nfa.states
-    for component in _strongly_connected_components(nfa, restrict):
-        if len(component) > 1:
-            return True
-        member = next(iter(component))
-        for label in nfa.labels_from(member):
-            if member in nfa.targets(member, label):
-                return True
-    return False
+    return loop_analysis(nfa, useful_only=useful_only)[1]
 
 
 def enumerate_words(nfa: NFA, max_length: int) -> Iterator[tuple]:

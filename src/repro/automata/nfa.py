@@ -269,8 +269,10 @@ class NFA:
     def coreachable_states(self) -> frozenset[State]:
         """States from which some accepting state is reachable."""
         reverse: dict[State, set[State]] = {}
-        for src, label, dst in self.transitions():
-            reverse.setdefault(dst, set()).add(src)
+        for src, by_label in self._delta.items():
+            for targets in by_label.values():
+                for dst in targets:
+                    reverse.setdefault(dst, set()).add(src)
         seen: set[State] = set(self._accepting)
         work = deque(seen)
         while work:
@@ -281,9 +283,10 @@ class NFA:
                     work.append(prv)
         return frozenset(seen)
 
-    def useful_states(self) -> frozenset[State]:
-        """States on some path from an initial to an accepting state."""
-        return self.reachable_states() & self.coreachable_states()
+    def useful_states(self, initial: Iterable[State] | None = None) -> frozenset[State]:
+        """States on some path from an initial (default: the automaton's
+        own initial states) to an accepting state."""
+        return self.reachable_states(initial) & self.coreachable_states()
 
     def trim(self) -> "NFA":
         """Return a copy restricted to useful states."""

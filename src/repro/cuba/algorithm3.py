@@ -19,12 +19,20 @@ from __future__ import annotations
 from repro.core.property import Property
 from repro.core.result import Verdict, VerificationResult
 from repro.cpds.cpds import CPDS
+from repro.cpds.state import VisibleState
 from repro.cuba.generators import generator_analysis
 from repro.cuba.overapprox import compute_z
 from repro.errors import ContextExplosionError, CubaError
+from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
+
+
+def _generator_test_set(cpds: CPDS) -> tuple[int, frozenset[VisibleState]]:
+    """``(|Z|, G ∩ Z)``; ``Z`` itself is dropped once intersected."""
+    z = compute_z(cpds)
+    return len(z), generator_analysis(cpds).intersect(z)
 
 
 def algorithm3(
@@ -61,11 +69,15 @@ def algorithm3(
         )
     method = f"alg3(T({engine.sequence_name}))"
 
-    analysis = generator_analysis(cpds)
-    z = compute_z(cpds)
-    reachable_generators = analysis.intersect(z)
+    # Eagerly, before the first advance: Z is built while the engine's
+    # state is still at its smallest.
+    if not trace.enabled():
+        z_size, reachable_generators = _generator_test_set(cpds)
+    else:
+        with trace.span("cuba.generators", lane=engine.lane):
+            z_size, reachable_generators = _generator_test_set(cpds)
     stats: dict = {
-        "Z": len(z),
+        "Z": z_size,
         "G∩Z": len(reachable_generators),
         "plateaus_rejected": [],
     }

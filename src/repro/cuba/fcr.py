@@ -62,7 +62,7 @@ def check_fcr(cpds: CPDS) -> FCRReport:
     finite: list[bool] = []
     loops: list[bool] = []
     for pds in cpds.threads:
-        psa = thread_shallow_psa(pds)
-        finite.append(psa.language_is_finite())
-        loops.append(psa.has_loop())
+        thread_finite, thread_loop = thread_shallow_psa(pds).finiteness()
+        finite.append(thread_finite)
+        loops.append(thread_loop)
     return FCRReport(tuple(finite), tuple(loops))

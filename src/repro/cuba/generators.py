@@ -57,8 +57,28 @@ class GeneratorAnalysis:
         return False
 
     def intersect(self, visibles: Iterable[VisibleState]) -> frozenset[VisibleState]:
-        """``G ∩ visibles`` for a finite collection (e.g. ``G ∩ Z``)."""
-        return frozenset(v for v in visibles if self.is_generator(v))
+        """``G ∩ visibles`` for a finite collection (e.g. ``G ∩ Z``).
+
+        Same test as :meth:`is_generator`, indexed by shared state: one
+        dict lookup selects the threads that state is a pop target of,
+        then each costs one set lookup of its top in ``emerging ∪ {ε}``.
+        """
+        surfacing: dict[Shared, list[tuple[int, frozenset[Symbol]]]] = {}
+        for index, (pops, unders) in enumerate(zip(self.pop_targets, self.emerging)):
+            surfaced = unders | {EMPTY}
+            for shared in pops:
+                surfacing.setdefault(shared, []).append((index, surfaced))
+        generators = []
+        for visible in visibles:
+            threads = surfacing.get(visible.shared)
+            if threads is None:
+                continue
+            tops = visible.tops
+            for index, surfaced in threads:
+                if index < len(tops) and tops[index] in surfaced:
+                    generators.append(visible)
+                    break
+        return frozenset(generators)
 
 
 def generator_analysis(cpds: CPDS) -> GeneratorAnalysis:

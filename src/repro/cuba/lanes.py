@@ -33,7 +33,37 @@ from repro.reach.base import ReachabilityEngine
 from repro.reach.config import EngineConfig
 from repro.util.meter import METER
 
-__all__ = ["ensure_applicable", "run_lane", "scheme1_lane"]
+__all__ = [
+    "ensure_applicable",
+    "not_applicable",
+    "precondition_holds",
+    "run_lane",
+    "scheme1_lane",
+]
+
+
+def precondition_holds(
+    cls: type[ReachabilityEngine], cpds: CPDS, prop: Property | None = None
+) -> bool:
+    """``cls.applicable(cpds, prop)``, under a ``lane.applicable`` span
+    when tracing is on."""
+    if not trace.enabled():
+        return cls.applicable(cpds, prop)
+    with trace.span("lane.applicable", lane=cls.lane):
+        return cls.applicable(cpds, prop)
+
+
+def not_applicable(
+    cls: type[ReachabilityEngine], cpds: CPDS, prop: Property | None = None
+) -> CubaError:
+    """The error for lane ``cls`` whose precondition just failed; the
+    applicable lanes it lists are checked without re-running ``cls``'s."""
+    others = registry.applicable_lanes(cpds, prop, excluding=cls.lane)
+    return CubaError(
+        f"lane {cls.lane!r} is not applicable to this model "
+        "(its precondition failed); applicable lanes: "
+        f"{', '.join(others) or 'none'}"
+    )
 
 
 def ensure_applicable(
@@ -44,12 +74,8 @@ def ensure_applicable(
     this *before* construction — building an engine whose precondition
     fails (e.g. a wuba engine on a non-WCR model) can diverge into the
     state-limit guard instead of failing fast."""
-    if not cls.applicable(cpds, prop):
-        raise CubaError(
-            f"lane {cls.lane!r} is not applicable to this model "
-            "(its precondition failed); applicable lanes: "
-            f"{', '.join(registry.applicable_lanes(cpds, prop)) or 'none'}"
-        )
+    if not precondition_holds(cls, cpds, prop):
+        raise not_applicable(cls, cpds, prop)
 
 
 def _lane_stats(engine: ReachabilityEngine, meter_before: dict) -> dict:

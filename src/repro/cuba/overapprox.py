@@ -144,27 +144,95 @@ def abstract_bug_lower_bound(cpds: CPDS, prop) -> int | None:
     return None
 
 
+class _LocalMoves(dict):
+    """One thread's moves in :func:`compute_z`'s packed-key space.
+
+    Maps the ``(shared, top)`` bits of a key to the key deltas of that
+    local state's Alg. 2 successors; an entry is built on first lookup,
+    so only local states ``Z`` actually visits are ever encoded.
+    """
+
+    __slots__ = (
+        "_table", "_shared_ids", "_shared_of", "_shared_mask",
+        "_top_ids", "_tops_of", "_shift",
+    )
+
+    def __init__(self, table, shared_ids, shared_of, shared_mask, top_ids, tops_of, shift):
+        super().__init__()
+        self._table = table
+        self._shared_ids = shared_ids
+        self._shared_of = shared_of
+        self._shared_mask = shared_mask
+        self._top_ids = top_ids
+        self._tops_of = tops_of
+        self._shift = shift
+
+    def __missing__(self, local: int) -> tuple[int, ...]:
+        shared_ids, top_ids, shift = self._shared_ids, self._top_ids, self._shift
+        source = (self._shared_of[local & self._shared_mask], self._tops_of[local >> shift])
+        deltas = tuple(
+            (shared_ids[shared] | top_ids[top] << shift) - local
+            for shared, top in self._table.get(source, ())
+        )
+        self[local] = deltas
+        return deltas
+
+
+def _field_width(n_values: int) -> int:
+    return max(1, (n_values - 1).bit_length())
+
+
 def compute_z(cpds: CPDS) -> frozenset[VisibleState]:
     """Reachable set ``Z`` of the asynchronous product ``Mn``.
 
     Starts from the projection of the CPDS initial state (the paper
     starts ``M2`` in ``⟨0|1,4⟩`` for Fig. 1) and explores exhaustively —
     the state space is contained in ``Q × Σ≤1_1 × ... × Σ≤1_n``.
+
+    The exploration runs over packed integers: the shared state and each
+    thread's top get dense ids, laid out as bit fields of one int key
+    (shared id in the low bits, then one field per thread), so a move of
+    thread ``i`` is a lookup on the key's ``(shared, top_i)`` bits plus
+    an integer delta.  Each :class:`VisibleState` is built once, when
+    the finished set is decoded.
     """
-    abstractions = [build_abstraction(pds) for pds in cpds.threads]
-    initial = cpds.initial_state().visible()
-    seen: set[VisibleState] = {initial}
-    work: deque[VisibleState] = deque([initial])
+    shared_of = list(cpds.shared_states)
+    shared_ids = {shared: index for index, shared in enumerate(shared_of)}
+    shift = _field_width(len(shared_of))
+    shared_mask = (1 << shift) - 1
+    start = cpds.initial_state().visible()
+    initial = shared_ids[start.shared]
+    threads: list[tuple[int, _LocalMoves]] = []
+    decode: list[tuple[int, int, list[Symbol]]] = []
+    for pds, top in zip(cpds.threads, start.tops):
+        tops_of = [EMPTY, *pds.alphabet]
+        top_ids = {symbol: index for index, symbol in enumerate(tops_of)}
+        top_mask = (1 << _field_width(len(tops_of))) - 1
+        moves = _LocalMoves(
+            build_abstraction(pds).transitions,
+            shared_ids, shared_of, shared_mask, top_ids, tops_of, shift,
+        )
+        threads.append((shared_mask | top_mask << shift, moves))
+        decode.append((shift, top_mask, tops_of))
+        initial |= top_ids[top] << shift
+        shift += top_mask.bit_length()
+
+    seen = {initial}
+    work = [initial]
     while work:
-        current = work.popleft()
-        METER.bump("overapprox.abstract_steps")
-        for index, abstraction in enumerate(abstractions):
-            local = (current.shared, current.tops[index])
-            for shared, top in abstraction.successors(local):
-                tops = list(current.tops)
-                tops[index] = top
-                successor = VisibleState(shared, tuple(tops))
+        key = work.pop()
+        for mask, moves in threads:
+            for delta in moves[key & mask]:
+                successor = key + delta
                 if successor not in seen:
                     seen.add(successor)
                     work.append(successor)
-    return frozenset(seen)
+    METER.bump("overapprox.abstract_steps", len(seen))
+
+    return frozenset(
+        VisibleState(
+            shared_of[key & shared_mask],
+            tuple([tops[key >> top_shift & top_mask] for top_shift, top_mask, tops in decode]),
+        )
+        for key in seen
+    )

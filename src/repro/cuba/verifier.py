@@ -24,13 +24,32 @@ from repro.cpds.cpds import CPDS
 from repro.cuba.algorithm3 import algorithm3
 from repro.cuba.fcr import FCRReport, check_fcr
 from repro.cuba.generators import generator_analysis
-from repro.cuba.lanes import run_lane
+from repro.cuba.lanes import not_applicable, precondition_holds, run_lane
 from repro.cuba.overapprox import compute_z
-from repro.errors import ContextExplosionError, CubaError
+from repro.errors import ContextExplosionError
+from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
 from repro.reach.config import EngineConfig, merge_legacy_kwargs
+
+
+def _fcr_report(cpds: CPDS) -> FCRReport:
+    """:func:`check_fcr` — the explicit lane's precondition — under a
+    ``lane.applicable`` span when tracing is on."""
+    if not trace.enabled():
+        return check_fcr(cpds)
+    with trace.span("lane.applicable", lane="explicit"):
+        return check_fcr(cpds)
+
+
+def _reachable_generators(cpds: CPDS) -> frozenset:
+    """``G ∩ Z``, Thm. 11's generator test set, under a
+    ``cuba.generators`` span when tracing is on."""
+    if not trace.enabled():
+        return generator_analysis(cpds).intersect(compute_z(cpds))
+    with trace.span("cuba.generators", lane="explicit"):
+        return generator_analysis(cpds).intersect(compute_z(cpds))
 
 
 @dataclass(slots=True)
@@ -115,7 +134,7 @@ class Cuba:
         """
         if isinstance(engine, str):
             return self._verify_lane(engine, max_rounds)
-        fcr = check_fcr(self.cpds)
+        fcr = _fcr_report(self.cpds)
         if fcr.holds:
             return self._verify_explicit_pair(fcr, max_rounds, engine)
         if engine is None:
@@ -149,14 +168,15 @@ class Cuba:
         dispatch; Table 2's ``(Rk)``/``(T(Rk))`` bound columns are
         specific to the auto procedure, so a named-lane report carries
         only the explored bound (``interrupted_at``)."""
-        name = registry.canonical_lane(lane)
-        cls = registry.engine_class(name)
-        if not cls.applicable(self.cpds, self.prop):
-            raise CubaError(
-                f"lane {name!r} is not applicable to this model "
-                "(its precondition failed); applicable lanes: "
-                f"{', '.join(registry.applicable_lanes(self.cpds, self.prop)) or 'none'}"
-            )
+        cls = registry.engine_class(lane)
+        fcr = _fcr_report(self.cpds)
+        # The explicit lane's precondition is FCR itself: reuse the report.
+        if cls.lane == "explicit":
+            holds = fcr.holds
+        else:
+            holds = precondition_holds(cls, self.cpds, self.prop)
+        if not holds:
+            raise not_applicable(cls, self.cpds, self.prop)
         prepared = cls.create(
             self.cpds,
             max_states_per_context=self.max_states_per_context,
@@ -165,7 +185,7 @@ class Cuba:
         self.last_engine = prepared
         result = run_lane(prepared, self.cpds, self.prop, max_rounds=max_rounds)
         return CubaReport(
-            fcr=check_fcr(self.cpds),
+            fcr=fcr,
             result=result,
             winner=result.method,
             interrupted_at=result.bound,
@@ -193,8 +213,9 @@ class Cuba:
                 f"(registered lanes: {', '.join(registry.lane_names())})"
             )
         self.last_engine = engine
-        analysis = generator_analysis(self.cpds)
-        reachable_generators = analysis.intersect(compute_z(self.cpds))
+        # Eagerly, before the first advance: Z is built while the state
+        # table is still at its smallest.
+        reachable_generators = _reachable_generators(self.cpds)
 
         witness = self.prop.find_violation(engine.visible_up_to(0))
         if witness is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Iterator
 
 from repro.automata import EPSILON, NFA
-from repro.automata.finiteness import has_graph_cycle, language_is_finite
+from repro.automata.finiteness import loop_analysis
 from repro.pds.state import EMPTY, PDSState
 
 Shared = Hashable
@@ -88,23 +88,22 @@ class PSA:
     # ------------------------------------------------------------------
     # Finiteness (FCR support, Sec. 5)
     # ------------------------------------------------------------------
-    def language_is_finite(self) -> bool:
-        """True iff the PSA accepts finitely many PDS states.
+    def finiteness(self) -> tuple[bool, bool]:
+        """``(language_is_finite(), has_loop())`` from one linear pass.
 
         The control states act as initial states (the PDS shared-state
         set is finite, so finiteness only hinges on stack words).
         """
-        return language_is_finite(self._as_initialized_nfa())
+        nfa = self.automaton
+        return loop_analysis(nfa, nfa.initial | self.control_states)
+
+    def language_is_finite(self) -> bool:
+        """True iff the PSA accepts finitely many PDS states."""
+        return self.finiteness()[0]
 
     def has_loop(self) -> bool:
         """The paper's coarser Fig. 4 check: any useful graph cycle."""
-        return has_graph_cycle(self._as_initialized_nfa())
-
-    def _as_initialized_nfa(self) -> NFA:
-        nfa = self.automaton.copy()
-        for shared in self.control_states:
-            nfa.add_initial(shared)
-        return nfa
+        return self.finiteness()[1]
 
     # ------------------------------------------------------------------
     # Enumeration (for tests and explicit conversion under FCR)

@@ -131,11 +131,17 @@ def engine_for_kind(kind: int) -> type["ReachabilityEngine"]:
     raise CubaError(f"no registered lane for snapshot kind {kind}")
 
 
-def applicable_lanes(cpds: "CPDS", prop: "Property | None" = None) -> tuple[str, ...]:
-    """Lanes whose precondition holds on ``(cpds, prop)``."""
+def applicable_lanes(
+    cpds: "CPDS", prop: "Property | None" = None, *, excluding: str | None = None
+) -> tuple[str, ...]:
+    """Lanes whose precondition holds on ``(cpds, prop)``.  The lane
+    named ``excluding`` is left out without running its precondition
+    (callers pass a lane whose check has just failed)."""
     _ensure_builtin_lanes()
     return tuple(
-        name for name in sorted(_LANES) if _LANES[name].applicable(cpds, prop)
+        name
+        for name in sorted(_LANES)
+        if name != excluding and _LANES[name].applicable(cpds, prop)
     )
 
 

@@ -1,8 +1,10 @@
 """Tests for the generator set G (Eq. 2) — golden values from Ex. 14."""
 
+import pytest
+
 from repro.cpds import VisibleState
 from repro.cuba import compute_z, generator_analysis
-from repro.models import fig1_cpds, fig2_cpds
+from repro.models import fig1_cpds, fig2_cpds, runnable_benchmarks
 from repro.pds import EMPTY
 
 
@@ -69,3 +71,31 @@ class TestUpwardClosureRemark:
         analysis = generator_analysis(fig1_cpds())
         # thread 2 qualifies; thread 1's symbol is arbitrary (even junk).
         assert analysis.is_generator(vs(0, "junk", 6))
+
+
+def reference_intersect(analysis, visibles):
+    """``G ∩ visibles`` straight from Eq. (2), one membership test each."""
+    return frozenset(v for v in visibles if analysis.is_generator(v))
+
+
+class TestIntersectMatchesMembership:
+    def test_short_visible_states_only_use_their_own_threads(self):
+        analysis = generator_analysis(fig1_cpds())
+        candidates = [vs(0, EMPTY), vs(0, 1), vs(0, 1, 6), vs(0, 1, 4), vs(1, 2, EMPTY)]
+        assert analysis.intersect(candidates) == reference_intersect(analysis, candidates)
+        assert analysis.intersect(candidates) == frozenset({vs(0, 1, 6)})
+
+    @pytest.mark.parametrize(
+        "bench", runnable_benchmarks(), ids=lambda bench: bench.name
+    )
+    def test_table2_g_intersect_z(self, bench):
+        cpds, _prop = bench.build()
+        analysis = generator_analysis(cpds)
+        z = compute_z(cpds)
+        generators = analysis.intersect(z)
+        assert generators == reference_intersect(analysis, z)
+        assert len(generators) == G_Z_SIZES.get(bench.name, len(generators))
+
+
+#: |G ∩ Z| of the largest row, pinned.
+G_Z_SIZES = {"4/BST-Insert [2+2]": 40_056}

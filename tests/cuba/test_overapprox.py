@@ -1,19 +1,43 @@
 """Tests for Alg. 2 / Z — golden values from Fig. 3 and Ex. 13,
 plus a property-based check of Lemma 12 (T(R) ⊆ Z)."""
 
+from collections import deque
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpds import CPDS, VisibleState
 from repro.cuba import build_abstraction, compute_z
 from repro.errors import ContextExplosionError
-from repro.models import fig1_cpds, fig2_cpds
+from repro.models import fig1_cpds, fig2_cpds, runnable_benchmarks
 from repro.pds import EMPTY, PDS
 from repro.reach import ExplicitReach
+from repro.util.meter import METER
 
 
 def vs(shared, *tops):
     return VisibleState(shared, tuple(tops))
+
+
+def reference_z(cpds: CPDS) -> frozenset[VisibleState]:
+    """Z by a plain BFS over :class:`VisibleState` objects (the
+    definitional form of the asynchronous product ``Mn``)."""
+    abstractions = [build_abstraction(pds) for pds in cpds.threads]
+    initial = cpds.initial_state().visible()
+    seen = {initial}
+    work = deque([initial])
+    while work:
+        current = work.popleft()
+        for index, abstraction in enumerate(abstractions):
+            for shared, top in abstraction.successors(current.thread_visible(index)):
+                tops = list(current.tops)
+                tops[index] = top
+                successor = VisibleState(shared, tuple(tops))
+                if successor not in seen:
+                    seen.add(successor)
+                    work.append(successor)
+    return frozenset(seen)
 
 
 class TestBuildAbstractionFig1:
@@ -115,6 +139,27 @@ def random_cpds(draw):
         threads.append(pds)
         stacks.append(tuple(draw(st.lists(st.sampled_from(["a", "b"]), max_size=1))))
     return CPDS(threads, initial_stacks=stacks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_cpds())
+def test_compute_z_matches_reference_on_random_cpds(cpds):
+    assert compute_z(cpds) == reference_z(cpds)
+
+
+#: |Z| of the largest row, pinned.
+Z_SIZES = {"4/BST-Insert [2+2]": 158_783}
+
+
+@pytest.mark.parametrize("bench", runnable_benchmarks(), ids=lambda bench: bench.name)
+def test_compute_z_matches_reference_on_table2(bench):
+    cpds, _prop = bench.build()
+    before = METER.snapshot()
+    z = compute_z(cpds)
+    steps = METER.delta(before).get("overapprox.abstract_steps", 0)
+    assert z == reference_z(cpds)
+    assert steps == len(z)  # one abstract step per state of Z
+    assert len(z) == Z_SIZES.get(bench.name, len(z))
 
 
 @settings(max_examples=60, deadline=None)
