@@ -6,17 +6,19 @@ written under a push (the candidate set ``E``), or nothing.  The
 asynchronous product of these finite systems is explored exhaustively;
 its reachable set ``Z`` overapproximates the reachable visible states
 ``T(R)`` (Lemma 12) and is used to bound the reachable generators
-``G ∩ T(R) ⊆ G ∩ Z``.
+``G ∩ T(R) ⊆ G ∩ Z``.  :class:`GeneratorSearch` answers Thm. 11's test
+``G ∩ Z ⊆ T(R≤k)`` without building ``Z`` unless it has to.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterator, Set as AbstractSet
 from dataclasses import dataclass
 
 from repro.cpds.cpds import CPDS
 from repro.cpds.state import VisibleState
+from repro.cuba.generators import GeneratorAnalysis
 from repro.pds.action import ActionKind
 from repro.pds.pds import PDS
 from repro.pds.state import EMPTY
@@ -145,7 +147,7 @@ def abstract_bug_lower_bound(cpds: CPDS, prop) -> int | None:
 
 
 class _LocalMoves(dict):
-    """One thread's moves in :func:`compute_z`'s packed-key space.
+    """One thread's moves in :class:`_ZSpace`'s packed-key space.
 
     Maps the ``(shared, top)`` bits of a key to the key deltas of that
     local state's Alg. 2 successors; an entry is built on first lookup,
@@ -182,57 +184,176 @@ def _field_width(n_values: int) -> int:
     return max(1, (n_values - 1).bit_length())
 
 
+class _ZSpace:
+    """Resumable exploration of ``Z`` over packed-int keys.
+
+    The shared state and each thread's top get dense ids, laid out as
+    bit fields of one int key (shared id in the low bits, then one field
+    per thread), so a move of thread ``i`` is a lookup on the key's
+    ``(shared, top_i)`` bits plus an integer delta.  Iterating yields
+    each key of ``Z`` once, in DFS order, after pushing its successors;
+    a caller may stop early and iterate again later to resume.
+    """
+
+    __slots__ = (
+        "seen", "_work", "_keys", "_threads", "_fields",
+        "_shared_of", "_shared_ids", "_shared_mask",
+    )
+
+    def __init__(self, cpds: CPDS) -> None:
+        shared_of = list(cpds.shared_states)
+        shared_ids = {shared: index for index, shared in enumerate(shared_of)}
+        shift = _field_width(len(shared_of))
+        shared_mask = (1 << shift) - 1
+        start = cpds.initial_state().visible()
+        initial = shared_ids[start.shared]
+        threads: list[tuple[int, _LocalMoves]] = []
+        fields: list[tuple[int, int, list[Symbol], dict[Symbol, int]]] = []
+        for pds, top in zip(cpds.threads, start.tops):
+            tops_of = [EMPTY, *pds.alphabet]
+            top_ids = {symbol: index for index, symbol in enumerate(tops_of)}
+            top_mask = (1 << _field_width(len(tops_of))) - 1
+            moves = _LocalMoves(
+                build_abstraction(pds).transitions,
+                shared_ids, shared_of, shared_mask, top_ids, tops_of, shift,
+            )
+            threads.append((shared_mask | top_mask << shift, moves))
+            fields.append((shift, top_mask, tops_of, top_ids))
+            initial |= top_ids[top] << shift
+            shift += top_mask.bit_length()
+        self._threads = threads
+        self._fields = fields
+        self._shared_of = shared_of
+        self._shared_ids = shared_ids
+        self._shared_mask = shared_mask
+        self.seen = {initial}
+        self._work = [initial]
+        self._keys = self._explore()
+
+    def __iter__(self) -> Iterator[int]:
+        return self._keys
+
+    def _explore(self) -> Iterator[int]:
+        seen, work, threads = self.seen, self._work, self._threads
+        while work:
+            key = work.pop()
+            for mask, moves in threads:
+                for delta in moves[key & mask]:
+                    successor = key + delta
+                    if successor not in seen:
+                        seen.add(successor)
+                        work.append(successor)
+            yield key
+
+    @property
+    def expanded(self) -> int:
+        """Keys yielded so far (each expanded before it is yielded)."""
+        return len(self.seen) - len(self._work)
+
+    def decode(self, key: int) -> VisibleState:
+        return VisibleState(
+            self._shared_of[key & self._shared_mask],
+            tuple([tops[key >> shift & mask] for shift, mask, tops, _ids in self._fields]),
+        )
+
+    def states(self) -> frozenset[VisibleState]:
+        """Every state discovered so far (all of ``Z`` once exhausted)."""
+        return frozenset(map(self.decode, self.seen))
+
+    def generator_bits(
+        self, analysis: GeneratorAnalysis
+    ) -> tuple[tuple[int, frozenset[int]], ...]:
+        """Eq. 2 on keys: a key is a generator iff, for some thread,
+        ``key & mask`` is in that thread's pattern set — the
+        ``(shared, top)`` fields of a pop target with a top in
+        ``emerging ∪ {ε}``.  Threads without pops are left out."""
+        shared_ids, shared_mask = self._shared_ids, self._shared_mask
+        tests = []
+        for (shift, top_mask, _tops, top_ids), pops, unders in zip(
+            self._fields, analysis.pop_targets, analysis.emerging
+        ):
+            bits = frozenset(
+                shared_ids[shared] | top_ids[top] << shift
+                for shared in pops
+                for top in (EMPTY, *unders)
+            )
+            if bits:
+                tests.append((shared_mask | top_mask << shift, bits))
+        return tuple(tests)
+
+
 def compute_z(cpds: CPDS) -> frozenset[VisibleState]:
     """Reachable set ``Z`` of the asynchronous product ``Mn``.
 
     Starts from the projection of the CPDS initial state (the paper
     starts ``M2`` in ``⟨0|1,4⟩`` for Fig. 1) and explores exhaustively —
-    the state space is contained in ``Q × Σ≤1_1 × ... × Σ≤1_n``.
-
-    The exploration runs over packed integers: the shared state and each
-    thread's top get dense ids, laid out as bit fields of one int key
-    (shared id in the low bits, then one field per thread), so a move of
-    thread ``i`` is a lookup on the key's ``(shared, top_i)`` bits plus
-    an integer delta.  Each :class:`VisibleState` is built once, when
-    the finished set is decoded.
+    the state space is contained in ``Q × Σ≤1_1 × ... × Σ≤1_n``.  The
+    exploration runs over packed integers (:class:`_ZSpace`); each
+    :class:`VisibleState` is built once, when the finished set is
+    decoded.
     """
-    shared_of = list(cpds.shared_states)
-    shared_ids = {shared: index for index, shared in enumerate(shared_of)}
-    shift = _field_width(len(shared_of))
-    shared_mask = (1 << shift) - 1
-    start = cpds.initial_state().visible()
-    initial = shared_ids[start.shared]
-    threads: list[tuple[int, _LocalMoves]] = []
-    decode: list[tuple[int, int, list[Symbol]]] = []
-    for pds, top in zip(cpds.threads, start.tops):
-        tops_of = [EMPTY, *pds.alphabet]
-        top_ids = {symbol: index for index, symbol in enumerate(tops_of)}
-        top_mask = (1 << _field_width(len(tops_of))) - 1
-        moves = _LocalMoves(
-            build_abstraction(pds).transitions,
-            shared_ids, shared_of, shared_mask, top_ids, tops_of, shift,
-        )
-        threads.append((shared_mask | top_mask << shift, moves))
-        decode.append((shift, top_mask, tops_of))
-        initial |= top_ids[top] << shift
-        shift += top_mask.bit_length()
+    space = _ZSpace(cpds)
+    deque(space, maxlen=0)
+    METER.bump("overapprox.abstract_steps", len(space.seen))
+    return space.states()
 
-    seen = {initial}
-    work = [initial]
-    while work:
-        key = work.pop()
-        for mask, moves in threads:
-            for delta in moves[key & mask]:
-                successor = key + delta
-                if successor not in seen:
-                    seen.add(successor)
-                    work.append(successor)
-    METER.bump("overapprox.abstract_steps", len(seen))
 
-    return frozenset(
-        VisibleState(
-            shared_of[key & shared_mask],
-            tuple([tops[key >> top_shift & top_mask] for top_shift, top_mask, tops in decode]),
-        )
-        for key in seen
-    )
+class GeneratorSearch:
+    """Thm. 11's test ``G ∩ Z ⊆ seen``, answered lazily.
+
+    Alg. 3 asks the test only at a new plateau and only needs a yes/no
+    answer, so instead of building ``G ∩ Z`` up front this runs a DFS
+    over ``Z``'s packed keys that stops at the first generator missing
+    from ``seen``.  The generators it finds unseen are kept and checked
+    first on the next call; only when they are all seen does the DFS
+    resume where it stopped.  The answer "all of ``G ∩ Z`` is seen"
+    is given only once ``Z`` is exhausted, so it is exactly the eager
+    test's answer — provided the ``seen`` sets of successive calls only
+    grow (a generator once seen is never checked again).
+    """
+
+    __slots__ = ("_space", "_tests", "_pending", "generators", "exhausted")
+
+    def __init__(self, cpds: CPDS, analysis: GeneratorAnalysis) -> None:
+        self._space = _ZSpace(cpds)
+        self._tests = self._space.generator_bits(analysis)
+        self._pending: frozenset[VisibleState] = frozenset()
+        #: Generators found so far: ``|G ∩ Z|`` once :attr:`exhausted`.
+        self.generators = 0
+        #: True once the DFS has visited all of ``Z``.
+        self.exhausted = False
+
+    @property
+    def z_size(self) -> int:
+        """States of ``Z`` discovered so far: ``|Z|`` once exhausted."""
+        return len(self._space.seen)
+
+    def states(self) -> frozenset[VisibleState]:
+        """The part of ``Z`` discovered so far (all of it once exhausted)."""
+        return self._space.states()
+
+    def unseen(self, seen: AbstractSet[VisibleState]) -> frozenset[VisibleState]:
+        """Generators of ``Z`` found missing from ``seen``; empty iff
+        ``G ∩ Z ⊆ seen``.  ``seen`` must contain every earlier call's."""
+        missing = frozenset(state for state in self._pending if state not in seen)
+        if not missing and not self.exhausted:
+            missing = self._search(seen)
+        self._pending = missing
+        return missing
+
+    def _search(self, seen: AbstractSet[VisibleState]) -> frozenset[VisibleState]:
+        space, tests = self._space, self._tests
+        before = space.expanded
+        try:
+            for key in space:
+                for mask, bits in tests:
+                    if key & mask in bits:
+                        self.generators += 1
+                        generator = space.decode(key)
+                        if generator not in seen:
+                            return frozenset([generator])
+                        break
+            self.exhausted = True
+            return frozenset()
+        finally:
+            METER.bump("overapprox.abstract_steps", space.expanded - before)

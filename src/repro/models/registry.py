@@ -2,8 +2,10 @@
 
 Every row of the paper's Table 2 maps to one :class:`Benchmark` with its
 builder, the expected verdict/FCR status, and the paper's reported
-numbers (kmax columns, bug-revealing bound, runtime, memory) for the
-side-by-side comparison in EXPERIMENTS.md and the Table 2 harness.
+numbers (kmax columns, bug-revealing bound, runtime, memory).  The
+Table 2 harness (``benchmarks/test_table2.py``) prints our bounds beside
+the paper's; ``tests/models/test_table2_report.py`` pins each runnable
+row's report.
 """
 
 from __future__ import annotations

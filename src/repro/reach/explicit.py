@@ -72,7 +72,7 @@ from __future__ import annotations
 from repro.cpds.cpds import CPDS
 from repro.cpds.interning import StateTable
 from repro.cpds.semantics import ContextTree, thread_context_post, thread_view_post
-from repro.cpds.state import GlobalState
+from repro.cpds.state import GlobalState, VisibleState
 from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import vectorized
@@ -246,17 +246,23 @@ class ExplicitReach(ReachabilityEngine):
             self._rollback(base)
             raise
         self._level_ids.append(tuple(fresh))
+        if not trace.enabled():
+            self._record_visible(self._project(fresh))
+        else:
+            with trace.span("explicit.decode", states=len(fresh)):
+                self._record_visible(self._project(fresh))
+        return bool(fresh)
+
+    def _project(self, fresh: list[int]) -> frozenset[VisibleState]:
+        """The visible projections of the states ``fresh`` (ids)."""
         if (
             self._use_numpy
             and len(fresh) >= vectorized.NUMPY_MIN_DECODE
             and vectorized.table_fits_int64(self.table)
         ):
-            projections = vectorized.visible_batch(self.table, fresh)
-        else:
-            visible = self.table.visible
-            projections = [visible(sid) for sid in fresh]
-        self._record_visible(frozenset(projections))
-        return bool(fresh)
+            return frozenset(vectorized.visible_batch(self.table, fresh))
+        visible = self.table.visible
+        return frozenset([visible(sid) for sid in fresh])
 
     def _rollback(self, base: int) -> None:
         """Discard every state interned at id ``base`` or later (the

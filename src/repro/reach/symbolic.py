@@ -57,6 +57,7 @@ from repro.automata import EPSILON, NFA
 from repro.automata.canonical import CanonicalNFA, canonical_nfa
 from repro.cpds.cpds import CPDS
 from repro.cpds.state import GlobalState, VisibleState
+from repro.obs import trace
 from repro.pds.saturation import PostStarEngine
 from repro.pds.state import EMPTY
 from repro.reach.base import ReachabilityEngine
@@ -331,18 +332,12 @@ class SymbolicReach(ReachabilityEngine):
         edges.extend(
             (("emb", src), label, ("emb", dst)) for src, label, dst in useful()
         )
-        engine = PostStarEngine.from_edges(
-            pds,
-            edges,
-            (("emb", accepting) for accepting in automaton.accepting),
-            controls=controls,
-        )
-        saturated = engine.detach_nfa()
-
-        # One backward reachability pass answers "is some ⟨shared|w⟩
-        # accepted?" for every control at once (shared must co-reach an
-        # accepting state), replacing a forward search per control.
-        coreachable = saturated.coreachable_states()
+        accepting = [("emb", state) for state in automaton.accepting]
+        if not trace.enabled():
+            saturated, coreachable = self._saturate(pds, edges, accepting, controls)
+        else:
+            with trace.span("symbolic.saturate", thread=index):
+                saturated, coreachable = self._saturate(pds, edges, accepting, controls)
         parts = []
         for shared in controls:
             if shared not in coreachable:
@@ -353,6 +348,19 @@ class SymbolicReach(ReachabilityEngine):
             )
             parts.append((shared, canonical, signature))
         return tuple(parts)
+
+    @staticmethod
+    def _saturate(pds, edges, accepting, controls) -> tuple[NFA, frozenset]:
+        """post* of the embedded edge set, and the states that co-reach
+        acceptance in the result.
+
+        One backward reachability pass answers "is some ⟨shared|w⟩
+        accepted?" for every control at once (shared must co-reach an
+        accepting state), replacing a forward search per control."""
+        saturated = PostStarEngine.from_edges(
+            pds, edges, accepting, controls=controls
+        ).detach_nfa()
+        return saturated, saturated.coreachable_states()
 
     @staticmethod
     def _splice(

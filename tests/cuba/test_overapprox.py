@@ -1,5 +1,6 @@
 """Tests for Alg. 2 / Z — golden values from Fig. 3 and Ex. 13,
-plus a property-based check of Lemma 12 (T(R) ⊆ Z)."""
+a property-based check of Lemma 12 (T(R) ⊆ Z), and the lazy generator
+test (:class:`GeneratorSearch`) against the eager ``G ∩ Z ⊆ T(Rk)``."""
 
 from collections import deque
 
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpds import CPDS, VisibleState
-from repro.cuba import build_abstraction, compute_z
+from repro.cuba import build_abstraction, compute_z, generator_analysis
+from repro.cuba.overapprox import GeneratorSearch
 from repro.errors import ContextExplosionError
 from repro.models import fig1_cpds, fig2_cpds, runnable_benchmarks
 from repro.pds import EMPTY, PDS
-from repro.reach import ExplicitReach
+from repro.reach import ExplicitReach, registry
 from repro.util.meter import METER
 
 
@@ -242,3 +244,104 @@ def test_abstract_levels_dominate_concrete(cpds):
     for k in range(4):
         abstract = levels[min(k, len(levels) - 1)]
         assert engine.visible_up_to(k) <= abstract, f"k={k}"
+
+
+# ---------------------------------------------------------------------------
+# The lazy generator test against the eager oracle.
+# ---------------------------------------------------------------------------
+
+def eager_oracle(cpds: CPDS) -> tuple[frozenset[VisibleState], frozenset[VisibleState]]:
+    """``(Z, G ∩ Z)``, computed up front."""
+    z = compute_z(cpds)
+    return z, generator_analysis(cpds).intersect(z)
+
+
+def check_exhausted(search: GeneratorSearch, z, eager) -> None:
+    """Exhausting the search gives exactly ``Z`` and ``|G ∩ Z|``."""
+    assert not search.unseen(z)  # Z ⊇ every T(Rk) (Lemma 12): still monotone
+    assert search.exhausted
+    assert search.states() == z
+    assert search.z_size == len(z)
+    assert search.generators == len(eager)
+
+
+#: Paper figures and every runnable Table 2 row, each on its Cuba lane.
+DIFFERENTIAL = [
+    pytest.param(fig1_cpds, "explicit", id="fig1"),
+    pytest.param(fig2_cpds, "symbolic", id="fig2"),
+    *(
+        pytest.param(
+            lambda bench=bench: bench.build()[0],
+            "explicit" if bench.fcr else "symbolic",
+            id=bench.name,
+        )
+        for bench in runnable_benchmarks()
+    ),
+]
+
+
+@pytest.mark.parametrize(("build", "lane"), DIFFERENTIAL)
+def test_lazy_generator_test_matches_eager_at_each_new_plateau(build, lane):
+    cpds = build()
+    z, eager = eager_oracle(cpds)
+    engine = registry.create(lane, cpds)
+    before = METER.snapshot()
+    search = GeneratorSearch(cpds, generator_analysis(cpds))
+    plateaus = 0
+    # Up to the first passed test or the (Rk) collapse; every row
+    # reaches a new plateau of T(Rk) by bound 8.
+    while engine.k < 8:
+        engine.advance()
+        k = engine.k
+        if not engine.visible_new_at(k) and engine.visible_new_at(k - 1):
+            plateaus += 1
+            seen = engine.visible_up_to(k)
+            missing = search.unseen(seen)
+            assert (not missing) == (eager <= seen), f"k={k}"
+            assert missing <= eager - seen
+            if not missing:
+                break
+        if lane == "explicit" and engine.plateaued_at(k):
+            break
+    assert plateaus
+    check_exhausted(search, z, eager)
+    # One abstract step per state of Z, summed over the resumed calls.
+    assert METER.delta(before).get("overapprox.abstract_steps", 0) == len(z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_cpds())
+def test_lazy_generator_test_matches_eager_on_random_cpds(cpds):
+    z, eager = eager_oracle(cpds)
+    engine = ExplicitReach(cpds, max_states_per_context=3000, track_traces=False)
+    search = GeneratorSearch(cpds, generator_analysis(cpds))
+    # Asked at every bound, not just at new plateaus: any growing
+    # sequence of seen sets must get the eager answer.
+    for k in range(6):
+        if k:
+            try:
+                engine.advance()
+            except ContextExplosionError:
+                break
+        seen = engine.visible_up_to(k)
+        missing = search.unseen(seen)
+        assert (not missing) == (eager <= seen), f"k={k}"
+        assert missing <= eager - seen
+    check_exhausted(search, z, eager)
+
+
+def test_ex14_missing_generator_is_reported_again_until_seen():
+    cpds = fig1_cpds()
+    engine = ExplicitReach(cpds, track_traces=False)
+    engine.ensure_level(6)
+    search = GeneratorSearch(cpds, generator_analysis(cpds))
+    # T(R3) = T(R2) lacks ⟨0|1,6⟩ (Ex. 14); T(R6) = T(R5) has it.
+    assert search.unseen(engine.visible_up_to(3)) == {vs(0, 1, 6)}
+    before = METER.snapshot()
+    # Asked again: the kept generator answers without resuming the DFS.
+    assert search.unseen(engine.visible_up_to(3)) == {vs(0, 1, 6)}
+    assert METER.delta(before).get("overapprox.abstract_steps", 0) == 0
+    assert not search.exhausted
+    assert not search.unseen(engine.visible_up_to(6))
+    assert search.exhausted
+    assert (search.z_size, search.generators) == (8, 2)  # Ex. 13 / Ex. 14
