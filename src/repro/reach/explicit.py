@@ -26,10 +26,12 @@ global product.  Three layers kill it:
   :func:`~repro.cpds.semantics.thread_view_post`, which emits a flat
   CSR-encoded :class:`~repro.cpds.semantics.ContextTree`
   (``array('q')`` edge offsets + target id columns).  METER records the
-  grouping — ``explicit.level_views`` vs ``explicit.level_unique_views``
-  vs ``explicit.expansions`` — so harnesses can assert one saturation
-  per unique view per level (with ``incremental=True`` cross-level
-  reuse, ``expansions + context_cache_hits`` accounts for every shard).
+  grouping — ``explicit.level_views`` (the ``(state, thread)`` cells
+  actually grouped, after same-thread pruning) vs
+  ``explicit.level_unique_views`` vs ``explicit.expansions`` — so
+  harnesses can assert one saturation per unique view per level (with
+  ``incremental=True`` cross-level reuse, ``expansions +
+  context_cache_hits`` accounts for every shard).
 * The tree is **replayed** across all global states sharing the view by
   pure integer arithmetic: mask the moving thread's bit field out of
   the member's packed key and OR in the tree's precomputed per-edge
@@ -46,17 +48,37 @@ the member x edge replay itself is **sharded** across the same pool:
 each worker replays its slice of the CSR trees by pure integer
 arithmetic against a private seen set and the parent merge pass dedupes
 the candidate keys into the canonical table
-(:meth:`~repro.cpds.interning.StateTable.intern_packed`), resolving
-cross-shard successors in submission order.  The seen-set itself always
+(:meth:`~repro.cpds.interning.StateTable.intern_packed`) in serial scan
+order, so it assigns the serial loop's ids.  The seen-set itself always
 stays in the parent.  ``jobs=1`` keeps everything in-process;
 ``shard_replay=False`` restores the PR 4 saturation-only fan-out and
 ``parallel_saturation=False`` isolates replay sharding (the benchmark
 ``shard`` sub-mode).  All paths produce identical levels and identical
 METER work counts.
 
+Same-thread pruning
+-------------------
+A context is one uninterrupted run of one thread, so two back-to-back
+contexts of the same thread are one context.  Let ``m`` be first
+reached at level ``k`` by a context of thread ``t`` from a frontier
+state ``p``: then ``post_t(m) ⊆ post_t(p) ⊆ Rk``, so expanding ``m`` by
+``t`` at level ``k+1`` can only produce states already seen.  The
+engine records each state's *mover* — the thread of the view whose
+replay first produced it, in the serial view/member/edge scan order; the
+root and states of unknown origin carry the sentinel ``n_threads``
+("expand every thread") — in a compact ``array`` column aligned with
+the state ids, and grouping skips the ``(state, mover)`` view.  Every
+grouping and replay path (scalar, numpy, sharded) skips and records
+identically, so the levels and the METER work counts stay equal across
+paths; ``explicit.replay_pairs`` counts the member x tree-edge pairs
+actually replayed.  The skipped view's tree is a subtree of one already
+saturated within the divergence guard, so pruning cannot move the
+level at which :class:`~repro.errors.ContextExplosionError` fires.
+
 The seed per-state formulation — one
 :func:`~repro.cpds.semantics.thread_context_post` call per (state,
-thread) — is kept behind ``batched=False`` as the differential oracle;
+thread) — is kept *unpruned* behind ``batched=False`` as the
+differential oracle;
 ``tests/reach/test_batched_explicit.py`` and
 ``tests/reach/test_parallel_explicit.py`` prove the three modes agree
 level for level on every FCR registry row and on randomized CPDSs.
@@ -68,6 +90,9 @@ the per-context divergence guard with
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import repeat
 
 from repro.cpds.cpds import CPDS
 from repro.cpds.interning import StateTable
@@ -91,6 +116,14 @@ from repro.util.meter import METER
 View = int
 
 _VIEW_WID_MASK = 0xFFFFFFFF
+
+
+def mover_column(n_threads: int, values=()) -> array:
+    """A compact per-state mover column (see "Same-thread pruning" in
+    the module docstring): the narrowest unsigned ``array`` typecode
+    that holds the sentinel ``n_threads``."""
+    typecode = "B" if n_threads <= 0xFF else "H" if n_threads <= 0xFFFF else "L"
+    return array(typecode, values)
 
 
 @register
@@ -201,6 +234,10 @@ class ExplicitReach(ReachabilityEngine):
         self._level_ids: list[tuple[int, ...]] = []
         #: id -> level at which the state was first reached (dense).
         self._first_seen: list[int] = []
+        #: id -> the thread whose context first produced the state, or
+        #: the sentinel ``n_threads`` (root, unknown origin): grows and
+        #: rolls back in lock-step with ``_first_seen``.
+        self._movers = mover_column(cpds.n_threads)
         #: Witness parents: id-keyed ``sid -> (parent_sid, thread,
         #: action)`` in batched mode, the seed's ``GlobalState``-keyed
         #: dict on the per-state oracle path, ``None`` when traces are
@@ -214,6 +251,7 @@ class ExplicitReach(ReachabilityEngine):
         initial = cpds.initial_state()
         sid = self.table.intern(initial)
         self._first_seen.append(0)
+        self._movers.append(cpds.n_threads)
         self._level_ids.append((sid,))
         if self._parents is not None:
             self._parents[sid if batched else initial] = None
@@ -279,14 +317,15 @@ class ExplicitReach(ReachabilityEngine):
                     self._parents.pop(table.state(sid), None)
         table.truncate(base)
         del self._first_seen[base:]
+        del self._movers[base:]
 
     def _advance_batched(
         self, frontier: tuple[int, ...], level: int, fresh: list[int]
     ) -> None:
-        """Shard the frontier by unique thread view, saturate each view
-        once (in-process or across the worker pool), then replay the
-        array-encoded tree across every member by packed-key
-        substitution."""
+        """Shard the frontier by unique thread view (skipping each
+        state's mover thread), saturate each view once (in-process or
+        across the worker pool), then replay the array-encoded tree
+        across every member by packed-key substitution."""
         table = self.table
         n = self.cpds.n_threads
         bits = table._bits
@@ -297,6 +336,7 @@ class ExplicitReach(ReachabilityEngine):
         threads = tuple(range(n))
         view_wid_shift = self._view_wid_shift
         view_qid_shift = self._view_qid_shift
+        movers = self._movers
         shards: dict[View, list[int]] = {}
         if (
             self._use_numpy
@@ -307,20 +347,23 @@ class ExplicitReach(ReachabilityEngine):
             )
         ):
             shards = vectorized.group_views(
-                table, frontier, n, view_qid_shift, view_wid_shift
+                table, frontier, movers, n, view_qid_shift, view_wid_shift
             )
         else:
             for sid in frontier:
                 key = packed[sid]
                 qbase = (key >> qshift) << view_qid_shift
+                mover = movers[sid]  # same-thread pruning: skip its view
                 for index in threads:
-                    shards.setdefault(
-                        qbase
-                        | (((key >> shifts[index]) & mask) << view_wid_shift)
-                        | index,
-                        [],
-                    ).append(sid)
-        METER.bump("explicit.level_views", n * len(frontier))
+                    if index != mover:
+                        shards.setdefault(
+                            qbase
+                            | (((key >> shifts[index]) & mask) << view_wid_shift)
+                            | index,
+                            [],
+                        ).append(sid)
+        # Every grouped (state, thread) cell is one shard member.
+        METER.bump("explicit.level_views", sum(map(len, shards.values())))
         METER.bump("explicit.level_unique_views", len(shards))
         if not shards:
             return
@@ -362,9 +405,10 @@ class ExplicitReach(ReachabilityEngine):
                     >= len(entries) * vectorized.NUMPY_MIN_ENTRY_AVG
                 ):
                     vectorized.bump_view(len(entries))
+                    METER.bump("explicit.replay_pairs", total)
                     vectorized.replay_level(
                         table, entries, level, self._first_seen,
-                        self._parents, fresh.append,
+                        movers, self._parents, fresh.append,
                     )
                     return
             else:
@@ -376,11 +420,13 @@ class ExplicitReach(ReachabilityEngine):
         first_seen = self._first_seen
         parents = self._parents
         append_fresh = fresh.append
+        pairs = 0
         for view, members in shards.items():
             tree = trees[view]
             if not len(tree.qids):
                 continue  # the context reaches nothing beyond its root
             index = view & self._view_index_mask
+            pairs += len(members) * len(tree.qids)
             # Saturating later views grows the component pools, which
             # can repack the table — re-read the geometry per shard.
             # Within one shard's replay only global ids grow, and the
@@ -394,8 +440,8 @@ class ExplicitReach(ReachabilityEngine):
             visibles = table._visibles
             low_mask = (1 << qshift) - 1
             move_clear = ~(table._mask << (bits * index))
+            deltas = tree.deltas(table)
             if parents is None:
-                deltas = tree.deltas(table)
                 for sid in members:
                     # ``StateTable.intern_key`` inlined on packed keys
                     # (see the coupling note there): this loop runs once
@@ -404,8 +450,7 @@ class ExplicitReach(ReachabilityEngine):
                     frozen = packed[sid] & low_mask & move_clear
                     for delta in deltas:
                         key = frozen | delta
-                        nsid = ids.get(key)
-                        if nsid is None:
+                        if key not in ids:
                             ids[key] = nsid = len(packed)
                             packed.append(key)
                             states.append(None)
@@ -416,20 +461,32 @@ class ExplicitReach(ReachabilityEngine):
                 edge_rows = tree.edge_rows(table)
                 for sid in members:
                     frozen = packed[sid] & low_mask & move_clear
-                    by_pos = [sid]
-                    record = by_pos.append
                     for delta, parent_pos, action in edge_rows:
                         key = frozen | delta
-                        nsid = ids.get(key)
-                        if nsid is None:
+                        if key not in ids:
                             ids[key] = nsid = len(packed)
                             packed.append(key)
                             states.append(None)
                             visibles.append(None)
                             first_seen.append(level)
                             append_fresh(nsid)
-                            parents[nsid] = (by_pos[parent_pos], index, action)
-                        record(nsid)
+                            # BFS order: the parent node's edge came
+                            # earlier in this member's row, so its key is
+                            # already interned.
+                            parents[nsid] = (
+                                ids[frozen | deltas[parent_pos - 1]]
+                                if parent_pos
+                                else sid,
+                                index,
+                                action,
+                            )
+            # Every id this shard interned is fresh and moved by
+            # ``index``: fill the mover column once per shard instead of
+            # once per state in the loops above.
+            grown = len(first_seen) - len(movers)
+            if grown:
+                movers.extend(repeat(index, grown))
+        METER.bump("explicit.replay_pairs", pairs)
 
     def _replay_sharded(
         self,
@@ -446,14 +503,15 @@ class ExplicitReach(ReachabilityEngine):
         the whole level, and worker-computed candidate keys
         (``frozen | delta``) are directly internable by the parent.
 
-        The merge pass consumes bucket results in submission order and
+        The merge pass consumes the units' rows in serial scan order and
         dedupes through :meth:`StateTable.intern_packed`; freshness is
-        the lock-step length test, exactly like the serial inlined loop.
-        Worker rows are emitted parents-first within a bucket, so a
-        tracked candidate's ``parent_key`` always resolves to an id by
-        the time it is read (cross-shard successors resolve against the
-        canonical table — a key another shard also produced simply stops
-        being fresh).  A dead worker raises
+        the lock-step length test, exactly like the serial inlined loop,
+        so the sharded advance assigns the serial loop's ids, parents
+        and movers.  Worker rows are emitted parents-first within a
+        bucket, so a tracked candidate's ``parent_key`` always resolves
+        to an id by the time it is read (cross-shard successors resolve
+        against the canonical table — a key another shard also produced
+        simply stops being fresh).  A dead worker raises
         :class:`~repro.errors.CubaError` and ``advance`` rolls the
         partial level back, so the advance is re-runnable.
         """
@@ -510,18 +568,22 @@ class ExplicitReach(ReachabilityEngine):
                 unit_work.append(len(chunk) * n_edges)
 
         n_buckets = min(self.jobs, len(units))
-        buckets: list[list] = [[] for _ in range(n_buckets)]
-        bucket_views: list[list[View]] = [[] for _ in range(n_buckets)]
+        bucket_units: list[list[int]] = [[] for _ in range(n_buckets)]
         loads = [0] * n_buckets
-        # Deterministic greedy balance, heaviest units first.
+        # Deterministic greedy balance, heaviest units first; each
+        # bucket then runs its units in serial scan order (see the
+        # merge below).
         for position in sorted(
             range(len(units)), key=lambda u: (-unit_work[u], u)
         ):
             bucket = loads.index(min(loads))
             loads[bucket] += unit_work[position]
-            buckets[bucket].append(units[position])
-            bucket_views[bucket].append(unit_views[position])
+            bucket_units[bucket].append(position)
+        for positions in bucket_units:
+            positions.sort()
+        buckets = [[units[u] for u in positions] for positions in bucket_units]
         METER.bump("explicit.replay_shards", len(units))
+        METER.bump("explicit.replay_pairs", total)
 
         # Workers resolve the backend knob independently (a forked
         # worker sees the parent's numpy; a spawn-started one re-probes)
@@ -529,31 +591,39 @@ class ExplicitReach(ReachabilityEngine):
         # each unit on whichever loop fits.
         results = self._lease().replay(buckets, track, backend=self.backend)
 
+        # Merge unit by unit in serial scan order.  A unit's rows omit
+        # only keys an earlier unit of its bucket emitted, and that unit
+        # merges earlier here too, so every fresh key is interned at its
+        # serial first occurrence: the ids, parents and movers equal the
+        # serial loop's.
+        unit_rows: list = [None] * len(units)
+        for positions, per_unit in zip(bucket_units, results):
+            for unit, rows in zip(positions, per_unit):
+                unit_rows[unit] = rows
         first_seen = self._first_seen
+        movers = self._movers
         parents = self._parents
         intern_packed = table.intern_packed
         append_fresh = fresh.append
-        if not track:
-            for rows in results:
+        ids = table._ids
+        for view, rows in zip(unit_views, unit_rows):
+            index = view & index_mask
+            if not track:
                 for key in rows:
                     nsid = intern_packed(key)
                     if nsid == len(first_seen):
                         first_seen.append(level)
+                        movers.append(index)
                         append_fresh(nsid)
-            return
-        ids = table._ids
-        for views_of, rows in zip(bucket_views, results):
-            for key, parent_key, unit_pos, edge_idx in rows:
+                continue
+            actions = trees[view].actions
+            for key, parent_key, edge_idx in rows:
                 nsid = intern_packed(key)
                 if nsid == len(first_seen):
                     first_seen.append(level)
+                    movers.append(index)
                     append_fresh(nsid)
-                    view = views_of[unit_pos]
-                    parents[nsid] = (
-                        ids[parent_key],
-                        view & index_mask,
-                        trees[view].actions[edge_idx],
-                    )
+                    parents[nsid] = (ids[parent_key], index, actions[edge_idx])
 
     def _view_parts(self, view: View) -> tuple[int, int, int]:
         """Unpack a view key to ``(thread, shared_id, stack_id)``."""
@@ -646,11 +716,13 @@ class ExplicitReach(ReachabilityEngine):
         self, frontier: tuple[int, ...], level: int, fresh: list[int]
     ) -> None:
         """The seed formulation: one :func:`thread_context_post` call
-        per (frontier state, thread) — the differential oracle."""
+        per (frontier state, thread) — the differential oracle, never
+        pruned (it records movers only to keep the column aligned)."""
         table = self.table
         intern = table.intern
         state_of = table.state
         first_seen = self._first_seen
+        movers = self._movers
         for sid in frontier:
             state = state_of(sid)
             for index in range(self.cpds.n_threads):
@@ -666,6 +738,7 @@ class ExplicitReach(ReachabilityEngine):
                     nsid = intern(nxt)
                     if nsid == len(first_seen):
                         first_seen.append(level)
+                        movers.append(index)
                         fresh.append(nsid)
 
     # ------------------------------------------------------------------

@@ -156,10 +156,12 @@ def _replay_bucket(payload: tuple[bool, str, list[ReplayUnit]]):
     the vectorized path emits the same row formats, including the
     parents-first tracked ordering.
 
-    Returns, in replay order:
+    Returns one row list per unit, in unit order; each list holds the
+    unit's candidates in replay (member, edge) order, minus those an
+    earlier unit of the bucket already emitted:
 
-    * untracked: a flat list of candidate packed keys;
-    * tracked: ``(key, parent_key, unit_pos, edge_idx)`` rows, where
+    * untracked: candidate packed keys;
+    * tracked: ``(key, parent_key, edge_idx)`` rows, where
       ``parent_key`` is the packed key of the candidate's predecessor in
       the member's replay chain (position 0 = the member itself).  Rows
       are emitted parents-first, so the parent merge can resolve
@@ -175,11 +177,13 @@ def _replay_bucket(payload: tuple[bool, str, list[ReplayUnit]]):
     seen: set[int] = set()
     add = seen.add
     out: list = []
-    append = out.append
-    if not track:
-        for frozen_keys, _members, deltas, _ppos in units:
+    for frozen_keys, member_keys, deltas, parent_pos in units:
+        unit_out: list = []
+        out.append(unit_out)
+        append = unit_out.append
+        if not track:
             if vec is not None and vec.unit_fits(frozen_keys, deltas):
-                vec.replay_unit_untracked(frozen_keys, deltas, seen, out)
+                vec.replay_unit_untracked(frozen_keys, deltas, seen, unit_out)
                 continue
             for frozen in frozen_keys:
                 for delta in deltas:
@@ -187,12 +191,10 @@ def _replay_bucket(payload: tuple[bool, str, list[ReplayUnit]]):
                     if key not in seen:
                         add(key)
                         append(key)
-        return out
-    for unit_pos, (frozen_keys, member_keys, deltas, parent_pos) in enumerate(units):
+            continue
         if vec is not None and vec.unit_fits(frozen_keys, deltas):
             vec.replay_unit_tracked(
-                frozen_keys, member_keys, deltas, parent_pos,
-                unit_pos, seen, out,
+                frozen_keys, member_keys, deltas, parent_pos, seen, unit_out
             )
             continue
         edges = list(zip(deltas, parent_pos))
@@ -203,7 +205,7 @@ def _replay_bucket(payload: tuple[bool, str, list[ReplayUnit]]):
                 key = frozen | delta
                 if key not in seen:
                     add(key)
-                    append((key, keys_by_pos[ppos], unit_pos, edge_idx))
+                    append((key, keys_by_pos[ppos], edge_idx))
                 record(key)
     return out
 

@@ -22,10 +22,14 @@ Correctness contract (the differential tests pin all three):
   the order the serial loop discovers them — a ``backend="numpy"``
   engine at ``jobs=1`` assigns the same dense ids, parents and levels
   as ``backend="python"``.
+* **Identical movers.** Each fresh state's mover is the thread of its
+  first-occurrence view, as in the serial loop, so same-thread pruning
+  masks the same cells in :func:`group_views` and the next level
+  groups identically.
 * **Identical METER.** The backend only changes *how* a level replays;
   ``explicit.expansions`` / ``level_views`` / ``level_unique_views`` /
-  ``context_cache_*`` are bumped by the shared advance code and stay
-  equal across backends.  The numpy-only counters
+  ``context_cache_*`` / ``replay_pairs`` are bumped by the shared
+  advance code and stay equal across backends.  The numpy-only counters
   (``explicit.replay_numpy_views`` / ``_fallbacks``) live *outside* the
   differential set, like ``explicit.replay_shards``.
 * **Wide keys fall back.** Packed keys exceed 64 bits at high thread
@@ -143,13 +147,20 @@ def views_fit_int64(table, view_qid_shift: int, view_wid_shift: int) -> bool:
 
 
 def group_views(
-    table, frontier, n: int, view_qid_shift: int, view_wid_shift: int
+    table,
+    frontier,
+    movers,
+    n: int,
+    view_qid_shift: int,
+    view_wid_shift: int,
 ) -> dict:
     """Shard a frontier by unique thread view in one vectorized pass.
 
     Mirrors the scalar grouping loop of
-    ``ExplicitReach._advance_batched`` exactly: the returned dict lists
-    views in first-occurrence order over the ``(sid, thread)`` scan
+    ``ExplicitReach._advance_batched`` exactly: the ``(sid, mover)``
+    cells are masked out (same-thread pruning, ``movers`` is the
+    engine's id-indexed mover column), the returned dict lists views in
+    first-occurrence order over the remaining ``(sid, thread)`` scan
     (sid-major, thread-minor) and each member list in frontier order —
     the orders the replay paths and the differential id-assignment proof
     depend on.  Caller must have checked :func:`table_fits_int64` and
@@ -163,13 +174,21 @@ def group_views(
     keys = np.fromiter(
         (packed[sid] for sid in frontier), dtype=np.int64, count=len(frontier)
     )
+    skip = np.fromiter(
+        (movers[sid] for sid in frontier), dtype=np.int64, count=len(frontier)
+    )
     qbase = (keys >> qshift) << view_qid_shift
     cols = np.empty((len(frontier), n), dtype=np.int64)
     for index in range(n):
         cols[:, index] = (
             qbase | (((keys >> (bits * index)) & mask) << view_wid_shift) | index
         )
-    flat = cols.ravel()  # row-major: the scalar loop's scan order
+    # Row-major cell positions (the scalar loop's scan order) that
+    # survive the mover mask.
+    cells = np.flatnonzero(np.arange(n)[None, :] != skip[:, None])
+    if not cells.size:
+        return {}
+    flat = cols.ravel()[cells]
     order = flat.argsort(kind="stable")
     grouped = flat[order]
     runs = np.flatnonzero(grouped[1:] != grouped[:-1])
@@ -182,7 +201,7 @@ def group_views(
     # out already in frontier order.
     heads = order[bounds[:-1]]
     group_order = np.argsort(heads).tolist()
-    sid_idx = (order // n).tolist()
+    sid_idx = (cells[order] // n).tolist()
     bl = bounds.tolist()
     view_of = grouped[bounds[:-1]].tolist()
     shards: dict = {}
@@ -226,6 +245,7 @@ def replay_level(
     entries: list,
     level: int,
     first_seen: list[int],
+    movers,
     parents: dict | None,
     append_fresh,
 ) -> None:
@@ -243,7 +263,8 @@ def replay_level(
     Mirrors the inlined ``StateTable.intern_key`` protocol of
     ``ExplicitReach._advance_batched`` (see the coupling note on
     ``intern_key``): fresh keys append ``None`` placeholders to the
-    decoded columns and their level to ``first_seen``.  Tracked parents
+    decoded columns, their level to ``first_seen`` and the thread of
+    their first-occurrence view to ``movers``.  Tracked parents
     resolve by recomputing the predecessor's packed key with Python
     ints — by the BFS edge-order property the parent's first occurrence
     strictly precedes the child's in the same member row, hence at a
@@ -320,7 +341,18 @@ def replay_level(
     first_idx.sort()
     values = flat[first_idx].tolist()
     if parents is None:
-        for key in values:
+        # The view (hence thread) of each first occurrence: the span
+        # whose end offset first exceeds the flat position.
+        span_ends = np.fromiter(
+            (span[0] for span in spans), dtype=np.int64, count=len(spans)
+        )
+        span_threads = np.fromiter(
+            (span[5] for span in spans), dtype=np.int64, count=len(spans)
+        )
+        threads = span_threads[
+            np.searchsorted(span_ends, first_idx, side="right")
+        ].tolist()
+        for key, thread in zip(values, threads):
             nsid = ids.get(key)
             if nsid is None:
                 ids[key] = nsid = len(packed)
@@ -328,6 +360,7 @@ def replay_level(
                 states.append(None)
                 visibles.append(None)
                 first_seen.append(level)
+                movers.append(thread)
                 append_fresh(nsid)
         return
     positions = first_idx.tolist()
@@ -351,6 +384,7 @@ def replay_level(
             states.append(None)
             visibles.append(None)
             first_seen.append(level)
+            movers.append(index)
             append_fresh(nsid)
             member_idx, edge_idx = divmod(pos - start, n_edges)
             ppos = parent_pos[edge_idx]
@@ -384,12 +418,11 @@ def replay_unit_tracked(
     member_keys: list,
     deltas: list,
     parent_pos: list,
-    unit_pos: int,
     seen: set,
     out: list,
 ) -> None:
     """Vectorized body of one tracked worker unit: emit
-    ``(key, parent_key, unit_pos, edge_idx)`` rows parents-first.
+    ``(key, parent_key, edge_idx)`` rows parents-first.
 
     First-occurrence ordering preserves the parents-first guarantee the
     merge pass relies on: a candidate's predecessor key first occurs at
@@ -410,7 +443,7 @@ def replay_unit_tracked(
             parent_key = member_keys[member_idx]
         else:
             parent_key = frozen_keys[member_idx] | deltas[ppos - 1]
-        append((key, parent_key, unit_pos, edge_idx))
+        append((key, parent_key, edge_idx))
 
 
 def visible_batch(table, sids: list[int]) -> list:

@@ -22,8 +22,11 @@ miss, never a mis-resume:
   component pools plus interleaved ``(qid, wids...)`` rows (component
   ids, not packed keys — era-independent and immune to the adaptive
   bit-field geometry), ``first_seen``, the per-level id sets
-  (lengths + flat ids), the id-encoded witness parents, and the
-  cross-level context-tree cache as raw CSR columns.  The per-thread
+  (lengths + flat ids), the id-encoded witness parents, the
+  cross-level context-tree cache as raw CSR columns, and the per-state
+  mover column of same-thread pruning (key ``movers``, optional: a blob
+  without it restores every state with the "expand every thread"
+  sentinel, so it stays readable at the same version).  The per-thread
   successor memos are *not* persisted — they are pure semantic facts
   the warm engine re-derives without touching any METER counter.
 * **symbolic** (kind 2): pools of distinct shared states and canonical
@@ -201,6 +204,7 @@ def snapshot_explicit(engine) -> bytes:
             "stacks": stacks,
             "rows": table.export_rows(),
             "first_seen": array("q", engine._first_seen),
+            "movers": engine._movers,
             "level_lens": level_lens,
             "level_ids": level_ids,
             "parents": parent_rows,
@@ -225,7 +229,7 @@ def restore_explicit(
     guard.  Raises :class:`SnapshotError` when the blob is undecodable
     or does not belong to ``cpds``."""
     from repro.reach.config import EngineConfig
-    from repro.reach.explicit import ExplicitReach
+    from repro.reach.explicit import ExplicitReach, mover_column
 
     if config is None:
         config = EngineConfig()
@@ -264,6 +268,16 @@ def restore_explicit(
         engine._first_seen = list(payload["first_seen"])
         if len(engine._first_seen) != len(table):
             raise SnapshotError("snapshot columns disagree on state count")
+        movers = payload.get("movers")
+        if movers is None:
+            # A blob written before the mover column: every state
+            # expands every thread, so levels stay exact and only the
+            # first resumed level does extra work.
+            engine._movers = mover_column(n_threads, [n_threads]) * len(table)
+        elif len(movers) != len(table):
+            raise SnapshotError("snapshot mover column disagrees on state count")
+        else:
+            engine._movers = mover_column(n_threads, movers)
 
         parent_rows = payload["parents"]
         if parent_rows is None:

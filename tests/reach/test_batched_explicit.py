@@ -15,14 +15,18 @@ import pytest
 
 from repro.errors import ContextExplosionError
 from repro.models.random_gen import RandomSpec, random_cpds
-from repro.models.registry import smallest_per_row
-from repro.reach.explicit import ExplicitReach
+from repro.models.registry import TABLE2, smallest_per_row
+from repro.reach.config import EngineConfig
+from repro.reach.explicit import ExplicitReach, mover_column
 from repro.reach.witness import validate_trace
 from repro.util.meter import METER, scoped
 
 K = 3
 
 FCR_BENCHES = smallest_per_row(lambda b: b.fcr)
+
+BATCHED = EngineConfig()
+PER_STATE = EngineConfig(batched=False)
 
 
 def _levels(engine, k_max):
@@ -33,8 +37,8 @@ def _levels(engine, k_max):
 @pytest.mark.parametrize("bench", FCR_BENCHES, ids=lambda b: b.row)
 def test_batched_levels_match_per_state_levels(bench):
     cpds, _prop = bench.build()
-    batched = ExplicitReach(cpds, track_traces=False, batched=True)
-    per_state = ExplicitReach(cpds, track_traces=False, batched=False)
+    batched = ExplicitReach(cpds, track_traces=False, config=BATCHED)
+    per_state = ExplicitReach(cpds, track_traces=False, config=PER_STATE)
     assert _levels(batched, K) == _levels(per_state, K)
     for k in range(K + 1):
         assert batched.visible_up_to(k) == per_state.visible_up_to(k), f"k={k}"
@@ -47,8 +51,8 @@ def test_batched_matches_non_incremental_per_state(bench):
     """Cross both axes: batched+incremental vs per-state without any
     cross-level memo (the fully naive seed path)."""
     cpds, _prop = bench.build()
-    fast = ExplicitReach(cpds, track_traces=False, incremental=True, batched=True)
-    naive = ExplicitReach(cpds, track_traces=False, incremental=False, batched=False)
+    fast = ExplicitReach(cpds, track_traces=False, incremental=True, config=BATCHED)
+    naive = ExplicitReach(cpds, track_traces=False, incremental=False, config=PER_STATE)
     assert _levels(fast, K) == _levels(naive, K)
 
 
@@ -60,7 +64,7 @@ def test_one_expansion_per_unique_view_per_level(bench):
     only be fewer and every shard is accounted for as a saturation or a
     cache hit."""
     cpds, _prop = bench.build()
-    engine = ExplicitReach(cpds, track_traces=False, incremental=False, batched=True)
+    engine = ExplicitReach(cpds, track_traces=False, incremental=False, config=BATCHED)
     for _ in range(K):
         with scoped() as level_work:
             engine.advance()
@@ -72,7 +76,7 @@ def test_one_expansion_per_unique_view_per_level(bench):
         )
         assert views >= unique
 
-    memo = ExplicitReach(cpds, track_traces=False, incremental=True, batched=True)
+    memo = ExplicitReach(cpds, track_traces=False, incremental=True, config=BATCHED)
     before = METER.snapshot()
     memo.ensure_level(K)
     delta = METER.delta(before)
@@ -93,11 +97,11 @@ def test_per_state_mode_expands_duplicates():
     cpds, _prop = bench.build()
     with scoped() as batched_work:
         ExplicitReach(
-            cpds, track_traces=False, incremental=False, batched=True
+            cpds, track_traces=False, incremental=False, config=BATCHED
         ).ensure_level(K)
     with scoped() as per_state_work:
         ExplicitReach(
-            cpds, track_traces=False, incremental=False, batched=False
+            cpds, track_traces=False, incremental=False, config=PER_STATE
         ).ensure_level(K)
     assert (
         per_state_work["explicit.expansions"] > batched_work["explicit.expansions"]
@@ -114,10 +118,10 @@ def test_many_threads_views_do_not_alias(n_threads):
     )
     cpds = random_cpds(7, spec)
     batched = ExplicitReach(
-        cpds, max_states_per_context=200, track_traces=False, batched=True
+        cpds, max_states_per_context=200, track_traces=False, config=BATCHED
     )
     per_state = ExplicitReach(
-        cpds, max_states_per_context=200, track_traces=False, batched=False
+        cpds, max_states_per_context=200, track_traces=False, config=PER_STATE
     )
     exploded = [False, False]
     for position, engine in enumerate((batched, per_state)):
@@ -138,10 +142,10 @@ def test_randomized_differential(seed):
     spec = RandomSpec(n_threads=2, n_shared=2, n_symbols=2, rules_per_thread=5)
     cpds = random_cpds(seed, spec)
     batched = ExplicitReach(
-        cpds, max_states_per_context=300, track_traces=False, batched=True
+        cpds, max_states_per_context=300, track_traces=False, config=BATCHED
     )
     per_state = ExplicitReach(
-        cpds, max_states_per_context=300, track_traces=False, batched=False
+        cpds, max_states_per_context=300, track_traces=False, config=PER_STATE
     )
     exploded = [False, False]
     for position, engine in enumerate((batched, per_state)):
@@ -165,7 +169,7 @@ def test_randomized_batched_traces_are_real_executions(seed):
     CPDS step semantics (the guarantee behind UNSAFE counterexamples)."""
     spec = RandomSpec(n_threads=2, n_shared=2, n_symbols=2, rules_per_thread=4)
     cpds = random_cpds(seed, spec)
-    engine = ExplicitReach(cpds, max_states_per_context=300, batched=True)
+    engine = ExplicitReach(cpds, max_states_per_context=300, config=BATCHED)
     try:
         engine.ensure_level(2)
     except ContextExplosionError:
@@ -182,7 +186,11 @@ def test_divergence_rolls_back_partial_level(batched):
     from repro.models import fig2_cpds
 
     cpds = fig2_cpds()  # diverges within one context
-    engine = ExplicitReach(cpds, max_states_per_context=5, batched=batched)
+    engine = ExplicitReach(
+        cpds,
+        max_states_per_context=5,
+        config=BATCHED if batched else PER_STATE,
+    )
     n_before = engine.n_states
     keys_before = len(engine.table)
     k_before = engine.k
@@ -190,6 +198,7 @@ def test_divergence_rolls_back_partial_level(batched):
         engine.ensure_level(3)
     assert engine.n_states == n_before
     assert len(engine.table) == keys_before
+    assert len(engine._movers) == n_before
     assert engine.k == k_before
     assert sum(len(level) for level in engine.levels) == engine.n_states
     assert engine.states_up_to() == frozenset([cpds.initial_state()])
@@ -203,7 +212,7 @@ def test_warm_start_after_plateau_query():
     consistent (empty levels, stable cumulative sets, no new work)."""
     bench = next(b for b in FCR_BENCHES if b.row.startswith("9/"))
     cpds, _prop = bench.build()
-    engine = ExplicitReach(cpds, batched=True)
+    engine = ExplicitReach(cpds, config=BATCHED)
     while not engine.plateaued_at(engine.k):
         engine.advance()
     k0 = engine.k
@@ -222,3 +231,52 @@ def test_warm_start_after_plateau_query():
     # An empty frontier shards into zero views: no saturation happens.
     assert warm_work.get("explicit.expansions", 0) == 0
     assert warm_work.get("explicit.level_unique_views", 0) == 0
+
+
+#: name -> (explicit.replay_pairs, explicit.level_unique_views) of a
+#: fresh engine advanced to its plateau.  Same-thread pruning never
+#: expands a state by the thread whose context produced it; re-expanding
+#: the mover (3,780,528 / 7,802 and 4,153 / 320 before pruning) fails
+#: here.
+PINNED_REPLAY_WORK = {
+    "4/BST-Insert [2+2]": (1_472_572, 5_978),
+    "1/Bluetooth-1 [1+1]": (1_131, 156),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPLAY_WORK))
+def test_replay_work_pinned(name):
+    bench = next(b for b in TABLE2 if b.name == name)
+    cpds, _prop = bench.build()
+    engine = ExplicitReach(cpds, track_traces=False, config=BATCHED)
+    with scoped() as work:
+        while not engine.plateaued_at(engine.k):
+            engine.advance()
+    assert (
+        work.get("explicit.replay_pairs", 0),
+        work.get("explicit.level_unique_views", 0),
+    ) == PINNED_REPLAY_WORK[name]
+
+
+@pytest.mark.parametrize("bench", FCR_BENCHES[:4], ids=lambda b: b.row)
+def test_level_views_count_the_grouped_cells(bench):
+    """``explicit.level_views`` counts the (state, thread) cells actually
+    grouped: every thread for the root, every thread but the mover for
+    any state produced by a context."""
+    cpds, _prop = bench.build()
+    n = cpds.n_threads
+    engine = ExplicitReach(cpds, track_traces=False, config=BATCHED)
+    for _ in range(K):
+        frontier = engine.level_sizes()[-1]
+        with scoped() as level_work:
+            engine.advance()
+        expected = n if engine.k == 1 else (n - 1) * frontier
+        assert level_work.get("explicit.level_views", 0) == expected
+        assert len(engine._movers) == engine.n_states
+
+
+def test_mover_column_is_compact():
+    assert mover_column(2, [2]).itemsize == 1
+    assert mover_column(255, [255])[0] == 255
+    assert mover_column(256, [256]).itemsize == 2
+    assert mover_column(70_000, [70_000])[0] == 70_000

@@ -35,6 +35,7 @@ METER_KEYS = (
     "explicit.level_unique_views",
     "explicit.context_cache_hits",
     "explicit.context_cache_misses",
+    "explicit.replay_pairs",
 )
 
 

@@ -38,6 +38,7 @@ METER_KEYS = (
     "explicit.level_unique_views",
     "explicit.context_cache_hits",
     "explicit.context_cache_misses",
+    "explicit.replay_pairs",
 )
 
 HAVE_NUMPY = vectorized.numpy_available()

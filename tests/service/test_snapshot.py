@@ -321,3 +321,56 @@ def test_snapshot_of_unknown_budget_run_resumes_to_safe():
         fresh.verdict,
         fresh.bound,
     )
+
+
+class TestMoverColumn:
+    """The same-thread pruning column (payload key ``movers``) is
+    optional: blobs written without it resume exactly, with extra work
+    only on the first resumed level."""
+
+    @staticmethod
+    def _reencode(blob, edit):
+        from repro.service.snapshot import KIND_EXPLICIT, _encode, decode
+
+        _kind, payload = decode(blob, expected_kind=KIND_EXPLICIT)
+        edit(payload)
+        return _encode(KIND_EXPLICIT, payload)
+
+    @pytest.mark.parametrize("bench", FCR_ROWS, ids=lambda b: b.row)
+    def test_roundtrip_preserves_movers(self, bench):
+        cpds, _prop = bench.build()
+        engine = ExplicitReach(cpds)
+        engine.ensure_level(K)
+        restored = ExplicitReach.restore(cpds, engine.snapshot())
+        assert restored._movers == engine._movers
+
+    @pytest.mark.parametrize("bench", FCR_ROWS, ids=lambda b: b.row)
+    def test_blob_without_movers_resumes_identically(self, bench):
+        cpds, _prop = bench.build()
+        fresh = ExplicitReach(cpds)
+        fresh.ensure_level(K + 2)
+        engine = ExplicitReach(cpds)
+        engine.ensure_level(K)
+        blob = self._reencode(engine.snapshot(), lambda p: p.pop("movers"))
+        restored = ExplicitReach.restore(cpds, blob)
+        assert set(restored._movers) == {cpds.n_threads}
+        restored.ensure_level(K + 2)
+        for k in range(K + 3):
+            assert fresh.states_new_at(k) == restored.states_new_at(k), f"k={k}"
+            assert fresh.visible_new_at(k) == restored.visible_new_at(k), f"k={k}"
+        assert len(restored._movers) == restored.n_states
+        sample = sorted(restored.states_up_to(), key=str)[:5]
+        for state in sample:
+            validate_trace(cpds, restored.trace(state))
+
+    def test_mover_column_length_mismatch_is_rejected(self):
+        from repro.models import fig1_cpds
+
+        cpds = fig1_cpds()
+        engine = ExplicitReach(cpds)
+        engine.ensure_level(2)
+        blob = self._reencode(
+            engine.snapshot(), lambda p: p["movers"].pop()
+        )
+        with pytest.raises(SnapshotError):
+            ExplicitReach.restore(cpds, blob)
