@@ -256,101 +256,49 @@ class TestLaneRegistryIntegration:
 
 
 class TestJobsField:
-    def test_jobs_recorded_and_default(self, payload):
-        """The payload records its saturation worker count; absent means
-        the pre-PR 4 serial default."""
-        assert payload["jobs"] == 1
+    """``jobs`` and ``shards`` are retired constants: the runner no
+    longer writes them, and comparison reads an absent field as the
+    serial value (1 and 0)."""
+
+    def test_jobs_and_shards_no_longer_recorded(self, payload):
+        assert "jobs" not in payload
+        assert "shards" not in payload
 
     def test_mismatched_jobs_refuses_comparison(self, payload):
-        """A jobs=2 run must not be gated against a serial baseline (and
-        vice versa): wall times carry worker startup/IPC and scale with
-        core count."""
+        """A baseline recorded by the removed multiprocess advance
+        (jobs=2) is never gated against; one recorded serially, with the
+        field present or absent, still is."""
         parallel = json.loads(json.dumps(payload))
         parallel["jobs"] = 2
-        ok, messages = compare_bench(parallel, payload, tolerance=0.25)
+        ok, messages = compare_bench(payload, parallel, tolerance=0.25)
         assert not ok
         assert any("NOT COMPARABLE" in m for m in messages)
-        # Pre-PR 4 baselines lack the field entirely: treated as jobs=1.
-        legacy = json.loads(json.dumps(payload))
-        del legacy["jobs"]
-        ok, messages = compare_bench(payload, legacy, tolerance=0.25)
+        serial = json.loads(json.dumps(payload))
+        serial["jobs"] = 1
+        ok, messages = compare_bench(payload, serial, tolerance=0.25)
         assert ok, messages
-
-    def test_parallel_mode_runs_explicit_lanes_only(self):
-        """The opt-in ``parallel`` mode (jobs=2 saturation) measures the
-        explicit lanes and skips symbolic/canonical-micro, recording the
-        worker count and a parallel-vs-serial ratio per entry."""
-        from repro.reach.parallel import pool_cache_clear
-
-        try:
-            payload = run_suite(
-                quick=True,
-                rows={"9"},
-                modes=("optimized", "parallel"),
-                max_rounds=3,
-                repeats=1,
-            )
-        finally:
-            pool_cache_clear()
-        by_lane = {w["lane"]: w for w in payload["workloads"]}
-        explicit = by_lane["explicit"]
-        assert explicit["modes"]["parallel"]["jobs"] == 2
-        assert explicit["modes"]["parallel"]["seconds"] > 0
-        assert "parallel_speedup" in explicit
-        assert "parallel" not in by_lane["symbolic"]["modes"]
-        assert "parallel" not in by_lane["canonical-micro"]["modes"]
-        # Both modes reach the same verdict at the same bound.
-        assert (
-            explicit["modes"]["parallel"].get("verdict")
-            == explicit["modes"]["optimized"].get("verdict")
-        )
 
 
 class TestShardMode:
-    def test_shard_mode_runs_the_sharded_advance(self):
-        """The ``shard`` sub-mode measures the fully sharded advance
-        (saturation in-process, member x edge replay on the pool) on
-        the explicit lanes only, with its own serial-vs-sharded ratio."""
-        from repro.reach.parallel import pool_cache_clear
-
-        try:
-            payload = run_suite(
-                quick=True,
-                rows={"9"},
-                modes=("optimized", "shard"),
-                max_rounds=3,
-                repeats=1,
-            )
-        finally:
-            pool_cache_clear()
-        by_lane = {w["lane"]: w for w in payload["workloads"]}
-        explicit = by_lane["explicit"]
-        assert explicit["modes"]["shard"]["jobs"] == 2
-        assert explicit["modes"]["shard"]["seconds"] > 0
-        assert "shard_speedup" in explicit
-        assert "shard" not in by_lane["symbolic"]["modes"]
-        assert "shard" not in by_lane["canonical-micro"]["modes"]
-        assert (
-            explicit["modes"]["shard"].get("verdict")
-            == explicit["modes"]["optimized"].get("verdict")
-        )
-        # The sharded replay actually fanned out worker units.
-        meter = explicit["modes"]["shard"]["meter"]
-        assert meter.get("explicit.replay_shards", 0) > 0
-
     def test_mismatched_shards_refuses_comparison(self, payload):
-        """A --shards run is a different hardware story: not gated
-        against a serial baseline.  Absent means 0 (pre-PR 6 files stay
-        comparable when the knob is unused)."""
+        """A baseline recorded with replay sharding (shards=4) is never
+        gated against; shards=0 (the committed files' value) still is."""
         sharded = json.loads(json.dumps(payload))
         sharded["shards"] = 4
-        ok, messages = compare_bench(sharded, payload, tolerance=0.25)
+        ok, messages = compare_bench(payload, sharded, tolerance=0.25)
         assert not ok
         assert any("NOT COMPARABLE" in m for m in messages)
-        legacy = json.loads(json.dumps(payload))
-        del legacy["shards"]
-        ok, messages = compare_bench(payload, legacy, tolerance=0.25)
+        serial = json.loads(json.dumps(payload))
+        serial["shards"] = 0
+        ok, messages = compare_bench(payload, serial, tolerance=0.25)
         assert ok, messages
+
+
+def test_retired_modes_are_rejected():
+    """The ``parallel`` and ``shard`` modes went with the multiprocess
+    advance; naming one is an error, not a silent optimized run."""
+    with pytest.raises(ValueError, match="parallel"):
+        run_suite(quick=True, rows={"9"}, modes=("optimized", "parallel"))
 
 
 class TestBackendField:

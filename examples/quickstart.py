@@ -153,24 +153,6 @@ def main() -> None:
         print(f"store get p99: {p99 * 1000:.2f}ms")
     scrape = render()  # the exact /metrics body
     print(f"/metrics exposition: {len(scrape.splitlines())} sample lines")
-    print()
-
-    print("== Multiprocess view saturation (jobs=N) ==")
-    # Each frontier level's unique (thread, shared, stack) views are
-    # independent, so the explicit engine can saturate them across a
-    # pool of worker processes while replay and the seen-set stay in
-    # the parent.  Levels, verdicts, and METER expansion counts are
-    # identical to jobs=1; wall time drops on multi-core machines.
-    # Execution knobs travel in one EngineConfig accepted by
-    # scheme1_rk, Cuba, every engine, and the CLI:
-    # `cuba verify file.cpds --lane explicit --jobs 4`.
-    from repro.cuba import scheme1_rk
-    from repro.reach import EngineConfig
-    from repro.reach.parallel import pool_cache_clear
-
-    result = scheme1_rk(cpds, AlwaysSafe(), config=EngineConfig(jobs=2))
-    print(result)
-    pool_cache_clear()  # shut the worker pool down at program end
 
 
 if __name__ == "__main__":

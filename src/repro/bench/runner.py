@@ -5,23 +5,13 @@ Each workload is run in every requested *mode*:
 ``optimized``
     Current defaults — dense Hopcroft canonicalization
     (:mod:`repro.automata.dense`), batched frontier expansion (symbolic
-    *and* explicit: the explicit lane runs the sharded, view-batched
-    interned engine), interned symbol order, hash-consed canonical DFAs.
+    *and* explicit: the explicit lane runs the view-batched interned
+    engine), interned symbol order, hash-consed canonical DFAs.
 ``legacy``
     The seed pipeline kept in-tree for comparison — Moore partition
     refinement (``canonical.backend("moore")``) and per-state frontier
-    expansion (``SymbolicReach(batched=False)`` /
-    ``scheme1_rk(batched=False)`` on the explicit lane).
-``parallel``
-    Explicit lanes only: the optimized pipeline with ``jobs=2``
-    multiprocess view saturation (:mod:`repro.reach.parallel`) — the
-    scale-out axis, measured cold (worker pools are torn down between
-    repetitions like every other cache).
-
-The suite-wide ``--jobs`` value applies to the ``optimized`` explicit
-lane, is recorded top-level in the payload, and baselines are only
-comparable when their ``jobs`` values match (a parallel run must not be
-gated against a serial baseline or vice versa).
+    expansion (``EngineConfig(batched=False)`` on the symbolic and
+    explicit lanes).
 
 Wall time is best-of-``repeats`` (first run's METER delta and peak
 memory are recorded; caches are cleared before every repetition so runs
@@ -74,17 +64,13 @@ def _meter_slice(delta: dict) -> dict:
 
 def _clear_caches() -> None:
     """Reset every process-global cache so each repetition runs cold:
-    the canonicalization memo, the Hopcroft pre-cache (PR 3), and the
-    leased view-saturation worker pools (PR 4 — warm, pre-registered
-    workers would otherwise carry state across repetitions; per-engine
-    array tables and packed-delta caches die with the engine and need
-    no reset).  Delegates to the shared
+    the canonicalization memo and the Hopcroft pre-cache (PR 3;
+    per-engine array tables and packed-delta caches die with the engine
+    and need no reset).  Delegates to the shared
     :func:`~repro.util.caches.clear_runtime_caches` (PR 5) — the same
     cleanup the analysis server's shutdown and the store's size-pressure
     eviction hook run, so every long-lived owner of these caches clears
-    them identically (the parallel module stays lazily imported inside
-    it: serial bench processes never pay for, or perturb timings with,
-    multiprocessing machinery)."""
+    them identically."""
     clear_runtime_caches()
 
 
@@ -190,7 +176,7 @@ def _describe_result(result) -> dict:
     return {"verdict": verdict.value, "bound": getattr(result, "bound", None)}
 
 
-def _symbolic_run(cpds, prop, max_rounds: int, mode: str, jobs: int = 1):
+def _symbolic_run(cpds, prop, max_rounds: int, mode: str):
     backend = "dense" if mode == "optimized" else "moore"
     batched = mode == "optimized"
 
@@ -204,7 +190,7 @@ def _symbolic_run(cpds, prop, max_rounds: int, mode: str, jobs: int = 1):
     return run
 
 
-def _wuba_run(cpds, prop, max_rounds: int, mode: str, jobs: int = 1):
+def _wuba_run(cpds, prop, max_rounds: int, mode: str):
     """The WUBA lane through the generic Scheme 1 driver
     (:func:`repro.cuba.lanes.run_lane`); ``legacy`` disables the
     write-free closure memo, the lane's only cache."""
@@ -218,53 +204,15 @@ def _wuba_run(cpds, prop, max_rounds: int, mode: str, jobs: int = 1):
     return run
 
 
-#: Worker count of the opt-in ``parallel`` bench mode (end-to-end
-#: advance: view saturation + sharded replay) and the floor of the
-#: replay-isolating ``shard`` sub-mode.
-_PARALLEL_MODE_JOBS = 2
-
-
 def _explicit_run(
-    cpds,
-    prop,
-    max_rounds: int,
-    mode: str,
-    jobs: int = 1,
-    shards: int = 0,
-    replay_backend: str = "python",
+    cpds, prop, max_rounds: int, mode: str, replay_backend: str = "python"
 ):
     backend = "moore" if mode == "legacy" else "dense"
-    batched = mode != "legacy"
-    parallel_saturation = True
-    shard_min_work = None
-    if mode == "parallel":
-        jobs = max(jobs, _PARALLEL_MODE_JOBS)
-    elif mode == "shard":
-        # Replay sharding in isolation: saturation stays in-process and
-        # every level shards, so the sub-mode measures the replay
-        # fan-out itself rather than the PR 4 saturation win.
-        jobs = max(shards, _PARALLEL_MODE_JOBS)
-        parallel_saturation = False
-        shard_min_work = 0
-    elif mode == "legacy":
-        jobs = 1
-
-    config = EngineConfig(
-        jobs=jobs,
-        batched=batched,
-        backend=replay_backend,
-        shard_min_work=shard_min_work,
-    )
+    config = EngineConfig(batched=mode != "legacy", backend=replay_backend)
 
     def run():
         with canonical.backend(backend):
-            return scheme1_rk(
-                cpds,
-                prop,
-                max_rounds=max_rounds,
-                parallel_saturation=parallel_saturation,
-                config=config,
-            )
+            return scheme1_rk(cpds, prop, max_rounds=max_rounds, config=config)
 
     return run
 
@@ -319,21 +267,10 @@ def run_suite(
     repeats: int = 3,
     label: str | None = None,
     memory: bool = False,
-    jobs: int = 1,
-    shards: int = 0,
     backend: str = "auto",
     phases: bool = False,
 ) -> dict:
     """Run the registry workloads and return the BENCH payload dict.
-
-    ``jobs`` configures the ``optimized`` explicit lane's worker count
-    and is recorded top-level in the payload; the opt-in ``parallel``
-    mode (explicit lanes only) always runs the end-to-end advance with
-    at least :data:`_PARALLEL_MODE_JOBS` workers regardless.
-    ``shards`` sets the replay-isolating ``shard`` sub-mode's worker
-    count (0 = its :data:`_PARALLEL_MODE_JOBS` default) and is recorded
-    top-level too, so payloads with mismatched shard counts are never
-    gated against each other (:func:`comparable_configs`).
 
     ``backend`` selects the explicit lanes' replay arithmetic
     (:mod:`repro.reach.vectorized`); it is resolved here (``auto`` →
@@ -343,6 +280,9 @@ def run_suite(
     """
     from repro.reach.vectorized import resolve_backend
 
+    unknown = sorted(set(modes) - {"optimized", "legacy"})
+    if unknown:
+        raise ValueError(f"unknown bench mode(s): {', '.join(unknown)}")
     backend = resolve_backend(backend)
     if max_rounds is None:
         max_rounds = 6 if quick else 10
@@ -372,28 +312,15 @@ def run_suite(
                 entry = {"name": bench.name, "lane": lane, "modes": {}}
                 optimized_runner = None
                 for mode in modes:
-                    if mode in ("parallel", "shard") and lane != "explicit":
-                        continue  # the multiprocess advance is explicit-only
                     kwargs = (
                         {"replay_backend": backend}
                         if maker is _explicit_run
                         else {}
                     )
-                    if mode in ("parallel", "shard"):
-                        runner = maker(
-                            cpds, prop, max_rounds, mode,
-                            jobs=jobs, shards=shards, **kwargs,
-                        )
-                    else:
-                        runner = maker(
-                            cpds, prop, max_rounds, mode, jobs=jobs, **kwargs
-                        )
-                    record = _measured(runner, repeats, memory=memory)
-                    if mode == "parallel":
-                        record["jobs"] = max(jobs, _PARALLEL_MODE_JOBS)
-                    elif mode == "shard":
-                        record["jobs"] = max(shards, _PARALLEL_MODE_JOBS)
-                    entry["modes"][mode] = record
+                    runner = maker(cpds, prop, max_rounds, mode, **kwargs)
+                    entry["modes"][mode] = _measured(
+                        runner, repeats, memory=memory
+                    )
                     if mode == "optimized":
                         optimized_runner = runner
                 if phases and optimized_runner is not None:
@@ -410,8 +337,6 @@ def run_suite(
             micro_inputs = _canonical_micro_inputs(built)
             repetitions = 2 if quick else 5
             for mode in modes:
-                if mode in ("parallel", "shard"):
-                    continue
                 entry["modes"][mode] = _measured(
                     _canonical_micro(micro_inputs, repetitions, mode),
                     repeats,
@@ -420,9 +345,8 @@ def run_suite(
             _add_speedup(entry)
             workloads.append(entry)
     finally:
-        # The last repetition's leased worker pools would otherwise only
-        # be shut down by the NEXT _measured call — which never comes:
-        # leave no live child processes behind for library callers.
+        # Leave the process-global caches as cold as the runs found
+        # them for library callers.
         _clear_caches()
 
     payload = {
@@ -434,8 +358,6 @@ def run_suite(
         "platform": platform.platform(),
         "quick": quick,
         "max_rounds": max_rounds,
-        "jobs": jobs,
-        "shards": shards,
         "backend": backend,
         "cpu_count": os.cpu_count(),
         "repeats": repeats,
@@ -451,16 +373,6 @@ def _add_speedup(entry: dict) -> None:
     if "optimized" in modes and "legacy" in modes and modes["optimized"]["seconds"]:
         entry["speedup_vs_legacy"] = round(
             modes["legacy"]["seconds"] / modes["optimized"]["seconds"], 2
-        )
-    if "optimized" in modes and "parallel" in modes and modes["parallel"]["seconds"]:
-        # > 1.0 means the multiprocess end-to-end advance beat serial.
-        entry["parallel_speedup"] = round(
-            modes["optimized"]["seconds"] / modes["parallel"]["seconds"], 2
-        )
-    if "optimized" in modes and "shard" in modes and modes["shard"]["seconds"]:
-        # > 1.0 means sharded replay alone beat the serial replay loop.
-        entry["shard_speedup"] = round(
-            modes["optimized"]["seconds"] / modes["shard"]["seconds"], 2
         )
 
 
@@ -576,16 +488,15 @@ def comparable_configs(current: dict, baseline: dict) -> bool:
     """True iff two payloads were produced under the same measurement
     configuration and their totals are meaningfully comparable.
 
-    ``jobs`` must match too (absent = 1, the pre-PR 4 default): a
-    parallel run's wall times carry worker startup/IPC and scale with
-    the machine's core count, so gating them against a serial baseline
-    — or vice versa — would be meaningless.  So must ``shards`` (absent
-    = 0, the pre-PR 6 default): mismatched shard counts change the
-    ``shard`` sub-mode's fan-out and must never be gated against each
-    other.  And so must ``backend`` (absent = "python", the pre-PR 8
-    default): vectorized replay changes the very loop being timed, so a
-    numpy payload gated against a pure-python baseline would read the
-    backend swap as a perf trajectory."""
+    ``jobs`` and ``shards`` are retired constants: the runner no longer
+    writes them, and an absent field reads as the serial value (1 and
+    0).  A committed payload recorded with ``jobs > 1`` or ``shards > 0``
+    measured the removed multiprocess advance, so it is still never
+    comparable with a current run.  ``backend`` must match too (absent
+    = "python", the pre-PR 8 default): vectorized replay changes the
+    very loop being timed, so a numpy payload gated against a
+    pure-python baseline would read the backend swap as a perf
+    trajectory."""
     return (
         current.get("quick") == baseline.get("quick")
         and current.get("max_rounds") == baseline.get("max_rounds")
@@ -772,24 +683,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--modes",
         default="optimized,legacy",
-        help="comma list: optimized,legacy,parallel,shard (parallel = "
-        "explicit lanes with the jobs=2 end-to-end multiprocess advance; "
-        "shard = replay sharding only, saturation in-process)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the optimized explicit lane's whole "
-        "advance (recorded in the payload; baselines only compare on a "
-        "match)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="worker count for the 'shard' sub-mode (0 = its default of 2; "
-        "recorded in the payload; baselines only compare on a match)",
+        help="comma list: optimized,legacy",
     )
     parser.add_argument(
         "--backend",
@@ -852,8 +746,6 @@ def main(argv: list[str] | None = None) -> int:
         repeats=args.repeats,
         label=args.label,
         memory=args.memory,
-        jobs=args.jobs,
-        shards=args.shards,
         backend=args.backend,
         phases=args.phases,
     )

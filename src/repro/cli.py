@@ -94,9 +94,7 @@ def _run_verify(args) -> int:
     from repro.reach.vectorized import resolve_backend
 
     cpds, prop = _load(args)
-    config = EngineConfig(
-        jobs=args.jobs, backend=args.backend, batched=not args.per_state
-    )
+    config = EngineConfig(backend=args.backend, batched=not args.per_state)
     if args.lane == "auto":
         report = Cuba(cpds, prop, config=config).verify(max_rounds=args.max_rounds)
         if args.report:
@@ -210,10 +208,6 @@ def cmd_bench(args) -> int:
             forward.extend(["--tolerance", str(args.tolerance)])
         if args.merge_before:
             forward.extend(["--merge-before", args.merge_before])
-        if args.jobs != 1:
-            forward.extend(["--jobs", str(args.jobs)])
-        if args.shards:
-            forward.extend(["--shards", str(args.shards)])
         if args.backend != "auto":
             forward.extend(["--backend", args.backend])
         if args.phases:
@@ -275,7 +269,7 @@ def cmd_serve(args) -> int:
             },
         )
     service = AnalysisService(
-        store, workers=args.workers, jobs=args.jobs, executor=args.executor
+        store, workers=args.workers, executor=args.executor
     )
     server = ServiceServer(service, host=args.host, port=args.port)
     server.run()
@@ -348,7 +342,6 @@ def cmd_loadtest(args) -> int:
         label=args.label or "",
         seed=args.seed,
         executor=args.executor,
-        jobs=args.jobs,
     )
     path = write_loadtest_json(payload, args.out or ".")
     totals = payload["totals"]
@@ -435,15 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--per-state",
         action="store_true",
         help="with --engine explicit: use the seed per-state frontier "
-        "expansion instead of the sharded view-batched default",
-    )
-    verify.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="run the explicit engine's whole advance — unique-view "
-        "saturation and sharded context-tree replay — across N worker "
-        "processes (default 1 = in-process; the symbolic engine ignores it)",
+        "expansion instead of the view-batched default",
     )
     verify.add_argument(
         "--backend",
@@ -508,22 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --json: graft a pre-PR BENCH file in as the 'before' mode",
     )
     bench.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="with --json: run the explicit lane's optimized mode with N "
-        "worker processes for the whole advance (recorded in the payload; "
-        "baselines only compare against a matching value)",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="with --json: worker count for the replay-sharding 'shard' "
-        "sub-mode (0 = its default of 2; recorded in the payload so "
-        "mismatched shard counts are never gated against each other)",
-    )
-    bench.add_argument(
         "--backend",
         choices=["auto", "python", "numpy"],
         default="auto",
@@ -571,13 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="bounded analysis executor threads (concurrent engine runs)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes per explicit engine's parallel advance "
-        "(see `cuba verify --jobs`)",
     )
     serve.add_argument(
         "--executor",
@@ -667,7 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --spawn: replica engine-run execution mode "
         "(default thread — cheap spawn for short runs)",
     )
-    loadtest.add_argument("--jobs", type=int, default=1)
     loadtest.add_argument("--out", help="output directory (default: cwd)")
     loadtest.add_argument(
         "--compare",

@@ -4,7 +4,7 @@ A CPDS is a fixed-thread asynchronous combination of sequential PDSs that
 share the set ``Q`` of shared states and the initial shared state.  This
 package provides the data model, global/visible states and the projection
 ``T``, the asynchronous step semantics (including the interned,
-id-encoded context trees behind the sharded explicit engine), and a
+id-encoded context trees behind the view-batched explicit engine), and a
 textual exchange format.
 """
 

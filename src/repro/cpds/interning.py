@@ -12,7 +12,7 @@ fixed-width bit fields (``wid_0 | wid_1 << b | ... | qid << n*b`` for
 field width ``b``), so a global state is one machine-word-sized int and
 the seen-set is a plain ``dict[int, int]`` whose key hash is the cheapest
 hash Python has.  Downstream structures (``first_seen``, levels, parents,
-visible projections) are int-keyed lists and dicts, and the sharded
+visible projections) are int-keyed lists and dicts, and the view-batched
 frontier expansion of :class:`~repro.reach.explicit.ExplicitReach`
 replays one flat array-encoded context tree
 (:class:`~repro.cpds.semantics.ContextTree`) across all global states
@@ -225,7 +225,7 @@ class StateTable:
     def intern_key(self, qid: int, wids: tuple[int, ...]) -> int:
         """Dense id for an already-component-interned ``(qid, wids)``.
 
-        NOTE: the sharded replay loop in
+        NOTE: the view replay loop in
         :meth:`repro.reach.explicit.ExplicitReach._advance_batched`
         inlines this append protocol on packed keys (``_ids``/
         ``_packed``/``_states``/``_visibles`` grow in lock-step, id ==
@@ -233,27 +233,6 @@ class StateTable:
         table layout.
         """
         key = self.pack(qid, wids)
-        sid = self._ids.get(key)
-        if sid is None:
-            sid = len(self._packed)
-            self._ids[key] = sid
-            self._packed.append(key)
-            self._states.append(None)
-            self._visibles.append(None)
-        return sid
-
-    def intern_packed(self, key: int) -> int:
-        """Dense id for a current-era packed key, assigning one on
-        first sight — :meth:`intern_key` minus the packing step.
-
-        This is the shard-merge primitive: replay workers emit candidate
-        packed keys computed against *this* table's geometry (all
-        component interning happened before replay began, so no repack
-        can invalidate them), and the parent merge pass dedupes them
-        here.  The caller detects freshness by comparing the returned id
-        with its own lock-step column length (``first_seen``), exactly
-        like the inlined serial replay loop.
-        """
         sid = self._ids.get(key)
         if sid is None:
             sid = len(self._packed)

@@ -15,7 +15,7 @@ two granularities:
   global states.  A ``cache`` dict memoizes the underlying local BFS
   trees per ``(thread, local view)``; this is the seed formulation, kept
   as the differential oracle behind ``ExplicitReach(batched=False)``.
-* :func:`thread_view_post` — the *per-view* form used by the sharded
+* :func:`thread_view_post` — the *per-view* form used by the view-batched
   explicit engine: saturate one context from an interned
   ``(thread, shared_id, stack_id)`` local view and return a reusable,
   **flat array-encoded** :class:`ContextTree`: contiguous ``array('q')``
@@ -121,7 +121,7 @@ class ContextTree:
         """Per-edge packed-key deltas ``(qid << qshift) | (wid << b*i)``
         under ``table``'s current geometry, memoized per era.  A plain
         list, not an ``array``: the replay loop iterates it once per
-        shard member and list iteration avoids re-boxing each value."""
+        view member and list iteration avoids re-boxing each value."""
         cached = self._deltas
         era = table.era
         if cached is None or cached[0] != era:
@@ -283,7 +283,6 @@ def thread_view_post(
     max_states: int = DEFAULT_STATE_LIMIT,
     succ_memo: dict | None = None,
     build_rows: bool = True,
-    sem_memo: dict | None = None,
 ) -> ContextTree:
     """Saturate one context of thread ``index`` from the interned local
     view ``(shared_id, stack_id)`` and return the flat array-encoded
@@ -291,12 +290,11 @@ def thread_view_post(
 
     ``build_rows=False`` skips seeding the witness-replay row memo (one
     tuple per edge) — callers that never take the witness-tracking
-    replay path (pool workers shipping raw columns, ``track_traces=False``
-    engines) save the allocation; ``edge_rows`` rebuilds lazily if
+    replay path (``track_traces=False`` engines) save the allocation; ``edge_rows`` rebuilds lazily if
     needed.
 
     This is the view-granular counterpart of :func:`thread_context_post`
-    used by the sharded explicit engine: the returned
+    used by the view-batched explicit engine: the returned
     :class:`ContextTree` is replayed across all global states sharing
     the view by packed-key substitution (see the module docstring).
     Every reached local state's shared state and stack word are interned
@@ -309,14 +307,9 @@ def thread_view_post(
     pure functions of the local state *and table*, so each distinct
     local state pays the action dispatch, successor construction, and
     intern lookups once per engine instead of once per tree.  Because
-    the values embed intern ids, the memo is scoped to ``table`` — a
-    caller that rotates tables (the pool worker, which builds a private
-    table per slice) must pass a fresh ``succ_memo`` per table and may
-    keep the table-free half in ``sem_memo``
-    (``local state -> ((action, successor), ...)``), which only caches
-    :func:`pds_successors` and therefore persists forever.  (Interning
-    at memo-fill time assigns the same ids in the same order as
-    interning per first visit: a successor already in this tree's
+    the values embed intern ids, the memo is scoped to ``table``.
+    (Interning at memo-fill time assigns the same ids in the same order
+    as interning per first visit: a successor already in this tree's
     ``seen_local`` was interned when it was first reached, so the extra
     calls are id-stable no-ops.)
 
@@ -329,13 +322,13 @@ def thread_view_post(
         with trace.span("explicit.saturation", thread=index) as timing:
             tree = _thread_view_post(
                 cpds, table, index, shared_id, stack_id, max_states,
-                succ_memo, build_rows, sem_memo,
+                succ_memo, build_rows,
             )
             timing.set(states=len(tree.offsets) - 1)
             return tree
     return _thread_view_post(
         cpds, table, index, shared_id, stack_id, max_states,
-        succ_memo, build_rows, sem_memo,
+        succ_memo, build_rows,
     )
 
 
@@ -348,7 +341,6 @@ def _thread_view_post(
     max_states: int = DEFAULT_STATE_LIMIT,
     succ_memo: dict | None = None,
     build_rows: bool = True,
-    sem_memo: dict | None = None,
 ) -> ContextTree:
     pds = cpds.thread(index)
     start = PDSState(table.shared(shared_id), table.stack(index, stack_id))
@@ -383,15 +375,9 @@ def _thread_view_post(
     for local in nodes:
         succs = memo_get(local)
         if succs is None:
-            if sem_memo is None:
-                pairs = pds_successors(pds, local)
-            else:
-                pairs = sem_memo.get(local)
-                if pairs is None:
-                    sem_memo[local] = pairs = tuple(pds_successors(pds, local))
             succ_memo[local] = succs = tuple(
                 (action, nxt, shared_of(nxt.shared), stack_of(index, nxt.stack))
-                for action, nxt in pairs
+                for action, nxt in pds_successors(pds, local)
             )
         for action, local_next, qid, wid in succs:
             if local_next in seen_local:

@@ -20,7 +20,7 @@ from repro.errors import ContextExplosionError, CubaError
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig, merge_legacy_kwargs
+from repro.reach.config import EngineConfig
 from repro.util.meter import METER
 
 
@@ -31,10 +31,6 @@ def context_bounded_analysis(
     engine: ReachabilityEngine | str = "symbolic",
     max_states_per_context: int = DEFAULT_STATE_LIMIT,
     incremental: bool | None = None,
-    batched: bool | None = None,
-    jobs: int | None = None,
-    shard_replay: bool | None = None,
-    backend: str | None = None,
     config: EngineConfig | None = None,
 ) -> VerificationResult:
     """Check ``prop`` for executions with at most ``bound`` contexts.
@@ -47,24 +43,16 @@ def context_bounded_analysis(
     ``engine`` accepts any registered lane name (aliases included, see
     :mod:`repro.reach.registry`) or a prepared engine instance.
     Execution knobs travel in ``config``
-    (:class:`~repro.reach.config.EngineConfig`; the individual
-    ``batched``/``jobs``/``shard_replay``/``backend`` keywords are a
-    deprecated shim) — each lane applies the knobs it understands.  All
-    are ignored when a prepared engine instance is passed.  The UNKNOWN
-    result's ``stats["meter"]`` records the saturation/cache/
+    (:class:`~repro.reach.config.EngineConfig`) — each lane applies the
+    knobs it understands; ``incremental`` overrides the config's memo
+    knob.  Both are ignored when a prepared engine instance is passed.
+    The UNKNOWN result's ``stats["meter"]`` records the saturation/cache/
     frontier-batching work counters this analysis produced, plus the
     canonicalization cache state and the per-engine summary — the
     numbers the BENCH harness (:mod:`repro.bench.runner`) persists.
     """
     meter_before = METER.snapshot()
-    config = merge_legacy_kwargs(
-        config,
-        "context_bounded_analysis",
-        jobs=jobs,
-        batched=batched,
-        backend=backend,
-        shard_replay=shard_replay,
-    )
+    config = config if config is not None else EngineConfig()
     if incremental is not None:
         config = config.replace(incremental=incremental)
     if isinstance(engine, str):

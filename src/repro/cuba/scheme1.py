@@ -15,7 +15,7 @@ from repro.cpds.cpds import CPDS
 from repro.cpds.state import VisibleState
 from repro.cuba.lanes import scheme1_lane
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
-from repro.reach.config import EngineConfig, merge_legacy_kwargs
+from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.util.meter import METER
 
@@ -49,12 +49,6 @@ def scheme1_rk(
     max_states_per_context: int = DEFAULT_STATE_LIMIT,
     engine: ExplicitReach | None = None,
     incremental: bool | None = None,
-    batched: bool | None = None,
-    jobs: int | None = None,
-    parallel_saturation: bool = True,
-    shard_replay: bool | None = None,
-    shard_min_work: int | None = None,
-    backend: str | None = None,
     config: EngineConfig | None = None,
 ) -> VerificationResult:
     """Run Scheme 1(Rk) (paper Sec. 4) to a verdict or round budget.
@@ -66,15 +60,11 @@ def scheme1_rk(
     hits, saturation work) accumulated during this run.
 
     Execution knobs travel in ``config``
-    (:class:`~repro.reach.config.EngineConfig`; the individual
-    ``batched``/``jobs``/``shard_replay``/``shard_min_work``/``backend``
-    keywords are a deprecated shim), and ``incremental`` /
-    ``parallel_saturation`` configure the engine constructed here
-    (``batched=False`` selects the seed per-state oracle path;
-    ``jobs > 1`` runs the advance across a pool of worker processes,
-    see :mod:`repro.reach.parallel`).  All are ignored when a prepared
-    ``engine`` instance is passed (configure that engine at
-    construction instead).
+    (:class:`~repro.reach.config.EngineConfig`; ``batched=False``
+    selects the seed per-state oracle path), and ``incremental``
+    overrides the config's memo knob for the engine constructed here.
+    Both are ignored when a prepared ``engine`` instance is passed
+    (configure that engine at construction instead).
 
     ``max_rounds`` is the *total* context-bound budget.  A prepared
     engine may arrive with computed history — warm reuse, or a
@@ -87,21 +77,11 @@ def scheme1_rk(
     :func:`repro.cuba.lanes.scheme1_lane` (sound here by Lemma 7:
     ``(Rk)`` is stutter-free, so a plateau is a collapse).
     """
-    config = merge_legacy_kwargs(
-        config,
-        "scheme1_rk",
-        jobs=jobs,
-        batched=batched,
-        backend=backend,
-        shard_replay=shard_replay,
-        shard_min_work=shard_min_work,
-    )
     if engine is None:
         engine = ExplicitReach(
             cpds,
             max_states_per_context=max_states_per_context,
             incremental=incremental,
-            parallel_saturation=parallel_saturation,
             config=config,
         )
     return scheme1_lane(cpds, prop, engine=engine, max_rounds=max_rounds)

@@ -34,7 +34,7 @@ from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig, merge_legacy_kwargs
+from repro.reach.config import EngineConfig
 
 
 def _fcr_report(cpds: CPDS) -> FCRReport:
@@ -86,21 +86,15 @@ class Cuba:
         cpds: CPDS,
         prop: Property,
         max_states_per_context: int = DEFAULT_STATE_LIMIT,
-        jobs: int | None = None,
-        shard_replay: bool | None = None,
-        backend: str | None = None,
         config: EngineConfig | None = None,
     ) -> None:
         self.cpds = cpds
         self.prop = prop
         self.max_states_per_context = max_states_per_context
         #: Execution knobs forwarded to whatever engine :meth:`verify`
-        #: constructs (:class:`~repro.reach.config.EngineConfig`; the
-        #: individual ``jobs``/``shard_replay``/``backend`` keywords are
-        #: a deprecated shim) — each lane applies what it understands.
-        self.config = merge_legacy_kwargs(
-            config, "Cuba", jobs=jobs, shard_replay=shard_replay, backend=backend
-        )
+        #: constructs (:class:`~repro.reach.config.EngineConfig`) —
+        #: each lane applies what it understands.
+        self.config = config if config is not None else EngineConfig()
         #: The reachability engine the last :meth:`verify` call ran on
         #: (the lane the registry/FCR dispatch selected) — the handle
         #: the analysis service snapshots for deeper-``k`` resume.

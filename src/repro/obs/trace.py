@@ -34,9 +34,8 @@ Naming convention (see ROADMAP Reference): dotted lowercase,
 ``lane.run``, ``<lane>.level`` (emitted by the
 :class:`~repro.reach.base.ReachabilityEngine` template method, so every
 lane — including future ones — inherits per-level spans for free),
-``explicit.saturation``, ``explicit.replay_sharded``,
-``canonical.form``, ``snapshot.encode``/``decode``,
-``store.transaction``.
+``explicit.saturation``, ``explicit.decode``, ``canonical.form``,
+``snapshot.encode``/``decode``, ``store.transaction``.
 """
 
 from __future__ import annotations

@@ -1,67 +1,35 @@
 """Execution configuration shared by every reachability lane.
 
-The engines historically grew one keyword argument per optimisation PR
-(``jobs``, ``batched``, ``backend``, ``shard_replay``,
-``shard_min_work``), and every caller — ``scheme1_rk``, ``cba``,
-``Cuba``, the service ``EngineJob`` — re-declared the full set.
-:class:`EngineConfig` collects them into one picklable dataclass that
-travels unchanged from the CLI through the service to a worker
-process.  None of these knobs may affect verdicts (that is
+:class:`EngineConfig` collects the engines' execution knobs into one
+picklable dataclass that travels unchanged from the CLI through the
+service to a worker process, so ``scheme1_rk``, ``cba``, ``Cuba`` and
+the service ``EngineJob`` take one ``config=`` instead of re-declaring
+every knob.  None of these knobs may affect verdicts (that is
 differentially tested), which is why the whole object stays out of the
 problem fingerprint.
-
-The old per-call keyword arguments still work everywhere but emit a
-:class:`DeprecationWarning` via :func:`merge_legacy_kwargs`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
-__all__ = ["EngineConfig", "merge_legacy_kwargs"]
+__all__ = ["EngineConfig"]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class EngineConfig:
     """Execution knobs for a lane engine.
 
-    ``shard_min_work=None`` means "use the engine's default threshold";
-    engines that do not understand a knob simply ignore it (a symbolic
-    engine has no replay to shard).
+    ``batched`` selects the view-batched explicit advance (False = the
+    per-state differential oracle), ``backend`` its replay backend
+    (``auto``/``python``/``numpy``), and ``incremental`` the cross-level
+    context memo.  Engines that do not understand a knob simply ignore
+    it (a symbolic engine has no replay backend).
     """
 
-    jobs: int = 1
     batched: bool = True
     backend: str = "auto"
-    shard_replay: bool = True
-    shard_min_work: int | None = None
     incremental: bool = True
 
     def replace(self, **changes) -> "EngineConfig":
         return dataclasses.replace(self, **changes)
-
-
-def merge_legacy_kwargs(
-    config: EngineConfig | None, where: str, **legacy
-) -> EngineConfig:
-    """Fold deprecated per-knob keyword arguments into a config.
-
-    ``legacy`` maps knob name → value-or-None; any non-None value emits
-    a :class:`DeprecationWarning` naming ``where`` and overrides the
-    corresponding :class:`EngineConfig` field.  ``None`` (the sentinel
-    default on every public signature) is ignored, so modern callers
-    that pass only ``config=`` never warn.
-    """
-    merged = config if config is not None else EngineConfig()
-    overrides = {key: value for key, value in legacy.items() if value is not None}
-    if overrides:
-        names = ", ".join(sorted(overrides))
-        warnings.warn(
-            f"{where}: keyword argument(s) {names} are deprecated; "
-            "pass config=EngineConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        merged = dataclasses.replace(merged, **overrides)
-    return merged

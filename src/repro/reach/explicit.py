@@ -7,8 +7,8 @@ reach in one context.  Because a context includes the empty run,
 expanding only the frontier is exact: states discovered at earlier
 levels were already expanded.
 
-Architecture (PR 3 sharding, PR 4 flat arrays + multiprocess saturation)
-------------------------------------------------------------------------
+Architecture (PR 3 view grouping, PR 4 flat arrays)
+---------------------------------------------------
 The engine is *product-space bound*: the dominant cost is not the local
 BFS trees (tiny, heavily shared) but the per-state bookkeeping of the
 global product.  Three layers kill it:
@@ -20,7 +20,7 @@ global product.  Three layers kill it:
   parents an int-keyed dict, and the visible projection is memoized per
   id.  The table doubles as the seen-set: an intern miss *is* the
   freshness test.
-* ``advance`` **shards** each frontier level by the moving thread's view
+* ``advance`` **groups** each frontier level by the moving thread's view
   ``(thread, shared_id, stack_id)`` and saturates each unique view
   exactly once per level via
   :func:`~repro.cpds.semantics.thread_view_post`, which emits a flat
@@ -31,30 +31,15 @@ global product.  Three layers kill it:
   ``explicit.level_unique_views`` vs ``explicit.expansions`` — so
   harnesses can assert one saturation per unique view per level (with
   ``incremental=True`` cross-level reuse, ``expansions +
-  context_cache_hits`` accounts for every shard).
+  context_cache_hits`` accounts for every view).
 * The tree is **replayed** across all global states sharing the view by
   pure integer arithmetic: mask the moving thread's bit field out of
   the member's packed key and OR in the tree's precomputed per-edge
   delta — no tuple allocation, no nested re-hashing, no ``GlobalState``
   materialized anywhere on the path.  Decoding happens lazily in the
-  observation API.
-
-With ``jobs=N`` (opt-in), the whole advance is parallel
-(:mod:`repro.reach.parallel`): each level's *uncached* unique views are
-saturated by a pool of worker processes — the per-view explorations are
-independent, the same embarrassing parallelism context-bounded analyses
-exploit — and, when the level's replay work clears ``shard_min_work``,
-the member x edge replay itself is **sharded** across the same pool:
-each worker replays its slice of the CSR trees by pure integer
-arithmetic against a private seen set and the parent merge pass dedupes
-the candidate keys into the canonical table
-(:meth:`~repro.cpds.interning.StateTable.intern_packed`) in serial scan
-order, so it assigns the serial loop's ids.  The seen-set itself always
-stays in the parent.  ``jobs=1`` keeps everything in-process;
-``shard_replay=False`` restores the PR 4 saturation-only fan-out and
-``parallel_saturation=False`` isolates replay sharding (the benchmark
-``shard`` sub-mode).  All paths produce identical levels and identical
-METER work counts.
+  observation API.  Large levels replay as one numpy broadcast
+  (:mod:`repro.reach.vectorized`, ``backend=``); both backends assign
+  identical ids, parents, movers and METER work counts.
 
 Same-thread pruning
 -------------------
@@ -67,10 +52,10 @@ engine records each state's *mover* — the thread of the view whose
 replay first produced it, in the serial view/member/edge scan order; the
 root and states of unknown origin carry the sentinel ``n_threads``
 ("expand every thread") — in a compact ``array`` column aligned with
-the state ids, and grouping skips the ``(state, mover)`` view.  Every
-grouping and replay path (scalar, numpy, sharded) skips and records
+the state ids, and grouping skips the ``(state, mover)`` view.  Both
+grouping and replay backends (scalar, numpy) skip and record
 identically, so the levels and the METER work counts stay equal across
-paths; ``explicit.replay_pairs`` counts the member x tree-edge pairs
+them; ``explicit.replay_pairs`` counts the member x tree-edge pairs
 actually replayed.  The skipped view's tree is a subtree of one already
 saturated within the divergence guard, so pruning cannot move the
 level at which :class:`~repro.errors.ContextExplosionError` fires.
@@ -80,8 +65,8 @@ The seed per-state formulation — one
 thread) — is kept *unpruned* behind ``batched=False`` as the
 differential oracle;
 ``tests/reach/test_batched_explicit.py`` and
-``tests/reach/test_parallel_explicit.py`` prove the three modes agree
-level for level on every FCR registry row and on randomized CPDSs.
+``tests/reach/test_vectorized_backend.py`` prove the modes agree level
+for level on every FCR registry row and on randomized CPDSs.
 
 Explicit enumeration requires every ``Rk`` to be finite — the finite
 context reachability condition (Sec. 5).  Programs violating FCR trip
@@ -102,12 +87,12 @@ from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import vectorized
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig, merge_legacy_kwargs
+from repro.reach.config import EngineConfig
 from repro.reach.registry import register
 from repro.reach.witness import Trace, TraceStep, rebuild_trace
 from repro.util.meter import METER
 
-#: A frontier shard key packs ``(thread, shared_id, stack_id)`` into one
+#: A frontier view key packs ``(thread, shared_id, stack_id)`` into one
 #: int — ``(qid << (t + 32)) | (wid << t) | thread`` for a per-engine
 #: thread-field width ``t`` sized to the CPDS at construction —
 #: independent of the table's adaptive packing geometry, so the
@@ -128,7 +113,7 @@ def mover_column(n_threads: int, values=()) -> array:
 
 @register
 class ExplicitReach(ReachabilityEngine):
-    """Sharded, view-batched explicit engine for the observation
+    """View-batched explicit engine for the observation
     sequences ``(Rk)`` and ``(T(Rk))`` (see the module docstring)."""
 
     lane = "explicit"
@@ -138,74 +123,29 @@ class ExplicitReach(ReachabilityEngine):
     supports_witness = True
     preferred_algorithm = "scheme1"
 
-    #: Engine default for ``EngineConfig.shard_min_work=None``.
-    DEFAULT_SHARD_MIN_WORK = 4096
-
     def __init__(
         self,
         cpds: CPDS,
         max_states_per_context: int = DEFAULT_STATE_LIMIT,
         track_traces: bool = True,
         incremental: bool | None = None,
-        batched: bool | None = None,
-        jobs: int | None = None,
-        parallel_saturation: bool = True,
-        shard_replay: bool | None = None,
-        shard_min_work: int | None = None,
-        backend: str | None = None,
         config: EngineConfig | None = None,
     ) -> None:
         super().__init__()
-        config = merge_legacy_kwargs(
-            config,
-            "ExplicitReach",
-            jobs=jobs,
-            batched=batched,
-            backend=backend,
-            shard_replay=shard_replay,
-            shard_min_work=shard_min_work,
-        )
+        config = config if config is not None else EngineConfig()
         self.config = config
         # ``incremental`` stays a direct engine parameter (differential
         # harnesses toggle it per instance); None defers to the config.
         incremental = config.incremental if incremental is None else incremental
-        jobs = config.jobs
         batched = config.batched
-        backend = config.backend
-        shard_replay = config.shard_replay
-        shard_min_work = (
-            self.DEFAULT_SHARD_MIN_WORK
-            if config.shard_min_work is None
-            else config.shard_min_work
-        )
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if jobs > 1 and not batched:
-            raise ValueError("jobs > 1 requires the batched engine (batched=True)")
-        if shard_min_work < 0:
-            raise ValueError(
-                f"shard_min_work must be >= 0, got {shard_min_work}"
-            )
         self.cpds = cpds
         #: Requested replay backend knob (``auto``/``python``/``numpy``);
-        #: a pure execution knob like ``jobs`` — never fingerprinted or
-        #: snapshotted.  ``resolved_backend`` is what actually runs.
-        self.backend = vectorized.validate_backend(backend)
-        self._use_numpy = vectorized.resolve_backend(backend) == "numpy"
+        #: a pure execution knob like ``batched`` — never fingerprinted
+        #: or snapshotted.  ``resolved_backend`` is what actually runs.
+        self.backend = vectorized.validate_backend(config.backend)
+        self._use_numpy = vectorized.resolve_backend(config.backend) == "numpy"
         self.max_states_per_context = max_states_per_context
         self.batched = batched
-        #: Worker-process count for the parallel advance; 1 = in-process.
-        self.jobs = jobs
-        #: With ``jobs>1``: fan uncached view saturations out to the
-        #: pool (False isolates replay sharding for benchmarking).
-        self.parallel_saturation = parallel_saturation
-        #: With ``jobs>1``: shard the member x edge tree replay across
-        #: the pool too (False restores saturation-only parallelism).
-        self.shard_replay = shard_replay
-        #: Minimum member x edge products in a level before replay
-        #: sharding pays for its IPC; smaller levels replay in-process.
-        self.shard_min_work = shard_min_work
-        self._pool = None
         #: View-key geometry (see :data:`View`): the thread field is
         #: sized to this CPDS so view keys cannot alias however many
         #: threads the product has.
@@ -264,8 +204,7 @@ class ExplicitReach(ReachabilityEngine):
         """Compute ``R(k+1)``; return True iff it strictly grows ``Rk``.
 
         Exception-safe: if a context trips the divergence guard
-        (:class:`~repro.errors.ContextExplosionError`) mid-level, or a
-        saturation worker dies (:class:`~repro.errors.CubaError`), every
+        (:class:`~repro.errors.ContextExplosionError`) mid-level, every
         state discovered by the partial level is rolled back — ids,
         ``first_seen`` and parents stay consistent with the committed
         levels, so callers that catch the guard (Scheme 1's UNKNOWN
@@ -322,10 +261,10 @@ class ExplicitReach(ReachabilityEngine):
     def _advance_batched(
         self, frontier: tuple[int, ...], level: int, fresh: list[int]
     ) -> None:
-        """Shard the frontier by unique thread view (skipping each
-        state's mover thread), saturate each view once (in-process or
-        across the worker pool), then replay the array-encoded tree
-        across every member by packed-key substitution."""
+        """Group the frontier by unique thread view (skipping each
+        state's mover thread), saturate each view once, then replay the
+        array-encoded tree across every member by packed-key
+        substitution."""
         table = self.table
         n = self.cpds.n_threads
         bits = table._bits
@@ -337,7 +276,7 @@ class ExplicitReach(ReachabilityEngine):
         view_wid_shift = self._view_wid_shift
         view_qid_shift = self._view_qid_shift
         movers = self._movers
-        shards: dict[View, list[int]] = {}
+        groups: dict[View, list[int]] = {}
         if (
             self._use_numpy
             and n * len(frontier) >= vectorized.NUMPY_MIN_WORK
@@ -346,7 +285,7 @@ class ExplicitReach(ReachabilityEngine):
                 table, view_qid_shift, view_wid_shift
             )
         ):
-            shards = vectorized.group_views(
+            groups = vectorized.group_views(
                 table, frontier, movers, n, view_qid_shift, view_wid_shift
             )
         else:
@@ -356,39 +295,30 @@ class ExplicitReach(ReachabilityEngine):
                 mover = movers[sid]  # same-thread pruning: skip its view
                 for index in threads:
                     if index != mover:
-                        shards.setdefault(
+                        groups.setdefault(
                             qbase
                             | (((key >> shifts[index]) & mask) << view_wid_shift)
                             | index,
                             [],
                         ).append(sid)
-        # Every grouped (state, thread) cell is one shard member.
-        METER.bump("explicit.level_views", sum(map(len, shards.values())))
-        METER.bump("explicit.level_unique_views", len(shards))
-        if not shards:
+        # Every grouped (state, thread) cell is one view member.
+        METER.bump("explicit.level_views", sum(map(len, groups.values())))
+        METER.bump("explicit.level_unique_views", len(groups))
+        if not groups:
             return
-        trees = self._trees_for(list(shards))
-
-        if self.jobs > 1 and self.shard_replay:
-            work = sum(
-                len(members) * len(trees[view].qids)
-                for view, members in shards.items()
-            )
-            if work >= self.shard_min_work:
-                self._replay_sharded(shards, trees, level, fresh)
-                return
+        trees = self._trees_for(list(groups))
 
         if self._use_numpy:
             if vectorized.table_fits_int64(table):
                 # Geometry is stable from here on: every tree saturated
                 # in _trees_for, so replay interns no components and
-                # cannot repack (the _replay_sharded invariant).
+                # cannot repack.
                 bits = table._bits
                 qshift = table._qshift
                 low_mask = (1 << qshift) - 1
                 entries = []
                 total = 0
-                for view, members in shards.items():
+                for view, members in groups.items():
                     tree = trees[view]
                     if not len(tree.qids):
                         continue
@@ -421,17 +351,17 @@ class ExplicitReach(ReachabilityEngine):
         parents = self._parents
         append_fresh = fresh.append
         pairs = 0
-        for view, members in shards.items():
+        for view, members in groups.items():
             tree = trees[view]
             if not len(tree.qids):
                 continue  # the context reaches nothing beyond its root
             index = view & self._view_index_mask
             pairs += len(members) * len(tree.qids)
             # Saturating later views grows the component pools, which
-            # can repack the table — re-read the geometry per shard.
-            # Within one shard's replay only global ids grow, and the
+            # can repack the table — re-read the geometry per view.
+            # Within one view's replay only global ids grow, and the
             # repack mutates dict/list objects in place, so these
-            # references stay valid for the whole shard.
+            # references stay valid for the whole view.
             bits = table._bits
             qshift = table._qshift
             packed = table._packed
@@ -480,150 +410,13 @@ class ExplicitReach(ReachabilityEngine):
                                 index,
                                 action,
                             )
-            # Every id this shard interned is fresh and moved by
-            # ``index``: fill the mover column once per shard instead of
+            # Every id this view interned is fresh and moved by
+            # ``index``: fill the mover column once per view instead of
             # once per state in the loops above.
             grown = len(first_seen) - len(movers)
             if grown:
                 movers.extend(repeat(index, grown))
         METER.bump("explicit.replay_pairs", pairs)
-
-    def _replay_sharded(
-        self,
-        shards: dict[View, list[int]],
-        trees: dict[View, ContextTree],
-        level: int,
-        fresh: list[int],
-    ) -> None:
-        """Shard the member x edge replay across the worker pool.
-
-        Every tree is already saturated (``_trees_for`` ran), so no
-        component interning — and therefore no table repack — can happen
-        during replay: the packing geometry read here stays valid for
-        the whole level, and worker-computed candidate keys
-        (``frozen | delta``) are directly internable by the parent.
-
-        The merge pass consumes the units' rows in serial scan order and
-        dedupes through :meth:`StateTable.intern_packed`; freshness is
-        the lock-step length test, exactly like the serial inlined loop,
-        so the sharded advance assigns the serial loop's ids, parents
-        and movers.  Worker rows are emitted parents-first within a
-        bucket, so a tracked candidate's ``parent_key`` always resolves
-        to an id by the time it is read (cross-shard successors resolve
-        against the canonical table — a key another shard also produced
-        simply stops being fresh).  A dead worker raises
-        :class:`~repro.errors.CubaError` and ``advance`` rolls the
-        partial level back, so the advance is re-runnable.
-        """
-        with trace.span(
-            "explicit.replay_sharded", views=len(shards), jobs=self.jobs
-        ):
-            self._replay_sharded_impl(shards, trees, level, fresh)
-
-    def _replay_sharded_impl(
-        self,
-        shards: dict[View, list[int]],
-        trees: dict[View, ContextTree],
-        level: int,
-        fresh: list[int],
-    ) -> None:
-        table = self.table
-        packed = table._packed
-        bits = table._bits
-        mask = table._mask
-        qshift = table._qshift
-        low_mask = (1 << qshift) - 1
-        index_mask = self._view_index_mask
-        track = self._parents is not None
-
-        total = 0
-        specs: list[tuple[View, list[int], int]] = []
-        for view, members in shards.items():
-            n_edges = len(trees[view].qids)
-            if not n_edges:
-                continue  # the context reaches nothing beyond its root
-            total += len(members) * n_edges
-            specs.append((view, members, n_edges))
-        if not specs:
-            return
-        # Per-bucket work target; a view whose member range exceeds it
-        # is split so one giant view cannot serialize the level.
-        target = max(1, -(-total // self.jobs))
-        units: list[tuple] = []
-        unit_views: list[View] = []
-        unit_work: list[int] = []
-        for view, members, n_edges in specs:
-            tree = trees[view]
-            index = view & index_mask
-            move_clear = ~(mask << (bits * index))
-            deltas = list(tree.deltas(table))
-            parent_pos = list(tree.parent_positions()) if track else None
-            step = max(1, target // n_edges)
-            for start in range(0, len(members), step):
-                chunk = members[start:start + step]
-                frozen = [packed[sid] & low_mask & move_clear for sid in chunk]
-                member_keys = [packed[sid] for sid in chunk] if track else None
-                units.append((frozen, member_keys, deltas, parent_pos))
-                unit_views.append(view)
-                unit_work.append(len(chunk) * n_edges)
-
-        n_buckets = min(self.jobs, len(units))
-        bucket_units: list[list[int]] = [[] for _ in range(n_buckets)]
-        loads = [0] * n_buckets
-        # Deterministic greedy balance, heaviest units first; each
-        # bucket then runs its units in serial scan order (see the
-        # merge below).
-        for position in sorted(
-            range(len(units)), key=lambda u: (-unit_work[u], u)
-        ):
-            bucket = loads.index(min(loads))
-            loads[bucket] += unit_work[position]
-            bucket_units[bucket].append(position)
-        for positions in bucket_units:
-            positions.sort()
-        buckets = [[units[u] for u in positions] for positions in bucket_units]
-        METER.bump("explicit.replay_shards", len(units))
-        METER.bump("explicit.replay_pairs", total)
-
-        # Workers resolve the backend knob independently (a forked
-        # worker sees the parent's numpy; a spawn-started one re-probes)
-        # and re-check key widths per unit — mixed-width levels replay
-        # each unit on whichever loop fits.
-        results = self._lease().replay(buckets, track, backend=self.backend)
-
-        # Merge unit by unit in serial scan order.  A unit's rows omit
-        # only keys an earlier unit of its bucket emitted, and that unit
-        # merges earlier here too, so every fresh key is interned at its
-        # serial first occurrence: the ids, parents and movers equal the
-        # serial loop's.
-        unit_rows: list = [None] * len(units)
-        for positions, per_unit in zip(bucket_units, results):
-            for unit, rows in zip(positions, per_unit):
-                unit_rows[unit] = rows
-        first_seen = self._first_seen
-        movers = self._movers
-        parents = self._parents
-        intern_packed = table.intern_packed
-        append_fresh = fresh.append
-        ids = table._ids
-        for view, rows in zip(unit_views, unit_rows):
-            index = view & index_mask
-            if not track:
-                for key in rows:
-                    nsid = intern_packed(key)
-                    if nsid == len(first_seen):
-                        first_seen.append(level)
-                        movers.append(index)
-                        append_fresh(nsid)
-                continue
-            actions = trees[view].actions
-            for key, parent_key, edge_idx in rows:
-                nsid = intern_packed(key)
-                if nsid == len(first_seen):
-                    first_seen.append(level)
-                    movers.append(index)
-                    append_fresh(nsid)
-                    parents[nsid] = (ids[parent_key], index, actions[edge_idx])
 
     def _view_parts(self, view: View) -> tuple[int, int, int]:
         """Unpack a view key to ``(thread, shared_id, stack_id)``."""
@@ -635,8 +428,7 @@ class ExplicitReach(ReachabilityEngine):
 
     def _trees_for(self, views: list[View]) -> dict[View, ContextTree]:
         """A context tree per view: cross-level cache hits first, then
-        the misses saturated in-process (``jobs=1``) or fanned out to
-        the worker pool — METER accounting is identical either way."""
+        the misses saturated in-process."""
         cache = self._tree_cache
         trees: dict[View, ContextTree] = {}
         missing: list[View] = []
@@ -647,69 +439,18 @@ class ExplicitReach(ReachabilityEngine):
                 trees[view] = tree
             else:
                 missing.append(view)
-        if not missing:
-            return trees
-        if self.jobs > 1 and self.parallel_saturation and len(missing) > 1:
-            saturated = self._saturate_parallel(missing)
-            METER.bump("explicit.expansions", len(missing))
-            if cache is not None:
-                METER.bump("explicit.context_cache_misses", len(missing))
-                cache.update(saturated)
-            trees.update(saturated)
-        else:
-            for view in missing:
-                index, qid, wid = self._view_parts(view)
-                tree = thread_view_post(
-                    self.cpds, self.table, index, qid, wid,
-                    self.max_states_per_context,
-                    succ_memo=self._succ_memos[index],
-                    build_rows=self._parents is not None,
-                )
-                if cache is not None:
-                    METER.bump("explicit.context_cache_misses")
-                    cache[view] = tree
-                trees[view] = tree
-        return trees
-
-    def _lease(self):
-        """The engine's worker pool, (re-)leased from the shared cache
-        when absent or broken (a crashed pool was evicted — the next
-        lease spawns a fresh one, making failed advances re-runnable)."""
-        from repro.reach.parallel import lease_pool
-
-        if self._pool is None or self._pool.broken:
-            self._pool = lease_pool(
-                self.cpds, self.max_states_per_context, self.jobs
+        for view in missing:
+            index, qid, wid = self._view_parts(view)
+            tree = thread_view_post(
+                self.cpds, self.table, index, qid, wid,
+                self.max_states_per_context,
+                succ_memo=self._succ_memos[index],
+                build_rows=self._parents is not None,
             )
-        return self._pool
-
-    def _saturate_parallel(
-        self, missing: list[View]
-    ) -> dict[View, ContextTree]:
-        """Fan the uncached views out to the leased worker pool and
-        remap the returned slice-local trees onto this table's ids (in
-        submission order, so pool growth is deterministic)."""
-        from repro.reach.parallel import remap_slice
-
-        with trace.span(
-            "explicit.saturation_fanout", views=len(missing), jobs=self.jobs
-        ):
-            return self._saturate_parallel_impl(missing, remap_slice)
-
-    def _saturate_parallel_impl(
-        self, missing: list[View], remap_slice
-    ) -> dict[View, ContextTree]:
-        pool = self._lease()
-        table = self.table
-        roots = [self._view_parts(view) for view in missing]
-        decoded = [
-            (index, table.shared(qid), table.stack(index, wid))
-            for index, qid, wid in roots
-        ]
-        trees: dict[View, ContextTree] = {}
-        for start, result in pool.saturate(decoded):
-            for position, tree in enumerate(remap_slice(table, roots, start, result)):
-                trees[missing[start + position]] = tree
+            if cache is not None:
+                METER.bump("explicit.context_cache_misses")
+                cache[view] = tree
+            trees[view] = tree
         return trees
 
     def _advance_per_state(
@@ -818,8 +559,6 @@ class ExplicitReach(ReachabilityEngine):
             "global_states": len(self._first_seen),
             "levels": self.level_sizes(),
             "batched": self.batched,
-            "jobs": self.jobs,
-            "shard_replay": self.shard_replay,
             "backend": self.resolved_backend,
             "context_memo": len(cache) if cache is not None else 0,
         }
@@ -875,26 +614,16 @@ class ExplicitReach(ReachabilityEngine):
         cpds: CPDS,
         data: bytes,
         *,
-        jobs: int | None = None,
-        shard_replay: bool | None = None,
-        backend: str | None = None,
         max_states_per_context: int | None = None,
         config: EngineConfig | None = None,
     ) -> "ExplicitReach":
         """Rebuild a warm engine from a :meth:`snapshot` blob taken on
-        the same CPDS.  ``jobs``, ``shard_replay`` and ``backend`` are
-        pure execution knobs and may differ from the snapshotted
-        engine's; raises :class:`~repro.errors.SnapshotError` on any
-        undecodable or mismatched blob."""
+        the same CPDS.  ``config`` holds pure execution knobs and may
+        differ from the snapshotted engine's; raises
+        :class:`~repro.errors.SnapshotError` on any undecodable or
+        mismatched blob."""
         from repro.service.snapshot import restore_explicit
 
-        config = merge_legacy_kwargs(
-            config,
-            "ExplicitReach.restore",
-            jobs=jobs,
-            shard_replay=shard_replay,
-            backend=backend,
-        )
         return restore_explicit(
             cpds,
             data,

@@ -61,7 +61,7 @@ from repro.obs import trace
 from repro.pds.saturation import PostStarEngine
 from repro.pds.state import EMPTY
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig, merge_legacy_kwargs
+from repro.reach.config import EngineConfig
 from repro.reach.registry import register
 from repro.util.meter import METER
 
@@ -161,11 +161,10 @@ class SymbolicReach(ReachabilityEngine):
         cpds: CPDS,
         *,
         incremental: bool | None = None,
-        batched: bool | None = None,
         config: EngineConfig | None = None,
     ) -> None:
         super().__init__()
-        config = merge_legacy_kwargs(config, "SymbolicReach", batched=batched)
+        config = config if config is not None else EngineConfig()
         self.config = config
         incremental = config.incremental if incremental is None else incremental
         self.cpds = cpds

@@ -20,8 +20,8 @@ Correctness contract (the differential tests pin all three):
   first-occurrence indices; concatenation preserves the serial
   view-by-view, member-by-member, edge-by-edge order), which is exactly
   the order the serial loop discovers them — a ``backend="numpy"``
-  engine at ``jobs=1`` assigns the same dense ids, parents and levels
-  as ``backend="python"``.
+  engine assigns the same dense ids, parents and levels as
+  ``backend="python"``.
 * **Identical movers.** Each fresh state's mover is the thread of its
   first-occurrence view, as in the serial loop, so same-thread pruning
   masks the same cells in :func:`group_views` and the next level
@@ -31,14 +31,14 @@ Correctness contract (the differential tests pin all three):
   ``context_cache_*`` / ``replay_pairs`` are bumped by the shared
   advance code and stay equal across backends.  The numpy-only counters
   (``explicit.replay_numpy_views`` / ``_fallbacks``) live *outside* the
-  differential set, like ``explicit.replay_shards``.
+  differential set.
 * **Wide keys fall back.** Packed keys exceed 64 bits at high thread
   counts or after adaptive repacks (the PR 6 wide-key case);
-  :func:`table_fits_int64` gates the whole level and workers re-check
-  per unit, so arbitrary-precision workloads silently route to the
-  pure-int loop with no behavioural difference.
+  :func:`table_fits_int64` gates the whole level, so
+  arbitrary-precision workloads silently route to the pure-int loop
+  with no behavioural difference.
 
-The backend is an execution knob like ``jobs``/``batched``: it is
+The backend is an execution knob like ``batched``: it is
 excluded from service fingerprints and snapshot payloads, and a restored
 engine may replay under a different backend than the one that produced
 the snapshot.
@@ -51,8 +51,8 @@ from repro.util.meter import METER
 #: Recognized values for the ``backend=`` knob.
 BACKENDS = ("auto", "python", "numpy")
 
-#: Minimum summed member × edge products in one level batch (or one
-#: worker replay unit) before the broadcast pays for its array setup;
+#: Minimum summed member × edge products in one level batch before the
+#: broadcast pays for its array setup;
 #: smaller levels run the scalar loop even under ``backend="numpy"``.
 #: Measured crossover on the registry rows: a few-hundred-pair level
 #: loses ~0.1ms to array setup, a 16k-pair level wins several ms — the
@@ -129,7 +129,7 @@ def table_fits_int64(table) -> bool:
     field must stay at or below 63; an OR of two such keys cannot carry,
     so the bound covers every ``frozen | delta`` candidate too.  Replay
     runs after all of the level's trees are saturated, so the geometry
-    read here is stable for the whole level (see ``_replay_sharded``)."""
+    read here is stable for the whole level."""
     return table._qshift + (len(table._shareds) - 1).bit_length() <= 63
 
 
@@ -154,7 +154,7 @@ def group_views(
     view_qid_shift: int,
     view_wid_shift: int,
 ) -> dict:
-    """Shard a frontier by unique thread view in one vectorized pass.
+    """Group a frontier by unique thread view in one vectorized pass.
 
     Mirrors the scalar grouping loop of
     ``ExplicitReach._advance_batched`` exactly: the ``(sid, mover)``
@@ -204,40 +204,12 @@ def group_views(
     sid_idx = (cells[order] // n).tolist()
     bl = bounds.tolist()
     view_of = grouped[bounds[:-1]].tolist()
-    shards: dict = {}
+    groups: dict = {}
     for g in group_order:
-        shards[view_of[g]] = [
+        groups[view_of[g]] = [
             frontier[i] for i in sid_idx[bl[g] : bl[g + 1]]
         ]
-    return shards
-
-
-def unit_fits(frozen_keys: list, deltas: list) -> bool:
-    """Worker-side gate for one replay unit: enough work to vectorize
-    AND every array operand fits int64 (``member_keys`` never enter an
-    array — tracked parent keys are recomputed as Python ints)."""
-    if not frozen_keys or not deltas:
-        return False
-    if len(frozen_keys) * len(deltas) < NUMPY_MIN_WORK:
-        return False
-    return max(frozen_keys) >> 63 == 0 and max(deltas) >> 63 == 0
-
-
-def _candidates(np, frozen_keys: list, deltas: list):
-    """Dedupe the ``frozen | delta`` broadcast matrix.
-
-    Returns ``(values, positions)``: the distinct candidate keys as
-    Python ints in first-occurrence row-major order, and each one's flat
-    position ``member_idx * n_edges + edge_idx`` of that first
-    occurrence — enough to recover the discovering (member, edge) pair
-    without materializing per-candidate tuples.
-    """
-    frozen_col = np.fromiter(frozen_keys, dtype=np.int64, count=len(frozen_keys))
-    delta_col = np.fromiter(deltas, dtype=np.int64, count=len(deltas))
-    flat = np.bitwise_or(frozen_col[:, None], delta_col[None, :]).ravel()
-    _, first_idx = np.unique(flat, return_index=True)
-    first_idx.sort()
-    return flat[first_idx].tolist(), first_idx.tolist()
+    return groups
 
 
 def replay_level(
@@ -249,7 +221,7 @@ def replay_level(
     parents: dict | None,
     append_fresh,
 ) -> None:
-    """Replay a whole level's views in-process (the ``jobs=1`` path).
+    """Replay a whole level's views in one numpy pass.
 
     ``entries`` is ``[(members, tree, thread_index, frozen_mask), ...]``
     in the serial loop's view order.  All broadcasts are concatenated
@@ -257,8 +229,7 @@ def replay_level(
     serial scan order, so interning the survivors in global
     first-occurrence order assigns the same dense ids as the scalar
     loop.  The table geometry is read once — every tree saturated before
-    replay, so no component interning (and no repack) can happen here
-    (the ``_replay_sharded`` invariant).
+    replay, so no component interning (and no repack) can happen here.
 
     Mirrors the inlined ``StateTable.intern_key`` protocol of
     ``ExplicitReach._advance_batched`` (see the coupling note on
@@ -396,54 +367,6 @@ def replay_level(
                     | deltas[ppos - 1]
                 ]
             parents[nsid] = (psid, index, actions[edge_idx])
-
-
-def replay_unit_untracked(
-    frozen_keys: list, deltas: list, seen: set, out: list
-) -> None:
-    """Vectorized body of one untracked worker unit: append the unit's
-    distinct fresh candidate keys to ``out`` (bucket-wide ``seen``
-    pre-dedup, same contract as ``parallel._replay_bucket``)."""
-    values, _ = _candidates(_numpy, frozen_keys, deltas)
-    add = seen.add
-    append = out.append
-    for key in values:
-        if key not in seen:
-            add(key)
-            append(key)
-
-
-def replay_unit_tracked(
-    frozen_keys: list,
-    member_keys: list,
-    deltas: list,
-    parent_pos: list,
-    seen: set,
-    out: list,
-) -> None:
-    """Vectorized body of one tracked worker unit: emit
-    ``(key, parent_key, edge_idx)`` rows parents-first.
-
-    First-occurrence ordering preserves the parents-first guarantee the
-    merge pass relies on: a candidate's predecessor key first occurs at
-    a strictly earlier flat position in the same member row, so its row
-    (if fresh to this bucket) was appended before the child's.
-    """
-    n_edges = len(deltas)
-    values, positions = _candidates(_numpy, frozen_keys, deltas)
-    add = seen.add
-    append = out.append
-    for key, pos in zip(values, positions):
-        if key in seen:
-            continue
-        add(key)
-        member_idx, edge_idx = divmod(pos, n_edges)
-        ppos = parent_pos[edge_idx]
-        if ppos == 0:
-            parent_key = member_keys[member_idx]
-        else:
-            parent_key = frozen_keys[member_idx] | deltas[ppos - 1]
-        append((key, parent_key, edge_idx))
 
 
 def visible_batch(table, sids: list[int]) -> list:

@@ -406,7 +406,7 @@ class ServiceClient:
 
     def shutdown(self, replica: int | None = None) -> dict:
         """Ask replica(s) to shut down gracefully (flush store, drain
-        executor, release leased worker pools).  With ``replica=None``
+        executor, clear runtime caches).  With ``replica=None``
         every replica is asked; the first response is returned.  Never
         retried — shutdown is the one non-idempotent call."""
         if replica is not None:

@@ -38,6 +38,7 @@ IPC protocol invariants (see ROADMAP Reference):
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass, field
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -66,11 +67,10 @@ class EngineJob:
     (:mod:`repro.reach.registry`; aliases accepted).  ``config``
     carries the execution knobs
     (:class:`~repro.reach.config.EngineConfig` — a plain frozen
-    dataclass, so it pickles across the process boundary); the ``jobs``
-    field is the pre-config shim and is only consulted when ``config``
-    is ``None``.  ``snapshot`` is the parent's checkpoint of the stored
-    engine (or ``None`` on a fingerprint miss / snapshot-less entry):
-    the snapshot-as-message half of the IPC protocol.
+    dataclass, so it pickles across the process boundary); ``None``
+    means the defaults.  ``snapshot`` is the parent's checkpoint of the
+    stored engine (or ``None`` on a fingerprint miss / snapshot-less
+    entry): the snapshot-as-message half of the IPC protocol.
     """
 
     cpds: CPDS
@@ -79,7 +79,6 @@ class EngineJob:
     engine: str = "auto"
     max_rounds: int = 30
     max_states_per_context: int = DEFAULT_STATE_LIMIT
-    jobs: int = 1
     snapshot: bytes | None = None
     config: "EngineConfig | None" = None
     #: When True the worker records spans for this job and ships them
@@ -91,9 +90,7 @@ class EngineJob:
         """The effective execution config for this job."""
         from repro.reach.config import EngineConfig
 
-        if self.config is not None:
-            return self.config
-        return EngineConfig(jobs=self.jobs)
+        return self.config if self.config is not None else EngineConfig()
 
 
 @dataclass
@@ -308,22 +305,27 @@ def _execute_in_worker(job: EngineJob) -> JobOutcome:
         if job.trace:
             spans = trace.take()
             trace.disable()
-        # Worker-leased saturation pools (engine jobs with jobs>1) must
-        # not outlive the job: the parent cannot reach into a worker to
-        # release them on shutdown.
+        # A worker's process-global caches must not grow across jobs:
+        # the parent cannot reach into a worker to clear them.
         clear_runtime_caches()
     return_value.spans = spans
     return_value.meter = dict(METER.delta(before))
     return return_value
 
 
+def _mp_context():
+    """Fork where the platform offers it (cheap worker start, no
+    re-import), the platform default elsewhere."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
 class ProcessAnalysisExecutor:
     """A lazily spawned pool of engine-run worker processes.
 
-    Lazy spawn mirrors :class:`~repro.reach.parallel.ViewSaturationPool`
-    lifecycle semantics: a broken pool is retired on failure and the
-    next :meth:`run` call spawns a fresh one, so every failed job is
-    re-runnable without restarting the service.
+    A broken pool is retired on failure and the next :meth:`run` call
+    spawns a fresh one, so every failed job is re-runnable without
+    restarting the service.
     """
 
     def __init__(self, workers: int = 2) -> None:
@@ -334,8 +336,6 @@ class ProcessAnalysisExecutor:
         self._closed = False
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        from repro.reach.parallel import _mp_context
-
         if self._closed:
             raise CubaError("process executor is shut down")
         if self._pool is None:

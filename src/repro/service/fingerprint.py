@@ -21,8 +21,9 @@ satisfy two properties the obvious ``sha256(repr(cpds))`` does not:
   name, see :func:`repro.reach.registry.canonical_lane` — aliases must
   collide) and divergence-guard limit change what a stored
   verdict/snapshot means, so they are part of the key.  Execution knobs
-  that provably do not affect results (``jobs``, ``batched``,
-  ``shard_replay``, ``backend`` — differentially tested elsewhere) are
+  that provably do not affect results (the
+  :class:`~repro.reach.config.EngineConfig` fields ``batched``,
+  ``backend``, ``incremental`` — differentially tested elsewhere) are
   *not* included; the service strips them before calling in.
 
 Model values (shared states, stack symbols) are identified by
@@ -111,10 +112,9 @@ def _digest(structure: tuple) -> str:
 
 
 def cpds_digest(cpds: CPDS) -> str:
-    """Content digest of the CPDS alone (no property, no config) — the
-    service's key for sharing one parsed CPDS object (and therefore one
-    leased worker pool) across requests that differ only in property or
-    budget."""
+    """Content digest of the CPDS alone (no property, no config): two
+    programs with equal digests are the same CPDS, whatever property or
+    budget a request pairs them with."""
     return _digest(("cuba-cpds", FINGERPRINT_VERSION, _cpds_structure(cpds)))
 
 

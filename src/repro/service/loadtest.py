@@ -131,15 +131,24 @@ def build_workloads(quick: bool = True, max_rounds: int = 6) -> list[WorkloadIte
 # ----------------------------------------------------------------------
 @dataclass
 class Replica:
-    """One spawned ``cuba serve`` subprocess."""
+    """One spawned ``cuba serve`` subprocess.  Its stdout and stderr
+    go to ``log_path``: a pipe nobody drains would fill with audit
+    lines and block the daemon mid-request."""
 
     proc: subprocess.Popen
     host: str
     port: int
+    log_path: Path
 
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
+
+    def log_tail(self) -> str:
+        try:
+            return self.log_path.read_text(errors="replace")[-2000:]
+        except OSError:
+            return ""
 
     def stop(self, timeout: float = 10.0) -> None:
         if self.proc.poll() is None:
@@ -175,7 +184,6 @@ def spawn_replicas(
     store_path: str | Path,
     *,
     executor: str = "thread",
-    jobs: int = 1,
     workers: int = 2,
     store_mb: float = 64.0,
     lease_ttl: float = 300.0,
@@ -185,29 +193,31 @@ def spawn_replicas(
     sharing ``store_path`` (the contention shape under test), and wait
     until every ``/health`` answers.  The default ``thread`` executor
     keeps spawn cost negligible for short smoke profiles; pass
-    ``process`` for the daemon-default execution mode."""
+    ``process`` for the daemon-default execution mode.  Each replica
+    logs to ``replica-<port>.log`` next to the store."""
     env = _repro_env()
+    log_dir = Path(store_path).parent
     replicas: list[Replica] = []
     try:
         for _ in range(count):
             port = _free_port()
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.cli", "serve",
-                    "--host", "127.0.0.1", "--port", str(port),
-                    "--store", str(store_path),
-                    "--store-mb", str(store_mb),
-                    "--lease-ttl", str(lease_ttl),
-                    "--workers", str(workers),
-                    "--jobs", str(jobs),
-                    "--executor", executor,
-                ],
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                text=True,
-            )
-            replicas.append(Replica(proc, "127.0.0.1", port))
+            log_path = log_dir / f"replica-{port}.log"
+            with open(log_path, "wb") as log:
+                proc = subprocess.Popen(
+                    [
+                        sys.executable, "-m", "repro.cli", "serve",
+                        "--host", "127.0.0.1", "--port", str(port),
+                        "--store", str(store_path),
+                        "--store-mb", str(store_mb),
+                        "--lease-ttl", str(lease_ttl),
+                        "--workers", str(workers),
+                        "--executor", executor,
+                    ],
+                    env=env,
+                    stdout=log,
+                    stderr=subprocess.STDOUT,
+                )
+            replicas.append(Replica(proc, "127.0.0.1", port, log_path))
         deadline = time.monotonic() + startup_timeout
         for index, replica in enumerate(replicas):
             probe = ServiceClient(
@@ -217,9 +227,9 @@ def spawn_replicas(
             )
             while True:
                 if replica.proc.poll() is not None:
-                    output = (replica.proc.stdout.read() or "")[-2000:]
                     raise ServiceError(
-                        f"replica {index} exited during startup: {output}"
+                        f"replica {index} exited during startup: "
+                        f"{replica.log_tail()}"
                     )
                 try:
                     probe.health()
@@ -446,7 +456,6 @@ def run_loadtest(
     label: str = "",
     seed: int = 7,
     executor: str = "thread",
-    jobs: int = 1,
     store_mb: float = 64.0,
     lease_ttl: float = 300.0,
     retry: RetryPolicy | None = None,
@@ -468,7 +477,7 @@ def run_loadtest(
             tempdir = tempfile.TemporaryDirectory(prefix="cuba-loadtest-")
             store = Path(tempdir.name) / "store.sqlite"
         spawned = spawn_replicas(
-            spawn, store, executor=executor, jobs=jobs,
+            spawn, store, executor=executor,
             store_mb=store_mb, lease_ttl=lease_ttl,
         )
         replica_specs = [replica.address for replica in spawned]
@@ -546,7 +555,6 @@ def run_loadtest(
             "concurrency": concurrency,
             "replicas": n_replicas,
             "executor": executor,
-            "jobs": jobs,
             "max_rounds": max_rounds,
             "calibration_seconds": calibrate(),
             "ops": ops,

@@ -19,11 +19,6 @@ through four layers, cheapest first:
 4. **Fresh run** — the requested lane executes; inconclusive-but-
    resumable outcomes persist their snapshot for the next caller.
 
-Parsed CPDS objects are interned by content digest so repeated
-submissions of the same program share one object — which is what lets
-``jobs > 1`` requests reuse the leased worker pools of
-:mod:`repro.reach.parallel` (the pool cache keys on CPDS identity).
-
 The HTTP layer (:class:`ServiceServer`) is a minimal HTTP/1.1 loop on
 ``asyncio.start_server`` — no frameworks, connection-per-request —
 with endpoints ``POST /submit``, ``GET /status``, ``GET /result``,
@@ -31,8 +26,7 @@ with endpoints ``POST /submit``, ``GET /status``, ``GET /result``,
 window), and ``POST /shutdown``.  Analyses run on the service's
 bounded thread executor; graceful shutdown drains it, flushes the
 store, and routes through the shared
-:func:`~repro.util.caches.clear_runtime_caches` cleanup so a daemon
-never leaks pooled worker processes.
+:func:`~repro.util.caches.clear_runtime_caches` cleanup.
 """
 
 from __future__ import annotations
@@ -56,13 +50,12 @@ from repro.obs.metrics import LATENCY
 from repro.obs.prometheus import render
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import registry
-from repro.reach.config import EngineConfig
 from repro.service.executor import (
     EngineJob,
     ProcessAnalysisExecutor,
     execute_job,
 )
-from repro.service.fingerprint import cpds_digest, fingerprint
+from repro.service.fingerprint import fingerprint
 from repro.service.store import AnalysisStore
 from repro.util.caches import clear_runtime_caches
 from repro.util.meter import METER
@@ -78,10 +71,6 @@ ENGINE_LANES = ("auto", *registry.lane_names())
 #: each run to a pool of worker processes over the snapshot codec
 #: (:mod:`repro.service.executor` — the ``cuba serve`` default).
 EXECUTOR_MODES = ("thread", "process")
-
-#: Parsed-CPDS intern cache size (objects shared across requests).
-_CPDS_CACHE_LIMIT = 8
-
 
 def parse_property_spec(spec: str | None) -> Property:
     """The wire form of a property — the grammar shared with the CLI
@@ -168,7 +157,6 @@ class AnalysisService:
         store: AnalysisStore,
         *,
         workers: int = 2,
-        jobs: int = 1,
         executor: str = "thread",
     ) -> None:
         if executor not in EXECUTOR_MODES:
@@ -179,17 +167,8 @@ class AnalysisService:
         self.store = store
         if store.on_evict is None:
             # Size pressure sheds the in-process caches through the same
-            # path bench's cold-run contract and server shutdown use —
-            # minus the leased worker pools: eviction fires from an
-            # executor thread while other analyses may be mid-level on a
-            # leased pool, and closing one under them would fail valid
-            # requests.  Pools are bounded by their own LRU cache and
-            # are torn down on :meth:`close`.
-            store.on_evict = lambda: clear_runtime_caches(pools=False)
-        #: Worker processes per explicit engine's parallel advance
-        #: (deployment config, not a request knob; results are
-        #: jobs-invariant).
-        self.jobs = jobs
+            # path bench's cold-run contract and server shutdown use.
+            store.on_evict = clear_runtime_caches
         #: Engine-run execution mode (see :data:`EXECUTOR_MODES`).
         self.executor_mode = executor
         self._engine_executor = (
@@ -204,14 +183,13 @@ class AnalysisService:
         )
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
-        self._cpds_cache: OrderedDict[str, CPDS] = OrderedDict()
         self._closed = False
 
     # ------------------------------------------------------------------
     # Request resolution
     # ------------------------------------------------------------------
     def prepare(self, request: AnalysisRequest) -> tuple[str, CPDS, Property]:
-        """Parse/compile and intern the CPDS, build the property, and
+        """Parse/compile the CPDS, build the property, and
         compute the problem fingerprint.  Raises
         :class:`~repro.errors.CubaError` subclasses on malformed input."""
         compiled_prop: Property | None = None
@@ -223,16 +201,6 @@ class AnalysisService:
             compiled = compile_source(request.bp_text, init=request.bp_init or {})
             cpds = compiled.cpds
             compiled_prop = compiled.prop
-        digest = cpds_digest(cpds)
-        with self._lock:
-            cached = self._cpds_cache.get(digest)
-            if cached is not None:
-                self._cpds_cache.move_to_end(digest)
-                cpds = cached
-            else:
-                self._cpds_cache[digest] = cpds
-                while len(self._cpds_cache) > _CPDS_CACHE_LIMIT:
-                    self._cpds_cache.popitem(last=False)
         if request.property_spec is not None or compiled_prop is None:
             prop = parse_property_spec(request.property_spec)
         else:
@@ -448,9 +416,7 @@ class AnalysisService:
                 engine=request.engine,
                 max_rounds=request.max_rounds,
                 max_states_per_context=request.max_states_per_context,
-                jobs=self.jobs,
                 snapshot=self._stored_snapshot(problem, entry),
-                config=EngineConfig(jobs=self.jobs),
             )
             if self._engine_executor is None:
                 outcome = execute_job(job)
@@ -472,9 +438,8 @@ class AnalysisService:
     def close(self) -> None:
         """Drain the executor, flush and close the store, and clear the
         process-global runtime caches (canonical memo, Hopcroft
-        pre-cache, leased worker pools) — the same cleanup the bench
-        runner's cold-run contract performs, so a stopped daemon leaves
-        no pooled worker processes behind."""
+        pre-cache) — the same cleanup the bench runner's cold-run
+        contract performs."""
         with self._lock:
             if self._closed:
                 return
@@ -500,11 +465,10 @@ _METER_WINDOW_PREFIXES = (
 _JOB_HISTORY_LIMIT = 256
 
 #: Hard caps on an HTTP request.  Every other resource the server
-#: holds is bounded (executor, job history, CPDS cache, pool cache,
-#: store size); neither the client's Content-Length nor an endless
-#: header stream may be the one untrusted input that can exhaust
-#: memory.  64 MB dwarfs any real program text; 16 KB dwarfs any real
-#: header section.
+#: holds is bounded (executor, job history, store size); neither the
+#: client's Content-Length nor an endless header stream may be the one
+#: untrusted input that can exhaust memory.  64 MB dwarfs any real
+#: program text; 16 KB dwarfs any real header section.
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
 MAX_HEADER_BYTES = 16 * 1024
 
@@ -546,8 +510,8 @@ class ServiceServer:
 
     async def serve_until_shutdown(self) -> None:
         """Block until a shutdown request, then tear down gracefully:
-        stop accepting, drain in-flight analyses, flush the store, shut
-        the leased pools (via the shared cache cleanup)."""
+        stop accepting, drain in-flight analyses, flush the store, clear
+        the runtime caches."""
         assert self._closing is not None
         await self._closing.wait()
         self._server.close()

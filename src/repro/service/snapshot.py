@@ -222,9 +222,9 @@ def restore_explicit(
 ):
     """Rebuild a warm :class:`~repro.reach.explicit.ExplicitReach` from
     a :func:`snapshot_explicit` blob.  ``config`` carries the execution
-    knobs (:class:`~repro.reach.config.EngineConfig` —
-    ``jobs``/``shard_replay``/``backend``; pure execution knobs, never
-    serialized into the blob) and may differ from the snapshotted
+    knobs (:class:`~repro.reach.config.EngineConfig` — the replay
+    ``backend``; pure execution knobs, never serialized into the blob)
+    and may differ from the snapshotted
     engine's; ``max_states_per_context`` defaults to the snapshotted
     guard.  Raises :class:`SnapshotError` when the blob is undecodable
     or does not belong to ``cpds``."""

@@ -73,10 +73,7 @@ Robustness contract:
   :func:`~repro.util.caches.clear_runtime_caches` cleanup — the same
   path the benchmark runner's cold-run contract and server shutdown
   use — so size pressure also sheds the in-process canonical tables
-  instead of letting a long-lived daemon accumulate them.  (The server
-  excludes the leased worker pools here: they are bounded by their own
-  LRU cache, and closing one mid-eviction would break analyses running
-  on it; pools are released on server shutdown.)
+  instead of letting a long-lived daemon accumulate them.
 
 All methods are thread-safe (one connection guarded by a lock): the
 server's bounded executor calls in from worker threads.

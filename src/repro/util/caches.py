@@ -1,13 +1,11 @@
 """Process-global runtime-cache lifecycle — one cleanup path for all.
 
 Several subsystems keep process-global caches: the canonicalization
-memo and hash-cons tables (:mod:`repro.automata.canonical`), the
-Hopcroft preimage-list cache (:mod:`repro.automata.dense`), and the
-leased view-saturation worker pools (:mod:`repro.reach.parallel`).
-Before the analysis service existed, only the benchmark runner cleared
-them (its cold-run contract); a long-lived daemon that never routed
-through the bench path would accumulate canonical tables without bound
-and leak pooled worker processes across shutdowns.
+memo and hash-cons tables (:mod:`repro.automata.canonical`) and the
+Hopcroft preimage-list cache (:mod:`repro.automata.dense`).  Before the
+analysis service existed, only the benchmark runner cleared them (its
+cold-run contract); a long-lived daemon that never routed through the
+bench path would accumulate canonical tables without bound.
 
 :func:`clear_runtime_caches` is the single shared cleanup: the bench
 runner's ``_clear_caches``, the analysis server's shutdown path, and
@@ -17,24 +15,11 @@ a long-lived process drops the same state the same way.
 
 from __future__ import annotations
 
-import sys
 
-
-def clear_runtime_caches(*, pools: bool = True) -> None:
+def clear_runtime_caches() -> None:
     """Reset every process-global cache: the canonicalization memo and
-    hash-cons table, the Hopcroft pre-cache, and (with ``pools=True``)
-    the leased view-saturation worker pools.
-
-    The parallel module is only touched when it was already imported —
-    serial processes never pay for (or perturb timings with)
-    multiprocessing machinery just to shut down pools they never
-    started.
-    """
+    hash-cons table, and the Hopcroft pre-cache."""
     from repro.automata import canonical, dense
 
     canonical.canonical_cache_clear()
     dense.pre_cache_clear()
-    if pools:
-        parallel = sys.modules.get("repro.reach.parallel")
-        if parallel is not None:
-            parallel.pool_cache_clear()

@@ -12,10 +12,13 @@ view per level (none at all for views already memoized across levels).
 import pytest
 
 from repro.models.registry import smallest_per_row
+from repro.reach.config import EngineConfig
 from repro.reach.symbolic import SymbolicReach
 from repro.util.meter import METER, scoped
 
 K = 3
+BATCHED = EngineConfig(batched=True)
+PER_STATE = EngineConfig(batched=False)
 
 FCR_BENCHES = smallest_per_row(lambda b: b.fcr)
 ALL_BENCHES = smallest_per_row()
@@ -30,8 +33,8 @@ def _signature_levels(engine):
 @pytest.mark.parametrize("bench", ALL_BENCHES, ids=lambda b: b.row)
 def test_batched_levels_match_per_state_levels(bench):
     cpds, _prop = bench.build()
-    batched = SymbolicReach(cpds, batched=True)
-    per_state = SymbolicReach(cpds, batched=False)
+    batched = SymbolicReach(cpds, config=BATCHED)
+    per_state = SymbolicReach(cpds, config=PER_STATE)
     batched.ensure_level(K)
     per_state.ensure_level(K)
     assert _signature_levels(batched) == _signature_levels(per_state)
@@ -45,8 +48,8 @@ def test_batched_matches_non_incremental_per_state(bench):
     """Cross both axes: batched+incremental vs per-state without any
     cross-level memo (the fully naive path)."""
     cpds, _prop = bench.build()
-    fast = SymbolicReach(cpds, incremental=True, batched=True)
-    naive = SymbolicReach(cpds, incremental=False, batched=False)
+    fast = SymbolicReach(cpds, incremental=True, config=BATCHED)
+    naive = SymbolicReach(cpds, incremental=False, config=PER_STATE)
     fast.ensure_level(K)
     naive.ensure_level(K)
     assert _signature_levels(fast) == _signature_levels(naive)
@@ -58,7 +61,7 @@ def test_one_expansion_per_unique_view_per_level(bench):
     saturations per level equals the number of unique views; with it,
     saturations can only be fewer (memoized views are free)."""
     cpds, _prop = bench.build()
-    engine = SymbolicReach(cpds, incremental=False, batched=True)
+    engine = SymbolicReach(cpds, incremental=False, config=BATCHED)
     for _ in range(K):
         with scoped() as level_work:
             engine.advance()
@@ -70,7 +73,7 @@ def test_one_expansion_per_unique_view_per_level(bench):
         )
         assert views >= unique
 
-    memo = SymbolicReach(cpds, incremental=True, batched=True)
+    memo = SymbolicReach(cpds, incremental=True, config=BATCHED)
     before = METER.snapshot()
     memo.ensure_level(K)
     delta = METER.delta(before)
@@ -86,9 +89,9 @@ def test_per_state_mode_expands_duplicates():
     bench = next(b for b in ALL_BENCHES if b.row.startswith("5/"))
     cpds, _prop = bench.build()
     with scoped() as batched_work:
-        SymbolicReach(cpds, incremental=False, batched=True).ensure_level(K)
+        SymbolicReach(cpds, incremental=False, config=BATCHED).ensure_level(K)
     with scoped() as per_state_work:
-        SymbolicReach(cpds, incremental=False, batched=False).ensure_level(K)
+        SymbolicReach(cpds, incremental=False, config=PER_STATE).ensure_level(K)
     assert (
         per_state_work["symbolic.expansions"] > batched_work["symbolic.expansions"]
     )

@@ -1,18 +1,16 @@
-"""EngineConfig and the deprecated per-knob keyword shim.
+"""EngineConfig: the one carrier of the engines' execution knobs.
 
-The old spellings (``jobs=``, ``batched=``, ``backend=``, ...) must keep
-working on every public entry point while warning once per call; modern
-``config=EngineConfig(...)`` callers must never warn.
+Every public entry point takes ``config=EngineConfig(...)``.
 """
 
+import dataclasses
 import pickle
-import warnings
 
 import pytest
 
 from repro.core.property import AlwaysSafe
 from repro.models import fig1_cpds
-from repro.reach.config import EngineConfig, merge_legacy_kwargs
+from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.symbolic import SymbolicReach
 
@@ -20,87 +18,39 @@ from repro.reach.symbolic import SymbolicReach
 class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.jobs == 1
         assert config.batched is True
         assert config.backend == "auto"
-        assert config.shard_replay is True
-        assert config.shard_min_work is None
         assert config.incremental is True
+
+    def test_exactly_three_knobs(self):
+        names = [field.name for field in dataclasses.fields(EngineConfig)]
+        assert names == ["batched", "backend", "incremental"]
 
     def test_replace_returns_new_frozen_instance(self):
         config = EngineConfig()
-        changed = config.replace(jobs=4, backend="csr")
-        assert changed.jobs == 4 and changed.backend == "csr"
-        assert config.jobs == 1  # original untouched
+        changed = config.replace(batched=False, backend="csr")
+        assert changed.batched is False and changed.backend == "csr"
+        assert config.batched is True  # original untouched
         with pytest.raises(Exception):
-            changed.jobs = 8  # frozen
+            changed.batched = True  # frozen
 
     def test_picklable_for_worker_processes(self):
-        config = EngineConfig(jobs=3, shard_min_work=128)
+        config = EngineConfig(batched=False, backend="python")
         assert pickle.loads(pickle.dumps(config)) == config
 
+    def test_config_reaches_the_engine(self):
+        from repro.cuba.scheme1 import scheme1_rk
+        from repro.cuba.verifier import Cuba
 
-class TestLegacyKwargShim:
-    def test_merge_folds_and_warns(self):
-        with pytest.deprecated_call(match="somewhere.*batched, jobs"):
-            merged = merge_legacy_kwargs(None, "somewhere", jobs=2, batched=False)
-        assert merged == EngineConfig(jobs=2, batched=False)
-
-    def test_merge_none_values_silent(self):
-        base = EngineConfig(jobs=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            merged = merge_legacy_kwargs(base, "somewhere", jobs=None, batched=None)
-        assert merged is base
-
-    def test_explicit_engine_legacy_kwarg_warns(self):
-        with pytest.deprecated_call(match="ExplicitReach"):
-            engine = ExplicitReach(fig1_cpds(), batched=False)
-        assert engine.config.batched is False
-
-    def test_symbolic_engine_legacy_kwarg_warns(self):
-        with pytest.deprecated_call(match="SymbolicReach"):
-            engine = SymbolicReach(fig1_cpds(), batched=False)
+        engine = ExplicitReach(fig1_cpds(), config=EngineConfig(batched=False))
         assert engine.batched is False
-
-    def test_scheme1_rk_legacy_kwarg_warns(self):
-        from repro.cuba.scheme1 import scheme1_rk
-
-        with pytest.deprecated_call(match="scheme1_rk"):
-            result = scheme1_rk(fig1_cpds(), AlwaysSafe(), max_rounds=2, jobs=1)
-        assert result is not None
-
-    def test_cba_legacy_kwarg_warns(self):
-        from repro.cuba.cba import context_bounded_analysis
-
-        with pytest.deprecated_call(match="context_bounded_analysis"):
-            context_bounded_analysis(fig1_cpds(), AlwaysSafe(), 2, batched=False)
-
-    def test_cuba_legacy_kwarg_warns(self):
-        from repro.cuba.verifier import Cuba
-
-        with pytest.deprecated_call(match="Cuba"):
-            verifier = Cuba(fig1_cpds(), AlwaysSafe(), jobs=2)
-        assert verifier.config.jobs == 2
-
-    def test_modern_config_path_never_warns(self):
-        from repro.cuba.scheme1 import scheme1_rk
-        from repro.cuba.verifier import Cuba
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ExplicitReach(fig1_cpds(), config=EngineConfig(batched=False))
-            SymbolicReach(fig1_cpds(), config=EngineConfig(batched=False))
-            Cuba(fig1_cpds(), AlwaysSafe(), config=EngineConfig(jobs=2))
-            scheme1_rk(
-                fig1_cpds(), AlwaysSafe(), max_rounds=2, config=EngineConfig()
-            )
-
-    def test_legacy_kwarg_overrides_config(self):
-        # Explicit old-style value beats the config field, matching what
-        # pre-shim call sites expect while they migrate.
-        with pytest.deprecated_call():
-            merged = merge_legacy_kwargs(
-                EngineConfig(jobs=1), "somewhere", jobs=8
-            )
-        assert merged.jobs == 8
+        assert SymbolicReach(
+            fig1_cpds(), config=EngineConfig(batched=False)
+        ).batched is False
+        verifier = Cuba(
+            fig1_cpds(), AlwaysSafe(), config=EngineConfig(backend="python")
+        )
+        assert verifier.config.backend == "python"
+        assert scheme1_rk(
+            fig1_cpds(), AlwaysSafe(), max_rounds=2, config=EngineConfig()
+        ) is not None

@@ -9,9 +9,8 @@ exact and that every replay path prunes alike:
   several threads at one level) the pruned engine equals the unpruned
   per-state oracle level for level, and diverges at the same level when
   the oracle does.  Ids may differ: the view insertion order changed.
-* The numpy replay paths, forced on for every level, and the sharded
-  merge assign the serial loop's ids, parents and movers, so they prune
-  the same cells.
+* The numpy replay paths, forced on for every level, assign the serial
+  loop's ids, parents and movers, so they prune the same cells.
 * Every unsafe Table 2 row still yields a replayable witness.
 """
 
@@ -23,7 +22,7 @@ from repro.cuba import scheme1_rk
 from repro.errors import ContextExplosionError
 from repro.models import runnable_benchmarks
 from repro.models.random_gen import RandomSpec, random_cpds
-from repro.reach import parallel, vectorized
+from repro.reach import vectorized
 from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.witness import validate_trace
@@ -61,12 +60,6 @@ THREE_THREADS = RandomSpec(
 needs_numpy = pytest.mark.skipif(
     not vectorized.numpy_available(), reason="numpy not installed"
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _shutdown_pools():
-    yield
-    parallel.pool_cache_clear()
 
 
 def _advance_to(engine, k_max):
@@ -135,46 +128,6 @@ def test_forced_numpy_paths_record_the_serial_movers(seed, track, monkeypatch):
         assert deltas[0].get(key, 0) == deltas[1].get(key, 0), key
     if deltas[0].get("explicit.replay_pairs", 0):
         assert deltas[1].get("explicit.replay_numpy_views", 0) > 0
-
-
-@pytest.mark.parametrize(
-    "backend",
-    ["python", pytest.param("numpy", marks=needs_numpy)],
-)
-@pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
-@pytest.mark.parametrize("seed", range(40))
-def test_sharded_merge_records_the_serial_movers(seed, track, backend, monkeypatch):
-    """The sharded merge interns the workers' rows unit by unit in
-    serial scan order, so it assigns the serial loop's ids, parents and
-    movers, whatever the bucket balance.  Under numpy the floors drop
-    to 1 before the pool forks, so every worker unit vectorizes."""
-    if backend == "numpy":
-        monkeypatch.setattr(vectorized, "NUMPY_MIN_WORK", 1)
-        monkeypatch.setattr(vectorized, "NUMPY_MIN_ENTRY_AVG", 1)
-    cpds = random_cpds(seed, THREE_THREADS)
-    serial = ExplicitReach(
-        cpds, max_states_per_context=MAX_STATES, track_traces=track,
-        config=EngineConfig(backend="python"),
-    )
-    sharded = ExplicitReach(
-        cpds, max_states_per_context=MAX_STATES, track_traces=track,
-        config=EngineConfig(jobs=2, shard_min_work=0, backend=backend),
-    )
-    deltas = []
-    for engine in (serial, sharded):
-        with scoped() as work:
-            exploded = _advance_to(engine, K)
-        deltas.append(work)
-    if exploded is not None:
-        pytest.skip("non-FCR instance")
-    assert serial._level_ids == sharded._level_ids
-    assert serial._movers == sharded._movers
-    assert serial._parents == sharded._parents
-    for key in METER_KEYS:
-        assert deltas[0].get(key, 0) == deltas[1].get(key, 0), key
-    if track:
-        for state in sharded.states_up_to():
-            validate_trace(cpds, sharded.trace(state))
 
 
 @pytest.mark.parametrize(

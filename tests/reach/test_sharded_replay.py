@@ -1,18 +1,17 @@
-"""Sharded-replay differential and invariant suite (PR 6).
+"""Forced-vectorization replay differential and invariant suite.
 
-Three-way differential: the serial engine (``jobs=1``), the PR 4
-saturation-only fan-out (``jobs=2, shard_replay=False``) and the fully
-sharded advance (``jobs=2`` with saturation AND member x edge replay on
-the worker pool, ``shard_min_work=0`` so every level shards) must
-produce identical global-state levels, identical ``T(Rk)`` sequences,
-and *exact* METER equality — parallel replay moves work across
-processes, it must not create, skip, or double-count any.  On every
-mode the batching invariant ``expansions + context_cache_hits ==
-level_unique_views`` must hold over the summed shards.
+Three-way differential: the pure-python engine (``backend="python"``)
+and the numpy engine with and without witness parents, all run with the
+numpy work floors at 1 so every level of the numpy engines groups and
+replays through :mod:`repro.reach.vectorized`, must produce identical
+global-state levels, identical ``T(Rk)`` sequences, and *exact* METER
+equality — the backend changes how a level replays, never how much work
+it does.  On every mode the batching invariant ``expansions +
+context_cache_hits == level_unique_views`` must hold.
 
-Run on every FCR registry row and on ≥40 random CPDS seeds (non-FCR
-instances must diverge identically in all three modes), plus witness
-validation for traces reconstructed through the sharded merge path.
+Run on every FCR registry row and on 40 random CPDS seeds (non-FCR
+instances must diverge identically in all three modes), plus a snapshot
+resume that switches the execution knobs mid-run.
 """
 
 import pytest
@@ -20,9 +19,9 @@ import pytest
 from repro.errors import ContextExplosionError
 from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import smallest_per_row
-from repro.reach import parallel
+from repro.reach import vectorized
+from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
-from repro.reach.witness import validate_trace
 from repro.util.meter import METER
 
 K = 2
@@ -38,22 +37,32 @@ METER_KEYS = (
     "explicit.replay_pairs",
 )
 
+needs_numpy = pytest.mark.skipif(
+    not vectorized.numpy_available(), reason="numpy not installed"
+)
 
-@pytest.fixture(scope="module", autouse=True)
-def _shutdown_pools():
-    yield
-    parallel.pool_cache_clear()
+
+@pytest.fixture(autouse=True)
+def _floors_at_one(monkeypatch):
+    monkeypatch.setattr(vectorized, "NUMPY_MIN_WORK", 1)
+    monkeypatch.setattr(vectorized, "NUMPY_MIN_ENTRY_AVG", 1)
 
 
 def _three_engines(cpds, max_states=None):
-    """serial / saturation-only / fully-sharded, in that order."""
-    kwargs = {"track_traces": False}
+    """python / numpy / numpy-tracked, in that order."""
+    kwargs = {}
     if max_states is not None:
         kwargs["max_states_per_context"] = max_states
     return [
-        ExplicitReach(cpds, jobs=1, **kwargs),
-        ExplicitReach(cpds, jobs=2, shard_replay=False, **kwargs),
-        ExplicitReach(cpds, jobs=2, shard_min_work=0, **kwargs),
+        ExplicitReach(
+            cpds, track_traces=False, config=EngineConfig(backend="python"),
+            **kwargs,
+        ),
+        ExplicitReach(
+            cpds, track_traces=False, config=EngineConfig(backend="numpy"),
+            **kwargs,
+        ),
+        ExplicitReach(cpds, config=EngineConfig(backend="numpy"), **kwargs),
     ]
 
 
@@ -63,7 +72,7 @@ def _run_with_meter(engine, k_max):
     return METER.delta(before)
 
 
-def _assert_agreement(engines, deltas, k_max, context="", require_shards=True):
+def _assert_agreement(engines, deltas, k_max, context=""):
     for k in range(k_max + 1):
         assert (
             engines[0].states_new_at(k)
@@ -79,18 +88,19 @@ def _assert_agreement(engines, deltas, k_max, context="", require_shards=True):
         assert (
             deltas[0].get(key, 0) == deltas[1].get(key, 0) == deltas[2].get(key, 0)
         ), f"{context} METER {key}: {[d.get(key, 0) for d in deltas]}"
-    # The batching invariant over the summed shards, on every mode.
-    for mode, delta in zip(("serial", "saturation-only", "sharded"), deltas):
+    for mode, delta in zip(("python", "numpy", "numpy-tracked"), deltas):
         assert delta.get("explicit.expansions", 0) + delta.get(
             "explicit.context_cache_hits", 0
         ) == delta.get("explicit.level_unique_views", 0), f"{context} {mode}"
-    # The fully sharded engine actually took the sharded path (edge-less
-    # instances legitimately ship zero units — callers relax the check).
-    if require_shards:
-        assert deltas[2].get("explicit.replay_shards", 0) > 0, context
-    assert deltas[1].get("explicit.replay_shards", 0) == 0, context
+    # With the floors at 1, any replayed pair means the numpy engines
+    # took the vectorized path; the python engine never does.
+    if deltas[0].get("explicit.replay_pairs", 0):
+        assert deltas[1].get("explicit.replay_numpy_views", 0) > 0, context
+        assert deltas[2].get("explicit.replay_numpy_views", 0) > 0, context
+    assert deltas[0].get("explicit.replay_numpy_views", 0) == 0, context
 
 
+@needs_numpy
 class TestThreeWayDifferential:
     @pytest.mark.parametrize("bench", FCR_BENCHES, ids=lambda b: b.row)
     def test_registry_rows(self, bench):
@@ -120,99 +130,31 @@ class TestThreeWayDifferential:
         )
         if exploded[0]:
             return
-        # A new state past level 0 can only come from replaying an edge,
-        # so its existence proves the sharded path had units to ship.
-        grew = any(engines[0].states_new_at(k) for k in range(1, K + 1))
-        _assert_agreement(
-            engines, deltas, K, context=f"seed {seed}", require_shards=grew
-        )
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_sharded_traces_are_real_executions(self, seed):
-        """Witness parents recorded through the shard merge pass (the
-        worker's parents-first row order + the parent's ``intern_packed``
-        dedup) reconstruct traces that replay against the CPDS step
-        semantics."""
-        spec = RandomSpec(n_threads=2, n_shared=2, n_symbols=2, rules_per_thread=4)
-        cpds = random_cpds(seed, spec)
-        engine = ExplicitReach(cpds, max_states_per_context=300, jobs=2,
-                               shard_min_work=0)
-        try:
-            engine.ensure_level(K)
-        except ContextExplosionError:
-            pytest.skip("non-FCR instance")
-        for state in engine.states_up_to(K):
-            validate_trace(cpds, engine.trace(state))
+        _assert_agreement(engines, deltas, K, context=f"seed {seed}")
 
 
-class TestShardGating:
-    def test_work_threshold_keeps_small_levels_serial(self):
-        """Below ``shard_min_work`` the replay stays in-process — no
-        shard units are ever shipped — and results are unchanged."""
-        cpds, _prop = FCR_BENCHES[0].build()
-        engine = ExplicitReach(
-            cpds, track_traces=False, jobs=2, shard_min_work=10**9
-        )
-        before = METER.snapshot()
-        engine.ensure_level(K)
-        delta = METER.delta(before)
-        assert delta.get("explicit.replay_shards", 0) == 0
-        oracle = ExplicitReach(cpds, track_traces=False, jobs=1)
-        oracle.ensure_level(K)
-        assert engine.states_up_to(K) == oracle.states_up_to(K)
-
-    def test_shard_replay_off_never_shards(self):
-        cpds, _prop = FCR_BENCHES[0].build()
-        engine = ExplicitReach(
-            cpds, track_traces=False, jobs=2, shard_replay=False,
-            shard_min_work=0,
-        )
-        before = METER.snapshot()
-        engine.ensure_level(K)
-        assert METER.delta(before).get("explicit.replay_shards", 0) == 0
-
-    def test_replay_only_mode_leases_a_pool(self):
-        """``parallel_saturation=False`` (the bench ``shard`` sub-mode)
-        saturates in-process but still fans the replay out."""
-        cpds, _prop = FCR_BENCHES[0].build()
-        engine = ExplicitReach(
-            cpds, track_traces=False, jobs=2, parallel_saturation=False,
-            shard_min_work=0,
-        )
-        before = METER.snapshot()
-        engine.ensure_level(K)
-        delta = METER.delta(before)
-        assert delta.get("explicit.replay_shards", 0) > 0
-        oracle = ExplicitReach(cpds, track_traces=False, jobs=1)
-        oracle.ensure_level(K)
-        assert engine.states_up_to(K) == oracle.states_up_to(K)
-
-    def test_stats_and_validation(self):
-        cpds, _prop = FCR_BENCHES[0].build()
-        engine = ExplicitReach(cpds, jobs=2)
-        assert engine.stats()["shard_replay"] is True
-        assert ExplicitReach(cpds, jobs=2, shard_replay=False).stats()[
-            "shard_replay"
-        ] is False
-        with pytest.raises(ValueError):
-            ExplicitReach(cpds, jobs=2, shard_min_work=-1)
-
-
+@needs_numpy
 class TestShardedSnapshotResume:
     def test_restore_carries_the_execution_knobs(self):
-        """A snapshot taken on a serial engine resumes with the sharded
-        advance (pure execution knobs) and continues identically."""
+        """A snapshot taken on a python engine resumes on the numpy
+        backend (a pure execution knob) and continues identically."""
         cpds, _prop = FCR_BENCHES[0].build()
-        origin = ExplicitReach(cpds, track_traces=False, jobs=1)
+        origin = ExplicitReach(
+            cpds, track_traces=False, config=EngineConfig(backend="python")
+        )
         origin.ensure_level(1)
         blob = origin.snapshot()
-        resumed = ExplicitReach.restore(cpds, blob, jobs=2)
-        assert resumed.jobs == 2 and resumed.shard_replay is True
-        resumed.shard_min_work = 0
+        knobs = EngineConfig(backend="numpy")
+        resumed = ExplicitReach.restore(cpds, blob, config=knobs)
+        assert resumed.config == knobs
+        assert resumed.stats()["backend"] == "numpy"
+        before = METER.snapshot()
         resumed.ensure_level(K)
-        oracle = ExplicitReach(cpds, track_traces=False, jobs=1)
+        assert METER.delta(before).get("explicit.replay_numpy_views", 0) > 0
+        oracle = ExplicitReach(
+            cpds, track_traces=False, config=EngineConfig(backend="python")
+        )
         oracle.ensure_level(K)
         for k in range(K + 1):
             assert resumed.states_new_at(k) == oracle.states_new_at(k)
-        frozen = ExplicitReach.restore(cpds, blob, jobs=1, shard_replay=False)
-        assert frozen.shard_replay is False
+            assert resumed.visible_new_at(k) == oracle.visible_new_at(k)

@@ -1,14 +1,14 @@
 """Replay-backend differential and fallback suite (PR 8).
 
-Three-way differential: the pure-python engine (``backend="python"``),
-the vectorized serial engine (``backend="numpy"``, jobs=1) and the
-vectorized sharded engine (``backend="numpy"``, jobs=2, every level
-sharded) must produce identical global-state levels and *exact* METER
-equality on the five-counter differential set — the backend changes how
-a level replays, never what it computes.  At jobs=1 the guarantee is
-stronger still: first-occurrence interning makes the numpy engine assign
-the *same dense ids and witness parents* as the serial loop, asserted
-directly.
+Three-way differential: the pure-python engine (``backend="python"``)
+and the vectorized engine (``backend="numpy"``) both without witness
+parents, plus the vectorized engine recording them (its replay resolves
+parents on a separate path), must produce identical global-state levels
+and *exact* METER equality on the six-counter differential set — the
+backend changes how a level replays, never what it computes.  The
+guarantee is stronger still: first-occurrence interning makes the numpy
+engine assign the *same dense ids and witness parents* as the serial
+loop, asserted directly.
 
 Fallback contract: keys wider than int64 (forced here by widening the
 packed-field geometry) must route the level to the pure-int loop
@@ -23,7 +23,8 @@ from repro.cpds import interning
 from repro.errors import ContextExplosionError
 from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import smallest_per_row
-from repro.reach import parallel, vectorized
+from repro.reach import vectorized
+from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.witness import validate_trace
 from repro.util.meter import METER
@@ -45,12 +46,6 @@ HAVE_NUMPY = vectorized.numpy_available()
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _shutdown_pools():
-    yield
-    parallel.pool_cache_clear()
-
-
 @pytest.fixture()
 def no_numpy(monkeypatch):
     """Simulate a numpy-less environment for the resolution tests."""
@@ -58,15 +53,19 @@ def no_numpy(monkeypatch):
     monkeypatch.setattr(vectorized, "_numpy_checked", True)
 
 
+def _engine(cpds, backend, **kwargs):
+    return ExplicitReach(cpds, config=EngineConfig(backend=backend), **kwargs)
+
+
 def _three_engines(cpds, max_states=None):
-    """python / numpy-serial / numpy-sharded, in that order."""
-    kwargs = {"track_traces": False}
+    """python / numpy / numpy-tracked, in that order."""
+    kwargs = {}
     if max_states is not None:
         kwargs["max_states_per_context"] = max_states
     return [
-        ExplicitReach(cpds, jobs=1, backend="python", **kwargs),
-        ExplicitReach(cpds, jobs=1, backend="numpy", **kwargs),
-        ExplicitReach(cpds, jobs=2, shard_min_work=0, backend="numpy", **kwargs),
+        _engine(cpds, "python", track_traces=False, **kwargs),
+        _engine(cpds, "numpy", track_traces=False, **kwargs),
+        _engine(cpds, "numpy", **kwargs),
     ]
 
 
@@ -93,7 +92,7 @@ def _assert_agreement(engines, deltas, k_max, context=""):
             deltas[0].get(key, 0) == deltas[1].get(key, 0) == deltas[2].get(key, 0)
         ), f"{context} METER {key}: {[d.get(key, 0) for d in deltas]}"
     # The batching invariant holds per backend and mode.
-    for mode, delta in zip(("python", "numpy", "numpy-sharded"), deltas):
+    for mode, delta in zip(("python", "numpy", "numpy-tracked"), deltas):
         assert delta.get("explicit.expansions", 0) + delta.get(
             "explicit.context_cache_hits", 0
         ) == delta.get("explicit.level_unique_views", 0), f"{context} {mode}"
@@ -143,18 +142,18 @@ class TestThreeWayDifferential:
         cpds, _prop = next(
             b for b in FCR_BENCHES if "FileCrawler" in b.name
         ).build()
-        engine = ExplicitReach(cpds, track_traces=False, backend="numpy")
+        engine = _engine(cpds, "numpy", track_traces=False)
         delta = _run_with_meter(engine, 3)
         assert delta.get("explicit.replay_numpy_views", 0) > 0
         assert delta.get("explicit.replay_numpy_fallbacks", 0) == 0
 
     def test_serial_numpy_assigns_identical_ids_and_parents(self):
-        """jobs=1 numpy is bit-for-bit the serial loop: same dense id
-        order, same packed column, same witness parents."""
+        """numpy is bit-for-bit the serial loop: same dense id order,
+        same packed column, same witness parents."""
         for bench in FCR_BENCHES[:3]:
             cpds, _prop = bench.build()
-            py = ExplicitReach(cpds, backend="python")
-            np_ = ExplicitReach(cpds, backend="numpy")
+            py = _engine(cpds, "python")
+            np_ = _engine(cpds, "numpy")
             py.ensure_level(K)
             np_.ensure_level(K)
             assert list(py.table._packed) == list(np_.table._packed), bench.row
@@ -162,16 +161,13 @@ class TestThreeWayDifferential:
             assert py._parents == np_._parents, bench.row
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_numpy_sharded_traces_are_real_executions(self, seed):
-        """Witness parents recorded through the vectorized worker rows
+    def test_numpy_traces_are_valid(self, seed):
+        """Witness parents recorded by the vectorized replay
         (first-occurrence order preserves parents-first) reconstruct
         traces that replay against the CPDS step semantics."""
         spec = RandomSpec(n_threads=2, n_shared=2, n_symbols=2, rules_per_thread=4)
         cpds = random_cpds(seed, spec)
-        engine = ExplicitReach(
-            cpds, max_states_per_context=300, jobs=2,
-            shard_min_work=0, backend="numpy",
-        )
+        engine = _engine(cpds, "numpy", max_states_per_context=300)
         try:
             engine.ensure_level(K)
         except ContextExplosionError:
@@ -188,8 +184,8 @@ class TestWideKeyFallback:
         fall back automatically and still match the python engine."""
         monkeypatch.setattr(interning, "_INITIAL_BITS", 40)
         cpds, _prop = FCR_BENCHES[0].build()
-        py = ExplicitReach(cpds, backend="python")
-        np_ = ExplicitReach(cpds, backend="numpy")
+        py = _engine(cpds, "python")
+        np_ = _engine(cpds, "numpy")
         assert not vectorized.table_fits_int64(np_.table)
         before = METER.snapshot()
         py.ensure_level(K)
@@ -202,39 +198,21 @@ class TestWideKeyFallback:
             assert py.states_new_at(k) == np_.states_new_at(k)
         assert py._parents == np_._parents
 
-    def test_wide_keys_route_sharded_units_to_the_python_loop(self, monkeypatch):
-        """Workers re-check widths per unit: a wide-key sharded numpy
-        engine produces the same levels as the serial python engine."""
-        monkeypatch.setattr(interning, "_INITIAL_BITS", 40)
-        cpds, _prop = FCR_BENCHES[0].build()
-        py = ExplicitReach(cpds, track_traces=False, backend="python")
-        sh = ExplicitReach(
-            cpds, track_traces=False, jobs=2,
-            shard_min_work=0, backend="numpy",
-        )
-        py.ensure_level(K)
-        sh.ensure_level(K)
-        for k in range(K + 1):
-            assert py.states_new_at(k) == sh.states_new_at(k)
-
     def test_width_predicate_matches_the_geometry(self):
         cpds, _prop = FCR_BENCHES[0].build()
         engine = ExplicitReach(cpds, track_traces=False)
         assert vectorized.table_fits_int64(engine.table)
-        assert not vectorized.unit_fits([1 << 70] * 64, list(range(64)))
-        assert not vectorized.unit_fits([1] * 64, [1 << 70] + list(range(63)))
-        assert vectorized.unit_fits([1] * 64, list(range(64)))
 
 
 class TestBackendResolution:
     def test_unknown_backend_rejected(self):
         cpds, _prop = FCR_BENCHES[0].build()
         with pytest.raises(ValueError, match="backend"):
-            ExplicitReach(cpds, backend="cuda")
+            _engine(cpds, "cuda")
 
     def test_auto_without_numpy_resolves_python(self, no_numpy):
         cpds, _prop = FCR_BENCHES[0].build()
-        engine = ExplicitReach(cpds, backend="auto")
+        engine = _engine(cpds, "auto")
         assert engine.resolved_backend == "python"
         engine.ensure_level(1)
         assert engine.stats()["backend"] == "python"
@@ -242,18 +220,18 @@ class TestBackendResolution:
     def test_forced_numpy_without_numpy_is_an_error(self, no_numpy):
         cpds, _prop = FCR_BENCHES[0].build()
         with pytest.raises(ValueError, match="numpy is not installed"):
-            ExplicitReach(cpds, backend="numpy")
+            _engine(cpds, "numpy")
 
     @needs_numpy
     def test_auto_with_numpy_resolves_numpy(self):
         cpds, _prop = FCR_BENCHES[0].build()
-        engine = ExplicitReach(cpds, backend="auto")
+        engine = _engine(cpds, "auto")
         assert engine.resolved_backend == "numpy"
         assert engine.stats()["backend"] == "numpy"
 
     def test_stats_report_the_backend(self):
         cpds, _prop = FCR_BENCHES[0].build()
-        engine = ExplicitReach(cpds, backend="python")
+        engine = _engine(cpds, "python")
         assert engine.stats()["backend"] == "python"
 
 
@@ -264,13 +242,15 @@ class TestSnapshotBackendKnob:
         numpy resumes under python (and vice versa) and continues
         identically — nothing backend-specific is serialized."""
         cpds, _prop = FCR_BENCHES[0].build()
-        origin = ExplicitReach(cpds, backend="numpy")
+        origin = _engine(cpds, "numpy")
         origin.ensure_level(1)
         blob = origin.snapshot()
-        resumed = ExplicitReach.restore(cpds, blob, backend="python")
+        resumed = ExplicitReach.restore(
+            cpds, blob, config=EngineConfig(backend="python")
+        )
         assert resumed.resolved_backend == "python"
         resumed.ensure_level(K)
-        oracle = ExplicitReach(cpds, backend="numpy")
+        oracle = _engine(cpds, "numpy")
         oracle.ensure_level(K)
         for k in range(K + 1):
             assert resumed.states_new_at(k) == oracle.states_new_at(k)

@@ -10,6 +10,9 @@ newest-comparable-baseline selector.
 
 import json
 
+from repro.cpds import format_cpds
+from repro.models import fig1_cpds
+from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.loadtest import (
     LOADTEST_SCHEMA,
     build_workloads,
@@ -17,9 +20,15 @@ from repro.service.loadtest import (
     comparable_loadtest_configs,
     latest_comparable_loadtest,
     run_loadtest,
+    spawn_replicas,
+    stop_replicas,
     write_loadtest_json,
     _percentile,
 )
+
+#: Linux's default pipe capacity: a replica whose output went to an
+#: undrained pipe blocked in ``write()`` once this much accumulated.
+PIPE_CAPACITY = 64 * 1024
 
 
 class TestWorkloads:
@@ -51,6 +60,29 @@ def test_percentile():
     assert _percentile(values, 0.0) == 1.0
     assert _percentile(values, 1.0) == 100.0
     assert 49.0 <= _percentile(values, 0.5) <= 52.0
+
+
+def test_replica_output_never_blocks_requests(tmp_path):
+    """Every submit writes an audit line; a replica must keep answering
+    long after its output outgrows a pipe buffer.  The short read
+    timeout and zero retries turn a blocked replica into a prompt
+    failure instead of a hang."""
+    replicas = spawn_replicas(1, tmp_path / "store.sqlite")
+    replica = replicas[0]
+    client = ServiceClient(
+        replica.host, replica.port,
+        retry=RetryPolicy(connect_timeout=2.0, read_timeout=10.0, retries=0),
+    )
+    try:
+        text = format_cpds(fig1_cpds())
+        first = client.submit(text, property_spec="shared:3", max_rounds=4)
+        for _ in range(400):
+            again = client.submit(text, property_spec="shared:3", max_rounds=4)
+            assert again["verdict"] == first["verdict"]
+        assert replica.log_path.stat().st_size > PIPE_CAPACITY
+        assert replica.log_path.parent == tmp_path
+    finally:
+        stop_replicas(replicas, client)
 
 
 def test_two_replica_run_end_to_end(tmp_path):

@@ -179,17 +179,16 @@ class TestExecutorLaneDispatch:
         assert outcome.kind == "wuba"
         assert delta["service.snapshot_rejects"] == 1
 
-    def test_engine_config_falls_back_to_jobs_field(self):
+    def test_engine_config_defaults_when_unset(self):
         from repro.reach.config import EngineConfig
 
-        job = EngineJob(cpds=fig1_cpds(), prop=AlwaysSafe(), problem="p", jobs=3)
-        assert job.engine_config() == EngineConfig(jobs=3)
-        explicit_config = EngineConfig(jobs=7, batched=False)
+        job = EngineJob(cpds=fig1_cpds(), prop=AlwaysSafe(), problem="p")
+        assert job.engine_config() == EngineConfig()
+        explicit_config = EngineConfig(batched=False)
         job = EngineJob(
             cpds=fig1_cpds(),
             prop=AlwaysSafe(),
             problem="p",
-            jobs=3,
             config=explicit_config,
         )
         assert job.engine_config() is explicit_config
