@@ -27,11 +27,15 @@ class Property(abc.ABC):
         """True iff reaching ``visible`` violates the property."""
 
     def find_violation(self, visibles: Iterable[VisibleState]) -> VisibleState | None:
-        """First violating visible state in ``visibles``, or ``None``."""
-        for visible in visibles:
-            if self.violated_by(visible):
-                return visible
-        return None
+        """The least violating visible state in ``visibles`` by
+        :func:`_visible_token`, or ``None``.  A fixed rule, not the first
+        one met: frozenset order depends on ``hash(None)`` (ε, and
+        Boolean-program ``retbuf`` fields), which is address-based, so
+        "first" would change the reported witness from run to run."""
+        violators = [visible for visible in visibles if self.violated_by(visible)]
+        if not violators:
+            return None
+        return min(violators, key=_visible_token)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -63,6 +67,12 @@ def _value_token(value) -> tuple[str, str]:
     from repro.automata.intern import _fallback_key
 
     return _fallback_key(value)
+
+
+def _visible_token(visible: VisibleState) -> tuple:
+    """Process-independent sort key of a visible state, from the
+    :func:`_value_token` of its shared state and tops."""
+    return (_value_token(visible.shared), tuple(map(_value_token, visible.tops)))
 
 
 class SharedStateReachability(Property):

@@ -11,8 +11,8 @@ global states as **packed integers**: the component ids are laid out in
 fixed-width bit fields (``wid_0 | wid_1 << b | ... | qid << n*b`` for
 field width ``b``), so a global state is one machine-word-sized int and
 the seen-set is a plain ``dict[int, int]`` whose key hash is the cheapest
-hash Python has.  Downstream structures (``first_seen``, levels, parents,
-visible projections) are int-keyed lists and dicts, and the view-batched
+hash Python has.  Downstream structures (``first_seen``, levels, witness
+parents, visible keys) are id-indexed int columns, and the view-batched
 frontier expansion of :class:`~repro.reach.explicit.ExplicitReach`
 replays one flat array-encoded context tree
 (:class:`~repro.cpds.semantics.ContextTree`) across all global states
@@ -31,17 +31,43 @@ amortizes to O(1) per interned state.
 
 Ids are assigned densely in first-intern order, so ``state_id ==
 len(table) - 1`` exactly when the interned state is new — the table
-doubles as the engine's seen-set.  Decoding (``state``, ``visible``) is
-lazy and memoized; states interned from an existing ``GlobalState``
-object keep that object for free decode.
+doubles as the engine's seen-set.  Decoding ``state`` is lazy and
+memoized; states interned from an existing ``GlobalState`` object keep
+that object for free decode.
+
+Visible keys
+------------
+Next to the packed key, every state carries a **visible key**: its
+projection ``T(s)`` packed into one int, in a layout that never
+changes — era-independent, unlike packed keys::
+
+    vkey = qid << vqshift | tid_{n-1} << off_{n-1} | ... | tid_0
+
+where ``tid_i`` is the dense *top id* of thread ``i``'s top symbol
+(ε included; many stacks share a top) and thread ``i``'s field is
+``top_bits[i]`` wide, starting at ``off_i = top_bits[0] + ... +
+top_bits[i-1]``; ``vqshift`` is the sum of all fields.  An engine sizes
+the fields from the CPDS alphabets (:func:`visible_fields`), so the
+keys stay machine-word-sized; a table built without them uses 32-bit
+fields.  The ``_vkeys`` column is an ``array('q')`` while every key
+fits a signed int64 and turns into a list the moment a shared id would
+overflow it.  A new visible key is ``vfrozen | vdelta``: the member's
+key with the shared field and the moving thread's top field cleared
+(:meth:`StateTable.visible_clear`), ORed with the context-tree edge's
+precomputed visible delta.  ``VisibleState`` objects are built only by
+:meth:`StateTable.decode_visible`, pooled per key and counted by the
+``explicit.visible_decoded`` METER counter; :meth:`StateTable.encode_visible`
+is its inverse and never interns.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Hashable
 
 from repro.cpds.state import GlobalState, VisibleState
 from repro.pds.state import EMPTY
+from repro.util.meter import METER
 
 Shared = Hashable
 Symbol = Hashable
@@ -51,12 +77,29 @@ Symbol = Hashable
 #: a 3-thread packed key within 64 bits (fast small-int hashing).
 _INITIAL_BITS = 16
 
+#: Top-id field width of a table built without CPDS alphabets.
+_DEFAULT_TOP_BITS = 32
+
+
+def visible_fields(cpds) -> tuple[int, ...]:
+    """Per-thread top-id field widths for ``cpds``: thread ``i``'s tops
+    are ε plus its alphabet, so ids ``0..|Σi|`` must fit."""
+    return tuple(
+        max(1, len(cpds.alphabet(index)).bit_length())
+        for index in range(cpds.n_threads)
+    )
+
 
 class StateTable:
     """Interns the global states of one CPDS run to dense integer ids.
 
     One table belongs to one engine over one CPDS (thread count and
     alphabets fixed); ids are meaningless across tables.
+
+    Besides the packed key, every state id has a visible key in the
+    ``_vkeys`` column: ``qid << vqshift`` above one top-id field per
+    thread, thread ``i``'s field ``top_bits[i]`` wide (default 32) and
+    thread 0's lowest (see "Visible keys" in the module docstring).
     """
 
     __slots__ = (
@@ -68,11 +111,17 @@ class StateTable:
         "_tops",
         "_top_ids",
         "_wid_tops",
+        "_top_syms",
         "_visible_pool",
         "_ids",
         "_packed",
         "_states",
-        "_visibles",
+        "_vkeys",
+        "_vq_limit",
+        "_top_bits",
+        "_voffs",
+        "_vmasks",
+        "_vqshift",
         "_bits",
         "_mask",
         "_qshift",
@@ -80,7 +129,9 @@ class StateTable:
         "_era",
     )
 
-    def __init__(self, n_threads: int) -> None:
+    def __init__(
+        self, n_threads: int, top_bits: tuple[int, ...] | None = None
+    ) -> None:
         self.n_threads = n_threads
         #: shared -> shared_id and its inverse.
         self._shared_ids: dict[Shared, int] = {}
@@ -90,19 +141,36 @@ class StateTable:
         self._stacks: list[list[tuple]] = [[] for _ in range(n_threads)]
         #: per-thread stack_id -> visible top symbol (:data:`EMPTY` for ε).
         self._tops: list[list[Symbol]] = [[] for _ in range(n_threads)]
-        #: per-thread top symbol -> dense top id, and stack_id -> top id:
-        #: many stacks share a top, so visible projections collapse onto
-        #: few ``(qid, top ids...)`` combinations — pooled below.
+        #: per-thread top symbol -> dense top id, its inverse, and
+        #: stack_id -> top id: many stacks share a top, so visible keys
+        #: collapse onto few ``(qid, top ids...)`` combinations.
         self._top_ids: list[dict[Symbol, int]] = [{} for _ in range(n_threads)]
-        self._wid_tops: list[list[int]] = [[] for _ in range(n_threads)]
-        #: packed visible key -> the one VisibleState object for it
-        #: (fixed 32-bit fields — era-independent, survives repacks).
+        self._top_syms: list[list[Symbol]] = [[] for _ in range(n_threads)]
+        self._wid_tops: list[array] = [array("q") for _ in range(n_threads)]
+        #: Visible-key layout (see the module docstring).
+        if top_bits is None:
+            top_bits = (_DEFAULT_TOP_BITS,) * n_threads
+        self._top_bits = tuple(top_bits)
+        offsets = [0]
+        for width in self._top_bits:
+            offsets.append(offsets[-1] + width)
+        self._vqshift = offsets.pop()
+        self._voffs = tuple(offsets)
+        self._vmasks = tuple((1 << width) - 1 for width in self._top_bits)
+        #: visible key -> the one decoded VisibleState for it.
         self._visible_pool: dict[int, VisibleState] = {}
         #: packed key -> state_id, and the dense inverses.
         self._ids: dict[int, int] = {}
         self._packed: list[int] = []
         self._states: list[GlobalState | None] = []
-        self._visibles: list[VisibleState | None] = []
+        #: id -> visible key: an int64 column while keys fit (shared ids
+        #: below ``_vq_limit``), else a list (``_vq_limit`` None).
+        if self._vqshift < 63:
+            self._vkeys: array | list[int] = array("q")
+            self._vq_limit: int | None = 1 << (63 - self._vqshift)
+        else:
+            self._vkeys = []
+            self._vq_limit = None
         #: Bit-field geometry (see the module docstring).  ``_era`` is
         #: bumped on every repack so derived caches (per-tree packed
         #: deltas) can validate cheaply.
@@ -178,6 +246,12 @@ class StateTable:
             self._shareds.append(shared)
             if qid >= self._limit:
                 self._grow()
+            if self._vq_limit is not None and qid >= self._vq_limit:
+                # Visible keys outgrow int64: the column becomes a list.
+                # Replay loops re-read ``_vkeys`` after every saturation,
+                # the only place new shared states are interned.
+                self._vkeys = list(self._vkeys)
+                self._vq_limit = None
         return qid
 
     def shared(self, qid: int) -> Shared:
@@ -195,7 +269,15 @@ class StateTable:
             top_ids = self._top_ids[index]
             tid = top_ids.get(top)
             if tid is None:
-                top_ids[top] = tid = len(top_ids)
+                tid = len(top_ids)
+                if tid > self._vmasks[index]:
+                    raise ValueError(
+                        f"thread {index}: top symbol {top!r} overflows the "
+                        f"{self._top_bits[index]}-bit visible-key field "
+                        "(a symbol outside the thread's alphabet?)"
+                    )
+                top_ids[top] = tid
+                self._top_syms[index].append(top)
             self._wid_tops[index].append(tid)
             if wid >= self._limit:
                 self._grow()
@@ -226,11 +308,11 @@ class StateTable:
         """Dense id for an already-component-interned ``(qid, wids)``.
 
         NOTE: the view replay loop in
-        :meth:`repro.reach.explicit.ExplicitReach._advance_batched`
-        inlines this append protocol on packed keys (``_ids``/
-        ``_packed``/``_states``/``_visibles`` grow in lock-step, id ==
-        old ``len(_packed)``) — keep the two in sync when changing the
-        table layout.
+        :meth:`repro.reach.explicit.ExplicitReach._advance_batched` and
+        :func:`repro.reach.vectorized.replay_level` inline this append
+        protocol on packed keys (``_ids``/``_packed``/``_states``/
+        ``_vkeys`` grow in lock-step, id == old ``len(_packed)``) — keep
+        them in sync when changing the table layout.
         """
         key = self.pack(qid, wids)
         sid = self._ids.get(key)
@@ -239,7 +321,13 @@ class StateTable:
             self._ids[key] = sid
             self._packed.append(key)
             self._states.append(None)
-            self._visibles.append(None)
+            vkey = qid << self._vqshift
+            try:
+                for index, wid in enumerate(wids):
+                    vkey |= self._wid_tops[index][wid] << self._voffs[index]
+            except IndexError:
+                vkey = -1  # a stack id never interned: no projection
+            self._vkeys.append(vkey)
         return sid
 
     def truncate(self, base: int) -> None:
@@ -255,7 +343,7 @@ class StateTable:
             del ids[key]
         del packed[base:]
         del self._states[base:]
-        del self._visibles[base:]
+        del self._vkeys[base:]
 
     def id_of(self, state: GlobalState) -> int | None:
         """The id of ``state`` if it was ever interned, else None."""
@@ -297,34 +385,59 @@ class StateTable:
         return state
 
     def visible(self, sid: int) -> VisibleState:
-        """The projection ``T(s)`` of a state id (memoized per id, and
-        pooled per unique projection: distinct states overwhelmingly
-        share their visible state, so the ``VisibleState`` construction
-        — symbol tuple plus hash — happens once per *projection*, not
-        once per state)."""
-        vis = self._visibles[sid]
+        """The projection ``T(s)`` of a state id, decoded from its
+        visible key (pooled: distinct states overwhelmingly share their
+        projection)."""
+        return self.decode_visible(self._vkeys[sid])
+
+    def decode_visible(self, vkey: int) -> VisibleState:
+        """The :class:`VisibleState` of a visible key, built once per key
+        (each construction bumps ``explicit.visible_decoded``)."""
+        vis = self._visible_pool.get(vkey)
         if vis is None:
-            key = self._packed[sid]
-            bits = self._bits
-            mask = self._mask
-            qid = key >> self._qshift
-            vkey = qid
-            wid_tops = self._wid_tops
-            for index in range(self.n_threads):
-                vkey = (vkey << 32) | wid_tops[index][(key >> (bits * index)) & mask]
-            vis = self._visible_pool.get(vkey)
-            if vis is None:
-                tops = self._tops
-                vis = VisibleState(
-                    self._shareds[qid],
-                    tuple(
-                        tops[index][(key >> (bits * index)) & mask]
-                        for index in range(self.n_threads)
-                    ),
-                )
-                self._visible_pool[vkey] = vis
-            self._visibles[sid] = vis
+            syms = self._top_syms
+            vis = VisibleState(
+                self._shareds[vkey >> self._vqshift],
+                tuple(
+                    syms[index][(vkey >> off) & vmask]
+                    for index, (off, vmask) in enumerate(
+                        zip(self._voffs, self._vmasks)
+                    )
+                ),
+            )
+            self._visible_pool[vkey] = vis
+            METER.bump("explicit.visible_decoded")
         return vis
+
+    def encode_visible(self, visible: VisibleState) -> int | None:
+        """The visible key of ``visible``, or None when its shared state
+        or a top was never interned (then no state projects to it).
+        Never interns anything."""
+        tops = visible.tops
+        if len(tops) != self.n_threads:
+            return None
+        qid = self._shared_ids.get(visible.shared)
+        if qid is None:
+            return None
+        vkey = qid << self._vqshift
+        for top_ids, top, off in zip(self._top_ids, tops, self._voffs):
+            tid = top_ids.get(top)
+            if tid is None:
+                return None
+            vkey |= tid << off
+        return vkey
+
+    def visible_clear(self, index: int) -> int:
+        """Mask keeping the frozen threads' top fields of a visible key
+        when thread ``index`` moves (shared field and its own cleared)."""
+        return ((1 << self._vqshift) - 1) & ~(
+            self._vmasks[index] << self._voffs[index]
+        )
+
+    @property
+    def vkeys_fit_int64(self) -> bool:
+        """True iff the visible-key column is an int64 ``array``."""
+        return self._vq_limit is not None
 
     # ------------------------------------------------------------------
     # Snapshot support (see :mod:`repro.service.snapshot`)
@@ -357,14 +470,20 @@ class StateTable:
 
     @classmethod
     def from_snapshot(
-        cls, n_threads: int, shareds: list, stacks: list, rows
+        cls,
+        n_threads: int,
+        shareds: list,
+        stacks: list,
+        rows,
+        top_bits: tuple[int, ...] | None = None,
     ) -> "StateTable":
         """Rebuild a table from :meth:`component_pools` +
         :meth:`export_rows` output.  Interning replays in pool order,
         so every component id, global-state id, and the adaptive
         geometry come out exactly as the engine that produced the
-        snapshot assigned them."""
-        table = cls(n_threads)
+        snapshot assigned them; the visible-key column is derived from
+        the rows under ``top_bits``."""
+        table = cls(n_threads, top_bits)
         for value in shareds:
             table.shared_id(value)
         for index, pool in enumerate(stacks):

@@ -76,7 +76,8 @@ class ContextTree:
     whose moving thread shows this view, because a context never reads
     the frozen threads' stacks.  :meth:`deltas` derives (and memoizes
     per table era) the per-edge packed-key deltas the replay loop ORs
-    into a frozen global-state key.
+    into a frozen global-state key; :meth:`visible_deltas` does the same
+    for visible keys, whose layout never changes.
     """
 
     __slots__ = (
@@ -88,6 +89,7 @@ class ContextTree:
         "wids",
         "actions",
         "_deltas",
+        "_vdeltas",
         "_parent_pos",
         "_rows",
     )
@@ -110,6 +112,7 @@ class ContextTree:
         self.wids = wids
         self.actions = actions
         self._deltas: tuple[int, list[int]] | None = None
+        self._vdeltas: list[int] | None = None
         self._parent_pos: list[int] | None = None
         self._rows: tuple[int, tuple] | None = None
 
@@ -137,6 +140,22 @@ class ContextTree:
             self._deltas = cached
         return cached[1]
 
+    def visible_deltas(self, table: StateTable) -> list[int]:
+        """Per-edge visible-key deltas ``(qid << vqshift) | (tid <<
+        off_i)`` (see "Visible keys" in :mod:`repro.cpds.interning`),
+        memoized: the layout is era-independent."""
+        cached = self._vdeltas
+        if cached is None:
+            vqshift = table._vqshift
+            off = table._voffs[self.thread]
+            wid_tops = table._wid_tops[self.thread]
+            cached = [
+                (qid << vqshift) | (wid_tops[wid] << off)
+                for qid, wid in zip(self.qids, self.wids)
+            ]
+            self._vdeltas = cached
+        return cached
+
     def parent_positions(self) -> list[int]:
         """Per-edge source-node index, flattened from ``offsets``
         (memoized — geometry-independent).  Lets the witness-tracking
@@ -153,16 +172,22 @@ class ContextTree:
         return cached
 
     def edge_rows(self, table: StateTable) -> tuple:
-        """``(packed delta, parent position, action)`` rows, one per
-        edge — the witness-tracking replay loop's iteration unit,
-        memoized per table era like the deltas they embed."""
+        """``(packed delta, visible delta, parent position, action)``
+        rows, one per edge — the witness-tracking replay loop's
+        iteration unit, memoized per table era like the deltas they
+        embed."""
         cached = self._rows
         era = table.era
         if cached is None or cached[0] != era:
             cached = (
                 era,
                 tuple(
-                    zip(self.deltas(table), self.parent_positions(), self.actions)
+                    zip(
+                        self.deltas(table),
+                        self.visible_deltas(table),
+                        self.parent_positions(),
+                        self.actions,
+                    )
                 ),
             )
             self._rows = cached
@@ -352,6 +377,9 @@ def _thread_view_post(
     era = table.era
     qshift = table._qshift
     shift = table._bits * index
+    vqshift = table._vqshift
+    voff = table._voffs[index]
+    wid_tops = table._wid_tops[index]
     offsets: list[int] = [0]
     qids: list[int] = []
     wids: list[int] = []
@@ -393,7 +421,12 @@ def _thread_view_post(
             wids_append(wid)
             actions_append(action)
             if build_rows:
-                rows_append(((qid << qshift) | (wid << shift), pos, action))
+                rows_append((
+                    (qid << qshift) | (wid << shift),
+                    (qid << vqshift) | (wid_tops[wid] << voff),
+                    pos,
+                    action,
+                ))
             nodes_append(local_next)
         pos += 1
         offsets_append(len(qids))

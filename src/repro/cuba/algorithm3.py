@@ -132,18 +132,20 @@ def algorithm3(
             stats=final_stats(),
         )
 
-    witness = prop.find_violation(engine.visible_up_to(0))
+    witness = engine.violation_at(0, prop)
     if witness is not None:
         return unsafe(0, witness)
 
     def examine(k: int) -> VerificationResult | None:
         """The per-bound body: violation check, then the strengthened
         new-plateau test of Thm. 11."""
-        witness = prop.find_violation(engine.visible_new_at(k))
+        witness = engine.violation_at(k, prop)
         if witness is not None:
             return unsafe(k, witness)
         # New plateau: |T(Rk−2)| < |T(Rk−1)| = |T(Rk)|.
-        new_plateau = not engine.visible_new_at(k) and engine.visible_new_at(k - 1)
+        new_plateau = engine.visible_plateaued_at(k) and not (
+            engine.visible_plateaued_at(k - 1)
+        )
         if not new_plateau:
             return None
         seen = engine.visible_up_to(k)

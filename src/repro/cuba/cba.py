@@ -68,7 +68,7 @@ def context_bounded_analysis(
         )
     method = f"cba(k={bound})"
 
-    witness = prop.find_violation(engine.visible_up_to(0))
+    witness = engine.violation_at(0, prop)
     if witness is not None:
         return VerificationResult(
             Verdict.UNSAFE, bound=0, method=method, witness=witness,
@@ -77,7 +77,7 @@ def context_bounded_analysis(
     try:
         while engine.k < bound:
             engine.advance()
-            witness = prop.find_violation(engine.visible_new_at(engine.k))
+            witness = engine.violation_at(engine.k, prop)
             if witness is not None:
                 return VerificationResult(
                     Verdict.UNSAFE, bound=engine.k, method=method, witness=witness,

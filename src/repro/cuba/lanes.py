@@ -109,7 +109,7 @@ def scheme1_lane(
     method = f"scheme1({engine.sequence_name})"
 
     def check(bound: int) -> VerificationResult | None:
-        witness = prop.find_violation(engine.visible_new_at(bound))
+        witness = engine.violation_at(bound, prop)
         if witness is None:
             return None
         trace = None

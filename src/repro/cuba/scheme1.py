@@ -38,8 +38,12 @@ class RkSequence(ObservationSequence):
 
     def find_violation(self, prop: Property) -> VisibleState | None:
         # Rk refines T(Rk); reachability properties are checked on the
-        # projection (they are expressible there, Ex. 2).
-        return prop.find_violation(self.engine.visible_up_to())
+        # projection (they are expressible there, Ex. 2), level by level.
+        for k in range(self.engine.k + 1):
+            witness = self.engine.violation_at(k, prop)
+            if witness is not None:
+                return witness
+        return None
 
 
 def scheme1_rk(

@@ -203,7 +203,7 @@ class Cuba:
         self.last_engine = engine
         generator_test = GeneratorTest(self.cpds, "explicit")
 
-        witness = self.prop.find_violation(engine.visible_up_to(0))
+        witness = engine.violation_at(0, self.prop)
         if witness is not None:
             return self._unsafe_report(fcr, engine, 0, witness)
 
@@ -213,15 +213,15 @@ class Cuba:
         def examine(k: int) -> CubaReport | None:
             """Both methods' per-bound checks; a report ends the race."""
             nonlocal rk_bound, trk_bound
-            witness = self.prop.find_violation(engine.visible_new_at(k))
+            witness = engine.violation_at(k, self.prop)
             if witness is not None:
                 return self._unsafe_report(fcr, engine, k, witness)
 
             if rk_bound is None and engine.plateaued_at(k):
                 rk_bound = k  # (Rk) collapsed (Lemma 7)
             if trk_bound is None:
-                new_plateau = (
-                    not engine.visible_new_at(k) and engine.visible_new_at(k - 1)
+                new_plateau = engine.visible_plateaued_at(k) and not (
+                    engine.visible_plateaued_at(k - 1)
                 )
                 if new_plateau and not generator_test(engine.visible_up_to(k)):
                     trk_bound = k - 1  # (T(Rk)) collapsed (Thm. 11)

@@ -34,6 +34,24 @@ without knowing the concrete class:
     Which generic driver sound for this lane's sequence:
     ``"scheme1"`` (plateau = fixpoint, Lemma 7) or ``"algorithm3"``
     (plateau + generator test, Thm. 11).
+
+The algorithms (Scheme 1, Alg. 3, CBA and Cuba's explicit pair) read the
+projected sequence only through three questions, so a lane may keep
+``T(·)`` in any representation that answers them:
+
+``violation_at(k, prop)``
+    A visible state first reached at level ``k`` that violates
+    ``prop``, or None.  The base implementation asks
+    ``prop.find_violation(visible_new_at(k))``; a lane may answer on
+    its own encoding (the explicit lane tests packed visible keys) but
+    must pick its witness by a fixed rule, never by set iteration
+    order.
+``visible_plateaued_at(k)``
+    ``T(k−1) = T(k)``.
+``visible_up_to(k)``
+    ``T(≤k)`` as a ``collections.abc.Set`` — a frozenset here, a lazily
+    decoded view on the explicit lane — for Thm. 11's generator test,
+    reports and external callers.
 """
 
 from __future__ import annotations
@@ -62,8 +80,7 @@ class ReachabilityEngine(abc.ABC):
     preferred_algorithm: str = "scheme1"
 
     def __init__(self) -> None:
-        #: ``visible_levels[k]`` = visible states first seen at bound k.
-        self.visible_levels: list[frozenset[VisibleState]] = []
+        self._visible_levels: list[frozenset[VisibleState]] = []
         self._visible_cumulative: list[frozenset[VisibleState]] = []
 
     # ------------------------------------------------------------------
@@ -72,7 +89,12 @@ class ReachabilityEngine(abc.ABC):
     @property
     def k(self) -> int:
         """Largest context bound computed so far (−1 before the first)."""
-        return len(self.visible_levels) - 1
+        return len(self._visible_levels) - 1
+
+    @property
+    def visible_levels(self) -> list[frozenset[VisibleState]]:
+        """``visible_levels[k]`` = visible states first seen at bound k."""
+        return self._visible_levels
 
     def advance(self) -> bool:
         """Compute the next level; return True iff it adds *any* new
@@ -104,7 +126,7 @@ class ReachabilityEngine(abc.ABC):
             self._visible_cumulative[-1] if self._visible_cumulative else frozenset()
         )
         fresh = frozenset(new_visible) - previous
-        self.visible_levels.append(fresh)
+        self._visible_levels.append(fresh)
         self._visible_cumulative.append(previous | fresh)
 
     # ------------------------------------------------------------------
@@ -124,13 +146,19 @@ class ReachabilityEngine(abc.ABC):
 
     def visible_new_at(self, k: int) -> frozenset[VisibleState]:
         """``T(Rk) \\ T(Rk−1)`` — visible states first reached at bound k."""
-        if 0 <= k < len(self.visible_levels):
-            return self.visible_levels[k]
+        if 0 <= k < len(self._visible_levels):
+            return self._visible_levels[k]
         return frozenset()
 
     def visible_plateaued_at(self, k: int) -> bool:
         """True iff ``T(Rk−1) = T(Rk)`` (a plateau, Table 1)."""
         return k >= 1 and k <= self.k and not self.visible_new_at(k)
+
+    def violation_at(self, k: int, prop: "Property") -> VisibleState | None:
+        """A visible state first reached at bound ``k`` that violates
+        ``prop`` (:meth:`Property.find_violation`'s deterministic pick),
+        or None."""
+        return prop.find_violation(self.visible_new_at(k))
 
     # ------------------------------------------------------------------
     # Lane contract

@@ -17,9 +17,9 @@ global product.  Three layers kill it:
   (shared states, per-thread stack words) and packs every global state
   into a **single integer key** (fixed-width bit fields, adaptively
   widened); ``first_seen`` is an id-indexed list, levels are id tuples,
-  parents an int-keyed dict, and the visible projection is memoized per
-  id.  The table doubles as the seen-set: an intern miss *is* the
-  freshness test.
+  and the witness parents and movers are id-indexed int columns.  The
+  table doubles as the seen-set: an intern miss *is* the freshness
+  test.
 * ``advance`` **groups** each frontier level by the moving thread's view
   ``(thread, shared_id, stack_id)`` and saturates each unique view
   exactly once per level via
@@ -36,10 +36,27 @@ global product.  Three layers kill it:
   pure integer arithmetic: mask the moving thread's bit field out of
   the member's packed key and OR in the tree's precomputed per-edge
   delta — no tuple allocation, no nested re-hashing, no ``GlobalState``
-  materialized anywhere on the path.  Decoding happens lazily in the
-  observation API.  Large levels replay as one numpy broadcast
-  (:mod:`repro.reach.vectorized`, ``backend=``); both backends assign
-  identical ids, parents, movers and METER work counts.
+  materialized anywhere on the path.  The same loop fills the table's
+  visible-key column (``vfrozen | vdelta``, see "Visible keys" in
+  :mod:`repro.cpds.interning`).  Large levels replay as one numpy
+  broadcast (:mod:`repro.reach.vectorized`, ``backend=``); both
+  backends assign identical ids, parents, movers, visible keys and
+  METER work counts.
+
+``T(Rk)`` as visible keys
+-------------------------
+Each level records its *new* visible keys — the distinct keys of its
+fresh states not seen at an earlier level — as a sorted int tuple, and
+``_vlevel`` maps every key to the level that first reached it.  The
+algorithms never need ``VisibleState`` objects for the three questions
+they ask (see :mod:`repro.reach.base`): :meth:`ExplicitReach.visible_plateaued_at`
+compares key counts, :meth:`ExplicitReach.violation_at` tests keys
+directly for the property classes it knows (and decodes only the
+level's new keys for opaque predicates), and :meth:`ExplicitReach.visible_up_to`
+is a :class:`VisibleView` whose ``in`` encodes the query without
+interning, which is all Thm. 11's generator search asks of it.
+``visible_new_at`` / ``visible_levels`` decode lazily, with
+memoization, for the CLI, the service, snapshots and traces.
 
 Same-thread pruning
 -------------------
@@ -77,10 +94,17 @@ the per-context divergence guard with
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator, Set
 from itertools import repeat
 
+from repro.core.property import (
+    AlwaysSafe,
+    MutualExclusion,
+    Property,
+    SharedStateReachability,
+)
 from repro.cpds.cpds import CPDS
-from repro.cpds.interning import StateTable
+from repro.cpds.interning import StateTable, visible_fields
 from repro.cpds.semantics import ContextTree, thread_context_post, thread_view_post
 from repro.cpds.state import GlobalState, VisibleState
 from repro.obs import trace
@@ -109,6 +133,90 @@ def mover_column(n_threads: int, values=()) -> array:
     that holds the sentinel ``n_threads``."""
     typecode = "B" if n_threads <= 0xFF else "H" if n_threads <= 0xFFFF else "L"
     return array(typecode, values)
+
+
+def _key_test(table: StateTable, prop: Property):
+    """``prop.violated_by`` as a test on visible keys, or ``None`` when
+    no key can violate ``prop``.  The property classes whose semantics
+    are known here are tested on the key fields; any other property
+    sees the decoded key."""
+    kind = type(prop)
+    if kind is AlwaysSafe:
+        return None
+    if kind is SharedStateReachability:
+        bad = {table._shared_ids.get(shared) for shared in prop.bad_shared}
+        bad.discard(None)
+        if not bad:
+            return None
+        vqshift = table._vqshift
+        return lambda key: key >> vqshift in bad
+    if kind is MutualExclusion:
+        fields = []
+        for index, tops in prop.critical.items():
+            if index >= table.n_threads:
+                continue
+            top_ids = table._top_ids[index]
+            tids = {top_ids.get(top) for top in tops}
+            tids.discard(None)
+            if tids:
+                fields.append(
+                    (table._voffs[index], table._vmasks[index], frozenset(tids))
+                )
+        if len(fields) < 2:
+            return None
+
+        def test(key: int) -> bool:
+            inside = 0
+            for off, mask, tids in fields:
+                if (key >> off) & mask in tids:
+                    inside += 1
+                    if inside >= 2:
+                        return True
+            return False
+
+        return test
+    decode = table.decode_visible
+    violated_by = prop.violated_by
+    return lambda key: violated_by(decode(key))
+
+
+class VisibleView(Set):
+    """``T(R≤k)`` of an :class:`ExplicitReach` as a read-only set.
+
+    Membership encodes the queried :class:`VisibleState` into a visible
+    key (never interning) and compares the level that first reached it;
+    ``len`` reads the cumulative key count.  Iteration decodes lazily
+    through the engine's per-level memo.  Set operators return
+    frozensets, and the view compares equal to the frozenset of its
+    elements.  The view of a computed bound never changes."""
+
+    __slots__ = ("_engine", "_k")
+
+    def __init__(self, engine: "ExplicitReach", k: int) -> None:
+        self._engine = engine
+        self._k = k
+
+    def __contains__(self, visible) -> bool:
+        if not isinstance(visible, VisibleState):
+            return False
+        key = self._engine.table.encode_visible(visible)
+        if key is None:
+            return False
+        return self._engine._vlevel.get(key, self._k + 1) <= self._k
+
+    def __len__(self) -> int:
+        return self._engine._vcounts[self._k] if self._k >= 0 else 0
+
+    def __iter__(self) -> Iterator[VisibleState]:
+        for level in range(self._k + 1):
+            yield from self._engine.visible_new_at(level)
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        return frozenset(iterable)
+
+    def __repr__(self) -> str:
+        return f"VisibleView(k={self._k}, size={len(self)})"
 
 
 @register
@@ -153,8 +261,8 @@ class ExplicitReach(ReachabilityEngine):
         self._view_qid_shift = self._view_wid_shift + 32
         self._view_index_mask = (1 << self._view_wid_shift) - 1
         #: Interned global-state core shared with the context-tree
-        #: builders; dense ids index ``_first_seen`` and key parents.
-        self.table = StateTable(cpds.n_threads)
+        #: builders; dense ids index ``_first_seen`` and the columns.
+        self.table = StateTable(cpds.n_threads, visible_fields(cpds))
         #: Cross-level memo of array-encoded context trees, keyed by
         #: ``(thread, shared_id, stack_id)`` (``incremental=True``): a
         #: context depends only on the moving thread's local view, which
@@ -178,13 +286,29 @@ class ExplicitReach(ReachabilityEngine):
         #: the sentinel ``n_threads`` (root, unknown origin): grows and
         #: rolls back in lock-step with ``_first_seen``.
         self._movers = mover_column(cpds.n_threads)
-        #: Witness parents: id-keyed ``sid -> (parent_sid, thread,
-        #: action)`` in batched mode, the seed's ``GlobalState``-keyed
-        #: dict on the per-state oracle path, ``None`` when traces are
-        #: off.  The root maps to ``None`` in both.
-        self._parents: dict | None = {} if track_traces else None
-        #: Lazily decoded ``levels`` view (append-only, so a prefix
-        #: cache never goes stale).
+        #: Witness parents in batched mode: id -> parent id (-1 for the
+        #: root) and id -> the action taken; the thread is the mover.
+        #: ``None`` when traces are off.
+        track = track_traces and batched
+        self._parent_ids: array | None = array("q") if track else None
+        self._parent_actions: list | None = [] if track else None
+        #: id -> witness thread, only where it differs from the mover
+        #: (states restored from a blob without the mover column).
+        self._witness_threads: dict[int, int] = {}
+        #: The per-state oracle path's ``GlobalState``-keyed parents
+        #: (see :func:`thread_context_post`).
+        self._oracle_parents: dict | None = (
+            {} if track_traces and not batched else None
+        )
+        #: ``T(Rk)`` as visible keys (see the module docstring):
+        #: key -> first level, the per-level sorted new keys, and the
+        #: cumulative counts ``|T(R≤k)|``.
+        self._vlevel: dict[int, int] = {}
+        self._vnew: list[tuple[int, ...]] = []
+        self._vcounts: list[int] = []
+        #: Lazily decoded ``visible_new_at`` / ``levels`` (append-only,
+        #: so the memos never go stale).
+        self._decoded_visible: list[frozenset[VisibleState] | None] = []
         self._decoded_levels: list[frozenset[GlobalState]] = []
         self._first_seen_view: tuple[int, dict] | None = None
 
@@ -193,9 +317,12 @@ class ExplicitReach(ReachabilityEngine):
         self._first_seen.append(0)
         self._movers.append(cpds.n_threads)
         self._level_ids.append((sid,))
-        if self._parents is not None:
-            self._parents[sid if batched else initial] = None
-        self._record_visible(frozenset([self.table.visible(sid)]))
+        if self._parent_ids is not None:
+            self._parent_ids.append(-1)
+            self._parent_actions.append(None)
+        if self._oracle_parents is not None:
+            self._oracle_parents[initial] = None
+        self._record_visible_keys(sid, sid + 1)
 
     # ------------------------------------------------------------------
     # Level mechanics
@@ -223,23 +350,24 @@ class ExplicitReach(ReachabilityEngine):
             self._rollback(base)
             raise
         self._level_ids.append(tuple(fresh))
+        # A level's fresh ids are exactly ``base..len(table)-1``.
         if not trace.enabled():
-            self._record_visible(self._project(fresh))
+            self._record_visible_keys(base, len(self._first_seen))
         else:
             with trace.span("explicit.decode", states=len(fresh)):
-                self._record_visible(self._project(fresh))
+                self._record_visible_keys(base, len(self._first_seen))
         return bool(fresh)
 
-    def _project(self, fresh: list[int]) -> frozenset[VisibleState]:
-        """The visible projections of the states ``fresh`` (ids)."""
-        if (
-            self._use_numpy
-            and len(fresh) >= vectorized.NUMPY_MIN_DECODE
-            and vectorized.table_fits_int64(self.table)
-        ):
-            return frozenset(vectorized.visible_batch(self.table, fresh))
-        visible = self.table.visible
-        return frozenset([visible(sid) for sid in fresh])
+    def _record_visible_keys(self, start: int, stop: int) -> None:
+        """Record the next level of ``T(Rk)`` from the visible keys of
+        state ids ``start..stop-1`` (that level's states)."""
+        vlevel = self._vlevel
+        level = len(self._vnew)
+        new = sorted(set(self.table._vkeys[start:stop]).difference(vlevel))
+        vlevel.update(dict.fromkeys(new, level))
+        self._vnew.append(tuple(new))
+        self._vcounts.append(len(vlevel))
+        self._decoded_visible.append(None)
 
     def _rollback(self, base: int) -> None:
         """Discard every state interned at id ``base`` or later (the
@@ -247,13 +375,12 @@ class ExplicitReach(ReachabilityEngine):
         and the engine is the only writer of global ids, so truncation
         restores exactly the pre-``advance`` state."""
         table = self.table
-        if self._parents is not None:
-            if self.batched:
-                for sid in range(base, len(table)):
-                    self._parents.pop(sid, None)
-            else:
-                for sid in range(base, len(table)):
-                    self._parents.pop(table.state(sid), None)
+        if self._parent_ids is not None:
+            del self._parent_ids[base:]
+            del self._parent_actions[base:]
+        if self._oracle_parents is not None:
+            for sid in range(base, len(table)):
+                self._oracle_parents.pop(table.state(sid), None)
         table.truncate(base)
         del self._first_seen[base:]
         del self._movers[base:]
@@ -337,8 +464,8 @@ class ExplicitReach(ReachabilityEngine):
                     vectorized.bump_view(len(entries))
                     METER.bump("explicit.replay_pairs", total)
                     vectorized.replay_level(
-                        table, entries, level, self._first_seen,
-                        movers, self._parents, fresh.append,
+                        table, entries, level, self._first_seen, movers,
+                        self._parent_ids, self._parent_actions, fresh.append,
                     )
                     return
             else:
@@ -348,7 +475,8 @@ class ExplicitReach(ReachabilityEngine):
                 vectorized.bump_fallback()
 
         first_seen = self._first_seen
-        parents = self._parents
+        parent_ids = self._parent_ids
+        parent_actions = self._parent_actions
         append_fresh = fresh.append
         pairs = 0
         for view, members in groups.items():
@@ -358,58 +486,62 @@ class ExplicitReach(ReachabilityEngine):
             index = view & self._view_index_mask
             pairs += len(members) * len(tree.qids)
             # Saturating later views grows the component pools, which
-            # can repack the table — re-read the geometry per view.
-            # Within one view's replay only global ids grow, and the
-            # repack mutates dict/list objects in place, so these
-            # references stay valid for the whole view.
+            # can repack the table (or widen its visible-key column) —
+            # re-read the geometry per view.  Within one view's replay
+            # only global ids grow, and a repack mutates dict/list
+            # objects in place, so these references stay valid for the
+            # whole view.
             bits = table._bits
             qshift = table._qshift
             packed = table._packed
             ids = table._ids
             states = table._states
-            visibles = table._visibles
+            vkeys = table._vkeys
             low_mask = (1 << qshift) - 1
             move_clear = ~(table._mask << (bits * index))
+            vclear = table.visible_clear(index)
             deltas = tree.deltas(table)
-            if parents is None:
+            if parent_ids is None:
+                vdeltas = tree.visible_deltas(table)
                 for sid in members:
                     # ``StateTable.intern_key`` inlined on packed keys
                     # (see the coupling note there): this loop runs once
                     # per (member, tree edge) and the call overhead is
                     # the hot-path cost.
                     frozen = packed[sid] & low_mask & move_clear
-                    for delta in deltas:
+                    vfrozen = vkeys[sid] & vclear
+                    for delta, vdelta in zip(deltas, vdeltas):
                         key = frozen | delta
                         if key not in ids:
                             ids[key] = nsid = len(packed)
                             packed.append(key)
                             states.append(None)
-                            visibles.append(None)
+                            vkeys.append(vfrozen | vdelta)
                             first_seen.append(level)
                             append_fresh(nsid)
             else:
                 edge_rows = tree.edge_rows(table)
                 for sid in members:
                     frozen = packed[sid] & low_mask & move_clear
-                    for delta, parent_pos, action in edge_rows:
+                    vfrozen = vkeys[sid] & vclear
+                    for delta, vdelta, parent_pos, action in edge_rows:
                         key = frozen | delta
                         if key not in ids:
                             ids[key] = nsid = len(packed)
                             packed.append(key)
                             states.append(None)
-                            visibles.append(None)
+                            vkeys.append(vfrozen | vdelta)
                             first_seen.append(level)
                             append_fresh(nsid)
                             # BFS order: the parent node's edge came
                             # earlier in this member's row, so its key is
                             # already interned.
-                            parents[nsid] = (
+                            parent_ids.append(
                                 ids[frozen | deltas[parent_pos - 1]]
                                 if parent_pos
-                                else sid,
-                                index,
-                                action,
+                                else sid
                             )
+                            parent_actions.append(action)
             # Every id this view interned is fresh and moved by
             # ``index``: fill the mover column once per view instead of
             # once per state in the loops above.
@@ -445,7 +577,7 @@ class ExplicitReach(ReachabilityEngine):
                 self.cpds, self.table, index, qid, wid,
                 self.max_states_per_context,
                 succ_memo=self._succ_memos[index],
-                build_rows=self._parents is not None,
+                build_rows=self._parent_ids is not None,
             )
             if cache is not None:
                 METER.bump("explicit.context_cache_misses")
@@ -472,7 +604,7 @@ class ExplicitReach(ReachabilityEngine):
                     state,
                     index,
                     max_states=self.max_states_per_context,
-                    parents=self._parents,
+                    parents=self._oracle_parents,
                     cache=self._context_cache,
                 )
                 for nxt in reached:
@@ -545,6 +677,55 @@ class ExplicitReach(ReachabilityEngine):
         so a plateau here is already a collapse."""
         return k >= 1 and k <= self.k and not self._level_ids[k]
 
+    # -- T(Rk), read off the visible keys (see the module docstring) ----
+    @property
+    def k(self) -> int:
+        """Largest context bound computed so far."""
+        return len(self._level_ids) - 1
+
+    @property
+    def visible_levels(self) -> list[frozenset[VisibleState]]:
+        """``visible_levels[k]`` = visible states first seen at bound k
+        (decoded lazily)."""
+        return [self.visible_new_at(k) for k in range(len(self._vnew))]
+
+    def visible_new_at(self, k: int) -> frozenset[VisibleState]:
+        """``T(Rk) \\ T(Rk−1)``, decoded from the level's new keys on
+        first use."""
+        if not 0 <= k < len(self._vnew):
+            return frozenset()
+        decoded = self._decoded_visible[k]
+        if decoded is None:
+            decoded = frozenset(map(self.table.decode_visible, self._vnew[k]))
+            self._decoded_visible[k] = decoded
+        return decoded
+
+    def visible_up_to(self, k: int | None = None) -> VisibleView:
+        """``T(Rk)`` as a :class:`VisibleView` (default: the latest
+        computed bound)."""
+        k = self.k if k is None else min(k, self.k)
+        return VisibleView(self, max(k, -1))
+
+    def visible_plateaued_at(self, k: int) -> bool:
+        """True iff ``T(Rk−1) = T(Rk)``, on key counts."""
+        counts = self._vcounts
+        return 1 <= k < len(counts) and counts[k] == counts[k - 1]
+
+    def violation_at(self, k: int, prop: Property) -> VisibleState | None:
+        """The violating visible state of level ``k``'s new keys with
+        the smallest key, or None.  The property classes
+        :func:`_key_test` knows are tested on the keys; any other
+        property sees the level's keys decoded, smallest first."""
+        if not 0 <= k < len(self._vnew):
+            return None
+        test = _key_test(self.table, prop)
+        if test is None:
+            return None
+        for key in self._vnew[k]:  # ascending
+            if test(key):
+                return self.table.decode_visible(key)
+        return None
+
     @property
     def resolved_backend(self) -> str:
         """The concrete replay backend this engine runs (``"auto"``
@@ -568,32 +749,41 @@ class ExplicitReach(ReachabilityEngine):
     # ------------------------------------------------------------------
     def trace(self, target: GlobalState) -> Trace:
         """Reconstruct a witness path to a reached state."""
-        if self._parents is None:
+        if self._oracle_parents is not None:
+            return rebuild_trace(self._oracle_parents, target)
+        if self._parent_ids is None:
             raise ValueError("engine was created with track_traces=False")
-        if not self.batched:
-            return rebuild_trace(self._parents, target)
         sid = self.table.id_of(target)
         if sid is None or sid >= len(self._first_seen):
             raise KeyError(f"state {target} was never discovered")
         state_of = self.table.state
+        parent_ids = self._parent_ids
+        actions = self._parent_actions
         reversed_steps: list[TraceStep] = []
         current = sid
-        while True:
-            entry = self._parents[current]
-            if entry is None:
-                break
-            parent_sid, thread, action = entry
-            reversed_steps.append(TraceStep(thread, action, state_of(current)))
-            current = parent_sid
+        while (parent := parent_ids[current]) >= 0:
+            reversed_steps.append(
+                TraceStep(
+                    self.witness_thread(current),
+                    actions[current],
+                    state_of(current),
+                )
+            )
+            current = parent
         return Trace(state_of(current), tuple(reversed(reversed_steps)))
 
+    def witness_thread(self, sid: int) -> int:
+        """The thread of the context step that first reached ``sid``
+        (its mover, unless a legacy snapshot restored it unknown)."""
+        return self._witness_threads.get(sid, self._movers[sid])
+
     def find_visible(self, visible) -> GlobalState | None:
-        """Some reached global state projecting to ``visible``, if any."""
-        table = self.table
-        for sid in range(len(self._first_seen)):
-            if table.visible(sid) == visible:
-                return table.state(sid)
-        return None
+        """The first reached global state (by id) projecting to
+        ``visible``, if any."""
+        key = self.table.encode_visible(visible)
+        if key is None or key not in self._vlevel:
+            return None
+        return self.table.state(self.table._vkeys.index(key))
 
     # ------------------------------------------------------------------
     # Checkpoint / resume

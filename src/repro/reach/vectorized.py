@@ -13,7 +13,7 @@ backend pay: a typical view is a few hundred candidates, far too small
 to amortize per-call array setup, while a level concatenates hundreds
 of views into one dedup over 10^5+ candidates.
 
-Correctness contract (the differential tests pin all three):
+Correctness contract (the differential tests pin each point):
 
 * **Identical ids.** Fresh candidates are interned in *first-occurrence
   scan order* (``numpy.unique(..., return_index=True)`` + a sort of the
@@ -22,6 +22,10 @@ Correctness contract (the differential tests pin all three):
   the order the serial loop discovers them — a ``backend="numpy"``
   engine assigns the same dense ids, parents and levels as
   ``backend="python"``.
+* **Identical visible keys.** Each fresh state's visible key is
+  gathered from its packed key (:func:`_visible_keys`), which yields
+  the scalar loop's ``vfrozen | vdelta`` value, so ``T(Rk)`` is
+  recorded identically.
 * **Identical movers.** Each fresh state's mover is the thread of its
   first-occurrence view, as in the serial loop, so same-thread pruning
   masks the same cells in :func:`group_views` and the next level
@@ -67,10 +71,6 @@ NUMPY_MIN_WORK = 4096
 #: level (287 entries averaging 54 pairs) ran ~15% slower vectorized,
 #: while FileCrawler's winning levels average 136–432 pairs per entry.
 NUMPY_MIN_ENTRY_AVG = 96
-
-#: Minimum fresh-state count before the batched visible-projection
-#: decode beats the per-id scalar path.
-NUMPY_MIN_DECODE = 512
 
 _numpy = None
 _numpy_checked = False
@@ -124,13 +124,17 @@ def resolve_backend(backend: str) -> str:
 
 
 def table_fits_int64(table) -> bool:
-    """True iff every packed key this table can currently produce fits
-    a signed int64.  ``qshift`` bits of stack fields plus the shared-id
-    field must stay at or below 63; an OR of two such keys cannot carry,
-    so the bound covers every ``frozen | delta`` candidate too.  Replay
-    runs after all of the level's trees are saturated, so the geometry
-    read here is stable for the whole level."""
-    return table._qshift + (len(table._shareds) - 1).bit_length() <= 63
+    """True iff every packed and visible key this table can currently
+    produce fits a signed int64.  ``qshift`` bits of stack fields plus
+    the shared-id field must stay at or below 63; an OR of two such keys
+    cannot carry, so the bound covers every ``frozen | delta`` candidate
+    too.  Visible keys fit while the table keeps them in an int64
+    column.  Replay runs after all of the level's trees are saturated,
+    so the geometry read here is stable for the whole level."""
+    return (
+        table._qshift + (len(table._shareds) - 1).bit_length() <= 63
+        and table.vkeys_fit_int64
+    )
 
 
 def views_fit_int64(table, view_qid_shift: int, view_wid_shift: int) -> bool:
@@ -218,7 +222,8 @@ def replay_level(
     level: int,
     first_seen: list[int],
     movers,
-    parents: dict | None,
+    parent_ids,
+    parent_actions: list | None,
     append_fresh,
 ) -> None:
     """Replay a whole level's views in one numpy pass.
@@ -233,19 +238,22 @@ def replay_level(
 
     Mirrors the inlined ``StateTable.intern_key`` protocol of
     ``ExplicitReach._advance_batched`` (see the coupling note on
-    ``intern_key``): fresh keys append ``None`` placeholders to the
-    decoded columns, their level to ``first_seen`` and the thread of
-    their first-occurrence view to ``movers``.  Tracked parents
-    resolve by recomputing the predecessor's packed key with Python
-    ints — by the BFS edge-order property the parent's first occurrence
-    strictly precedes the child's in the same member row, hence at a
-    strictly earlier flat position, so ``ids`` already holds it.
+    ``intern_key``): fresh keys append a ``None`` placeholder to the
+    decoded-state column, their visible key (one vectorized gather of
+    the top ids off the packed keys) to ``_vkeys``, their level to
+    ``first_seen`` and the thread of their first-occurrence view to
+    ``movers``.  Tracked parents (``parent_ids`` / ``parent_actions``
+    columns, ``None`` when untracked) resolve by recomputing the
+    predecessor's packed key with Python ints — by the BFS edge-order
+    property the parent's first occurrence strictly precedes the
+    child's in the same member row, hence at a strictly earlier flat
+    position, so ``ids`` already holds it.
     """
     np = _numpy
     packed = table._packed
     ids = table._ids
     states = table._states
-    visibles = table._visibles
+    vkeys = table._vkeys
     # One numpy call per *level*, not per view: per-view array setup
     # (~30µs each) would swamp the broadcast on typical few-hundred-
     # candidate views.  The ragged (member × its view's edge column)
@@ -310,8 +318,10 @@ def replay_level(
     starts[1:] = runs + 1
     first_idx = np.minimum.reduceat(order, starts)
     first_idx.sort()
-    values = flat[first_idx].tolist()
-    if parents is None:
+    unique = flat[first_idx]
+    values = unique.tolist()
+    vvalues = _visible_keys(table, unique).tolist()
+    if parent_ids is None:
         # The view (hence thread) of each first occurrence: the span
         # whose end offset first exceeds the flat position.
         span_ends = np.fromiter(
@@ -323,13 +333,12 @@ def replay_level(
         threads = span_threads[
             np.searchsorted(span_ends, first_idx, side="right")
         ].tolist()
-        for key, thread in zip(values, threads):
-            nsid = ids.get(key)
-            if nsid is None:
+        for key, vkey, thread in zip(values, vvalues, threads):
+            if key not in ids:
                 ids[key] = nsid = len(packed)
                 packed.append(key)
                 states.append(None)
-                visibles.append(None)
+                vkeys.append(vkey)
                 first_seen.append(level)
                 movers.append(thread)
                 append_fresh(nsid)
@@ -341,19 +350,18 @@ def replay_level(
     actions = tree.actions
     parent_pos = tree.parent_positions()
     n_edges = len(deltas)
-    for key, pos in zip(values, positions):
+    for key, vkey, pos in zip(values, vvalues, positions):
         while pos >= end:  # positions ascend: walk spans forward only
             start = end
             end, members, frozen_mask, deltas, tree, index = next(span_iter)
             actions = tree.actions
             parent_pos = tree.parent_positions()
             n_edges = len(deltas)
-        nsid = ids.get(key)
-        if nsid is None:
+        if key not in ids:
             ids[key] = nsid = len(packed)
             packed.append(key)
             states.append(None)
-            visibles.append(None)
+            vkeys.append(vkey)
             first_seen.append(level)
             movers.append(index)
             append_fresh(nsid)
@@ -366,63 +374,23 @@ def replay_level(
                     (packed[members[member_idx]] & frozen_mask)
                     | deltas[ppos - 1]
                 ]
-            parents[nsid] = (psid, index, actions[edge_idx])
+            parent_ids.append(psid)
+            parent_actions.append(actions[edge_idx])
 
 
-def visible_batch(table, sids: list[int]) -> list:
-    """Decode the visible projections ``T(s)`` of a batch of state ids.
-
-    Vectorizes the field extraction of :meth:`StateTable.visible` —
-    shifts and mask on the int64 packed column plus a ``wid → top-id``
-    gather per thread — then runs the identical memo/pool protocol per
-    id: the same ``vkey`` scheme, the same ``_visible_pool`` entries,
-    the same ``_visibles`` memo writes, in the same order.  Caller must
-    have checked :func:`table_fits_int64`.
-    """
-    from repro.cpds.state import VisibleState
-
+def _visible_keys(table, keys):
+    """The visible keys of an int64 column of packed keys: the shared
+    field moved above the top-id fields, and each thread's stack field
+    gathered through its ``wid → top id`` column (see "Visible keys" in
+    :mod:`repro.cpds.interning`).  Caller must have checked
+    :func:`table_fits_int64`."""
     np = _numpy
-    packed = table._packed
-    visibles = table._visibles
-    n = table.n_threads
     bits = table._bits
     mask = int(table._mask)
-    qshift = table._qshift
-    keys = np.fromiter(
-        (packed[sid] for sid in sids), dtype=np.int64, count=len(sids)
-    )
-    qcol = (keys >> qshift).tolist()
-    wid_cols = []  # per thread: the raw stack-field wids
-    tid_cols = []  # per thread: wid → top-id gathered (the vkey field)
-    for index in range(n):
-        wid_tops = table._wid_tops[index]
-        gather = np.fromiter(wid_tops, dtype=np.int64, count=len(wid_tops))
-        wids = (keys >> (bits * index)) & mask
-        wid_cols.append(wids.tolist())
-        tid_cols.append(gather[wids].tolist())
-    pool = table._visible_pool
-    shareds = table._shareds
-    tops = table._tops
-    out = []
-    append = out.append
-    pool_get = pool.get
-    for sid, q, tids, wids in zip(sids, qcol, zip(*tid_cols), zip(*wid_cols)):
-        vis = visibles[sid]
-        if vis is None:
-            vkey = q
-            for tid in tids:
-                vkey = (vkey << 32) | tid
-            vis = pool_get(vkey)
-            if vis is None:
-                vis = VisibleState(
-                    shareds[q],
-                    tuple(
-                        tops[index][wid] for index, wid in enumerate(wids)
-                    ),
-                )
-                pool[vkey] = vis
-            visibles[sid] = vis
-        append(vis)
+    out = (keys >> table._qshift) << table._vqshift
+    for index, off in enumerate(table._voffs):
+        tops = np.array(table._wid_tops[index], dtype=np.int64)
+        out |= tops[(keys >> (bits * index)) & mask] << off
     return out
 
 

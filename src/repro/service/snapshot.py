@@ -22,13 +22,16 @@ miss, never a mis-resume:
   component pools plus interleaved ``(qid, wids...)`` rows (component
   ids, not packed keys — era-independent and immune to the adaptive
   bit-field geometry), ``first_seen``, the per-level id sets
-  (lengths + flat ids), the id-encoded witness parents, the
+  (lengths + flat ids), the id-encoded witness parents (child,
+  parent, thread and action columns), the
   cross-level context-tree cache as raw CSR columns, and the per-state
   mover column of same-thread pruning (key ``movers``, optional: a blob
   without it restores every state with the "expand every thread"
   sentinel, so it stays readable at the same version).  The per-thread
   successor memos are *not* persisted — they are pure semantic facts
-  the warm engine re-derives without touching any METER counter.
+  the warm engine re-derives without touching any METER counter, and
+  neither is the visible-key column: restore derives it from the rows
+  and re-records each level's ``T(Rk)`` keys from it.
 * **symbolic** (kind 2): pools of distinct shared states and canonical
   signature keys, the per-level symbolic states as
   ``(shared_idx, sig_idx...)`` rows, and the cross-expansion memo.
@@ -62,7 +65,7 @@ from array import array
 
 from repro.automata.canonical import canonical_nfa, intern_canonical_form
 from repro.cpds.cpds import CPDS
-from repro.cpds.interning import StateTable
+from repro.cpds.interning import StateTable, visible_fields
 from repro.cpds.semantics import ContextTree
 from repro.errors import SnapshotError
 from repro.obs import trace
@@ -161,22 +164,21 @@ def snapshot_explicit(engine) -> bytes:
     for level in engine._level_ids:
         level_ids.extend(level)
 
-    parents = engine._parents
-    if parents is None:
+    parent_ids = engine._parent_ids
+    if parent_ids is None:
         parent_rows = None
     else:
-        children = array("q")
-        parent_sids = array("q")
-        threads = array("q")
-        actions = []
-        for child, entry in parents.items():
-            if entry is None:
-                continue
-            children.append(child)
-            parent_sids.append(entry[0])
-            threads.append(entry[1])
-            actions.append(entry[2])
-        parent_rows = (children, parent_sids, threads, actions)
+        # Rows in id order, root (parent -1) omitted; the thread column
+        # is the witness thread (the mover, see ``witness_thread``).
+        children = array(
+            "q", (sid for sid, parent in enumerate(parent_ids) if parent >= 0)
+        )
+        parent_rows = (
+            children,
+            array("q", (parent_ids[sid] for sid in children)),
+            array("q", map(engine.witness_thread, children)),
+            [engine._parent_actions[sid] for sid in children],
+        )
 
     cache = engine._tree_cache
     if cache is None:
@@ -198,7 +200,7 @@ def snapshot_explicit(engine) -> bytes:
         {
             "n_threads": table.n_threads,
             "max_states_per_context": engine.max_states_per_context,
-            "track_traces": parents is not None,
+            "track_traces": parent_ids is not None,
             "incremental": cache is not None,
             "shareds": shareds,
             "stacks": stacks,
@@ -241,7 +243,11 @@ def restore_explicit(
                 f"snapshot has {n_threads} threads, CPDS has {cpds.n_threads}"
             )
         table = StateTable.from_snapshot(
-            n_threads, payload["shareds"], payload["stacks"], payload["rows"]
+            n_threads,
+            payload["shareds"],
+            payload["stacks"],
+            payload["rows"],
+            visible_fields(cpds),
         )
         engine = ExplicitReach(
             cpds,
@@ -281,15 +287,23 @@ def restore_explicit(
 
         parent_rows = payload["parents"]
         if parent_rows is None:
-            engine._parents = None
+            engine._parent_ids = engine._parent_actions = None
         else:
             children, parent_sids, threads, actions = parent_rows
-            rebuilt: dict = {levels[0][0]: None}
+            parent_ids = array("q", [-1]) * len(table)
+            parent_actions = [None] * len(table)
+            movers = engine._movers
+            witness_threads = {}
             for child, parent, thread, action in zip(
                 children, parent_sids, threads, actions
             ):
-                rebuilt[child] = (parent, thread, action)
-            engine._parents = rebuilt
+                parent_ids[child] = parent
+                parent_actions[child] = action
+                if thread != movers[child]:
+                    witness_threads[child] = thread
+            engine._parent_ids = parent_ids
+            engine._parent_actions = parent_actions
+            engine._witness_threads = witness_threads
 
         tree_rows = payload["trees"]
         if tree_rows is None:
@@ -307,13 +321,16 @@ def restore_explicit(
                 )
             engine._tree_cache = cache
 
-        # Rebuild the base-class visible records by replaying the level
-        # projections (decoded lazily off the restored core).
-        engine.visible_levels.clear()
-        engine._visible_cumulative.clear()
-        visible = table.visible
+        # Derive T(Rk)'s per-level visible keys from the restored key
+        # column (a level's ids are one contiguous range).
+        engine._vlevel.clear()
+        engine._vnew.clear()
+        engine._vcounts.clear()
+        engine._decoded_visible.clear()
+        start = 0
         for level in levels:
-            engine._record_visible(frozenset(visible(sid) for sid in level))
+            engine._record_visible_keys(start, start + len(level))
+            start += len(level)
         engine._decoded_levels = []
         engine._first_seen_view = None
         return engine

@@ -123,7 +123,8 @@ def test_forced_numpy_paths_record_the_serial_movers(seed, track, monkeypatch):
     python, numpy = engines
     assert python._level_ids == numpy._level_ids
     assert python._movers == numpy._movers
-    assert python._parents == numpy._parents
+    assert python._parent_ids == numpy._parent_ids
+    assert python._parent_actions == numpy._parent_actions
     for key in METER_KEYS:
         assert deltas[0].get(key, 0) == deltas[1].get(key, 0), key
     if deltas[0].get("explicit.replay_pairs", 0):

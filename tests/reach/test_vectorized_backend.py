@@ -158,7 +158,9 @@ class TestThreeWayDifferential:
             np_.ensure_level(K)
             assert list(py.table._packed) == list(np_.table._packed), bench.row
             assert py._first_seen == np_._first_seen, bench.row
-            assert py._parents == np_._parents, bench.row
+            assert py._parent_ids == np_._parent_ids, bench.row
+            assert py._parent_actions == np_._parent_actions, bench.row
+            assert py._movers == np_._movers, bench.row
 
     @pytest.mark.parametrize("seed", range(6))
     def test_numpy_traces_are_valid(self, seed):
@@ -196,7 +198,9 @@ class TestWideKeyFallback:
         assert delta.get("explicit.replay_numpy_views", 0) == 0
         for k in range(K + 1):
             assert py.states_new_at(k) == np_.states_new_at(k)
-        assert py._parents == np_._parents
+        assert py._parent_ids == np_._parent_ids
+        assert py._parent_actions == np_._parent_actions
+        assert py._movers == np_._movers
 
     def test_width_predicate_matches_the_geometry(self):
         cpds, _prop = FCR_BENCHES[0].build()
