@@ -191,7 +191,7 @@ def _symbolic_run(cpds, prop, max_rounds: int, mode: str):
 
 
 def _wuba_run(cpds, prop, max_rounds: int, mode: str):
-    """The WUBA lane through the generic Scheme 1 driver
+    """The WUBA lane through the convergence driver
     (:func:`repro.cuba.lanes.run_lane`); ``legacy`` disables the
     write-free closure memo, the lane's only cache."""
     from repro.cuba.lanes import run_lane

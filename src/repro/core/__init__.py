@@ -3,11 +3,11 @@
 An observation sequence ``(Ok)`` maps a resource bound ``k`` to a
 monotone, computable observation about a parameterized program.  The
 generic verification Scheme 1 increases ``k`` until the sequence appears
-to converge, checking the property on the way.  The CUBA instantiations
-over ``Rk`` and ``T(Rk)`` live in :mod:`repro.cuba`.
+to converge, checking the property on the way.  Its instantiations over
+the engines' sequences (``Rk``, ``T(Rk)``, ``Sk``, ...) all run through
+the one convergence driver, :func:`repro.cuba.lanes.converge`.
 """
 
-from repro.core.observation import ObservationSequence, run_scheme1
 from repro.core.property import (
     AlwaysSafe,
     MutualExclusion,
@@ -27,7 +27,6 @@ from repro.core.terminology import (
 __all__ = [
     "AlwaysSafe",
     "MutualExclusion",
-    "ObservationSequence",
     "Property",
     "SharedStateReachability",
     "Verdict",
@@ -37,6 +36,5 @@ __all__ = [
     "first_plateau",
     "is_monotone",
     "plateaus_at",
-    "run_scheme1",
     "stutters_at",
 ]

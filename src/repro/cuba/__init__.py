@@ -6,6 +6,8 @@
   abstraction ``M`` and its reachable set ``Z`` (Lemma 12).
 * :mod:`~repro.cuba.fcr` — the finite-context-reachability condition
   (Lemma 16 / Theorem 17, Fig. 4).
+* :mod:`~repro.cuba.lanes` — the one convergence driver every verdict
+  comes from, and ``run_lane`` to run any registered lane with it.
 * :mod:`~repro.cuba.scheme1` — Scheme 1 instantiated with ``(Rk)``.
 * :mod:`~repro.cuba.algorithm3` — Alg. 3 over ``(T(Rk))`` (explicit) or
   ``(T(Sk))`` (symbolic) with generator-based stuttering detection.
@@ -21,7 +23,7 @@ from repro.cuba.overapprox import (
     compute_z,
 )
 from repro.cuba.fcr import FCRReport, check_fcr, thread_shallow_psa
-from repro.cuba.scheme1 import RkSequence, scheme1_rk, scheme1_sk
+from repro.cuba.scheme1 import scheme1_rk, scheme1_sk
 from repro.cuba.algorithm3 import algorithm3
 from repro.cuba.cba import context_bounded_analysis
 from repro.cuba.quickcheck import quick_check
@@ -34,7 +36,6 @@ __all__ = [
     "FCRReport",
     "FiniteAbstraction",
     "GeneratorAnalysis",
-    "RkSequence",
     "abstract_bug_lower_bound",
     "abstract_visible_levels",
     "algorithm3",

@@ -9,25 +9,27 @@ fails, the algorithm skips forward to the next new plateau; by Def. 10 /
 Thm. 11 a passed test certifies collapse at ``k−1``, making the
 algorithm tight (it stops at the minimal convergence bound).
 
-The same algorithm runs over the explicit engine (``T(Rk)``, requires
-FCR) or the symbolic engine (``T(Sk)``, App. E) — they compute the same
-projections.
+This module holds the test itself, :class:`GeneratorTest`, and
+:func:`algorithm3`, which runs the one convergence driver
+(:func:`repro.cuba.lanes.converge`) with only this test on.  The same
+test runs over the explicit engine (``T(Rk)``, requires FCR) or the
+symbolic engine (``T(Sk)``, App. E) — they compute the same
+projections; every lane that declares ``generator_test`` gets it from
+:func:`repro.cuba.lanes.run_lane` too, raced against its fixpoint test.
 """
 
 from __future__ import annotations
 
 from repro.core.property import Property
-from repro.core.result import Verdict, VerificationResult
+from repro.core.result import VerificationResult
 from repro.cpds.cpds import CPDS
 from repro.cpds.state import VisibleState
 from repro.cuba.generators import generator_analysis
 # compute_z is unused here but stays a module attribute: the benchmark's
 # per-layer timers (perfbench/layers.py) rebind it by this name.
 from repro.cuba.overapprox import GeneratorSearch, compute_z  # noqa: F401
-from repro.errors import ContextExplosionError, CubaError
 from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
-from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
 
 
@@ -100,97 +102,10 @@ def algorithm3(
     are present whenever the search has exhausted ``Z``, which every
     SAFE verdict requires.
     """
-    if isinstance(engine, str):
-        try:
-            name = registry.canonical_lane(engine)
-        except CubaError as error:
-            raise ValueError(f"unknown engine {engine!r}") from error
-        engine = registry.create(
-            name, cpds, max_states_per_context=max_states_per_context
-        )
-    method = f"alg3(T({engine.sequence_name}))"
+    # Imported here: the driver module imports GeneratorTest from this one.
+    from repro.cuba.lanes import converge, prepare
 
-    generator_test = GeneratorTest(cpds, engine.lane)
-    stats: dict = {"plateaus_rejected": []}
-
-    def final_stats() -> dict:
-        return {**generator_test.sizes(), **stats}
-
-    def unsafe(bound: int, witness) -> VerificationResult:
-        trace = None
-        if engine.supports_witness:
-            state = engine.find_visible(witness)
-            if state is not None:
-                trace = engine.trace(state)
-        return VerificationResult(
-            Verdict.UNSAFE,
-            bound=bound,
-            method=method,
-            message=f"violation of '{prop.describe()}'",
-            witness=witness,
-            trace=trace,
-            stats=final_stats(),
-        )
-
-    witness = engine.violation_at(0, prop)
-    if witness is not None:
-        return unsafe(0, witness)
-
-    def examine(k: int) -> VerificationResult | None:
-        """The per-bound body: violation check, then the strengthened
-        new-plateau test of Thm. 11."""
-        witness = engine.violation_at(k, prop)
-        if witness is not None:
-            return unsafe(k, witness)
-        # New plateau: |T(Rk−2)| < |T(Rk−1)| = |T(Rk)|.
-        new_plateau = engine.visible_plateaued_at(k) and not (
-            engine.visible_plateaued_at(k - 1)
-        )
-        if not new_plateau:
-            return None
-        seen = engine.visible_up_to(k)
-        missing = generator_test(seen)
-        if missing:
-            stats["plateaus_rejected"].append({"k": k - 1, "missing": missing})
-            return None  # stuttering cannot be excluded: skip forward
-        stats["visible_states"] = len(seen)
-        return VerificationResult(
-            Verdict.SAFE,
-            bound=k - 1,
-            method=method,
-            message=(
-                "visible sequence collapsed: plateau with all reachable "
-                "generators seen (Thm. 11)"
-            ),
-            stats=final_stats(),
-        )
-
-    try:
-        # Replay bounds the engine already holds (a fresh engine has
-        # only level 0), then advance to the budget.  Capped at the
-        # budget: a deeper-than-requested restored engine must not leak
-        # verdicts from beyond what an uninterrupted run would explore.
-        for k in range(1, min(engine.k, max_rounds) + 1):
-            result = examine(k)
-            if result is not None:
-                return result
-        while engine.k < max_rounds:
-            engine.advance()
-            result = examine(engine.k)
-            if result is not None:
-                return result
-    except ContextExplosionError as explosion:
-        return VerificationResult(
-            Verdict.UNKNOWN,
-            bound=engine.k,
-            method=method,
-            message=f"{engine.lane} engine diverged (use symbolic): {explosion}",
-            stats=final_stats(),
-        )
-    return VerificationResult(
-        Verdict.UNKNOWN,
-        bound=min(engine.k, max_rounds),
-        method=method,
-        message=f"no conclusion within {max_rounds} rounds",
-        stats=final_stats(),
-    )
+    engine = prepare(engine, cpds, max_states_per_context=max_states_per_context)
+    return converge(
+        engine, prop, max_rounds=max_rounds, fixpoint=False, generators=True
+    ).result

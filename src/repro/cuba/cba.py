@@ -4,7 +4,9 @@ This is what JMoped implements (BDD-based) and what the paper compares
 against in Fig. 5: explore reachability up to a *fixed* context bound
 and report any violation found.  It can refute but never prove — a safe
 answer only means "no bug within k contexts" (the fundamental CBA
-limitation the CUBA algorithms remove).
+limitation the CUBA algorithms remove).  It is the one convergence
+driver (:func:`repro.cuba.lanes.converge`) with both termination tests
+off and the context bound as the budget.
 
 Every registered lane is supported; the symbolic one matches JMoped's
 pushdown-store-automata representation and is the Fig. 5 baseline.
@@ -12,16 +14,13 @@ pushdown-store-automata representation and is the Fig. 5 baseline.
 
 from __future__ import annotations
 
-from repro.automata.canonical import canonical_cache_info
 from repro.core.property import Property
-from repro.core.result import Verdict, VerificationResult
+from repro.core.result import VerificationResult
 from repro.cpds.cpds import CPDS
-from repro.errors import ContextExplosionError, CubaError
+from repro.cuba.lanes import converge, prepare
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
-from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
 from repro.reach.config import EngineConfig
-from repro.util.meter import METER
 
 
 def context_bounded_analysis(
@@ -41,62 +40,21 @@ def context_bounded_analysis(
     bound to manifest will slip through").
 
     ``engine`` accepts any registered lane name (aliases included, see
-    :mod:`repro.reach.registry`) or a prepared engine instance.
-    Execution knobs travel in ``config``
+    :mod:`repro.reach.registry`) or a prepared engine instance, whose
+    existing levels up to ``bound`` are checked before any new one is
+    computed.  Execution knobs travel in ``config``
     (:class:`~repro.reach.config.EngineConfig`) — each lane applies the
     knobs it understands; ``incremental`` overrides the config's memo
     knob.  Both are ignored when a prepared engine instance is passed.
-    The UNKNOWN result's ``stats["meter"]`` records the saturation/cache/
-    frontier-batching work counters this analysis produced, plus the
-    canonicalization cache state and the per-engine summary — the
-    numbers the BENCH harness (:mod:`repro.bench.runner`) persists.
+    The result's ``stats`` carry the engine summary, ``visible_states``
+    and ``meter``, the work counters this analysis produced.
     """
-    meter_before = METER.snapshot()
     config = config if config is not None else EngineConfig()
     if incremental is not None:
         config = config.replace(incremental=incremental)
-    if isinstance(engine, str):
-        try:
-            name = registry.canonical_lane(engine)
-        except CubaError as error:
-            raise ValueError(f"unknown engine {engine!r}") from error
-        engine = registry.create(
-            name,
-            cpds,
-            max_states_per_context=max_states_per_context,
-            config=config,
-        )
-    method = f"cba(k={bound})"
-
-    witness = engine.violation_at(0, prop)
-    if witness is not None:
-        return VerificationResult(
-            Verdict.UNSAFE, bound=0, method=method, witness=witness,
-            message=f"violation of '{prop.describe()}'",
-        )
-    try:
-        while engine.k < bound:
-            engine.advance()
-            witness = engine.violation_at(engine.k, prop)
-            if witness is not None:
-                return VerificationResult(
-                    Verdict.UNSAFE, bound=engine.k, method=method, witness=witness,
-                    message=f"violation of '{prop.describe()}'",
-                )
-    except ContextExplosionError as explosion:
-        return VerificationResult(
-            Verdict.UNKNOWN, bound=engine.k, method=method,
-            message=f"{engine.lane} engine diverged: {explosion}",
-        )
-    stats = {
-        "visible_states": len(engine.visible_up_to()),
-        "meter": METER.delta(meter_before),
-        "canonical_cache": canonical_cache_info(),
-    }
-    if engine.lane:
-        stats[engine.lane] = engine.stats()
-    return VerificationResult(
-        Verdict.UNKNOWN, bound=bound, method=method,
-        message=f"no violation within {bound} contexts (CBA cannot prove safety)",
-        stats=stats,
+    engine = prepare(
+        engine, cpds, max_states_per_context=max_states_per_context, config=config
     )
+    return converge(
+        engine, prop, max_rounds=bound, fixpoint=False, generators=False
+    ).result

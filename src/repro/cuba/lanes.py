@@ -1,31 +1,50 @@
-"""Generic lane driver: run any registered lane to a verdict.
+"""The one convergence driver, and running any registered lane with it.
 
-This is the dispatch half of the lane-plugin API
-(:mod:`repro.reach.registry`): given a lane name (or a prepared engine
-instance), :func:`run_lane` resolves the engine class through the
-registry, checks its :meth:`~repro.reach.base.ReachabilityEngine.applicable`
-precondition, and drives it with whichever generic algorithm the lane
-declared sound for its observation sequence:
+Every verdict in :mod:`repro.cuba` comes out of :func:`converge`: it
+walks the levels of one engine — first the levels a prepared engine
+already holds (warm reuse, or a checkpoint restore), capped at the
+budget, then fresh ones from ``engine.advance()`` — and at each level
+``k`` asks, in this order:
 
-* ``preferred_algorithm = "scheme1"`` — the plain plateau test
-  (:func:`scheme1_lane` below), sound when a plateau of the lane's
-  underlying sequence is a collapse (stutter-freeness for ``(Rk)``,
-  Lemma 7; a genuine fixpoint for ``(Wk)``).
-* ``preferred_algorithm = "algorithm3"`` — plateau + generator test
-  (:func:`repro.cuba.algorithm3.algorithm3`, Thm. 11), required when
-  the underlying sequence can stutter (``(Sk)``: stack languages may
-  keep growing through a visible plateau).
+1. ``violation_at(k, prop)`` — UNSAFE at ``k``, with a witness trace
+   when the lane ``supports_witness``;
+2. the *fixpoint* test ``plateaued_at(k)``: level ``k`` added nothing
+   to the lane's underlying sequence.  On every lane that is an empty
+   frontier, hence a true fixpoint (for ``(Rk)`` also Lemma 7's
+   plateau-is-a-collapse), so Scheme 1 may answer SAFE at ``k``;
+3. the *generator* test of Thm. 11 at a new plateau of ``T(·)``
+   (``|T(k−2)| < |T(k−1)| = |T(k)|``): SAFE at ``k−1`` once every
+   generator of ``G ∩ Z`` has been seen (Alg. 3), asked lazily through
+   :class:`~repro.cuba.algorithm3.GeneratorTest`.
+
+When both tests fire at one level Alg. 3 wins with bound ``k−1``.  A
+:class:`~repro.errors.ContextExplosionError` ends the run UNKNOWN.
+The entry points differ only in which tests they switch on:
+
+* :func:`run_lane` and :class:`~repro.cuba.verifier.Cuba` — every test
+  the lane declares: the fixpoint test always, the generator test when
+  the lane's class sets ``generator_test`` (its levels count contexts,
+  so Thm. 11 applies to its ``T(·)``).  On the explicit lane that is
+  Sec. 6's ``Alg. 3(T(Rk)) ∥ Scheme 1(Rk)``; on the symbolic lane
+  ``Alg. 3(T(Sk)) ∥ Scheme 1(Sk)``; on wuba ``Scheme 1(Wk)``;
+* :func:`~repro.cuba.algorithm3.algorithm3` — the generator test only;
+* :func:`~repro.cuba.scheme1.scheme1_rk` / ``scheme1_sk`` — the
+  fixpoint test only;
+* :func:`~repro.cuba.cba.context_bounded_analysis` — neither, with the
+  context bound as the budget.
 
 Adding a lane never touches this module: the registry supplies the
-class, the class supplies the driver choice and capabilities
-(``supports_witness`` gates trace materialization).
+class, the class supplies its tests and capabilities.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.property import Property
 from repro.core.result import Verdict, VerificationResult
 from repro.cpds.cpds import CPDS
+from repro.cuba.algorithm3 import GeneratorTest
 from repro.errors import ContextExplosionError, CubaError
 from repro.obs import trace
 from repro.reach import registry
@@ -34,11 +53,15 @@ from repro.reach.config import EngineConfig
 from repro.util.meter import METER
 
 __all__ = [
+    "Convergence",
+    "converge",
+    "drive",
     "ensure_applicable",
+    "method_name",
     "not_applicable",
     "precondition_holds",
+    "prepare",
     "run_lane",
-    "scheme1_lane",
 ]
 
 
@@ -78,96 +101,164 @@ def ensure_applicable(
         raise not_applicable(cls, cpds, prop)
 
 
-def _lane_stats(engine: ReachabilityEngine, meter_before: dict) -> dict:
-    return {
-        **engine.stats(),
-        "visible_states": len(engine.visible_up_to()),
-        "meter": METER.delta(meter_before),
-    }
-
-
-def scheme1_lane(
+def prepare(
+    engine: ReachabilityEngine | str,
     cpds: CPDS,
+    *,
+    max_states_per_context: int | None = None,
+    config: EngineConfig | None = None,
+) -> ReachabilityEngine:
+    """A prepared engine as is, or a fresh engine of the named lane
+    (aliases accepted); :class:`ValueError` for an unknown name.  No
+    precondition check: the library entry points leave that to the
+    caller."""
+    if not isinstance(engine, str):
+        return engine
+    try:
+        name = registry.canonical_lane(engine)
+    except CubaError as error:
+        raise ValueError(f"unknown engine {engine!r}") from error
+    return registry.create(
+        name, cpds, max_states_per_context=max_states_per_context, config=config
+    )
+
+
+def method_name(sequence: str, *, fixpoint: bool, generators: bool) -> str:
+    """The ``method`` of a run with these tests on a lane computing
+    ``sequence``, e.g. ``alg3(T(Sk))∥scheme1(Sk)``; empty for none."""
+    names = [f"alg3(T({sequence}))"] if generators else []
+    if fixpoint:
+        names.append(f"scheme1({sequence})")
+    return "∥".join(names)
+
+
+@dataclass(slots=True)
+class Convergence:
+    """What :func:`converge` found.
+
+    ``fixpoint_bound`` is the level at which the fixpoint test fired and
+    ``plateau_bound`` the collapse bound Thm. 11 certified (one below
+    the new plateau's level); each is None when its test did not fire.
+    ``explored`` is the last level examined.
+    """
+
+    result: VerificationResult
+    fixpoint_bound: int | None
+    plateau_bound: int | None
+    explored: int
+
+
+def converge(
+    engine: ReachabilityEngine,
     prop: Property,
     *,
-    engine: ReachabilityEngine,
-    max_rounds: int = 50,
-) -> VerificationResult:
-    """Scheme 1 over any lane whose plateau is a collapse.
+    max_rounds: int,
+    fixpoint: bool,
+    generators: bool,
+) -> Convergence:
+    """Drive ``engine`` to a verdict within ``max_rounds`` levels (see
+    the module docstring for the per-level tests).
 
-    Mirrors the paper's Scheme 1: advance the sequence level by level,
-    report UNSAFE on the first violating level (with a witness trace
-    when the lane supports one), SAFE on a plateau of the *underlying*
-    sequence, UNKNOWN past the budget or on a divergence guard.
+    ``max_rounds`` is the *total* budget: a prepared engine's existing
+    levels are examined first and count toward it, so a run resumed
+    from a level-``k`` snapshot reports exactly what an uninterrupted
+    run would, and a deeper engine leaks no verdict from beyond it.
 
-    ``max_rounds`` is the total level budget; a prepared engine's
-    existing levels are replayed through the checks first and count
-    toward it, so a run resumed from a snapshot reports exactly what an
-    uninterrupted run would.
+    Every result's ``stats`` carry ``engine.stats()``,
+    ``visible_states`` (``|T(≤explored)|``) and ``meter`` (this run's
+    METER delta).  With the generator test on they also carry
+    ``plateaus_rejected`` — each rejected plateau's collapse candidate
+    ``k`` and ``missing``, the unseen generators found (Ex. 14) — and,
+    once ``Z`` has been exhausted (every Alg. 3 SAFE), ``Z`` and
+    ``G∩Z``.
     """
+    method = method_name(
+        engine.sequence_name, fixpoint=fixpoint, generators=generators
+    ) or f"cba(k={max_rounds})"
     meter_before = METER.snapshot()
-    method = f"scheme1({engine.sequence_name})"
+    generator_test = GeneratorTest(engine.cpds, engine.lane) if generators else None
+    rejected: list[dict] = []
+    fixpoint_bound: int | None = None
+    plateau_bound: int | None = None
 
-    def check(bound: int) -> VerificationResult | None:
-        witness = engine.violation_at(bound, prop)
-        if witness is None:
-            return None
-        trace = None
-        if engine.supports_witness:
-            state = engine.find_visible(witness)
-            trace = engine.trace(state) if state is not None else None
-        return VerificationResult(
-            Verdict.UNSAFE,
-            bound=bound,
-            method=method,
-            message=f"violation of '{prop.describe()}'",
-            witness=witness,
-            trace=trace,
-            stats=_lane_stats(engine, meter_before),
+    def finish(verdict: Verdict, k: int, message: str = "", **found) -> Convergence:
+        stats = {
+            **engine.stats(),
+            "visible_states": len(engine.visible_up_to(k)),
+            "meter": METER.delta(meter_before),
+        }
+        if generator_test is not None:
+            stats.update(generator_test.sizes(), plateaus_rejected=rejected)
+        bound, found_by = k, method
+        if verdict is Verdict.SAFE:
+            alg3 = plateau_bound is not None
+            bound = plateau_bound if alg3 else fixpoint_bound
+            sequence = engine.sequence_name
+            found_by = method_name(sequence, fixpoint=not alg3, generators=alg3)
+            message = (
+                "visible sequence collapsed: plateau with all reachable "
+                "generators seen (Thm. 11)"
+                if alg3
+                else f"({sequence}) collapsed: level {k} added nothing (a fixpoint)"
+            )
+        result = VerificationResult(
+            verdict, bound=bound, method=found_by, message=message, stats=stats,
+            **found,
+        )
+        return Convergence(result, fixpoint_bound, plateau_bound, k)
+
+    with trace.span("lane.run", lane=engine.lane, algorithm=method):
+        k = 0
+        try:
+            for k in range(max_rounds + 1):
+                if k > engine.k:
+                    engine.advance()
+                witness = engine.violation_at(k, prop)
+                if witness is not None:
+                    path = None
+                    if engine.supports_witness:
+                        state = engine.find_visible(witness)
+                        path = engine.trace(state) if state is not None else None
+                    return finish(
+                        Verdict.UNSAFE, k, f"violation of '{prop.describe()}'",
+                        witness=witness, trace=path,
+                    )
+                if fixpoint and engine.plateaued_at(k):
+                    fixpoint_bound = k
+                if (
+                    generator_test is not None
+                    and engine.visible_plateaued_at(k)
+                    and not engine.visible_plateaued_at(k - 1)
+                ):
+                    missing = generator_test(engine.visible_up_to(k))
+                    if missing:  # stuttering cannot be excluded: skip forward
+                        rejected.append({"k": k - 1, "missing": missing})
+                    else:
+                        plateau_bound = k - 1
+                if plateau_bound is not None or fixpoint_bound is not None:
+                    return finish(Verdict.SAFE, k)
+        except ContextExplosionError as explosion:
+            return finish(
+                Verdict.UNKNOWN, engine.k, f"{engine.lane} engine diverged: {explosion}"
+            )
+        if fixpoint or generators:
+            return finish(Verdict.UNKNOWN, k, f"no conclusion within {max_rounds} rounds")
+        return finish(
+            Verdict.UNKNOWN, k,
+            f"no violation within {max_rounds} contexts (CBA cannot prove safety)",
         )
 
-    def safe(bound: int) -> VerificationResult:
-        return VerificationResult(
-            Verdict.SAFE,
-            bound=bound,
-            method=method,
-            message=f"({engine.sequence_name}) collapsed (plateau is a collapse "
-            "for this lane)",
-            stats=_lane_stats(engine, meter_before),
-        )
 
-    # Replay the checks over any levels the engine already holds (a
-    # fresh engine has only level 0), capped at the budget so a
-    # deeper-than-requested restore cannot leak verdicts from beyond it.
-    for bound in range(min(engine.k, max_rounds) + 1):
-        result = check(bound)
-        if result is not None:
-            return result
-        if engine.plateaued_at(bound):
-            return safe(bound)
-    try:
-        while engine.k < max_rounds:
-            engine.advance()
-            k = engine.k
-            result = check(k)
-            if result is not None:
-                return result
-            if engine.plateaued_at(k):
-                return safe(k)
-    except ContextExplosionError as explosion:
-        return VerificationResult(
-            Verdict.UNKNOWN,
-            bound=engine.k,
-            method=method,
-            message=f"{engine.lane} engine diverged: {explosion}",
-            stats=_lane_stats(engine, meter_before),
-        )
-    return VerificationResult(
-        Verdict.UNKNOWN,
-        bound=min(engine.k, max_rounds),
-        method=method,
-        message=f"no conclusion within {max_rounds} rounds",
-        stats=_lane_stats(engine, meter_before),
+def drive(
+    engine: ReachabilityEngine, prop: Property, *, max_rounds: int
+) -> Convergence:
+    """:func:`converge` with every test ``engine``'s lane declares."""
+    return converge(
+        engine,
+        prop,
+        max_rounds=max_rounds,
+        fixpoint=True,
+        generators=type(engine).generator_test,
     )
 
 
@@ -190,22 +281,10 @@ def run_lane(
     """
     if isinstance(lane, ReachabilityEngine):
         engine = lane
-    if engine is not None:
-        cls = type(engine)
-    else:
+    if engine is None:
         cls = registry.engine_class(lane)
         ensure_applicable(cls, cpds, prop)
         engine = cls.create(
             cpds, max_states_per_context=max_states_per_context, config=config
         )
-    # One driver-level span over the whole run: the verify/serve trace
-    # nests request → lane.run → <lane>.level → saturation/replay/
-    # canonicalization (the levels come from the base-class template).
-    with trace.span(
-        "lane.run", lane=cls.lane, algorithm=cls.preferred_algorithm
-    ):
-        if cls.preferred_algorithm == "algorithm3":
-            from repro.cuba.algorithm3 import algorithm3
-
-            return algorithm3(cpds, prop, engine=engine, max_rounds=max_rounds)
-        return scheme1_lane(cpds, prop, engine=engine, max_rounds=max_rounds)
+    return drive(engine, prop, max_rounds=max_rounds).result

@@ -1,17 +1,22 @@
 """The CUBA front-end (paper Sec. 6).
 
-Given a CPDS and a property, Cuba first decides FCR.  If it holds, both
-explicit methods run "in parallel" — here deterministically interleaved
-on one shared engine, evaluating both termination tests every round and
-reporting whichever concludes first, exactly the observable behavior of
-the paper's two computation threads.  Otherwise the symbolic
-``Alg. 3(T(Sk))`` runs alone::
+Given a CPDS and a property, Cuba first decides FCR, which picks the
+lane: the explicit engine if it holds, else the symbolic one.  Either
+lane then runs through the one convergence driver
+(:func:`repro.cuba.lanes.converge`) with both termination tests on,
+evaluated every round on one shared engine — the observable behavior
+of the paper's two computation threads, deterministically interleaved,
+reporting whichever concludes first::
 
     Input: a CPDS Pn and a property C
     1: if Pn satisfies FCR then
     2:     Alg. 3(T(Rk)) ∥ Scheme 1(Rk)
     3: else
     4:     Alg. 3(T(Sk))
+
+Line 4 runs here as ``Alg. 3(T(Sk)) ∥ Scheme 1(Sk)``: an empty ``(Sk)``
+frontier is a true fixpoint.  On every non-FCR Table 2 row Alg. 3
+concludes first, so the reported verdicts and bounds are the paper's.
 """
 
 from __future__ import annotations
@@ -21,15 +26,13 @@ from dataclasses import dataclass
 from repro.core.property import Property
 from repro.core.result import Verdict, VerificationResult
 from repro.cpds.cpds import CPDS
-from repro.cuba.algorithm3 import GeneratorTest, algorithm3
 from repro.cuba.fcr import FCRReport, check_fcr
 
 # Unused here but kept as module attributes: the benchmark's per-layer
 # timers (perfbench/layers.py) rebind them by these names.
 from repro.cuba.generators import generator_analysis  # noqa: F401
-from repro.cuba.lanes import not_applicable, precondition_holds, run_lane
+from repro.cuba.lanes import drive, not_applicable, precondition_holds, run_lane
 from repro.cuba.overapprox import compute_z  # noqa: F401
-from repro.errors import ContextExplosionError
 from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import registry
@@ -111,7 +114,8 @@ class Cuba:
         ``engine`` selects the lane:
 
         * ``None`` — the paper's auto procedure: FCR decides between
-          the explicit pair race and the symbolic ``Alg. 3(T(Sk))``.
+          the explicit and the symbolic lane, each racing Alg. 3
+          against its fixpoint test.
         * a registered lane name (or alias) — run exactly that lane via
           :func:`repro.cuba.lanes.run_lane`, e.g. ``"wuba"``.
         * a prepared engine instance of the lane FCR selects — warm
@@ -123,29 +127,35 @@ class Cuba:
         if isinstance(engine, str):
             return self._verify_lane(engine, max_rounds)
         fcr = _fcr_report(self.cpds)
-        if fcr.holds:
-            return self._verify_explicit_pair(fcr, max_rounds, engine)
+        lane = "explicit" if fcr.holds else "symbolic"
         if engine is None:
-            engine = registry.create("symbolic", self.cpds, config=self.config)
-        elif engine.lane != "symbolic":
+            engine = registry.create(
+                lane,
+                self.cpds,
+                max_states_per_context=self.max_states_per_context,
+                config=self.config,
+            )
+        elif engine.lane != lane:
             raise ValueError(
-                "FCR fails: the prepared engine must be from the "
-                f"'symbolic' lane, got lane {engine.lane!r} "
+                f"FCR {'holds' if fcr.holds else 'fails'}: the prepared engine "
+                f"must be from the {lane!r} lane, got lane {engine.lane!r} "
                 f"(registered lanes: {', '.join(registry.lane_names())})"
             )
         self.last_engine = engine
-        result = algorithm3(
-            self.cpds, self.prop, engine=engine, max_rounds=max_rounds
-        )
-        trk = result.bound if result.verdict is Verdict.SAFE else None
+        outcome = drive(engine, self.prop, max_rounds=max_rounds)
+        result = outcome.result
+        winner = {
+            Verdict.SAFE: result.method, Verdict.UNSAFE: "cuba", Verdict.UNKNOWN: "none"
+        }[result.verdict]
+        # (Rk) is tracked only on the explicit lane; on the symbolic one
+        # the Table 2 style lower bound "≥" is the result's own bound.
         return CubaReport(
             fcr=fcr,
             result=result,
-            winner=result.method,
-            trk_bound=trk,
-            # (Rk) is never tracked on the symbolic path; report the
-            # Table 2 style lower bound "≥ explored".
-            interrupted_at=result.bound,
+            winner=winner,
+            rk_bound=outcome.fixpoint_bound if fcr.holds else None,
+            trk_bound=outcome.plateau_bound,
+            interrupted_at=outcome.explored if fcr.holds else result.bound,
         )
 
     # ------------------------------------------------------------------
@@ -177,130 +187,4 @@ class Cuba:
             result=result,
             winner=result.method,
             interrupted_at=result.bound,
-        )
-
-    # ------------------------------------------------------------------
-    def _verify_explicit_pair(
-        self,
-        fcr: FCRReport,
-        max_rounds: int,
-        engine: ReachabilityEngine | None = None,
-    ) -> CubaReport:
-        """Alg. 3(T(Rk)) ∥ Scheme 1(Rk) on one shared explicit engine."""
-        if engine is None:
-            engine = registry.create(
-                "explicit",
-                self.cpds,
-                max_states_per_context=self.max_states_per_context,
-                config=self.config,
-            )
-        elif engine.lane != "explicit":
-            raise ValueError(
-                "FCR holds: the prepared engine must be from the "
-                f"'explicit' lane, got lane {engine.lane!r} "
-                f"(registered lanes: {', '.join(registry.lane_names())})"
-            )
-        self.last_engine = engine
-        generator_test = GeneratorTest(self.cpds, "explicit")
-
-        witness = engine.violation_at(0, self.prop)
-        if witness is not None:
-            return self._unsafe_report(fcr, engine, 0, witness)
-
-        rk_bound: int | None = None
-        trk_bound: int | None = None
-
-        def examine(k: int) -> CubaReport | None:
-            """Both methods' per-bound checks; a report ends the race."""
-            nonlocal rk_bound, trk_bound
-            witness = engine.violation_at(k, self.prop)
-            if witness is not None:
-                return self._unsafe_report(fcr, engine, k, witness)
-
-            if rk_bound is None and engine.plateaued_at(k):
-                rk_bound = k  # (Rk) collapsed (Lemma 7)
-            if trk_bound is None:
-                new_plateau = engine.visible_plateaued_at(k) and not (
-                    engine.visible_plateaued_at(k - 1)
-                )
-                if new_plateau and not generator_test(engine.visible_up_to(k)):
-                    trk_bound = k - 1  # (T(Rk)) collapsed (Thm. 11)
-
-            if rk_bound is None and trk_bound is None:
-                return None
-            winner = "scheme1(Rk)" if trk_bound is None else "alg3(T(Rk))"
-            result = VerificationResult(
-                Verdict.SAFE,
-                bound=trk_bound if trk_bound is not None else rk_bound,
-                method=winner,
-                message="observation sequence converged",
-                stats={
-                    "global_states": engine.n_states,
-                    "visible_states": len(engine.visible_up_to()),
-                },
-            )
-            return CubaReport(
-                fcr=fcr,
-                result=result,
-                winner=winner,
-                rk_bound=rk_bound,
-                trk_bound=trk_bound,
-                interrupted_at=k,
-            )
-
-        try:
-            # Replay bounds the engine already holds (a fresh engine has
-            # only level 0), then advance to the budget.  Capped at the
-            # budget: a deeper-than-requested restored engine must not
-            # leak verdicts past what an uninterrupted run explores.
-            for k in range(1, min(engine.k, max_rounds) + 1):
-                report = examine(k)
-                if report is not None:
-                    return report
-            while engine.k < max_rounds:
-                engine.advance()
-                report = examine(engine.k)
-                if report is not None:
-                    return report
-        except ContextExplosionError as explosion:
-            result = VerificationResult(
-                Verdict.UNKNOWN,
-                bound=engine.k,
-                method="cuba",
-                message=f"{engine.lane} engine diverged: {explosion}",
-            )
-            return CubaReport(
-                fcr=fcr, result=result, winner="none", interrupted_at=engine.k
-            )
-
-        explored = min(engine.k, max_rounds)
-        result = VerificationResult(
-            Verdict.UNKNOWN,
-            bound=explored,
-            method="cuba",
-            message=f"no conclusion within {max_rounds} rounds",
-        )
-        return CubaReport(fcr=fcr, result=result, winner="none", interrupted_at=explored)
-
-    # ------------------------------------------------------------------
-    def _unsafe_report(
-        self, fcr: FCRReport, engine: ReachabilityEngine, bound: int, witness
-    ) -> CubaReport:
-        state = engine.find_visible(witness)
-        trace = engine.trace(state) if state is not None else None
-        result = VerificationResult(
-            Verdict.UNSAFE,
-            bound=bound,
-            method="cuba",
-            message=f"violation of '{self.prop.describe()}'",
-            witness=witness,
-            trace=trace,
-        )
-        return CubaReport(
-            fcr=fcr,
-            result=result,
-            winner="cuba",
-            rk_bound=None,
-            trk_bound=None,
-            interrupted_at=bound,
         )

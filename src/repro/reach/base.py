@@ -30,14 +30,19 @@ without knowing the concrete class:
 ``supports_witness``
     True iff the lane can materialize a counterexample trace
     (``find_visible`` / ``trace``).
-``preferred_algorithm``
-    Which generic driver sound for this lane's sequence:
-    ``"scheme1"`` (plateau = fixpoint, Lemma 7) or ``"algorithm3"``
-    (plateau + generator test, Thm. 11).
+``generator_test``
+    True iff the lane's levels count contexts, so Thm. 11's generator
+    test applies to its ``T(·)`` (explicit, symbolic; not wuba, whose
+    levels count writes).
 
-The algorithms (Scheme 1, Alg. 3, CBA and Cuba's explicit pair) read the
-projected sequence only through three questions, so a lane may keep
-``T(·)`` in any representation that answers them:
+Every lane is driven by the one convergence driver,
+:func:`repro.cuba.lanes.converge`.  A lane run always asks its fixpoint
+test ``plateaued_at`` (an empty frontier, hence a true fixpoint, on
+every lane) and adds Alg. 3's generator test when the lane sets
+``generator_test``; for that test the driver reads ``cpds``, the model
+the engine explores.  It reads the projected sequence only through
+three questions, so a lane may keep ``T(·)`` in any representation
+that answers them:
 
 ``violation_at(k, prop)``
     A visible state first reached at level ``k`` that violates
@@ -77,7 +82,8 @@ class ReachabilityEngine(abc.ABC):
     snapshot_kind: int = 0
     meter_prefix: str = ""
     supports_witness: bool = False
-    preferred_algorithm: str = "scheme1"
+    generator_test: bool = False
+    cpds: "CPDS"
 
     def __init__(self) -> None:
         self._visible_levels: list[frozenset[VisibleState]] = []

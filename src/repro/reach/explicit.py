@@ -229,7 +229,7 @@ class ExplicitReach(ReachabilityEngine):
     snapshot_kind = 1
     meter_prefix = "explicit."
     supports_witness = True
-    preferred_algorithm = "scheme1"
+    generator_test = True
 
     def __init__(
         self,

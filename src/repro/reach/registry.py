@@ -70,11 +70,6 @@ def register(cls: type["ReachabilityEngine"]) -> type["ReachabilityEngine"]:
         raise CubaError(
             f"{cls.__name__}: lane {lane!r} snapshot_kind must be a positive int"
         )
-    if getattr(cls, "preferred_algorithm", None) not in ("scheme1", "algorithm3"):
-        raise CubaError(
-            f"{cls.__name__}: lane {lane!r} preferred_algorithm must be "
-            "'scheme1' or 'algorithm3'"
-        )
     existing = _LANES.get(lane)
     if existing is not None and existing is not cls:
         raise CubaError(f"lane {lane!r} already registered by {existing.__name__}")

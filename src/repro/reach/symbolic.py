@@ -154,7 +154,7 @@ class SymbolicReach(ReachabilityEngine):
     snapshot_kind = 2
     meter_prefix = "symbolic."
     supports_witness = False
-    preferred_algorithm = "algorithm3"
+    generator_test = True
 
     def __init__(
         self,

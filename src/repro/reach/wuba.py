@@ -29,8 +29,9 @@ on the existing PDS substrate:
 Consequently a plateau of ``(Wk)`` is a genuine fixpoint: an empty
 level means no frontier, and the cumulative set is closed under both
 write-free moves and writes — it *is* the reachable set, so the plain
-Scheme 1 plateau test is sound for this lane
-(``preferred_algorithm = "scheme1"``).
+Scheme 1 plateau test is sound for this lane.  Its levels count writes,
+not contexts, so Thm. 11's generator test does not apply
+(``generator_test`` stays False).
 
 Termination of each level requires finite write-free closures (WCR) —
 the lane's :meth:`~WubaReach.applicable` precondition, checked like FCR
@@ -82,7 +83,6 @@ class WubaReach(ReachabilityEngine):
     snapshot_kind = 3
     meter_prefix = "wuba."
     supports_witness = False
-    preferred_algorithm = "scheme1"
 
     def __init__(
         self,

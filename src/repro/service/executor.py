@@ -195,7 +195,7 @@ def execute_job(job: EngineJob) -> JobOutcome:
 def _execute_job(job: EngineJob) -> JobOutcome:
     import time
 
-    from repro.cuba.lanes import ensure_applicable, run_lane
+    from repro.cuba.lanes import ensure_applicable, method_name, run_lane
     from repro.cuba.verifier import Cuba
     from repro.reach import registry
 
@@ -240,7 +240,11 @@ def _execute_job(job: EngineJob) -> JobOutcome:
                 result = VerificationResult(
                     Verdict.UNKNOWN,
                     bound=0,
-                    method=f"{cls.preferred_algorithm}({cls.sequence_name})",
+                    method=method_name(
+                        cls.sequence_name,
+                        fixpoint=True,
+                        generators=cls.generator_test,
+                    ),
                     message=str(precondition),
                 )
             else:

@@ -1,20 +1,14 @@
-"""Tests for Table 1 terminology helpers and the generic Scheme 1."""
+"""Tests for the Table 1 terminology helpers."""
 
 import pytest
 
 from repro.core import (
-    AlwaysSafe,
-    ObservationSequence,
-    SharedStateReachability,
-    Verdict,
     collapses_at,
     first_plateau,
     is_monotone,
     plateaus_at,
-    run_scheme1,
     stutters_at,
 )
-from repro.cpds import VisibleState
 
 # A stuttering prefix mirroring Fig. 1's T-sequence sizes: grows, pauses
 # at index 2, grows again, then stays flat.
@@ -53,57 +47,3 @@ class TestTerminology:
         assert first_plateau(STUTTER) == 3  # O2 == O3 detected at k=3
         assert first_plateau([{0}, {1, 0}]) is None
 
-
-class FakeSequence(ObservationSequence):
-    """Scripted observation sequence for driving Scheme 1."""
-
-    def __init__(self, observations):
-        self.observations = observations
-        self._k = 0
-
-    @property
-    def k(self):
-        return self._k
-
-    def advance(self):
-        self._k = min(self._k + 1, len(self.observations) - 1)
-
-    def equals_previous(self):
-        return (
-            self._k >= 1
-            and self.observations[self._k] == self.observations[self._k - 1]
-        )
-
-    def find_violation(self, prop):
-        return prop.find_violation(self.observations[self._k])
-
-
-def vs(shared):
-    return VisibleState(shared, (1,))
-
-
-class TestRunScheme1:
-    def test_safe_on_plateau(self):
-        seq = FakeSequence([{vs(0)}, {vs(0), vs(1)}, {vs(0), vs(1)}])
-        result = run_scheme1(seq, AlwaysSafe())
-        assert result.verdict is Verdict.SAFE
-        assert result.bound == 2
-
-    def test_unsafe_detected_at_first_bad_round(self):
-        seq = FakeSequence([{vs(0)}, {vs(0), vs(9)}, {vs(0), vs(9)}])
-        result = run_scheme1(seq, SharedStateReachability({9}))
-        assert result.verdict is Verdict.UNSAFE
-        assert result.bound == 1
-        assert result.witness == vs(9)
-
-    def test_unsafe_at_k0(self):
-        seq = FakeSequence([{vs(9)}])
-        result = run_scheme1(seq, SharedStateReachability({9}))
-        assert result.verdict is Verdict.UNSAFE
-        assert result.bound == 0
-
-    def test_unknown_when_budget_exhausted(self):
-        growing = [{vs(i) for i in range(n + 1)} for n in range(10)]
-        result = run_scheme1(FakeSequence(growing), AlwaysSafe(), max_rounds=3)
-        assert result.verdict is Verdict.UNKNOWN
-        assert not result.conclusive

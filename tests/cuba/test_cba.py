@@ -5,6 +5,7 @@ import pytest
 from repro.core import AlwaysSafe, SharedStateReachability, Verdict
 from repro.cuba import context_bounded_analysis
 from repro.models import fig1_cpds, fig2_cpds
+from repro.reach import registry
 
 
 class TestRefutation:
@@ -59,3 +60,28 @@ class TestCannotProve:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             context_bounded_analysis(fig1_cpds(), AlwaysSafe(), 2, engine="bdd")
+
+
+class TestPreparedEngine:
+    """A prepared engine's existing levels are checked, not skipped:
+    Fig. 1 first reaches shared state 3 at bound 2."""
+
+    @pytest.mark.parametrize("lane", ["explicit", "symbolic"])
+    @pytest.mark.parametrize("held", [1, 2, 3, 6])
+    def test_held_levels_are_checked(self, lane, held):
+        cpds = fig1_cpds()
+        engine = registry.create(lane, cpds)
+        engine.ensure_level(held)
+        result = context_bounded_analysis(
+            cpds, SharedStateReachability({3}), bound=4, engine=engine
+        )
+        assert (result.verdict, result.bound) == (Verdict.UNSAFE, 2)
+
+    def test_deeper_engine_reports_nothing_beyond_bound(self):
+        cpds = fig1_cpds()
+        engine = registry.create("explicit", cpds)
+        engine.ensure_level(4)
+        result = context_bounded_analysis(
+            cpds, SharedStateReachability({3}), bound=1, engine=engine
+        )
+        assert (result.verdict, result.bound) == (Verdict.UNKNOWN, 1)

@@ -65,7 +65,15 @@ class TestContract:
         assert cls.meter_prefix.endswith(".")
         assert cls.snapshot_kind > 0
         assert isinstance(cls.supports_witness, bool)
-        assert cls.preferred_algorithm in ("scheme1", "algorithm3")
+        assert isinstance(cls.generator_test, bool)
+
+    def test_generator_test_declared_where_levels_count_contexts(self):
+        # Thm. 11 is stated for context bounds: (Rk) and (Sk), not (Wk).
+        declared = {
+            name: registry.engine_class(name).generator_test
+            for name in ("explicit", "symbolic", "wuba")
+        }
+        assert declared == {"explicit": True, "symbolic": True, "wuba": False}
 
     @pytest.mark.parametrize("lane", lane_params())
     def test_meter_prefix_reaches_bench_and_service(self, lane):
