@@ -102,49 +102,3 @@ def test_fig1_stuttering_is_exercised(benchmark, report_sink):
     assert len(result.stats["plateaus_rejected"]) == 1
     assert result.stats["plateaus_rejected"][0]["k"] == 2
 
-
-def test_set_representation_ablation(benchmark, report_sink):
-    """The paper's Sec. 5 representation choice: extensional sets vs
-    BDDs for the finite visible-state sets T(Rk).  At benchmark scale
-    plain Python sets win on time; the BDD's O(1) canonicity-based
-    equality is the trade-off the paper's discussion anticipates."""
-    import time
-
-    from repro.bdd import VisibleSetBDD
-    from repro.models import bluetooth
-    from repro.reach import ExplicitReach
-
-    rows = report_sink(
-        "Ablation — T(Rk) representation: extensional set vs BDD",
-        ["store", "insert+dedup t(s)", "equality test", "members"],
-    )
-    compiled = bluetooth(3, 1, 1)
-    engine = ExplicitReach(compiled.cpds, track_traces=False)
-    engine.ensure_level(6)
-    visibles = [
-        (v.shared, *v.tops) for v in engine.visible_up_to()
-    ] * 3  # repeated inserts exercise dedup
-
-    def run_extensional():
-        store: set = set()
-        for row in visibles:
-            store.add(row)
-        return store
-
-    def run_bdd():
-        store = VisibleSetBDD.for_arity(3)
-        for row in visibles:
-            store.add(row)
-        return store
-
-    t0 = time.perf_counter()
-    extensional = run_extensional()
-    t_ext = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    bdd_store = benchmark.pedantic(run_bdd, rounds=1, iterations=1)
-    t_bdd = time.perf_counter() - t0
-
-    assert len(bdd_store) == len(extensional)
-    assert set(bdd_store) == extensional
-    rows.append(["set()", f"{t_ext:.4f}", "O(n) compare", len(extensional)])
-    rows.append(["BDD", f"{t_bdd:.4f}", "O(1) root compare", len(bdd_store)])

@@ -22,11 +22,14 @@ layers keep it cheap:
    changes, so stale entries can never be served.
 2. **Dense fused pipeline.**  Misses run the fused subset-construction →
    completion → Hopcroft O(n log n) minimization of
-   :mod:`repro.automata.dense` over contiguous int tables; the seed's
-   determinize → complete → Moore path (kept as the ``"moore"`` backend,
-   see :func:`set_backend`) built three intermediate automata per call
-   and re-sorted symbols by ``repr()``.  Symbol order now comes from the
-   intern tables of :mod:`repro.automata.intern`.
+   :mod:`repro.automata.dense` over contiguous int tables, behind that
+   module's own exact ``(table, accepting) → form`` memo: structurally
+   different inputs that subset-construct to the same table skip
+   Hopcroft.  The seed's determinize → complete → Moore path (kept as
+   the ``"moore"`` backend, see :func:`set_backend`) built three
+   intermediate automata per call and re-sorted symbols by ``repr()``.
+   Symbol order now comes from the intern tables of
+   :mod:`repro.automata.intern`.
 3. **Hash-consing.**  Every canonical result is interned by its canonical
    table: language-equal automata — even ones with *different* structural
    keys — share one immutable :class:`CanonicalNFA` and one
@@ -67,7 +70,7 @@ _NO_EDGES: dict = {}
 _cache: OrderedDict[tuple, tuple["CanonicalNFA", "Signature"]] = OrderedDict()
 #: Hash-cons table: canonical (symbols, bits, table) -> interned pair.
 _interned: dict[tuple, tuple["CanonicalNFA", "Signature"]] = {}
-#: Guards the memo/hash-cons tables and their counters.  The analysis
+#: Guards the memo and hash-cons tables.  The analysis
 #: service (PR 5) runs engines on a thread executor, which made these
 #: previously single-threaded globals concurrently mutated for the
 #: first time (``get`` → ``move_to_end`` must not race a clear or an
@@ -77,10 +80,6 @@ _interned: dict[tuple, tuple["CanonicalNFA", "Signature"]] = {}
 #: and the second's result is discarded at intern time.
 _lock = threading.Lock()
 _token = count()
-# Per-cache hit/miss totals: kept here (not read back from METER) so the
-# info dict stays consistent with the cache even if METER is reset.
-_hits = 0
-_misses = 0
 
 #: Active minimization backend: "dense" (Hopcroft, default) or "moore"
 #: (the seed pipeline, kept for differential tests and benchmarking).
@@ -161,10 +160,6 @@ class CanonicalNFA(NFA):
         return self._useful_edges
 
 
-#: Legacy alias for the signature payload type.
-SignatureKey = tuple
-
-
 def set_backend(name: str) -> str:
     """Select the minimization backend (``"dense"`` or ``"moore"``);
     returns the previous one.  Both produce identical canonical forms
@@ -175,10 +170,6 @@ def set_backend(name: str) -> str:
     previous = _backend
     _backend = name
     return previous
-
-
-def get_backend() -> str:
-    return _backend
 
 
 @contextmanager
@@ -192,27 +183,11 @@ def backend(name: str):
 
 
 def canonical_cache_clear() -> None:
-    """Drop every memoized canonicalization, the hash-cons table, and the
-    hit/miss totals (test isolation; the shared runtime-cache cleanup)."""
-    global _hits, _misses
+    """Drop every memoized canonicalization and the hash-cons table
+    (test isolation; the shared runtime-cache cleanup)."""
     with _lock:
         _cache.clear()
         _interned.clear()
-        _hits = 0
-        _misses = 0
-
-
-def canonical_cache_info() -> dict[str, int]:
-    """Current size and hit/miss totals (since the last clear) of the
-    memo cache, plus the number of hash-consed distinct languages."""
-    with _lock:
-        return {
-            "size": len(_cache),
-            "maxsize": CANONICAL_CACHE_SIZE,
-            "hits": _hits,
-            "misses": _misses,
-            "interned": len(_interned),
-        }
 
 
 def _structural_key(nfa: NFA, symbols: tuple, entry: frozenset) -> tuple:
@@ -332,15 +307,12 @@ def canonical_nfa(
         initial = list(initial)
     entry = frozenset(nfa.initial if initial is None else initial)
     key = _structural_key(nfa, symbols, entry)
-    global _hits, _misses
     with _lock:
         cached = _cache.get(key)
         if cached is not None:
             _cache.move_to_end(key)
-            _hits += 1
             METER.bump("canonical.cache_hits")
             return cached
-        _misses += 1
     METER.bump("canonical.cache_misses")
     if _backend == "dense":
         bits, table = dense.canonical_form(nfa, symbols, initial=initial)

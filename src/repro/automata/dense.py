@@ -13,6 +13,16 @@ plain tuples — the only :class:`~repro.automata.nfa.NFA` ever built is
 the final canonical DFA, constructed by the caller
 (:mod:`repro.automata.canonical`) from the returned table.
 
+One memo sits between the subset construction and Hopcroft.  Distinct
+NFAs routinely subset-construct to the *same* dense table (language-equal
+saturation results with different state names; the same frontier
+automaton rebuilt object-fresh every level), which the structural memo
+of :mod:`repro.automata.canonical` cannot see.  :func:`canonical_form`
+keys a bounded LRU by the exact ``(rows, accepting)`` table and runs
+Hopcroft and the renumbering only on a miss (METER
+``canonical.form_hits`` / ``canonical.form_misses``).  The key is the
+whole table, so a hit returns exactly the form a fresh run would.
+
 Moore refinement survives in :func:`repro.automata.ops.minimize` as the
 differential oracle; ``tests/automata/test_hopcroft.py`` checks the two
 produce identical canonical forms on randomized NFAs.
@@ -32,93 +42,25 @@ Symbol = Hashable
 
 _NO_EDGES: dict = {}
 
-#: Bound on the memoized inverse-edge lists (LRU eviction).
-PRE_CACHE_SIZE = 512
+#: Bound on the memoized canonical forms (LRU eviction).
+FORM_CACHE_SIZE = 512
 
-#: Tables at or below this cell count (states × symbols) bypass the
-#: cache: building their preimage lists costs less than constructing
-#: the cache key, so caching them is pure overhead.  The
-#: Stefan-1-class models live entirely below this line; the
-#: canonicalization-heavy rows (FileCrawler, BST, Bluetooth) put ~90%
-#: of their Hopcroft calls — and ~90% repeat rates — above it.
-PRE_CACHE_MIN_CELLS = 64
-
-#: Inverse-transition-list cache, keyed by the dense row table — the
-#: structural signature of the complete DFA.  Distinct NFAs routinely
-#: subset-construct to the *same* table (language-equal saturation
-#: results with different state names), and the canonicalization LRU in
-#: :mod:`repro.automata.canonical` only dedups structurally identical
-#: inputs, so Hopcroft used to rebuild identical preimage lists per
-#: canonicalization.  Entries are treated as immutable (Hopcroft only
-#: reads them); the cache is value-keyed and deterministic, so it is
-#: never invalidated, only evicted (and cleared by
-#: :func:`pre_cache_clear` for test isolation / benchmark cold runs).
-_pre_cache: OrderedDict[tuple, list] = OrderedDict()
-#: The analysis service's thread executor (PR 5) mutates the cache
-#: concurrently; ``get`` → ``move_to_end`` must not race a clear or an
-#: eviction.  The list build runs outside the lock.
-_pre_lock = threading.Lock()
+#: Canonical forms keyed by the exact dense table:
+#: ``(rows, accepting) -> (accepting bits, table)``.  Value-keyed and
+#: deterministic, so it is never invalidated, only evicted (and cleared
+#: by :func:`form_cache_clear` for test isolation / benchmark cold runs).
+_form_cache: OrderedDict[tuple, tuple] = OrderedDict()
+#: The analysis service's thread executor shares the memo; ``get`` →
+#: ``move_to_end`` must not race a clear or an eviction.  Hopcroft runs
+#: outside the lock.
+_form_lock = threading.Lock()
 
 
-#: Bound on the incremental-minimization partition cache (LRU).
-INC_CACHE_SIZE = 256
-
-#: How many recent cached tables are scanned for a near-identical
-#: predecessor before giving up and minimizing from scratch.  Frontier
-#: levels canonicalize bursts of near-duplicates, so the match is
-#: almost always among the newest entries; scanning the whole LRU
-#: would make every *miss* pay O(cache · n).
-INC_MAX_CANDIDATES = 8
-
-#: Final minimal partitions of recently minimized tables, keyed by the
-#: dense row table: ``rows -> (accepting bits, block_of, n_blocks)``.
-#: Seeds :func:`hopcroft_incremental`; cleared with the pre-cache.
-_inc_cache: OrderedDict[tuple, tuple] = OrderedDict()
-
-
-def pre_cache_clear() -> None:
-    """Drop the memoized Hopcroft inverse-edge lists and the incremental
-    partition cache (test isolation; the shared runtime-cache cleanup)."""
-    with _pre_lock:
-        _pre_cache.clear()
-        _inc_cache.clear()
-
-
-def _build_inverse(rows: list[list[int]], n: int, m: int) -> list[list[list[int]]]:
-    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(m)]
-    for src in range(n):
-        row = rows[src]
-        for a in range(m):
-            pre[a][row[a]].append(src)
-    return pre
-
-
-def _inverse_lists(rows: list[list[int]]) -> list:
-    """``pre[a][q]`` = states reaching ``q`` under symbol ``a``, cached
-    per dense table above :data:`PRE_CACHE_MIN_CELLS` (METER:
-    ``canonical.hopcroft_pre_builds`` / ``canonical.hopcroft_pre_hits``
-    record the rebuild savings).  Callers must not mutate the result."""
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    if n * m <= PRE_CACHE_MIN_CELLS:
-        # Counted so BENCH hit-rate denominators are exact: calls below
-        # the caching threshold are neither builds nor hits.
-        METER.bump("canonical.hopcroft_pre_bypass")
-        return _build_inverse(rows, n, m)
-    key = tuple(map(tuple, rows))
-    with _pre_lock:
-        cached = _pre_cache.get(key)
-        if cached is not None:
-            _pre_cache.move_to_end(key)
-            METER.bump("canonical.hopcroft_pre_hits")
-            return cached
-    METER.bump("canonical.hopcroft_pre_builds")
-    pre = _build_inverse(rows, n, m)
-    with _pre_lock:
-        _pre_cache[key] = pre
-        while len(_pre_cache) > PRE_CACHE_SIZE:
-            _pre_cache.popitem(last=False)
-    return pre
+def form_cache_clear() -> None:
+    """Drop the memoized canonical forms (test isolation; the shared
+    runtime-cache cleanup)."""
+    with _form_lock:
+        _form_cache.clear()
 
 
 def subset_tables(
@@ -179,29 +121,45 @@ def subset_tables(
     return rows, acc
 
 
-def _refine(
-    rows: list[list[int]],
-    pre: list,
-    blocks: list[set[int]],
-    block_of: list[int],
-    pending: list[tuple[int, int]],
-    pending_set: set[tuple[int, int]],
-) -> int:
-    """Run the Hopcroft worklist to stability from an arbitrary seed
-    partition; mutates ``blocks``/``block_of`` in place and returns the
-    number of splits performed.
+def hopcroft(rows: list[list[int]], accepting: list[bool]) -> list[int]:
+    """Hopcroft partition refinement on a complete int-table DFA.
 
-    Worklist discipline: when a block splits, the carved part is queued
-    for every symbol if the old block was queued, else the smaller half
-    is — the "smaller half" rule that bounds total splitter work by
-    O(n log n) preimage visits.  Soundness for non-classic seeds
-    requires the caller to enqueue, per symbol, every seed block except
-    at most one: a complete deterministic table partitions each state
-    into exactly one preimage, so stability against all-but-one block
-    implies stability against the last.
+    Returns ``block_of[state] -> block id`` for the coarsest partition
+    that separates accepting from rejecting states and is stable under
+    every symbol.
+
+    Worklist discipline: the smaller of the accepting/rejecting blocks
+    is queued for every symbol; when a block splits, the carved part is
+    queued for every symbol if the old block was queued, else the
+    smaller half is — the "smaller half" rule that bounds total splitter
+    work by O(n log n) preimage visits.
     """
-    m = len(rows[0]) if rows else 0
-    splits = 0
+    n = len(rows)
+    if n == 0:
+        return []
+    m = len(rows[0])
+    # Inverse transition lists: pre[a][q] = states reaching q under a.
+    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(m)]
+    for src, row in enumerate(rows):
+        for a in range(m):
+            pre[a][row[a]].append(src)
+
+    blocks: list[set[int]] = []
+    block_of = [0] * n
+    acc_states = [q for q in range(n) if accepting[q]]
+    rej_states = [q for q in range(n) if not accepting[q]]
+    for group in (acc_states, rej_states):
+        if group:
+            bid = len(blocks)
+            blocks.append(set(group))
+            for q in group:
+                block_of[q] = bid
+
+    pending: list[tuple[int, int]] = []
+    if len(blocks) == 2:
+        seed = 0 if len(blocks[0]) <= len(blocks[1]) else 1
+        pending = [(seed, a) for a in range(m)]
+    pending_set = set(pending)
     while pending:
         item = pending.pop()
         pending_set.discard(item)
@@ -225,7 +183,6 @@ def _refine(
             old -= carved
             for p in carved:
                 block_of[p] = nid
-            splits += 1
             smaller = nid if len(carved) <= len(old) else cid
             for b in range(m):
                 if (cid, b) in pending_set:
@@ -235,230 +192,7 @@ def _refine(
                 if grown not in pending_set:
                     pending.append(grown)
                     pending_set.add(grown)
-    return splits
-
-
-def _full_refine(
-    rows: list[list[int]], accepting: list[bool], pre: list
-) -> list[int]:
-    """Classic Hopcroft: seed with the accepting/rejecting split and the
-    smaller half queued for every symbol, refine to stability."""
-    n = len(rows)
-    m = len(rows[0])
-    blocks: list[set[int]] = []
-    block_of = [0] * n
-    acc_states = [q for q in range(n) if accepting[q]]
-    rej_states = [q for q in range(n) if not accepting[q]]
-    for group in (acc_states, rej_states):
-        if group:
-            bid = len(blocks)
-            blocks.append(set(group))
-            for q in group:
-                block_of[q] = bid
-
-    pending: list[tuple[int, int]] = []
-    pending_set: set[tuple[int, int]] = set()
-    if len(blocks) == 2:
-        seed = 0 if len(blocks[0]) <= len(blocks[1]) else 1
-        for a in range(m):
-            item = (seed, a)
-            pending.append(item)
-            pending_set.add(item)
-    _refine(rows, pre, blocks, block_of, pending, pending_set)
     return block_of
-
-
-def hopcroft(rows: list[list[int]], accepting: list[bool]) -> list[int]:
-    """Hopcroft partition refinement on a complete int-table DFA.
-
-    Returns ``block_of[state] -> block id`` for the coarsest partition
-    that separates accepting from rejecting states and is stable under
-    every symbol.  This is the from-scratch correctness baseline;
-    :func:`hopcroft_incremental` layers predecessor-seeded reuse on top
-    and must always agree with it.
-    """
-    n = len(rows)
-    if n == 0:
-        return []
-    # Inverse transition lists: pre[a][q] = states reaching q under a
-    # (cached per table; see _inverse_lists).
-    return _full_refine(rows, accepting, _inverse_lists(rows))
-
-
-def _inc_candidates() -> list[tuple[tuple, tuple]]:
-    """Snapshot the newest cached ``(rows, (acc, partition, n_blocks))``
-    entries for the predecessor scan, newest first.  Values are
-    immutable tuples, so reading them outside the lock is safe.  Walks
-    ``reversed(_inc_cache)`` instead of materializing all
-    ``INC_CACHE_SIZE`` items — this runs on every cache miss, and the
-    full copy dominated the miss path's cost."""
-    out: list[tuple[tuple, tuple]] = []
-    with _pre_lock:
-        for key in reversed(_inc_cache):
-            out.append((key, _inc_cache[key]))
-            if len(out) == INC_MAX_CANDIDATES:
-                break
-    return out
-
-
-def _inc_store(rows_t: tuple, acc_t: tuple, block_of: list[int]) -> None:
-    n_blocks = max(block_of) + 1 if block_of else 0
-    with _pre_lock:
-        _inc_cache[rows_t] = (acc_t, tuple(block_of), n_blocks)
-        _inc_cache.move_to_end(rows_t)
-        while len(_inc_cache) > INC_CACHE_SIZE:
-            _inc_cache.popitem(last=False)
-
-
-def hopcroft_incremental(
-    rows: list[list[int]], accepting: list[bool]
-) -> list[int]:
-    """Hopcroft with predecessor-seeded reuse (same contract as
-    :func:`hopcroft`: the minimal stable partition, as ``block_of``).
-
-    Frontier levels canonicalize near-identical automata: one expansion
-    perturbs a few states of an otherwise-repeated dense table.  When a
-    recently minimized table differs from this one by a bounded edit set,
-    refinement is seeded from the predecessor's *final* partition
-    intersected with this table's accepting split, instead of restarting
-    from the two-block accepting/rejecting seed.
-
-    Seeding invariants (why this is sound):
-
-    * Refinement only ever splits, so a seed that over-separates states
-      cannot be repaired by refinement alone — the stable result may be
-      finer than minimal.  The seeded pass is therefore followed by a
-      *quotient* pass: collapse the stable partition to a block-level
-      DFA (well-defined exactly because the partition is stable) and run
-      full Hopcroft on it, composing the two partitions.  Block-level
-      equivalence is language equality of the underlying states, so the
-      composition is the Myhill–Nerode partition — minimal by
-      construction regardless of how good the seed was.
-    * The seeded worklist enqueues every seed block except the largest,
-      per symbol — the all-but-one cover :func:`_refine` needs to reach
-      true stability from a non-classic seed.
-    * The quotient table is at most minimal-DFA-sized, so the extra pass
-      costs O(b·m) with b ≪ n on the cache-hit path.
-
-    METER: ``canonical.hopcroft_incremental_hits`` counts seeded runs,
-    ``_resplits`` the splits the seeded refinement still had to do (the
-    reuse-rate proof: hits with few resplits mean the predecessor
-    partition carried over), ``_misses`` the from-scratch runs on tables
-    with no close-enough predecessor.
-    """
-    if trace.enabled():
-        # The path label (hit/miss/bypass) is read back off the METER
-        # counters the impl already bumps, so the span stays an
-        # annotation and never forks the control flow.
-        hits = METER.get("canonical.hopcroft_incremental_hits")
-        misses = METER.get("canonical.hopcroft_incremental_misses")
-        with trace.span(
-            "canonical.hopcroft_incremental", states=len(rows)
-        ) as timing:
-            block_of = _hopcroft_incremental(rows, accepting)
-            timing.set(
-                path="hit"
-                if METER.get("canonical.hopcroft_incremental_hits") > hits
-                else "miss"
-                if METER.get("canonical.hopcroft_incremental_misses") > misses
-                else "bypass"
-            )
-            return block_of
-    return _hopcroft_incremental(rows, accepting)
-
-
-def _hopcroft_incremental(
-    rows: list[list[int]], accepting: list[bool]
-) -> list[int]:
-    n = len(rows)
-    if n == 0:
-        return []
-    m = len(rows[0])
-    if n * m <= PRE_CACHE_MIN_CELLS:
-        # Below the caching threshold the seed bookkeeping costs more
-        # than the refinement it saves; stay on the plain path (and out
-        # of the caches), like the pre-cache bypass.
-        return hopcroft(rows, accepting)
-    rows_t = tuple(map(tuple, rows))
-    acc_t = tuple(bool(b) for b in accepting)
-
-    # Exact repeats dominate on frontier workloads (the same dense table
-    # is rebuilt object-fresh every level), and the cache is keyed by
-    # rows — probe it directly before any candidate scanning.
-    with _pre_lock:
-        cached = _inc_cache.get(rows_t)
-        if cached is not None and cached[0] == acc_t:
-            _inc_cache.move_to_end(rows_t)
-            METER.bump("canonical.hopcroft_incremental_hits")
-            return list(cached[1])
-
-    seed: tuple | None = None
-    max_edits = max(4, n // 4)
-    for cand_rows, (cand_acc, cand_blocks, _nb) in _inc_candidates():
-        if len(cand_rows) != n or len(cand_rows[0]) != m:
-            continue
-        edits = 0
-        for q in range(n):
-            if rows_t[q] != cand_rows[q] or acc_t[q] != cand_acc[q]:
-                edits += 1
-                if edits > max_edits:
-                    break
-        if edits == 0:
-            # Structurally identical table (probe missed on a differing
-            # accepting vector): the cached final partition is the answer.
-            METER.bump("canonical.hopcroft_incremental_hits")
-            return list(cand_blocks)
-        if edits <= max_edits:
-            seed = cand_blocks
-            break
-
-    if seed is None:
-        METER.bump("canonical.hopcroft_incremental_misses")
-        block_of = _full_refine(rows, accepting, _inverse_lists(rows))
-        _inc_store(rows_t, acc_t, block_of)
-        return block_of
-
-    METER.bump("canonical.hopcroft_incremental_hits")
-    # Seed partition: predecessor's final partition ∧ accepting split.
-    mapping: dict[int, int] = {}
-    blocks: list[set[int]] = []
-    block_of = [0] * n
-    for q in range(n):
-        key = (seed[q] << 1) | acc_t[q]
-        bid = mapping.get(key)
-        if bid is None:
-            mapping[key] = bid = len(blocks)
-            blocks.append(set())
-        blocks[bid].add(q)
-        block_of[q] = bid
-    largest = max(range(len(blocks)), key=lambda b: len(blocks[b]))
-    pending = [
-        (bid, a)
-        for bid in range(len(blocks))
-        if bid != largest
-        for a in range(m)
-    ]
-    pending_set = set(pending)
-    resplits = _refine(
-        rows, _inverse_lists(rows), blocks, block_of, pending, pending_set
-    )
-    if resplits:
-        METER.bump("canonical.hopcroft_incremental_resplits", resplits)
-
-    # Quotient pass: minimize the block-level DFA and compose, restoring
-    # minimality an over-fine seed would otherwise leak through.
-    nb = len(blocks)
-    qrows: list[list[int] | None] = [None] * nb
-    qacc = [False] * nb
-    for q in range(n):
-        b = block_of[q]
-        if qrows[b] is None:
-            qrows[b] = [block_of[t] for t in rows[q]]
-            qacc[b] = acc_t[q]
-    qblock_of = _full_refine(qrows, qacc, _build_inverse(qrows, nb, m))
-    final = [qblock_of[b] for b in block_of]
-    _inc_store(rows_t, acc_t, final)
-    return final
 
 
 def canonical_form(
@@ -484,7 +218,33 @@ def _canonical_form(
     nfa: NFA, symbols: Sequence[Symbol], initial=None
 ) -> tuple[tuple[bool, ...], tuple[tuple[int, ...], ...]]:
     rows, acc = subset_tables(nfa, symbols, initial=initial)
-    block_of = hopcroft_incremental(rows, acc)
+    key = (tuple(map(tuple, rows)), tuple(acc))
+    with _form_lock:
+        form = _form_cache.get(key)
+        if form is not None:
+            _form_cache.move_to_end(key)
+    if form is not None:
+        METER.bump("canonical.form_hits")
+        # Hand out fresh tuples: tables of different alphabets share a
+        # memo entry, and pickle's identity memo would otherwise make a
+        # symbolic snapshot's bytes depend on the memo's history.
+        bits, table = form
+        return tuple(list(bits)), tuple([tuple(list(row)) for row in table])
+    METER.bump("canonical.form_misses")
+    form = _minimal_form(rows, acc)
+    with _form_lock:
+        _form_cache[key] = form
+        while len(_form_cache) > FORM_CACHE_SIZE:
+            _form_cache.popitem(last=False)
+    return form
+
+
+def _minimal_form(
+    rows: list[list[int]], acc: list[bool]
+) -> tuple[tuple[bool, ...], tuple[tuple[int, ...], ...]]:
+    """Minimize the table with :func:`hopcroft` and renumber the blocks
+    breadth-first from the start state."""
+    block_of = hopcroft(rows, acc)
     n_blocks = max(block_of) + 1 if block_of else 0
     brows: list[list[int] | None] = [None] * n_blocks
     bacc = [False] * n_blocks

@@ -31,11 +31,14 @@ process.
 
 Naming convention (see ROADMAP Reference): dotted lowercase,
 ``<layer>.<phase>`` — ``service.request``, ``service.engine_run``,
-``lane.run``, ``<lane>.level`` (emitted by the
+``executor.dispatch``, ``lane.run``, ``lane.applicable``,
+``cuba.generators``, ``<lane>.level`` (emitted by the
 :class:`~repro.reach.base.ReachabilityEngine` template method, so every
 lane — including future ones — inherits per-level spans for free),
-``explicit.saturation``, ``explicit.decode``, ``canonical.form``,
-``snapshot.encode``/``decode``, ``store.transaction``.
+``explicit.saturation``, ``explicit.decode``, ``symbolic.saturate``,
+``canonical.form`` (one per dense canonicalization, form-memo hits
+included), ``snapshot.encode``/``decode``, ``store.transaction``,
+``verify.request``.
 """
 
 from __future__ import annotations

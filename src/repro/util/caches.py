@@ -2,7 +2,7 @@
 
 Several subsystems keep process-global caches: the canonicalization
 memo and hash-cons tables (:mod:`repro.automata.canonical`) and the
-Hopcroft preimage-list cache (:mod:`repro.automata.dense`).  Before the
+dense-table form memo (:mod:`repro.automata.dense`).  Before the
 analysis service existed, only the benchmark runner cleared them (its
 cold-run contract); a long-lived daemon that never routed through the
 bench path would accumulate canonical tables without bound.
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 def clear_runtime_caches() -> None:
     """Reset every process-global cache: the canonicalization memo and
-    hash-cons table, and the Hopcroft pre-cache."""
+    hash-cons table, and the dense-table form memo."""
     from repro.automata import canonical, dense
 
     canonical.canonical_cache_clear()
-    dense.pre_cache_clear()
+    dense.form_cache_clear()

@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import EPSILON, NFA, canonical_signature, determinize, language_equal
-from repro.automata.canonical import (
-    canonical_cache_clear,
-    canonical_cache_info,
-    canonical_nfa,
-)
+from repro.automata.canonical import canonical_cache_clear, canonical_nfa
+from repro.util.meter import scoped
 
 ALPHABET = ("a", "b")
 
@@ -99,10 +96,11 @@ class TestCanonicalMemoization:
 
     def test_cache_hit_counted(self):
         canonical_cache_clear()
-        before = canonical_cache_info()["hits"]
-        canonical_nfa(ends_in_b(), ALPHABET)
-        canonical_nfa(ends_in_b(), ALPHABET)
-        assert canonical_cache_info()["hits"] == before + 1
+        with scoped() as work:
+            canonical_nfa(ends_in_b(), ALPHABET)
+            canonical_nfa(ends_in_b(), ALPHABET)
+        assert work.get("canonical.cache_hits", 0) == 1
+        assert work.get("canonical.cache_misses", 0) == 1
 
     def test_clear_forces_recomputation_with_equal_results(self):
         canonical_cache_clear()

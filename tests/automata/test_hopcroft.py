@@ -114,21 +114,23 @@ class TestDenseTables:
 
 
 class TestInverseEdgeCache:
-    """Hopcroft preimage lists are cached per dense table (above the
-    small-table bypass threshold): repeated canonicalizations of the
-    same (or a same-table) automaton stop rebuilding them, visible
-    through the METER rebuild counters."""
+    """Canonical forms are memoized per exact dense table: a repeated
+    table (even from a differently built automaton) skips Hopcroft,
+    visible through ``canonical.form_hits`` / ``canonical.form_misses``,
+    and yields the form an uncached run does."""
 
-    def _nfa(self):
-        """A chain automaton whose complete DFA clears the bypass
-        threshold (> PRE_CACHE_MIN_CELLS cells)."""
-        from repro.automata.dense import PRE_CACHE_MIN_CELLS
-
-        length = PRE_CACHE_MIN_CELLS // len(ALPHABET) + 2
+    def _nfa(self, length=6):
         nfa = NFA(initial=[0], accepting=[length])
         for i in range(length):
             nfa.add_transition(i, "a", i + 1)
             nfa.add_transition(i, "b", i)
+        return nfa
+
+    def _word(self, word):
+        """The one-word language {word}: distinct words, distinct tables."""
+        nfa = NFA(initial=[0], accepting=[len(word)])
+        for i, symbol in enumerate(word):
+            nfa.add_transition(i, symbol, i + 1)
         return nfa
 
     def test_rebuilds_drop_on_repeated_canonicalization(self):
@@ -136,57 +138,66 @@ class TestInverseEdgeCache:
         from repro.util.meter import scoped
 
         nfa = self._nfa()
-        dense.pre_cache_clear()
+        dense.form_cache_clear()
         canonical_cache_clear()
         with backend("dense"), scoped() as first:
             canonical_nfa(nfa, ALPHABET)
-        assert first.get("canonical.hopcroft_pre_builds", 0) == 1
-        assert first.get("canonical.hopcroft_pre_hits", 0) == 0
-        assert first.get("canonical.hopcroft_incremental_misses", 0) == 1
+        assert first.get("canonical.form_misses", 0) == 1
+        assert first.get("canonical.form_hits", 0) == 0
         # A second canonicalization (structural memo cleared, so the
-        # dense pipeline runs again) exact-hits the incremental
-        # partition cache — no refinement, no inverse lists at all.
+        # dense pipeline runs again) hits the form memo: no Hopcroft.
         canonical_cache_clear()
         with backend("dense"), scoped() as second:
             canonical_nfa(nfa, ALPHABET)
-        assert second.get("canonical.hopcroft_pre_builds", 0) == 0
-        assert second.get("canonical.hopcroft_pre_hits", 0) == 0
-        assert second.get("canonical.hopcroft_incremental_hits", 0) == 1
-        assert second.get("canonical.hopcroft_incremental_resplits", 0) == 0
+        assert second.get("canonical.form_misses", 0) == 0
+        assert second.get("canonical.form_hits", 0) == 1
 
     def test_small_tables_bypass_the_cache(self):
+        """There is no small-table bypass any more: a 2-state table is
+        memoized like any other, and ``clear_runtime_caches`` empties
+        the memo."""
         from repro.automata import dense
+        from repro.util.caches import clear_runtime_caches
         from repro.util.meter import scoped
 
-        dense.pre_cache_clear()
-        rows = [[1, 2], [1, 2], [2, 2]]  # 6 cells: under the threshold
+        clear_runtime_caches()
+        symbols = sort_symbols(ALPHABET)
         with scoped() as work:
-            hopcroft(rows, [False, False, True])
-            hopcroft(rows, [False, False, True])
-        assert work.get("canonical.hopcroft_pre_builds", 0) == 0
-        assert work.get("canonical.hopcroft_pre_hits", 0) == 0
-        assert len(dense._pre_cache) == 0
+            canonical_form(self._word("a"), symbols)
+            canonical_form(self._word("a"), symbols)
+        assert work.get("canonical.form_misses", 0) == 1
+        assert work.get("canonical.form_hits", 0) == 1
+        assert len(dense._form_cache) == 1
+        clear_runtime_caches()
+        assert len(dense._form_cache) == 0
 
     def test_cached_lists_produce_identical_partition(self):
         from repro.automata import dense
 
-        size = dense.PRE_CACHE_MIN_CELLS + 2
-        rows = [[(q + 1) % size] for q in range(size)]  # one-symbol cycle
-        accepting = [q == 0 for q in range(size)]
-        dense.pre_cache_clear()
-        cold = hopcroft(rows, accepting)
-        assert len(dense._pre_cache) == 1
-        warm = hopcroft(rows, accepting)  # served from the cache
-        assert cold == warm
+        symbols = sort_symbols(ALPHABET)
+        renamed = NFA(initial=["s0"], accepting=["s6"])
+        for i in range(6):
+            renamed.add_transition(f"s{i}", "a", f"s{i + 1}")
+            renamed.add_transition(f"s{i}", "b", f"s{i}")
+        dense.form_cache_clear()
+        cold = canonical_form(self._nfa(), symbols)
+        assert len(dense._form_cache) == 1
+        warm = canonical_form(renamed, symbols)  # same table: a hit
+        assert len(dense._form_cache) == 1
+        dense.form_cache_clear()
+        assert cold == warm == canonical_form(renamed, symbols)
 
     def test_cache_is_bounded(self):
+        import itertools
+
         from repro.automata import dense
 
-        dense.pre_cache_clear()
-        width = dense.PRE_CACHE_MIN_CELLS + 1
-        for i in range(dense.PRE_CACHE_SIZE + 10):
-            hopcroft([[0] * (width + i)], [True])  # distinct per width
-        assert len(dense._pre_cache) <= dense.PRE_CACHE_SIZE
+        symbols = sort_symbols(ALPHABET)
+        words = itertools.product(ALPHABET, repeat=10)
+        dense.form_cache_clear()
+        for word in itertools.islice(words, dense.FORM_CACHE_SIZE + 10):
+            canonical_form(self._word(word), symbols)
+        assert len(dense._form_cache) == dense.FORM_CACHE_SIZE
 
 
 class TestUsefulEdges:

@@ -1,25 +1,16 @@
-"""Incremental Hopcroft ≡ full Hopcroft ≡ Moore (PR 8).
+"""The dense-table form memo of :func:`repro.automata.dense.canonical_form`.
 
-:func:`repro.automata.dense.hopcroft_incremental` seeds partition
-refinement from a cached predecessor's final partition when a new dense
-table differs by a bounded edit set.  Seeding can only over-split
-(refinement never merges), so the implementation quotients and
-re-minimizes — these tests pin that the composed result is *always* the
-minimal partition, regardless of cache state:
+``canonical_form`` keys one bounded LRU by the exact ``(rows,
+accepting)`` table its subset construction produced and runs Hopcroft
+only on a miss.  These tests drive it with random complete tables
+(wrapped as NFAs) and pin that the memo never changes an answer:
 
-* randomized property tests compare the partition against full
-  :func:`~repro.automata.dense.hopcroft` on the same table, with the
-  cache warmed by edited predecessors (the seeded path) and cold (the
-  from-scratch path);
-* the canonical pipeline differential (dense vs Moore oracle) already
-  runs in ``test_hopcroft.py``; here the incremental layer is driven
-  directly with adversarial edits — acceptance flips, redirected edges,
-  merges that make previously distinct states equivalent (the case a
-  naive seed-without-quotient implementation gets wrong);
-* METER counters: ``canonical.hopcroft_incremental_hits``/``_misses``
-  partition the calls, ``_resplits`` counts seeded splits, and the
-  ``canonical.hopcroft_pre_bypass`` satellite makes small-table calls
-  visible to the BENCH hit-rate denominators.
+* a cold run yields the minimal form — the one the Moore oracle
+  produces through ``canonical.backend("moore")``;
+* an exact repeat is a ``canonical.form_hits`` hit with the same form,
+  a different table is a ``canonical.form_misses`` miss;
+* the memo stays within :data:`~repro.automata.dense.FORM_CACHE_SIZE`
+  and :func:`~repro.automata.dense.form_cache_clear` empties it.
 """
 
 import random
@@ -27,173 +18,81 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata import dense
-from repro.automata.dense import hopcroft, hopcroft_incremental
+from repro.automata import NFA, dense
+from repro.automata.canonical import backend, canonical_cache_clear, canonical_nfa
+from repro.automata.dense import canonical_form
+from repro.automata.intern import sort_symbols
 from repro.util.meter import scoped
 
-#: Table sizes comfortably above PRE_CACHE_MIN_CELLS so the incremental
-#: layer engages (n * m > 64).
 N_STATES = 40
-N_SYMBOLS = 2
+SYMBOLS = tuple(sort_symbols(("a", "b")))
 
 
-def _partition_key(block_of):
-    """Canonical renumbering of a partition (first-occurrence order) so
-    two partitions compare equal iff they group states identically."""
-    seen = {}
-    return tuple(seen.setdefault(b, len(seen)) for b in block_of)
-
-
-def _random_table(rng, n=N_STATES, m=N_SYMBOLS):
+def _random_table(rng, n=N_STATES, m=len(SYMBOLS)):
     rows = [[rng.randrange(n) for _ in range(m)] for _ in range(n)]
     acc = [rng.random() < 0.3 for _ in range(n)]
     return rows, acc
 
 
-def _edit(rng, rows, acc, n_edits):
-    """Perturb a few states: redirect edges and/or flip acceptance."""
-    rows = [list(r) for r in rows]
-    acc = list(acc)
-    n = len(rows)
-    for _ in range(n_edits):
-        q = rng.randrange(n)
-        if rng.random() < 0.5:
-            rows[q][rng.randrange(len(rows[q]))] = rng.randrange(n)
-        else:
-            acc[q] = not acc[q]
-    return rows, acc
+def _as_nfa(rows, acc):
+    """The complete DFA ``rows``/``acc`` as an NFA entered at state 0."""
+    nfa = NFA(initial=[0], accepting=[q for q, a in enumerate(acc) if a])
+    for q, row in enumerate(rows):
+        nfa.add_state(q)
+        for symbol, target in zip(SYMBOLS, row):
+            nfa.add_transition(q, symbol, target)
+    return nfa
 
 
-@st.composite
-def table_and_edits(draw):
-    seed = draw(st.integers(min_value=0, max_value=10**6))
-    n_edits = draw(st.integers(min_value=1, max_value=8))
-    return seed, n_edits
+def _moore_form(nfa):
+    canonical_cache_clear()
+    with backend("moore"):
+        _dfa, sig = canonical_nfa(nfa, SYMBOLS)
+    _symbols, bits, table = sig.key
+    return bits, table
 
 
 class TestIncrementalEqualsFull:
-    @settings(max_examples=80, deadline=None)
-    @given(table_and_edits())
-    def test_seeded_path_is_minimal(self, params):
-        """Warm the cache with a table, then minimize a bounded edit of
-        it: the seeded partition must equal full Hopcroft's."""
-        seed, n_edits = params
-        rng = random.Random(seed)
-        rows, acc = _random_table(rng)
-        dense.pre_cache_clear()
-        hopcroft_incremental(rows, acc)  # warm the predecessor cache
-        edited_rows, edited_acc = _edit(rng, rows, acc, n_edits)
-        incremental = hopcroft_incremental(edited_rows, edited_acc)
-        full = hopcroft(edited_rows, edited_acc)
-        assert _partition_key(incremental) == _partition_key(full)
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_cold_path_is_minimal(self, seed):
-        rng = random.Random(seed)
-        rows, acc = _random_table(rng)
-        dense.pre_cache_clear()
-        incremental = hopcroft_incremental(rows, acc)
-        full = hopcroft(rows, acc)
-        assert _partition_key(incremental) == _partition_key(full)
-
-    def test_merge_edit_does_not_leak_an_overfine_seed(self):
-        """The adversarial case for seed-only reuse: an edit that makes
-        two previously *distinct* states equivalent.  The predecessor's
-        partition separates them; refinement cannot merge them back, so
-        only the quotient pass restores minimality."""
-        n, m = N_STATES, N_SYMBOLS
-        # Two chains of equal length ending in distinct sinks — states
-        # i and i + n//2 are inequivalent solely because the sinks'
-        # acceptance differs.
-        half = n // 2
-        rows = []
-        acc = []
-        for q in range(n):
-            base = half if q >= half else 0
-            nxt = base + min(q % half + 1, half - 1)
-            rows.append([nxt] * m)
-            acc.append(q == half - 1)  # only chain 1's sink accepts
-        dense.pre_cache_clear()
-        hopcroft_incremental(rows, acc)
-        # Flip the second sink to accepting too: the chains collapse
-        # pairwise and the minimal DFA halves.
-        edited_acc = list(acc)
-        edited_acc[n - 1] = True
-        incremental = hopcroft_incremental(rows, edited_acc)
-        full = hopcroft(rows, edited_acc)
-        assert _partition_key(incremental) == _partition_key(full)
-        # Sanity: the edit genuinely merged blocks, so a seed-only
-        # implementation (no quotient) would have returned too many.
-        assert len(set(incremental)) == len(set(full))
-        assert len(set(full)) < len(set(hopcroft(rows, acc)))
+        nfa = _as_nfa(*_random_table(random.Random(seed)))
+        dense.form_cache_clear()
+        with scoped() as work:
+            form = canonical_form(nfa, SYMBOLS)
+        assert work.get("canonical.form_misses", 0) == 1
+        assert form == _moore_form(nfa)
 
     def test_exact_repeat_returns_the_cached_partition(self):
-        rng = random.Random(7)
-        rows, acc = _random_table(rng)
-        dense.pre_cache_clear()
-        first = hopcroft_incremental(rows, acc)
+        rows, acc = _random_table(random.Random(7))
+        dense.form_cache_clear()
+        first = canonical_form(_as_nfa(rows, acc), SYMBOLS)
         with scoped() as work:
-            second = hopcroft_incremental([list(r) for r in rows], list(acc))
+            second = canonical_form(_as_nfa(rows, acc), SYMBOLS)
         assert second == first
-        assert work.get("canonical.hopcroft_incremental_hits", 0) == 1
-        assert work.get("canonical.hopcroft_incremental_resplits", 0) == 0
-        assert work.get("canonical.hopcroft_pre_builds", 0) == 0
+        assert work.get("canonical.form_hits", 0) == 1
+        assert work.get("canonical.form_misses", 0) == 0
 
 
 class TestMeterCounters:
-    def test_hits_misses_and_resplits(self):
-        rng = random.Random(21)
-        rows, acc = _random_table(rng)
-        dense.pre_cache_clear()
-        with scoped() as cold:
-            hopcroft_incremental(rows, acc)
-        assert cold.get("canonical.hopcroft_incremental_misses", 0) == 1
-        assert cold.get("canonical.hopcroft_incremental_hits", 0) == 0
-        edited_rows, edited_acc = _edit(rng, rows, acc, 3)
-        with scoped() as warm:
-            hopcroft_incremental(edited_rows, edited_acc)
-        assert warm.get("canonical.hopcroft_incremental_hits", 0) == 1
-        assert warm.get("canonical.hopcroft_incremental_misses", 0) == 0
-
     def test_distant_tables_miss(self):
-        """A table nothing like the cached ones minimizes from scratch
-        (the edit bound caps the seed search)."""
-        dense.pre_cache_clear()
-        rng = random.Random(3)
-        rows, acc = _random_table(rng)
-        hopcroft_incremental(rows, acc)
-        other_rows, other_acc = _random_table(random.Random(4))
+        dense.form_cache_clear()
+        canonical_form(_as_nfa(*_random_table(random.Random(3))), SYMBOLS)
+        other = _as_nfa(*_random_table(random.Random(4)))
         with scoped() as work:
-            hopcroft_incremental(other_rows, other_acc)
-        assert work.get("canonical.hopcroft_incremental_misses", 0) == 1
-
-    def test_small_tables_bypass_the_incremental_layer(self):
-        """Below PRE_CACHE_MIN_CELLS the plain path runs — counted by
-        the ``hopcroft_pre_bypass`` satellite counter so BENCH hit-rate
-        denominators stay exact."""
-        dense.pre_cache_clear()
-        rows = [[1, 2], [1, 2], [2, 2]]  # 6 cells: under the threshold
-        with scoped() as work:
-            hopcroft_incremental(rows, [False, False, True])
-            hopcroft_incremental(rows, [False, False, True])
-        assert work.get("canonical.hopcroft_pre_bypass", 0) == 2
-        assert work.get("canonical.hopcroft_incremental_hits", 0) == 0
-        assert work.get("canonical.hopcroft_incremental_misses", 0) == 0
-        assert len(dense._inc_cache) == 0
+            canonical_form(other, SYMBOLS)
+        assert work.get("canonical.form_misses", 0) == 1
+        assert work.get("canonical.form_hits", 0) == 0
 
     def test_incremental_cache_is_bounded(self):
-        dense.pre_cache_clear()
+        dense.form_cache_clear()
         rng = random.Random(11)
-        for _ in range(dense.INC_CACHE_SIZE + 10):
-            rows, acc = _random_table(rng, n=35)
-            hopcroft_incremental(rows, acc)
-        assert len(dense._inc_cache) <= dense.INC_CACHE_SIZE
+        for _ in range(dense.FORM_CACHE_SIZE + 10):
+            canonical_form(_as_nfa(*_random_table(rng, n=35)), SYMBOLS)
+        assert len(dense._form_cache) <= dense.FORM_CACHE_SIZE
 
     def test_pre_cache_clear_drops_the_incremental_cache(self):
-        rng = random.Random(13)
-        rows, acc = _random_table(rng)
-        hopcroft_incremental(rows, acc)
-        assert len(dense._inc_cache) >= 1
-        dense.pre_cache_clear()
-        assert len(dense._inc_cache) == 0
+        canonical_form(_as_nfa(*_random_table(random.Random(13))), SYMBOLS)
+        assert len(dense._form_cache) >= 1
+        dense.form_cache_clear()
+        assert len(dense._form_cache) == 0

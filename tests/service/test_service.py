@@ -5,6 +5,7 @@ behavior the server, the CLI, and the quickstart demo all share.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -14,7 +15,10 @@ from repro.models import fig1_cpds
 from repro.models.dekker import dekker_source
 from repro.service import AnalysisRequest, AnalysisService, AnalysisStore
 from repro.service.server import parse_property_spec
-from repro.util.meter import scoped
+from repro.util.meter import METER, scoped
+
+#: Seconds the held engine run waits for the second caller to join.
+JOIN_TIMEOUT = 30.0
 
 FIG1 = format_cpds(fig1_cpds())
 DEKKER = dekker_source()
@@ -68,21 +72,50 @@ class TestStoreHits:
 
 
 class TestDedup:
-    def test_concurrent_identical_submissions_run_one_engine(self, service):
+    def test_concurrent_identical_submissions_run_one_engine(
+        self, service, monkeypatch
+    ):
         """The acceptance criterion: two concurrent identical
         fingerprints join one running analysis — METER proves a single
-        engine run — and both callers get the verdict."""
+        engine run — and both callers get the verdict.
+
+        The owner's engine run is held until the other caller has
+        joined the in-flight future; otherwise a fast solve could finish
+        first and turn the second call into a store hit."""
         request = AnalysisRequest(bp_text=DEKKER, engine="auto", max_rounds=25)
+        analyze = service._analyze
+        joins_before = METER.get("service.dedup_joins")
+
+        def held_analyze(*args, **kwargs):
+            deadline = time.monotonic() + JOIN_TIMEOUT
+            while METER.get("service.dedup_joins") == joins_before:
+                if time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"second caller did not join within {JOIN_TIMEOUT}s"
+                    )
+                time.sleep(0.001)
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(service, "_analyze", held_analyze)
         results = []
+        failures = []
+
+        def submit():
+            try:
+                results.append(service.run(request))
+            except Exception as failure:
+                failures.append(failure)
+
         with scoped() as work:
-            threads = [
-                threading.Thread(target=lambda: results.append(service.run(request)))
-                for _ in range(2)
-            ]
+            threads = [threading.Thread(target=submit) for _ in range(2)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=2 * JOIN_TIMEOUT)
+        if any(thread.is_alive() for thread in threads):
+            raise TimeoutError("a submitting thread did not finish")
+        if failures:
+            raise failures[0]
         assert work.get("service.engine_runs") == 1
         assert work.get("service.dedup_joins") == 1
         assert len(results) == 2
