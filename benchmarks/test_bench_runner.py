@@ -60,9 +60,9 @@ class TestRunnerPayload:
                 )
 
     def test_explicit_lane_runs_batched_vs_per_state_pair(self, payload):
-        """The explicit lane's optimized mode is the sharded engine and
-        its meters carry the one-saturation-per-unique-view proof; the
-        legacy mode is the per-state oracle (one saturation per view)."""
+        """The explicit lane runs the view-batched engine, and its
+        meters carry the one-saturation-per-unique-view proof; the
+        per-state oracle is a test fixture, never a bench mode."""
         explicit = [w for w in payload["workloads"] if w["lane"] == "explicit"]
         assert explicit, "quick suite must include explicit-lane rows"
         for workload in explicit:
@@ -77,9 +77,7 @@ class TestRunnerPayload:
                 + meter.get("explicit.context_cache_hits", 0)
                 == unique
             )
-            legacy = workload["modes"]["legacy"]["meter"]
-            # The per-state oracle never shards: no view counters.
-            assert "explicit.level_unique_views" not in legacy
+            assert list(workload["modes"]) == ["optimized"]
 
     def test_totals_sum_workloads(self, payload):
         total = sum(w["modes"]["optimized"]["seconds"] for w in payload["workloads"])
@@ -296,9 +294,15 @@ class TestShardMode:
 
 def test_retired_modes_are_rejected():
     """The ``parallel`` and ``shard`` modes went with the multiprocess
-    advance; naming one is an error, not a silent optimized run."""
-    with pytest.raises(ValueError, match="parallel"):
-        run_suite(quick=True, rows={"9"}, modes=("optimized", "parallel"))
+    advance and ``legacy`` with the memo knob; the runner measures one
+    mode, so naming any is an error, not a silent optimized run."""
+    from repro.bench.runner import main
+
+    for mode in ("legacy", "parallel"):
+        with pytest.raises(TypeError, match="modes"):
+            run_suite(quick=True, rows={"9"}, modes=("optimized", mode))
+    with pytest.raises(SystemExit):
+        main(["--quick", "--modes", "optimized,legacy", "--no-write"])
 
 
 class TestBackendField:
@@ -313,8 +317,7 @@ class TestBackendField:
 
     def test_forced_python_recorded(self):
         sub = run_suite(
-            quick=True, rows={"9"}, modes=("optimized",),
-            max_rounds=2, repeats=1, backend="python",
+            quick=True, rows={"9"}, max_rounds=2, repeats=1, backend="python"
         )
         assert sub["backend"] == "python"
 

@@ -1,17 +1,13 @@
 """Benchmark runner: Table 2 / Fig. 5 workloads → ``BENCH_<stamp>.json``.
 
-Each workload is run in every requested *mode*:
-
-``optimized``
-    Current defaults — dense Hopcroft canonicalization
-    (:mod:`repro.automata.dense`), batched frontier expansion (symbolic
-    *and* explicit: the explicit lane runs the view-batched interned
-    engine), interned symbol order, hash-consed canonical DFAs.
-``legacy``
-    The seed pipeline kept in-tree for comparison — Moore partition
-    refinement (``canonical.backend("moore")``) and per-state frontier
-    expansion (``EngineConfig(batched=False)`` on the symbolic and
-    explicit lanes).
+Each workload runs the production path of its lane — dense Hopcroft
+canonicalization (:mod:`repro.automata.dense`), batched frontier
+expansion with the lanes' cross-level memos, interned symbol order,
+hash-consed canonical DFAs — and is recorded under the mode name
+``optimized``, the column :func:`compare_bench` gates.  Older committed
+files also carry a ``legacy`` column (the seed pipeline: Moore
+refinement and per-state expansion); the runner no longer measures it
+and the gate never read it.
 
 Wall time is best-of-``repeats`` (first run's METER delta and peak
 memory are recorded; caches are cleared before every repetition so runs
@@ -44,7 +40,6 @@ from repro.pds.saturation import post_star, psa_for_configs
 from repro.pds.state import PDSState
 from repro.reach import registry
 from repro.reach.config import EngineConfig
-from repro.reach.symbolic import SymbolicReach
 from repro.util.caches import clear_runtime_caches
 from repro.util.meter import METER, measure
 
@@ -176,42 +171,30 @@ def _describe_result(result) -> dict:
     return {"verdict": verdict.value, "bound": getattr(result, "bound", None)}
 
 
-def _symbolic_run(cpds, prop, max_rounds: int, mode: str):
-    backend = "dense" if mode == "optimized" else "moore"
-    batched = mode == "optimized"
-
+def _symbolic_run(cpds, prop, max_rounds: int):
     def run():
-        with canonical.backend(backend):
-            engine = SymbolicReach(
-                cpds, incremental=True, config=EngineConfig(batched=batched)
-            )
-            return algorithm3(cpds, prop, engine=engine, max_rounds=max_rounds)
+        with canonical.backend("dense"):
+            return algorithm3(cpds, prop, engine="symbolic", max_rounds=max_rounds)
 
     return run
 
 
-def _wuba_run(cpds, prop, max_rounds: int, mode: str):
+def _wuba_run(cpds, prop, max_rounds: int):
     """The WUBA lane through the convergence driver
-    (:func:`repro.cuba.lanes.run_lane`); ``legacy`` disables the
-    write-free closure memo, the lane's only cache."""
+    (:func:`repro.cuba.lanes.run_lane`)."""
     from repro.cuba.lanes import run_lane
 
-    config = EngineConfig(incremental=(mode != "legacy"))
-
     def run():
-        return run_lane("wuba", cpds, prop, max_rounds=max_rounds, config=config)
+        return run_lane("wuba", cpds, prop, max_rounds=max_rounds)
 
     return run
 
 
-def _explicit_run(
-    cpds, prop, max_rounds: int, mode: str, replay_backend: str = "python"
-):
-    backend = "moore" if mode == "legacy" else "dense"
-    config = EngineConfig(batched=mode != "legacy", backend=replay_backend)
+def _explicit_run(cpds, prop, max_rounds: int, replay_backend: str):
+    config = EngineConfig(backend=replay_backend)
 
     def run():
-        with canonical.backend(backend):
+        with canonical.backend("dense"):
             return scheme1_rk(cpds, prop, max_rounds=max_rounds, config=config)
 
     return run
@@ -236,16 +219,15 @@ def _canonical_micro_inputs(benches) -> list[tuple]:
     return inputs
 
 
-def _canonical_micro(inputs, repetitions: int, mode: str):
+def _canonical_micro(inputs, repetitions: int):
     """Canonicalize saturated thread PSAs — the symbolic engine's inner
     loop in isolation, on realistic automata."""
-    backend = "dense" if mode == "optimized" else "moore"
 
     def run():
         from repro.automata.canonical import canonical_nfa
 
         signatures = 0
-        with canonical.backend(backend):
+        with canonical.backend("dense"):
             for _ in range(repetitions):
                 _clear_caches()
                 for automaton, table, entries in inputs:
@@ -261,7 +243,6 @@ def run_suite(
     *,
     quick: bool = False,
     rows: set[str] | None = None,
-    modes: tuple[str, ...] = ("optimized", "legacy"),
     engines: tuple[str, ...] = ("symbolic", "explicit", "wuba"),
     max_rounds: int | None = None,
     repeats: int = 3,
@@ -280,9 +261,6 @@ def run_suite(
     """
     from repro.reach.vectorized import resolve_backend
 
-    unknown = sorted(set(modes) - {"optimized", "legacy"})
-    if unknown:
-        raise ValueError(f"unknown bench mode(s): {', '.join(unknown)}")
     backend = resolve_backend(backend)
     if max_rounds is None:
         max_rounds = 6 if quick else 10
@@ -296,54 +274,39 @@ def run_suite(
         for bench in benches:
             cpds, prop = bench.build()
             built.append(cpds)
-            lanes = []
+            runners = []
             if "symbolic" in engines:
-                lanes.append(("symbolic", _symbolic_run))
+                runners.append(("symbolic", _symbolic_run(cpds, prop, max_rounds)))
             if "explicit" in engines and bench.fcr:
-                lanes.append(("explicit", _explicit_run))
+                runners.append(
+                    ("explicit", _explicit_run(cpds, prop, max_rounds, backend))
+                )
             if "wuba" in engines and registry.engine_class("wuba").applicable(
                 cpds, prop
             ):
                 # The write-unbounded family (PR 9) — only on models
                 # satisfying its WCR precondition, mirroring the
                 # explicit lane's FCR gate.
-                lanes.append(("wuba", _wuba_run))
-            for lane, maker in lanes:
-                entry = {"name": bench.name, "lane": lane, "modes": {}}
-                optimized_runner = None
-                for mode in modes:
-                    kwargs = (
-                        {"replay_backend": backend}
-                        if maker is _explicit_run
-                        else {}
-                    )
-                    runner = maker(cpds, prop, max_rounds, mode, **kwargs)
-                    entry["modes"][mode] = _measured(
-                        runner, repeats, memory=memory
-                    )
-                    if mode == "optimized":
-                        optimized_runner = runner
-                if phases and optimized_runner is not None:
-                    entry["phases"] = _phase_profile(optimized_runner)
-                _add_speedup(entry)
+                runners.append(("wuba", _wuba_run(cpds, prop, max_rounds)))
+            for lane, runner in runners:
+                entry = {
+                    "name": bench.name,
+                    "lane": lane,
+                    "modes": {"optimized": _measured(runner, repeats, memory=memory)},
+                }
+                if phases:
+                    entry["phases"] = _phase_profile(runner)
                 workloads.append(entry)
 
         if "symbolic" in engines:
-            entry = {
-                "name": "canonicalization microbench",
-                "lane": "canonical-micro",
-                "modes": {},
-            }
-            micro_inputs = _canonical_micro_inputs(built)
-            repetitions = 2 if quick else 5
-            for mode in modes:
-                entry["modes"][mode] = _measured(
-                    _canonical_micro(micro_inputs, repetitions, mode),
-                    repeats,
-                    memory=memory,
-                )
-            _add_speedup(entry)
-            workloads.append(entry)
+            runner = _canonical_micro(_canonical_micro_inputs(built), 2 if quick else 5)
+            workloads.append(
+                {
+                    "name": "canonicalization microbench",
+                    "lane": "canonical-micro",
+                    "modes": {"optimized": _measured(runner, repeats, memory=memory)},
+                }
+            )
     finally:
         # Leave the process-global caches as cold as the runs found
         # them for library callers.
@@ -363,31 +326,13 @@ def run_suite(
         "repeats": repeats,
         "calibration_seconds": round(_calibrate(), 5),
         "workloads": workloads,
-        "totals": _totals(workloads, modes),
+        "totals": {
+            "optimized_seconds": round(
+                sum(w["modes"]["optimized"]["seconds"] for w in workloads), 5
+            )
+        },
     }
     return payload
-
-
-def _add_speedup(entry: dict) -> None:
-    modes = entry["modes"]
-    if "optimized" in modes and "legacy" in modes and modes["optimized"]["seconds"]:
-        entry["speedup_vs_legacy"] = round(
-            modes["legacy"]["seconds"] / modes["optimized"]["seconds"], 2
-        )
-
-
-def _totals(workloads: list, modes: tuple[str, ...]) -> dict:
-    totals: dict = {}
-    for mode in modes:
-        totals[f"{mode}_seconds"] = round(
-            sum(w["modes"][mode]["seconds"] for w in workloads if mode in w["modes"]),
-            5,
-        )
-    if totals.get("optimized_seconds") and "legacy_seconds" in totals:
-        totals["speedup_vs_legacy"] = round(
-            totals["legacy_seconds"] / totals["optimized_seconds"], 2
-        )
-    return totals
 
 
 def _git_rev() -> str | None:
@@ -681,11 +626,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true", help="smallest config per row")
     parser.add_argument("--rows", help="comma-separated row numbers, e.g. 1,5,9")
     parser.add_argument(
-        "--modes",
-        default="optimized,legacy",
-        help="comma list: optimized,legacy",
-    )
-    parser.add_argument(
         "--backend",
         choices=["auto", "python", "numpy"],
         default="auto",
@@ -710,8 +650,8 @@ def main(argv: list[str] | None = None) -> int:
         "--phases",
         action="store_true",
         help="also record per-phase span timings (one extra trace-enabled "
-        "run of the optimized mode each; the compare gate ignores the "
-        "resulting 'phases' field)",
+        "run of each workload; the compare gate ignores the resulting "
+        "'phases' field)",
     )
     parser.add_argument("--label", help="free-form label recorded in the payload")
     parser.add_argument("--out", default=".", help="directory for BENCH_<stamp>.json")
@@ -740,7 +680,6 @@ def main(argv: list[str] | None = None) -> int:
     payload = run_suite(
         quick=args.quick,
         rows=set(args.rows.split(",")) if args.rows else None,
-        modes=tuple(args.modes.split(",")),
         engines=tuple(args.engines.split(",")),
         max_rounds=args.max_rounds,
         repeats=args.repeats,
@@ -759,8 +698,6 @@ def main(argv: list[str] | None = None) -> int:
         cells = [f"{entry['name']:32s} {entry['lane']:14s}"]
         for mode, record in entry["modes"].items():
             cells.append(f"{mode}={record['seconds']:.3f}s")
-        if "speedup_vs_legacy" in entry:
-            cells.append(f"x{entry['speedup_vs_legacy']}")
         if "speedup_vs_before" in entry:
             cells.append(f"(x{entry['speedup_vs_before']} vs before)")
         print("  ".join(cells))

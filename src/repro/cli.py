@@ -94,7 +94,7 @@ def _run_verify(args) -> int:
     from repro.reach.vectorized import resolve_backend
 
     cpds, prop = _load(args)
-    config = EngineConfig(backend=args.backend, batched=not args.per_state)
+    config = EngineConfig(backend=args.backend)
     if args.lane == "auto":
         report = Cuba(cpds, prop, config=config).verify(max_rounds=args.max_rounds)
         if args.report:
@@ -424,12 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'wk' accepted; --engine is the pre-lane spelling)",
     )
     verify.add_argument("--max-rounds", type=int, default=30)
-    verify.add_argument(
-        "--per-state",
-        action="store_true",
-        help="with --engine explicit: use the seed per-state frontier "
-        "expansion instead of the view-batched default",
-    )
     verify.add_argument(
         "--backend",
         choices=["auto", "python", "numpy"],

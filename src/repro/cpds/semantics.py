@@ -12,9 +12,9 @@ two granularities:
 
 * :func:`thread_context_post` — the *per-global-state* form: run thread
   ``i`` from one concrete :class:`GlobalState` and return the reached
-  global states.  A ``cache`` dict memoizes the underlying local BFS
-  trees per ``(thread, local view)``; this is the seed formulation, kept
-  as the differential oracle behind ``ExplicitReach(batched=False)``.
+  global states, walking the local BFS tree afresh on every call.  This
+  is the seed formulation, kept memo-free as the differential oracle
+  behind ``ExplicitReach(batched=False)``.
 * :func:`thread_view_post` — the *per-view* form used by the view-batched
   explicit engine: saturate one context from an interned
   ``(thread, shared_id, stack_id)`` local view and return a reusable,
@@ -251,7 +251,6 @@ def thread_context_post(
     index: int,
     max_states: int = DEFAULT_STATE_LIMIT,
     parents: dict | None = None,
-    cache: dict | None = None,
 ) -> set[GlobalState]:
     """All global states reachable by letting thread ``index`` run any
     number of steps (≥ 0) from ``state`` — one scheduling context.
@@ -261,27 +260,11 @@ def thread_context_post(
     reconstruction (existing entries are never overwritten, preserving
     shortest-context discovery order across calls).
 
-    When ``cache`` is given, the single-thread BFS tree is memoized per
-    ``(index, local view)`` and replayed for later global states sharing
-    that view — exact, because a context never looks at the other
-    threads' stacks.  Only successful runs are cached; a divergence
-    (below) is recomputed and re-raised.
-
     Raises :class:`ContextExplosionError` past ``max_states`` distinct
     states — the divergence guard for non-FCR programs.
     """
-    pds = cpds.thread(index)
     start = thread_state(state, index)
-    entries: tuple[ContextTreeEntry, ...] | None = None
-    if cache is not None:
-        entries = cache.get((index, start))
-        if entries is not None:
-            METER.bump("explicit.context_cache_hits")
-    if entries is None:
-        entries = _local_context_tree(pds, start, max_states, index, state)
-        if cache is not None:
-            METER.bump("explicit.context_cache_misses")
-            cache[(index, start)] = entries
+    entries = _local_context_tree(cpds.thread(index), start, max_states, index, state)
     result: set[GlobalState] = set()
     for local, parent_local, action in entries:
         global_next = with_thread_state(state, index, local)
@@ -467,10 +450,12 @@ def thread_write_free_post(
     stack: tuple,
     max_states: int = DEFAULT_STATE_LIMIT,
     index: int = 0,
-) -> frozenset[tuple]:
+) -> tuple[tuple, ...]:
     """All stacks thread ``index`` can reach from ``(shared, stack)`` by
     *shared-preserving* ("write-free") moves alone — the local closure
-    of the WUBA lane (:mod:`repro.reach.wuba`).
+    of the WUBA lane (:mod:`repro.reach.wuba`) — in BFS discovery order,
+    ``stack`` first, so the lane's levels are built in an order that
+    does not depend on hashing.
 
     Shared-preserving moves of different threads commute: the shared
     state is fixed and each thread touches only its own stack.  The
@@ -486,6 +471,7 @@ def thread_write_free_post(
     METER.bump("wuba.expansions")
     start = PDSState(shared, stack)
     seen: set[PDSState] = {start}
+    order: list[tuple] = [stack]
     work: deque[PDSState] = deque([start])
     while work:
         local = work.popleft()
@@ -493,6 +479,7 @@ def thread_write_free_post(
             if action.to_shared != shared or local_next in seen:
                 continue
             seen.add(local_next)
+            order.append(local_next.stack)
             if len(seen) > max_states:
                 raise ContextExplosionError(
                     f"write-free closure of thread {index} from "
@@ -501,4 +488,4 @@ def thread_write_free_post(
                     states_seen=len(seen),
                 )
             work.append(local_next)
-    return frozenset(local.stack for local in seen)
+    return tuple(order)

@@ -29,7 +29,6 @@ def context_bounded_analysis(
     bound: int,
     engine: ReachabilityEngine | str = "symbolic",
     max_states_per_context: int = DEFAULT_STATE_LIMIT,
-    incremental: bool | None = None,
     config: EngineConfig | None = None,
 ) -> VerificationResult:
     """Check ``prop`` for executions with at most ``bound`` contexts.
@@ -44,14 +43,11 @@ def context_bounded_analysis(
     existing levels up to ``bound`` are checked before any new one is
     computed.  Execution knobs travel in ``config``
     (:class:`~repro.reach.config.EngineConfig`) — each lane applies the
-    knobs it understands; ``incremental`` overrides the config's memo
-    knob.  Both are ignored when a prepared engine instance is passed.
+    knobs it understands; it is ignored when a prepared engine instance
+    is passed.
     The result's ``stats`` carry the engine summary, ``visible_states``
     and ``meter``, the work counters this analysis produced.
     """
-    config = config if config is not None else EngineConfig()
-    if incremental is not None:
-        config = config.replace(incremental=incremental)
     engine = prepare(
         engine, cpds, max_states_per_context=max_states_per_context, config=config
     )

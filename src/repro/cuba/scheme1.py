@@ -34,7 +34,6 @@ def scheme1_rk(
     max_rounds: int = 50,
     max_states_per_context: int = DEFAULT_STATE_LIMIT,
     engine: ExplicitReach | None = None,
-    incremental: bool | None = None,
     config: EngineConfig | None = None,
 ) -> VerificationResult:
     """Run Scheme 1(Rk) (paper Sec. 4) to a verdict or round budget.
@@ -47,10 +46,9 @@ def scheme1_rk(
 
     Execution knobs travel in ``config``
     (:class:`~repro.reach.config.EngineConfig`; ``batched=False``
-    selects the seed per-state oracle path), and ``incremental``
-    overrides the config's memo knob for the engine constructed here.
-    Both are ignored when a prepared ``engine`` instance is passed
-    (configure that engine at construction instead).
+    selects the seed per-state oracle path).  It is ignored when a
+    prepared ``engine`` instance is passed (configure that engine at
+    construction instead).
 
     ``max_rounds`` is the *total* context-bound budget.  A prepared
     engine may arrive with computed history — warm reuse, or a
@@ -63,7 +61,6 @@ def scheme1_rk(
         engine = ExplicitReach(
             cpds,
             max_states_per_context=max_states_per_context,
-            incremental=incremental,
             config=config,
         )
     return _scheme1(engine, prop, max_rounds)
@@ -73,7 +70,6 @@ def scheme1_sk(
     cpds: CPDS,
     prop: Property,
     max_rounds: int = 50,
-    incremental: bool = True,
 ) -> VerificationResult:
     """Scheme 1 over the symbolic state sets ``Sk`` — a library
     extension beyond the paper's three approaches.
@@ -86,4 +82,4 @@ def scheme1_sk(
     languages (it cannot converge when stack languages keep growing,
     e.g. Fig. 1).
     """
-    return _scheme1(SymbolicReach(cpds, incremental=incremental), prop, max_rounds)
+    return _scheme1(SymbolicReach(cpds), prop, max_rounds)

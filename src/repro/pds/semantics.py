@@ -79,30 +79,3 @@ def post_star_explicit(
                 )
             work.append(nxt)
     return seen
-
-
-def reachable_with_trace(
-    pds: PDS,
-    start: PDSState,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> dict[PDSState, tuple[PDSState, Action] | None]:
-    """Like :func:`post_star_explicit` but keeps BFS parent pointers.
-
-    Returns ``state -> (predecessor, action)`` (``None`` for ``start``),
-    from which shortest witness paths can be reconstructed.
-    """
-    parents: dict[PDSState, tuple[PDSState, Action] | None] = {start: None}
-    work: deque[PDSState] = deque([start])
-    while work:
-        state = work.popleft()
-        for action, nxt in successors(pds, state):
-            if nxt in parents:
-                continue
-            parents[nxt] = (state, action)
-            if len(parents) > max_states:
-                raise ContextExplosionError(
-                    f"explicit search from {start} exceeded {max_states} states",
-                    states_seen=len(parents),
-                )
-            work.append(nxt)
-    return parents

@@ -7,6 +7,10 @@ the service ``EngineJob`` take one ``config=`` instead of re-declaring
 every knob.  None of these knobs may affect verdicts (that is
 differentially tested), which is why the whole object stays out of the
 problem fingerprint.
+
+The lanes' cross-level memos (context trees, symbolic expansions,
+write-free closures) are not knobs: each is exact by construction, so
+the production advance always memoizes.
 """
 
 from __future__ import annotations
@@ -20,16 +24,15 @@ __all__ = ["EngineConfig"]
 class EngineConfig:
     """Execution knobs for a lane engine.
 
-    ``batched`` selects the view-batched explicit advance (False = the
-    per-state differential oracle), ``backend`` its replay backend
-    (``auto``/``python``/``numpy``), and ``incremental`` the cross-level
-    context memo.  Engines that do not understand a knob simply ignore
-    it (a symbolic engine has no replay backend).
+    ``batched`` selects the view-batched, memoizing advance; False
+    selects the memo-free per-state differential oracle (explicit and
+    symbolic lanes).  ``backend`` is the explicit replay backend
+    (``auto``/``python``/``numpy``).  Engines that do not understand a
+    knob simply ignore it (a symbolic engine has no replay backend).
     """
 
     batched: bool = True
     backend: str = "auto"
-    incremental: bool = True
 
     def replace(self, **changes) -> "EngineConfig":
         return dataclasses.replace(self, **changes)

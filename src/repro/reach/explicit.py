@@ -29,9 +29,9 @@ global product.  Three layers kill it:
   grouping — ``explicit.level_views`` (the ``(state, thread)`` cells
   actually grouped, after same-thread pruning) vs
   ``explicit.level_unique_views`` vs ``explicit.expansions`` — so
-  harnesses can assert one saturation per unique view per level (with
-  ``incremental=True`` cross-level reuse, ``expansions +
-  context_cache_hits`` accounts for every view).
+  harnesses can assert one saturation per unique view per level: the
+  cross-level tree memo makes ``expansions + context_cache_hits ==
+  level_unique_views`` an exact per-level identity.
 * The tree is **replayed** across all global states sharing the view by
   pure integer arithmetic: mask the moving thread's bit field out of
   the member's packed key and OR in the tree's precomputed per-edge
@@ -79,8 +79,8 @@ level at which :class:`~repro.errors.ContextExplosionError` fires.
 
 The seed per-state formulation — one
 :func:`~repro.cpds.semantics.thread_context_post` call per (state,
-thread) — is kept *unpruned* behind ``batched=False`` as the
-differential oracle;
+thread), *unpruned* and memo-free — is kept behind ``batched=False`` as
+the differential oracle;
 ``tests/reach/test_batched_explicit.py`` and
 ``tests/reach/test_vectorized_backend.py`` prove the modes agree level
 for level on every FCR registry row and on randomized CPDSs.
@@ -236,15 +236,11 @@ class ExplicitReach(ReachabilityEngine):
         cpds: CPDS,
         max_states_per_context: int = DEFAULT_STATE_LIMIT,
         track_traces: bool = True,
-        incremental: bool | None = None,
         config: EngineConfig | None = None,
     ) -> None:
         super().__init__()
         config = config if config is not None else EngineConfig()
         self.config = config
-        # ``incremental`` stays a direct engine parameter (differential
-        # harnesses toggle it per instance); None defers to the config.
-        incremental = config.incremental if incremental is None else incremental
         batched = config.batched
         self.cpds = cpds
         #: Requested replay backend knob (``auto``/``python``/``numpy``);
@@ -264,15 +260,10 @@ class ExplicitReach(ReachabilityEngine):
         #: builders; dense ids index ``_first_seen`` and the columns.
         self.table = StateTable(cpds.n_threads, visible_fields(cpds))
         #: Cross-level memo of array-encoded context trees, keyed by
-        #: ``(thread, shared_id, stack_id)`` (``incremental=True``): a
-        #: context depends only on the moving thread's local view, which
-        #: recurs under many global states and levels.
-        self._tree_cache: dict[View, ContextTree] | None = (
-            {} if incremental else None
-        )
-        #: Seed-formulation memo for the per-state oracle path, keyed by
-        #: ``(thread, PDSState)`` (see :func:`thread_context_post`).
-        self._context_cache: dict | None = {} if incremental else None
+        #: ``(thread, shared_id, stack_id)``: a context depends only on
+        #: the moving thread's local view, which recurs under many
+        #: global states and levels.
+        self._tree_cache: dict[View, ContextTree] = {}
         #: Per-thread successor memos shared by every in-process tree
         #: saturation (see :func:`thread_view_post`).
         self._succ_memos: tuple[dict, ...] = tuple(
@@ -565,7 +556,7 @@ class ExplicitReach(ReachabilityEngine):
         trees: dict[View, ContextTree] = {}
         missing: list[View] = []
         for view in views:
-            tree = cache.get(view) if cache is not None else None
+            tree = cache.get(view)
             if tree is not None:
                 METER.bump("explicit.context_cache_hits")
                 trees[view] = tree
@@ -579,10 +570,8 @@ class ExplicitReach(ReachabilityEngine):
                 succ_memo=self._succ_memos[index],
                 build_rows=self._parent_ids is not None,
             )
-            if cache is not None:
-                METER.bump("explicit.context_cache_misses")
-                cache[view] = tree
-            trees[view] = tree
+            METER.bump("explicit.context_cache_misses")
+            cache[view] = trees[view] = tree
         return trees
 
     def _advance_per_state(
@@ -590,7 +579,8 @@ class ExplicitReach(ReachabilityEngine):
     ) -> None:
         """The seed formulation: one :func:`thread_context_post` call
         per (frontier state, thread) — the differential oracle, never
-        pruned (it records movers only to keep the column aligned)."""
+        pruned and never memoized (it records movers only to keep the
+        column aligned)."""
         table = self.table
         intern = table.intern
         state_of = table.state
@@ -605,7 +595,6 @@ class ExplicitReach(ReachabilityEngine):
                     index,
                     max_states=self.max_states_per_context,
                     parents=self._oracle_parents,
-                    cache=self._context_cache,
                 )
                 for nxt in reached:
                     nsid = intern(nxt)
@@ -735,13 +724,12 @@ class ExplicitReach(ReachabilityEngine):
     def stats(self) -> dict:
         """Work summary for verification-result plumbing (all sizes read
         off the int core — no decoding)."""
-        cache = self._tree_cache if self.batched else self._context_cache
         return {
             "global_states": len(self._first_seen),
             "levels": self.level_sizes(),
             "batched": self.batched,
             "backend": self.resolved_backend,
-            "context_memo": len(cache) if cache is not None else 0,
+            "context_memo": len(self._tree_cache),
         }
 
     # ------------------------------------------------------------------

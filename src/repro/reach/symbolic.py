@@ -15,27 +15,30 @@ frontier dedup, so plateau detection on ``T(Sk)`` terminates.
 
 Canonical signatures also drive cross-expansion reuse: the result of
 expanding thread ``i`` from ``⟨q|Ai⟩`` depends only on ``(i, q, L(Ai))``,
-so saturations are memoized per ``(thread, shared, signature)`` instead
-of being recomputed from scratch whenever the same thread view recurs at
-a later context bound (``incremental=True``, the default).  This is the
-sound granularity for reuse — warm-starting one saturated PSA from a
-different entry control would mix languages (see the Performance notes
-in :mod:`repro.pds.saturation`).
+so the batched advance memoizes saturations per ``(thread, shared,
+signature)`` instead of recomputing them whenever the same thread view
+recurs at a later context bound.  This is the sound granularity for
+reuse — warm-starting one saturated PSA from a different entry control
+would mix languages (see the Performance notes in
+:mod:`repro.pds.saturation`).
 
 Performance notes
 -----------------
 :meth:`SymbolicReach.advance` expands the frontier *batched*: the level's
 ``(thread, shared, signature)`` views are grouped first and each unique
 view is saturated once per level, no matter how many symbolic states
-contain it (``batched=True``, the default; the per-state path is kept
-for differential testing).  METER records the grouping —
-``symbolic.level_views`` vs ``symbolic.level_unique_views`` — so
-harnesses can assert one expansion per unique view per level.  Thread
-automata are interned (:mod:`repro.automata.canonical`), so signature
-comparisons inside the frontier dedup are pointer comparisons, and the
-per-language projections ``T(Ai)`` (:func:`nfa_tops`) and coreachability
-are cached on the canonical DFA — computed once per language, not per
-call.  Alphabets are passed as per-thread
+contain it (``batched=True``, the default).  The memo-free per-state
+path (``batched=False``) saturates every (state, thread) pair afresh
+and is kept as the differential oracle; it cannot be snapshotted.
+METER records the grouping — ``symbolic.level_views`` vs
+``symbolic.level_unique_views`` — and the memo makes
+``expansions + expansion_cache_hits == level_unique_views`` an exact
+per-level identity.  Thread automata are interned
+(:mod:`repro.automata.canonical`), so signature comparisons inside the
+frontier dedup are pointer comparisons, and the per-language
+projections ``T(Ai)`` (:func:`nfa_tops`) and coreachability are cached
+on the canonical DFA — computed once per language, not per call.
+Alphabets are passed as per-thread
 :class:`~repro.automata.intern.SymbolTable` views, which skips symbol
 re-sorting in canonicalization.  The visible products ``T(τ)`` are
 doubly shared: whole products are memoized per tops profile, and the
@@ -160,23 +163,22 @@ class SymbolicReach(ReachabilityEngine):
         self,
         cpds: CPDS,
         *,
-        incremental: bool | None = None,
         config: EngineConfig | None = None,
     ) -> None:
         super().__init__()
         config = config if config is not None else EngineConfig()
         self.config = config
-        incremental = config.incremental if incremental is None else incremental
         self.cpds = cpds
         self._alphabets = [cpds.symbol_table(i) for i in range(cpds.n_threads)]
         self.batched = config.batched
         #: ``levels[k]`` = symbolic states first produced at bound k.
         self.levels: list[frozenset[SymbolicState]] = []
         self._seen: set[SymbolicState] = set()
-        #: Cross-expansion memo: (thread, shared, signature) -> splice
-        #: parts (new shared, canonical automaton, signature) — exact,
-        #: because an expansion depends on nothing else (see module doc).
-        self._expansions: dict[tuple, tuple] | None = {} if incremental else None
+        #: Cross-expansion memo of the batched advance: (thread, shared,
+        #: signature) -> splice parts (new shared, canonical automaton,
+        #: signature) — exact, because an expansion depends on nothing
+        #: else (see module doc).
+        self._expansions: dict[tuple, tuple] = {}
         #: ``T(τ)`` product memo: (shared, per-thread tops) -> visible
         #: set.  Many symbolic states share one tops profile (especially
         #: at higher thread counts), and the product blow-up dominates
@@ -227,7 +229,10 @@ class SymbolicReach(ReachabilityEngine):
         else:
             for symbolic in frontier:
                 for index in range(self.cpds.n_threads):
-                    for successor in self._expand(symbolic, index):
+                    parts = self._expand_parts(
+                        symbolic.shared, symbolic.automata[index], index
+                    )
+                    for successor in self._splice(symbolic, index, parts):
                         if successor not in self._seen:
                             self._seen.add(successor)
                             fresh.add(successor)
@@ -279,13 +284,12 @@ class SymbolicReach(ReachabilityEngine):
         memo = self._expansions
         for key, states in consumers.items():
             index = key[0]
-            parts = memo.get(key) if memo is not None else None
+            parts = memo.get(key)
             if parts is not None:
                 METER.bump("symbolic.expansion_cache_hits")
             else:
                 parts = self._expand_parts(key[1], states[0].automata[index], index)
-                if memo is not None:
-                    memo[key] = parts
+                memo[key] = parts
             for symbolic in states:
                 for successor in self._splice(symbolic, index, parts):
                     if successor not in seen:
@@ -295,20 +299,6 @@ class SymbolicReach(ReachabilityEngine):
     # ------------------------------------------------------------------
     # Context expansion
     # ------------------------------------------------------------------
-    def _expand(self, symbolic: SymbolicState, index: int) -> Iterator[SymbolicState]:
-        """One context of thread ``index`` from ``symbolic``."""
-        key = (index, symbolic.shared, symbolic.signatures[index])
-        if self._expansions is not None:
-            parts = self._expansions.get(key)
-            if parts is not None:
-                METER.bump("symbolic.expansion_cache_hits")
-                yield from self._splice(symbolic, index, parts)
-                return
-        parts = self._expand_parts(symbolic.shared, symbolic.automata[index], index)
-        if self._expansions is not None:
-            self._expansions[key] = parts
-        yield from self._splice(symbolic, index, parts)
-
     def _expand_parts(
         self, shared_from: Shared, automaton: NFA, index: int
     ) -> tuple[tuple[Shared, NFA, tuple], ...]:
@@ -399,9 +389,7 @@ class SymbolicReach(ReachabilityEngine):
         return {
             "symbolic_states": len(self._seen),
             "levels": [len(level) for level in self.levels],
-            "expansion_memo": (
-                len(self._expansions) if self._expansions is not None else 0
-            ),
+            "expansion_memo": len(self._expansions),
             "batched": self.batched,
         }
 
@@ -413,21 +401,21 @@ class SymbolicReach(ReachabilityEngine):
         symbolic states) and the cross-expansion memo into a versioned
         binary blob (:mod:`repro.service.snapshot`); automata persist
         as signature keys and are rebuilt through the hash-cons table
-        on restore."""
+        on restore.  Only the batched engine snapshots: the per-state
+        oracle raises :class:`~repro.errors.SnapshotError`."""
         from repro.service.snapshot import snapshot_symbolic
 
         return snapshot_symbolic(self)
 
     @classmethod
-    def restore(
-        cls, cpds: CPDS, data: bytes, *, batched: bool | None = None
-    ) -> "SymbolicReach":
-        """Rebuild a warm engine from a :meth:`snapshot` blob taken on
-        the same CPDS; raises :class:`~repro.errors.SnapshotError` on
-        any undecodable or mismatched blob."""
+    def restore(cls, cpds: CPDS, data: bytes) -> "SymbolicReach":
+        """Rebuild a warm batched engine from a :meth:`snapshot` blob
+        taken on the same CPDS; raises
+        :class:`~repro.errors.SnapshotError` on any undecodable or
+        mismatched blob."""
         from repro.service.snapshot import restore_symbolic
 
-        return restore_symbolic(cpds, data, batched=batched)
+        return restore_symbolic(cpds, data)
 
     # ------------------------------------------------------------------
     # Lane contract
@@ -453,7 +441,4 @@ class SymbolicReach(ReachabilityEngine):
         max_states_per_context: int | None = None,
         config: EngineConfig | None = None,
     ) -> "SymbolicReach":
-        # batched=None keeps the snapshotted engine's mode: EngineConfig
-        # cannot distinguish "unset" from its default, and overriding a
-        # pure execution knob on resume is never required.
-        return cls.restore(cpds, data, batched=None)
+        return cls.restore(cpds, data)

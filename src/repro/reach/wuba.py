@@ -26,6 +26,11 @@ on the existing PDS substrate:
   advancing only needs to fire *writing* actions from the newest
   level's states; older states were expanded when they were new.
 
+Each level is kept as a tuple in discovery order: closures come back
+in BFS order and the frontier is walked in that order, so which
+written states are closed — and hence the ``wuba.expansions`` /
+``wuba.closure_cache_hits`` counts — never depends on hash order.
+
 Consequently a plateau of ``(Wk)`` is a genuine fixpoint: an empty
 level means no frontier, and the cumulative set is closed under both
 write-free moves and writes — it *is* the reachable set, so the plain
@@ -88,23 +93,20 @@ class WubaReach(ReachabilityEngine):
         self,
         cpds: CPDS,
         max_states_per_context: int = DEFAULT_STATE_LIMIT,
-        incremental: bool | None = None,
         config: EngineConfig | None = None,
     ) -> None:
         super().__init__()
         self.cpds = cpds
         self.config = config if config is not None else EngineConfig()
-        incremental = self.config.incremental if incremental is None else incremental
         self.max_states_per_context = max_states_per_context
-        #: ``levels[k]`` = global states first reached with k writes.
-        self.levels: list[frozenset[GlobalState]] = []
+        #: ``levels[k]`` = global states first reached with k writes, in
+        #: discovery order.
+        self.levels: list[tuple[GlobalState, ...]] = []
         self._seen: set[GlobalState] = set()
         #: Local-closure memo keyed ``(thread, shared, stack)`` — one
         #: closure per unique local view, however many global states
-        #: and levels share it (``incremental=True``).
-        self._closure_memo: dict[tuple, frozenset] | None = (
-            {} if incremental else None
-        )
+        #: and levels share it.
+        self._closure_memo: dict[tuple, tuple] = {}
         self._commit(self._close(cpds.initial_state()))
 
     # ------------------------------------------------------------------
@@ -118,7 +120,8 @@ class WubaReach(ReachabilityEngine):
         (:class:`~repro.errors.ContextExplosionError`) leaves the
         committed levels consistent."""
         frontier = self.levels[-1]
-        fresh: set[GlobalState] = set()
+        seen = self._seen
+        fresh: dict[GlobalState, None] = {}
         writes = 0
         for state in frontier:
             for index, pds in enumerate(self.cpds.threads):
@@ -130,16 +133,16 @@ class WubaReach(ReachabilityEngine):
                     stacks = list(state.stacks)
                     stacks[index] = local_next.stack
                     written = GlobalState(local_next.shared, tuple(stacks))
-                    if written in self._seen or written in fresh:
+                    if written in seen or written in fresh:
                         continue
                     for closed in self._close(written):
-                        if closed not in self._seen:
-                            fresh.add(closed)
+                        if closed not in seen:
+                            fresh[closed] = None
         METER.bump("wuba.level_writes", writes)
-        self._commit(frozenset(fresh))
+        self._commit(tuple(fresh))
         return bool(fresh)
 
-    def _close(self, state: GlobalState) -> frozenset[GlobalState]:
+    def _close(self, state: GlobalState) -> tuple[GlobalState, ...]:
         """Write-free closure of ``state`` as the per-thread product of
         local closures (the factorization in the module docstring)."""
         per_thread = [
@@ -155,33 +158,29 @@ class WubaReach(ReachabilityEngine):
                 f"exceeding {self.max_states_per_context}",
                 states_seen=product_size,
             )
-        return frozenset(
+        return tuple(
             GlobalState(state.shared, stacks)
             for stacks in itertools.product(*per_thread)
         )
 
-    def _local_closure(self, index: int, shared, stack: tuple) -> frozenset:
-        memo = self._closure_memo
+    def _local_closure(self, index: int, shared, stack: tuple) -> tuple:
         key = (index, shared, stack)
-        if memo is not None:
-            cached = memo.get(key)
-            if cached is not None:
-                METER.bump("wuba.closure_cache_hits")
-                return cached
-        closure = thread_write_free_post(
+        cached = self._closure_memo.get(key)
+        if cached is not None:
+            METER.bump("wuba.closure_cache_hits")
+            return cached
+        closure = self._closure_memo[key] = thread_write_free_post(
             self.cpds.thread(index),
             shared,
             stack,
             max_states=self.max_states_per_context,
             index=index,
         )
-        if memo is not None:
-            memo[key] = closure
         return closure
 
-    def _commit(self, level: frozenset[GlobalState]) -> None:
+    def _commit(self, level: tuple[GlobalState, ...]) -> None:
         self.levels.append(level)
-        self._seen |= level
+        self._seen.update(level)
         self._record_visible(frozenset(state.visible() for state in level))
 
     # ------------------------------------------------------------------
@@ -194,13 +193,13 @@ class WubaReach(ReachabilityEngine):
         k = min(k, self.k)
         result: set[GlobalState] = set()
         for level in self.levels[: k + 1]:
-            result |= level
+            result.update(level)
         return frozenset(result)
 
     def states_new_at(self, k: int) -> frozenset[GlobalState]:
         """``Wk \\ Wk−1``."""
         if 0 <= k < len(self.levels):
-            return self.levels[k]
+            return frozenset(self.levels[k])
         return frozenset()
 
     def plateaued_at(self, k: int) -> bool:
@@ -212,9 +211,7 @@ class WubaReach(ReachabilityEngine):
         return {
             "global_states": len(self._seen),
             "levels": [len(level) for level in self.levels],
-            "closure_memo": (
-                len(self._closure_memo) if self._closure_memo is not None else 0
-            ),
+            "closure_memo": len(self._closure_memo),
         }
 
     # ------------------------------------------------------------------

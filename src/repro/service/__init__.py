@@ -2,7 +2,7 @@
 
 The paper's Cuba tool answers one query per invocation and forgets
 everything it computed.  This package turns the library into a
-persistent, incremental service:
+persistent, resumable service:
 
 * :mod:`repro.service.fingerprint` — stable content-addressed identity
   of an analysis problem ``(CPDS, property, engine config)``;

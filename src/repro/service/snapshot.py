@@ -45,9 +45,19 @@ miss, never a mis-resume:
   daemon with different symbol-interning history still resumes instead
   of silently recomputing from scratch.
 * **wuba** (kind 3): the committed ``(Wk)`` levels as
-  ``(shared, stacks)`` rows against a pool of distinct per-thread
-  stacks, plus the engine's guard and memo mode.  The write-free
-  closure memo is a pure semantic cache and is rebuilt on demand.
+  ``(shared, stacks)`` rows, in each level's discovery order, against a
+  pool of distinct per-thread stacks, plus the engine's guard.  The
+  write-free closure memo is a pure semantic cache and is rebuilt on
+  demand.
+
+Every lane memoizes, and only batched engines snapshot (the memo-free
+per-state oracles are test fixtures), so blobs carry state only, never
+options.  The retired keys ``incremental`` (explicit, wuba) and ``batched``
+(symbolic) are still written, as the constant ``True``, so the payload
+layout stays the same at the same version; restore ignores them.  A
+blob whose memo column is ``None`` (written by a memo-free engine of an
+older tree) fails to decode as malformed, which the store treats as a
+miss.
 
 Snapshots are trusted data: they are produced and consumed by the same
 store (pickle is not safe against adversarial blobs, same as every
@@ -144,6 +154,14 @@ def snapshot_kind(data: bytes) -> int:
     return _parse_header(data)
 
 
+def _refuse_oracle(engine) -> None:
+    if not engine.batched:
+        raise SnapshotError(
+            f"only the batched {engine.lane} engine supports snapshots "
+            "(the per-state oracle path is a differential test fixture)"
+        )
+
+
 # ----------------------------------------------------------------------
 # Explicit engine (Rk)
 # ----------------------------------------------------------------------
@@ -151,11 +169,7 @@ def snapshot_explicit(engine) -> bytes:
     """Checkpoint an :class:`~repro.reach.explicit.ExplicitReach` built
     on the interned core (``batched=True``; the seed per-state oracle
     keys its bookkeeping by decoded states and is not snapshottable)."""
-    if not engine.batched:
-        raise SnapshotError(
-            "only the batched explicit engine supports snapshots "
-            "(the per-state oracle path is a differential test fixture)"
-        )
+    _refuse_oracle(engine)
     table = engine.table
     shareds, stacks = table.component_pools()
 
@@ -180,20 +194,15 @@ def snapshot_explicit(engine) -> bytes:
             [engine._parent_actions[sid] for sid in children],
         )
 
-    cache = engine._tree_cache
-    if cache is None:
-        tree_rows = None
-    else:
-        views = array("q")
-        trees = []
-        for view, tree in cache.items():
-            index, qid, wid = engine._view_parts(view)
-            views.extend((index, qid, wid))
-            trees.append(
-                (tree.thread, tree.root_qid, tree.root_wid,
-                 tree.offsets, tree.qids, tree.wids, tree.actions)
-            )
-        tree_rows = (views, trees)
+    views = array("q")
+    trees = []
+    for view, tree in engine._tree_cache.items():
+        index, qid, wid = engine._view_parts(view)
+        views.extend((index, qid, wid))
+        trees.append(
+            (tree.thread, tree.root_qid, tree.root_wid,
+             tree.offsets, tree.qids, tree.wids, tree.actions)
+        )
 
     return _encode(
         KIND_EXPLICIT,
@@ -201,7 +210,7 @@ def snapshot_explicit(engine) -> bytes:
             "n_threads": table.n_threads,
             "max_states_per_context": engine.max_states_per_context,
             "track_traces": parent_ids is not None,
-            "incremental": cache is not None,
+            "incremental": True,
             "shareds": shareds,
             "stacks": stacks,
             "rows": table.export_rows(),
@@ -210,7 +219,7 @@ def snapshot_explicit(engine) -> bytes:
             "level_lens": level_lens,
             "level_ids": level_ids,
             "parents": parent_rows,
-            "trees": tree_rows,
+            "trees": (views, trees),
         },
     )
 
@@ -257,7 +266,6 @@ def restore_explicit(
                 else max_states_per_context
             ),
             track_traces=payload["track_traces"],
-            incremental=payload["incremental"],
             config=config.replace(batched=True),
         )
         if len(table) == 0 or table.state(0) != cpds.initial_state():
@@ -305,21 +313,16 @@ def restore_explicit(
             engine._parent_actions = parent_actions
             engine._witness_threads = witness_threads
 
-        tree_rows = payload["trees"]
-        if tree_rows is None:
-            engine._tree_cache = None
-        else:
-            views, trees = tree_rows
-            cache: dict = {}
-            qid_shift = engine._view_qid_shift
-            wid_shift = engine._view_wid_shift
-            for position, row in enumerate(trees):
-                base = 3 * position
-                index, qid, wid = views[base], views[base + 1], views[base + 2]
-                cache[(qid << qid_shift) | (wid << wid_shift) | index] = ContextTree(
-                    *row
-                )
-            engine._tree_cache = cache
+        views, trees = payload["trees"]
+        cache = engine._tree_cache
+        qid_shift = engine._view_qid_shift
+        wid_shift = engine._view_wid_shift
+        for position, row in enumerate(trees):
+            base = 3 * position
+            index, qid, wid = views[base], views[base + 1], views[base + 2]
+            cache[(qid << qid_shift) | (wid << wid_shift) | index] = ContextTree(
+                *row
+            )
 
         # Derive T(Rk)'s per-level visible keys from the restored key
         # column (a level's ids are one contiguous range).
@@ -344,10 +347,12 @@ def restore_explicit(
 # Symbolic engine (Sk)
 # ----------------------------------------------------------------------
 def snapshot_symbolic(engine) -> bytes:
-    """Checkpoint a :class:`~repro.reach.symbolic.SymbolicReach`: the
-    canonical-signature frontier (per-level symbolic states) and the
+    """Checkpoint a batched :class:`~repro.reach.symbolic.SymbolicReach`:
+    the canonical-signature frontier (per-level symbolic states) and the
     cross-expansion memo, both id-encoded against pools of distinct
-    shared states and signature keys."""
+    shared states and signature keys; the per-state oracle is not
+    snapshottable."""
+    _refuse_oracle(engine)
     shared_ids: dict = {}
     shared_pool: list = []
     sig_ids: dict = {}
@@ -374,39 +379,33 @@ def snapshot_symbolic(engine) -> bytes:
             state_rows.append(shared_idx(symbolic.shared))
             state_rows.extend(sig_idx(s) for s in symbolic.signatures)
 
-    memo = engine._expansions
-    if memo is None:
-        memo_rows = None
-    else:
-        keys = array("q")
-        part_lens = array("q")
-        part_pairs = array("q")
-        for (thread, shared, signature), parts in memo.items():
-            keys.extend((thread, shared_idx(shared), sig_idx(signature)))
-            part_lens.append(len(parts))
-            for part_shared, _canonical, part_sig in parts:
-                part_pairs.extend((shared_idx(part_shared), sig_idx(part_sig)))
-        memo_rows = (keys, part_lens, part_pairs)
+    keys = array("q")
+    part_lens = array("q")
+    part_pairs = array("q")
+    for (thread, shared, signature), parts in engine._expansions.items():
+        keys.extend((thread, shared_idx(shared), sig_idx(signature)))
+        part_lens.append(len(parts))
+        for part_shared, _canonical, part_sig in parts:
+            part_pairs.extend((shared_idx(part_shared), sig_idx(part_sig)))
 
     return _encode(
         KIND_SYMBOLIC,
         {
             "n_threads": engine.cpds.n_threads,
-            "batched": engine.batched,
+            "batched": True,
             "shared_pool": shared_pool,
             "sig_pool": sig_pool,
             "level_lens": level_lens,
             "state_rows": state_rows,
-            "expansions": memo_rows,
+            "expansions": (keys, part_lens, part_pairs),
         },
     )
 
 
-def restore_symbolic(cpds: CPDS, data: bytes, *, batched: bool | None = None):
-    """Rebuild a warm :class:`~repro.reach.symbolic.SymbolicReach` from
-    a :func:`snapshot_symbolic` blob.  ``batched`` defaults to the
-    snapshotted engine's mode.  Raises :class:`SnapshotError` when the
-    blob is undecodable or does not belong to ``cpds``."""
+def restore_symbolic(cpds: CPDS, data: bytes):
+    """Rebuild a warm batched :class:`~repro.reach.symbolic.SymbolicReach`
+    from a :func:`snapshot_symbolic` blob.  Raises :class:`SnapshotError`
+    when the blob is undecodable or does not belong to ``cpds``."""
     from repro.reach.symbolic import SymbolicReach, SymbolicState, nfa_tops
 
     _kind, payload = decode(data, expected_kind=KIND_SYMBOLIC)
@@ -416,15 +415,7 @@ def restore_symbolic(cpds: CPDS, data: bytes, *, batched: bool | None = None):
             raise SnapshotError(
                 f"snapshot has {n} threads, CPDS has {cpds.n_threads}"
             )
-        from repro.reach.config import EngineConfig
-
-        engine = SymbolicReach(
-            cpds,
-            incremental=payload["expansions"] is not None,
-            config=EngineConfig(
-                batched=payload["batched"] if batched is None else batched
-            ),
-        )
+        engine = SymbolicReach(cpds)
         initial_level = engine.levels[0]
 
         shared_pool = payload["shared_pool"]
@@ -471,29 +462,24 @@ def restore_symbolic(cpds: CPDS, data: bytes, *, batched: bool | None = None):
         if not levels or levels[0] != initial_level:
             raise SnapshotError("snapshot does not belong to this CPDS")
 
-        memo_rows = payload["expansions"]
-        if memo_rows is None:
-            engine._expansions = None
-        else:
-            keys, part_lens, part_pairs = memo_rows
-            memo: dict = {}
-            pair_cursor = 0
-            for position, length in enumerate(part_lens):
-                base = 3 * position
-                thread = keys[base]
-                key = (
-                    thread,
-                    shared_pool[keys[base + 1]],
-                    pair_for(keys[base + 2], thread)[1],
-                )
-                parts = []
-                for _ in range(length):
-                    part_shared = shared_pool[part_pairs[pair_cursor]]
-                    dfa, signature = pair_for(part_pairs[pair_cursor + 1], thread)
-                    parts.append((part_shared, dfa, signature))
-                    pair_cursor += 2
-                memo[key] = tuple(parts)
-            engine._expansions = memo
+        keys, part_lens, part_pairs = payload["expansions"]
+        memo = engine._expansions
+        pair_cursor = 0
+        for position, length in enumerate(part_lens):
+            base = 3 * position
+            thread = keys[base]
+            key = (
+                thread,
+                shared_pool[keys[base + 1]],
+                pair_for(keys[base + 2], thread)[1],
+            )
+            parts = []
+            for _ in range(length):
+                part_shared = shared_pool[part_pairs[pair_cursor]]
+                dfa, signature = pair_for(part_pairs[pair_cursor + 1], thread)
+                parts.append((part_shared, dfa, signature))
+                pair_cursor += 2
+            memo[key] = tuple(parts)
 
         engine.levels = levels
         seen: set = set()
@@ -523,9 +509,10 @@ def restore_symbolic(cpds: CPDS, data: bytes, *, batched: bool | None = None):
 # ----------------------------------------------------------------------
 def snapshot_wuba(engine) -> bytes:
     """Checkpoint a :class:`~repro.reach.wuba.WubaReach`: the committed
-    ``(Wk)`` levels as ``(shared, stack-ids...)`` rows against a pool of
-    distinct per-thread stacks.  The write-free closure memo is a pure
-    semantic cache (rebuilt on demand), so it is not persisted."""
+    ``(Wk)`` levels, each in discovery order, as ``(shared,
+    stack-ids...)`` rows against a pool of distinct per-thread stacks.
+    The write-free closure memo is a pure semantic cache (rebuilt on
+    demand), so it is not persisted."""
     stack_ids: dict = {}
     stack_pool: list = []
 
@@ -549,7 +536,7 @@ def snapshot_wuba(engine) -> bytes:
         {
             "n_threads": engine.cpds.n_threads,
             "max_states_per_context": engine.max_states_per_context,
-            "incremental": engine._closure_memo is not None,
+            "incremental": True,
             "stack_pool": stack_pool,
             "level_lens": level_lens,
             "shared_rows": shared_rows,
@@ -581,12 +568,11 @@ def restore_wuba(cpds: CPDS, data: bytes, *, max_states_per_context: int | None 
                 if max_states_per_context is None
                 else max_states_per_context
             ),
-            incremental=payload["incremental"],
         )
         stack_pool = payload["stack_pool"]
         shared_rows = payload["shared_rows"]
         stack_rows = payload["stack_rows"]
-        levels: list[frozenset] = []
+        levels: list[tuple] = []
         state_index = 0
         cursor = 0
         for length in payload["level_lens"]:
@@ -598,16 +584,17 @@ def restore_wuba(cpds: CPDS, data: bytes, *, max_states_per_context: int | None 
                 bucket.append(GlobalState(shared_rows[state_index], stacks))
                 state_index += 1
                 cursor += n
-            levels.append(frozenset(bucket))
+            levels.append(tuple(bucket))
         # A fresh engine's level 0 is the write-free closure of the
-        # initial state — deterministic, so equality is the belonging
-        # check (same shape as the explicit/symbolic restores).
-        if not levels or levels[0] != engine.levels[0]:
+        # initial state, so set equality is the belonging check (same
+        # shape as the explicit/symbolic restores; a blob of an older
+        # tree may list the level in another order).
+        if not levels or set(levels[0]) != set(engine.levels[0]):
             raise SnapshotError("snapshot does not belong to this CPDS")
         engine.levels = levels
         seen: set = set()
         for level in levels:
-            seen |= level
+            seen.update(level)
         engine._seen = seen
         engine.visible_levels.clear()
         engine._visible_cumulative.clear()

@@ -3,13 +3,13 @@
 :meth:`ExplicitReach.advance` shards each frontier level by the moving
 thread's interned local view ``(thread, shared_id, stack_id)`` and
 saturates every unique view once, replaying the id-encoded context tree
-across the shard; the per-state path (``batched=False``) is the seed
-behavior kept as the differential oracle.  The two must produce
-identical global-state levels and identical ``T(Rk)`` sequences on
-every FCR registry row and on randomized CPDSs, and METER must confirm
-the batching invariant: one ``thread_context_post``-grade saturation
-per unique view per level (none at all for views already memoized
-across levels)."""
+across the shard; the memo-free per-state path (``batched=False``) is
+the seed behavior kept as the differential oracle.  The two must
+produce identical global-state levels and identical ``T(Rk)`` sequences
+on every FCR registry row and on randomized CPDSs, and METER must
+confirm the batching invariant: every unique view per level is exactly
+one ``thread_context_post``-grade saturation or one hit of the
+cross-level tree memo."""
 
 import pytest
 
@@ -19,7 +19,7 @@ from repro.models.registry import TABLE2, smallest_per_row
 from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach, mover_column
 from repro.reach.witness import validate_trace
-from repro.util.meter import METER, scoped
+from repro.util.meter import scoped
 
 K = 3
 
@@ -48,61 +48,47 @@ def test_batched_levels_match_per_state_levels(bench):
 
 @pytest.mark.parametrize("bench", FCR_BENCHES[:3], ids=lambda b: b.row)
 def test_batched_matches_non_incremental_per_state(bench):
-    """Cross both axes: batched+incremental vs per-state without any
-    cross-level memo (the fully naive seed path)."""
+    """Cross both axes: a batched engine restored mid-run (its tree memo
+    read back from the blob) vs the memo-free per-state seed path."""
     cpds, _prop = bench.build()
-    fast = ExplicitReach(cpds, track_traces=False, incremental=True, config=BATCHED)
-    naive = ExplicitReach(cpds, track_traces=False, incremental=False, config=PER_STATE)
-    assert _levels(fast, K) == _levels(naive, K)
+    fast = ExplicitReach(cpds, track_traces=False, config=BATCHED)
+    fast.ensure_level(1)
+    resumed = ExplicitReach.restore(cpds, fast.snapshot())
+    naive = ExplicitReach(cpds, track_traces=False, config=PER_STATE)
+    assert _levels(resumed, K) == _levels(naive, K)
 
 
 @pytest.mark.parametrize("bench", FCR_BENCHES[:4], ids=lambda b: b.row)
 def test_one_expansion_per_unique_view_per_level(bench):
-    """METER invariant: without the cross-level memo, the number of
-    context saturations per level equals the number of unique
-    ``(thread, shared, local-view)`` shards; with it, saturations can
-    only be fewer and every shard is accounted for as a saturation or a
-    cache hit."""
+    """METER invariant, per level: every unique ``(thread, shared,
+    local-view)`` shard is exactly one context saturation or one hit of
+    the cross-level tree memo."""
     cpds, _prop = bench.build()
-    engine = ExplicitReach(cpds, track_traces=False, incremental=False, config=BATCHED)
+    engine = ExplicitReach(cpds, track_traces=False, config=BATCHED)
     for _ in range(K):
         with scoped() as level_work:
             engine.advance()
         unique = level_work.get("explicit.level_unique_views", 0)
         expansions = level_work.get("explicit.expansions", 0)
+        hits = level_work.get("explicit.context_cache_hits", 0)
         views = level_work.get("explicit.level_views", 0)
-        assert expansions == unique, (
-            f"level {engine.k}: {expansions} saturations for {unique} unique views"
+        assert expansions + hits == unique, (
+            f"level {engine.k}: {expansions} saturations + {hits} memo hits "
+            f"for {unique} unique views"
         )
         assert views >= unique
-
-    memo = ExplicitReach(cpds, track_traces=False, incremental=True, config=BATCHED)
-    before = METER.snapshot()
-    memo.ensure_level(K)
-    delta = METER.delta(before)
-    unique = delta.get("explicit.level_unique_views", 0)
-    assert delta.get("explicit.expansions", 0) <= unique
-    assert (
-        delta.get("explicit.expansions", 0)
-        + delta.get("explicit.context_cache_hits", 0)
-        == unique
-    )
 
 
 def test_per_state_mode_expands_duplicates():
     """Sanity check that the oracle really is less shared: on a model
-    whose frontier repeats thread views (FileCrawler), the per-state
-    non-incremental path saturates strictly more often than sharding."""
+    whose frontier repeats thread views (FileCrawler), the memo-free
+    per-state path saturates strictly more often than sharding."""
     bench = next(b for b in FCR_BENCHES if b.row.startswith("5/"))
     cpds, _prop = bench.build()
     with scoped() as batched_work:
-        ExplicitReach(
-            cpds, track_traces=False, incremental=False, config=BATCHED
-        ).ensure_level(K)
+        ExplicitReach(cpds, track_traces=False, config=BATCHED).ensure_level(K)
     with scoped() as per_state_work:
-        ExplicitReach(
-            cpds, track_traces=False, incremental=False, config=PER_STATE
-        ).ensure_level(K)
+        ExplicitReach(cpds, track_traces=False, config=PER_STATE).ensure_level(K)
     assert (
         per_state_work["explicit.expansions"] > batched_work["explicit.expansions"]
     )

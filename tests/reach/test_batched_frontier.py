@@ -2,11 +2,12 @@
 
 :meth:`SymbolicReach.advance` groups each level's thread views by
 ``(thread, shared, signature)`` and expands every unique view once; the
-per-state path (``batched=False``) is the seed behavior kept as the
-differential oracle.  The two must produce identical symbolic-state
-levels and identical ``T(Sk)`` sequences on every registry model, and
-METER must confirm the batching invariant: one saturation per unique
-view per level (none at all for views already memoized across levels).
+memo-free per-state path (``batched=False``) is the seed behavior kept
+as the differential oracle.  The two must produce identical
+symbolic-state levels and identical ``T(Sk)`` sequences on every
+registry model, and METER must confirm the batching invariant: every
+unique view per level is exactly one saturation or one hit of the
+cross-level memo.
 """
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from repro.models.registry import smallest_per_row
 from repro.reach.config import EngineConfig
 from repro.reach.symbolic import SymbolicReach
-from repro.util.meter import METER, scoped
+from repro.util.meter import scoped
 
 K = 3
 BATCHED = EngineConfig(batched=True)
@@ -45,53 +46,48 @@ def test_batched_levels_match_per_state_levels(bench):
 
 @pytest.mark.parametrize("bench", FCR_BENCHES[:3], ids=lambda b: b.row)
 def test_batched_matches_non_incremental_per_state(bench):
-    """Cross both axes: batched+incremental vs per-state without any
-    cross-level memo (the fully naive path)."""
+    """Cross both axes: a batched engine restored mid-run (its memo read
+    back from the blob) vs the memo-free per-state oracle."""
     cpds, _prop = bench.build()
-    fast = SymbolicReach(cpds, incremental=True, config=BATCHED)
-    naive = SymbolicReach(cpds, incremental=False, config=PER_STATE)
-    fast.ensure_level(K)
+    fast = SymbolicReach(cpds, config=BATCHED)
+    fast.ensure_level(1)
+    resumed = SymbolicReach.restore(cpds, fast.snapshot())
+    naive = SymbolicReach(cpds, config=PER_STATE)
+    resumed.ensure_level(K)
     naive.ensure_level(K)
-    assert _signature_levels(fast) == _signature_levels(naive)
+    assert _signature_levels(resumed) == _signature_levels(naive)
 
 
 @pytest.mark.parametrize("bench", ALL_BENCHES[:4], ids=lambda b: b.row)
 def test_one_expansion_per_unique_view_per_level(bench):
-    """METER invariant: without the cross-level memo, the number of
-    saturations per level equals the number of unique views; with it,
-    saturations can only be fewer (memoized views are free)."""
+    """METER invariant, per level: every unique view is exactly one
+    saturation or one hit of the cross-level memo."""
     cpds, _prop = bench.build()
-    engine = SymbolicReach(cpds, incremental=False, config=BATCHED)
+    engine = SymbolicReach(cpds, config=BATCHED)
     for _ in range(K):
         with scoped() as level_work:
             engine.advance()
         unique = level_work.get("symbolic.level_unique_views", 0)
         expansions = level_work.get("symbolic.expansions", 0)
+        hits = level_work.get("symbolic.expansion_cache_hits", 0)
         views = level_work.get("symbolic.level_views", 0)
-        assert expansions == unique, (
-            f"level {engine.k}: {expansions} saturations for {unique} unique views"
+        assert expansions + hits == unique, (
+            f"level {engine.k}: {expansions} saturations + {hits} memo hits "
+            f"for {unique} unique views"
         )
         assert views >= unique
-
-    memo = SymbolicReach(cpds, incremental=True, config=BATCHED)
-    before = METER.snapshot()
-    memo.ensure_level(K)
-    delta = METER.delta(before)
-    assert delta.get("symbolic.expansions", 0) <= delta.get(
-        "symbolic.level_unique_views", 0
-    )
 
 
 def test_per_state_mode_expands_duplicates():
     """Sanity check that the oracle really is less shared: on a model
-    whose frontier repeats thread views (FileCrawler), the per-state
-    non-incremental path saturates strictly more often than batching."""
+    whose frontier repeats thread views (FileCrawler), the memo-free
+    per-state path saturates strictly more often than batching."""
     bench = next(b for b in ALL_BENCHES if b.row.startswith("5/"))
     cpds, _prop = bench.build()
     with scoped() as batched_work:
-        SymbolicReach(cpds, incremental=False, config=BATCHED).ensure_level(K)
+        SymbolicReach(cpds, config=BATCHED).ensure_level(K)
     with scoped() as per_state_work:
-        SymbolicReach(cpds, incremental=False, config=PER_STATE).ensure_level(K)
+        SymbolicReach(cpds, config=PER_STATE).ensure_level(K)
     assert (
         per_state_work["symbolic.expansions"] > batched_work["symbolic.expansions"]
     )

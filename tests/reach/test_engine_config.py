@@ -20,11 +20,11 @@ class TestEngineConfig:
         config = EngineConfig()
         assert config.batched is True
         assert config.backend == "auto"
-        assert config.incremental is True
 
-    def test_exactly_three_knobs(self):
+    def test_exactly_two_knobs(self):
+        """The cross-level memos are exact, so they are not knobs."""
         names = [field.name for field in dataclasses.fields(EngineConfig)]
-        assert names == ["batched", "backend", "incremental"]
+        assert names == ["batched", "backend"]
 
     def test_replace_returns_new_frozen_instance(self):
         config = EngineConfig()

@@ -3,10 +3,11 @@
 ``γ(Sk) = Rk`` (paper App. E), so the two engines must produce identical
 visible-projection sequences ``T(R0), T(R1), ...`` on every model both
 support — i.e. every registry benchmark satisfying FCR (the explicit
-engine's precondition).  The agreement must hold with incremental reuse
-enabled *and* disabled, and the four runs must agree level by level,
-which pins down both the cross-engine semantics and the exactness of the
-incremental caches (expansion memoization, context-tree memoization).
+engine's precondition).  The agreement must hold for the memoizing
+batched engines *and* the memo-free per-state oracles, and the four
+runs must agree level by level, which pins down both the cross-engine
+semantics and the exactness of the cross-level memos (expansion
+memoization, context-tree memoization).
 
 One configuration per registry row — the smallest — keeps the quadratic
 explicit product spaces tier-1-affordable; larger configurations change
@@ -16,6 +17,7 @@ constants, not semantics (they share the thread programs).
 import pytest
 
 from repro.models.registry import smallest_per_row
+from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.symbolic import SymbolicReach
 
@@ -33,18 +35,19 @@ def _visible_sequence(engine, k_max):
 @pytest.mark.parametrize("bench", BENCHES, ids=lambda b: b.row)
 def test_explicit_and_symbolic_tsk_sequences_match(bench):
     cpds, _prop = bench.build()
+    oracle = EngineConfig(batched=False)
     runs = {
-        "explicit+inc": ExplicitReach(cpds, track_traces=False, incremental=True),
-        "explicit": ExplicitReach(cpds, track_traces=False, incremental=False),
-        "symbolic+inc": SymbolicReach(cpds, incremental=True),
-        "symbolic": SymbolicReach(cpds, incremental=False),
+        "explicit+memo": ExplicitReach(cpds, track_traces=False),
+        "explicit": ExplicitReach(cpds, track_traces=False, config=oracle),
+        "symbolic+memo": SymbolicReach(cpds),
+        "symbolic": SymbolicReach(cpds, config=oracle),
     }
     sequences = {name: _visible_sequence(engine, K) for name, engine in runs.items()}
     reference = sequences["explicit"]
     for name, sequence in sequences.items():
         assert sequence == reference, (
             f"{bench.row}: T(Sk) sequence of {name} diverges from the "
-            f"cache-free explicit engine at some k <= {K}"
+            f"memo-free explicit oracle at some k <= {K}"
         )
     # Per-level increments must agree too (they derive from the same
     # cumulative sets, but this pins _record_visible bookkeeping).

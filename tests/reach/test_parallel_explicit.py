@@ -1,11 +1,12 @@
 """Explicit-engine differential across the context memo.
 
-Three-way differential: the seed per-state oracle (``batched=False``),
-the batched engine with its cross-level context memo
-(``incremental=True``) and the batched engine that saturates every
-view afresh (``incremental=False``) must produce identical global-state
-levels and identical ``T(Rk)`` sequences.  The memo only decides
-whether a context tree is rebuilt, never what it contains.  Non-FCR
+Three-way differential: the memo-free seed per-state oracle
+(``batched=False``), the batched engine with its cross-level context
+memo, and a batched engine restored from its own level-1 snapshot (so
+its memo starts from the persisted trees) and then advanced, must
+produce identical global-state levels and identical ``T(Rk)``
+sequences.  The memo only decides whether a context tree is rebuilt,
+never what it contains, and the persisted memo is exact.  Non-FCR
 instances must diverge identically in all three modes.
 """
 
@@ -22,12 +23,20 @@ K = 2
 FCR_BENCHES = smallest_per_row(lambda b: b.fcr)
 
 
+def _restored_at_level_1(cpds, **kwargs):
+    """A batched engine restored from its own k=1 snapshot."""
+    engine = ExplicitReach(cpds, **kwargs)
+    engine.ensure_level(1)
+    return ExplicitReach.restore(cpds, engine.snapshot())
+
+
 def _three_engines(cpds, **kwargs):
-    """per-state oracle / memoized batched / unmemoized batched."""
+    """Makers of the per-state oracle / memoized batched / restored
+    batched engines (a maker may trip the divergence guard)."""
     return [
-        ExplicitReach(cpds, config=EngineConfig(batched=False), **kwargs),
-        ExplicitReach(cpds, incremental=True, **kwargs),
-        ExplicitReach(cpds, incremental=False, **kwargs),
+        lambda: ExplicitReach(cpds, config=EngineConfig(batched=False), **kwargs),
+        lambda: ExplicitReach(cpds, **kwargs),
+        lambda: _restored_at_level_1(cpds, **kwargs),
     ]
 
 
@@ -40,13 +49,15 @@ class TestThreeWayDifferential:
     @pytest.mark.parametrize("bench", FCR_BENCHES, ids=lambda b: b.row)
     def test_registry_rows(self, bench):
         cpds, _prop = bench.build()
-        per_state, memo, fresh = _three_engines(cpds, track_traces=False)
-        assert _levels(per_state, K) == _levels(memo, K) == _levels(fresh, K)
+        per_state, memo, restored = (
+            make() for make in _three_engines(cpds, track_traces=False)
+        )
+        assert _levels(per_state, K) == _levels(memo, K) == _levels(restored, K)
         for k in range(K + 1):
             assert (
                 per_state.visible_new_at(k)
                 == memo.visible_new_at(k)
-                == fresh.visible_new_at(k)
+                == restored.visible_new_at(k)
             ), f"k={k}"
 
     @pytest.mark.parametrize("seed", range(40))
@@ -55,13 +66,15 @@ class TestThreeWayDifferential:
         divergent (non-FCR) instances diverge in every mode."""
         spec = RandomSpec(n_threads=2, n_shared=2, n_symbols=2, rules_per_thread=5)
         cpds = random_cpds(seed, spec)
-        engines = _three_engines(
-            cpds, max_states_per_context=300, track_traces=False
-        )
+        engines = []
         exploded = []
-        for engine in engines:
+        for make in _three_engines(
+            cpds, max_states_per_context=300, track_traces=False
+        ):
             try:
+                engine = make()
                 engine.ensure_level(K)
+                engines.append(engine)
                 exploded.append(False)
             except ContextExplosionError:
                 exploded.append(True)

@@ -8,7 +8,12 @@ engine's factorized-closure machinery, so agreement proves the
 commuting-closure decomposition, not just the code against itself.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +55,13 @@ def oracle_levels(cpds, max_writes: int, cap: int = 200_000):
     return [frozenset(level) for level in levels]
 
 
+def level_sets(engine, depth: int):
+    """``W0..Wdepth`` of ``engine`` as sets (the engine keeps each level
+    as a tuple in discovery order)."""
+    engine.ensure_level(depth)
+    return [engine.states_new_at(k) for k in range(depth + 1)]
+
+
 def wuba_applicable_rows():
     rows = []
     for bench in smallest_per_row():
@@ -62,30 +74,30 @@ def wuba_applicable_rows():
 class TestAgainstOracle:
     def test_fig1_levels_match(self):
         cpds = fig1_cpds()
-        engine = WubaReach(cpds)
-        engine.ensure_level(6)
-        assert engine.levels[:7] == oracle_levels(cpds, 6)
+        assert level_sets(WubaReach(cpds), 6) == oracle_levels(cpds, 6)
 
     @pytest.mark.parametrize("cpds", wuba_applicable_rows())
     def test_registry_rows_match(self, cpds):
         depth = 5
-        engine = WubaReach(cpds)
-        engine.ensure_level(depth)
-        assert engine.levels[: depth + 1] == oracle_levels(cpds, depth)
+        assert level_sets(WubaReach(cpds), depth) == oracle_levels(cpds, depth)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_models_match(self, seed):
         cpds = random_cpds(seed, RandomSpec(rules_per_thread=5, push_bias=0.2))
         if not WubaReach.applicable(cpds):
             pytest.skip("random model violates WCR")
-        engine = WubaReach(cpds)
-        engine.ensure_level(4)
-        assert engine.levels[:5] == oracle_levels(cpds, 4)
+        assert level_sets(WubaReach(cpds), 4) == oracle_levels(cpds, 4)
 
     def test_incremental_memo_is_pure(self):
+        """The closure memo only decides whether a closure is recomputed:
+        a warm engine equals, in order, one restored from its level-2
+        snapshot, whose memo holds only the initial state's closures."""
         cpds = fig1_cpds()
-        warm = WubaReach(cpds, incremental=True)
-        cold = WubaReach(cpds, incremental=False)
+        warm = WubaReach(cpds)
+        warm.ensure_level(2)
+        cold = WubaReach.restore(cpds, warm.snapshot())
+        assert len(cold._closure_memo) == cpds.n_threads
+        assert len(warm._closure_memo) > cpds.n_threads
         warm.ensure_level(5)
         cold.ensure_level(5)
         assert warm.levels == cold.levels
@@ -174,3 +186,89 @@ class TestVerdicts:
                 assert "collapse" in result.message
                 return
         pytest.fail("Dekker row missing from registry")
+
+
+#: Per WCR row of ``smallest_per_row()``: the lane run's closure
+#: counters; an engine advanced to k=3, snapshotted (blob written to
+#: ``out``) and advanced on to k=6 uninterrupted; and, when ``resume``
+#: names a blob directory, that directory's k=3 blob restored and
+#: resumed to k=6.  Levels are digested in their stored order.
+_SEED_SCRIPT = """
+import hashlib, json, sys
+from pathlib import Path
+from repro.cuba.lanes import run_lane
+from repro.models.registry import smallest_per_row
+from repro.reach.wuba import WubaReach
+from repro.util.meter import scoped
+
+out, resume = Path(sys.argv[1]), sys.argv[2:]
+
+def digest(engine):
+    return hashlib.sha256(repr(engine.levels).encode()).hexdigest()
+
+def segment(engine, k):
+    with scoped() as work:
+        engine.ensure_level(k)
+    return [work.get("wuba.expansions", 0), work.get("wuba.closure_cache_hits", 0)]
+
+rows = {}
+for index, bench in enumerate(smallest_per_row()):
+    cpds, prop = bench.build()
+    if not WubaReach.applicable(cpds, prop):
+        continue
+    row = rows[bench.name] = {}
+    with scoped() as work:
+        run_lane("wuba", cpds, prop, max_rounds=bench.max_rounds)
+    row["lane"] = [work.get("wuba.expansions", 0), work.get("wuba.closure_cache_hits", 0)]
+    engine = WubaReach(cpds)
+    engine.ensure_level(3)
+    (out / f"{index}.blob").write_bytes(engine.snapshot())
+    row["uninterrupted"] = segment(engine, 6)
+    row["levels"] = digest(engine)
+    if resume:
+        restored = WubaReach.restore(cpds, (Path(resume[0]) / f"{index}.blob").read_bytes())
+        row["resumed"] = segment(restored, 6)
+        row["resumed_levels"] = digest(restored)
+print(json.dumps(rows))
+"""
+
+
+def _seed_run(hash_seed: str, out: Path, resume: Path | None = None) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parents[2] / "src")
+        + os.pathsep
+        + env.get("PYTHONPATH", "")
+    )
+    out.mkdir()
+    argv = [sys.executable, "-c", _SEED_SCRIPT, str(out)]
+    if resume is not None:
+        argv.append(str(resume))
+    done = subprocess.run(
+        argv, env=env, capture_output=True, text=True, check=True, timeout=300
+    )
+    return json.loads(done.stdout)
+
+
+class TestHashSeedIndependence:
+    """Levels are built in discovery order, so which written states get
+    closed — and the closure counters — never depend on ``str`` hash
+    salting, before or after a snapshot crosses processes."""
+
+    def test_counts_and_resume_match_across_hash_seeds(self, tmp_path):
+        first = _seed_run("0", tmp_path / "seed0")
+        second = _seed_run("1", tmp_path / "seed1", resume=tmp_path / "seed0")
+        assert first.keys() == second.keys() and len(first) >= 5
+        for name, row in first.items():
+            other = second[name]
+            assert other["lane"] == row["lane"], name
+            assert other["uninterrupted"] == row["uninterrupted"], name
+            assert other["levels"] == row["levels"], name
+            # The seed-0 blob resumed under seed 1 rebuilds the same
+            # levels in the same order.  Its memo starts cold, so it
+            # saturates at least as often, but it makes exactly the
+            # uninterrupted run's closure lookups (saturations + hits).
+            assert other["resumed_levels"] == row["levels"], name
+            resumed, uninterrupted = other["resumed"], row["uninterrupted"]
+            assert sum(resumed) == sum(uninterrupted), name
+            assert resumed[0] >= uninterrupted[0], name

@@ -251,6 +251,9 @@ class TestRejection:
         engine = ExplicitReach(fig1_cpds(), config=EngineConfig(batched=False))
         with pytest.raises(SnapshotError):
             engine.snapshot()
+        symbolic = SymbolicReach(fig1_cpds(), config=EngineConfig(batched=False))
+        with pytest.raises(SnapshotError):
+            symbolic.snapshot()
 
     @pytest.mark.parametrize(
         "mutate",
