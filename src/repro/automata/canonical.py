@@ -271,11 +271,11 @@ def intern_canonical_form(
     the payload of a :class:`Signature` key — into its unique interned
     ``(DFA, signature)`` pair.
 
-    This is the restore path of engine snapshots
-    (:mod:`repro.service.snapshot`): a persisted symbolic frontier
-    stores signature keys only, and rebuilding through the hash-cons
-    table guarantees the restored automata share identity (and the
-    per-language analysis caches) with anything the process
+    This is the restore path of symbolic engine snapshots
+    (:meth:`repro.reach.symbolic.SymbolicReach.restore`): a persisted
+    frontier stores signature keys only, and rebuilding through the
+    hash-cons table guarantees the restored automata share identity
+    (and the per-language analysis caches) with anything the process
     canonicalizes afterwards.  The caller vouches that the form really
     is canonical (snapshots only ever persist keys that came out of
     :func:`canonical_nfa`).

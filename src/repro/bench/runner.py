@@ -423,12 +423,6 @@ def write_bench_json(payload: dict, out_dir: str | Path = ".") -> Path:
     return path
 
 
-def latest_bench_file(root: str | Path = ".") -> Path | None:
-    """The newest committed ``BENCH_*.json`` under ``root`` (by stamp)."""
-    files = sorted(Path(root).glob("BENCH_*.json"))
-    return files[-1] if files else None
-
-
 def comparable_configs(current: dict, baseline: dict) -> bool:
     """True iff two payloads were produced under the same measurement
     configuration and their totals are meaningfully comparable.

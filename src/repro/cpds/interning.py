@@ -440,7 +440,7 @@ class StateTable:
         return self._vq_limit is not None
 
     # ------------------------------------------------------------------
-    # Snapshot support (see :mod:`repro.service.snapshot`)
+    # Snapshot support (see :meth:`repro.reach.explicit.ExplicitReach.snapshot`)
     # ------------------------------------------------------------------
     def component_pools(self) -> tuple[list, list[list[tuple]]]:
         """Copies of the component pools in dense-id order: the shared

@@ -9,8 +9,8 @@ exactly the limit of the context-insensitive abstract sequence.
 
 The check is sound but very incomplete: a violation inside ``Z`` says
 nothing (``Z`` overapproximates), so the result is then UNKNOWN and the
-real algorithms must run.  The Cuba front-end exposes it as an optional
-fast path.
+real algorithms must run.  It is a public library entry point
+(``repro.quick_check``); no analysis in this package calls it.
 """
 
 from __future__ import annotations

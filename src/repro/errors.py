@@ -32,15 +32,6 @@ class ContextExplosionError(CubaError):
         self.states_seen = states_seen
 
 
-class BoundExceededError(CubaError):
-    """A verification run exceeded its round / resource budget without
-    reaching a verdict.  The partial result is attached for inspection."""
-
-    def __init__(self, message: str, partial=None) -> None:
-        super().__init__(message)
-        self.partial = partial
-
-
 class FingerprintError(CubaError):
     """An analysis input cannot be content-addressed — e.g. a property
     carrying an opaque predicate whose semantics the fingerprint cannot

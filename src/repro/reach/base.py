@@ -22,8 +22,10 @@ without knowing the concrete class:
     The observation sequence the lane computes (``"Rk"``, ``"Sk"``,
     ``"Wk"``); used in result ``method`` strings.
 ``snapshot_kind``
-    The kind byte of this lane's snapshot format (see
-    :mod:`repro.service.snapshot`); must be unique across lanes.
+    The kind byte of this lane's snapshots in the ``CUSN`` frame (see
+    :mod:`repro.reach.snapshot`); must be unique across lanes.  The
+    lane owns its payload codec: ``snapshot()`` writes it and the
+    ``restore`` classmethod reads it.
 ``meter_prefix``
     Prefix of this lane's METER counters, ``"<lane>."`` by convention;
     the bench runner and service meter windows aggregate by it.
@@ -190,16 +192,18 @@ class ReachabilityEngine(abc.ABC):
         raise NotImplementedError
 
     @classmethod
-    def restore_engine(
+    def restore(
         cls,
         cpds: "CPDS",
-        data: bytes,
+        blob: bytes,
         *,
         max_states_per_context: int | None = None,
         config: "EngineConfig | None" = None,
     ) -> "ReachabilityEngine":
-        """Rebuild an engine from a snapshot blob of this lane's
-        ``snapshot_kind`` (uniform wrapper over per-lane ``restore``)."""
+        """Rebuild a warm engine from a :meth:`snapshot` blob of this
+        lane taken on ``cpds``, taking the same uniform arguments as
+        :meth:`create`; raises :class:`~repro.errors.SnapshotError` on
+        any undecodable or mismatched blob."""
         raise NotImplementedError
 
     @abc.abstractmethod
@@ -210,7 +214,7 @@ class ReachabilityEngine(abc.ABC):
     @abc.abstractmethod
     def snapshot(self) -> bytes:
         """Serialize resumable engine state (header carries
-        ``snapshot_kind``; see :mod:`repro.service.snapshot`)."""
+        ``snapshot_kind``; see :mod:`repro.reach.snapshot`)."""
 
     @abc.abstractmethod
     def stats(self) -> dict:

@@ -67,7 +67,7 @@ state ``p``: then ``post_t(m) ⊆ post_t(p) ⊆ Rk``, so expanding ``m`` by
 ``t`` at level ``k+1`` can only produce states already seen.  The
 engine records each state's *mover* — the thread of the view whose
 replay first produced it, in the serial view/member/edge scan order; the
-root and states of unknown origin carry the sentinel ``n_threads``
+root carries the sentinel ``n_threads``
 ("expand every thread") — in a compact ``array`` column aligned with
 the state ids, and grouping skips the ``(state, mover)`` view.  Both
 grouping and replay backends (scalar, numpy) skip and record
@@ -107,12 +107,14 @@ from repro.cpds.cpds import CPDS
 from repro.cpds.interning import StateTable, visible_fields
 from repro.cpds.semantics import ContextTree, thread_context_post, thread_view_post
 from repro.cpds.state import GlobalState, VisibleState
+from repro.errors import SnapshotError
 from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import vectorized
 from repro.reach.base import ReachabilityEngine
 from repro.reach.config import EngineConfig
 from repro.reach.registry import register
+from repro.reach.snapshot import KIND_EXPLICIT, _encode, reading, refuse_oracle
 from repro.reach.witness import Trace, TraceStep, rebuild_trace
 from repro.util.meter import METER
 
@@ -226,7 +228,7 @@ class ExplicitReach(ReachabilityEngine):
 
     lane = "explicit"
     sequence_name = "Rk"
-    snapshot_kind = 1
+    snapshot_kind = KIND_EXPLICIT
     meter_prefix = "explicit."
     supports_witness = True
     generator_test = True
@@ -274,7 +276,7 @@ class ExplicitReach(ReachabilityEngine):
         #: id -> level at which the state was first reached (dense).
         self._first_seen: list[int] = []
         #: id -> the thread whose context first produced the state, or
-        #: the sentinel ``n_threads`` (root, unknown origin): grows and
+        #: the sentinel ``n_threads`` (the root): grows and
         #: rolls back in lock-step with ``_first_seen``.
         self._movers = mover_column(cpds.n_threads)
         #: Witness parents in batched mode: id -> parent id (-1 for the
@@ -283,9 +285,6 @@ class ExplicitReach(ReachabilityEngine):
         track = track_traces and batched
         self._parent_ids: array | None = array("q") if track else None
         self._parent_actions: list | None = [] if track else None
-        #: id -> witness thread, only where it differs from the mover
-        #: (states restored from a blob without the mover column).
-        self._witness_threads: dict[int, int] = {}
         #: The per-state oracle path's ``GlobalState``-keyed parents
         #: (see :func:`thread_context_post`).
         self._oracle_parents: dict | None = (
@@ -747,23 +746,15 @@ class ExplicitReach(ReachabilityEngine):
         state_of = self.table.state
         parent_ids = self._parent_ids
         actions = self._parent_actions
+        movers = self._movers  # the witness thread is the mover
         reversed_steps: list[TraceStep] = []
         current = sid
         while (parent := parent_ids[current]) >= 0:
             reversed_steps.append(
-                TraceStep(
-                    self.witness_thread(current),
-                    actions[current],
-                    state_of(current),
-                )
+                TraceStep(movers[current], actions[current], state_of(current))
             )
             current = parent
         return Trace(state_of(current), tuple(reversed(reversed_steps)))
-
-    def witness_thread(self, sid: int) -> int:
-        """The thread of the context step that first reached ``sid``
-        (its mover, unless a legacy snapshot restored it unknown)."""
-        return self._witness_threads.get(sid, self._movers[sid])
 
     def find_visible(self, visible) -> GlobalState | None:
         """The first reached global state (by id) projecting to
@@ -774,40 +765,158 @@ class ExplicitReach(ReachabilityEngine):
         return self.table.state(self.table._vkeys.index(key))
 
     # ------------------------------------------------------------------
-    # Checkpoint / resume
+    # Checkpoint / resume (the payload of a ``CUSN`` frame, see
+    # :mod:`repro.reach.snapshot`)
     # ------------------------------------------------------------------
     def snapshot(self) -> bytes:
-        """Serialize the committed levels, interned core, witness
-        parents, and cross-level tree cache into a versioned binary
-        blob (:mod:`repro.service.snapshot`).  A restored engine's
-        ``ensure_level`` continues level-for-level identically to an
-        uninterrupted run, including METER expansion counts."""
-        from repro.service.snapshot import snapshot_explicit
+        """Checkpoint the committed levels as a kind-1 blob: the
+        :class:`~repro.cpds.interning.StateTable` component pools plus
+        interleaved ``(qid, wids...)`` rows (component ids, not packed
+        keys — immune to the adaptive bit-field geometry),
+        ``first_seen``, the mover column, the per-level ids (lengths +
+        flat ids), the witness parents (child, parent and action
+        columns; the thread is the mover) and the cross-level
+        context-tree cache as raw CSR columns.  The per-thread successor
+        memos and the visible-key column are not persisted: the warm
+        engine re-derives both without touching any METER counter.  A
+        restored engine's ``ensure_level`` continues level-for-level
+        identically to an uninterrupted run."""
+        refuse_oracle(self)
+        table = self.table
+        shareds, stacks = table.component_pools()
 
-        return snapshot_explicit(self)
+        level_ids = array("q")
+        for level in self._level_ids:
+            level_ids.extend(level)
+
+        parent_ids = self._parent_ids
+        parent_rows = None
+        if parent_ids is not None:
+            # Rows in id order, root (parent -1) omitted.
+            children = array(
+                "q", (sid for sid, parent in enumerate(parent_ids) if parent >= 0)
+            )
+            parent_rows = (
+                children,
+                array("q", (parent_ids[sid] for sid in children)),
+                [self._parent_actions[sid] for sid in children],
+            )
+
+        views = array("q")
+        trees = []
+        for view, tree in self._tree_cache.items():
+            views.extend(self._view_parts(view))
+            trees.append(
+                (tree.thread, tree.root_qid, tree.root_wid,
+                 tree.offsets, tree.qids, tree.wids, tree.actions)
+            )
+
+        return _encode(
+            KIND_EXPLICIT,
+            {
+                "n_threads": table.n_threads,
+                "max_states_per_context": self.max_states_per_context,
+                "track_traces": parent_ids is not None,
+                "shareds": shareds,
+                "stacks": stacks,
+                "rows": table.export_rows(),
+                "first_seen": array("q", self._first_seen),
+                "movers": self._movers,
+                "level_lens": array("q", map(len, self._level_ids)),
+                "level_ids": level_ids,
+                "parents": parent_rows,
+                "trees": (views, trees),
+            },
+        )
 
     @classmethod
     def restore(
         cls,
         cpds: CPDS,
-        data: bytes,
+        blob: bytes,
         *,
         max_states_per_context: int | None = None,
         config: EngineConfig | None = None,
     ) -> "ExplicitReach":
-        """Rebuild a warm engine from a :meth:`snapshot` blob taken on
-        the same CPDS.  ``config`` holds pure execution knobs and may
-        differ from the snapshotted engine's; raises
-        :class:`~repro.errors.SnapshotError` on any undecodable or
-        mismatched blob."""
-        from repro.service.snapshot import restore_explicit
+        """Rebuild a warm batched engine from a :meth:`snapshot` blob
+        taken on ``cpds``.  ``config`` holds pure execution knobs (the
+        replay ``backend``) and may differ from the snapshotted
+        engine's; ``max_states_per_context`` defaults to the snapshotted
+        guard.  Raises :class:`~repro.errors.SnapshotError` on any
+        undecodable or mismatched blob."""
+        config = config if config is not None else EngineConfig()
+        with reading(cls, cpds, blob) as payload:
+            n_threads = cpds.n_threads
+            table = StateTable.from_snapshot(
+                n_threads,
+                payload["shareds"],
+                payload["stacks"],
+                payload["rows"],
+                visible_fields(cpds),
+            )
+            engine = cls(
+                cpds,
+                max_states_per_context=(
+                    payload["max_states_per_context"]
+                    if max_states_per_context is None
+                    else max_states_per_context
+                ),
+                track_traces=payload["track_traces"],
+                config=config.replace(batched=True),
+            )
+            if len(table) == 0 or table.state(0) != cpds.initial_state():
+                raise SnapshotError("snapshot does not belong to this CPDS")
+            engine.table = table
 
-        return restore_explicit(
-            cpds,
-            data,
-            config=config,
-            max_states_per_context=max_states_per_context,
-        )
+            levels = []
+            cursor = 0
+            level_ids = payload["level_ids"]
+            for length in payload["level_lens"]:
+                levels.append(tuple(level_ids[cursor : cursor + length]))
+                cursor += length
+            engine._level_ids = levels
+            engine._first_seen = list(payload["first_seen"])
+            if len(engine._first_seen) != len(table):
+                raise SnapshotError("snapshot columns disagree on state count")
+            movers = payload["movers"]
+            if len(movers) != len(table):
+                raise SnapshotError("snapshot mover column disagrees on state count")
+            engine._movers = mover_column(n_threads, movers)
+
+            parent_rows = payload["parents"]
+            if parent_rows is None:
+                engine._parent_ids = engine._parent_actions = None
+            else:
+                children, parent_sids, actions = parent_rows
+                parent_ids = array("q", [-1]) * len(table)
+                parent_actions = [None] * len(table)
+                for child, parent, action in zip(children, parent_sids, actions):
+                    parent_ids[child] = parent
+                    parent_actions[child] = action
+                engine._parent_ids = parent_ids
+                engine._parent_actions = parent_actions
+
+            views, trees = payload["trees"]
+            cache = engine._tree_cache
+            qid_shift = engine._view_qid_shift
+            wid_shift = engine._view_wid_shift
+            for position, row in enumerate(trees):
+                index, qid, wid = views[3 * position : 3 * position + 3]
+                cache[(qid << qid_shift) | (wid << wid_shift) | index] = (
+                    ContextTree(*row)
+                )
+
+            # Derive T(Rk)'s per-level visible keys from the restored key
+            # column (a level's ids are one contiguous range).
+            engine._vlevel.clear()
+            engine._vnew.clear()
+            engine._vcounts.clear()
+            engine._decoded_visible.clear()
+            start = 0
+            for level in levels:
+                engine._record_visible_keys(start, start + len(level))
+                start += len(level)
+            return engine
 
     # ------------------------------------------------------------------
     # Lane contract
@@ -836,21 +945,5 @@ class ExplicitReach(ReachabilityEngine):
                 if max_states_per_context is None
                 else max_states_per_context
             ),
-            config=config,
-        )
-
-    @classmethod
-    def restore_engine(
-        cls,
-        cpds: CPDS,
-        data: bytes,
-        *,
-        max_states_per_context: int | None = None,
-        config: EngineConfig | None = None,
-    ) -> "ExplicitReach":
-        return cls.restore(
-            cpds,
-            data,
-            max_states_per_context=max_states_per_context,
             config=config,
         )

@@ -54,18 +54,25 @@ stack pumps within one context)."""
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Hashable, Iterator
 
 from repro.automata import EPSILON, NFA
-from repro.automata.canonical import CanonicalNFA, canonical_nfa
+from repro.automata.canonical import (
+    CanonicalNFA,
+    canonical_nfa,
+    intern_canonical_form,
+)
 from repro.cpds.cpds import CPDS
 from repro.cpds.state import GlobalState, VisibleState
+from repro.errors import SnapshotError
 from repro.obs import trace
 from repro.pds.saturation import PostStarEngine
 from repro.pds.state import EMPTY
 from repro.reach.base import ReachabilityEngine
 from repro.reach.config import EngineConfig
 from repro.reach.registry import register
+from repro.reach.snapshot import KIND_SYMBOLIC, _encode, reading, refuse_oracle
 from repro.util.meter import METER
 
 Shared = Hashable
@@ -154,7 +161,7 @@ class SymbolicReach(ReachabilityEngine):
 
     lane = "symbolic"
     sequence_name = "Sk"
-    snapshot_kind = 2
+    snapshot_kind = KIND_SYMBOLIC
     meter_prefix = "symbolic."
     supports_witness = False
     generator_test = True
@@ -394,28 +401,154 @@ class SymbolicReach(ReachabilityEngine):
         }
 
     # ------------------------------------------------------------------
-    # Checkpoint / resume
+    # Checkpoint / resume (the payload of a ``CUSN`` frame, see
+    # :mod:`repro.reach.snapshot`)
     # ------------------------------------------------------------------
     def snapshot(self) -> bytes:
-        """Serialize the canonical-signature frontier (per-level
-        symbolic states) and the cross-expansion memo into a versioned
-        binary blob (:mod:`repro.service.snapshot`); automata persist
-        as signature keys and are rebuilt through the hash-cons table
-        on restore.  Only the batched engine snapshots: the per-state
-        oracle raises :class:`~repro.errors.SnapshotError`."""
-        from repro.service.snapshot import snapshot_symbolic
+        """Checkpoint the canonical-signature frontier as a kind-2 blob:
+        pools of distinct shared states and canonical signature keys,
+        the per-level symbolic states as ``(shared_idx, sig_idx...)``
+        rows, and the cross-expansion memo.  Automata persist as
+        signature keys only.  Only the batched engine snapshots: the
+        per-state oracle raises :class:`~repro.errors.SnapshotError`."""
+        refuse_oracle(self)
+        shared_ids: dict = {}
+        shared_pool: list = []
+        sig_ids: dict = {}
+        sig_pool: list = []
 
-        return snapshot_symbolic(self)
+        def shared_idx(value) -> int:
+            idx = shared_ids.get(value)
+            if idx is None:
+                idx = shared_ids[value] = len(shared_pool)
+                shared_pool.append(value)
+            return idx
+
+        def sig_idx(signature) -> int:
+            idx = sig_ids.get(signature)
+            if idx is None:
+                idx = sig_ids[signature] = len(sig_pool)
+                sig_pool.append(signature.key)
+            return idx
+
+        state_rows = array("q")
+        for level in self.levels:
+            for symbolic in level:
+                state_rows.append(shared_idx(symbolic.shared))
+                state_rows.extend(sig_idx(s) for s in symbolic.signatures)
+
+        keys = array("q")
+        part_lens = array("q")
+        part_pairs = array("q")
+        for (thread, shared, signature), parts in self._expansions.items():
+            keys.extend((thread, shared_idx(shared), sig_idx(signature)))
+            part_lens.append(len(parts))
+            for part_shared, _canonical, part_sig in parts:
+                part_pairs.extend((shared_idx(part_shared), sig_idx(part_sig)))
+
+        return _encode(
+            KIND_SYMBOLIC,
+            {
+                "n_threads": self.cpds.n_threads,
+                "shared_pool": shared_pool,
+                "sig_pool": sig_pool,
+                "level_lens": array("q", map(len, self.levels)),
+                "state_rows": state_rows,
+                "expansions": (keys, part_lens, part_pairs),
+            },
+        )
 
     @classmethod
-    def restore(cls, cpds: CPDS, data: bytes) -> "SymbolicReach":
+    def restore(
+        cls,
+        cpds: CPDS,
+        blob: bytes,
+        *,
+        max_states_per_context: int | None = None,
+        config: EngineConfig | None = None,
+    ) -> "SymbolicReach":
         """Rebuild a warm batched engine from a :meth:`snapshot` blob
-        taken on the same CPDS; raises
+        taken on ``cpds`` (the lane has no guard and no other knob, so
+        both keyword arguments are ignored).  Raises
         :class:`~repro.errors.SnapshotError` on any undecodable or
         mismatched blob."""
-        from repro.service.snapshot import restore_symbolic
+        with reading(cls, cpds, blob) as payload:
+            n = cpds.n_threads
+            engine = cls(cpds)
+            initial_level = engine.levels[0]
 
-        return restore_symbolic(cpds, data)
+            shared_pool = payload["shared_pool"]
+            # Stored canonical forms embed the *snapshotting* process's
+            # symbol order (canonical BFS numbering visits symbols in
+            # SymbolTable order, which depends on interning history).  A
+            # restarted daemon with different history would compute
+            # different signatures for the same languages, so every
+            # stored form is re-canonicalized under THIS process's
+            # per-thread alphabet — a no-op returning the identical
+            # interned pair when the orders agree, and an exact
+            # translation when they don't.
+            raw = [intern_canonical_form(*key) for key in payload["sig_pool"]]
+            alphabets = engine._alphabets
+            translated: dict[tuple[int, int], tuple] = {}
+
+            def pair_for(idx: int, thread: int) -> tuple:
+                pair = translated.get((idx, thread))
+                if pair is None:
+                    pair = canonical_nfa(raw[idx][0], alphabets[thread])
+                    translated[(idx, thread)] = pair
+                return pair
+
+            levels: list[frozenset] = []
+            cursor = 0
+            state_rows = payload["state_rows"]
+            for length in payload["level_lens"]:
+                bucket = []
+                for _ in range(length):
+                    shared = shared_pool[state_rows[cursor]]
+                    chosen = tuple(
+                        pair_for(state_rows[cursor + 1 + offset], offset)
+                        for offset in range(n)
+                    )
+                    bucket.append(
+                        SymbolicState(
+                            shared,
+                            tuple(pair[0] for pair in chosen),
+                            tuple(pair[1] for pair in chosen),
+                        )
+                    )
+                    cursor += 1 + n
+                levels.append(frozenset(bucket))
+            if not levels or levels[0] != initial_level:
+                raise SnapshotError("snapshot does not belong to this CPDS")
+
+            keys, part_lens, part_pairs = payload["expansions"]
+            memo = engine._expansions
+            pair_cursor = 0
+            for position, length in enumerate(part_lens):
+                thread, shared, sig = keys[3 * position : 3 * position + 3]
+                parts = []
+                for _ in range(length):
+                    part_shared = shared_pool[part_pairs[pair_cursor]]
+                    dfa, signature = pair_for(part_pairs[pair_cursor + 1], thread)
+                    parts.append((part_shared, dfa, signature))
+                    pair_cursor += 2
+                memo[(thread, shared_pool[shared], pair_for(sig, thread)[1])] = (
+                    tuple(parts)
+                )
+
+            engine.levels = levels
+            engine._seen = set().union(*levels)
+            engine.visible_levels.clear()
+            engine._visible_cumulative.clear()
+            for level in levels:
+                visible: set = set()
+                for symbolic in level:
+                    visible |= engine._visible_product(
+                        symbolic.shared,
+                        tuple(nfa_tops(automaton) for automaton in symbolic.automata),
+                    )
+                engine._record_visible(frozenset(visible))
+            return engine
 
     # ------------------------------------------------------------------
     # Lane contract
@@ -431,14 +564,3 @@ class SymbolicReach(ReachabilityEngine):
         # The symbolic lane has no divergence guard: γ(Sk) may be
         # infinite by design, so max_states_per_context is ignored.
         return cls(cpds, config=config)
-
-    @classmethod
-    def restore_engine(
-        cls,
-        cpds: CPDS,
-        data: bytes,
-        *,
-        max_states_per_context: int | None = None,
-        config: EngineConfig | None = None,
-    ) -> "SymbolicReach":
-        return cls.restore(cpds, data)

@@ -48,17 +48,19 @@ sub-PDS, and guarded at runtime by
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from repro.cpds.cpds import CPDS
 from repro.cpds.semantics import thread_write_free_post
 from repro.cpds.state import GlobalState
-from repro.errors import ContextExplosionError
+from repro.errors import ContextExplosionError, SnapshotError
 from repro.pds.pds import PDS
 from repro.pds.semantics import DEFAULT_STATE_LIMIT, successors as pds_successors
 from repro.pds.state import PDSState
 from repro.reach.base import ReachabilityEngine
 from repro.reach.config import EngineConfig
 from repro.reach.registry import register
+from repro.reach.snapshot import KIND_WUBA, _encode, reading
 from repro.util.meter import METER
 
 
@@ -85,7 +87,7 @@ class WubaReach(ReachabilityEngine):
 
     lane = "wuba"
     sequence_name = "Wk"
-    snapshot_kind = 3
+    snapshot_kind = KIND_WUBA
     meter_prefix = "wuba."
     supports_witness = False
 
@@ -215,28 +217,91 @@ class WubaReach(ReachabilityEngine):
         }
 
     # ------------------------------------------------------------------
-    # Checkpoint / resume
+    # Checkpoint / resume (the payload of a ``CUSN`` frame, see
+    # :mod:`repro.reach.snapshot`)
     # ------------------------------------------------------------------
     def snapshot(self) -> bytes:
-        """Serialize the committed levels into a versioned binary blob
-        (:mod:`repro.service.snapshot`); the closure memo is a pure
-        cache and is rebuilt on demand after restore."""
-        from repro.service.snapshot import snapshot_wuba
+        """Checkpoint the committed ``(Wk)`` levels as a kind-3 blob:
+        each level in discovery order as ``(shared, stack-ids...)`` rows
+        against a pool of distinct per-thread stacks, plus the guard.
+        The write-free closure memo is a pure semantic cache, rebuilt on
+        demand, so it is not persisted."""
+        stack_ids: dict = {}
+        stack_pool: list = []
 
-        return snapshot_wuba(self)
+        def stack_idx(stack) -> int:
+            idx = stack_ids.get(stack)
+            if idx is None:
+                idx = stack_ids[stack] = len(stack_pool)
+                stack_pool.append(stack)
+            return idx
+
+        shared_rows: list = []
+        stack_rows = array("q")
+        for level in self.levels:
+            for state in level:
+                shared_rows.append(state.shared)
+                stack_rows.extend(stack_idx(stack) for stack in state.stacks)
+
+        return _encode(
+            KIND_WUBA,
+            {
+                "n_threads": self.cpds.n_threads,
+                "max_states_per_context": self.max_states_per_context,
+                "stack_pool": stack_pool,
+                "level_lens": array("q", map(len, self.levels)),
+                "shared_rows": shared_rows,
+                "stack_rows": stack_rows,
+            },
+        )
 
     @classmethod
     def restore(
-        cls, cpds: CPDS, data: bytes, *, max_states_per_context: int | None = None
+        cls,
+        cpds: CPDS,
+        blob: bytes,
+        *,
+        max_states_per_context: int | None = None,
+        config: EngineConfig | None = None,
     ) -> "WubaReach":
         """Rebuild a warm engine from a :meth:`snapshot` blob taken on
-        the same CPDS; raises :class:`~repro.errors.SnapshotError` on
-        any undecodable or mismatched blob."""
-        from repro.service.snapshot import restore_wuba
-
-        return restore_wuba(
-            cpds, data, max_states_per_context=max_states_per_context
-        )
+        ``cpds``; ``max_states_per_context`` defaults to the snapshotted
+        guard.  Raises :class:`~repro.errors.SnapshotError` on any
+        undecodable or mismatched blob (level 0 must be this CPDS's
+        write-free initial closure, in discovery order)."""
+        with reading(cls, cpds, blob) as payload:
+            n = cpds.n_threads
+            engine = cls(
+                cpds,
+                max_states_per_context=(
+                    payload["max_states_per_context"]
+                    if max_states_per_context is None
+                    else max_states_per_context
+                ),
+                config=config,
+            )
+            stack_pool = payload["stack_pool"]
+            shared_rows = payload["shared_rows"]
+            stack_rows = payload["stack_rows"]
+            levels: list[tuple] = []
+            state_index = 0
+            for length in payload["level_lens"]:
+                bucket = []
+                for _ in range(length):
+                    cursor = n * state_index
+                    stacks = tuple(stack_pool[i] for i in stack_rows[cursor : cursor + n])
+                    bucket.append(GlobalState(shared_rows[state_index], stacks))
+                    state_index += 1
+                levels.append(tuple(bucket))
+            if not levels or levels[0] != engine.levels[0]:
+                raise SnapshotError("snapshot does not belong to this CPDS")
+            engine.levels = levels
+            engine._seen = set().union(*levels)
+            engine.visible_levels.clear()
+            engine._visible_cumulative.clear()
+            for level in levels:
+                engine._record_visible(frozenset(state.visible() for state in level))
+            return engine
 
     # ------------------------------------------------------------------
     # Lane contract
@@ -270,17 +335,4 @@ class WubaReach(ReachabilityEngine):
                 else max_states_per_context
             ),
             config=config,
-        )
-
-    @classmethod
-    def restore_engine(
-        cls,
-        cpds: CPDS,
-        data: bytes,
-        *,
-        max_states_per_context: int | None = None,
-        config: EngineConfig | None = None,
-    ) -> "WubaReach":
-        return cls.restore(
-            cpds, data, max_states_per_context=max_states_per_context
         )

@@ -6,11 +6,11 @@ persistent, resumable service:
 
 * :mod:`repro.service.fingerprint` — stable content-addressed identity
   of an analysis problem ``(CPDS, property, engine config)``;
-* :mod:`repro.service.snapshot` — compact binary checkpoint/restore of
-  engine progress (both lanes), so a bounded run at level ``k`` resumes
-  warm instead of starting over;
 * :mod:`repro.service.store` — crash-safe sqlite store of verdicts and
-  snapshots keyed by fingerprint, with LRU size bounding;
+  engine checkpoints keyed by fingerprint, with LRU size bounding.  The
+  checkpoints are the lanes' own ``snapshot()`` blobs in the ``CUSN``
+  frame of :mod:`repro.reach.snapshot`, so a bounded run at level ``k``
+  resumes warm instead of starting over;
 * :mod:`repro.service.server` — the sync :class:`AnalysisService` core
   (in-flight dedup, store-hit short-circuit, deeper-``k`` resume) and
   the stdlib-asyncio JSON-over-HTTP server around it (``cuba serve``);

@@ -16,7 +16,7 @@ modes share it verbatim:
   snapshot blob is the request message* (the parent checkpoints, the
   worker restores and runs ``ensure_level`` via the engines' resume
   path) and the *result snapshot blob is the reply message* — both in
-  the versioned ``CUSN`` framing of :mod:`repro.service.snapshot`, so
+  the versioned ``CUSN`` framing of :mod:`repro.reach.snapshot`, so
   the codec's version/kind validation doubles as IPC hygiene: a worker
   on a mismatched codec surfaces as a
   :class:`~repro.errors.SnapshotError` miss, never a poisoned cache.
@@ -51,6 +51,7 @@ from repro.errors import CubaError, SnapshotError
 from repro.obs import trace
 from repro.obs.logs import get_logger
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
+from repro.reach.snapshot import snapshot_kind
 from repro.util.meter import METER
 
 _log = get_logger("service.executor")
@@ -143,13 +144,12 @@ def _restore(job: EngineJob):
     byte resolves the lane through the registry, so a new lane's
     snapshots resume with no changes here."""
     from repro.reach import registry
-    from repro.service.snapshot import snapshot_kind
 
     if job.snapshot is None:
         return None
     try:
         cls = registry.engine_for_kind(snapshot_kind(job.snapshot))
-        engine = cls.restore_engine(
+        engine = cls.restore(
             job.cpds,
             job.snapshot,
             max_states_per_context=job.max_states_per_context,
@@ -398,8 +398,6 @@ class ProcessAnalysisExecutor:
         for name, value in outcome.meter.items():
             METER.bump(name, value)
         if outcome.snapshot is not None:
-            from repro.service.snapshot import snapshot_kind
-
             try:
                 # Header/version validation only — the full decode runs
                 # on the resume path.  An undecodable reply loses its

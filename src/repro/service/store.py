@@ -2,7 +2,7 @@
 
 One row per problem fingerprint (:mod:`repro.service.fingerprint`),
 holding the verdict record (JSON) and, for inconclusive runs, the
-engine snapshot blob (:mod:`repro.service.snapshot`) that lets a later,
+engine snapshot blob (:mod:`repro.reach.snapshot`) that lets a later,
 deeper-``k`` request resume instead of starting over.
 
 Layout (``STORE_SCHEMA_VERSION`` 2, tracked via ``PRAGMA
@@ -93,6 +93,7 @@ from pathlib import Path
 
 from repro.obs import trace
 from repro.obs.metrics import LATENCY
+from repro.reach.snapshot import SNAPSHOT_VERSION
 from repro.util.meter import METER
 
 STORE_SCHEMA_VERSION = 2
@@ -369,8 +370,6 @@ class AnalysisStore:
                 result = json.loads(result_json)
             except (TypeError, ValueError):
                 METER.bump("service.store_corrupt_results")
-        from repro.service.snapshot import SNAPSHOT_VERSION
-
         if snapshot_version is not None and snapshot_version != SNAPSHOT_VERSION:
             snapshot = None
             has_snapshot = False
@@ -393,8 +392,6 @@ class AnalysisStore:
         """Upsert the verdict record (and snapshot, when the run was
         inconclusive and resumable) for ``fingerprint``, then enforce
         the snapshot size budget."""
-        from repro.service.snapshot import SNAPSHOT_VERSION
-
         def txn():
             with self._conn:
                 self._conn.execute(

@@ -4,13 +4,13 @@ suite.
 A lane that registers (:mod:`repro.reach.registry`) promises the full
 engine contract of :class:`~repro.reach.base.ReachabilityEngine` — the
 class attributes the dispatch surfaces read, ``applicable`` as the
-precondition, ``create``/``snapshot``/``restore_engine`` for the
-service, and a ``stats`` schema the bench payloads persist.  These
+precondition, ``create``/``snapshot``/``restore`` for the service, and a ``stats`` schema the bench payloads persist.  These
 tests are what "adding a lane is one module" rests on: a new
 ``@register``-decorated class passes or fails this file, not a trail of
 per-surface breakage.
 """
 
+import inspect
 import warnings
 
 import pytest
@@ -20,6 +20,7 @@ from repro.models import fig1_cpds
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
 from repro.reach.config import EngineConfig
+from repro.reach.snapshot import snapshot_kind
 from repro.service.server import _METER_WINDOW_PREFIXES
 
 LANES = registry.lane_names()
@@ -111,12 +112,12 @@ class TestContract:
         engine.advance()
         engine.advance()
         blob = engine.snapshot()
-        from repro.service.snapshot import snapshot_kind
-
         assert snapshot_kind(blob) == cls.snapshot_kind
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            restored = cls.restore_engine(cpds, blob, config=EngineConfig())
+            restored = cls.restore(
+                cpds, blob, max_states_per_context=None, config=EngineConfig()
+            )
         assert restored.k == engine.k
         for k in range(engine.k + 1):
             assert restored.visible_new_at(k) == engine.visible_new_at(k)
@@ -124,6 +125,22 @@ class TestContract:
         engine.advance()
         restored.advance()
         assert restored.visible_new_at(restored.k) == engine.visible_new_at(engine.k)
+
+    @pytest.mark.parametrize("lane", lane_params())
+    def test_restore_signature_is_uniform(self, lane):
+        # The lane owns its codec: one ``restore`` classmethod, taking
+        # exactly the registry's uniform arguments.
+        cls = registry.engine_class(lane)
+        assert "restore" in vars(cls)
+        assert isinstance(vars(cls)["restore"], classmethod)
+
+        def shape(method):
+            return [
+                (param.name, param.kind, param.default)
+                for param in inspect.signature(method).parameters.values()
+            ]
+
+        assert shape(cls.restore) == shape(ReachabilityEngine.restore)
 
     @pytest.mark.parametrize("lane", lane_params())
     def test_stats_schema(self, lane):

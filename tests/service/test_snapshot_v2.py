@@ -1,6 +1,6 @@
-"""SNAPSHOT_VERSION 2 behaviour: old blobs degrade to misses, the wuba
-kind round-trips, and the executor resolves snapshots lane-agnostically
-through the registry.
+"""SNAPSHOT_VERSION 3 behaviour: old (v1, v2) blobs degrade to misses,
+the wuba kind round-trips, and the executor resolves snapshots
+lane-agnostically through the registry.
 """
 
 import pickle
@@ -14,41 +14,43 @@ from repro.errors import SnapshotError
 from repro.models import fig1_cpds, fig2_cpds
 from repro.models.registry import smallest_per_row
 from repro.reach.wuba import WubaReach
-from repro.service.executor import EngineJob, _restore, execute_job
-from repro.service.snapshot import (
+from repro.reach.snapshot import (
     KIND_EXPLICIT,
     KIND_WUBA,
     MAGIC,
     SNAPSHOT_VERSION,
-    restore_wuba,
     snapshot_kind,
-    snapshot_wuba,
 )
+from repro.service.executor import EngineJob, _restore, execute_job
 from repro.util.meter import scoped
 
 
-def _v1_blob(kind: int = KIND_EXPLICIT) -> bytes:
-    return struct.pack("<4sHB", MAGIC, 1, kind) + pickle.dumps({})
+def _old_blob(version: int, kind: int = KIND_EXPLICIT) -> bytes:
+    return struct.pack("<4sHB", MAGIC, version, kind) + pickle.dumps({})
 
 
 class TestVersioning:
-    def test_version_is_two(self):
-        assert SNAPSHOT_VERSION == 2
+    def test_version_is_three(self):
+        assert SNAPSHOT_VERSION == 3
 
     def test_v1_blob_is_rejected_with_version_message(self):
-        with pytest.raises(SnapshotError, match="snapshot version 1 != supported 2"):
-            snapshot_kind(_v1_blob())
+        for version in (1, 2):
+            with pytest.raises(
+                SnapshotError, match=f"snapshot version {version} != supported 3"
+            ):
+                snapshot_kind(_old_blob(version))
 
     def test_v1_blob_degrades_to_store_miss_in_executor(self):
-        job = EngineJob(
-            cpds=fig1_cpds(),
-            prop=AlwaysSafe(),
-            problem="p",
-            snapshot=_v1_blob(),
-        )
-        with scoped() as delta:
-            assert _restore(job) is None
-        assert delta["service.snapshot_rejects"] == 1
+        for version in (1, 2):
+            job = EngineJob(
+                cpds=fig1_cpds(),
+                prop=AlwaysSafe(),
+                problem="p",
+                snapshot=_old_blob(version),
+            )
+            with scoped() as delta:
+                assert _restore(job) is None
+            assert delta["service.snapshot_rejects"] == 1
 
     def test_unknown_kind_byte_degrades_to_miss(self):
         blob = struct.pack("<4sHB", MAGIC, SNAPSHOT_VERSION, 99) + pickle.dumps({})
@@ -67,7 +69,7 @@ class TestWubaRoundTrip:
         engine.ensure_level(3)
         blob = engine.snapshot()
         assert snapshot_kind(blob) == KIND_WUBA
-        restored = restore_wuba(cpds, blob)
+        restored = WubaReach.restore(cpds, blob)
         assert restored.k == 3
         restored.ensure_level(5)
         assert restored.levels == fresh.levels
@@ -82,7 +84,7 @@ class TestWubaRoundTrip:
             pytest.skip("WCR fails")
         engine = WubaReach(cpds)
         engine.ensure_level(4)
-        restored = restore_wuba(cpds, engine.snapshot())
+        restored = WubaReach.restore(cpds, engine.snapshot())
         assert restored.levels == engine.levels
         assert restored.visible_levels == engine.visible_levels
 
@@ -92,14 +94,14 @@ class TestWubaRoundTrip:
         blob = engine.snapshot()
         other = smallest_per_row()[0].build()[0]
         with pytest.raises(SnapshotError):
-            restore_wuba(other, blob)
+            WubaReach.restore(other, blob)
 
     def test_truncated_wuba_blob_is_malformed_not_a_crash(self):
         engine = WubaReach(fig1_cpds())
         engine.ensure_level(2)
-        blob = snapshot_wuba(engine)
+        blob = engine.snapshot()
         with pytest.raises(SnapshotError):
-            restore_wuba(fig1_cpds(), blob[:-10])
+            WubaReach.restore(fig1_cpds(), blob[:-10])
 
 
 class TestExecutorLaneDispatch:

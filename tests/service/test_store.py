@@ -6,7 +6,7 @@ import sqlite3
 
 import pytest
 
-from repro.service.snapshot import SNAPSHOT_VERSION
+from repro.reach.snapshot import SNAPSHOT_VERSION
 from repro.service.store import STORE_SCHEMA_VERSION, AnalysisStore
 
 RESULT = {"verdict": "safe", "bound": 4, "final": True, "cached": False}

@@ -1,5 +1,6 @@
-"""Grep-enforced API boundary: the verifier, service, and CLI must
-dispatch on the lane registry, never on concrete engine classes.
+"""Grep-enforced API boundary: the verifier, service, CLI and snapshot
+frame must dispatch on the lane registry, never on concrete engine
+classes.
 
 An ``isinstance(engine, ExplicitReach)`` in any of these layers means a
 new lane needs edits outside its own module — exactly what the registry
@@ -14,8 +15,15 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
+# The snapshot frame serves every lane's codec, so it must stay
+# lane-agnostic too.
 DISPATCH_FILES = sorted(
-    [SRC / "cuba" / "verifier.py", SRC / "cli.py", *(SRC / "service").glob("*.py")]
+    [
+        SRC / "cuba" / "verifier.py",
+        SRC / "cli.py",
+        SRC / "reach" / "snapshot.py",
+        *(SRC / "service").glob("*.py"),
+    ]
 )
 
 FORBIDDEN = re.compile(r"isinstance\s*\([^)]*,\s*(ExplicitReach|SymbolicReach|WubaReach)")
