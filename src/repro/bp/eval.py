@@ -45,14 +45,6 @@ def eval_expr(expr: ast.Expr, env: Mapping[str, int]) -> frozenset[int]:
     raise SemanticError(f"cannot evaluate {type(expr).__name__}")
 
 
-def may_be_true(expr: ast.Expr, env: Mapping[str, int]) -> bool:
-    return 1 in eval_expr(expr, env)
-
-
-def may_be_false(expr: ast.Expr, env: Mapping[str, int]) -> bool:
-    return 0 in eval_expr(expr, env)
-
-
 def free_variables(expr: ast.Expr) -> frozenset[str]:
     """Variables referenced by an expression."""
     if isinstance(expr, ast.Var):

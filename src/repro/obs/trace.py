@@ -38,7 +38,9 @@ lane — including future ones — inherits per-level spans for free),
 ``explicit.saturation``, ``explicit.decode``, ``symbolic.saturate``,
 ``canonical.form`` (one per dense canonicalization, form-memo hits
 included), ``snapshot.encode``/``decode``, ``store.transaction``,
-``verify.request``.
+``verify.request``, ``service.prepare`` (compile + fingerprint of one
+submit) and ``bp.compile`` (one Boolean-program compile; ``threads``,
+``rules``).
 """
 
 from __future__ import annotations

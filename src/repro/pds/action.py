@@ -60,6 +60,17 @@ def _classify(read: tuple, write: tuple) -> ActionKind:
     return ActionKind.EMPTY_PUSH
 
 
+def check_kind(action: "Action") -> None:
+    """Raise :class:`ModelError` unless ``action.kind`` is the kind its
+    ``read``/``write`` shape has (see :func:`_classify`)."""
+    expected = _classify(action.read, action.write)  # raises on a bad shape
+    if expected is not action.kind:
+        raise ModelError(
+            f"action {action} is declared {action.kind.value}, "
+            f"but its shape is {expected.value}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class Action:
     """One pushdown rule ``(from_shared, read) → (to_shared, write)``.
@@ -112,8 +123,43 @@ class Action:
             read_tuple = (read,)
         return Action(from_shared, read_tuple, to_shared, tuple(write), label)
 
+    @staticmethod
+    def of_kind(
+        from_shared: Shared,
+        read: tuple[Symbol, ...],
+        to_shared: Shared,
+        write: tuple[Symbol, ...],
+        kind: ActionKind,
+    ) -> "Action":
+        """Unlabelled action whose ``kind`` the caller already knows.
+
+        The generated constructor pays for two ``isinstance`` checks,
+        :func:`_classify` and a frozen-dataclass ``__setattr__`` per
+        field; a translator emitting tens of thousands of rules of a
+        handful of known shapes need not.  ``read`` and ``write`` must
+        be tuples.  Nothing is checked here: :meth:`PDS.add_actions
+        <repro.pds.pds.PDS.add_actions>` rejects a ``kind`` that does
+        not match the shape (:func:`check_kind`).
+        """
+        action = _new(Action)
+        _set_from(action, from_shared)
+        _set_read(action, read)
+        _set_to(action, to_shared)
+        _set_write(action, write)
+        _set_label(action, "")
+        _set_kind(action, kind)
+        return action
+
     def __str__(self) -> str:
         name = f"{self.label}: " if self.label else ""
         read = "".join(str(s) for s in self.read) or "ε"
         write = "".join(str(s) for s in self.write) or "ε"
         return f"{name}({self.from_shared},{read})→({self.to_shared},{write})"
+
+
+# Slot setters behind Action.of_kind: frozen only guards __setattr__.
+_new = object.__new__
+_set_from, _set_read, _set_to, _set_write, _set_label, _set_kind = (
+    vars(Action)[name].__set__
+    for name in ("from_shared", "read", "to_shared", "write", "label", "kind")
+)

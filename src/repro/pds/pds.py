@@ -6,7 +6,7 @@ from collections.abc import Hashable, Iterable, Sequence
 
 from repro.automata.intern import SymbolTable
 from repro.errors import ModelError
-from repro.pds.action import Action
+from repro.pds.action import Action, check_kind
 from repro.pds.state import PDSState
 
 Shared = Hashable
@@ -49,17 +49,37 @@ class PDS:
     # ------------------------------------------------------------------
     def add_action(self, action: Action) -> Action:
         """Register an action, updating ``Q`` and ``Σ`` as needed."""
-        if None in action.read or None in action.write:
-            raise ModelError("stack symbols must not be None (reserved for ε)")
-        self._shared_states.add(action.from_shared)
-        self._shared_states.add(action.to_shared)
-        self._alphabet.update(action.read)
-        self._alphabet.update(action.write)
-        self._actions.append(action)
-        trigger = (action.from_shared, action.read_symbol)
-        self._by_trigger.setdefault(trigger, []).append(action)
-        self._version += 1
+        self.add_actions((action,))
         return action
+
+    def add_actions(self, actions: Sequence[Action]) -> None:
+        """Register ``actions`` in order; the version bumps once per call.
+
+        All of them are checked before any is added: no stack symbol
+        may be ``None`` (reserved for ε), and each ``kind`` must match
+        its shape (:func:`~repro.pds.action.check_kind`), so actions
+        built by :meth:`Action.of_kind` are held to the rules the
+        generated constructor enforces.  ``Q``, ``Σ`` and the trigger
+        index then grow per action in the order ``from_shared``,
+        ``to_shared``, ``read``, ``write``, so one call with many
+        actions orders the sets and every trigger's tuple as many
+        calls with one action each would.
+        """
+        for action in actions:
+            if None in action.read or None in action.write:
+                raise ModelError("stack symbols must not be None (reserved for ε)")
+            check_kind(action)
+        add_shared = self._shared_states.add
+        add_symbols = self._alphabet.update
+        by_trigger = self._by_trigger
+        for action in actions:
+            add_shared(action.from_shared)
+            add_shared(action.to_shared)
+            add_symbols(action.read)
+            add_symbols(action.write)
+            by_trigger.setdefault((action.from_shared, action.read_symbol), []).append(action)
+        self._actions.extend(actions)
+        self._version += 1
 
     def rule(
         self,

@@ -191,7 +191,13 @@ class AnalysisService:
     def prepare(self, request: AnalysisRequest) -> tuple[str, CPDS, Property]:
         """Parse/compile the CPDS, build the property, and
         compute the problem fingerprint.  Raises
-        :class:`~repro.errors.CubaError` subclasses on malformed input."""
+        :class:`~repro.errors.CubaError` subclasses on malformed input.
+        Timed as one ``service.prepare`` span; a Boolean program's
+        ``bp.compile`` span nests inside it."""
+        with trace.span("service.prepare"):
+            return self._prepare(request)
+
+    def _prepare(self, request: AnalysisRequest) -> tuple[str, CPDS, Property]:
         compiled_prop: Property | None = None
         if request.cpds_text is not None:
             cpds = parse_cpds(request.cpds_text)

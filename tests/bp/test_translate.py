@@ -5,9 +5,21 @@ import pytest
 from repro.bp import compile_source
 from repro.bp.translate import ERR, INIT
 from repro.core import Verdict
+from repro.cpds import format_cpds
 from repro.cuba import Cuba, check_fcr, scheme1_rk
 from repro.errors import TranslationError
+from repro.models.bluetooth import bluetooth_source
+from repro.models.bst import bst_source
+from repro.models.dekker import dekker_source
+from repro.models.filecrawler import filecrawler_source
+from repro.models.kinduction import kinduction_source
+from repro.models.proc2 import proc2_source
+from repro.models.registry import runnable_benchmarks
+from repro.models.stefan import stefan
 from repro.reach import ExplicitReach
+from repro.service import AnalysisService, AnalysisStore
+from repro.service.fingerprint import cpds_digest
+from repro.service.server import AnalysisRequest
 
 FIG2_SOURCE = """
 decl x;
@@ -310,3 +322,109 @@ class TestInitialValues:
         compiled = compile_source(source, init={"x": "*"})
         report = Cuba(compiled.cpds, compiled.prop).verify()
         assert report.verdict is Verdict.UNSAFE  # x = 0 branch fails
+
+
+# ----------------------------------------------------------------------
+# Pinned fingerprints: stored rows stay valid
+# ----------------------------------------------------------------------
+#: ``cpds_digest`` of every runnable Table 2 row's model.  The service
+#: store keys results by these digests, so a translator change that
+#: moves one orphans every stored result of that model.
+ROW_DIGESTS = {
+    "1/Bluetooth-1 [1+1]":
+        "558fe4e51324ebb95cf1cdd742379fefb58fd688a3f38eb1fd128935e3a341bc",
+    "1/Bluetooth-1 [1+2]":
+        "99d13363f2e365b7b10ffa7e371cce0ed8b10f594613213f78312caf9bedefef",
+    "1/Bluetooth-1 [2+1]":
+        "7103d43dd76615bbdb3b0baf64275fbcc04e196a76e922d79900194269a122f8",
+    "2/Bluetooth-2 [1+1]":
+        "e33787789ba8585c02935f4d1da849a9cfd1772a9230ad79f1d2283abe1f729a",
+    "2/Bluetooth-2 [1+2]":
+        "341c4d18be424f344b529a9ff309bcc77bbe11e17d3ac36936f2507c6e1629db",
+    "2/Bluetooth-2 [2+1]":
+        "70abd161750bfadfb7e605bb5584b851837725a3df6f9dc9b1f907cc3d0488dd",
+    "3/Bluetooth-3 [1+1]":
+        "aeffb14117b520f9b571b62fe0f1d150148591f8fca8014c6a3ce80c1fe0bda5",
+    "3/Bluetooth-3 [1+2]":
+        "5343665107cc837f8b7181e5d311d04cc960d6eaaf02459191c6012c0db0c785",
+    "3/Bluetooth-3 [2+1]":
+        "a173578b341a2814f2ce580e9a14307b453735b15569ffd50637a00141e0aac1",
+    "4/BST-Insert [1+1]":
+        "ad4027a48a3a9bcd6497ba3bd58db218525382c4167e4db4c4653b854d255478",
+    "4/BST-Insert [2+1]":
+        "a460b1e8d401999c200b40641e213df62d2eab81d341e237a4b0f8d07bc29468",
+    "4/BST-Insert [2+2]":
+        "80d19e6bd4eb236961861fd15c9047dc192fc8c510a81fae6da1b6992b65b281",
+    "5/FileCrawler [1•+2]":
+        "3ecfe6936022865e3139dbcb75c4e25aedd812a956bd2e824d11ecbecb12d1fa",
+    "6/K-Induction [1+1]":
+        "e0838dc2be0f70e917ab07b87d651284fe7a8da6157f947293fab642d932fd98",
+    "7/Proc-2 [2+2•]":
+        "e57de95ee56f35ddd2e178ee244105ae7ff997800957c3c6527461de1cd9bb2d",
+    "8/Stefan-1 [2]":
+        "f464fdcf87732330982b982cb0985bff77862d8daffe2a783868cccff5fc061a",
+    "8/Stefan-1 [4]":
+        "4bf30a15281c1eef262e46388560aee6f79bbb2556736930234a6a9719b4d787",
+    "9/Dekker [2•]":
+        "c90c0d50df54c7b4e1b03461bdb4741dd0ce2512bc7165ae7c416940490eae75",
+}
+
+#: ``cpds_digest`` of each service-mix program (the smallest
+#: configuration of every row), as ``AnalysisService.prepare`` builds it.
+SERVICE_DIGESTS = {
+    "1/Bluetooth-1":
+        "558fe4e51324ebb95cf1cdd742379fefb58fd688a3f38eb1fd128935e3a341bc",
+    "2/Bluetooth-2":
+        "e33787789ba8585c02935f4d1da849a9cfd1772a9230ad79f1d2283abe1f729a",
+    "3/Bluetooth-3":
+        "aeffb14117b520f9b571b62fe0f1d150148591f8fca8014c6a3ce80c1fe0bda5",
+    "4/BST-Insert":
+        "ad4027a48a3a9bcd6497ba3bd58db218525382c4167e4db4c4653b854d255478",
+    "5/FileCrawler":
+        "3ecfe6936022865e3139dbcb75c4e25aedd812a956bd2e824d11ecbecb12d1fa",
+    "6/K-Induction":
+        "8de65b5ef04f0e88f1162b95a8c1673fd387674b35019d0d52e043edeb88606c",
+    "7/Proc-2":
+        "e57de95ee56f35ddd2e178ee244105ae7ff997800957c3c6527461de1cd9bb2d",
+    "8/Stefan-1":
+        "f464fdcf87732330982b982cb0985bff77862d8daffe2a783868cccff5fc061a",
+    "9/Dekker":
+        "c90c0d50df54c7b4e1b03461bdb4741dd0ce2512bc7165ae7c416940490eae75",
+}
+
+#: The service-mix submit fields, as ``perfbench/problems.py::_program``
+#: builds them.
+SERVICE_PROGRAMS = {
+    "1/Bluetooth-1": {"bp_text": bluetooth_source(1, 1, 1), "bp_init": {"p0": 1}},
+    "2/Bluetooth-2": {"bp_text": bluetooth_source(2, 1, 1), "bp_init": {"p0": 1}},
+    "3/Bluetooth-3": {"bp_text": bluetooth_source(3, 1, 1), "bp_init": {"p0": 1}},
+    "4/BST-Insert": {"bp_text": bst_source(1, 1), "bp_init": {"inv": 1}},
+    "5/FileCrawler": {"bp_text": filecrawler_source(2)},
+    "6/K-Induction": {"bp_text": kinduction_source()},
+    "7/Proc-2": {"bp_text": proc2_source(2, 2)},
+    "8/Stefan-1": {"cpds_text": format_cpds(stefan(2)[0])},
+    "9/Dekker": {"bp_text": dekker_source()},
+}
+
+
+@pytest.mark.parametrize("bench", runnable_benchmarks(), ids=lambda bench: bench.name)
+def test_row_digest_is_pinned(bench):
+    cpds, _prop = bench.build()
+    assert cpds_digest(cpds) == ROW_DIGESTS[bench.name]
+
+
+@pytest.fixture(scope="module")
+def service(tmp_path_factory):
+    service = AnalysisService(AnalysisStore(tmp_path_factory.mktemp("store") / "s.sqlite"))
+    yield service
+    service.close()
+
+
+@pytest.mark.parametrize("row", sorted(SERVICE_PROGRAMS))
+def test_service_program_digest_is_pinned(service, row):
+    _problem, cpds, _prop = service.prepare(AnalysisRequest(**SERVICE_PROGRAMS[row]))
+    assert cpds_digest(cpds) == SERVICE_DIGESTS[row]
+
+
+def test_every_row_is_pinned():
+    assert sorted(ROW_DIGESTS) == sorted(bench.name for bench in runnable_benchmarks())

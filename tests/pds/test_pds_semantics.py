@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ContextExplosionError, ModelError
 from repro.pds import PDS, Action, PDSState, enabled_actions, post_star_explicit, step, successors
+from repro.pds.action import ActionKind
 
 
 def fig1_thread2():
@@ -37,6 +38,57 @@ class TestPDSContainer:
         pds = PDS(initial_shared=0)
         with pytest.raises(ModelError):
             pds.add_action(Action(0, (None,), 1, ()))
+
+    def test_bulk_add_keeps_insertion_order(self):
+        # Multiples of 1024 share a hash-table slot, so the iteration
+        # order of a set of them shows the order they were added in.
+        k = 1024
+        actions = [
+            Action.of_kind(k, (k + 1,), 2 * k, (1,), ActionKind.OVERWRITE),
+            Action.of_kind(2 * k, (1,), 3 * k, (2 * k + 1, k + 1), ActionKind.PUSH),
+            Action.of_kind(3 * k, (2 * k + 1,), k, (), ActionKind.POP),
+            Action.of_kind(k, (), 4 * k, (3 * k + 1,), ActionKind.EMPTY_PUSH),
+            Action.of_kind(k, (k + 1,), k, (4 * k + 1,), ActionKind.OVERWRITE),
+        ]
+        pds = PDS(initial_shared=0)
+        before = pds.version
+        pds.add_actions(actions)
+        assert pds.version == before + 1
+        assert pds.actions == tuple(actions)
+        # Per action: from_shared, to_shared, then read, write.
+        shared, alphabet = {0}, set()
+        for action in actions:
+            shared.add(action.from_shared)
+            shared.add(action.to_shared)
+            alphabet.update(action.read)
+            alphabet.update(action.write)
+        assert list(pds._shared_states) == list(shared)
+        assert list(pds._alphabet) == list(alphabet)
+        assert list(pds.trigger_index().items()) == [
+            ((k, k + 1), (actions[0], actions[4])),
+            ((2 * k, 1), (actions[1],)),
+            ((3 * k, 2 * k + 1), (actions[2],)),
+            ((k, None), (actions[3],)),
+        ]
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            Action.of_kind(0, (None,), 1, (), ActionKind.POP),
+            Action.of_kind(0, ("a",), 1, (None,), ActionKind.OVERWRITE),
+            Action.of_kind(0, ("a",), 1, ("b",), ActionKind.PUSH),
+            Action.of_kind(0, (), 1, ("a", "b"), ActionKind.EMPTY_PUSH),
+            Action.of_kind(0, ("a", "b"), 1, (), ActionKind.POP),
+        ],
+        ids=["none-read", "none-write", "kind-mismatch", "empty-push-two", "reads-two"],
+    )
+    def test_bulk_add_rejects_before_adding(self, action):
+        pds = PDS(initial_shared=0)
+        good = Action.of_kind(0, ("x",), 0, ("y",), ActionKind.OVERWRITE)
+        with pytest.raises(ModelError):
+            pds.add_actions([good, action])
+        assert pds.actions == ()
+        assert pds.alphabet == frozenset()
 
     def test_initial_state_default_empty(self):
         assert fig1_thread2().initial_state() == PDSState(0, ())

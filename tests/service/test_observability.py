@@ -17,6 +17,7 @@ import pytest
 
 from repro.cpds import format_cpds, parse_cpds
 from repro.models import fig1_cpds
+from repro.models.dekker import dekker_source
 from repro.obs import trace
 from repro.obs.logs import AUDIT_LOGGER
 from repro.obs.prometheus import parse_text
@@ -207,6 +208,19 @@ class TestTraceEndpoint:
 
         status, _headers, body = _raw(server, "POST", "/trace", {"enabled": False})
         assert json.loads(body)["tracing"] is False
+
+
+    def test_bp_submit_traces_prepare_around_compile(self, server, client):
+        _raw(server, "POST", "/trace", {"enabled": True})
+        client.submit(bp_text=dekker_source(), engine="explicit", max_rounds=2)
+        _status, _headers, body = _raw(server, "GET", "/trace")
+        events = json.loads(body)["traceEvents"]
+        (prepare,) = [e for e in events if e["name"] == "service.prepare"]
+        (compile_,) = [e for e in events if e["name"] == "bp.compile"]
+        assert compile_["args"]["parent_id"] == prepare["args"]["span_id"]
+        assert compile_["args"]["threads"] == 2
+        assert compile_["args"]["rules"] > 0
+        _raw(server, "POST", "/trace", {"enabled": False})
 
 
 class TestTimingFields:
