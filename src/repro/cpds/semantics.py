@@ -464,12 +464,30 @@ def thread_write_free_post(
     write-bounded sets ``Wk`` computable without interleaving the
     write-free segments.
 
-    Raises :class:`ContextExplosionError` past ``max_states`` distinct
-    stacks — the divergence guard for programs violating WCR (finite
-    write-free closures; implied by FCR, since a write-free segment is
-    part of some context)."""
+    Raises :class:`ContextExplosionError` on a program violating WCR
+    (finite write-free closures; implied by FCR, since a write-free
+    segment is part of some context), as soon as either guard fires:
+
+    * **Height.**  A discovered stack longer than
+      ``len(stack) + |Γ| + 1`` (``Γ`` the thread's alphabet) proves the
+      closure infinite.  Every move changes the height by at most 1 and
+      the shared state is pinned to ``shared``.  Take a path to a stack
+      of height ``H`` and, for each height ``h`` in
+      ``len(stack)+1 .. H``, the last time ``t_h`` the path is at
+      height ``h``; after ``t_h`` it stays above ``h``, so the
+      ``h − 1`` symbols below the top are never read again, and the top at
+      ``t_h`` was written by a rule, so it is in ``Γ``.  There are more
+      such heights than symbols, so by pigeonhole two of them,
+      ``h < h'``, share the top ``γ``: the segment from ``t_h`` to
+      ``t_h'`` is a run ``⟨shared|γ⟩ →* ⟨shared|γz⟩`` with
+      ``|z| = h' − h ≥ 1`` that reads nothing below ``γ``, and it can be
+      pumped forever.  The guard matters because a pumping stack costs
+      memory quadratic in its height, long before the state count
+      below is reached.
+    * **Count.**  More than ``max_states`` distinct stacks."""
     METER.bump("wuba.expansions")
     start = PDSState(shared, stack)
+    max_height = len(stack) + len(pds.alphabet) + 1
     seen: set[PDSState] = {start}
     order: list[tuple] = [stack]
     work: deque[PDSState] = deque([start])
@@ -480,6 +498,14 @@ def thread_write_free_post(
                 continue
             seen.add(local_next)
             order.append(local_next.stack)
+            if len(local_next.stack) > max_height:
+                raise ContextExplosionError(
+                    f"write-free closure of thread {index} from "
+                    f"{start} reached a stack of height "
+                    f"{len(local_next.stack)} > {max_height}; it pumps, "
+                    "so the program violates WCR",
+                    states_seen=len(seen),
+                )
             if len(seen) > max_states:
                 raise ContextExplosionError(
                     f"write-free closure of thread {index} from "

@@ -29,8 +29,8 @@ differential-testing oracle.
 
 Performance notes
 -----------------
-The worklist engine maintains three invariants that together make every
-piece of work happen exactly once:
+The worklist engine maintains four invariants that together make every
+piece of work happen exactly once, and only where the entry reaches:
 
 1. **Each transition is processed once.**  New transitions enter a FIFO
    frontier guarded by the ``seen`` set; processing a popped transition
@@ -50,6 +50,17 @@ piece of work happen exactly once:
    accepted exactly when a (derived) ε-edge connects control ``p`` to an
    accepting state; the rules fire when such an edge pops, never by
    polling.
+4. **Helper edges are emitted on first push firing.**  The edge
+   ``p' --ρ0--> m`` into a push rule's helper ``m = q_{p'ρ0}`` enters
+   the frontier when a push into ``(p', ρ0)`` first fires, as in
+   Schwoon's formulation, never up front.  Before that ``m`` has no
+   out-edge, so an eager edge into it adds no accepted configuration,
+   only dead work: every rule triggered by ``(p', ρ0)`` fires on it.
+   On the symbolic lane's Table 2 contexts that closure of the whole
+   program's call skeleton was most of each saturation's edges (696
+   of 714 on Bluetooth-3's first context of its second thread).
+   :func:`post_star_naive` keeps the eager skeleton on purpose, so the
+   differential harness checks lazy ≡ eager.
 
 Because saturation is a monotone closure operator, the engine supports
 *incremental resaturation*: after :meth:`PostStarEngine.saturate`, extra
@@ -261,11 +272,8 @@ class PostStarEngine:
 
         for src, label, dst in edges:
             self._push(src, label, dst)
-        # Unconditional skeleton edges p' --ρ0--> m for every push rule.
-        for action in pds.actions:
-            if action.kind is ActionKind.PUSH:
-                rho0 = action.write[0]
-                self._push(action.to_shared, rho0, _helper(action.to_shared, rho0))
+        # No push-helper edges here: drain() emits p' --ρ0--> m when a
+        # push into (p', ρ0) first fires (Performance notes, invariant 4).
         self._saturated_once = False
 
     # ------------------------------------------------------------------
@@ -394,10 +402,11 @@ class PostStarEngine:
                 else:  # PUSH: write = (ρ0, ρ1)
                     rho0, rho1 = action.write
                     mid = _helper(action.to_shared, rho0)
-                    skeleton = (action.to_shared, rho0, mid)
-                    if skeleton not in seen:
-                        seen_add(skeleton)
-                        emit(skeleton)
+                    # The helper edge, on first firing (invariant 4).
+                    helper_edge = (action.to_shared, rho0, mid)
+                    if helper_edge not in seen:
+                        seen_add(helper_edge)
+                        emit(helper_edge)
                     derived = (mid, rho1, dst)
                 if derived not in seen:
                     seen_add(derived)
@@ -482,7 +491,9 @@ def post_star_naive(
     for shared in controls:
         nfa.add_state(shared)
 
-    # Unconditional skeleton edges p' --ρ0--> m for every push rule.
+    # Eager skeleton edges p' --ρ0--> m for every push rule, unlike the
+    # engine's first-firing emission: the differential tests then check
+    # that both give every control the same language.
     for action in pds.actions:
         if action.kind is ActionKind.PUSH:
             rho0 = action.write[0]

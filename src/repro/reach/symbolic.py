@@ -87,6 +87,20 @@ def word_nfa(word: tuple[Symbol, ...]) -> NFA:
     return nfa
 
 
+def embed_context(shared_from: Shared, automaton: NFA) -> tuple[list, list]:
+    """Initial edges and accepting states of one context's ``post*``:
+    the config set ``{⟨shared_from|w⟩ : w ∈ L(automaton)}``.
+
+    The thread automaton is embedded disjointly and entered from control
+    ``shared_from`` by ε.  Feeding raw edges to the engine skips
+    materializing an intermediate P-automaton (the preconditions hold by
+    construction: "emb"-tagged states are never controls)."""
+    useful = getattr(automaton, "useful_edges", automaton.transitions)
+    edges = [(shared_from, EPSILON, ("emb", start)) for start in automaton.initial]
+    edges.extend((("emb", src), label, ("emb", dst)) for src, label, dst in useful())
+    return edges, [("emb", state) for state in automaton.accepting]
+
+
 def nfa_tops(automaton: NFA) -> frozenset[Symbol]:
     """First symbols of accepted words; :data:`EMPTY` if ε is accepted.
 
@@ -315,20 +329,7 @@ class SymbolicReach(ReachabilityEngine):
         METER.bump("symbolic.expansions")
         pds = self.cpds.thread(index)
         controls = self.cpds.shared_states
-
-        # Initial edge set for the config set {(q, w) : w ∈ L(Ai)}: embed
-        # the thread automaton disjointly and enter it from control q by
-        # ε.  Feeding raw edges to the engine skips materializing an
-        # intermediate P-automaton (the preconditions hold by
-        # construction: "emb"-tagged states are never controls).
-        useful = getattr(automaton, "useful_edges", automaton.transitions)
-        edges = [
-            (shared_from, EPSILON, ("emb", start)) for start in automaton.initial
-        ]
-        edges.extend(
-            (("emb", src), label, ("emb", dst)) for src, label, dst in useful()
-        )
-        accepting = [("emb", state) for state in automaton.accepting]
+        edges, accepting = embed_context(shared_from, automaton)
         if not trace.enabled():
             saturated, coreachable = self._saturate(pds, edges, accepting, controls)
         else:

@@ -20,6 +20,7 @@ from repro.pds import (
     psa_for_configs,
 )
 from repro.pds.saturation import reachable_set_psa, shallow_configs_psa
+from repro.util import scoped
 
 
 def fig7_pds():
@@ -300,3 +301,40 @@ class TestWarmStartAfterPdsMutation:
         assert warm.accepts_config(2, ())
         assert oracle.accepts_config(2, ())
         assert warm.tops(2) == oracle.tops(2)
+
+
+class TestLazyPushHelpers:
+    """A push rule's helper edge ``p' --ρ0--> ("__push__", p', ρ0)``
+    enters the automaton only when the push first fires, so a procedure
+    no entry reaches costs the saturation nothing."""
+
+    @staticmethod
+    def _pds(with_unreachable_procedure: bool) -> PDS:
+        pds = PDS(initial_shared=0)
+        pds.rule(0, "m0", 0, ("f0", "m1"))  # main calls f
+        pds.rule(0, "f0", 0, ("f1",))
+        pds.rule(0, "f1", 0, ())  # f returns
+        pds.rule(0, "m1", 1, ("m2",))
+        if with_unreachable_procedure:
+            # g is called only from u0, which never reaches the stack.
+            pds.rule(1, "u0", 1, ("g0", "u1"))
+            pds.rule(1, "g0", 1, ("g1",))
+            pds.rule(1, "g1", 1, ())
+        return pds
+
+    @staticmethod
+    def _saturate(pds: PDS):
+        with scoped() as work:
+            psa = post_star(pds, psa_for_configs(pds, [PDSState(0, ("m0",))]))
+        return psa, work.get("post_star.edges_added", 0)
+
+    def test_unreachable_procedure_adds_no_edge(self):
+        psa, edges = self._saturate(self._pds(True))
+        transitions = set(psa.automaton.transitions())
+        # Schwoon's midpoints: f's call fires, g's never does.
+        assert (0, "f0", ("__push__", 0, "f0")) in transitions
+        unreached = ("__push__", 1, "g0")
+        assert not [t for t in transitions if unreached in (t[0], t[2])]
+        assert psa.accepts_config(1, ("m2",))
+        _plain, plain_edges = self._saturate(self._pds(False))
+        assert edges == plain_edges

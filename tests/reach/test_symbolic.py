@@ -1,4 +1,5 @@
-"""Symbolic engine tests: Fig. 1 cross-validation and Fig. 2 (Ex. 8).
+"""Symbolic engine tests: Fig. 1 cross-validation, Fig. 2 (Ex. 8), and
+the per-context ``post*`` of every Table 2 row against the naive oracle.
 
 Fig. 2 is the decisive case: its per-context reachable sets are infinite
 (no FCR), so only the symbolic engine can analyze it.
@@ -6,12 +7,15 @@ Fig. 2 is the decisive case: its per-context reachable sets are infinite
 
 import pytest
 
+from repro.automata import NFA
+from repro.automata.canonical import canonical_nfa
 from repro.cpds import GlobalState, VisibleState
 from repro.models import fig1_cpds, fig2_cpds
 from repro.models.figure2 import BOTTOM
-from repro.pds import EMPTY
+from repro.models.registry import smallest_per_row
+from repro.pds import EMPTY, PSA, PostStarEngine, post_star_naive
 from repro.reach import ExplicitReach, SymbolicReach
-from repro.reach.symbolic import nfa_tops, word_nfa
+from repro.reach.symbolic import embed_context, nfa_tops, word_nfa
 
 
 def gs(shared, stack1, stack2):
@@ -130,3 +134,49 @@ class TestFig2Example8:
                     state = GlobalState(shared, (stack1, stack2))
                     if symbolic.accepts(state, 3):
                         assert symbolic.accepts(state, 2), f"{state} new at 3"
+
+
+class TestRealModelPostStarDifferential:
+    """The worklist engine emits push-helper edges lazily, the naive
+    oracle eagerly; both must give every control the same language.
+
+    The randomized harness in ``tests/pds`` builds PDSs of a few rules
+    without procedure structure; this one saturates the contexts the
+    symbolic lane really expands on each Table 2 row — every unique
+    thread view of its first two levels — and compares canonical
+    signatures per co-reachable control."""
+
+    @pytest.mark.parametrize(
+        "bench", smallest_per_row(), ids=lambda bench: bench.row
+    )
+    def test_first_two_levels_match_naive(self, bench):
+        cpds, _prop = bench.build()
+        engine = SymbolicReach(cpds)
+        engine.ensure_level(1)
+        views = {}
+        for level in engine.levels[:2]:
+            for state in level:
+                for index in range(cpds.n_threads):
+                    key = (index, state.shared, state.signatures[index])
+                    views.setdefault(key, state.automata[index])
+        controls = cpds.shared_states
+        compared = 0
+        for (index, shared, _signature), automaton in views.items():
+            pds = cpds.thread(index)
+            alphabet = cpds.symbol_table(index)
+            edges, accepting = embed_context(shared, automaton)
+            lazy = PostStarEngine.from_edges(
+                pds, edges, accepting, controls=controls
+            ).detach_nfa()
+            initial = NFA(states=controls, accepting=accepting)
+            initial.add_transitions(edges)
+            eager = post_star_naive(pds, PSA(initial, controls)).automaton
+            coreachable = lazy.coreachable_states() & controls
+            assert coreachable == eager.coreachable_states() & controls
+            for control in coreachable:
+                assert (
+                    canonical_nfa(lazy, alphabet, initial=[control])[1]
+                    == canonical_nfa(eager, alphabet, initial=[control])[1]
+                ), f"thread {index} from {shared!r}, control {control!r}"
+                compared += 1
+        assert compared >= len(views)

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import deque
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from repro.cpds.semantics import global_successors, thread_write_free_post
 from repro.cuba.lanes import run_lane
 from repro.core.property import AlwaysSafe, SharedStateReachability
 from repro.core.result import Verdict
+from repro.errors import ContextExplosionError
 from repro.models import fig1_cpds, fig2_cpds
 from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import smallest_per_row
@@ -162,6 +164,19 @@ class TestApplicability:
             cpds.thread(0), state.shared, state.stacks[0]
         )
         assert state.stacks[0] in closure  # reflexive
+
+    def test_direct_construction_on_non_wcr_row_raises_at_once(self):
+        # K-Induction pumps its stack write-free.  Built directly (no
+        # applicability check), the lane must stop on the height guard
+        # within a few stacks, not near the state-count guard after
+        # allocating quadratic memory in the pumped height.
+        bench = next(b for b in smallest_per_row() if b.row == "6/K-Induction")
+        cpds, prop = bench.build()
+        assert not WubaReach.applicable(cpds, prop)
+        start = time.perf_counter()
+        with pytest.raises(ContextExplosionError, match="pumps"):
+            WubaReach(cpds).ensure_level(3)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestVerdicts:
