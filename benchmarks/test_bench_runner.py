@@ -306,37 +306,34 @@ def test_retired_modes_are_rejected():
 
 
 class TestBackendField:
+    """``backend`` is a retired constant like ``jobs``: the explicit lane
+    has one replay loop, the runner no longer writes the field, and an
+    absent field reads as ``python``."""
+
     def test_backend_recorded_and_resolved(self, payload):
-        """The payload records the *resolved* replay backend — never the
-        ``auto`` alias, which would make comparability depend on what the
-        reader has installed."""
-        from repro.reach.vectorized import numpy_available
+        assert "backend" not in payload
 
-        expected = "numpy" if numpy_available() else "python"
-        assert payload["backend"] == expected
+    def test_forced_python_recorded(self, payload):
+        """A baseline that recorded ``backend: python`` measured the loop
+        that still runs, so it stays comparable; the runner takes no
+        ``--backend`` flag any more."""
+        from repro.bench.runner import main
 
-    def test_forced_python_recorded(self):
-        sub = run_suite(
-            quick=True, rows={"9"}, max_rounds=2, repeats=1, backend="python"
-        )
-        assert sub["backend"] == "python"
+        python = json.loads(json.dumps(payload))
+        python["backend"] = "python"
+        ok, messages = compare_bench(payload, python, tolerance=0.25)
+        assert ok, messages
+        with pytest.raises(SystemExit):
+            main(["--quick", "--backend", "python", "--no-write"])
 
     def test_mismatched_backend_refuses_comparison(self, payload):
-        """A vectorized run must not be gated against a pure-python
-        baseline (or vice versa): the whole point of the backend is a
-        different wall-time story.  Pre-PR 8 baselines lack the field
-        entirely: treated as python."""
-        other = json.loads(json.dumps(payload))
-        other["backend"] = "numpy" if payload["backend"] == "python" else "python"
-        ok, messages = compare_bench(payload, other, tolerance=0.25)
+        """A baseline recorded with the removed numpy replay timed a
+        different loop: never gated against."""
+        numpy = json.loads(json.dumps(payload))
+        numpy["backend"] = "numpy"
+        ok, messages = compare_bench(payload, numpy, tolerance=0.25)
         assert not ok
         assert any("NOT COMPARABLE" in m for m in messages)
-        legacy = json.loads(json.dumps(payload))
-        del legacy["backend"]
-        current = json.loads(json.dumps(payload))
-        current["backend"] = "python"
-        ok, messages = compare_bench(current, legacy, tolerance=0.25)
-        assert ok, messages
 
 
 class TestMemoryDiscipline:

@@ -1,10 +1,8 @@
 """Setup shim: enables `python setup.py develop` in offline environments
 where pip's PEP-517 path is unavailable (no `wheel` package).
 
-The library itself is stdlib-only; the ``[fast]`` extra pulls in numpy
-for the vectorized replay backend (``backend="numpy"`` /
-``backend="auto"``, see :mod:`repro.reach.vectorized`) — purely
-optional, every code path falls back to the pure-int loops without it.
+The library itself is stdlib-only (``tests/test_layering.py`` enforces
+it); ``requirements-dev.txt`` lists what the tests and tooling need.
 """
 
 from setuptools import find_packages, setup
@@ -17,7 +15,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    extras_require={
-        "fast": ["numpy>=1.24"],
-    },
 )

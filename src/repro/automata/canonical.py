@@ -26,7 +26,7 @@ layers keep it cheap:
    module's own exact ``(table, accepting) → form`` memo: structurally
    different inputs that subset-construct to the same table skip
    Hopcroft.  The seed's determinize → complete → Moore path (kept as
-   the ``"moore"`` backend, see :func:`set_backend`) built three
+   the differential oracle :func:`moore_canonical_form`) built three
    intermediate automata per call and re-sorted symbols by ``repr()``.
    Symbol order now comes from the intern tables of
    :mod:`repro.automata.intern`.
@@ -49,7 +49,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from collections.abc import Hashable, Iterable
-from contextlib import contextmanager
 from itertools import count
 
 from repro.automata import dense
@@ -80,10 +79,6 @@ _interned: dict[tuple, tuple["CanonicalNFA", "Signature"]] = {}
 #: and the second's result is discarded at intern time.
 _lock = threading.Lock()
 _token = count()
-
-#: Active minimization backend: "dense" (Hopcroft, default) or "moore"
-#: (the seed pipeline, kept for differential tests and benchmarking).
-_backend = "dense"
 
 
 class Signature:
@@ -160,28 +155,6 @@ class CanonicalNFA(NFA):
         return self._useful_edges
 
 
-def set_backend(name: str) -> str:
-    """Select the minimization backend (``"dense"`` or ``"moore"``);
-    returns the previous one.  Both produce identical canonical forms
-    (property-tested) and share the memo and hash-cons tables."""
-    global _backend
-    if name not in ("dense", "moore"):
-        raise ValueError(f"unknown canonicalization backend {name!r}")
-    previous = _backend
-    _backend = name
-    return previous
-
-
-@contextmanager
-def backend(name: str):
-    """Temporarily switch the minimization backend (benchmark harness)."""
-    previous = set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
 def canonical_cache_clear() -> None:
     """Drop every memoized canonicalization and the hash-cons table
     (test isolation; the shared runtime-cache cleanup)."""
@@ -216,9 +189,14 @@ def _structural_key(nfa: NFA, symbols: tuple, entry: frozenset) -> tuple:
     )
 
 
-def _canonical_form_moore(nfa: NFA, symbols: list, initial):
-    """The seed pipeline (determinize → complete → Moore → BFS renumber)
-    emitting the same ``(bits, table)`` form as the dense path."""
+def moore_canonical_form(
+    nfa: NFA, symbols: tuple, initial: Iterable | None = None
+) -> tuple[tuple, tuple]:
+    """The differential oracle for :func:`repro.automata.dense.canonical_form`:
+    the seed pipeline (determinize → complete → Moore → BFS renumber)
+    emitting the same ``(bits, table)`` form over the same ordered
+    ``symbols``.  Memo-free; nothing on the production path calls it."""
+    symbols = list(symbols)
     dfa = minimize(nfa, symbols, initial=initial)
     start = next(iter(dfa.initial))
     numbering = {start: 0}
@@ -314,10 +292,7 @@ def canonical_nfa(
             METER.bump("canonical.cache_hits")
             return cached
     METER.bump("canonical.cache_misses")
-    if _backend == "dense":
-        bits, table = dense.canonical_form(nfa, symbols, initial=initial)
-    else:
-        bits, table = _canonical_form_moore(nfa, list(symbols), initial)
+    bits, table = dense.canonical_form(nfa, symbols, initial=initial)
     with _lock:
         result = _intern(symbols, bits, table)
         _cache[key] = result

@@ -204,7 +204,8 @@ def canonical_form(
     visiting ``symbols`` in the given order — the numbering is unique, so
     two automata yield identical tuples exactly if they accept the same
     language over ``symbols``.  Produces the same form as the Moore path
-    through :func:`repro.automata.ops.minimize` (the differential oracle).
+    :func:`repro.automata.canonical.moore_canonical_form` (the
+    differential oracle).
     """
     if not trace.enabled():
         return _canonical_form(nfa, symbols, initial)

@@ -30,7 +30,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.automata import canonical
 from repro.automata.ops import _sort_key
 from repro.cuba.algorithm3 import algorithm3
 from repro.cuba.scheme1 import scheme1_rk
@@ -39,7 +38,6 @@ from repro.models.registry import runnable_benchmarks, smallest_per_row
 from repro.pds.saturation import post_star, psa_for_configs
 from repro.pds.state import PDSState
 from repro.reach import registry
-from repro.reach.config import EngineConfig
 from repro.util.caches import clear_runtime_caches
 from repro.util.meter import METER, measure
 
@@ -173,8 +171,7 @@ def _describe_result(result) -> dict:
 
 def _symbolic_run(cpds, prop, max_rounds: int):
     def run():
-        with canonical.backend("dense"):
-            return algorithm3(cpds, prop, engine="symbolic", max_rounds=max_rounds)
+        return algorithm3(cpds, prop, engine="symbolic", max_rounds=max_rounds)
 
     return run
 
@@ -190,12 +187,9 @@ def _wuba_run(cpds, prop, max_rounds: int):
     return run
 
 
-def _explicit_run(cpds, prop, max_rounds: int, replay_backend: str):
-    config = EngineConfig(backend=replay_backend)
-
+def _explicit_run(cpds, prop, max_rounds: int):
     def run():
-        with canonical.backend("dense"):
-            return scheme1_rk(cpds, prop, max_rounds=max_rounds, config=config)
+        return scheme1_rk(cpds, prop, max_rounds=max_rounds)
 
     return run
 
@@ -227,13 +221,12 @@ def _canonical_micro(inputs, repetitions: int):
         from repro.automata.canonical import canonical_nfa
 
         signatures = 0
-        with canonical.backend("dense"):
-            for _ in range(repetitions):
-                _clear_caches()
-                for automaton, table, entries in inputs:
-                    for shared in entries:
-                        _dfa, _sig = canonical_nfa(automaton, table, initial=[shared])
-                        signatures += 1
+        for _ in range(repetitions):
+            _clear_caches()
+            for automaton, table, entries in inputs:
+                for shared in entries:
+                    _dfa, _sig = canonical_nfa(automaton, table, initial=[shared])
+                    signatures += 1
         return signatures
 
     return run
@@ -248,20 +241,9 @@ def run_suite(
     repeats: int = 3,
     label: str | None = None,
     memory: bool = False,
-    backend: str = "auto",
     phases: bool = False,
 ) -> dict:
-    """Run the registry workloads and return the BENCH payload dict.
-
-    ``backend`` selects the explicit lanes' replay arithmetic
-    (:mod:`repro.reach.vectorized`); it is resolved here (``auto`` →
-    numpy when importable) and the *resolved* value is recorded
-    top-level, so a payload always names the backend that actually ran
-    and mismatched-backend payloads are never gated against each other.
-    """
-    from repro.reach.vectorized import resolve_backend
-
-    backend = resolve_backend(backend)
+    """Run the registry workloads and return the BENCH payload dict."""
     if max_rounds is None:
         max_rounds = 6 if quick else 10
     benches = smallest_per_row() if quick else runnable_benchmarks()
@@ -278,9 +260,7 @@ def run_suite(
             if "symbolic" in engines:
                 runners.append(("symbolic", _symbolic_run(cpds, prop, max_rounds)))
             if "explicit" in engines and bench.fcr:
-                runners.append(
-                    ("explicit", _explicit_run(cpds, prop, max_rounds, backend))
-                )
+                runners.append(("explicit", _explicit_run(cpds, prop, max_rounds)))
             if "wuba" in engines and registry.engine_class("wuba").applicable(
                 cpds, prop
             ):
@@ -321,7 +301,6 @@ def run_suite(
         "platform": platform.platform(),
         "quick": quick,
         "max_rounds": max_rounds,
-        "backend": backend,
         "cpu_count": os.cpu_count(),
         "repeats": repeats,
         "calibration_seconds": round(_calibrate(), 5),
@@ -427,15 +406,13 @@ def comparable_configs(current: dict, baseline: dict) -> bool:
     """True iff two payloads were produced under the same measurement
     configuration and their totals are meaningfully comparable.
 
-    ``jobs`` and ``shards`` are retired constants: the runner no longer
-    writes them, and an absent field reads as the serial value (1 and
-    0).  A committed payload recorded with ``jobs > 1`` or ``shards > 0``
-    measured the removed multiprocess advance, so it is still never
-    comparable with a current run.  ``backend`` must match too (absent
-    = "python", the pre-PR 8 default): vectorized replay changes the
-    very loop being timed, so a numpy payload gated against a
-    pure-python baseline would read the backend swap as a perf
-    trajectory."""
+    ``jobs``, ``shards`` and ``backend`` are retired constants: the
+    runner no longer writes them, and an absent field reads as the one
+    value the current tree runs (1, 0 and ``"python"``).  A committed
+    payload recorded with ``jobs > 1`` or ``shards > 0`` measured the
+    removed multiprocess advance, and one recorded with ``backend:
+    numpy`` the removed vectorized replay: timing a different loop, it
+    is never comparable with a current run."""
     return (
         current.get("quick") == baseline.get("quick")
         and current.get("max_rounds") == baseline.get("max_rounds")
@@ -620,14 +597,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true", help="smallest config per row")
     parser.add_argument("--rows", help="comma-separated row numbers, e.g. 1,5,9")
     parser.add_argument(
-        "--backend",
-        choices=["auto", "python", "numpy"],
-        default="auto",
-        help="replay backend for the explicit lanes (auto = numpy when "
-        "installed); the resolved value is recorded in the payload and "
-        "baselines only compare on a match",
-    )
-    parser.add_argument(
         "--engines",
         default="symbolic,explicit,wuba",
         help="comma list of lanes: symbolic,explicit,wuba (wuba rows "
@@ -679,10 +648,8 @@ def main(argv: list[str] | None = None) -> int:
         repeats=args.repeats,
         label=args.label,
         memory=args.memory,
-        backend=args.backend,
         phases=args.phases,
     )
-    print(f"backend: {payload['backend']}")
     if args.merge_before:
         other = json.loads(Path(args.merge_before).read_text())
         merged = merge_modes(payload, other, "before")

@@ -27,11 +27,10 @@ from repro.core.property import Property, property_from_spec
 from repro.core.result import Verdict
 from repro.cpds.format import parse_cpds
 from repro.cuba.fcr import check_fcr
-from repro.cuba.lanes import run_lane
+from repro.cuba.lanes import ensure_applicable, run_lane
 from repro.cuba.verifier import Cuba
 from repro.errors import CubaError
 from repro.reach import registry
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.util.table import render_table
 
@@ -91,12 +90,9 @@ def cmd_verify(args) -> int:
 
 
 def _run_verify(args) -> int:
-    from repro.reach.vectorized import resolve_backend
-
     cpds, prop = _load(args)
-    config = EngineConfig(backend=args.backend)
     if args.lane == "auto":
-        report = Cuba(cpds, prop, config=config).verify(max_rounds=args.max_rounds)
+        report = Cuba(cpds, prop).verify(max_rounds=args.max_rounds)
         if args.report:
             from repro.report import render_report
 
@@ -107,10 +103,6 @@ def _run_verify(args) -> int:
                 Verdict.SAFE: 0, Verdict.UNSAFE: 1, Verdict.UNKNOWN: 2
             }[report.verdict]
         print(f"FCR: {'holds' if report.fcr.holds else 'fails'}")
-        if report.fcr.holds:
-            # The symbolic lane has no replay backend; only the
-            # explicit engine resolves the knob.
-            print(f"backend: {resolve_backend(args.backend)}")
         print(f"winner: {report.winner}")
         print(f"kmax(Rk) = {report.bound_text('rk')}, "
               f"kmax(T(Rk)) = {report.bound_text('trk')}")
@@ -119,11 +111,7 @@ def _run_verify(args) -> int:
         # Any registered lane (aliases included) runs through the one
         # generic driver — no per-lane branches here.
         lane = registry.canonical_lane(args.lane)
-        if lane == "explicit":
-            print(f"backend: {resolve_backend(args.backend)}")
-        result = run_lane(
-            lane, cpds, prop, max_rounds=args.max_rounds, config=config
-        )
+        result = run_lane(lane, cpds, prop, max_rounds=args.max_rounds)
     print(result)
     if result.trace is not None:
         print(f"witness trace ({result.trace.n_contexts} contexts):")
@@ -177,6 +165,9 @@ def cmd_fcr(args) -> int:
 
 def cmd_table(args) -> int:
     cpds, _prop = _load(args)
+    # The table enumerates (Rk) explicitly, which diverges without FCR:
+    # check the lane's precondition before building the engine.
+    ensure_applicable(ExplicitReach, cpds)
     engine = ExplicitReach(cpds, track_traces=False)
     engine.ensure_level(args.levels)
     rows = []
@@ -208,8 +199,6 @@ def cmd_bench(args) -> int:
             forward.extend(["--tolerance", str(args.tolerance)])
         if args.merge_before:
             forward.extend(["--merge-before", args.merge_before])
-        if args.backend != "auto":
-            forward.extend(["--backend", args.backend])
         if args.phases:
             forward.append("--phases")
         return bench_main(forward)
@@ -425,15 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--max-rounds", type=int, default=30)
     verify.add_argument(
-        "--backend",
-        choices=["auto", "python", "numpy"],
-        default="auto",
-        help="replay arithmetic for the explicit engine: 'numpy' "
-        "vectorizes the context-tree replay, 'python' forces the "
-        "pure-int loop, 'auto' (default) picks numpy when installed; "
-        "a pure execution knob — results are backend-independent",
-    )
-    verify.add_argument(
         "--report", action="store_true", help="print the full multi-section report"
     )
     verify.add_argument(
@@ -485,14 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--merge-before",
         metavar="FILE",
         help="with --json: graft a pre-PR BENCH file in as the 'before' mode",
-    )
-    bench.add_argument(
-        "--backend",
-        choices=["auto", "python", "numpy"],
-        default="auto",
-        help="with --json: replay backend for the explicit lane "
-        "(recorded in the payload; baselines only compare against a "
-        "matching backend)",
     )
     bench.add_argument(
         "--phases",

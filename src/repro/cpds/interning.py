@@ -308,11 +308,11 @@ class StateTable:
         """Dense id for an already-component-interned ``(qid, wids)``.
 
         NOTE: the view replay loop in
-        :meth:`repro.reach.explicit.ExplicitReach._advance_batched` and
-        :func:`repro.reach.vectorized.replay_level` inline this append
-        protocol on packed keys (``_ids``/``_packed``/``_states``/
-        ``_vkeys`` grow in lock-step, id == old ``len(_packed)``) — keep
-        them in sync when changing the table layout.
+        :meth:`repro.reach.explicit.ExplicitReach._advance_batched`
+        inlines this append protocol on packed keys (``_ids``/``_packed``/
+        ``_states``/``_vkeys`` grow in lock-step, id == old
+        ``len(_packed)``) — keep it in sync when changing the table
+        layout.
         """
         key = self.pack(qid, wids)
         sid = self._ids.get(key)
@@ -433,11 +433,6 @@ class StateTable:
         return ((1 << self._vqshift) - 1) & ~(
             self._vmasks[index] << self._voffs[index]
         )
-
-    @property
-    def vkeys_fit_int64(self) -> bool:
-        """True iff the visible-key column is an int64 ``array``."""
-        return self._vq_limit is not None
 
     # ------------------------------------------------------------------
     # Snapshot support (see :meth:`repro.reach.explicit.ExplicitReach.snapshot`)

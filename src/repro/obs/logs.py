@@ -10,7 +10,7 @@ rendering of the same fields.
 
 :func:`audit` writes the **per-request audit record** — the one
 structured line the server emits for every submit, carrying the
-fingerprint, lane, resolved backend, store outcome
+fingerprint, lane, store outcome
 (hit/dedup/resume/fresh), lease outcome, ``engine_seconds`` vs
 ``queue_seconds``, and the verdict — to the ``cuba.audit`` logger.  In
 both formats the line's payload is valid JSON, so log pipelines parse

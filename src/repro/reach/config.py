@@ -26,13 +26,10 @@ class EngineConfig:
 
     ``batched`` selects the view-batched, memoizing advance; False
     selects the memo-free per-state differential oracle (explicit and
-    symbolic lanes).  ``backend`` is the explicit replay backend
-    (``auto``/``python``/``numpy``).  Engines that do not understand a
-    knob simply ignore it (a symbolic engine has no replay backend).
+    symbolic lanes).  Engines without an oracle (wuba) ignore it.
     """
 
     batched: bool = True
-    backend: str = "auto"
 
     def replace(self, **changes) -> "EngineConfig":
         return dataclasses.replace(self, **changes)

@@ -38,10 +38,8 @@ global product.  Three layers kill it:
   delta — no tuple allocation, no nested re-hashing, no ``GlobalState``
   materialized anywhere on the path.  The same loop fills the table's
   visible-key column (``vfrozen | vdelta``, see "Visible keys" in
-  :mod:`repro.cpds.interning`).  Large levels replay as one numpy
-  broadcast (:mod:`repro.reach.vectorized`, ``backend=``); both
-  backends assign identical ids, parents, movers, visible keys and
-  METER work counts.
+  :mod:`repro.cpds.interning`).  Keys are Python ints, so the one loop
+  serves every packing geometry, however wide adaptive repacks grow it.
 
 ``T(Rk)`` as visible keys
 -------------------------
@@ -69,11 +67,9 @@ engine records each state's *mover* — the thread of the view whose
 replay first produced it, in the serial view/member/edge scan order; the
 root carries the sentinel ``n_threads``
 ("expand every thread") — in a compact ``array`` column aligned with
-the state ids, and grouping skips the ``(state, mover)`` view.  Both
-grouping and replay backends (scalar, numpy) skip and record
-identically, so the levels and the METER work counts stay equal across
-them; ``explicit.replay_pairs`` counts the member x tree-edge pairs
-actually replayed.  The skipped view's tree is a subtree of one already
+the state ids, and grouping skips the ``(state, mover)`` view.
+``explicit.replay_pairs`` counts the member x tree-edge pairs actually
+replayed.  The skipped view's tree is a subtree of one already
 saturated within the divergence guard, so pruning cannot move the
 level at which :class:`~repro.errors.ContextExplosionError` fires.
 
@@ -81,9 +77,11 @@ The seed per-state formulation — one
 :func:`~repro.cpds.semantics.thread_context_post` call per (state,
 thread), *unpruned* and memo-free — is kept behind ``batched=False`` as
 the differential oracle;
-``tests/reach/test_batched_explicit.py`` and
-``tests/reach/test_vectorized_backend.py`` prove the modes agree level
-for level on every FCR registry row and on randomized CPDSs.
+``tests/reach/test_batched_explicit.py`` proves the modes agree level
+for level on every FCR registry row and on randomized CPDSs, and
+``tests/reach/test_sharded_replay.py`` that the replay's two member
+loops (with and without witness parents) and a snapshot-restored
+engine agree level for level with equal METER work counts.
 
 Explicit enumeration requires every ``Rk`` to be finite — the finite
 context reachability condition (Sec. 5).  Programs violating FCR trip
@@ -110,7 +108,6 @@ from repro.cpds.state import GlobalState, VisibleState
 from repro.errors import SnapshotError
 from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
-from repro.reach import vectorized
 from repro.reach.base import ReachabilityEngine
 from repro.reach.config import EngineConfig
 from repro.reach.registry import register
@@ -245,11 +242,6 @@ class ExplicitReach(ReachabilityEngine):
         self.config = config
         batched = config.batched
         self.cpds = cpds
-        #: Requested replay backend knob (``auto``/``python``/``numpy``);
-        #: a pure execution knob like ``batched`` — never fingerprinted
-        #: or snapshotted.  ``resolved_backend`` is what actually runs.
-        self.backend = vectorized.validate_backend(config.backend)
-        self._use_numpy = vectorized.resolve_backend(config.backend) == "numpy"
         self.max_states_per_context = max_states_per_context
         self.batched = batched
         #: View-key geometry (see :data:`View`): the thread field is
@@ -394,75 +386,24 @@ class ExplicitReach(ReachabilityEngine):
         view_qid_shift = self._view_qid_shift
         movers = self._movers
         groups: dict[View, list[int]] = {}
-        if (
-            self._use_numpy
-            and n * len(frontier) >= vectorized.NUMPY_MIN_WORK
-            and vectorized.table_fits_int64(table)
-            and vectorized.views_fit_int64(
-                table, view_qid_shift, view_wid_shift
-            )
-        ):
-            groups = vectorized.group_views(
-                table, frontier, movers, n, view_qid_shift, view_wid_shift
-            )
-        else:
-            for sid in frontier:
-                key = packed[sid]
-                qbase = (key >> qshift) << view_qid_shift
-                mover = movers[sid]  # same-thread pruning: skip its view
-                for index in threads:
-                    if index != mover:
-                        groups.setdefault(
-                            qbase
-                            | (((key >> shifts[index]) & mask) << view_wid_shift)
-                            | index,
-                            [],
-                        ).append(sid)
+        for sid in frontier:
+            key = packed[sid]
+            qbase = (key >> qshift) << view_qid_shift
+            mover = movers[sid]  # same-thread pruning: skip its view
+            for index in threads:
+                if index != mover:
+                    groups.setdefault(
+                        qbase
+                        | (((key >> shifts[index]) & mask) << view_wid_shift)
+                        | index,
+                        [],
+                    ).append(sid)
         # Every grouped (state, thread) cell is one view member.
         METER.bump("explicit.level_views", sum(map(len, groups.values())))
         METER.bump("explicit.level_unique_views", len(groups))
         if not groups:
             return
         trees = self._trees_for(list(groups))
-
-        if self._use_numpy:
-            if vectorized.table_fits_int64(table):
-                # Geometry is stable from here on: every tree saturated
-                # in _trees_for, so replay interns no components and
-                # cannot repack.
-                bits = table._bits
-                qshift = table._qshift
-                low_mask = (1 << qshift) - 1
-                entries = []
-                total = 0
-                for view, members in groups.items():
-                    tree = trees[view]
-                    if not len(tree.qids):
-                        continue
-                    index = view & self._view_index_mask
-                    move_clear = ~(table._mask << (bits * index))
-                    entries.append(
-                        (members, tree, index, low_mask & move_clear)
-                    )
-                    total += len(members) * len(tree.qids)
-                if (
-                    entries
-                    and total >= vectorized.NUMPY_MIN_WORK
-                    and total
-                    >= len(entries) * vectorized.NUMPY_MIN_ENTRY_AVG
-                ):
-                    vectorized.bump_view(len(entries))
-                    METER.bump("explicit.replay_pairs", total)
-                    vectorized.replay_level(
-                        table, entries, level, self._first_seen, movers,
-                        self._parent_ids, self._parent_actions, fresh.append,
-                    )
-                    return
-            else:
-                # Packed keys exceed int64 (high thread counts /
-                # adaptive repacks): the whole level routes to the
-                # pure-int loop.
-                vectorized.bump_fallback()
 
         first_seen = self._first_seen
         parent_ids = self._parent_ids
@@ -714,12 +655,6 @@ class ExplicitReach(ReachabilityEngine):
                 return self.table.decode_visible(key)
         return None
 
-    @property
-    def resolved_backend(self) -> str:
-        """The concrete replay backend this engine runs (``"auto"``
-        resolved against numpy availability at construction)."""
-        return "numpy" if self._use_numpy else "python"
-
     def stats(self) -> dict:
         """Work summary for verification-result plumbing (all sizes read
         off the int core — no decoding)."""
@@ -727,7 +662,6 @@ class ExplicitReach(ReachabilityEngine):
             "global_states": len(self._first_seen),
             "levels": self.level_sizes(),
             "batched": self.batched,
-            "backend": self.resolved_backend,
             "context_memo": len(self._tree_cache),
         }
 
@@ -839,12 +773,11 @@ class ExplicitReach(ReachabilityEngine):
         config: EngineConfig | None = None,
     ) -> "ExplicitReach":
         """Rebuild a warm batched engine from a :meth:`snapshot` blob
-        taken on ``cpds``.  ``config`` holds pure execution knobs (the
-        replay ``backend``) and may differ from the snapshotted
-        engine's; ``max_states_per_context`` defaults to the snapshotted
-        guard.  Raises :class:`~repro.errors.SnapshotError` on any
-        undecodable or mismatched blob."""
-        config = config if config is not None else EngineConfig()
+        taken on ``cpds``.  ``config`` is ignored: its one knob,
+        ``batched``, can only be True here, since the per-state oracle
+        has no snapshot.  ``max_states_per_context`` defaults to the
+        snapshotted guard.  Raises :class:`~repro.errors.SnapshotError`
+        on any undecodable or mismatched blob."""
         with reading(cls, cpds, blob) as payload:
             n_threads = cpds.n_threads
             table = StateTable.from_snapshot(
@@ -862,7 +795,6 @@ class ExplicitReach(ReachabilityEngine):
                     else max_states_per_context
                 ),
                 track_traces=payload["track_traces"],
-                config=config.replace(batched=True),
             )
             if len(table) == 0 or table.state(0) != cpds.initial_state():
                 raise SnapshotError("snapshot does not belong to this CPDS")

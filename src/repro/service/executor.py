@@ -266,11 +266,6 @@ def _execute_job(job: EngineJob) -> JobOutcome:
     response = describe_result(result, job.problem, kind, explored, resumable)
     response["resumed"] = resumed
     response["engine_seconds"] = round(seconds, 4)
-    # Resolved replay backend (explicit lane), for the audit log; lanes
-    # without a backend notion report None.
-    response["backend"] = (
-        engine.stats().get("backend") if engine is not None else None
-    )
     snapshot = None
     if resumable and engine is not None:
         try:

@@ -22,9 +22,9 @@ satisfy two properties the obvious ``sha256(repr(cpds))`` does not:
   collide) and divergence-guard limit change what a stored
   verdict/snapshot means, so they are part of the key.  Execution knobs
   that provably do not affect results (the
-  :class:`~repro.reach.config.EngineConfig` fields ``batched`` and
-  ``backend`` — differentially tested elsewhere) are *not* included;
-  the service strips them before calling in.
+  :class:`~repro.reach.config.EngineConfig` field ``batched`` —
+  differentially tested elsewhere) are *not* included; the service
+  strips them before calling in.
 
 Model values (shared states, stack symbols) are identified by
 ``(type qualname, repr)``; every in-tree model uses ints and strings,

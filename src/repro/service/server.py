@@ -291,7 +291,6 @@ class AnalysisService:
             fingerprint=response.get("fingerprint"),
             lane=lane,
             requested=request.engine,
-            backend=response.get("backend"),
             store=store_outcome,
             resumed=bool(response.get("resumed")),
             cached=bool(response.get("cached")),

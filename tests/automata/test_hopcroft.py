@@ -2,8 +2,9 @@
 
 The dense pipeline of :mod:`repro.automata.dense` replaces the seed's
 determinize → complete → Moore-refine → renumber chain on the hot path;
-Moore survives in :func:`repro.automata.ops.minimize` as the oracle.
-Both must produce the *same* canonical signature for every input — the
+Moore survives in :func:`repro.automata.ops.minimize`, wrapped as the
+oracle :func:`repro.automata.canonical.moore_canonical_form`.  Both must
+produce the *same* canonical form for every input — the
 canonical minimal complete DFA is unique, so any divergence is a bug in
 one of the minimizers.
 """
@@ -13,19 +14,22 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata import EPSILON, NFA
-from repro.automata.canonical import backend, canonical_cache_clear, canonical_nfa
+from repro.automata import EPSILON, NFA, dense
+from repro.automata.canonical import (
+    canonical_cache_clear,
+    canonical_nfa,
+    moore_canonical_form,
+)
 from repro.automata.dense import canonical_form, hopcroft, subset_tables
 from repro.automata.intern import sort_symbols
 
 ALPHABET = ("a", "b")
+SYMBOLS = tuple(sort_symbols(ALPHABET))
 
 
-def _signature(nfa, alphabet, which):
-    canonical_cache_clear()  # force a recomputation through `which`
-    with backend(which):
-        _dfa, sig = canonical_nfa(nfa, alphabet)
-    return sig
+def _dense_form(nfa, initial=None):
+    dense.form_cache_clear()  # force a Hopcroft run, not a memo hit
+    return canonical_form(nfa, SYMBOLS, initial=initial)
 
 
 @st.composite
@@ -48,33 +52,28 @@ def random_nfa(draw):
 @settings(max_examples=120, deadline=None)
 @given(random_nfa())
 def test_hopcroft_and_moore_identical_signatures(nfa):
-    dense_sig = _signature(nfa, ALPHABET, "dense")
-    moore_sig = _signature(nfa, ALPHABET, "moore")
-    assert dense_sig == moore_sig
-    assert dense_sig.key == moore_sig.key
+    form = _dense_form(nfa)
+    assert form == moore_canonical_form(nfa, SYMBOLS)
+    # canonical_nfa's signature key is that form over the same symbols.
+    canonical_cache_clear()
+    _dfa, sig = canonical_nfa(nfa, ALPHABET)
+    assert sig.key == (SYMBOLS, *form)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_nfa(), st.sets(st.sampled_from([0, 1, 2, 3, 4]), min_size=1, max_size=2))
 def test_backends_agree_on_entry_override(nfa, entry):
     entry = {s for s in entry if s in nfa.states} or set(nfa.initial)
-    dense_sig = _signature(nfa, ALPHABET, "dense")  # warm the intern order
-    del dense_sig
-    canonical_cache_clear()
-    with backend("dense"):
-        _, dense_sig = canonical_nfa(nfa, ALPHABET, initial=entry)
-    canonical_cache_clear()
-    with backend("moore"):
-        _, moore_sig = canonical_nfa(nfa, ALPHABET, initial=entry)
-    assert dense_sig == moore_sig
+    assert _dense_form(nfa, initial=entry) == moore_canonical_form(
+        nfa, SYMBOLS, initial=entry
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_nfa())
 def test_dense_canonical_dfa_accepts_same_language(nfa):
     canonical_cache_clear()
-    with backend("dense"):
-        dfa, _sig = canonical_nfa(nfa, ALPHABET)
+    dfa, _sig = canonical_nfa(nfa, ALPHABET)
     for length in range(5):
         for word in itertools.product(ALPHABET, repeat=length):
             assert dfa.accepts(word) == nfa.accepts(word), word
@@ -140,14 +139,14 @@ class TestInverseEdgeCache:
         nfa = self._nfa()
         dense.form_cache_clear()
         canonical_cache_clear()
-        with backend("dense"), scoped() as first:
+        with scoped() as first:
             canonical_nfa(nfa, ALPHABET)
         assert first.get("canonical.form_misses", 0) == 1
         assert first.get("canonical.form_hits", 0) == 0
         # A second canonicalization (structural memo cleared, so the
         # dense pipeline runs again) hits the form memo: no Hopcroft.
         canonical_cache_clear()
-        with backend("dense"), scoped() as second:
+        with scoped() as second:
             canonical_nfa(nfa, ALPHABET)
         assert second.get("canonical.form_misses", 0) == 0
         assert second.get("canonical.form_hits", 0) == 1

@@ -6,7 +6,7 @@ only on a miss.  These tests drive it with random complete tables
 (wrapped as NFAs) and pin that the memo never changes an answer:
 
 * a cold run yields the minimal form — the one the Moore oracle
-  produces through ``canonical.backend("moore")``;
+  :func:`~repro.automata.canonical.moore_canonical_form` produces;
 * an exact repeat is a ``canonical.form_hits`` hit with the same form,
   a different table is a ``canonical.form_misses`` miss;
 * the memo stays within :data:`~repro.automata.dense.FORM_CACHE_SIZE`
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import NFA, dense
-from repro.automata.canonical import backend, canonical_cache_clear, canonical_nfa
+from repro.automata.canonical import moore_canonical_form
 from repro.automata.dense import canonical_form
 from repro.automata.intern import sort_symbols
 from repro.util.meter import scoped
@@ -45,11 +45,7 @@ def _as_nfa(rows, acc):
 
 
 def _moore_form(nfa):
-    canonical_cache_clear()
-    with backend("moore"):
-        _dfa, sig = canonical_nfa(nfa, SYMBOLS)
-    _symbols, bits, table = sig.key
-    return bits, table
+    return moore_canonical_form(nfa, SYMBOLS)
 
 
 class TestIncrementalEqualsFull:

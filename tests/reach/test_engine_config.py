@@ -19,23 +19,27 @@ class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
         assert config.batched is True
-        assert config.backend == "auto"
 
     def test_exactly_two_knobs(self):
-        """The cross-level memos are exact, so they are not knobs."""
+        """Named when the config also carried the explicit replay
+        backend; that knob went with the numpy replay, and the
+        cross-level memos are exact, so they are not knobs either:
+        ``batched`` is the one knob left."""
         names = [field.name for field in dataclasses.fields(EngineConfig)]
-        assert names == ["batched", "backend"]
+        assert names == ["batched"]
+        with pytest.raises(TypeError):
+            EngineConfig(backend="python")
 
     def test_replace_returns_new_frozen_instance(self):
         config = EngineConfig()
-        changed = config.replace(batched=False, backend="csr")
-        assert changed.batched is False and changed.backend == "csr"
+        changed = config.replace(batched=False)
+        assert changed.batched is False
         assert config.batched is True  # original untouched
         with pytest.raises(Exception):
             changed.batched = True  # frozen
 
     def test_picklable_for_worker_processes(self):
-        config = EngineConfig(batched=False, backend="python")
+        config = EngineConfig(batched=False)
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_config_reaches_the_engine(self):
@@ -47,10 +51,9 @@ class TestEngineConfig:
         assert SymbolicReach(
             fig1_cpds(), config=EngineConfig(batched=False)
         ).batched is False
-        verifier = Cuba(
-            fig1_cpds(), AlwaysSafe(), config=EngineConfig(backend="python")
-        )
-        assert verifier.config.backend == "python"
+        config = EngineConfig(batched=False)
+        verifier = Cuba(fig1_cpds(), AlwaysSafe(), config=config)
+        assert verifier.config is config
         assert scheme1_rk(
             fig1_cpds(), AlwaysSafe(), max_rounds=2, config=EngineConfig()
         ) is not None

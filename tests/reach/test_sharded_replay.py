@@ -1,17 +1,24 @@
-"""Forced-vectorization replay differential and invariant suite.
+"""Tracked ≡ untracked replay differential and snapshot resume.
 
-Three-way differential: the pure-python engine (``backend="python"``)
-and the numpy engine with and without witness parents, all run with the
-numpy work floors at 1 so every level of the numpy engines groups and
-replays through :mod:`repro.reach.vectorized`, must produce identical
-global-state levels, identical ``T(Rk)`` sequences, and *exact* METER
-equality — the backend changes how a level replays, never how much work
-it does.  On every mode the batching invariant ``expansions +
-context_cache_hits == level_unique_views`` must hold.
+The batched explicit advance replays each context tree through one of
+two member loops: without witness parents (``track_traces=False``) or
+with them.  Three engines run every case:
+
+* untracked batched;
+* tracked batched;
+* tracked batched, restored from its own k=1 snapshot and continued.
+
+They must produce identical levels (the same dense ids, hence the same
+movers), identical ``T(Rk)`` sequences and *exact* METER equality on
+the six work counters, phase by phase (levels up to 1, then up to
+``K``): the loops differ in the parent columns they fill, never in how
+much work they do, and a restore re-derives its derived state without
+touching a counter.  On every engine and phase the batching identity
+``expansions + context_cache_hits == level_unique_views`` holds.
 
 Run on every FCR registry row and on 40 random CPDS seeds (non-FCR
-instances must diverge identically in all three modes), plus a snapshot
-resume that switches the execution knobs mid-run.
+instances must diverge in all three engines), plus a tracked resume
+compared with an uninterrupted run.
 """
 
 import pytest
@@ -19,9 +26,8 @@ import pytest
 from repro.errors import ContextExplosionError
 from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import smallest_per_row
-from repro.reach import vectorized
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
+from repro.reach.snapshot import decode
 from repro.util.meter import METER
 
 K = 2
@@ -37,124 +43,115 @@ METER_KEYS = (
     "explicit.replay_pairs",
 )
 
-needs_numpy = pytest.mark.skipif(
-    not vectorized.numpy_available(), reason="numpy not installed"
-)
+MODES = ("untracked", "tracked", "restored")
 
 
-@pytest.fixture(autouse=True)
-def _floors_at_one(monkeypatch):
-    monkeypatch.setattr(vectorized, "NUMPY_MIN_WORK", 1)
-    monkeypatch.setattr(vectorized, "NUMPY_MIN_ENTRY_AVG", 1)
-
-
-def _three_engines(cpds, max_states=None):
-    """python / numpy / numpy-tracked, in that order."""
+def _phases(cpds, mode, max_states=None):
+    """Run one engine of ``mode`` to ``K``; return it with the METER
+    deltas of its two phases (levels up to 1, then up to ``K``)."""
     kwargs = {}
     if max_states is not None:
         kwargs["max_states_per_context"] = max_states
-    return [
-        ExplicitReach(
-            cpds, track_traces=False, config=EngineConfig(backend="python"),
-            **kwargs,
-        ),
-        ExplicitReach(
-            cpds, track_traces=False, config=EngineConfig(backend="numpy"),
-            **kwargs,
-        ),
-        ExplicitReach(cpds, config=EngineConfig(backend="numpy"), **kwargs),
-    ]
-
-
-def _run_with_meter(engine, k_max):
+    engine = ExplicitReach(cpds, track_traces=mode != "untracked", **kwargs)
     before = METER.snapshot()
-    engine.ensure_level(k_max)
-    return METER.delta(before)
+    engine.ensure_level(1)
+    first = METER.delta(before)
+    if mode == "restored":
+        engine = ExplicitReach.restore(cpds, engine.snapshot(), **kwargs)
+    before = METER.snapshot()
+    engine.ensure_level(K)
+    return engine, (first, METER.delta(before))
 
 
-def _assert_agreement(engines, deltas, k_max, context=""):
-    for k in range(k_max + 1):
+def _assert_agreement(engines, deltas, context=""):
+    untracked, tracked, restored = engines
+    assert untracked._level_ids == tracked._level_ids == restored._level_ids, (
+        f"{context}: level ids disagree"
+    )
+    assert untracked._movers == tracked._movers == restored._movers, context
+    assert tracked._parent_ids == restored._parent_ids, context
+    assert tracked._parent_actions == restored._parent_actions, context
+    assert untracked._parent_ids is None, context
+    for k in range(K + 1):
         assert (
-            engines[0].states_new_at(k)
-            == engines[1].states_new_at(k)
-            == engines[2].states_new_at(k)
+            untracked.states_new_at(k)
+            == tracked.states_new_at(k)
+            == restored.states_new_at(k)
         ), f"{context} k={k}: levels disagree"
         assert (
-            engines[0].visible_new_at(k)
-            == engines[1].visible_new_at(k)
-            == engines[2].visible_new_at(k)
+            untracked.visible_new_at(k)
+            == tracked.visible_new_at(k)
+            == restored.visible_new_at(k)
         ), f"{context} k={k}: visible projections disagree"
-    for key in METER_KEYS:
-        assert (
-            deltas[0].get(key, 0) == deltas[1].get(key, 0) == deltas[2].get(key, 0)
-        ), f"{context} METER {key}: {[d.get(key, 0) for d in deltas]}"
-    for mode, delta in zip(("python", "numpy", "numpy-tracked"), deltas):
-        assert delta.get("explicit.expansions", 0) + delta.get(
-            "explicit.context_cache_hits", 0
-        ) == delta.get("explicit.level_unique_views", 0), f"{context} {mode}"
-    # With the floors at 1, any replayed pair means the numpy engines
-    # took the vectorized path; the python engine never does.
-    if deltas[0].get("explicit.replay_pairs", 0):
-        assert deltas[1].get("explicit.replay_numpy_views", 0) > 0, context
-        assert deltas[2].get("explicit.replay_numpy_views", 0) > 0, context
-    assert deltas[0].get("explicit.replay_numpy_views", 0) == 0, context
+    for phase in range(2):
+        for key in METER_KEYS:
+            counts = [delta[phase].get(key, 0) for delta in deltas]
+            assert counts[0] == counts[1] == counts[2], (
+                f"{context} phase {phase} METER {key}: {counts}"
+            )
+        for mode, delta in zip(MODES, deltas):
+            work = delta[phase]
+            assert work.get("explicit.expansions", 0) + work.get(
+                "explicit.context_cache_hits", 0
+            ) == work.get("explicit.level_unique_views", 0), (
+                f"{context} {mode} phase {phase}"
+            )
 
 
-@needs_numpy
 class TestThreeWayDifferential:
     @pytest.mark.parametrize("bench", FCR_BENCHES, ids=lambda b: b.row)
     def test_registry_rows(self, bench):
         cpds, _prop = bench.build()
-        engines = _three_engines(cpds)
-        deltas = [_run_with_meter(engine, K) for engine in engines]
-        _assert_agreement(engines, deltas, K, context=bench.row)
+        runs = [_phases(cpds, mode) for mode in MODES]
+        engines, deltas = zip(*runs)
+        assert deltas[0][1].get("explicit.replay_pairs", 0) > 0, bench.row
+        _assert_agreement(engines, deltas, context=bench.row)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_randomized(self, seed):
         """Random CPDSs agree level for level with exact METER equality;
-        non-FCR instances diverge in every mode."""
+        non-FCR instances diverge in every engine."""
         spec = RandomSpec(n_threads=2, n_shared=2, n_symbols=2, rules_per_thread=5)
         cpds = random_cpds(seed, spec)
-        engines = _three_engines(cpds, max_states=300)
-        deltas = []
-        exploded = []
-        for engine in engines:
+        runs = []
+        for mode in MODES:
             try:
-                deltas.append(_run_with_meter(engine, K))
-                exploded.append(False)
+                runs.append(_phases(cpds, mode, max_states=300))
             except ContextExplosionError:
-                deltas.append(None)
-                exploded.append(True)
+                runs.append(None)
+        exploded = [run is None for run in runs]
         assert exploded[0] == exploded[1] == exploded[2], (
-            f"seed {seed}: divergence disagrees across modes: {exploded}"
+            f"seed {seed}: divergence disagrees across engines: {exploded}"
         )
         if exploded[0]:
             return
-        _assert_agreement(engines, deltas, K, context=f"seed {seed}")
+        engines, deltas = zip(*runs)
+        _assert_agreement(engines, deltas, context=f"seed {seed}")
 
 
-@needs_numpy
 class TestShardedSnapshotResume:
     def test_restore_carries_the_execution_knobs(self):
-        """A snapshot taken on a python engine resumes on the numpy
-        backend (a pure execution knob) and continues identically."""
+        """A tracked blob restores tracked and continues identically to
+        an uninterrupted run: same ids, movers, witness parents and
+        traces, and the same snapshot payload at the deeper level (the
+        bytes may differ only in how pickle shares equal objects)."""
         cpds, _prop = FCR_BENCHES[0].build()
-        origin = ExplicitReach(
-            cpds, track_traces=False, config=EngineConfig(backend="python")
-        )
+        origin = ExplicitReach(cpds)
         origin.ensure_level(1)
-        blob = origin.snapshot()
-        knobs = EngineConfig(backend="numpy")
-        resumed = ExplicitReach.restore(cpds, blob, config=knobs)
-        assert resumed.config == knobs
-        assert resumed.stats()["backend"] == "numpy"
-        before = METER.snapshot()
+        resumed = ExplicitReach.restore(cpds, origin.snapshot())
+        assert resumed.batched
+        assert resumed._parent_ids is not None
         resumed.ensure_level(K)
-        assert METER.delta(before).get("explicit.replay_numpy_views", 0) > 0
-        oracle = ExplicitReach(
-            cpds, track_traces=False, config=EngineConfig(backend="python")
-        )
+        oracle = ExplicitReach(cpds)
         oracle.ensure_level(K)
+        assert resumed._level_ids == oracle._level_ids
+        assert resumed._movers == oracle._movers
+        assert resumed._parent_ids == oracle._parent_ids
+        assert resumed._parent_actions == oracle._parent_actions
         for k in range(K + 1):
-            assert resumed.states_new_at(k) == oracle.states_new_at(k)
             assert resumed.visible_new_at(k) == oracle.visible_new_at(k)
+        deepest = sorted(oracle.states_new_at(K), key=repr)
+        assert deepest
+        for state in deepest[:5]:
+            assert resumed.trace(state) == oracle.trace(state)
+        assert decode(resumed.snapshot()) == decode(oracle.snapshot())

@@ -4,9 +4,7 @@ The explicit lane never builds a ``VisibleState`` to answer the
 algorithms' questions: it records each level's new visible keys as ints, tests
 properties on them, and serves ``visible_up_to`` as a key-backed set
 view (see "T(Rk) as visible keys" in :mod:`repro.reach.explicit`).
-This suite checks the key path against the decoded states, under the
-scalar loop and under numpy with its work floors forced to 1 (every
-level replays through ``vectorized.replay_level``):
+This suite checks the key path against the decoded states:
 
 * per level, the decoded ``visible_new_at(k)`` equals the projections of
   that level's global states minus ``T(R≤k−1)``;
@@ -38,8 +36,6 @@ from repro.models import runnable_benchmarks
 from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import smallest_per_row
 from repro.pds.state import EMPTY
-from repro.reach import vectorized
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.util.meter import scoped
 
@@ -52,14 +48,10 @@ SPEC = RandomSpec(
 )
 SEEDS = range(30)
 
-BACKENDS = ["python"] + (["numpy"] if vectorized.numpy_available() else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    if request.param == "numpy":
-        monkeypatch.setattr(vectorized, "NUMPY_MIN_WORK", 1)
-        monkeypatch.setattr(vectorized, "NUMPY_MIN_ENTRY_AVG", 1)
+@pytest.fixture(params=["python"])
+def backend(request):
+    """The replay loop under test; ``python`` names the one loop there
+    is (the param keeps the test ids stable)."""
     return request.param
 
 
@@ -117,20 +109,15 @@ def _check_engine(cpds, engine):
     assert on_view == on_set
 
 
-def _engine(cpds, backend, track):
-    return ExplicitReach(
-        cpds,
-        max_states_per_context=MAX_STATES,
-        track_traces=track,
-        config=EngineConfig(backend=backend),
-    )
+def _engine(cpds, track):
+    return ExplicitReach(cpds, max_states_per_context=MAX_STATES, track_traces=track)
 
 
 @pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
 @pytest.mark.parametrize("bench", FCR_BENCHES, ids=lambda b: b.row)
 def test_registry_rows(bench, backend, track):
     cpds, _prop = bench.build()
-    engine = _engine(cpds, backend, track)
+    engine = _engine(cpds, track)
     engine.ensure_level(K)
     _check_engine(cpds, engine)
 
@@ -139,26 +126,12 @@ def test_registry_rows(bench, backend, track):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_models(seed, backend, track):
     cpds = random_cpds(seed, SPEC)
-    engine = _engine(cpds, backend, track)
+    engine = _engine(cpds, track)
     try:
         engine.ensure_level(K)
     except ContextExplosionError:
         pytest.skip("non-FCR instance")
     _check_engine(cpds, engine)
-
-
-def test_backends_record_identical_keys(monkeypatch):
-    if not vectorized.numpy_available():
-        pytest.skip("numpy not installed")
-    monkeypatch.setattr(vectorized, "NUMPY_MIN_WORK", 1)
-    monkeypatch.setattr(vectorized, "NUMPY_MIN_ENTRY_AVG", 1)
-    for bench in FCR_BENCHES:
-        cpds, _prop = bench.build()
-        python, numpy = (_engine(cpds, name, True) for name in ("python", "numpy"))
-        python.ensure_level(K)
-        numpy.ensure_level(K)
-        assert list(python.table._vkeys) == list(numpy.table._vkeys), bench.row
-        assert python._vnew == numpy._vnew, bench.row
 
 
 def test_safe_verify_decodes_nothing_past_level_zero():
@@ -176,13 +149,12 @@ def test_safe_verify_decodes_nothing_past_level_zero():
 def test_visible_keys_outgrowing_int64_become_a_list():
     """Two 31-bit top fields leave room for shared ids 0 and 1 in an
     int64 key; the third shared state turns the column into a list,
-    which also routes numpy replay to the scalar loop."""
+    and the keys stay exact."""
     table = StateTable(2, top_bits=(31, 31))
     states = [GlobalState(q, (("a",), ("b", "c"))) for q in range(5)]
     sids = [table.intern(state) for state in states]
     assert isinstance(table._vkeys, list)
-    assert not table.vkeys_fit_int64
-    assert not vectorized.table_fits_int64(table)
+    assert table._vkeys[2] >= 1 << 63
     for state, sid in zip(states, sids):
         assert table.visible(sid) == state.visible()
         assert table.encode_visible(state.visible()) == table._vkeys[sid]

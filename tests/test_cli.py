@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.cpds import format_cpds
 from repro.models import fig1_cpds
+from repro.models.figure2 import fig2_cpds
 
 FIG1 = format_cpds(fig1_cpds())
 
@@ -162,6 +163,18 @@ class TestTable:
         assert "⟨3|2,46⟩" in out  # new at k = 2
         # Plateau row at k = 3 in the visible column: marker for "empty".
         assert "·" in out
+
+    def test_non_fcr_model_is_refused_before_enumeration(self, tmp_path, capsys):
+        """Fig. 2 violates FCR, so enumerating ``(Rk)`` would diverge:
+        the table checks the explicit lane's precondition first and
+        exits 3 at once, naming the lanes that do apply."""
+        path = tmp_path / "fig2.cpds"
+        path.write_text(format_cpds(fig2_cpds()))
+        assert main(["table", str(path), "--levels", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lane 'explicit' is not applicable" in captured.err
+        assert "applicable lanes: symbolic" in captured.err
 
 
 class TestBench:

@@ -7,6 +7,9 @@ inside a function.  Each lane owns its checkpoint codec
 (:mod:`repro.reach.snapshot` is the frame), so the service imports the
 engines and never the other way round.  This test parses every module
 with :mod:`ast`, so a regression fails with the offending import.
+
+The whole library is stdlib-only, as ``setup.py`` states: no module
+under ``src/repro`` imports a third-party package such as ``numpy``.
 """
 
 import ast
@@ -20,6 +23,9 @@ CORE_PACKAGES = (
     "automata", "pds", "cpds", "core", "reach", "cuba", "models", "bp", "obs", "util",
 )
 UPPER_LAYERS = ("repro.service", "repro.bench", "repro.cli")
+#: Third-party packages no library module may import (the library is
+#: stdlib-only; the test suite's own dependencies stay in the tests).
+FORBIDDEN_ANYWHERE = ("numpy",)
 
 CORE_FILES = sorted(
     path for package in CORE_PACKAGES for path in (SRC / package).rglob("*.py")
@@ -61,6 +67,19 @@ def test_core_does_not_import_upper_layers(path):
     )
     assert not offenders, (
         "the analysis core must not import the service, bench or CLI layers:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_library_is_stdlib_only():
+    offenders = sorted(
+        f"{path.relative_to(SRC)}:{lineno}: {module}"
+        for path in SRC.rglob("*.py")
+        for lineno, module in _imported_modules(path)
+        if module.split(".")[0] in FORBIDDEN_ANYWHERE
+    )
+    assert not offenders, (
+        "the library is stdlib-only; these imports break that:\n"
         + "\n".join(offenders)
     )
 
