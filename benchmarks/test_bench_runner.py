@@ -11,14 +11,19 @@ Marked ``quick``: part of the CI benchmark smoke lane
 (``pytest benchmarks -m quick``).
 """
 
+import hashlib
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
 from repro.bench.runner import (
     compare_bench,
+    git_rev,
     merge_modes,
     run_suite,
+    source_sha256,
     write_bench_json,
 )
 
@@ -334,6 +339,56 @@ class TestBackendField:
         ok, messages = compare_bench(payload, numpy, tolerance=0.25)
         assert not ok
         assert any("NOT COMPARABLE" in m for m in messages)
+
+
+class TestSourceProvenance:
+    """A BENCH or LOADTEST file names the tree it measured: the short
+    HEAD asked at the checkout root, plus a digest of the sources that
+    covers uncommitted edits (the scheme of ``perfbench/run.py``)."""
+
+    @staticmethod
+    def _digest(root):
+        digest = hashlib.sha256()
+        for path in sorted((root / "src").rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+        return digest.hexdigest()[:16]
+
+    def test_payload_records_the_source_digest(self, payload):
+        import repro
+
+        root = Path(repro.__file__).resolve().parents[2]
+        assert payload["source_sha256"] == self._digest(root)
+
+    def test_git_revision_is_taken_at_the_checkout_root(self, tmp_path, monkeypatch):
+        import repro
+
+        root = Path(repro.__file__).resolve().parents[2]
+        try:
+            out = subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                cwd=root, capture_output=True, text=True, timeout=10,
+            )
+        except OSError:  # pragma: no cover - git missing
+            pytest.skip("git is not installed")
+        monkeypatch.chdir(tmp_path)  # not a git checkout
+        assert git_rev() == (out.stdout.strip() or None)
+
+    def test_compare_gates_ignore_the_digest(self, payload):
+        from repro.service.loadtest import compare_loadtest
+
+        other = json.loads(json.dumps(payload))
+        other["source_sha256"] = "0" * 16
+        ok, messages = compare_bench(payload, other, tolerance=0.25)
+        assert ok, messages
+        loadtest = {
+            "quick": True, "duration": 1.0, "concurrency": 1, "replicas": 1,
+            "executor": "thread", "calibration_seconds": 0.1,
+            "totals": {"throughput_rps": 100.0, "failures": 0},
+        }
+        stamped = dict(loadtest, source_sha256=source_sha256())
+        ok, messages = compare_loadtest(stamped, loadtest)
+        assert ok, messages
 
 
 class TestMemoryDiscipline:

@@ -11,11 +11,16 @@ are ignored by :func:`language_is_finite` (but reported by
 statement on trimmed automata).
 
 Both answers come out of one :func:`loop_analysis` in O(|S| + |δ|): one
-Tarjan pass over the considered states builds a state → SCC-id map, then
-one scan of the edges between considered states decides both.  An edge
-with both endpoints in one SCC lies on a cycle (a singleton SCC only has
-such an edge as a self-loop), so the graph has a loop iff such an edge
-exists, and the language is infinite iff one of them reads a real symbol.
+Tarjan pass over the whole transition graph builds a state → SCC-id map.
+An edge with both endpoints in one SCC lies on a cycle (a singleton SCC
+only has such an edge as a self-loop), so the graph has a loop iff such
+an edge exists, and the language is infinite iff a useful one reads a
+real symbol.  Every state on a cycle through a useful state is itself
+useful, so an SCC is wholly useful or wholly useless: usefulness
+(reachable ∩ co-reachable) is computed only when some edge lies inside
+an SCC, and then only those edges are tested.  An acyclic automaton —
+every thread for which FCR holds — costs one edge scan and the Tarjan
+pass.
 """
 
 from __future__ import annotations
@@ -28,14 +33,18 @@ Symbol = Hashable
 State = Hashable
 
 
-def _scc_ids(successors: dict[State, list[State]]) -> dict[State, int]:
-    """Iterative Tarjan: map every node of ``successors`` to its SCC id."""
+def _scc_ids(successors: dict[State, list[State]]) -> tuple[dict[State, int], bool]:
+    """Iterative Tarjan over every node reachable in ``successors`` (a
+    node without an entry has no successors): ``(node → SCC id, some
+    SCC has more than one member)``."""
     index_of: dict = {}
     lowlink: dict = {}
     on_stack: set = set()
     stack: list = []
     component_of: dict = {}
     counter = 0
+    no_successors: tuple = ()
+    nontrivial = False
 
     for root in successors:
         if root in index_of:
@@ -54,7 +63,7 @@ def _scc_ids(successors: dict[State, list[State]]) -> dict[State, int]:
                     counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(successors[nxt])))
+                    work.append((nxt, iter(successors.get(nxt, no_successors))))
                     advanced = True
                     break
                 if nxt in on_stack:
@@ -67,13 +76,15 @@ def _scc_ids(successors: dict[State, list[State]]) -> dict[State, int]:
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
             if lowlink[node] == index_of[node]:
                 component = index_of[node]
-                while True:
+                member = stack.pop()
+                on_stack.discard(member)
+                component_of[member] = component
+                while member != node:
+                    nontrivial = True
                     member = stack.pop()
                     on_stack.discard(member)
                     component_of[member] = component
-                    if member == node:
-                        break
-    return component_of
+    return component_of, nontrivial
 
 
 def loop_analysis(
@@ -86,22 +97,27 @@ def loop_analysis(
     ``useful_only`` (the default) only states on initial→accepting paths
     are considered; finiteness is always decided on those.
     """
+    successors: dict[State, list[State]] = {}
+    self_loop = False
+    for src, _label, dst in nfa.transitions():
+        successors.setdefault(src, []).append(dst)
+        if src == dst:
+            self_loop = True
+    component_of, nontrivial = _scc_ids(successors)
+    if not (self_loop or nontrivial):
+        return True, False
+    # Some edge lies inside an SCC.  An SCC is wholly useful or wholly
+    # useless (a state on a cycle through a useful state is reachable
+    # and co-reachable through it), so an internal edge is useful iff
+    # its source is.
     useful = nfa.useful_states(initial)
-    considered = useful if useful_only else nfa.states
-    successors: dict[State, list[State]] = {state: [] for state in considered}
-    edges = []
-    for src, label, dst in nfa.transitions():
-        if src in considered and dst in considered:
-            successors[src].append(dst)
-            edges.append((src, label, dst))
-    component_of = _scc_ids(successors)
     finite = True
-    has_loop = False
-    for src, label, dst in edges:
-        if component_of[src] != component_of[dst]:
+    has_loop = not useful_only
+    for src, label, dst in nfa.transitions():
+        if src not in useful or component_of[src] != component_of[dst]:
             continue
         has_loop = True
-        if label is not EPSILON and src in useful and dst in useful:
+        if label is not EPSILON:
             finite = False
             break
     return finite, has_loop

@@ -22,6 +22,7 @@ are the committed perf trajectory every perf PR is judged against.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -42,6 +43,11 @@ from repro.util.caches import clear_runtime_caches
 from repro.util.meter import METER, measure
 
 SCHEMA = "cuba-bench/1"
+
+#: The ``src`` directory this module runs from; its parent is the
+#: checkout root when the package runs from a source tree.
+_SRC = Path(__file__).resolve().parents[2]
+_ROOT = _SRC.parent if _SRC.name == "src" else None
 
 #: METER counter prefixes worth persisting per workload.
 _METER_PREFIXES = ("post_star.", "canonical.", "symbolic.", "explicit.", "wuba.")
@@ -297,6 +303,7 @@ def run_suite(
         "stamp": time.strftime("%Y%m%dT%H%M%SZ", time.gmtime()),
         "label": label,
         "git": _git_rev(),
+        "source_sha256": source_sha256(),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "quick": quick,
@@ -315,9 +322,15 @@ def run_suite(
 
 
 def _git_rev() -> str | None:
+    """The checkout's short HEAD, asked at the checkout root (not the
+    caller's cwd); ``None`` outside a git checkout.  It names the last
+    commit only: :func:`source_sha256` names the tree measured."""
+    if _ROOT is None:
+        return None
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
+            cwd=_ROOT,
             capture_output=True,
             text=True,
             timeout=10,
@@ -327,9 +340,27 @@ def _git_rev() -> str | None:
     return out.stdout.strip() or None
 
 
+def source_sha256() -> str | None:
+    """A digest of the sources measured, uncommitted edits included:
+    sha256 over each ``src/**/*.py`` file's root-relative path and
+    bytes in sorted path order, first 16 hex digits — the scheme of
+    ``perfbench/run.py``, so a BENCH or LOADTEST file and a perfbench
+    report of one tree carry the same value.  ``None`` when the package
+    does not run from a source tree.  Schema-additive: the compare
+    gates ignore it."""
+    if _ROOT is None:
+        return None
+    digest = hashlib.sha256()
+    for path in sorted(_SRC.rglob("*.py")):
+        digest.update(path.relative_to(_ROOT).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 # Public names for the other payload writers (the loadtest harness
-# stamps ``cuba-loadtest/1`` files with the same machine calibration
-# and git revision so its compare gate normalizes identically).
+# stamps ``cuba-loadtest/1`` files with the same machine calibration,
+# git revision and source digest so its compare gate normalizes
+# identically and its files name the tree they measured).
 calibrate = _calibrate
 git_rev = _git_rev
 

@@ -6,6 +6,16 @@
 ``post*`` saturation and decide finiteness by cycle analysis (Fig. 4:
 "the absence of loops ... implies their languages are finite").
 
+Both steps are linear and cheap on the threads FCR admits.  The
+saturation starts with the ``Q × Σ≤1`` seed edges already processed and
+drains only the push consequences
+(:func:`~repro.pds.saturation.shallow_configs_psa`); the cycle analysis
+is one Tarjan pass that computes usefulness only when some edge lies on
+a cycle (:func:`~repro.automata.finiteness.loop_analysis`), so an
+acyclic automaton — every thread for which FCR holds — skips it.  WCR
+(:meth:`repro.reach.wuba.WubaReach.applicable`) runs the same test on
+each thread's write-free sub-PDS.
+
 When FCR holds the explicit engine may represent every ``Rk``
 extensionally; otherwise the symbolic engine must be used.
 """

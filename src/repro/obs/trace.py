@@ -131,7 +131,8 @@ class _NullSpan:
     def __enter__(self) -> "_NullSpan":
         return self
 
-    def __exit__(self, *exc) -> bool:
+    # Named parameters, not ``*exc``: no tuple is packed per call.
+    def __exit__(self, exc_type, exc_value, traceback) -> bool:
         return False
 
     def set(self, **args) -> None:

@@ -29,7 +29,7 @@ differential-testing oracle.
 
 Performance notes
 -----------------
-The worklist engine maintains four invariants that together make every
+The worklist engine maintains five invariants that together make every
 piece of work happen exactly once, and only where the entry reaches:
 
 1. **Each transition is processed once.**  New transitions enter a FIFO
@@ -61,6 +61,21 @@ piece of work happen exactly once, and only where the entry reaches:
    of 714 on Bluetooth-3's first context of its second thread).
    :func:`post_star_naive` keeps the eager skeleton on purpose, so the
    differential harness checks lazy ≡ eager.
+5. **Shallow seeds start processed.**  The FCR/WCR premise saturates
+   ``Q × Σ≤1``, whose initial edges are the seeds ``q --x--> sink`` for
+   every control ``q`` and ``x ∈ {ε} ∪ Σ``.  Controls have no in-edges
+   and ``sink`` has no out-edges, so no ε-join ever reads a seed, and
+   processing one derives only a control → ``sink`` edge (pop,
+   overwrite and the empty-stack rules), which is itself a seed, or a
+   push consequence ``p' --ρ0--> m`` / ``m --ρ1--> sink``.
+   :meth:`PostStarEngine.shallow` therefore enters every seed in
+   ``rel`` and ``seen`` with ``eps_into[sink] = Q``, as if popped,
+   and puts only each push rule's two consequences on the frontier;
+   one :meth:`~PostStarEngine.drain` then reaches exactly the edge set
+   of a cold saturation of ``psa_for_configs(pds, Q × Σ≤1)``.  The
+   seeds count in ``post_star.edges_added`` but not in
+   ``post_star.rule_applications`` (Bluetooth-1 [1+1]'s ``check_fcr``:
+   6,525 edges either way, 5,200 → 464 rule applications).
 
 Because saturation is a monotone closure operator, the engine supports
 *incremental resaturation*: after :meth:`PostStarEngine.saturate`, extra
@@ -75,7 +90,9 @@ because edges derived for the old entry would pollute the new entry's
 language.  Cross-expansion reuse in the reachability engines therefore
 happens at the level of whole expansions, keyed by canonical automaton
 signature (:mod:`repro.reach.symbolic`) or by local thread view
-(:mod:`repro.reach.explicit`).
+(:mod:`repro.reach.explicit`).  No production path warm-starts any more
+(the shallow saturation seeds instead, invariant 5); the differential
+tests still exercise it.
 
 All engines report algorithmic work through
 :data:`repro.util.meter.METER`:
@@ -248,6 +265,31 @@ class PostStarEngine:
             frozenset(accepting) | {FINAL_SINK},
             edges,
         )
+        return engine
+
+    @classmethod
+    def shallow(cls, pds: PDS) -> "PostStarEngine":
+        """Engine for ``post*(Q × Σ≤1)`` with every seed edge
+        ``q --x--> FINAL_SINK`` (``x ∈ {ε} ∪ Σ``) already *processed*
+        and only the push consequences on the frontier (Performance
+        notes, invariant 5); :meth:`drain` finishes the saturation."""
+        engine = cls.from_edges(pds, (), ())
+        labels = (EPSILON, *pds.alphabet)
+        rel = engine._rel
+        seen = engine._seen
+        for control in engine.controls:
+            rel[control] = {label: {FINAL_SINK} for label in labels}
+            seen.update([(control, label, FINAL_SINK) for label in labels])
+        engine._eps_into[FINAL_SINK] = set(engine.controls)
+        # Processing the seeds derives only seeds, except that each push
+        # rule fires on its own seed premise (from_shared, γ, FINAL_SINK).
+        push = engine._push
+        for action in pds.actions:
+            if action.kind is ActionKind.PUSH:
+                rho0, rho1 = action.write
+                mid = _helper(action.to_shared, rho0)
+                push(action.to_shared, rho0, mid)
+                push(mid, rho1, FINAL_SINK)
         return engine
 
     def _init_core(
@@ -816,15 +858,12 @@ def shallow_configs_psa(pds: PDS) -> PSA:
     """PSA for ``post*(Q × Σ≤1)`` — the FCR premise of Lemma 16/Thm 17.
 
     Initial set: every shared state with an empty stack or any single
-    stack symbol.  Built incrementally as a demonstration of the warm
-    start: the empty-stack configurations are saturated first, then the
-    Σ-singletons are injected and only their consequences propagate.
+    stack symbol, i.e. the seed edges ``q --x--> FINAL_SINK`` for
+    ``x ∈ {ε} ∪ Σ``.  The engine starts with the seeds already processed
+    (:meth:`PostStarEngine.shallow`, invariant 5 of the Performance
+    notes), drains only the push consequences, and hands over its edge
+    relation without a copy.  The edge set equals
+    ``post_star(pds, psa_for_configs(pds, Q × Σ≤1))``.
     """
-    engine = PostStarEngine(
-        pds, psa_for_configs(pds, [PDSState(shared, ()) for shared in pds.shared_states])
-    )
-    engine.drain()
-    for shared in pds.shared_states:
-        for symbol in pds.alphabet:
-            engine.add_config(PDSState(shared, (symbol,)))
-    return engine.saturate()
+    engine = PostStarEngine.shallow(pds)
+    return PSA(engine.detach_nfa(), engine.controls)

@@ -74,9 +74,9 @@ def write_free_sub_pds(pds: PDS) -> PDS:
         alphabet=pds.alphabet,
         name=f"{pds.name or 'pds'}-write-free",
     )
-    for action in pds.actions:
-        if action.to_shared == action.from_shared:
-            sub.add_action(action)
+    sub.add_actions(
+        [action for action in pds.actions if action.to_shared == action.from_shared]
+    )
     return sub
 
 

@@ -466,7 +466,7 @@ def run_loadtest(
     ``replicas`` targets daemons the caller already runs; otherwise
     ``spawn`` fresh ``cuba serve`` subprocesses share one store file
     (``store``, default: a sibling of the JSON output in a temp dir)."""
-    from repro.bench.runner import calibrate, git_rev
+    from repro.bench.runner import calibrate, git_rev, source_sha256
 
     spawned: list[Replica] = []
     tempdir = None
@@ -548,6 +548,7 @@ def run_loadtest(
             "schema": LOADTEST_SCHEMA,
             "stamp": time.strftime("%Y%m%dT%H%M%SZ", time.gmtime()),
             "git": git_rev(),
+            "source_sha256": source_sha256(),
             "label": label,
             "quick": quick,
             "duration": duration,

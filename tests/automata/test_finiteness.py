@@ -248,6 +248,39 @@ def test_initial_override_equals_adding_initial_states(nfa, extra):
     assert loop_analysis(nfa, nfa.initial | extra) == expected
 
 
+def _forbid_coreachability(monkeypatch):
+    def refuse(self):
+        raise AssertionError("usefulness computed on an acyclic automaton")
+
+    monkeypatch.setattr(NFA, "coreachable_states", refuse)
+
+
+def test_acyclic_nfa_skips_the_usefulness_passes(monkeypatch):
+    """No edge inside an SCC: the answer is (finite, no loop) from the
+    Tarjan pass alone, with or without ``useful_only``."""
+    nfa = chain()
+    nfa.add_transition("0", EPSILON, "2")
+    nfa.add_transition("dead", "a", "0")  # unreachable, still acyclic
+    _forbid_coreachability(monkeypatch)
+    assert loop_analysis(nfa) == (True, False)
+    assert loop_analysis(nfa, useful_only=False) == (True, False)
+
+
+def test_cyclic_nfa_computes_usefulness(monkeypatch):
+    nfa = chain()
+    nfa.add_transition("1", "a", "1")
+    _forbid_coreachability(monkeypatch)
+    with pytest.raises(AssertionError, match="usefulness"):
+        loop_analysis(nfa)
+
+
+def test_fcr_holding_rows_skip_the_usefulness_passes(monkeypatch):
+    """Every thread of an FCR row has an acyclic shallow PSA."""
+    cpds, _prop = _row("1/Bluetooth-1 [1+1]").build()
+    _forbid_coreachability(monkeypatch)
+    assert check_fcr(cpds).holds
+
+
 # ---------------------------------------------------------------------------
 # The FCR / WCR preconditions on Table 2.
 # ---------------------------------------------------------------------------

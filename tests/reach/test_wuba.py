@@ -26,6 +26,7 @@ from repro.errors import ContextExplosionError
 from repro.models import fig1_cpds, fig2_cpds
 from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import smallest_per_row
+from repro.pds import PDS
 from repro.reach.wuba import WubaReach, write_free_sub_pds
 
 
@@ -156,6 +157,29 @@ class TestApplicability:
         assert all(a.to_shared == a.from_shared for a in sub.actions)
         kept = sum(1 for a in pds.actions if a.to_shared == a.from_shared)
         assert len(tuple(sub.actions)) == kept
+
+    def test_write_free_sub_pds_keeps_sets_and_trigger_order(self):
+        """One bulk ``add_actions`` call builds what one ``add_action``
+        per kept action did: the same actions, ``Q``, ``Σ`` and
+        trigger-index tuples, in the same order."""
+        for bench in smallest_per_row():
+            cpds, _prop = bench.build()
+            for pds in cpds.threads:
+                sub = write_free_sub_pds(pds)
+                oracle = PDS(
+                    pds.initial_shared,
+                    shared_states=pds.shared_states,
+                    alphabet=pds.alphabet,
+                )
+                for action in pds.actions:
+                    if action.to_shared == action.from_shared:
+                        oracle.add_action(action)
+                assert sub.actions == oracle.actions
+                assert sub.shared_states == oracle.shared_states
+                assert sub.alphabet == oracle.alphabet
+                assert list(sub.trigger_index().items()) == list(
+                    oracle.trigger_index().items()
+                )
 
     def test_thread_write_free_post_pins_shared(self):
         cpds = fig1_cpds()
