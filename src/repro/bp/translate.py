@@ -500,9 +500,11 @@ def compile_program(
 ) -> CompiledProgram:
     """Compile an analyzed AST into a CPDS plus its safety property.
 
-    ``init`` maps shared variables to 0, 1 or ``"*"`` (nondeterministic,
-    resolved by the first action of whichever thread is scheduled first,
-    via the ``⊥`` pre-state).  Unmentioned variables start at 0.
+    ``init`` maps shared variables to 0, 1 (or ``False``/``True``) or
+    ``"*"`` (nondeterministic, resolved by the first action of whichever
+    thread is scheduled first, via the ``⊥`` pre-state); any other value
+    raises :class:`TranslationError`.  Unmentioned variables (or
+    ``None``) start at 0.
     ``nondet_locals`` makes non-parameter locals start nondeterministic
     instead of 0.  Timed as one ``bp.compile`` span (``threads``,
     ``rules``).
@@ -516,12 +518,27 @@ def compile_program(
     return compiled
 
 
+def _init_value(name: str, value) -> int | str | None:
+    """One shared variable's ``init`` entry, checked: 0 or 1 (``False``
+    and ``True`` are the same bits), ``"*"`` (nondeterministic) or
+    ``None`` (unmentioned).  Anything else would compile into a shared
+    state no Boolean program can reach."""
+    if value is None or value == "*":
+        return value
+    if isinstance(value, int) and value in (0, 1):
+        return int(value)
+    raise TranslationError(
+        f"init for {name!r} must be 0, 1, true, false or '*', got {value!r}"
+    )
+
+
 def _compile_program(program: ast.Program, init, nondet_locals: bool) -> CompiledProgram:
     table = analyze(program)
     init = dict(init or {})
     for nm in init:
         if nm not in program.shared:
             raise TranslationError(f"init for unknown shared variable {nm!r}")
+        init[nm] = _init_value(nm, init[nm])
     shared_names = tuple(program.shared)
     cfgs = {func.name: build_cfg(func) for func in program.functions}
     compilation = _Compilation(table, cfgs, shared_names, nondet_locals)
@@ -530,7 +547,7 @@ def _compile_program(program: ast.Program, init, nondet_locals: bool) -> Compile
     stacks: list[tuple] = []
     nondet_names = [name for name in shared_names if init.get(name) == "*"]
     concrete = tuple(
-        0 if init.get(name) in (None, "*") else int(init[name]) for name in shared_names
+        0 if init.get(name) in (None, "*") else init[name] for name in shared_names
     )
     base_q = (0, 0, None, concrete)
     initial_shared = INIT if nondet_names else base_q

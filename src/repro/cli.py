@@ -48,7 +48,7 @@ def _parse_init(spec: str | None) -> dict:
     init: dict = {}
     for pair in spec.split(","):
         name, _sep, value = pair.partition("=")
-        if not name or not value:
+        if not name or value not in ("0", "1", "*"):
             raise SystemExit(f"cannot parse init {pair!r}; use var=0|1|*")
         init[name] = value if value == "*" else int(value)
     return init

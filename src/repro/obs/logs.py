@@ -11,7 +11,8 @@ rendering of the same fields.
 :func:`audit` writes the **per-request audit record** — the one
 structured line the server emits for every submit, carrying the
 fingerprint, lane, store outcome
-(hit/dedup/resume/fresh), lease outcome, ``engine_seconds`` vs
+(hit/dedup/resume/fresh), lease outcome, how the fingerprint was found
+(``prepare``: memo/compiled), ``engine_seconds`` vs
 ``queue_seconds``, and the verdict — to the ``cuba.audit`` logger.  In
 both formats the line's payload is valid JSON, so log pipelines parse
 it without caring which format the operator picked.

@@ -38,9 +38,10 @@ lane — including future ones — inherits per-level spans for free),
 ``explicit.saturation``, ``explicit.decode``, ``symbolic.saturate``,
 ``canonical.form`` (one per dense canonicalization, form-memo hits
 included), ``snapshot.encode``/``decode``, ``store.transaction``,
-``verify.request``, ``service.prepare`` (compile + fingerprint of one
-submit) and ``bp.compile`` (one Boolean-program compile; ``threads``,
-``rules``).
+``verify.request``, ``service.prepare`` (how one request found its
+fingerprint: the compile + fingerprint, or with ``memo=True`` a prepare
+memo hit, which compiles nothing) and ``bp.compile`` (one
+Boolean-program compile; ``threads``, ``rules``).
 """
 
 from __future__ import annotations

@@ -2,8 +2,12 @@
 
 :class:`AnalysisService` is the transport-independent core every entry
 point shares (the HTTP server below, ``cuba submit`` via the client,
-tests, and the quickstart demo).  One ``run()`` call resolves a request
-through four layers, cheapest first:
+tests, and the quickstart demo).  A request is first named by its
+problem fingerprint — the store key — which the daemon-lifetime
+*prepare memo* answers from a digest of the request for any identity it
+has compiled before, so repeats compile nothing unless an engine has to
+run.  One ``run()`` call then resolves the request through four layers,
+cheapest first:
 
 1. **In-flight dedup** — concurrent identical fingerprints join the one
    running analysis (``service.dedup_joins``); METER proves exactly one
@@ -32,6 +36,7 @@ store, and routes through the shared
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import threading
 import time
@@ -72,6 +77,15 @@ ENGINE_LANES = ("auto", *registry.lane_names())
 #: (:mod:`repro.service.executor` — the ``cuba serve`` default).
 EXECUTOR_MODES = ("thread", "process")
 
+#: Bound of the daemon-lifetime prepare memo (request identity →
+#: problem fingerprint, LRU).  An entry is a 32-byte key and a 64-char
+#: fingerprint, ~200 B with its dict node, so a full memo is under 1 MB.
+#: It holds fingerprints only, never the compiled CPDS: keeping programs
+#: alive for a whole daemon lifetime would cost far more memory than
+#: the compile it saves.
+_PREPARE_MEMO_LIMIT = 4096
+
+
 def parse_property_spec(spec: str | None) -> Property:
     """The wire form of a property — the grammar shared with the CLI
     (:func:`repro.core.property.property_from_spec`), re-raised as
@@ -107,6 +121,10 @@ class AnalysisRequest:
             raise ServiceError(
                 "a request carries exactly one of 'cpds' or 'bp' program text"
             )
+        if not isinstance(self.engine, str):
+            raise ServiceError(
+                f"'engine' must be a lane name; pick one of {ENGINE_LANES}"
+            )
         if self.engine != "auto":
             # Canonicalize aliases ("wk" → "wuba", ...) up front so the
             # fingerprint's engine token — and therefore the store key —
@@ -120,6 +138,41 @@ class AnalysisRequest:
                 ) from bad
         if self.max_rounds < 0:
             raise ServiceError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if self.max_states_per_context <= 0:
+            # A guard of 0 trips before the first state: the run's
+            # "unknown" would be stored under a fingerprint of its own.
+            raise ServiceError(
+                "max_states_per_context must be >= 1, got "
+                f"{self.max_states_per_context}"
+            )
+
+    def prepare_key(self) -> bytes:
+        """The sha256 digest of every field the problem fingerprint
+        depends on: the program text and its form, the Boolean
+        program's ``init``, the property spec, the canonical engine and
+        the divergence guard.  ``max_rounds`` is left out, as the
+        fingerprint leaves it out, so a deeper resubmit shares its
+        shallow submit's key.  Equal keys mean equal fingerprints;
+        different keys may still share one (an ``init`` of ``true`` and
+        of ``1``)."""
+        head = repr(
+            (
+                self.cpds_text is None,
+                sorted(
+                    (repr(name), repr(value))
+                    for name, value in (self.bp_init or {}).items()
+                ),
+                self.property_spec,
+                self.engine,
+                self.max_states_per_context,
+            )
+        )
+        text = self.cpds_text if self.cpds_text is not None else self.bp_text
+        # repr never emits a raw NUL, so the separator keeps fields apart.
+        digest = hashlib.sha256(head.encode("utf-8", "surrogatepass"))
+        digest.update(b"\0")
+        digest.update(text.encode("utf-8", "surrogatepass"))
+        return digest.digest()
 
     @classmethod
     def from_payload(cls, payload: dict) -> "AnalysisRequest":
@@ -183,21 +236,73 @@ class AnalysisService:
         )
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
+        #: The prepare memo: :meth:`AnalysisRequest.prepare_key` →
+        #: problem fingerprint, LRU-bounded by
+        #: :data:`_PREPARE_MEMO_LIMIT`, guarded by ``_lock``.  Only
+        #: successful prepares enter it.
+        self._prepare_memo: OrderedDict[bytes, str] = OrderedDict()
         self._closed = False
 
     # ------------------------------------------------------------------
     # Request resolution
     # ------------------------------------------------------------------
-    def prepare(self, request: AnalysisRequest) -> tuple[str, CPDS, Property]:
-        """Parse/compile the CPDS, build the property, and
-        compute the problem fingerprint.  Raises
-        :class:`~repro.errors.CubaError` subclasses on malformed input.
-        Timed as one ``service.prepare`` span; a Boolean program's
-        ``bp.compile`` span nests inside it."""
-        with trace.span("service.prepare"):
-            return self._prepare(request)
+    def memoized(self, request: AnalysisRequest) -> str | None:
+        """The fingerprint an earlier :meth:`prepare` of the same
+        request identity computed, or ``None`` (then only
+        :meth:`prepare` can tell).  A hit costs one sha256 over the
+        request, not a compile: it bumps ``service.prepare_memo_hits``
+        and is marked by a ``service.prepare`` span with ``memo=True``
+        and no ``bp.compile`` inside, so every request's trace still
+        shows one prepare phase."""
+        problem = self._memo_get(request.prepare_key())
+        if problem is not None:
+            with trace.span("service.prepare", memo=True):
+                METER.bump("service.prepare_memo_hits")
+        return problem
 
-    def _prepare(self, request: AnalysisRequest) -> tuple[str, CPDS, Property]:
+    def prepare(self, request: AnalysisRequest) -> tuple[str, CPDS, Property]:
+        """Parse/compile the CPDS, build the property, and find the
+        problem fingerprint: from the prepare memo when an earlier
+        request with the same identity computed it, else by hashing the
+        CPDS (and then memoized).  Raises
+        :class:`~repro.errors.CubaError` subclasses on malformed input;
+        a failed prepare is never memoized.  Timed as one
+        ``service.prepare`` span (``memo``: the fingerprint came from
+        the memo); a Boolean program's ``bp.compile`` span nests inside
+        it."""
+        with trace.span("service.prepare") as timing:
+            key = request.prepare_key()
+            cpds, prop = self._compile(request)
+            problem = self._memo_get(key)
+            timing.set(memo=problem is not None)
+            if problem is None:
+                problem = fingerprint(
+                    cpds,
+                    prop,
+                    {
+                        "engine": request.engine,
+                        "max_states_per_context": request.max_states_per_context,
+                    },
+                )
+                self._memo_put(key, problem)
+            return problem, cpds, prop
+
+    def _memo_get(self, key: bytes) -> str | None:
+        with self._lock:
+            problem = self._prepare_memo.get(key)
+            if problem is not None:
+                self._prepare_memo.move_to_end(key)
+        return problem
+
+    def _memo_put(self, key: bytes, problem: str) -> None:
+        with self._lock:
+            self._prepare_memo[key] = problem
+            self._prepare_memo.move_to_end(key)
+            if len(self._prepare_memo) > _PREPARE_MEMO_LIMIT:
+                self._prepare_memo.popitem(last=False)
+
+    @staticmethod
+    def _compile(request: AnalysisRequest) -> tuple[CPDS, Property]:
         compiled_prop: Property | None = None
         if request.cpds_text is not None:
             cpds = parse_cpds(request.cpds_text)
@@ -211,28 +316,25 @@ class AnalysisService:
             prop = parse_property_spec(request.property_spec)
         else:
             prop = compiled_prop
-        problem = fingerprint(
-            cpds,
-            prop,
-            {
-                "engine": request.engine,
-                "max_states_per_context": request.max_states_per_context,
-            },
-        )
-        return problem, cpds, prop
+        return cpds, prop
 
     def run(
         self,
         request: AnalysisRequest,
-        prepared: tuple[str, CPDS, Property] | None = None,
+        prepared: tuple[str, CPDS | None, Property | None] | None = None,
         enqueued_at: float | None = None,
     ) -> dict:
         """Resolve one request to a response dict (blocking).
 
-        ``prepared`` optionally carries an earlier :meth:`prepare`
-        result for this request, so callers that needed the fingerprint
-        up front (the HTTP submit path hands it out as the job id)
-        don't parse and hash the program twice.  ``enqueued_at`` is the
+        ``prepared`` optionally carries what the caller already knows
+        of this request, so callers that needed the fingerprint up
+        front (the HTTP submit path hands it out as the job id) don't
+        parse and hash the program twice: an earlier :meth:`prepare`
+        result, or ``(problem, None, None)`` after a :meth:`memoized`
+        hit.  Without it the prepare memo is asked first.  The program
+        is compiled at most once, and only when an engine has to run:
+        a store hit or a dedup join on a memoized fingerprint compiles
+        nothing.  ``enqueued_at`` is the
         submit-time ``perf_counter`` reading (the HTTP layer passes it),
         so the response's ``queue_seconds`` separates executor queueing
         from engine time.
@@ -250,7 +352,7 @@ class AnalysisService:
         queue_seconds = (
             max(0.0, started - enqueued_at) if enqueued_at is not None else 0.0
         )
-        audit_fields: dict = {"lease": None}
+        audit_fields: dict = {"lease": None, "prepare": None}
         with trace.span("service.request", lane=request.engine) as timing:
             try:
                 response = self._resolve(request, prepared, audit_fields)
@@ -264,6 +366,7 @@ class AnalysisService:
                     verdict="error",
                     error=f"{type(failure).__name__}: {failure}",
                     lease=audit_fields["lease"],
+                    prepare=audit_fields["prepare"],
                     engine_seconds=None,
                     queue_seconds=round(queue_seconds, 4),
                     total_seconds=round(seconds, 4),
@@ -296,6 +399,7 @@ class AnalysisService:
             cached=bool(response.get("cached")),
             deduplicated=bool(response.get("deduplicated")),
             lease=audit_fields["lease"],
+            prepare=audit_fields["prepare"],
             verdict=response.get("verdict"),
             bound=response.get("bound"),
             engine_seconds=response.get("engine_seconds"),
@@ -307,10 +411,18 @@ class AnalysisService:
     def _resolve(
         self,
         request: AnalysisRequest,
-        prepared: tuple[str, CPDS, Property] | None,
+        prepared: tuple[str, CPDS | None, Property | None] | None,
         audit_fields: dict,
     ) -> dict:
-        problem, cpds, prop = self.prepare(request) if prepared is None else prepared
+        if prepared is None:
+            problem = self.memoized(request)
+            prepared = (
+                self.prepare(request) if problem is None else (problem, None, None)
+            )
+        problem, cpds, prop = prepared
+        # How this request found its fingerprint: from the prepare memo,
+        # or by compiling and hashing the program.
+        audit_fields["prepare"] = "memo" if cpds is None else "compiled"
         while True:
             own_future: Future | None = None
             with self._lock:
@@ -344,6 +456,10 @@ class AnalysisService:
                     METER.bump("service.store_hits")
                     response = entry.result | {"cached": True}
                 else:
+                    if cpds is None:
+                        # An engine has to run: compile now, once (the
+                        # memo spares the fingerprint).
+                        _problem, cpds, prop = self.prepare(request)
                     response = self._analyze(
                         problem, cpds, prop, request, entry, audit_fields
                     )
@@ -731,10 +847,16 @@ class ServiceServer:
         request = AnalysisRequest.from_payload(payload)
         wait = bool(payload.get("wait", True))
         loop = asyncio.get_running_loop()
-        prepared = await loop.run_in_executor(
-            self.service.executor, self.service.prepare, request
-        )
-        problem = prepared[0]
+        # A memo hit (a digest of the request, on the loop) names the
+        # job without compiling; only a miss schedules a prepare.
+        problem = self.service.memoized(request)
+        if problem is None:
+            prepared = await loop.run_in_executor(
+                self.service.executor, self.service.prepare, request
+            )
+            problem = prepared[0]
+        else:
+            prepared = (problem, None, None)
         job = self._record_job(problem)
         task = loop.run_in_executor(
             self.service.executor,

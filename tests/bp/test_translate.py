@@ -323,6 +323,23 @@ class TestInitialValues:
         report = Cuba(compiled.cpds, compiled.prop).verify()
         assert report.verdict is Verdict.UNSAFE  # x = 0 branch fails
 
+    def test_booleans_compile_like_bits(self):
+        from repro.service.fingerprint import cpds_digest
+
+        source = "decl x; void w() { assert (x); } void main() { thread_create(&w); }"
+        for flag, bit in ((True, 1), (False, 0)):
+            assert cpds_digest(compile_source(source, init={"x": flag}).cpds) == (
+                cpds_digest(compile_source(source, init={"x": bit}).cpds)
+            )
+        unmentioned = compile_source(source, init={"x": None})
+        assert cpds_digest(unmentioned.cpds) == cpds_digest(compile_source(source).cpds)
+
+    @pytest.mark.parametrize("value", [2, -1, 1.0, "x", "1", [1], {}])
+    def test_non_bit_init_is_refused(self, value):
+        source = "decl x; void w() { assert (x); } void main() { thread_create(&w); }"
+        with pytest.raises(TranslationError, match="must be 0, 1"):
+            compile_source(source, init={"x": value})
+
 
 # ----------------------------------------------------------------------
 # Pinned fingerprints: stored rows stay valid

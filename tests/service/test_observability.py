@@ -126,6 +126,23 @@ class TestAudit:
         assert [record["store"] for record in audit_records] == ["miss", "resume"]
         assert audit_records[1]["lease"] == "acquired"
 
+    def test_audit_names_how_the_fingerprint_was_found(
+        self, client, audit_records
+    ):
+        """``prepare`` is "compiled" when the submit compiled and hashed
+        the program to name it, "memo" when the prepare memo named it;
+        ``/meter`` counts the memo hits."""
+        before = client.meter().get("service.prepare_memo_hits", 0)
+        for _ in range(3):
+            client.submit(FIG1, property_spec="shared:3", max_rounds=10)
+        assert [record["prepare"] for record in audit_records] == [
+            "compiled", "memo", "memo"
+        ]
+        assert [record["store"] for record in audit_records] == [
+            "miss", "hit", "hit"
+        ]
+        assert client.meter()["service.prepare_memo_hits"] - before == 2
+
     def test_rejected_submit_emits_no_audit_line(self, client, audit_records):
         from repro.errors import ServiceError
 
@@ -221,6 +238,57 @@ class TestTraceEndpoint:
         assert compile_["args"]["parent_id"] == prepare["args"]["span_id"]
         assert compile_["args"]["threads"] == 2
         assert compile_["args"]["rules"] > 0
+        _raw(server, "POST", "/trace", {"enabled": False})
+
+    def test_memo_hit_traces_prepare_without_compile(self, server, client):
+        """A repeat the prepare memo names keeps its one
+        ``service.prepare`` span, marked ``memo``, and compiles
+        nothing."""
+        _raw(server, "POST", "/trace", {"enabled": True})
+        client.submit(bp_text=dekker_source(), engine="explicit", max_rounds=2)
+        _status, _headers, body = _raw(server, "GET", "/trace")
+        (first,) = [
+            e for e in json.loads(body)["traceEvents"]
+            if e["name"] == "service.prepare"
+        ]
+        assert first["args"]["memo"] is False
+        _raw(server, "POST", "/trace", {"enabled": True})  # clears the buffer
+        response = client.submit(
+            bp_text=dekker_source(), engine="explicit", max_rounds=2
+        )
+        assert response["cached"]
+        _status, _headers, body = _raw(server, "GET", "/trace")
+        events = json.loads(body)["traceEvents"]
+        (prepare,) = [e for e in events if e["name"] == "service.prepare"]
+        assert prepare["args"]["memo"] is True
+        assert [e for e in events if e["name"] == "bp.compile"] == []
+        assert [e["name"] for e in events if e["name"] == "service.request"] == [
+            "service.request"
+        ]
+        _raw(server, "POST", "/trace", {"enabled": False})
+
+    def test_resume_after_memo_hit_compiles_inside_the_request(
+        self, server, client
+    ):
+        """A deeper resubmit is named from the memo, then compiles once
+        for its engine run: that ``bp.compile`` nests in a
+        ``service.prepare`` under the ``service.request`` span."""
+        client.submit(bp_text=dekker_source(), engine="explicit", max_rounds=2)
+        _raw(server, "POST", "/trace", {"enabled": True})
+        response = client.submit(
+            bp_text=dekker_source(), engine="explicit", max_rounds=25
+        )
+        assert response["resumed"]
+        _status, _headers, body = _raw(server, "GET", "/trace")
+        events = json.loads(body)["traceEvents"]
+        by_id = {event["args"]["span_id"]: event for event in events}
+        (compile_,) = [e for e in events if e["name"] == "bp.compile"]
+        parent = by_id[compile_["args"]["parent_id"]]
+        assert parent["name"] == "service.prepare"
+        assert by_id[parent["args"]["parent_id"]]["name"] == "service.request"
+        prepares = [e for e in events if e["name"] == "service.prepare"]
+        assert len(prepares) == 2
+        assert all(e["args"]["memo"] is True for e in prepares)
         _raw(server, "POST", "/trace", {"enabled": False})
 
 

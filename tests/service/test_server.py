@@ -129,6 +129,18 @@ class TestEndpoints:
             client.submit(FIG1, engine="quantum")
         with pytest.raises(ServiceError):
             client.submit(FIG1, property_spec="gibberish")
+        # Fields that used to crash the handler (500) or slip through.
+        for payload in (
+            {"bp": DEKKER, "init": {"flag0": [1]}},
+            {"bp": DEKKER, "init": {"flag0": "x"}},
+            {"bp": DEKKER, "init": {"flag0": 2}},
+            {"cpds": FIG1, "engine": 5},
+            {"cpds": FIG1, "engine": None},
+            {"cpds": FIG1, "max_states_per_context": 0},
+            {"cpds": FIG1, "max_states_per_context": -3},
+        ):
+            status, body = client._request("POST", "/submit", payload)
+            assert status == 400, (payload, body)
         # The server survives all of the above.
         assert client.health()["status"] == "ok"
 

@@ -68,6 +68,15 @@ class TestVerify:
         assert main(["verify", str(path), "--init", "x=1"]) == 0
         assert main(["verify", str(path), "--init", "x=*"]) == 1
 
+    @pytest.mark.parametrize("spec", ["x=abc", "x=2", "x=", "=1"])
+    def test_bad_boolean_init_is_a_usage_error(self, tmp_path, spec):
+        path = tmp_path / "p.bp"
+        path.write_text(
+            "decl x; void w() { assert (x); } void main() { thread_create(&w); }"
+        )
+        with pytest.raises(SystemExit, match="cannot parse init"):
+            main(["verify", str(path), "--init", spec])
+
     def test_bad_property_spec(self, fig1_file):
         with pytest.raises(SystemExit):
             main(["verify", fig1_file, "--property", "nonsense"])
