@@ -14,6 +14,9 @@ Subcommands::
 
 ``verify`` and ``submit`` exit 0 when the property is proved, 1 when
 refuted, and 2 when no conclusion was reached within the round budget.
+Every command exits 3 on a usage or I/O error it detects itself (a bad
+``--init`` or ``--property`` value, an unreadable file, an unreachable
+service), after printing ``error: ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def _parse_property(spec: str | None) -> Property:
     try:
         return property_from_spec(spec)
     except ValueError as bad:
-        raise SystemExit(str(bad)) from bad
+        raise CubaError(str(bad)) from bad
 
 
 def _parse_init(spec: str | None) -> dict:
@@ -49,7 +52,7 @@ def _parse_init(spec: str | None) -> dict:
     for pair in spec.split(","):
         name, _sep, value = pair.partition("=")
         if not name or value not in ("0", "1", "*"):
-            raise SystemExit(f"cannot parse init {pair!r}; use var=0|1|*")
+            raise CubaError(f"cannot parse init {pair!r}; use var=0|1|*")
         init[name] = value if value == "*" else int(value)
     return init
 

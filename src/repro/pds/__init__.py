@@ -2,9 +2,11 @@
 
 A PDS is a tuple ``(Q, Σ, Δ, qI)``: shared states, stack alphabet,
 pushdown program, initial shared state.  This package provides the data
-model, the explicit step semantics, the ``post*`` saturation construction
-of pushdown store automata (App. C), and the top-of-stack projection of a
-PSA's language (Alg. 4).
+model, the explicit step semantics, the forward ``post*`` saturation
+construction of pushdown store automata (App. C) with its naive
+differential oracle, and the top-of-stack projection of a PSA's language
+(Alg. 4).  Every automaton the analyses build is one ``post*``: a
+:class:`PostStarEngine` drained once and detached.
 """
 
 from repro.pds.action import Action, ActionKind
@@ -17,8 +19,6 @@ from repro.pds.saturation import (
     format_saturation_stats,
     post_star,
     post_star_naive,
-    pre_star,
-    pre_star_naive,
     psa_for_configs,
 )
 
@@ -36,8 +36,6 @@ __all__ = [
     "format_top",
     "post_star",
     "post_star_naive",
-    "pre_star",
-    "pre_star_naive",
     "post_star_explicit",
     "psa_for_configs",
     "step",

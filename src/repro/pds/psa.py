@@ -43,13 +43,6 @@ class PSA:
     def accepts_config(self, shared: Shared, stack: Iterable[Symbol]) -> bool:
         return self.accepts(PDSState(shared, tuple(stack)))
 
-    def nonempty_from(self, shared: Shared) -> bool:
-        """True iff some ``⟨shared|w⟩`` is accepted."""
-        if shared not in self.control_states:
-            return False
-        reachable = self.automaton.reachable_states([shared])
-        return bool(reachable & self.automaton.accepting)
-
     # ------------------------------------------------------------------
     # Projections (Alg. 4, corrected for ε-edges)
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ContextExplosionError, ModelError
 from repro.automata import NFA
+from repro.models.random_gen import random_cpds
 from repro.pds import (
     EMPTY,
     PDS,
@@ -19,7 +20,7 @@ from repro.pds import (
     post_star_explicit,
     psa_for_configs,
 )
-from repro.pds.saturation import reachable_set_psa, shallow_configs_psa
+from repro.pds.saturation import shallow_configs_psa
 from repro.util import scoped
 
 
@@ -85,20 +86,20 @@ class TestPostStarFig7:
     def test_accepts_pumped_stacks(self):
         # ⟨q0|s0^n⟩ is reachable for every n ≥ 1 (pop after push cycle).
         pds = fig7_pds()
-        psa = reachable_set_psa(pds, start_stack=("s0",))
+        psa = post_star(pds, psa_for_configs(pds, [PDSState("q0", ("s0",))]))
         for n in (1, 2, 3, 5):
             assert psa.accepts(PDSState("q0", ("s0",) * n))
 
     def test_rejects_unreachable_states(self):
         pds = fig7_pds()
-        psa = reachable_set_psa(pds, start_stack=("s0",))
+        psa = post_star(pds, psa_for_configs(pds, [PDSState("q0", ("s0",))]))
         assert not psa.accepts(PDSState("q0", ()))  # stack never empties fully
         assert not psa.accepts(PDSState("q1", ("s0",)))
         assert not psa.accepts(PDSState("q2", ("s1", "s0")))
 
     def test_language_is_infinite(self):
         pds = fig7_pds()
-        psa = reachable_set_psa(pds, start_stack=("s0",))
+        psa = post_star(pds, psa_for_configs(pds, [PDSState("q0", ("s0",))]))
         assert not psa.language_is_finite()
         assert psa.has_loop()
 
@@ -160,7 +161,7 @@ class TestPreconditions:
 class TestTops:
     def test_tops_of_fig7(self):
         pds = fig7_pds()
-        psa = reachable_set_psa(pds, start_stack=("s0",))
+        psa = post_star(pds, psa_for_configs(pds, [PDSState("q0", ("s0",))]))
         assert psa.tops("q0") == frozenset({"s0", "s1"})
         assert psa.tops("q1") == frozenset({"s1"})
         assert psa.tops("q2") == frozenset({"s2"})
@@ -174,7 +175,7 @@ class TestTops:
 
     def test_tops_unknown_control(self):
         pds = fig7_pds()
-        psa = reachable_set_psa(pds, start_stack=("s0",))
+        psa = post_star(pds, psa_for_configs(pds, [PDSState("q0", ("s0",))]))
         assert psa.tops("nope") == frozenset()
 
     def test_visible_states(self):
@@ -277,32 +278,6 @@ def test_finiteness_verdict_matches_explicit_guard(case):
         assert set(psa.enumerate_states(max_stack + 1)) == explicit
 
 
-class TestWarmStartAfterPdsMutation:
-    """Rules (and shared states) added to the PDS between saturations
-    must be visible to the next warm start — the engine re-fetches the
-    version-cached trigger index per drain instead of freezing it at
-    construction."""
-
-    def test_late_rule_fires_on_warm_start(self):
-        from repro.pds.pds import PDS
-        from repro.pds.saturation import PostStarEngine, post_star_naive
-
-        pds = PDS(0)
-        pds.rule(0, "a", 1, ["a"])
-        engine = PostStarEngine(pds, psa_for_configs(pds, [PDSState(0, ("a",))]))
-        engine.drain()
-        pds.rule(1, "b", 2, [])  # new rule + new shared state 2
-        engine.add_config(PDSState(1, ("b",)))
-        warm = engine.saturate()
-        oracle = post_star_naive(
-            pds,
-            psa_for_configs(pds, [PDSState(0, ("a",)), PDSState(1, ("b",))]),
-        )
-        assert warm.accepts_config(2, ())
-        assert oracle.accepts_config(2, ())
-        assert warm.tops(2) == oracle.tops(2)
-
-
 class TestLazyPushHelpers:
     """A push rule's helper edge ``p' --ρ0--> ("__push__", p', ρ0)``
     enters the automaton only when the push first fires, so a procedure
@@ -338,3 +313,44 @@ class TestLazyPushHelpers:
         assert psa.accepts_config(1, ("m2",))
         _plain, plain_edges = self._saturate(self._pds(False))
         assert edges == plain_edges
+
+
+def _post_star_inputs():
+    """Fig. 7 from ⟨q0|s0⟩ and every thread of a few random CPDSs from
+    its initial configuration, as ``pytest.param``s."""
+    pds = fig7_pds()
+    yield pytest.param(pds, PDSState("q0", ("s0",)), id="fig7")
+    for seed in range(4):
+        cpds = random_cpds(seed)
+        initial = cpds.initial_state()
+        for index, pds in enumerate(cpds.threads):
+            start = PDSState(initial.shared, initial.stacks[index])
+            yield pytest.param(pds, start, id=f"random{seed}-t{index}")
+
+
+class TestPostStarOwnsItsResult:
+    """``post_star`` hands the engine's own transition dicts over without
+    a copy.  The input must stay as it was, and no two results may share
+    a dict: growing one automaton never shows up in another."""
+
+    @staticmethod
+    def _grow(nfa: NFA) -> None:
+        # Touch every level of the state -> label -> targets structure:
+        # each existing target set, a new label per source, a new source.
+        for src, label, _dst in list(nfa.transitions()):
+            nfa.add_transition(src, label, "__probe__")
+            nfa.add_transition(src, "__probe_label__", "__probe__")
+        nfa.add_transition("__probe_src__", "__probe_label__", "__probe__")
+
+    @pytest.mark.parametrize("pds, start", _post_star_inputs())
+    def test_input_and_other_results_untouched(self, pds, start):
+        initial = psa_for_configs(pds, [start])
+        edges_before = set(initial.automaton.transitions())
+        first = post_star(pds, initial)
+        assert set(initial.automaton.transitions()) == edges_before
+        second = post_star(pds, initial)
+        second_edges = set(second.automaton.transitions())
+        assert set(first.automaton.transitions()) == second_edges
+        self._grow(first.automaton)
+        assert set(second.automaton.transitions()) == second_edges
+        assert set(initial.automaton.transitions()) == edges_before

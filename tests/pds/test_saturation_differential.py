@@ -7,9 +7,7 @@ accept exactly the same configurations for any PDS and initial set.
 Two generators feed the harness: hypothesis strategies (shrinking,
 adversarial) and the library's own seeded generator
 :mod:`repro.models.random_gen` (reproducible bulk — 200+ systems per
-run, including empty-stack actions and multi-config initial sets).  The
-incremental warm start of :class:`repro.pds.PostStarEngine` is checked
-against a cold saturation of the same enlarged initial set.
+run, including empty-stack actions and multi-config initial sets).
 """
 
 import random
@@ -22,7 +20,6 @@ from repro.models.random_gen import RandomSpec, random_cpds
 from repro.pds import (
     PDS,
     PDSState,
-    PostStarEngine,
     post_star,
     post_star_naive,
     psa_for_configs,
@@ -130,49 +127,3 @@ def test_randomized_differential(seed):
     assert _accepted_sets(fast, shared) == _accepted_sets(slow, shared), (
         f"divergence on seed {seed}: {pds!r}, configs {configs}"
     )
-
-
-@pytest.mark.parametrize("seed", range(0, N_RANDOM_SYSTEMS, 4))
-def test_incremental_warm_start_matches_cold(seed):
-    """Saturate a prefix of the configs, inject the rest, resaturate —
-    must equal a cold saturation of the full set (and the oracle)."""
-    pds, configs = _random_case(seed)
-    extra = [PDSState(sorted(pds.shared_states)[0], ())]
-    all_configs = configs + extra
-
-    engine = PostStarEngine(pds, psa_for_configs(pds, configs[:1]))
-    engine.saturate()
-    for config in configs[1:] + extra:
-        engine.add_config(config)
-    warm = engine.saturate()
-
-    cold = post_star(pds, psa_for_configs(pds, all_configs))
-    oracle = post_star_naive(pds, psa_for_configs(pds, all_configs))
-    shared = sorted(pds.shared_states)
-    warm_sets = _accepted_sets(warm, shared)
-    assert warm_sets == _accepted_sets(cold, shared)
-    assert warm_sets == _accepted_sets(oracle, shared)
-
-
-@pytest.mark.parametrize("seed", range(0, N_RANDOM_SYSTEMS, 8))
-def test_incremental_edge_injection_matches_cold(seed):
-    """Warm-starting with raw extra edges (not whole configs) also equals
-    cold saturation over the union automaton."""
-    pds, configs = _random_case(seed)
-    symbols = sorted(pds.alphabet)
-    shared = sorted(pds.shared_states)
-
-    engine = PostStarEngine(pds, psa_for_configs(pds, configs))
-    engine.saturate()
-    # Extra edge: another entry reading symbols[0] straight to the sink,
-    # i.e. the config ⟨shared[-1]|symbols[0]⟩.
-    from repro.pds.psa import FINAL_SINK
-
-    engine.add_transition(shared[-1], symbols[0], FINAL_SINK)
-    warm = engine.saturate()
-
-    cold = post_star(
-        pds,
-        psa_for_configs(pds, configs + [PDSState(shared[-1], (symbols[0],))]),
-    )
-    assert _accepted_sets(warm, shared) == _accepted_sets(cold, shared)

@@ -110,4 +110,3 @@ def test_fcr_meter_on_bluetooth_1():
     assert report.holds
     assert work.get("post_star.edges_added", 0) == 6525
     assert work.get("post_star.rule_applications", 0) == 464
-    assert work.get("post_star.resaturations", 0) == 0

@@ -69,17 +69,18 @@ class TestVerify:
         assert main(["verify", str(path), "--init", "x=*"]) == 1
 
     @pytest.mark.parametrize("spec", ["x=abc", "x=2", "x=", "=1"])
-    def test_bad_boolean_init_is_a_usage_error(self, tmp_path, spec):
+    def test_bad_boolean_init_is_a_usage_error(self, tmp_path, spec, capsys):
         path = tmp_path / "p.bp"
         path.write_text(
             "decl x; void w() { assert (x); } void main() { thread_create(&w); }"
         )
-        with pytest.raises(SystemExit, match="cannot parse init"):
-            main(["verify", str(path), "--init", spec])
+        # Exit 3 (usage error), never 1, which would read as "refuted".
+        assert main(["verify", str(path), "--init", spec]) == 3
+        assert "error: cannot parse init" in capsys.readouterr().err
 
-    def test_bad_property_spec(self, fig1_file):
-        with pytest.raises(SystemExit):
-            main(["verify", fig1_file, "--property", "nonsense"])
+    def test_bad_property_spec(self, fig1_file, capsys):
+        assert main(["verify", fig1_file, "--property", "nonsense"]) == 3
+        assert "error: cannot parse property" in capsys.readouterr().err
 
     def test_missing_file_exit_three(self, capsys):
         assert main(["verify", "/nonexistent.cpds"]) == 3
@@ -146,6 +147,12 @@ class TestServiceCommands:
         code = main(["submit", fig1_file, "--port", "9"])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_submit_bad_init_is_a_usage_error(self, bad_bp_file, capsys):
+        # The spec is parsed before any connection: port 9 is never used.
+        code = main(["submit", bad_bp_file, "--port", "9", "--init", "x=abc"])
+        assert code == 3
+        assert "error: cannot parse init" in capsys.readouterr().err
 
 
 class TestFcr:
