@@ -582,7 +582,12 @@ def _compile_program(program: ast.Program, init, nondet_locals: bool) -> Compile
         threads.append(pds)
         stacks.append((entry0,))
 
-    cpds = CPDS(threads, initial_stacks=stacks, name="bp")
+    cpds = CPDS(
+        threads,
+        initial_stacks=stacks,
+        name="bp",
+        symmetry_candidates=_replica_swaps(threads, table.thread_roots, stacks),
+    )
     return CompiledProgram(
         cpds=cpds,
         prop=SharedStateReachability({ERR}),
@@ -591,6 +596,36 @@ def _compile_program(program: ast.Program, init, nondet_locals: bool) -> Compile
         thread_roots=table.thread_roots,
         cfgs=cfgs,
     )
+
+
+def _replica_swaps(threads, roots, stacks) -> tuple:
+    """Candidate symmetry generators (see :mod:`repro.cpds.symmetry`):
+    one transposition per pair of threads that run the same root from
+    equal initial stacks.  The shared-state map relabels the thread
+    indices the encoding stores — ``owner`` and ``retbuf``'s restore
+    owner, both 1-based with 0 for "nobody" — and fixes ``ERR`` and
+    ``⊥``.  Plain tuples and dicts, so the CPDS stays picklable; the
+    explicit engine verifies each one rule for rule before use."""
+    shared = frozenset().union(*(pds.shared_states for pds in threads))
+    swaps = []
+    for first in range(len(threads)):
+        for second in range(first + 1, len(threads)):
+            if roots[first] != roots[second] or stacks[first] != stacks[second]:
+                continue
+            perm = list(range(len(threads)))
+            perm[first], perm[second] = second, first
+            owners = {first + 1: second + 1, second + 1: first + 1}
+            shared_map = {}
+            for q in shared:
+                if q == ERR or q == INIT:
+                    shared_map[q] = q
+                    continue
+                owner, lock, retbuf, vals = q
+                if retbuf is not None:
+                    retbuf = (retbuf[0], owners.get(retbuf[1], retbuf[1]))
+                shared_map[q] = (owners.get(owner, owner), lock, retbuf, vals)
+            swaps.append((tuple(perm), shared_map))
+    return tuple(swaps)
 
 
 def compile_source(

@@ -391,8 +391,18 @@ def cmd_loadtest(args) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, like every other
+    usage error of the CLI: argparse's own status 2 would read as
+    "inconclusive".  Subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuba",
         description="Context-unbounded analysis of concurrent pushdown systems",
     )

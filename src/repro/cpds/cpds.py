@@ -23,6 +23,12 @@ class CPDS:
     The paper starts all stacks empty but routinely "omits the main
     thread" by seeding each stack with one symbol (Fig. 1, Fig. 2);
     ``initial_stacks`` supports both conventions.
+
+    ``symmetry_candidates`` declares candidate thread-symmetry
+    generators as plain data (see :mod:`repro.cpds.symmetry`); the
+    explicit engine verifies them before use, and a CPDS without any
+    has the trivial group.  They are not part of the model's
+    structure: the exchange format and the fingerprint ignore them.
     """
 
     def __init__(
@@ -30,6 +36,7 @@ class CPDS:
         threads: Sequence[PDS],
         initial_stacks: Sequence[Sequence[Symbol]] | None = None,
         name: str = "",
+        symmetry_candidates: Sequence[tuple[tuple[int, ...], dict]] = (),
     ) -> None:
         if not threads:
             raise ModelError("a CPDS needs at least one thread")
@@ -55,7 +62,13 @@ class CPDS:
                         f"initial stack symbol {symbol!r} not in thread alphabet"
                     )
 
+        self.symmetry_candidates: tuple[tuple[tuple[int, ...], dict], ...] = tuple(
+            (tuple(perm), shared_map) for perm, shared_map in symmetry_candidates
+        )
         self._shared_cache: tuple[tuple[int, ...], frozenset] | None = None
+        #: ``(thread versions, verified group)``, filled by
+        #: :func:`repro.cpds.symmetry.verified_symmetry`.
+        self._symmetry_memo: tuple | None = None
 
     # ------------------------------------------------------------------
     @property

@@ -58,6 +58,22 @@ precomputed visible delta.  ``VisibleState`` objects are built only by
 :meth:`StateTable.decode_visible`, pooled per key and counted by the
 ``explicit.visible_decoded`` METER counter; :meth:`StateTable.encode_visible`
 is its inverse and never interns.
+
+Symmetry
+--------
+A table built with a verified
+:class:`~repro.cpds.symmetry.ThreadSymmetry` of order ``|G| > 1`` stores
+one *representative* per orbit (see "Symmetry reduction" in
+:mod:`repro.reach.explicit`).  Threads of one orbit share their
+component numbering — one stack pool, one top-id table — so an element
+``g = (π, σ)`` moves bit fields without translating ids: thread ``i``'s
+field goes to ``π(i)``'s, and the shared field maps through ``σ``.  A
+new shared state is interned together with its whole orbit, so the
+images of any interned component already have ids.  ``_ids`` maps the
+packed key of every orbit member to the *entry* ``rep * |G| + e``
+(``e`` the element mapping the representative onto the member), while
+the id-indexed columns hold representatives only; with the trivial
+group an entry is the plain id.
 """
 
 from __future__ import annotations
@@ -127,26 +143,57 @@ class StateTable:
         "_qshift",
         "_limit",
         "_era",
+        "_order",
+        "_perms",
+        "_shared_maps",
+        "_qid_images",
+        "_plan",
+        "_vplan",
     )
 
     def __init__(
-        self, n_threads: int, top_bits: tuple[int, ...] | None = None
+        self,
+        n_threads: int,
+        top_bits: tuple[int, ...] | None = None,
+        symmetry=None,
     ) -> None:
         self.n_threads = n_threads
+        #: The group's order, element permutations and non-identity
+        #: shared maps (see "Symmetry" in the module docstring).
+        pools = tuple(range(n_threads))  # the identity: no sharing
+        self._order = 1
+        self._perms: tuple = (pools,)
+        self._shared_maps: tuple[dict, ...] = ()
+        if symmetry is not None and symmetry.order > 1:
+            pools = symmetry.pools
+            self._order = symmetry.order
+            self._perms = symmetry.perms
+            self._shared_maps = symmetry.shared_maps[1:]
+        #: Per non-identity element, qid -> image qid (grown lazily by
+        #: :meth:`shared_images`), and the memoized field-move plans.
+        self._qid_images: tuple[list[int], ...] = tuple([] for _ in self._shared_maps)
+        self._plan: tuple | None = None
+        self._vplan: tuple | None = None
         #: shared -> shared_id and its inverse.
         self._shared_ids: dict[Shared, int] = {}
         self._shareds: list[Shared] = []
+
+        def per_pool(make) -> list:
+            # Threads of one orbit alias their pool owner's object.
+            owned = [make() if pools[index] == index else None for index in range(n_threads)]
+            return [owned[pools[index]] for index in range(n_threads)]
+
         #: per-thread stack word -> stack_id and its inverse.
-        self._stack_ids: list[dict[tuple, int]] = [{} for _ in range(n_threads)]
-        self._stacks: list[list[tuple]] = [[] for _ in range(n_threads)]
+        self._stack_ids: list[dict[tuple, int]] = per_pool(dict)
+        self._stacks: list[list[tuple]] = per_pool(list)
         #: per-thread stack_id -> visible top symbol (:data:`EMPTY` for ε).
-        self._tops: list[list[Symbol]] = [[] for _ in range(n_threads)]
+        self._tops: list[list[Symbol]] = per_pool(list)
         #: per-thread top symbol -> dense top id, its inverse, and
         #: stack_id -> top id: many stacks share a top, so visible keys
         #: collapse onto few ``(qid, top ids...)`` combinations.
-        self._top_ids: list[dict[Symbol, int]] = [{} for _ in range(n_threads)]
-        self._top_syms: list[list[Symbol]] = [[] for _ in range(n_threads)]
-        self._wid_tops: list[array] = [array("q") for _ in range(n_threads)]
+        self._top_ids: list[dict[Symbol, int]] = per_pool(dict)
+        self._top_syms: list[list[Symbol]] = per_pool(list)
+        self._wid_tops: list[array] = per_pool(lambda: array("q"))
         #: Visible-key layout (see the module docstring).
         if top_bits is None:
             top_bits = (_DEFAULT_TOP_BITS,) * n_threads
@@ -227,13 +274,20 @@ class StateTable:
         self._era += 1
         packed = self._packed
         ids = self._ids
-        ids.clear()
-        for sid, key in enumerate(packed):
-            new_key = (key >> old_qshift) << self._qshift
+        qshift = self._qshift
+
+        def repack(key: int) -> int:
+            new_key = (key >> old_qshift) << qshift
             for index in range(n):
                 new_key |= ((key >> (old_bits * index)) & old_mask) << (bits * index)
-            packed[sid] = new_key
-            ids[new_key] = sid
+            return new_key
+
+        # Every entry, orbit images included (they have no column).
+        entries = list(ids.items())
+        ids.clear()
+        for key, entry in entries:
+            ids[repack(key)] = entry
+        packed[:] = map(repack, packed)
 
     # ------------------------------------------------------------------
     # Component interning
@@ -252,6 +306,8 @@ class StateTable:
                 # the only place new shared states are interned.
                 self._vkeys = list(self._vkeys)
                 self._vq_limit = None
+            for shared_map in self._shared_maps:  # intern the whole orbit
+                self.shared_id(shared_map[shared])
         return qid
 
     def shared(self, qid: int) -> Shared:
@@ -294,13 +350,14 @@ class StateTable:
     # Global-state interning
     # ------------------------------------------------------------------
     def intern(self, state: GlobalState) -> int:
-        """Dense id of ``state``, assigning one on first sight."""
+        """Dense id of ``state`` (with a group: of its representative),
+        assigning one on first sight."""
         qid = self.shared_id(state.shared)
         wids = tuple(
             self.stack_id(index, stack) for index, stack in enumerate(state.stacks)
         )
         sid = self.intern_key(qid, wids)
-        if self._states[sid] is None:
+        if self._states[sid] is None and self._order == 1:
             self._states[sid] = state
         return sid
 
@@ -315,19 +372,20 @@ class StateTable:
         layout.
         """
         key = self.pack(qid, wids)
-        sid = self._ids.get(key)
-        if sid is None:
-            sid = len(self._packed)
-            self._ids[key] = sid
-            self._packed.append(key)
-            self._states.append(None)
-            vkey = qid << self._vqshift
-            try:
-                for index, wid in enumerate(wids):
-                    vkey |= self._wid_tops[index][wid] << self._voffs[index]
-            except IndexError:
-                vkey = -1  # a stack id never interned: no projection
-            self._vkeys.append(vkey)
+        entry = self._ids.get(key)
+        if entry is not None:
+            return entry // self._order
+        sid = len(self._packed)
+        self._ids[key] = sid * self._order
+        self._packed.append(key)
+        self._states.append(None)
+        vkey = qid << self._vqshift
+        try:
+            for index, wid in enumerate(wids):
+                vkey |= self._wid_tops[index][wid] << self._voffs[index]
+        except IndexError:
+            vkey = -1  # a stack id never interned: no projection
+        self._vkeys.append(vkey)
         return sid
 
     def truncate(self, base: int) -> None:
@@ -339,14 +397,18 @@ class StateTable:
         """
         packed = self._packed
         ids = self._ids
-        for key in packed[base:]:
+        # Entries of orbit images too (rare: a guard tripped mid-level).
+        floor = base * self._order
+        for key in [key for key, entry in ids.items() if entry >= floor]:
             del ids[key]
         del packed[base:]
         del self._states[base:]
         del self._vkeys[base:]
 
     def id_of(self, state: GlobalState) -> int | None:
-        """The id of ``state`` if it was ever interned, else None."""
+        """The id of ``state`` if it was ever interned, else None —
+        under a group its ``_ids`` entry ``rep * |G| + element`` (see
+        "Symmetry" in the module docstring)."""
         shared_id = self._shared_ids.get(state.shared)
         if shared_id is None:
             return None
@@ -435,14 +497,122 @@ class StateTable:
         )
 
     # ------------------------------------------------------------------
+    # Symmetry images (see "Symmetry" in the module docstring)
+    # ------------------------------------------------------------------
+    @property
+    def order(self) -> int:
+        """The order of the table's group (1: no reduction)."""
+        return self._order
+
+    def shared_images(self) -> tuple[list[int], ...]:
+        """Per non-identity element, the list ``qid -> σ(qid)`` over
+        every interned shared id (interning a shared state interned its
+        orbit, so every image has an id)."""
+        rows = self._qid_images
+        count = len(self._shareds)
+        if rows and len(rows[0]) < count:
+            shareds = self._shareds
+            shared_ids = self._shared_ids
+            for row, shared_map in zip(rows, self._shared_maps):
+                row.extend(
+                    shared_ids[shared_map[shareds[qid]]]
+                    for qid in range(len(row), count)
+                )
+        return rows
+
+    def _thread_plan(self) -> tuple:
+        """Per non-identity element, ``(keep, moves)``: the mask of the
+        thread fields ``π`` fixes and the ``(source shift, target
+        shift)`` of each field it moves, under the current packing
+        geometry (memoized per era)."""
+        plan = self._plan
+        if plan is None or plan[0] != self._era:
+            bits = self._bits
+            mask = self._mask
+            rows = []
+            for perm in self._perms[1:]:
+                keep = 0
+                moves = []
+                for index, target in enumerate(perm):
+                    if index == target:
+                        keep |= mask << (bits * index)
+                    else:
+                        moves.append((bits * index, bits * target))
+                rows.append((keep, tuple(moves)))
+            plan = self._plan = (self._era, tuple(rows))
+        return plan[1]
+
+    def thread_images(self, key: int) -> list[int]:
+        """``π``'s image of ``key``'s thread fields, per non-identity
+        element; the shared field is dropped (the replay ORs the shared
+        id in from a context tree's image deltas)."""
+        mask = self._mask
+        images = []
+        for keep, moves in self._thread_plan():
+            image = key & keep
+            for source, target in moves:
+                image |= ((key >> source) & mask) << target
+            images.append(image)
+        return images
+
+    def key_images(self, key: int) -> list[int]:
+        """The packed keys ``g(key)`` per non-identity element."""
+        qshift = self._qshift
+        qid = key >> qshift
+        return [
+            image | (qids[qid] << qshift)
+            for image, qids in zip(
+                self.thread_images(key & ((1 << qshift) - 1)), self.shared_images()
+            )
+        ]
+
+    def visible_images(self, vkeys) -> list[int]:
+        """Every image ``g(v)`` of the visible keys ``vkeys`` under every
+        non-identity element, computed column by column (one pass per
+        moved field; top ids are shared within an orbit, so fields just
+        move)."""
+        plan = self._vplan
+        if plan is None:
+            offs = self._voffs
+            masks = self._vmasks
+            rows = []
+            for perm in self._perms[1:]:
+                keep = 0
+                moves = []
+                for index, target in enumerate(perm):
+                    if index == target:
+                        keep |= masks[index] << offs[index]
+                    else:
+                        moves.append((offs[index], masks[index], offs[target]))
+                rows.append((keep, tuple(moves)))
+            plan = self._vplan = tuple(rows)
+        vqshift = self._vqshift
+        vkeys = list(vkeys)
+        images: list[int] = []
+        for (keep, moves), qids in zip(plan, self.shared_images()):
+            column = [(qids[key >> vqshift] << vqshift) | (key & keep) for key in vkeys]
+            for source, mask, target in moves:
+                column = [
+                    image | (((key >> source) & mask) << target)
+                    for image, key in zip(column, vkeys)
+                ]
+            images.extend(column)
+        return images
+
+    # ------------------------------------------------------------------
     # Snapshot support (see :meth:`repro.reach.explicit.ExplicitReach.snapshot`)
     # ------------------------------------------------------------------
-    def component_pools(self) -> tuple[list, list[list[tuple]]]:
+    def component_pools(self) -> tuple[list, list[list[tuple] | None]]:
         """Copies of the component pools in dense-id order: the shared
-        pool and the per-thread stack pools.  Pools can hold components
+        pool and the per-thread stack pools, ``None`` for a thread that
+        shares an earlier thread's pool.  Pools can hold components
         no live global state references (cached context trees index
         them), so snapshots persist them in full."""
-        return list(self._shareds), [list(pool) for pool in self._stacks]
+        stacks: list[list[tuple] | None] = []
+        for index, pool in enumerate(self._stacks):
+            owned = all(pool is not self._stacks[other] for other in range(index))
+            stacks.append(list(pool) if owned else None)
+        return list(self._shareds), stacks
 
     def export_rows(self):
         """The global states as one interleaved ``array('q')`` of
@@ -471,17 +641,21 @@ class StateTable:
         stacks: list,
         rows,
         top_bits: tuple[int, ...] | None = None,
+        symmetry=None,
     ) -> "StateTable":
         """Rebuild a table from :meth:`component_pools` +
         :meth:`export_rows` output.  Interning replays in pool order,
         so every component id, global-state id, and the adaptive
         geometry come out exactly as the engine that produced the
         snapshot assigned them; the visible-key column is derived from
-        the rows under ``top_bits``."""
-        table = cls(n_threads, top_bits)
+        the rows under ``top_bits``.  Under a ``symmetry`` the rows are
+        representatives; the caller adds their orbit images."""
+        table = cls(n_threads, top_bits, symmetry)
         for value in shareds:
             table.shared_id(value)
         for index, pool in enumerate(stacks):
+            if pool is None:
+                continue
             stack_id = table.stack_id
             for word in pool:
                 stack_id(index, tuple(word))

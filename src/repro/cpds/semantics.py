@@ -92,6 +92,7 @@ class ContextTree:
         "_vdeltas",
         "_parent_pos",
         "_rows",
+        "_images",
     )
 
     def __init__(
@@ -115,6 +116,7 @@ class ContextTree:
         self._vdeltas: list[int] | None = None
         self._parent_pos: list[int] | None = None
         self._rows: tuple[int, tuple] | None = None
+        self._images: tuple[int, list] | None = None
 
     def __len__(self) -> int:
         """Node count (root included)."""
@@ -155,6 +157,29 @@ class ContextTree:
             ]
             self._vdeltas = cached
         return cached
+
+    def image_deltas(self, table: StateTable) -> list[tuple[int, ...]]:
+        """Per edge, the packed-key delta's image under each
+        non-identity element of ``table``'s group: ``σ(qid)`` in the
+        shared field and the stack id in thread ``π(thread)``'s field
+        (see "Symmetry" in :mod:`repro.cpds.interning`), so an orbit
+        image of a replayed key is one OR with the member's permuted
+        frozen key.  Memoized per era, like :meth:`deltas`."""
+        cached = self._images
+        era = table.era
+        if cached is None or cached[0] != era:
+            qshift = table._qshift
+            bits = table._bits
+            columns = [
+                [
+                    (images[qid] << qshift) | (wid << (bits * perm[self.thread]))
+                    for qid, wid in zip(self.qids, self.wids)
+                ]
+                for images, perm in zip(table.shared_images(), table._perms[1:])
+            ]
+            cached = (era, list(zip(*columns)))
+            self._images = cached
+        return cached[1]
 
     def parent_positions(self) -> list[int]:
         """Per-edge source-node index, flattened from ``offsets``

@@ -83,6 +83,56 @@ for level on every FCR registry row and on randomized CPDSs, and
 loops (with and without witness parents) and a snapshot-restored
 engine agree level for level with equal METER work counts.
 
+Symmetry reduction
+------------------
+A program that runs one thread template several times is symmetric:
+swapping two replicas (and relabelling the shared-state fields that
+name a thread) maps every ``k``-context run to a ``k``-context run, so
+every ``Rk`` is a union of orbits of the group ``G`` those swaps
+generate.  Models declare candidate generators as plain data;
+the first batched engine on a CPDS verifies them rule for rule and
+memoizes the group on it (:func:`~repro.cpds.symmetry.verified_symmetry`;
+any mismatch gives the trivial group, and ``batched=False`` never
+reduces).  Under ``|G| > 1`` the engine stores one *representative* per
+orbit — the member the serial scan reaches first — and every id-indexed
+column (``first_seen``, movers, parents, visible keys) describes
+representatives only:
+
+* **Image entries.**  When the replay meets a key not in
+  ``table._ids``, that key starts a new orbit: it becomes the
+  representative, and every image ``g(key)`` gets the entry
+  ``rep * |G| + g`` (see "Symmetry" in :mod:`repro.cpds.interning`).
+  An image is one OR, ``π(frozen) | π(delta)``: the member's permuted
+  frozen key (computed on its first new orbit) and the tree edge's
+  image delta (:meth:`~repro.cpds.semantics.ContextTree.image_deltas`,
+  cached beside the deltas).  A hit is therefore a known orbit, the
+  freshness test is unchanged, and all extra work falls on new orbits;
+  ``explicit.orbit_images`` counts the image entries.
+* **Exact observations.**  ``_record_visible_keys`` adds the
+  ``G``-closure of each level's new visible keys (``T(g(s)) =
+  g(T(s))``), so ``T(Rk)``, its per-level keys and counts,
+  :meth:`ExplicitReach.violation_at`, the plateau test and
+  :class:`VisibleView` membership see the unreduced sets.
+  ``level_sizes``, ``n_states`` and ``stats()["global_states"]`` count
+  the distinct keys entered per level; ``levels``, ``first_seen`` and
+  ``states_up_to`` decode every orbit.  ``violation_at`` picks the
+  smallest violating key; the component numbering follows the reduced
+  scan (a shared state's orbit is interned with it), so when a level
+  holds several violators the pick can differ from an unreduced run's
+  (it does not on any Table 2 row).
+* **Witnesses.**  A parent is recorded as the ``_ids`` entry of the
+  parent key, i.e. (representative, element);
+  :meth:`ExplicitReach.trace` composes the elements up the chain and
+  maps each step through them, so every witness is a real run from the
+  initial state.  :meth:`ExplicitReach.find_visible` maps a visible
+  state back to the first representative whose orbit projects onto it.
+* **Same-thread pruning** keeps its argument: a representative is a key
+  the replay actually reached from a frontier member, so its mover is
+  the thread of that context.
+
+Snapshots (version 4) carry the group's thread permutations, and a
+blob of another group is refused; restore rebuilds the image entries.
+
 Explicit enumeration requires every ``Rk`` to be finite — the finite
 context reachability condition (Sec. 5).  Programs violating FCR trip
 the per-context divergence guard with
@@ -105,13 +155,20 @@ from repro.cpds.cpds import CPDS
 from repro.cpds.interning import StateTable, visible_fields
 from repro.cpds.semantics import ContextTree, thread_context_post, thread_view_post
 from repro.cpds.state import GlobalState, VisibleState
+from repro.cpds.symmetry import trivial_symmetry, verified_symmetry
 from repro.errors import SnapshotError
 from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach.base import ReachabilityEngine
 from repro.reach.config import EngineConfig
 from repro.reach.registry import register
-from repro.reach.snapshot import KIND_EXPLICIT, _encode, reading, refuse_oracle
+from repro.reach.snapshot import (
+    KIND_EXPLICIT,
+    _encode,
+    hash_consed,
+    reading,
+    refuse_oracle,
+)
 from repro.reach.witness import Trace, TraceStep, rebuild_trace
 from repro.util.meter import METER
 
@@ -218,6 +275,16 @@ class VisibleView(Set):
         return f"VisibleView(k={self._k}, size={len(self)})"
 
 
+def _rule_of(pds, value: tuple):
+    """``pds``'s rule equal to the snapshot rule ``value`` =
+    ``(from_shared, read, to_shared, write)``."""
+    from_shared, read, to_shared, write = value
+    for rule in pds.actions_for(from_shared, read[0] if read else None):
+        if rule.to_shared == to_shared and rule.write == write:
+            return rule
+    raise SnapshotError(f"snapshot rule {value!r} is not a rule of this CPDS")
+
+
 @register
 class ExplicitReach(ReachabilityEngine):
     """View-batched explicit engine for the observation
@@ -250,9 +317,15 @@ class ExplicitReach(ReachabilityEngine):
         self._view_wid_shift = max(4, cpds.n_threads.bit_length())
         self._view_qid_shift = self._view_wid_shift + 32
         self._view_index_mask = (1 << self._view_wid_shift) - 1
+        #: The verified thread-symmetry group (see "Symmetry reduction"
+        #: in the module docstring); the per-state oracle never reduces.
+        self.symmetry = (
+            verified_symmetry(cpds) if batched else trivial_symmetry(cpds.n_threads)
+        )
         #: Interned global-state core shared with the context-tree
-        #: builders; dense ids index ``_first_seen`` and the columns.
-        self.table = StateTable(cpds.n_threads, visible_fields(cpds))
+        #: saturations; dense ids index ``_first_seen`` and the columns
+        #: (one id per orbit representative).
+        self.table = StateTable(cpds.n_threads, visible_fields(cpds), self.symmetry)
         #: Cross-level memo of array-encoded context trees, keyed by
         #: ``(thread, shared_id, stack_id)``: a context depends only on
         #: the moving thread's local view, which recurs under many
@@ -263,15 +336,22 @@ class ExplicitReach(ReachabilityEngine):
         self._succ_memos: tuple[dict, ...] = tuple(
             {} for _ in range(cpds.n_threads)
         )
-        #: ``_level_ids[k]`` = ids of states first reached at bound k.
+        #: ``_level_ids[k]`` = ids of states first reached at bound k
+        #: (representatives), ``_level_sizes[k]`` = the size of their
+        #: orbits' union, ``|Rk \ Rk−1|``.
         self._level_ids: list[tuple[int, ...]] = []
+        self._level_sizes: list[int] = []
+        #: target thread -> rule image -> that thread's rule, built on
+        #: first use by :meth:`trace` (see :meth:`_rule_of`).
+        self._rule_index: dict[int, dict] = {}
         #: id -> level at which the state was first reached (dense).
         self._first_seen: list[int] = []
         #: id -> the thread whose context first produced the state, or
         #: the sentinel ``n_threads`` (the root): grows and
         #: rolls back in lock-step with ``_first_seen``.
         self._movers = mover_column(cpds.n_threads)
-        #: Witness parents in batched mode: id -> parent id (-1 for the
+        #: Witness parents in batched mode: id -> parent entry (the
+        #: parent's ``_ids`` entry ``rep * |G| + element``; -1 for the
         #: root) and id -> the action taken; the thread is the mover.
         #: ``None`` when traces are off.
         track = track_traces and batched
@@ -299,6 +379,7 @@ class ExplicitReach(ReachabilityEngine):
         self._first_seen.append(0)
         self._movers.append(cpds.n_threads)
         self._level_ids.append((sid,))
+        self._level_sizes.append(1 + self._add_orbit(sid))
         if self._parent_ids is not None:
             self._parent_ids.append(-1)
             self._parent_actions.append(None)
@@ -325,13 +406,15 @@ class ExplicitReach(ReachabilityEngine):
         base = len(self._first_seen)
         try:
             if self.batched:
-                self._advance_batched(frontier, level, fresh)
+                images = self._advance_batched(frontier, level, fresh)
             else:
+                images = 0
                 self._advance_per_state(frontier, level, fresh)
         except BaseException:
             self._rollback(base)
             raise
         self._level_ids.append(tuple(fresh))
+        self._level_sizes.append(len(fresh) + images)
         # A level's fresh ids are exactly ``base..len(table)-1``.
         if not trace.enabled():
             self._record_visible_keys(base, len(self._first_seen))
@@ -345,11 +428,33 @@ class ExplicitReach(ReachabilityEngine):
         state ids ``start..stop-1`` (that level's states)."""
         vlevel = self._vlevel
         level = len(self._vnew)
-        new = sorted(set(self.table._vkeys[start:stop]).difference(vlevel))
+        new = set(self.table._vkeys[start:stop]).difference(vlevel)
+        if new and self.table.order > 1:
+            # ``T(g(s)) = g(T(s))``: the level's closure projects onto
+            # the orbits of its representatives' keys, none of which an
+            # earlier level (itself closed) holds.
+            new.update(self.table.visible_images(new))
+        new = sorted(new)
         vlevel.update(dict.fromkeys(new, level))
         self._vnew.append(tuple(new))
         self._vcounts.append(len(vlevel))
         self._decoded_visible.append(None)
+
+    def _add_orbit(self, sid: int) -> int:
+        """Give every orbit image of representative ``sid`` its
+        ``_ids`` entry (see "Symmetry reduction" in the module
+        docstring); return how many distinct images were new.  The
+        replay inlines this for fresh states; the initial state and a
+        restored engine's representatives come through here."""
+        table = self.table
+        ids = table._ids
+        entry = sid * table.order
+        added = 0
+        for element, image in enumerate(table.key_images(table._packed[sid]), 1):
+            if image not in ids:
+                ids[image] = entry + element
+                added += 1
+        return added
 
     def _rollback(self, base: int) -> None:
         """Discard every state interned at id ``base`` or later (the
@@ -402,14 +507,16 @@ class ExplicitReach(ReachabilityEngine):
         METER.bump("explicit.level_views", sum(map(len, groups.values())))
         METER.bump("explicit.level_unique_views", len(groups))
         if not groups:
-            return
+            return 0
         trees = self._trees_for(list(groups))
 
         first_seen = self._first_seen
         parent_ids = self._parent_ids
         parent_actions = self._parent_actions
         append_fresh = fresh.append
+        order = table.order
         pairs = 0
+        images = 0
         for view, members in groups.items():
             tree = trees[view]
             if not len(tree.qids):
@@ -432,7 +539,11 @@ class ExplicitReach(ReachabilityEngine):
             move_clear = ~(table._mask << (bits * index))
             vclear = table.visible_clear(index)
             deltas = tree.deltas(table)
-            if parent_ids is None:
+            if order > 1:
+                images += self._replay_orbits(
+                    tree, members, level, move_clear, vclear, fresh
+                )
+            elif parent_ids is None:
                 vdeltas = tree.visible_deltas(table)
                 for sid in members:
                     # ``StateTable.intern_key`` inlined on packed keys
@@ -480,6 +591,97 @@ class ExplicitReach(ReachabilityEngine):
             if grown:
                 movers.extend(repeat(index, grown))
         METER.bump("explicit.replay_pairs", pairs)
+        if images:
+            METER.bump("explicit.orbit_images", images)
+        return images
+
+    def _replay_orbits(
+        self,
+        tree: ContextTree,
+        members: list[int],
+        level: int,
+        move_clear: int,
+        vclear: int,
+        fresh: list[int],
+    ) -> int:
+        """The replay of one view under a nontrivial group: the loops of
+        :meth:`_advance_batched` plus, for each key of a new orbit, an
+        entry for every image (``π(frozen) | π(delta)``, the member's
+        permuted frozen key computed on its first new orbit).  Returns
+        the number of image entries added.  An intern hit is a known
+        orbit, so the freshness test is unchanged."""
+        table = self.table
+        order = table.order
+        ids = table._ids
+        packed = table._packed
+        states = table._states
+        vkeys = table._vkeys
+        low_mask = (1 << table._qshift) - 1
+        thread_images = table.thread_images
+        first_seen = self._first_seen
+        parent_ids = self._parent_ids
+        parent_actions = self._parent_actions
+        append_fresh = fresh.append
+        deltas = tree.deltas(table)
+        image_rows = tree.image_deltas(table)
+        added = 0
+        if parent_ids is None:
+            # Only a new orbit reads the visible delta and the images.
+            rows = tuple(zip(deltas, zip(tree.visible_deltas(table), image_rows)))
+            for sid in members:
+                frozen = packed[sid] & low_mask & move_clear
+                vfrozen = vkeys[sid] & vclear
+                permuted = None
+                for delta, rest in rows:
+                    key = frozen | delta
+                    if key not in ids:
+                        vdelta, image_deltas = rest
+                        nsid = len(packed)
+                        ids[key] = entry = nsid * order
+                        packed.append(key)
+                        states.append(None)
+                        vkeys.append(vfrozen | vdelta)
+                        first_seen.append(level)
+                        append_fresh(nsid)
+                        if permuted is None:
+                            permuted = thread_images(frozen)
+                        for frozen_image, delta_image in zip(permuted, image_deltas):
+                            entry += 1
+                            image = frozen_image | delta_image
+                            if image not in ids:
+                                ids[image] = entry
+                                added += 1
+            return added
+        rows = tuple(zip(tree.edge_rows(table), image_rows))
+        for sid in members:
+            frozen = packed[sid] & low_mask & move_clear
+            vfrozen = vkeys[sid] & vclear
+            permuted = None
+            for (delta, vdelta, parent_pos, action), image_deltas in rows:
+                key = frozen | delta
+                if key not in ids:
+                    nsid = len(packed)
+                    ids[key] = entry = nsid * order
+                    packed.append(key)
+                    states.append(None)
+                    vkeys.append(vfrozen | vdelta)
+                    first_seen.append(level)
+                    append_fresh(nsid)
+                    parent_ids.append(
+                        ids[frozen | deltas[parent_pos - 1]]
+                        if parent_pos
+                        else sid * order
+                    )
+                    parent_actions.append(action)
+                    if permuted is None:
+                        permuted = thread_images(frozen)
+                    for frozen_image, delta_image in zip(permuted, image_deltas):
+                        entry += 1
+                        image = frozen_image | delta_image
+                        if image not in ids:
+                            ids[image] = entry
+                            added += 1
+        return added
 
     def _view_parts(self, view: View) -> tuple[int, int, int]:
         """Unpack a view key to ``(thread, shared_id, stack_id)``."""
@@ -551,12 +753,21 @@ class ExplicitReach(ReachabilityEngine):
         """``levels[k]`` = global states first reached at bound k,
         decoded lazily from the interned core."""
         decoded = self._decoded_levels
-        state_of = self.table.state
         while len(decoded) < len(self._level_ids):
-            decoded.append(
-                frozenset(state_of(sid) for sid in self._level_ids[len(decoded)])
-            )
+            decoded.append(frozenset(self._orbits(self._level_ids[len(decoded)])))
         return decoded
+
+    def _orbits(self, sids) -> Iterator[GlobalState]:
+        """Every orbit member of the representatives ``sids`` (an image
+        fixed by a nontrivial element repeats)."""
+        state_of = self.table.state
+        if self.table.order == 1:
+            return map(state_of, sids)
+        apply = self.symmetry.apply
+        elements = range(self.table.order)
+        return (
+            apply(element, state_of(sid)) for sid in sids for element in elements
+        )
 
     @property
     def first_seen(self) -> dict[GlobalState, int]:
@@ -565,12 +776,12 @@ class ExplicitReach(ReachabilityEngine):
         view = self._first_seen_view
         count = len(self._first_seen)
         if view is None or view[0] != count:
-            state_of = self.table.state
             view = (
                 count,
                 {
-                    state_of(sid): lvl
-                    for sid, lvl in enumerate(self._first_seen)
+                    state: level
+                    for level, sids in enumerate(self._level_ids)
+                    for state in self._orbits(sids)
                 },
             )
             self._first_seen_view = view
@@ -579,11 +790,11 @@ class ExplicitReach(ReachabilityEngine):
     @property
     def n_states(self) -> int:
         """``|Rk|`` at the latest computed bound, without decoding."""
-        return len(self._first_seen)
+        return sum(self._level_sizes)
 
     def level_sizes(self) -> list[int]:
         """``|Rk \\ Rk−1|`` per level, without decoding."""
-        return [len(level) for level in self._level_ids]
+        return list(self._level_sizes)
 
     def states_up_to(self, k: int | None = None) -> frozenset[GlobalState]:
         """``Rk`` (default: the latest computed bound)."""
@@ -659,44 +870,97 @@ class ExplicitReach(ReachabilityEngine):
         """Work summary for verification-result plumbing (all sizes read
         off the int core — no decoding)."""
         return {
-            "global_states": len(self._first_seen),
+            "global_states": self.n_states,
             "levels": self.level_sizes(),
             "batched": self.batched,
             "context_memo": len(self._tree_cache),
+            "symmetry_order": self.table.order,
         }
 
     # ------------------------------------------------------------------
     # Witnesses
     # ------------------------------------------------------------------
     def trace(self, target: GlobalState) -> Trace:
-        """Reconstruct a witness path to a reached state."""
+        """Reconstruct a witness path to a reached state.
+
+        Under a nontrivial group the parent chain runs through
+        representatives: the step into representative ``r`` starts at
+        ``h(parent rep)``, and a target ``g(r)`` is reached by the
+        ``g``-image of ``r``'s path — thread ``π(mover)`` firing the
+        rule ``σ`` maps the mover's rule to.  The elements compose along
+        the chain, so every step is a real move from the initial state,
+        which every element fixes."""
         if self._oracle_parents is not None:
             return rebuild_trace(self._oracle_parents, target)
         if self._parent_ids is None:
             raise ValueError("engine was created with track_traces=False")
-        sid = self.table.id_of(target)
-        if sid is None or sid >= len(self._first_seen):
+        table = self.table
+        entry = table.id_of(target)
+        order = table.order
+        if entry is None or entry // order >= len(self._first_seen):
             raise KeyError(f"state {target} was never discovered")
-        state_of = self.table.state
+        current, element = divmod(entry, order)
+        state_of = table.state
+        apply = self.symmetry.apply
+        perms = self.symmetry.perms
+        mult = self.symmetry.mult
         parent_ids = self._parent_ids
         actions = self._parent_actions
         movers = self._movers  # the witness thread is the mover
         reversed_steps: list[TraceStep] = []
-        current = sid
         while (parent := parent_ids[current]) >= 0:
+            mover = movers[current]
+            action = actions[current]
+            if element:
+                action = self._rule_of(element, mover, action)
+                mover = perms[element][mover]
             reversed_steps.append(
-                TraceStep(movers[current], actions[current], state_of(current))
+                TraceStep(mover, action, apply(element, state_of(current)))
             )
-            current = parent
-        return Trace(state_of(current), tuple(reversed(reversed_steps)))
+            current, step = divmod(parent, order)
+            element = mult[element][step]
+        return Trace(
+            apply(element, state_of(current)), tuple(reversed(reversed_steps))
+        )
+
+    def _rule_of(self, element: int, thread: int, action):
+        """The rule of thread ``π(thread)`` that group element
+        ``element`` maps thread ``thread``'s ``action`` to (it exists:
+        the group was verified rule for rule)."""
+        target = self.symmetry.perms[element][thread]
+        rules = self._rule_index.get(target)
+        if rules is None:
+            rules = self._rule_index[target] = {
+                (rule.from_shared, rule.read, rule.to_shared, rule.write): rule
+                for rule in self.cpds.thread(target).actions
+            }
+        relabel = self.symmetry.shared_maps[element]
+        return rules[
+            (relabel[action.from_shared], action.read,
+             relabel[action.to_shared], action.write)
+        ]
 
     def find_visible(self, visible) -> GlobalState | None:
-        """The first reached global state (by id) projecting to
-        ``visible``, if any."""
-        key = self.table.encode_visible(visible)
+        """The first reached global state projecting to ``visible``, if
+        any: the first representative (by id) whose orbit projects onto
+        it, mapped by the first such element."""
+        table = self.table
+        key = table.encode_visible(visible)
         if key is None or key not in self._vlevel:
             return None
-        return self.table.state(self.table._vkeys.index(key))
+        vkeys = table._vkeys
+        if table.order == 1:
+            return table.state(vkeys.index(key))
+        found = []
+        for member in {key, *table.visible_images((key,))}:
+            try:
+                found.append(vkeys.index(member))
+            except ValueError:  # no representative projects onto it
+                pass
+        sid = min(found)
+        own = vkeys[sid]
+        element = 0 if own == key else table.visible_images((own,)).index(key) + 1
+        return self.symmetry.apply(element, table.state(sid))
 
     # ------------------------------------------------------------------
     # Checkpoint / resume (the payload of a ``CUSN`` frame, see
@@ -704,24 +968,51 @@ class ExplicitReach(ReachabilityEngine):
     # ------------------------------------------------------------------
     def snapshot(self) -> bytes:
         """Checkpoint the committed levels as a kind-1 blob: the
+        group's thread permutations, the
         :class:`~repro.cpds.interning.StateTable` component pools plus
-        interleaved ``(qid, wids...)`` rows (component ids, not packed
-        keys — immune to the adaptive bit-field geometry),
-        ``first_seen``, the mover column, the per-level ids (lengths +
-        flat ids), the witness parents (child, parent and action
-        columns; the thread is the mover) and the cross-level
-        context-tree cache as raw CSR columns.  The per-thread successor
-        memos and the visible-key column are not persisted: the warm
-        engine re-derives both without touching any METER counter.  A
-        restored engine's ``ensure_level`` continues level-for-level
-        identically to an uninterrupted run."""
+        interleaved ``(qid, wids...)`` rows of the representatives
+        (component ids, not packed keys — immune to the adaptive
+        bit-field geometry), ``first_seen``, the mover column, the
+        per-level ids (lengths + flat ids), the witness parents (child,
+        parent-entry and rule columns; the thread is the mover) and the
+        cross-level context-tree cache as raw CSR columns.  Rules are
+        stored by value, once per thread (the parent and tree columns
+        index those tables), and restore maps each back to the
+        restoring CPDS's own rule, so a blob resumes on any CPDS of the
+        same fingerprint, whatever its rule order.  The values are
+        hash-consed, so the bytes depend on the engine's values only,
+        never on which equal objects it happened to hold: a restored
+        engine advanced to level ``k`` snapshots the same bytes as an
+        uninterrupted run.  The per-thread successor memos, the
+        visible-key column and the orbit image entries are not
+        persisted: the warm engine re-derives them without touching any
+        METER counter.  A restored engine's ``ensure_level`` continues
+        level-for-level identically to an uninterrupted run."""
         refuse_oracle(self)
         table = self.table
         shareds, stacks = table.component_pools()
+        memo: dict = {}
+        shareds = hash_consed(shareds, memo)
+        stacks = [None if pool is None else hash_consed(pool, memo) for pool in stacks]
 
         level_ids = array("q")
         for level in self._level_ids:
             level_ids.extend(level)
+
+        # Rules by value, once per thread in first-use order; the parent
+        # and tree columns index these tables.
+        rule_values: list[list[tuple]] = [[] for _ in range(table.n_threads)]
+        rule_ids: list[dict[int, int]] = [{} for _ in range(table.n_threads)]
+
+        def rule_id(thread: int, rule) -> int:
+            known = rule_ids[thread]
+            found = known.get(id(rule))
+            if found is None:
+                found = known[id(rule)] = len(rule_values[thread])
+                rule_values[thread].append(
+                    (rule.from_shared, rule.read, rule.to_shared, rule.write)
+                )
+            return found
 
         parent_ids = self._parent_ids
         parent_rows = None
@@ -730,10 +1021,12 @@ class ExplicitReach(ReachabilityEngine):
             children = array(
                 "q", (sid for sid, parent in enumerate(parent_ids) if parent >= 0)
             )
+            actions = self._parent_actions
+            movers = self._movers
             parent_rows = (
                 children,
                 array("q", (parent_ids[sid] for sid in children)),
-                [self._parent_actions[sid] for sid in children],
+                array("I", (rule_id(movers[sid], actions[sid]) for sid in children)),
             )
 
         views = array("q")
@@ -742,7 +1035,8 @@ class ExplicitReach(ReachabilityEngine):
             views.extend(self._view_parts(view))
             trees.append(
                 (tree.thread, tree.root_qid, tree.root_wid,
-                 tree.offsets, tree.qids, tree.wids, tree.actions)
+                 tree.offsets, tree.qids, tree.wids,
+                 array("I", [rule_id(tree.thread, rule) for rule in tree.actions]))
             )
 
         return _encode(
@@ -751,6 +1045,7 @@ class ExplicitReach(ReachabilityEngine):
                 "n_threads": table.n_threads,
                 "max_states_per_context": self.max_states_per_context,
                 "track_traces": parent_ids is not None,
+                "symmetry": self.symmetry.perms,
                 "shareds": shareds,
                 "stacks": stacks,
                 "rows": table.export_rows(),
@@ -760,6 +1055,7 @@ class ExplicitReach(ReachabilityEngine):
                 "level_ids": level_ids,
                 "parents": parent_rows,
                 "trees": (views, trees),
+                "rules": [hash_consed(values, memo) for values in rule_values],
             },
         )
 
@@ -777,16 +1073,11 @@ class ExplicitReach(ReachabilityEngine):
         ``batched``, can only be True here, since the per-state oracle
         has no snapshot.  ``max_states_per_context`` defaults to the
         snapshotted guard.  Raises :class:`~repro.errors.SnapshotError`
-        on any undecodable or mismatched blob."""
+        on any undecodable or mismatched blob — among them a blob taken
+        under another group than ``cpds``'s verified one (its ids name
+        other representatives)."""
         with reading(cls, cpds, blob) as payload:
             n_threads = cpds.n_threads
-            table = StateTable.from_snapshot(
-                n_threads,
-                payload["shareds"],
-                payload["stacks"],
-                payload["rows"],
-                visible_fields(cpds),
-            )
             engine = cls(
                 cpds,
                 max_states_per_context=(
@@ -796,8 +1087,24 @@ class ExplicitReach(ReachabilityEngine):
                 ),
                 track_traces=payload["track_traces"],
             )
+            symmetry = engine.symmetry
+            if tuple(payload["symmetry"]) != symmetry.perms:
+                raise SnapshotError(
+                    "snapshot was taken under another thread-symmetry group"
+                )
+            shareds = payload["shareds"]
+            table = StateTable.from_snapshot(
+                n_threads,
+                shareds,
+                payload["stacks"],
+                payload["rows"],
+                visible_fields(cpds),
+                symmetry,
+            )
             if len(table) == 0 or table.state(0) != cpds.initial_state():
                 raise SnapshotError("snapshot does not belong to this CPDS")
+            if len(table._shareds) != len(shareds):
+                raise SnapshotError("snapshot shared pool is not closed under its group")
             engine.table = table
 
             levels = []
@@ -814,17 +1121,29 @@ class ExplicitReach(ReachabilityEngine):
             if len(movers) != len(table):
                 raise SnapshotError("snapshot mover column disagrees on state count")
             engine._movers = mover_column(n_threads, movers)
+            # The orbit image entries, representative by representative
+            # in id order: the entries an uninterrupted run assigned.
+            engine._level_sizes = [
+                sum(1 + engine._add_orbit(sid) for sid in level)
+                if table.order > 1
+                else len(level)
+                for level in levels
+            ]
 
+            rules = [
+                [_rule_of(cpds.thread(thread), value) for value in values]
+                for thread, values in enumerate(payload["rules"])
+            ]
             parent_rows = payload["parents"]
             if parent_rows is None:
                 engine._parent_ids = engine._parent_actions = None
             else:
-                children, parent_sids, actions = parent_rows
+                children, parent_entries, positions = parent_rows
                 parent_ids = array("q", [-1]) * len(table)
                 parent_actions = [None] * len(table)
-                for child, parent, action in zip(children, parent_sids, actions):
+                for child, parent, position in zip(children, parent_entries, positions):
                     parent_ids[child] = parent
-                    parent_actions[child] = action
+                    parent_actions[child] = rules[engine._movers[child]][position]
                 engine._parent_ids = parent_ids
                 engine._parent_actions = parent_actions
 
@@ -832,10 +1151,11 @@ class ExplicitReach(ReachabilityEngine):
             cache = engine._tree_cache
             qid_shift = engine._view_qid_shift
             wid_shift = engine._view_wid_shift
-            for position, row in enumerate(trees):
+            for position, (thread, *columns, positions) in enumerate(trees):
                 index, qid, wid = views[3 * position : 3 * position + 3]
-                cache[(qid << qid_shift) | (wid << wid_shift) | index] = (
-                    ContextTree(*row)
+                thread_rules = rules[thread]
+                cache[(qid << qid_shift) | (wid << wid_shift) | index] = ContextTree(
+                    thread, *columns, tuple(map(thread_rules.__getitem__, positions))
                 )
 
             # Derive T(Rk)'s per-level visible keys from the restored key

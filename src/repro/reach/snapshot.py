@@ -8,7 +8,7 @@ whose contents are pure functions of them) and a restored engine's
 identical to an uninterrupted run, including the METER expansion counts
 (differentially tested in ``tests/service/test_snapshot.py``).
 
-Format (``SNAPSHOT_VERSION`` 3)
+Format (``SNAPSHOT_VERSION`` 4)
 -------------------------------
 ``MAGIC ║ u16 version ║ u8 kind ║ payload`` — the payload is a pickled
 dict whose integer columns are contiguous ``array('q')`` blobs.  This
@@ -43,7 +43,7 @@ from repro.obs.metrics import LATENCY
 from repro.util.meter import METER
 
 MAGIC = b"CUSN"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 KIND_EXPLICIT = 1
 KIND_SYMBOLIC = 2
@@ -112,6 +112,37 @@ def snapshot_kind(data: bytes) -> int:
     dispatching on kind before a full restore don't unpickle a large
     payload twice (or double-count ``snapshot.restores``)."""
     return _parse_header(data)
+
+
+def hash_consed(values: list, memo: dict) -> list:
+    """``values`` rebuilt so that equal sub-values are one object:
+    tuples recursively, everything else by type and value (``1`` and
+    ``True`` stay apart).  Pickle shares objects by identity, so a
+    payload of hash-consed values pickles to bytes that depend on the
+    values alone, not on which equal objects an engine happened to
+    hold.  ``memo`` is shared across the calls of one payload."""
+
+    # Equal values are mostly one object already: cons each object once.
+    by_id: dict[int, object] = {}
+
+    def cons(value):
+        found = by_id.get(id(value))
+        if found is not None:
+            return found
+        original = value
+        if type(value) is tuple:
+            value = tuple(map(cons, value))
+            key = (tuple, *map(id, value))
+        else:
+            key = (type(value), value)
+            try:
+                hash(key)
+            except TypeError:
+                return value
+        found = by_id[id(original)] = memo.setdefault(key, value)
+        return found
+
+    return [cons(value) for value in values]
 
 
 def refuse_oracle(engine) -> None:

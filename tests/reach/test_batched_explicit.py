@@ -223,9 +223,10 @@ def test_warm_start_after_plateau_query():
 #: fresh engine advanced to its plateau.  Same-thread pruning never
 #: expands a state by the thread whose context produced it; re-expanding
 #: the mover (3,780,528 / 7,802 and 4,153 / 320 before pruning) fails
-#: here.
+#: here.  BST-Insert [2+2] replays one representative per orbit of its
+#: S2×S2 thread symmetry (1,472,572 / 5,978 without the reduction).
 PINNED_REPLAY_WORK = {
-    "4/BST-Insert [2+2]": (1_472_572, 5_978),
+    "4/BST-Insert [2+2]": (411_976, 3_169),
     "1/Bluetooth-1 [1+1]": (1_131, 156),
 }
 

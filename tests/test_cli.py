@@ -86,6 +86,21 @@ class TestVerify:
         assert main(["verify", "/nonexistent.cpds"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_flag_is_a_usage_error(self, fig1_file, capsys):
+        # argparse's own errors exit 3 too, never 2 ("inconclusive").
+        with pytest.raises(SystemExit) as stopped:
+            main(["verify", fig1_file, "--bogus"])
+        assert stopped.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cuba")
+        assert "unrecognized arguments: --bogus" in err
+
+    def test_missing_file_argument_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as stopped:
+            main(["verify"])
+        assert stopped.value.code == 3
+        assert "the following arguments are required: file" in capsys.readouterr().err
+
 
 class TestWitness:
     def test_witness_prints_validated_trace(self, fig1_file, capsys):
