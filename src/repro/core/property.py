@@ -28,14 +28,14 @@ class Property(abc.ABC):
 
     def find_violation(self, visibles: Iterable[VisibleState]) -> VisibleState | None:
         """The least violating visible state in ``visibles`` by
-        :func:`_visible_token`, or ``None``.  A fixed rule, not the first
+        :func:`visible_token`, or ``None``.  A fixed rule, not the first
         one met: frozenset order depends on ``hash(None)`` (ε, and
         Boolean-program ``retbuf`` fields), which is address-based, so
         "first" would change the reported witness from run to run."""
         violators = [visible for visible in visibles if self.violated_by(visible)]
         if not violators:
             return None
-        return min(violators, key=_visible_token)
+        return min(violators, key=visible_token)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -69,7 +69,7 @@ def _value_token(value) -> tuple[str, str]:
     return _fallback_key(value)
 
 
-def _visible_token(visible: VisibleState) -> tuple:
+def visible_token(visible: VisibleState) -> tuple:
     """Process-independent sort key of a visible state, from the
     :func:`_value_token` of its shared state and tops."""
     return (_value_token(visible.shared), tuple(map(_value_token, visible.tops)))

@@ -520,37 +520,38 @@ class StateTable:
                 )
         return rows
 
-    def _thread_plan(self) -> tuple:
-        """Per non-identity element, ``(keep, moves)``: the mask of the
-        thread fields ``π`` fixes and the ``(source shift, target
-        shift)`` of each field it moves, under the current packing
-        geometry (memoized per era)."""
-        plan = self._plan
-        if plan is None or plan[0] != self._era:
-            bits = self._bits
-            mask = self._mask
-            rows = []
-            for perm in self._perms[1:]:
-                keep = 0
-                moves = []
-                for index, target in enumerate(perm):
-                    if index == target:
-                        keep |= mask << (bits * index)
-                    else:
-                        moves.append((bits * index, bits * target))
-                rows.append((keep, tuple(moves)))
-            plan = self._plan = (self._era, tuple(rows))
-        return plan[1]
+    def _move_plan(self, fields) -> tuple:
+        """Per non-identity element, ``(keep, moves)`` for a key laid
+        out in per-thread ``(offset, mask)`` ``fields``: the mask of the
+        fields ``π`` fixes and the ``(source offset, mask, target
+        offset)`` of each field it moves."""
+        rows = []
+        for perm in self._perms[1:]:
+            keep = 0
+            moves = []
+            for index, target in enumerate(perm):
+                offset, mask = fields[index]
+                if index == target:
+                    keep |= mask << offset
+                else:
+                    moves.append((offset, mask, fields[target][0]))
+            rows.append((keep, tuple(moves)))
+        return tuple(rows)
 
     def thread_images(self, key: int) -> list[int]:
         """``π``'s image of ``key``'s thread fields, per non-identity
         element; the shared field is dropped (the replay ORs the shared
-        id in from a context tree's image deltas)."""
-        mask = self._mask
+        id in from a context tree's image deltas).  The plan follows the
+        packing geometry, so it is memoized per era."""
+        plan = self._plan
+        if plan is None or plan[0] != self._era:
+            bits = self._bits
+            fields = [(bits * index, self._mask) for index in range(self.n_threads)]
+            plan = self._plan = (self._era, self._move_plan(fields))
         images = []
-        for keep, moves in self._thread_plan():
+        for keep, moves in plan[1]:
             image = key & keep
-            for source, target in moves:
+            for source, mask, target in moves:
                 image |= ((key >> source) & mask) << target
             images.append(image)
         return images
@@ -573,19 +574,7 @@ class StateTable:
         move)."""
         plan = self._vplan
         if plan is None:
-            offs = self._voffs
-            masks = self._vmasks
-            rows = []
-            for perm in self._perms[1:]:
-                keep = 0
-                moves = []
-                for index, target in enumerate(perm):
-                    if index == target:
-                        keep |= masks[index] << offs[index]
-                    else:
-                        moves.append((offs[index], masks[index], offs[target]))
-                rows.append((keep, tuple(moves)))
-            plan = self._vplan = tuple(rows)
+            plan = self._vplan = self._move_plan(list(zip(self._voffs, self._vmasks)))
         vqshift = self._vqshift
         vkeys = list(vkeys)
         images: list[int] = []

@@ -164,7 +164,8 @@ class ContextTree:
         shared field and the stack id in thread ``π(thread)``'s field
         (see "Symmetry" in :mod:`repro.cpds.interning`), so an orbit
         image of a replayed key is one OR with the member's permuted
-        frozen key.  Memoized per era, like :meth:`deltas`."""
+        frozen key; with the trivial group, one empty tuple per edge.
+        Memoized per era, like :meth:`deltas`."""
         cached = self._images
         era = table.era
         if cached is None or cached[0] != era:
@@ -177,7 +178,7 @@ class ContextTree:
                 ]
                 for images, perm in zip(table.shared_images(), table._perms[1:])
             ]
-            cached = (era, list(zip(*columns)))
+            cached = (era, list(zip(*columns)) if columns else [()] * len(self.qids))
             self._images = cached
         return cached[1]
 

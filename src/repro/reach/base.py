@@ -51,8 +51,8 @@ that answers them:
     ``prop``, or None.  The base implementation asks
     ``prop.find_violation(visible_new_at(k))``; a lane may answer on
     its own encoding (the explicit lane tests packed visible keys) but
-    must pick its witness by a fixed rule, never by set iteration
-    order.
+    must pick its witness by a fixed rule of the visible states'
+    values, never by set iteration order or its own id numbering.
 ``visible_plateaued_at(k)``
     ``T(k−1) = T(k)``.
 ``visible_up_to(k)``

@@ -49,8 +49,9 @@ fresh states not seen at an earlier level — as a sorted int tuple, and
 algorithms never need ``VisibleState`` objects for the three questions
 they ask (see :mod:`repro.reach.base`): :meth:`ExplicitReach.visible_plateaued_at`
 compares key counts, :meth:`ExplicitReach.violation_at` tests keys
-directly for the property classes it knows (and decodes only the
-level's new keys for opaque predicates), and :meth:`ExplicitReach.visible_up_to`
+directly for the property classes it knows (and decodes the level's
+new keys only for opaque predicates, else just the violators), and
+:meth:`ExplicitReach.visible_up_to`
 is a :class:`VisibleView` whose ``in`` encodes the query without
 interning, which is all Thm. 11's generator search asks of it.
 ``visible_new_at`` / ``visible_levels`` decode lazily, with
@@ -107,7 +108,9 @@ representatives only:
   image delta (:meth:`~repro.cpds.semantics.ContextTree.image_deltas`,
   cached beside the deltas).  A hit is therefore a known orbit, the
   freshness test is unchanged, and all extra work falls on new orbits;
-  ``explicit.orbit_images`` counts the image entries.
+  ``explicit.orbit_images`` counts the image entries.  One replay
+  serves every group: with ``|G| = 1`` an entry is the plain id and
+  each edge's image delta is the empty tuple.
 * **Exact observations.**  ``_record_visible_keys`` adds the
   ``G``-closure of each level's new visible keys (``T(g(s)) =
   g(T(s))``), so ``T(Rk)``, its per-level keys and counts,
@@ -115,11 +118,10 @@ representatives only:
   :class:`VisibleView` membership see the unreduced sets.
   ``level_sizes``, ``n_states`` and ``stats()["global_states"]`` count
   the distinct keys entered per level; ``levels``, ``first_seen`` and
-  ``states_up_to`` decode every orbit.  ``violation_at`` picks the
-  smallest violating key; the component numbering follows the reduced
-  scan (a shared state's orbit is interned with it), so when a level
-  holds several violators the pick can differ from an unreduced run's
-  (it does not on any Table 2 row).
+  ``states_up_to`` decode every orbit.  The component numbering
+  follows the reduced scan (a shared state's orbit is interned with
+  it), so ``violation_at`` picks its violator by value
+  (:func:`~repro.core.property.visible_token`), never by key.
 * **Witnesses.**  A parent is recorded as the ``_ids`` entry of the
   parent key, i.e. (representative, element);
   :meth:`ExplicitReach.trace` composes the elements up the chain and
@@ -150,6 +152,7 @@ from repro.core.property import (
     MutualExclusion,
     Property,
     SharedStateReachability,
+    visible_token,
 )
 from repro.cpds.cpds import CPDS
 from repro.cpds.interning import StateTable, visible_fields
@@ -276,13 +279,14 @@ class VisibleView(Set):
 
 
 def _rule_of(pds, value: tuple):
-    """``pds``'s rule equal to the snapshot rule ``value`` =
-    ``(from_shared, read, to_shared, write)``."""
+    """``pds``'s rule equal to ``value`` = ``(from_shared, read,
+    to_shared, write)``: a snapshot rule, or a witness step's image
+    under a verified symmetry element."""
     from_shared, read, to_shared, write = value
     for rule in pds.actions_for(from_shared, read[0] if read else None):
         if rule.to_shared == to_shared and rule.write == write:
             return rule
-    raise SnapshotError(f"snapshot rule {value!r} is not a rule of this CPDS")
+    raise SnapshotError(f"rule {value!r} is not a rule of this CPDS")
 
 
 @register
@@ -341,9 +345,6 @@ class ExplicitReach(ReachabilityEngine):
         #: orbits' union, ``|Rk \ Rk−1|``.
         self._level_ids: list[tuple[int, ...]] = []
         self._level_sizes: list[int] = []
-        #: target thread -> rule image -> that thread's rule, built on
-        #: first use by :meth:`trace` (see :meth:`_rule_of`).
-        self._rule_index: dict[int, dict] = {}
         #: id -> level at which the state was first reached (dense).
         self._first_seen: list[int] = []
         #: id -> the thread whose context first produced the state, or
@@ -474,11 +475,12 @@ class ExplicitReach(ReachabilityEngine):
 
     def _advance_batched(
         self, frontier: tuple[int, ...], level: int, fresh: list[int]
-    ) -> None:
+    ) -> int:
         """Group the frontier by unique thread view (skipping each
         state's mover thread), saturate each view once, then replay the
         array-encoded tree across every member by packed-key
-        substitution."""
+        substitution.  Returns the number of orbit image entries
+        added."""
         table = self.table
         n = self.cpds.n_threads
         bits = table._bits
@@ -510,11 +512,6 @@ class ExplicitReach(ReachabilityEngine):
             return 0
         trees = self._trees_for(list(groups))
 
-        first_seen = self._first_seen
-        parent_ids = self._parent_ids
-        parent_actions = self._parent_actions
-        append_fresh = fresh.append
-        order = table.order
         pairs = 0
         images = 0
         for view, members in groups.items():
@@ -523,71 +520,11 @@ class ExplicitReach(ReachabilityEngine):
                 continue  # the context reaches nothing beyond its root
             index = view & self._view_index_mask
             pairs += len(members) * len(tree.qids)
-            # Saturating later views grows the component pools, which
-            # can repack the table (or widen its visible-key column) —
-            # re-read the geometry per view.  Within one view's replay
-            # only global ids grow, and a repack mutates dict/list
-            # objects in place, so these references stay valid for the
-            # whole view.
-            bits = table._bits
-            qshift = table._qshift
-            packed = table._packed
-            ids = table._ids
-            states = table._states
-            vkeys = table._vkeys
-            low_mask = (1 << qshift) - 1
-            move_clear = ~(table._mask << (bits * index))
-            vclear = table.visible_clear(index)
-            deltas = tree.deltas(table)
-            if order > 1:
-                images += self._replay_orbits(
-                    tree, members, level, move_clear, vclear, fresh
-                )
-            elif parent_ids is None:
-                vdeltas = tree.visible_deltas(table)
-                for sid in members:
-                    # ``StateTable.intern_key`` inlined on packed keys
-                    # (see the coupling note there): this loop runs once
-                    # per (member, tree edge) and the call overhead is
-                    # the hot-path cost.
-                    frozen = packed[sid] & low_mask & move_clear
-                    vfrozen = vkeys[sid] & vclear
-                    for delta, vdelta in zip(deltas, vdeltas):
-                        key = frozen | delta
-                        if key not in ids:
-                            ids[key] = nsid = len(packed)
-                            packed.append(key)
-                            states.append(None)
-                            vkeys.append(vfrozen | vdelta)
-                            first_seen.append(level)
-                            append_fresh(nsid)
-            else:
-                edge_rows = tree.edge_rows(table)
-                for sid in members:
-                    frozen = packed[sid] & low_mask & move_clear
-                    vfrozen = vkeys[sid] & vclear
-                    for delta, vdelta, parent_pos, action in edge_rows:
-                        key = frozen | delta
-                        if key not in ids:
-                            ids[key] = nsid = len(packed)
-                            packed.append(key)
-                            states.append(None)
-                            vkeys.append(vfrozen | vdelta)
-                            first_seen.append(level)
-                            append_fresh(nsid)
-                            # BFS order: the parent node's edge came
-                            # earlier in this member's row, so its key is
-                            # already interned.
-                            parent_ids.append(
-                                ids[frozen | deltas[parent_pos - 1]]
-                                if parent_pos
-                                else sid
-                            )
-                            parent_actions.append(action)
+            images += self._replay(tree, members, level, fresh)
             # Every id this view interned is fresh and moved by
             # ``index``: fill the mover column once per view instead of
-            # once per state in the loops above.
-            grown = len(first_seen) - len(movers)
+            # once per state in the replay loops.
+            grown = len(self._first_seen) - len(movers)
             if grown:
                 movers.extend(repeat(index, grown))
         METER.bump("explicit.replay_pairs", pairs)
@@ -595,28 +532,31 @@ class ExplicitReach(ReachabilityEngine):
             METER.bump("explicit.orbit_images", images)
         return images
 
-    def _replay_orbits(
-        self,
-        tree: ContextTree,
-        members: list[int],
-        level: int,
-        move_clear: int,
-        vclear: int,
-        fresh: list[int],
+    def _replay(
+        self, tree: ContextTree, members: list[int], level: int, fresh: list[int]
     ) -> int:
-        """The replay of one view under a nontrivial group: the loops of
-        :meth:`_advance_batched` plus, for each key of a new orbit, an
-        entry for every image (``π(frozen) | π(delta)``, the member's
-        permuted frozen key computed on its first new orbit).  Returns
-        the number of image entries added.  An intern hit is a known
-        orbit, so the freshness test is unchanged."""
+        """Replay ``tree`` across the view's ``members``: each member's
+        frozen key ORed with each edge's delta, interning the misses.
+        A miss starts a new orbit, so every image also gets its entry
+        (``π(frozen) | π(delta)``, the member's permuted frozen key
+        computed on its first new orbit; with the trivial group there
+        are none).  Returns the number of image entries added.  An
+        intern hit is a known orbit, so the freshness test is the plain
+        ``key not in ids``."""
         table = self.table
         order = table.order
+        # Saturating later views grows the component pools, which can
+        # repack the table (or widen its visible-key column), so the
+        # geometry is read per view.  Within one view's replay only
+        # global ids grow, and a repack mutates dict/list objects in
+        # place, so these references stay valid for the whole view.
         ids = table._ids
         packed = table._packed
         states = table._states
         vkeys = table._vkeys
         low_mask = (1 << table._qshift) - 1
+        move_clear = ~(table._mask << (table._bits * tree.thread))
+        vclear = table.visible_clear(tree.thread)
         thread_images = table.thread_images
         first_seen = self._first_seen
         parent_ids = self._parent_ids
@@ -625,6 +565,9 @@ class ExplicitReach(ReachabilityEngine):
         deltas = tree.deltas(table)
         image_rows = tree.image_deltas(table)
         added = 0
+        # ``StateTable.intern_key`` inlined on packed keys (see the
+        # coupling note there): these loops run once per (member, tree
+        # edge) and the call overhead is the hot-path cost.
         if parent_ids is None:
             # Only a new orbit reads the visible delta and the images.
             rows = tuple(zip(deltas, zip(tree.visible_deltas(table), image_rows)))
@@ -667,6 +610,8 @@ class ExplicitReach(ReachabilityEngine):
                     vkeys.append(vfrozen | vdelta)
                     first_seen.append(level)
                     append_fresh(nsid)
+                    # BFS order: the parent node's edge came earlier in
+                    # this member's row, so its key is already interned.
                     parent_ids.append(
                         ids[frozen | deltas[parent_pos - 1]]
                         if parent_pos
@@ -852,19 +797,27 @@ class ExplicitReach(ReachabilityEngine):
         return 1 <= k < len(counts) and counts[k] == counts[k - 1]
 
     def violation_at(self, k: int, prop: Property) -> VisibleState | None:
-        """The violating visible state of level ``k``'s new keys with
-        the smallest key, or None.  The property classes
-        :func:`_key_test` knows are tested on the keys; any other
-        property sees the level's keys decoded, smallest first."""
+        """The greatest violating visible state of level ``k``'s new
+        keys by :func:`~repro.core.property.visible_token`, or None.
+        The property classes :func:`_key_test` knows are tested on the
+        keys; any other property sees the level's keys decoded.  Only
+        the violators are decoded.  The pick depends on values, never
+        on the component numbering, so a reduced run, an unreduced run
+        and the per-state oracle report the same violator.  The
+        greatest, where :meth:`Property.find_violation` takes the least:
+        ε sorts first, so this prefers a violator whose threads still
+        show a top symbol."""
         if not 0 <= k < len(self._vnew):
             return None
         test = _key_test(self.table, prop)
         if test is None:
             return None
-        for key in self._vnew[k]:  # ascending
-            if test(key):
-                return self.table.decode_visible(key)
-        return None
+        decode = self.table.decode_visible
+        return max(
+            (decode(key) for key in self._vnew[k] if test(key)),
+            key=visible_token,
+            default=None,
+        )
 
     def stats(self) -> dict:
         """Work summary for verification-result plumbing (all sizes read
@@ -912,7 +865,7 @@ class ExplicitReach(ReachabilityEngine):
             mover = movers[current]
             action = actions[current]
             if element:
-                action = self._rule_of(element, mover, action)
+                action = self._image_rule(element, mover, action)
                 mover = perms[element][mover]
             reversed_steps.append(
                 TraceStep(mover, action, apply(element, state_of(current)))
@@ -923,22 +876,16 @@ class ExplicitReach(ReachabilityEngine):
             apply(element, state_of(current)), tuple(reversed(reversed_steps))
         )
 
-    def _rule_of(self, element: int, thread: int, action):
+    def _image_rule(self, element: int, thread: int, action):
         """The rule of thread ``π(thread)`` that group element
         ``element`` maps thread ``thread``'s ``action`` to (it exists:
         the group was verified rule for rule)."""
-        target = self.symmetry.perms[element][thread]
-        rules = self._rule_index.get(target)
-        if rules is None:
-            rules = self._rule_index[target] = {
-                (rule.from_shared, rule.read, rule.to_shared, rule.write): rule
-                for rule in self.cpds.thread(target).actions
-            }
         relabel = self.symmetry.shared_maps[element]
-        return rules[
+        return _rule_of(
+            self.cpds.thread(self.symmetry.perms[element][thread]),
             (relabel[action.from_shared], action.read,
-             relabel[action.to_shared], action.write)
-        ]
+             relabel[action.to_shared], action.write),
+        )
 
     def find_visible(self, visible) -> GlobalState | None:
         """The first reached global state projecting to ``visible``, if
@@ -968,7 +915,8 @@ class ExplicitReach(ReachabilityEngine):
     # ------------------------------------------------------------------
     def snapshot(self) -> bytes:
         """Checkpoint the committed levels as a kind-1 blob: the
-        group's thread permutations, the
+        group's thread permutations and shared maps (``qid -> σ(qid)``
+        per non-identity element, over the stored shared pool), the
         :class:`~repro.cpds.interning.StateTable` component pools plus
         interleaved ``(qid, wids...)`` rows of the representatives
         (component ids, not packed keys — immune to the adaptive
@@ -1046,6 +994,7 @@ class ExplicitReach(ReachabilityEngine):
                 "max_states_per_context": self.max_states_per_context,
                 "track_traces": parent_ids is not None,
                 "symmetry": self.symmetry.perms,
+                "shared_maps": [array("q", row) for row in table.shared_images()],
                 "shareds": shareds,
                 "stacks": stacks,
                 "rows": table.export_rows(),
@@ -1105,6 +1054,14 @@ class ExplicitReach(ReachabilityEngine):
                 raise SnapshotError("snapshot does not belong to this CPDS")
             if len(table._shareds) != len(shareds):
                 raise SnapshotError("snapshot shared pool is not closed under its group")
+            # Equal permutations can come with other shared maps ``σ``
+            # (the fingerprint ignores the declared candidates).
+            if [array("q", row) for row in table.shared_images()] != payload[
+                "shared_maps"
+            ]:
+                raise SnapshotError(
+                    "snapshot was taken under another thread-symmetry group"
+                )
             engine.table = table
 
             levels = []

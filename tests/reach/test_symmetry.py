@@ -64,31 +64,20 @@ def run_to(engine: ExplicitReach, k: int | None = None) -> ExplicitReach:
     return engine
 
 
-def assert_same_observations(reduced, other, props, k_max, same_pick=False):
+def assert_same_observations(reduced, other, props, k_max):
     """Equal levels, level sizes, ``T(Rk)`` per level and violations.
-
-    ``violation_at`` reports the violator with the smallest visible key,
-    an order that follows component numbering.  The per-state oracle
-    interns in set order, which moves with the hash seed, and a reduced
-    engine interns a shared state's orbit with it, so when a level holds
-    several violators the pick may differ; the violator must violate and
-    lie on the same level.  ``same_pick`` also demands the same one (it
-    holds on every Table 2 row against a batched engine)."""
+    ``violation_at`` picks by value, not by component numbering, so the
+    reported violator itself must be the same even when a level holds
+    several."""
     assert reduced.level_sizes()[: k_max + 1] == other.level_sizes()[: k_max + 1]
     for k in range(k_max + 1):
         assert reduced.levels[k] == other.levels[k], f"k={k}"
         assert reduced.visible_new_at(k) == other.visible_new_at(k), f"k={k}"
         assert len(reduced.visible_up_to(k)) == len(other.visible_up_to(k))
         for prop in props:
-            found = reduced.violation_at(k, prop)
-            expected = other.violation_at(k, prop)
-            if same_pick:
-                assert found == expected, f"k={k}"
-            else:
-                assert (found is None) == (expected is None), f"k={k}"
-                assert found is None or (
-                    prop.violated_by(found) and found in other.visible_new_at(k)
-                )
+            assert reduced.violation_at(k, prop) == other.violation_at(k, prop), (
+                f"k={k}"
+            )
 
 
 def orbit_count(states, symmetry) -> int:
@@ -141,7 +130,7 @@ def test_reduced_matches_the_trivial_group_to_the_plateau(bench):
     assert reduced.k == plain.k
     # Equal levels are equal ``first_seen`` maps (checked against the
     # oracle above), so the full decode happens once per engine here.
-    assert_same_observations(reduced, plain, [prop], reduced.k, same_pick=True)
+    assert_same_observations(reduced, plain, [prop], reduced.k)
     assert reduced.stats()["global_states"] == plain.stats()["global_states"]
     assert reduced.stats()["symmetry_order"] == reduced.table.order
     # One stored representative per orbit of the unreduced set.
@@ -271,9 +260,7 @@ def test_returning_replicas_reduce_exactly():
     reduced = run_to(ExplicitReach(cpds))
     plain = run_to(ExplicitReach(trivial_copy(cpds)))
     assert reduced.table.order == 2
-    assert_same_observations(
-        reduced, plain, [compiled.prop], reduced.k, same_pick=True
-    )
+    assert_same_observations(reduced, plain, [compiled.prop], reduced.k)
     for state in plain.states_up_to():
         validate_trace(cpds, reduced.trace(state))
 
@@ -390,6 +377,29 @@ def test_random_replicated_models_reduce_exactly(seed):
     assert len(reduced.table) == orbit_count(oracle.states_up_to(k_max), symmetry)
     for state in oracle.states_up_to(k_max):
         validate_trace(cpds, reduced.trace(state))
+
+
+def test_a_level_with_several_violators_reports_the_same_one():
+    """The violator does not follow the component numbering: a reduced
+    engine interns a shared state's orbit with it and shares one stack
+    pool among replicas, and the per-state oracle interns in set order,
+    yet all three report the same violator of a level that holds
+    several."""
+    cpds = replicated_cpds(4, copies=2, loners=0)
+    prop = SharedStateReachability({"o1v1", "o2v0"})
+    reduced = run_to(ExplicitReach(cpds), 1)
+    trivial = run_to(ExplicitReach(parse_cpds(format_cpds(cpds))), 1)
+    oracle = run_to(ExplicitReach(cpds, config=EngineConfig(batched=False)), 1)
+    assert reduced.table.order == 2
+    assert sum(map(prop.violated_by, trivial.visible_new_at(1))) >= 2
+    # The orbit of a shared state is interned with it: the numberings
+    # differ, so a key order would pick differently.
+    assert reduced.table._shareds != trivial.table._shareds
+    found = reduced.violation_at(1, prop)
+    assert found is not None
+    assert found == trivial.violation_at(1, prop) == oracle.violation_at(1, prop)
+    for engine in (reduced, trivial, oracle):
+        validate_trace(cpds, engine.trace(engine.find_visible(found)))
 
 
 @pytest.mark.parametrize("seed, copies", [(0, 3), (2, 2)])

@@ -147,6 +147,39 @@ class TestExplicitSymmetryGroup:
             assert _restore(job) is None
         assert delta["service.snapshot_rejects"] == 1
 
+    def test_blob_of_the_same_permutations_but_another_shared_map_is_refused(self):
+        """Two replicas whose rules are also symmetric under swapping the
+        shared states 1 and 2: the swap verifies with ``σ`` the identity
+        and with ``σ = (1 2)``.  Equal thread permutations, equal
+        fingerprints, other orbits, so the blob must not resume."""
+        from repro.pds.pds import PDS
+
+        def build(shared_map):
+            threads = []
+            for index in range(2):
+                pds = PDS(initial_shared="0", shared_states=["0", "1", "2"],
+                          alphabet=["a", "b"], name=f"T{index}")
+                for low, high in (("1", "2"), ("2", "1")):
+                    pds.rule("0", "a", low, ("b",))
+                    pds.rule(low, "b", "0", ())
+                    pds.rule(low, "a", high, ("b",))
+                threads.append(pds)
+            return CPDS(threads, [("a",), ("a",)], name="twins",
+                        symmetry_candidates=[((1, 0), shared_map)])
+
+        plain = build({"0": "0", "1": "1", "2": "2"})
+        crossed = build({"0": "0", "1": "2", "2": "1"})
+        assert cpds_digest(plain) == cpds_digest(crossed)
+        engine = ExplicitReach(plain)
+        engine.ensure_level(2)
+        other = ExplicitReach(crossed)
+        assert engine.symmetry.perms == other.symmetry.perms
+        assert engine.table.order == other.table.order == 2
+        blob = engine.snapshot()
+        with pytest.raises(SnapshotError, match="another thread-symmetry group"):
+            ExplicitReach.restore(crossed, blob)
+        assert ExplicitReach.restore(plain, blob).level_sizes() == engine.level_sizes()
+
     @pytest.mark.parametrize(
         "name", ["4/BST-Insert [2+1]", "5/FileCrawler [1•+2]"]
     )
@@ -225,7 +258,7 @@ for name in ("1/Bluetooth-1 [1+1]", "4/BST-Insert [2+1]"):
 
 
 def test_resumed_blob_is_byte_identical_to_an_uninterrupted_one():
-    """Rules travel as positions and the pools hash-consed, so which
+    """Rules travel by value and the pools hash-consed, so which
     equal objects an engine held (the cpds's, or a blob's unpickled
     copies) cannot change the pickled bytes."""
     env = dict(os.environ, PYTHONHASHSEED="0")
