@@ -40,9 +40,14 @@ _ORDER: dict[Symbol, int] = {}
 _order_lock = threading.Lock()
 
 
-def _fallback_key(symbol: Symbol) -> tuple[str, str]:
-    """Seed ordering for symbols not interned yet (qualname then repr)."""
-    return (type(symbol).__qualname__, repr(symbol))
+def value_key(value: Symbol) -> tuple[str, str]:
+    """Process-independent identity of a model value (shared state or
+    stack symbol): its type's qualname, then its repr.
+
+    The one definition of value identity: it orders symbols not
+    interned yet, tokenizes values in the service fingerprint, and
+    orders visible states (:func:`repro.core.property.visible_token`)."""
+    return (type(value).__qualname__, repr(value))
 
 
 def order_of(symbol: Symbol) -> int:
@@ -62,7 +67,7 @@ def intern_symbols(symbols: Iterable[Symbol]) -> None:
     order so the batch sorts exactly as the seed's repr-keyed sort did."""
     with _order_lock:
         fresh = {s for s in symbols if s not in _ORDER}
-        for symbol in sorted(fresh, key=_fallback_key):
+        for symbol in sorted(fresh, key=value_key):
             _ORDER[symbol] = len(_ORDER)
 
 

@@ -21,13 +21,6 @@ Symbol = Hashable
 DEAD = ("__dead__",)
 
 
-def _sort_key(symbol: Symbol):
-    """Repr-based ordering — the fallback used to order symbols that were
-    never interned (see :mod:`repro.automata.intern`, which now provides
-    the int-keyed hot-path order)."""
-    return (type(symbol).__qualname__, repr(symbol))
-
-
 def _sorted_alphabet(nfa: NFA, alphabet: Iterable[Symbol] | None) -> list[Symbol]:
     symbols = nfa.alphabet() if alphabet is None else alphabet
     return sort_symbols(symbols)

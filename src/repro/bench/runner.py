@@ -31,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.automata.ops import _sort_key
+from repro.automata.intern import value_key
 from repro.cuba.algorithm3 import algorithm3
 from repro.cuba.scheme1 import scheme1_rk
 from repro.errors import CubaError
@@ -214,7 +214,7 @@ def _canonical_micro_inputs(benches) -> list[tuple]:
                     pds, [PDSState(initial.shared, initial.stacks[index])]
                 ),
             )
-            entries = sorted(pds.shared_states, key=_sort_key)
+            entries = sorted(pds.shared_states, key=value_key)
             inputs.append((psa.automaton, cpds.symbol_table(index), entries))
     return inputs
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable, Collection, Hashable, Iterable, Mapping
 
+from repro.automata.intern import value_key
 from repro.cpds.state import VisibleState
 from repro.errors import FingerprintError
 
@@ -58,21 +59,11 @@ class Property(abc.ABC):
         )
 
 
-def _value_token(value) -> tuple[str, str]:
-    """Process-independent identity of a model value (shared state or
-    stack symbol).  This is the symbol interner's fallback ordering key
-    — shared deliberately: the service fingerprint requires property
-    tokens and CPDS value tokens to agree, so there is exactly one
-    definition of "value identity" in the codebase."""
-    from repro.automata.intern import _fallback_key
-
-    return _fallback_key(value)
-
-
 def visible_token(visible: VisibleState) -> tuple:
     """Process-independent sort key of a visible state, from the
-    :func:`_value_token` of its shared state and tops."""
-    return (_value_token(visible.shared), tuple(map(_value_token, visible.tops)))
+    :func:`~repro.automata.intern.value_key` of its shared state and
+    tops."""
+    return (value_key(visible.shared), tuple(map(value_key, visible.tops)))
 
 
 class SharedStateReachability(Property):
@@ -94,7 +85,7 @@ class SharedStateReachability(Property):
         return f"shared state never in {{{bad}}}"
 
     def fingerprint_token(self) -> tuple:
-        return ("shared", tuple(sorted(map(_value_token, self.bad_shared))))
+        return ("shared", tuple(sorted(map(value_key, self.bad_shared))))
 
 
 class VisiblePredicate(Property):
@@ -141,7 +132,7 @@ class MutualExclusion(Property):
         return (
             "mutex",
             tuple(
-                (index, tuple(sorted(map(_value_token, tops))))
+                (index, tuple(sorted(map(value_key, tops))))
                 for index, tops in sorted(self.critical.items())
             ),
         )

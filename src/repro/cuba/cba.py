@@ -20,7 +20,6 @@ from repro.cpds.cpds import CPDS
 from repro.cuba.lanes import converge, prepare
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig
 
 
 def context_bounded_analysis(
@@ -29,7 +28,6 @@ def context_bounded_analysis(
     bound: int,
     engine: ReachabilityEngine | str = "symbolic",
     max_states_per_context: int = DEFAULT_STATE_LIMIT,
-    config: EngineConfig | None = None,
 ) -> VerificationResult:
     """Check ``prop`` for executions with at most ``bound`` contexts.
 
@@ -41,16 +39,11 @@ def context_bounded_analysis(
     ``engine`` accepts any registered lane name (aliases included, see
     :mod:`repro.reach.registry`) or a prepared engine instance, whose
     existing levels up to ``bound`` are checked before any new one is
-    computed.  Execution knobs travel in ``config``
-    (:class:`~repro.reach.config.EngineConfig`) — each lane applies the
-    knobs it understands; it is ignored when a prepared engine instance
-    is passed.
+    computed.
     The result's ``stats`` carry the engine summary, ``visible_states``
     and ``meter``, the work counters this analysis produced.
     """
-    engine = prepare(
-        engine, cpds, max_states_per_context=max_states_per_context, config=config
-    )
+    engine = prepare(engine, cpds, max_states_per_context=max_states_per_context)
     return converge(
         engine, prop, max_rounds=bound, fixpoint=False, generators=False
     ).result

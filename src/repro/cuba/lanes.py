@@ -49,7 +49,6 @@ from repro.errors import ContextExplosionError, CubaError
 from repro.obs import trace
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig
 from repro.util.meter import METER
 
 __all__ = [
@@ -106,7 +105,6 @@ def prepare(
     cpds: CPDS,
     *,
     max_states_per_context: int | None = None,
-    config: EngineConfig | None = None,
 ) -> ReachabilityEngine:
     """A prepared engine as is, or a fresh engine of the named lane
     (aliases accepted); :class:`ValueError` for an unknown name.  No
@@ -118,9 +116,7 @@ def prepare(
         name = registry.canonical_lane(engine)
     except CubaError as error:
         raise ValueError(f"unknown engine {engine!r}") from error
-    return registry.create(
-        name, cpds, max_states_per_context=max_states_per_context, config=config
-    )
+    return registry.create(name, cpds, max_states_per_context=max_states_per_context)
 
 
 def method_name(sequence: str, *, fixpoint: bool, generators: bool) -> str:
@@ -269,8 +265,6 @@ def run_lane(
     *,
     max_rounds: int = 50,
     max_states_per_context: int | None = None,
-    config: EngineConfig | None = None,
-    engine: ReachabilityEngine | None = None,
 ) -> VerificationResult:
     """Run one named lane (or a prepared engine) to a verdict.
 
@@ -281,10 +275,8 @@ def run_lane(
     """
     if isinstance(lane, ReachabilityEngine):
         engine = lane
-    if engine is None:
+    else:
         cls = registry.engine_class(lane)
         ensure_applicable(cls, cpds, prop)
-        engine = cls.create(
-            cpds, max_states_per_context=max_states_per_context, config=config
-        )
+        engine = cls.create(cpds, max_states_per_context=max_states_per_context)
     return drive(engine, prop, max_rounds=max_rounds).result

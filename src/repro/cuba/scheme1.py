@@ -15,7 +15,6 @@ from repro.cpds.cpds import CPDS
 from repro.cuba.lanes import converge
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.symbolic import SymbolicReach
 
@@ -34,7 +33,6 @@ def scheme1_rk(
     max_rounds: int = 50,
     max_states_per_context: int = DEFAULT_STATE_LIMIT,
     engine: ExplicitReach | None = None,
-    config: EngineConfig | None = None,
 ) -> VerificationResult:
     """Run Scheme 1(Rk) (paper Sec. 4) to a verdict or round budget.
 
@@ -44,12 +42,6 @@ def scheme1_rk(
     result's ``stats["meter"]`` carries the work counters (context-cache
     hits, saturation work) accumulated during this run.
 
-    Execution knobs travel in ``config``
-    (:class:`~repro.reach.config.EngineConfig`; ``batched=False``
-    selects the seed per-state oracle path).  It is ignored when a
-    prepared ``engine`` instance is passed (configure that engine at
-    construction instead).
-
     ``max_rounds`` is the *total* context-bound budget.  A prepared
     engine may arrive with computed history — warm reuse, or a
     checkpoint restore (:meth:`ExplicitReach.restore`): its existing
@@ -58,11 +50,7 @@ def scheme1_rk(
     reports exactly what an uninterrupted ``max_rounds`` run would.
     """
     if engine is None:
-        engine = ExplicitReach(
-            cpds,
-            max_states_per_context=max_states_per_context,
-            config=config,
-        )
+        engine = ExplicitReach(cpds, max_states_per_context=max_states_per_context)
     return _scheme1(engine, prop, max_rounds)
 
 

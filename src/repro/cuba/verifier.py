@@ -37,7 +37,6 @@ from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig
 
 
 def _fcr_report(cpds: CPDS) -> FCRReport:
@@ -89,15 +88,10 @@ class Cuba:
         cpds: CPDS,
         prop: Property,
         max_states_per_context: int = DEFAULT_STATE_LIMIT,
-        config: EngineConfig | None = None,
     ) -> None:
         self.cpds = cpds
         self.prop = prop
         self.max_states_per_context = max_states_per_context
-        #: Execution knobs forwarded to whatever engine :meth:`verify`
-        #: constructs (:class:`~repro.reach.config.EngineConfig`) —
-        #: each lane applies what it understands.
-        self.config = config if config is not None else EngineConfig()
         #: The reachability engine the last :meth:`verify` call ran on
         #: (the lane the registry/FCR dispatch selected) — the handle
         #: the analysis service snapshots for deeper-``k`` resume.
@@ -130,10 +124,7 @@ class Cuba:
         lane = "explicit" if fcr.holds else "symbolic"
         if engine is None:
             engine = registry.create(
-                lane,
-                self.cpds,
-                max_states_per_context=self.max_states_per_context,
-                config=self.config,
+                lane, self.cpds, max_states_per_context=self.max_states_per_context
             )
         elif engine.lane != lane:
             raise ValueError(
@@ -176,9 +167,7 @@ class Cuba:
         if not holds:
             raise not_applicable(cls, self.cpds, self.prop)
         prepared = cls.create(
-            self.cpds,
-            max_states_per_context=self.max_states_per_context,
-            config=self.config,
+            self.cpds, max_states_per_context=self.max_states_per_context
         )
         self.last_engine = prepared
         result = run_lane(prepared, self.cpds, self.prop, max_rounds=max_rounds)

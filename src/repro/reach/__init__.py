@@ -22,20 +22,17 @@ lanes:
   computation (requires finite write-free closures, WCR).
 
 All expose the same frontier/level interface consumed by the CUBA
-algorithms in :mod:`repro.cuba`; execution knobs travel in
-:class:`~repro.reach.config.EngineConfig`.
+algorithms in :mod:`repro.cuba`.
 """
 
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.symbolic import SymbolicReach, SymbolicState
 from repro.reach.witness import Trace, TraceStep, validate_trace
 from repro.reach.wuba import WubaReach
 
 __all__ = [
-    "EngineConfig",
     "ExplicitReach",
     "ReachabilityEngine",
     "SymbolicReach",

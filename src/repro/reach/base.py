@@ -72,7 +72,6 @@ from repro.obs import trace
 if TYPE_CHECKING:
     from repro.core.property import Property
     from repro.cpds.cpds import CPDS
-    from repro.reach.config import EngineConfig
 
 
 class ReachabilityEngine(abc.ABC):
@@ -183,12 +182,8 @@ class ReachabilityEngine(abc.ABC):
         cpds: "CPDS",
         *,
         max_states_per_context: int | None = None,
-        config: "EngineConfig | None" = None,
     ) -> "ReachabilityEngine":
-        """Construct a fresh engine from the uniform lane arguments.
-
-        Concrete lanes map ``config`` fields onto whatever constructor
-        knobs they understand and ignore the rest."""
+        """Construct a fresh engine from the uniform lane arguments."""
         raise NotImplementedError
 
     @classmethod
@@ -198,7 +193,6 @@ class ReachabilityEngine(abc.ABC):
         blob: bytes,
         *,
         max_states_per_context: int | None = None,
-        config: "EngineConfig | None" = None,
     ) -> "ReachabilityEngine":
         """Rebuild a warm engine from a :meth:`snapshot` blob of this
         lane taken on ``cpds``, taking the same uniform arguments as

@@ -163,7 +163,6 @@ from repro.errors import SnapshotError
 from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig
 from repro.reach.registry import register
 from repro.reach.snapshot import (
     KIND_EXPLICIT,
@@ -306,12 +305,10 @@ class ExplicitReach(ReachabilityEngine):
         cpds: CPDS,
         max_states_per_context: int = DEFAULT_STATE_LIMIT,
         track_traces: bool = True,
-        config: EngineConfig | None = None,
+        *,
+        batched: bool = True,
     ) -> None:
         super().__init__()
-        config = config if config is not None else EngineConfig()
-        self.config = config
-        batched = config.batched
         self.cpds = cpds
         self.max_states_per_context = max_states_per_context
         self.batched = batched
@@ -1015,16 +1012,14 @@ class ExplicitReach(ReachabilityEngine):
         blob: bytes,
         *,
         max_states_per_context: int | None = None,
-        config: EngineConfig | None = None,
     ) -> "ExplicitReach":
         """Rebuild a warm batched engine from a :meth:`snapshot` blob
-        taken on ``cpds``.  ``config`` is ignored: its one knob,
-        ``batched``, can only be True here, since the per-state oracle
-        has no snapshot.  ``max_states_per_context`` defaults to the
-        snapshotted guard.  Raises :class:`~repro.errors.SnapshotError`
-        on any undecodable or mismatched blob — among them a blob taken
-        under another group than ``cpds``'s verified one (its ids name
-        other representatives)."""
+        taken on ``cpds`` (the per-state oracle has no snapshot).
+        ``max_states_per_context`` defaults to the snapshotted guard.
+        Raises :class:`~repro.errors.SnapshotError` on any undecodable
+        or mismatched blob — among them a blob taken under another group
+        than ``cpds``'s verified one (its ids name other
+        representatives)."""
         with reading(cls, cpds, blob) as payload:
             n_threads = cpds.n_threads
             engine = cls(
@@ -1145,7 +1140,6 @@ class ExplicitReach(ReachabilityEngine):
         cpds: CPDS,
         *,
         max_states_per_context: int | None = None,
-        config: EngineConfig | None = None,
     ) -> "ExplicitReach":
         return cls(
             cpds,
@@ -1154,5 +1148,4 @@ class ExplicitReach(ReachabilityEngine):
                 if max_states_per_context is None
                 else max_states_per_context
             ),
-            config=config,
         )

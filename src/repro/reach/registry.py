@@ -24,7 +24,6 @@ if TYPE_CHECKING:
     from repro.core.property import Property
     from repro.cpds.cpds import CPDS
     from repro.reach.base import ReachabilityEngine
-    from repro.reach.config import EngineConfig
 
 __all__ = [
     "register",
@@ -145,9 +144,6 @@ def create(
     cpds: "CPDS",
     *,
     max_states_per_context: int | None = None,
-    config: "EngineConfig | None" = None,
 ) -> "ReachabilityEngine":
     """Construct a fresh engine for lane ``name``."""
-    return engine_class(name).create(
-        cpds, max_states_per_context=max_states_per_context, config=config
-    )
+    return engine_class(name).create(cpds, max_states_per_context=max_states_per_context)

@@ -70,7 +70,6 @@ from repro.obs import trace
 from repro.pds.saturation import PostStarEngine
 from repro.pds.state import EMPTY
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig
 from repro.reach.registry import register
 from repro.reach.snapshot import KIND_SYMBOLIC, _encode, reading, refuse_oracle
 from repro.util.meter import METER
@@ -184,14 +183,12 @@ class SymbolicReach(ReachabilityEngine):
         self,
         cpds: CPDS,
         *,
-        config: EngineConfig | None = None,
+        batched: bool = True,
     ) -> None:
         super().__init__()
-        config = config if config is not None else EngineConfig()
-        self.config = config
         self.cpds = cpds
         self._alphabets = [cpds.symbol_table(i) for i in range(cpds.n_threads)]
-        self.batched = config.batched
+        self.batched = batched
         #: ``levels[k]`` = symbolic states first produced at bound k.
         self.levels: list[frozenset[SymbolicState]] = []
         self._seen: set[SymbolicState] = set()
@@ -466,11 +463,10 @@ class SymbolicReach(ReachabilityEngine):
         blob: bytes,
         *,
         max_states_per_context: int | None = None,
-        config: EngineConfig | None = None,
     ) -> "SymbolicReach":
         """Rebuild a warm batched engine from a :meth:`snapshot` blob
-        taken on ``cpds`` (the lane has no guard and no other knob, so
-        both keyword arguments are ignored).  Raises
+        taken on ``cpds`` (the lane has no guard, so
+        ``max_states_per_context`` is ignored).  Raises
         :class:`~repro.errors.SnapshotError` on any undecodable or
         mismatched blob."""
         with reading(cls, cpds, blob) as payload:
@@ -560,8 +556,7 @@ class SymbolicReach(ReachabilityEngine):
         cpds: CPDS,
         *,
         max_states_per_context: int | None = None,
-        config: EngineConfig | None = None,
     ) -> "SymbolicReach":
         # The symbolic lane has no divergence guard: γ(Sk) may be
         # infinite by design, so max_states_per_context is ignored.
-        return cls(cpds, config=config)
+        return cls(cpds)

@@ -58,7 +58,6 @@ from repro.pds.pds import PDS
 from repro.pds.semantics import DEFAULT_STATE_LIMIT, successors as pds_successors
 from repro.pds.state import PDSState
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig
 from repro.reach.registry import register
 from repro.reach.snapshot import KIND_WUBA, _encode, reading
 from repro.util.meter import METER
@@ -95,11 +94,9 @@ class WubaReach(ReachabilityEngine):
         self,
         cpds: CPDS,
         max_states_per_context: int = DEFAULT_STATE_LIMIT,
-        config: EngineConfig | None = None,
     ) -> None:
         super().__init__()
         self.cpds = cpds
-        self.config = config if config is not None else EngineConfig()
         self.max_states_per_context = max_states_per_context
         #: ``levels[k]`` = global states first reached with k writes, in
         #: discovery order.
@@ -262,7 +259,6 @@ class WubaReach(ReachabilityEngine):
         blob: bytes,
         *,
         max_states_per_context: int | None = None,
-        config: EngineConfig | None = None,
     ) -> "WubaReach":
         """Rebuild a warm engine from a :meth:`snapshot` blob taken on
         ``cpds``; ``max_states_per_context`` defaults to the snapshotted
@@ -278,7 +274,6 @@ class WubaReach(ReachabilityEngine):
                     if max_states_per_context is None
                     else max_states_per_context
                 ),
-                config=config,
             )
             stack_pool = payload["stack_pool"]
             shared_rows = payload["shared_rows"]
@@ -325,7 +320,6 @@ class WubaReach(ReachabilityEngine):
         cpds: CPDS,
         *,
         max_states_per_context: int | None = None,
-        config: EngineConfig | None = None,
     ) -> "WubaReach":
         return cls(
             cpds,
@@ -334,5 +328,4 @@ class WubaReach(ReachabilityEngine):
                 if max_states_per_context is None
                 else max_states_per_context
             ),
-            config=config,
         )

@@ -42,7 +42,6 @@ import multiprocessing
 from dataclasses import dataclass, field
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING
 
 from repro.core.property import Property
 from repro.core.result import Verdict, VerificationResult
@@ -56,22 +55,16 @@ from repro.util.meter import METER
 
 _log = get_logger("service.executor")
 
-if TYPE_CHECKING:
-    from repro.reach.config import EngineConfig
-
 
 @dataclass(slots=True)
 class EngineJob:
     """One engine run, fully described by picklable values.
 
     ``engine`` is ``"auto"`` or any registered lane name
-    (:mod:`repro.reach.registry`; aliases accepted).  ``config``
-    carries the execution knobs
-    (:class:`~repro.reach.config.EngineConfig` — a plain frozen
-    dataclass, so it pickles across the process boundary); ``None``
-    means the defaults.  ``snapshot`` is the parent's checkpoint of the
-    stored engine (or ``None`` on a fingerprint miss / snapshot-less
-    entry): the snapshot-as-message half of the IPC protocol.
+    (:mod:`repro.reach.registry`; aliases accepted).  ``snapshot`` is
+    the parent's checkpoint of the stored engine (or ``None`` on a
+    fingerprint miss / snapshot-less entry): the snapshot-as-message
+    half of the IPC protocol.
     """
 
     cpds: CPDS
@@ -81,17 +74,10 @@ class EngineJob:
     max_rounds: int = 30
     max_states_per_context: int = DEFAULT_STATE_LIMIT
     snapshot: bytes | None = None
-    config: "EngineConfig | None" = None
     #: When True the worker records spans for this job and ships them
     #: home in :attr:`JobOutcome.spans` (set by the process executor
     #: from the parent's live tracing state).
     trace: bool = False
-
-    def engine_config(self) -> "EngineConfig":
-        """The effective execution config for this job."""
-        from repro.reach.config import EngineConfig
-
-        return self.config if self.config is not None else EngineConfig()
 
 
 @dataclass
@@ -150,10 +136,7 @@ def _restore(job: EngineJob):
     try:
         cls = registry.engine_for_kind(snapshot_kind(job.snapshot))
         engine = cls.restore(
-            job.cpds,
-            job.snapshot,
-            max_states_per_context=job.max_states_per_context,
-            config=job.engine_config(),
+            job.cpds, job.snapshot, max_states_per_context=job.max_states_per_context
         )
     except (SnapshotError, CubaError) as broken:
         # Bad blob, or a kind byte no registered lane owns (a snapshot
@@ -200,15 +183,11 @@ def _execute_job(job: EngineJob) -> JobOutcome:
     from repro.reach import registry
 
     started = time.perf_counter()
-    config = job.engine_config()
     engine = _restore(job)
     resumed = engine is not None
     if job.engine == "auto":  # the Sec. 6 front-end
         verifier = Cuba(
-            job.cpds,
-            job.prop,
-            max_states_per_context=job.max_states_per_context,
-            config=config,
+            job.cpds, job.prop, max_states_per_context=job.max_states_per_context
         )
         result = verifier.verify(max_rounds=job.max_rounds, engine=engine).result
         engine = verifier.last_engine
@@ -249,9 +228,7 @@ def _execute_job(job: EngineJob) -> JobOutcome:
                 )
             else:
                 engine = cls.create(
-                    job.cpds,
-                    max_states_per_context=job.max_states_per_context,
-                    config=config,
+                    job.cpds, max_states_per_context=job.max_states_per_context
                 )
         if engine is not None:
             result = run_lane(

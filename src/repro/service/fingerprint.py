@@ -13,18 +13,17 @@ satisfy two properties the obvious ``sha256(repr(cpds))`` does not:
   *canonical local order* and hashing the sorted id-encoded rule set —
   the same dense-id idea as
   :class:`~repro.automata.intern.SymbolTable`, but anchored to the
-  process-independent fallback key ``(type qualname, repr)`` instead of
-  the process-global intern order (which depends on what else the
-  process interned first, and a persistent store must survive
-  restarts).
+  process-independent :func:`~repro.automata.intern.value_key`
+  ``(type qualname, repr)`` instead of the process-global intern order
+  (which depends on what else the process interned first, and a
+  persistent store must survive restarts).
 * **Config changes don't.**  The engine lane (the *canonical* registry
   name, see :func:`repro.reach.registry.canonical_lane` — aliases must
   collide) and divergence-guard limit change what a stored
-  verdict/snapshot means, so they are part of the key.  Execution knobs
-  that provably do not affect results (the
-  :class:`~repro.reach.config.EngineConfig` field ``batched`` —
-  differentially tested elsewhere) are *not* included; the service
-  strips them before calling in.
+  verdict/snapshot means, so they are part of the key.  The per-state
+  differential oracle (``batched=False`` on the explicit and symbolic
+  engine constructors) is not a service option and provably does not
+  affect results, so it has no token.
 
 Model values (shared states, stack symbols) are identified by
 ``(type qualname, repr)``; every in-tree model uses ints and strings,
@@ -39,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping
 
-from repro.automata.intern import _fallback_key
+from repro.automata.intern import value_key
 from repro.core.property import Property
 from repro.cpds.cpds import CPDS
 from repro.errors import FingerprintError
@@ -51,15 +50,10 @@ from repro.errors import FingerprintError
 FINGERPRINT_VERSION = 2
 
 
-def _value_token(value) -> tuple[str, str]:
-    """Process-independent identity of one model value."""
-    return _fallback_key(value)
-
-
 def _canonical_ids(values) -> tuple[list, dict]:
-    """Order ``values`` by the fallback key and hand out dense ids:
+    """Order ``values`` by :func:`value_key` and hand out dense ids:
     the fingerprint's own local symbol table."""
-    ordered = sorted(values, key=_fallback_key)
+    ordered = sorted(values, key=value_key)
     return ordered, {value: index for index, value in enumerate(ordered)}
 
 
@@ -81,13 +75,13 @@ def _cpds_structure(cpds: CPDS) -> tuple:
         )
         threads.append(
             (
-                tuple(map(_value_token, symbol_order)),
+                tuple(map(value_key, symbol_order)),
                 tuple(symbol_ids[symbol] for symbol in cpds.initial_stacks[index]),
                 tuple(rules),
             )
         )
     return (
-        tuple(map(_value_token, shared_order)),
+        tuple(map(value_key, shared_order)),
         shared_ids[cpds.initial_shared],
         tuple(threads),
     )

@@ -1,8 +1,7 @@
 """Symbol interning: global order stability and dense tables."""
 
 from repro.automata import intern
-from repro.automata.intern import SymbolTable, order_of, sort_symbols
-from repro.automata.ops import _sort_key
+from repro.automata.intern import SymbolTable, order_of, sort_symbols, value_key
 
 
 class TestGlobalOrder:
@@ -16,7 +15,7 @@ class TestGlobalOrder:
         """A batch of fresh symbols sorts exactly as the seed's
         (qualname, repr) key did — reproducible signatures."""
         fresh = [("probe", i) for i in (3, 1, 2)]
-        assert sort_symbols(fresh) == sorted(fresh, key=_sort_key)
+        assert sort_symbols(fresh) == sorted(fresh, key=value_key)
 
     def test_interned_order_wins_over_repr_order(self):
         """Once interned, first-seen order is authoritative even where
@@ -25,7 +24,7 @@ class TestGlobalOrder:
         early = ("zz_probe", "solo")
         order_of(early)  # interned first → sorts first from now on
         assert sort_symbols([late, early]) == [early, late]
-        assert sorted([late, early], key=_sort_key) == [late, early]
+        assert sorted([late, early], key=value_key) == [late, early]
 
     def test_mixed_types_sort_without_comparisons(self):
         # ints and strings are not mutually orderable; interned ids are.

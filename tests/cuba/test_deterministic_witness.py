@@ -4,9 +4,10 @@ A Boolean-program shared state holds ``None`` (its ``retbuf`` field), and
 ``hash(None)`` is address-based on CPython before 3.12, so a level's
 frozenset order can change between runs even under one
 ``PYTHONHASHSEED``.  Witnesses are therefore picked by a fixed rule —
-the smallest violating visible key on the explicit lane, the least
-violator by value token elsewhere — and two processes with different
-hash seeds must report the same witness and trace.
+the greatest violator by :func:`repro.core.property.visible_token` on
+the explicit lane, the least violator by value token elsewhere — and two
+processes with different hash seeds must report the same witness and
+trace.
 """
 
 import os

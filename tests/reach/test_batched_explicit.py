@@ -16,7 +16,6 @@ import pytest
 from repro.errors import ContextExplosionError
 from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import TABLE2, smallest_per_row
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach, mover_column
 from repro.reach.witness import validate_trace
 from repro.util.meter import scoped
@@ -24,9 +23,6 @@ from repro.util.meter import scoped
 K = 3
 
 FCR_BENCHES = smallest_per_row(lambda b: b.fcr)
-
-BATCHED = EngineConfig()
-PER_STATE = EngineConfig(batched=False)
 
 
 def _levels(engine, k_max):
@@ -37,8 +33,8 @@ def _levels(engine, k_max):
 @pytest.mark.parametrize("bench", FCR_BENCHES, ids=lambda b: b.row)
 def test_batched_levels_match_per_state_levels(bench):
     cpds, _prop = bench.build()
-    batched = ExplicitReach(cpds, track_traces=False, config=BATCHED)
-    per_state = ExplicitReach(cpds, track_traces=False, config=PER_STATE)
+    batched = ExplicitReach(cpds, track_traces=False)
+    per_state = ExplicitReach(cpds, track_traces=False, batched=False)
     assert _levels(batched, K) == _levels(per_state, K)
     for k in range(K + 1):
         assert batched.visible_up_to(k) == per_state.visible_up_to(k), f"k={k}"
@@ -51,10 +47,10 @@ def test_batched_matches_non_incremental_per_state(bench):
     """Cross both axes: a batched engine restored mid-run (its tree memo
     read back from the blob) vs the memo-free per-state seed path."""
     cpds, _prop = bench.build()
-    fast = ExplicitReach(cpds, track_traces=False, config=BATCHED)
+    fast = ExplicitReach(cpds, track_traces=False)
     fast.ensure_level(1)
     resumed = ExplicitReach.restore(cpds, fast.snapshot())
-    naive = ExplicitReach(cpds, track_traces=False, config=PER_STATE)
+    naive = ExplicitReach(cpds, track_traces=False, batched=False)
     assert _levels(resumed, K) == _levels(naive, K)
 
 
@@ -64,7 +60,7 @@ def test_one_expansion_per_unique_view_per_level(bench):
     local-view)`` shard is exactly one context saturation or one hit of
     the cross-level tree memo."""
     cpds, _prop = bench.build()
-    engine = ExplicitReach(cpds, track_traces=False, config=BATCHED)
+    engine = ExplicitReach(cpds, track_traces=False)
     for _ in range(K):
         with scoped() as level_work:
             engine.advance()
@@ -86,9 +82,9 @@ def test_per_state_mode_expands_duplicates():
     bench = next(b for b in FCR_BENCHES if b.row.startswith("5/"))
     cpds, _prop = bench.build()
     with scoped() as batched_work:
-        ExplicitReach(cpds, track_traces=False, config=BATCHED).ensure_level(K)
+        ExplicitReach(cpds, track_traces=False).ensure_level(K)
     with scoped() as per_state_work:
-        ExplicitReach(cpds, track_traces=False, config=PER_STATE).ensure_level(K)
+        ExplicitReach(cpds, track_traces=False, batched=False).ensure_level(K)
     assert (
         per_state_work["explicit.expansions"] > batched_work["explicit.expansions"]
     )
@@ -104,10 +100,10 @@ def test_many_threads_views_do_not_alias(n_threads):
     )
     cpds = random_cpds(7, spec)
     batched = ExplicitReach(
-        cpds, max_states_per_context=200, track_traces=False, config=BATCHED
+        cpds, max_states_per_context=200, track_traces=False
     )
     per_state = ExplicitReach(
-        cpds, max_states_per_context=200, track_traces=False, config=PER_STATE
+        cpds, max_states_per_context=200, track_traces=False, batched=False
     )
     exploded = [False, False]
     for position, engine in enumerate((batched, per_state)):
@@ -128,10 +124,10 @@ def test_randomized_differential(seed):
     spec = RandomSpec(n_threads=2, n_shared=2, n_symbols=2, rules_per_thread=5)
     cpds = random_cpds(seed, spec)
     batched = ExplicitReach(
-        cpds, max_states_per_context=300, track_traces=False, config=BATCHED
+        cpds, max_states_per_context=300, track_traces=False
     )
     per_state = ExplicitReach(
-        cpds, max_states_per_context=300, track_traces=False, config=PER_STATE
+        cpds, max_states_per_context=300, track_traces=False, batched=False
     )
     exploded = [False, False]
     for position, engine in enumerate((batched, per_state)):
@@ -155,7 +151,7 @@ def test_randomized_batched_traces_are_real_executions(seed):
     CPDS step semantics (the guarantee behind UNSAFE counterexamples)."""
     spec = RandomSpec(n_threads=2, n_shared=2, n_symbols=2, rules_per_thread=4)
     cpds = random_cpds(seed, spec)
-    engine = ExplicitReach(cpds, max_states_per_context=300, config=BATCHED)
+    engine = ExplicitReach(cpds, max_states_per_context=300)
     try:
         engine.ensure_level(2)
     except ContextExplosionError:
@@ -175,7 +171,7 @@ def test_divergence_rolls_back_partial_level(batched):
     engine = ExplicitReach(
         cpds,
         max_states_per_context=5,
-        config=BATCHED if batched else PER_STATE,
+        batched=batched,
     )
     n_before = engine.n_states
     keys_before = len(engine.table)
@@ -198,7 +194,7 @@ def test_warm_start_after_plateau_query():
     consistent (empty levels, stable cumulative sets, no new work)."""
     bench = next(b for b in FCR_BENCHES if b.row.startswith("9/"))
     cpds, _prop = bench.build()
-    engine = ExplicitReach(cpds, config=BATCHED)
+    engine = ExplicitReach(cpds)
     while not engine.plateaued_at(engine.k):
         engine.advance()
     k0 = engine.k
@@ -235,7 +231,7 @@ PINNED_REPLAY_WORK = {
 def test_replay_work_pinned(name):
     bench = next(b for b in TABLE2 if b.name == name)
     cpds, _prop = bench.build()
-    engine = ExplicitReach(cpds, track_traces=False, config=BATCHED)
+    engine = ExplicitReach(cpds, track_traces=False)
     with scoped() as work:
         while not engine.plateaued_at(engine.k):
             engine.advance()
@@ -252,7 +248,7 @@ def test_level_views_count_the_grouped_cells(bench):
     any state produced by a context."""
     cpds, _prop = bench.build()
     n = cpds.n_threads
-    engine = ExplicitReach(cpds, track_traces=False, config=BATCHED)
+    engine = ExplicitReach(cpds, track_traces=False)
     for _ in range(K):
         frontier = engine.level_sizes()[-1]
         with scoped() as level_work:

@@ -13,13 +13,10 @@ cross-level memo.
 import pytest
 
 from repro.models.registry import smallest_per_row
-from repro.reach.config import EngineConfig
 from repro.reach.symbolic import SymbolicReach
 from repro.util.meter import scoped
 
 K = 3
-BATCHED = EngineConfig(batched=True)
-PER_STATE = EngineConfig(batched=False)
 
 FCR_BENCHES = smallest_per_row(lambda b: b.fcr)
 ALL_BENCHES = smallest_per_row()
@@ -34,8 +31,8 @@ def _signature_levels(engine):
 @pytest.mark.parametrize("bench", ALL_BENCHES, ids=lambda b: b.row)
 def test_batched_levels_match_per_state_levels(bench):
     cpds, _prop = bench.build()
-    batched = SymbolicReach(cpds, config=BATCHED)
-    per_state = SymbolicReach(cpds, config=PER_STATE)
+    batched = SymbolicReach(cpds)
+    per_state = SymbolicReach(cpds, batched=False)
     batched.ensure_level(K)
     per_state.ensure_level(K)
     assert _signature_levels(batched) == _signature_levels(per_state)
@@ -49,10 +46,10 @@ def test_batched_matches_non_incremental_per_state(bench):
     """Cross both axes: a batched engine restored mid-run (its memo read
     back from the blob) vs the memo-free per-state oracle."""
     cpds, _prop = bench.build()
-    fast = SymbolicReach(cpds, config=BATCHED)
+    fast = SymbolicReach(cpds)
     fast.ensure_level(1)
     resumed = SymbolicReach.restore(cpds, fast.snapshot())
-    naive = SymbolicReach(cpds, config=PER_STATE)
+    naive = SymbolicReach(cpds, batched=False)
     resumed.ensure_level(K)
     naive.ensure_level(K)
     assert _signature_levels(resumed) == _signature_levels(naive)
@@ -63,7 +60,7 @@ def test_one_expansion_per_unique_view_per_level(bench):
     """METER invariant, per level: every unique view is exactly one
     saturation or one hit of the cross-level memo."""
     cpds, _prop = bench.build()
-    engine = SymbolicReach(cpds, config=BATCHED)
+    engine = SymbolicReach(cpds)
     for _ in range(K):
         with scoped() as level_work:
             engine.advance()
@@ -85,9 +82,9 @@ def test_per_state_mode_expands_duplicates():
     bench = next(b for b in ALL_BENCHES if b.row.startswith("5/"))
     cpds, _prop = bench.build()
     with scoped() as batched_work:
-        SymbolicReach(cpds, config=BATCHED).ensure_level(K)
+        SymbolicReach(cpds).ensure_level(K)
     with scoped() as per_state_work:
-        SymbolicReach(cpds, config=PER_STATE).ensure_level(K)
+        SymbolicReach(cpds, batched=False).ensure_level(K)
     assert (
         per_state_work["symbolic.expansions"] > batched_work["symbolic.expansions"]
     )

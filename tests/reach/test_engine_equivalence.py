@@ -17,7 +17,6 @@ constants, not semantics (they share the thread programs).
 import pytest
 
 from repro.models.registry import smallest_per_row
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.symbolic import SymbolicReach
 
@@ -35,12 +34,11 @@ def _visible_sequence(engine, k_max):
 @pytest.mark.parametrize("bench", BENCHES, ids=lambda b: b.row)
 def test_explicit_and_symbolic_tsk_sequences_match(bench):
     cpds, _prop = bench.build()
-    oracle = EngineConfig(batched=False)
     runs = {
         "explicit+memo": ExplicitReach(cpds, track_traces=False),
-        "explicit": ExplicitReach(cpds, track_traces=False, config=oracle),
+        "explicit": ExplicitReach(cpds, track_traces=False, batched=False),
         "symbolic+memo": SymbolicReach(cpds),
-        "symbolic": SymbolicReach(cpds, config=oracle),
+        "symbolic": SymbolicReach(cpds, batched=False),
     }
     sequences = {name: _visible_sequence(engine, K) for name, engine in runs.items()}
     reference = sequences["explicit"]

@@ -10,6 +10,7 @@ tests are what "adding a lane is one module" rests on: a new
 per-surface breakage.
 """
 
+import dataclasses
 import inspect
 import warnings
 
@@ -19,8 +20,8 @@ from repro.bench.runner import _METER_PREFIXES
 from repro.models import fig1_cpds
 from repro.reach import registry
 from repro.reach.base import ReachabilityEngine
-from repro.reach.config import EngineConfig
 from repro.reach.snapshot import snapshot_kind
+from repro.service.executor import EngineJob
 from repro.service.server import _METER_WINDOW_PREFIXES
 
 LANES = registry.lane_names()
@@ -96,7 +97,7 @@ class TestContract:
         cls = registry.engine_class(lane)
         if not cls.applicable(cpds):
             pytest.skip(f"lane {lane} not applicable to fig1")
-        engine = registry.create(lane, cpds, config=EngineConfig())
+        engine = registry.create(lane, cpds)
         assert engine.k == 0
         engine.advance()
         assert engine.k == 1
@@ -115,9 +116,7 @@ class TestContract:
         assert snapshot_kind(blob) == cls.snapshot_kind
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            restored = cls.restore(
-                cpds, blob, max_states_per_context=None, config=EngineConfig()
-            )
+            restored = cls.restore(cpds, blob, max_states_per_context=None)
         assert restored.k == engine.k
         for k in range(engine.k + 1):
             assert restored.visible_new_at(k) == engine.visible_new_at(k)
@@ -129,7 +128,10 @@ class TestContract:
     @pytest.mark.parametrize("lane", lane_params())
     def test_restore_signature_is_uniform(self, lane):
         # The lane owns its codec: one ``restore`` classmethod, taking
-        # exactly the registry's uniform arguments.
+        # exactly the registry's uniform arguments.  Those are the model,
+        # the blob and the divergence guard, nothing else: the per-state
+        # oracle is a constructor keyword of two engines, not a lane
+        # argument, and no service job carries an execution knob.
         cls = registry.engine_class(lane)
         assert "restore" in vars(cls)
         assert isinstance(vars(cls)["restore"], classmethod)
@@ -141,6 +143,14 @@ class TestContract:
             ]
 
         assert shape(cls.restore) == shape(ReachabilityEngine.restore)
+        assert shape(cls.create) == shape(ReachabilityEngine.create)
+        assert [name for name, _, _ in shape(cls.create)] == [
+            "cpds", "max_states_per_context"
+        ]
+        assert [name for name, _, _ in shape(cls.restore)] == [
+            "cpds", "blob", "max_states_per_context"
+        ]
+        assert "config" not in {field.name for field in dataclasses.fields(EngineJob)}
 
     @pytest.mark.parametrize("lane", lane_params())
     def test_stats_schema(self, lane):

@@ -15,7 +15,6 @@ import pytest
 from repro.errors import ContextExplosionError
 from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import smallest_per_row
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 
 K = 2
@@ -34,7 +33,7 @@ def _three_engines(cpds, **kwargs):
     """Makers of the per-state oracle / memoized batched / restored
     batched engines (a maker may trip the divergence guard)."""
     return [
-        lambda: ExplicitReach(cpds, config=EngineConfig(batched=False), **kwargs),
+        lambda: ExplicitReach(cpds, batched=False, **kwargs),
         lambda: ExplicitReach(cpds, **kwargs),
         lambda: _restored_at_level_1(cpds, **kwargs),
     ]

@@ -20,7 +20,6 @@ from repro.cuba import scheme1_rk
 from repro.errors import ContextExplosionError
 from repro.models import runnable_benchmarks
 from repro.models.random_gen import RandomSpec, random_cpds
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.witness import validate_trace
 
@@ -60,8 +59,7 @@ def test_pruned_engine_matches_per_state_oracle(seed, spec):
         cpds, max_states_per_context=MAX_STATES, track_traces=False
     )
     oracle = ExplicitReach(
-        cpds, max_states_per_context=MAX_STATES, track_traces=False,
-        config=EngineConfig(batched=False),
+        cpds, max_states_per_context=MAX_STATES, track_traces=False, batched=False
     )
     assert _advance_to(pruned, K) == _advance_to(oracle, K)
     assert pruned.k == oracle.k
@@ -80,7 +78,7 @@ def test_pruned_engine_matches_per_state_oracle(seed, spec):
 )
 def test_unsafe_table2_witnesses_replay(bench):
     cpds, prop = bench.build()
-    result = scheme1_rk(cpds, prop, max_rounds=bench.max_rounds, config=EngineConfig())
+    result = scheme1_rk(cpds, prop, max_rounds=bench.max_rounds)
     assert result.is_unsafe
     validate_trace(cpds, result.trace)
     assert prop.violated_by(result.trace.target.visible())

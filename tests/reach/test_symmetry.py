@@ -26,7 +26,6 @@ from repro.cuba import Cuba
 from repro.errors import ContextExplosionError
 from repro.models.registry import TABLE2
 from repro.pds.pds import PDS
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.witness import validate_trace
 from repro.util.meter import scoped
@@ -109,12 +108,7 @@ def test_candidate_rows_are_the_nine_replicated_fcr_rows():
 def test_reduced_matches_the_per_state_oracle(bench):
     cpds, prop = bench.build()
     reduced = run_to(ExplicitReach(cpds, track_traces=False), ORACLE_K)
-    oracle = run_to(
-        ExplicitReach(
-            cpds, track_traces=False, config=EngineConfig(batched=False)
-        ),
-        ORACLE_K,
-    )
+    oracle = run_to(ExplicitReach(cpds, track_traces=False, batched=False), ORACLE_K)
     assert reduced.table.order > 1
     assert oracle.table.order == 1
     assert_same_observations(reduced, oracle, [prop], ORACLE_K)
@@ -355,8 +349,7 @@ def test_random_replicated_models_reduce_exactly(seed):
         ExplicitReach(cpds, max_states_per_context=500),
         ExplicitReach(plain, max_states_per_context=500, track_traces=False),
         ExplicitReach(
-            cpds, max_states_per_context=500, track_traces=False,
-            config=EngineConfig(batched=False),
+            cpds, max_states_per_context=500, track_traces=False, batched=False
         ),
     )
     exploded = []
@@ -389,7 +382,7 @@ def test_a_level_with_several_violators_reports_the_same_one():
     prop = SharedStateReachability({"o1v1", "o2v0"})
     reduced = run_to(ExplicitReach(cpds), 1)
     trivial = run_to(ExplicitReach(parse_cpds(format_cpds(cpds))), 1)
-    oracle = run_to(ExplicitReach(cpds, config=EngineConfig(batched=False)), 1)
+    oracle = run_to(ExplicitReach(cpds, batched=False), 1)
     assert reduced.table.order == 2
     assert sum(map(prop.violated_by, trivial.visible_new_at(1))) >= 2
     # The orbit of a shared state is interned with it: the numberings

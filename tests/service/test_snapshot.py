@@ -18,7 +18,6 @@ from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import smallest_per_row
 from repro.cuba.scheme1 import scheme1_rk
 from repro.cuba.verifier import Cuba
-from repro.reach.config import EngineConfig
 from repro.reach.explicit import ExplicitReach
 from repro.reach.symbolic import SymbolicReach
 from repro.reach.witness import validate_trace
@@ -248,10 +247,10 @@ class TestRejection:
     def test_per_state_engine_refuses_to_snapshot(self):
         from repro.models import fig1_cpds
 
-        engine = ExplicitReach(fig1_cpds(), config=EngineConfig(batched=False))
+        engine = ExplicitReach(fig1_cpds(), batched=False)
         with pytest.raises(SnapshotError):
             engine.snapshot()
-        symbolic = SymbolicReach(fig1_cpds(), config=EngineConfig(batched=False))
+        symbolic = SymbolicReach(fig1_cpds(), batched=False)
         with pytest.raises(SnapshotError):
             symbolic.snapshot()
 

@@ -356,20 +356,6 @@ class TestExecutorLaneDispatch:
         assert outcome.kind == "wuba"
         assert delta["service.snapshot_rejects"] == 1
 
-    def test_engine_config_defaults_when_unset(self):
-        from repro.reach.config import EngineConfig
-
-        job = EngineJob(cpds=fig1_cpds(), prop=AlwaysSafe(), problem="p")
-        assert job.engine_config() == EngineConfig()
-        explicit_config = EngineConfig(batched=False)
-        job = EngineJob(
-            cpds=fig1_cpds(),
-            prop=AlwaysSafe(),
-            problem="p",
-            config=explicit_config,
-        )
-        assert job.engine_config() is explicit_config
-
     def test_wuba_job_on_inapplicable_model_is_unknown_final(self):
         """A failed precondition (fig. 2 violates WCR) is UNKNOWN for a
         reason deeper k cannot fix: final, no engine construction (which
