@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""CI ``service-smoke`` check of the service's prepare memo against a
-real ``cuba serve`` subprocess.
+"""CI ``service-smoke`` check of the service's prepare memo, and of
+snapshot resumes on worker-compiled programs, against a real ``cuba
+serve`` subprocess.
 
 Usage (from the repo root)::
 
@@ -14,10 +15,18 @@ The script
    shallow budget: a fresh run, then a store hit,
 3. checks that both submits of a program got the same job id, that the
    repeat was a store hit, and that ``/meter`` counts one
-   ``service.prepare_memo_hits`` per repeat, and
+   ``service.prepare_memo_hits`` per repeat,
 4. checks every id against ``fingerprint()`` computed cold by this
    script in a separate process under ``PYTHONHASHSEED=1`` (``--cold``
-   prints those as JSON).
+   prints those as JSON), and
+5. resubmits each program with its row's full budget: a program whose
+   shallow run was resumable must come back ``resumed``, any other as
+   a store hit, each under the same id and with the verdict and bound
+   of a cold in-process ``Cuba`` run at that budget; ``/meter`` must
+   then count one ``service.resumes`` per resumable program and no
+   ``service.snapshot_rejects``.  The daemon's workers compile the
+   programs themselves, so this proves that their CPDSs restore the
+   snapshots the store kept from earlier workers.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 environment problems
 (server never became healthy).
@@ -45,22 +54,33 @@ from repro.service import ServiceClient  # noqa: E402
 ENGINE = "auto"
 
 
-def _programs() -> dict[str, dict]:
-    """Row name → submit fields of the service-mix programs."""
+#: The first submit's budget: shallow, so most programs stay resumable.
+SHALLOW_ROUNDS = 1
+
+
+def _programs() -> dict[str, tuple[dict, int]]:
+    """Row name → submit fields of the service-mix program and the
+    row's full budget."""
     from perfbench.problems import service_problems
 
-    return {problem.bench.row: problem.program for problem in service_problems()}
+    return {
+        problem.bench.row: (problem.program, problem.bench.max_rounds)
+        for problem in service_problems()
+    }
 
 
-def _cold_fingerprints() -> dict[str, str]:
+def _cold() -> dict[str, dict]:
+    """Row name → the program's fingerprint, and the verdict and bound
+    of a cold in-process ``Cuba`` run at the row's full budget."""
     from repro.bp.translate import compile_source
     from repro.cpds.format import parse_cpds
+    from repro.cuba.verifier import Cuba
     from repro.pds.semantics import DEFAULT_STATE_LIMIT
     from repro.service.fingerprint import fingerprint
     from repro.service.server import parse_property_spec
 
     cold = {}
-    for row, program in _programs().items():
+    for row, (program, budget) in _programs().items():
         if "bp_text" in program:
             compiled = compile_source(
                 program["bp_text"], init=program.get("bp_init") or {}
@@ -68,11 +88,16 @@ def _cold_fingerprints() -> dict[str, str]:
             cpds, prop = compiled.cpds, compiled.prop
         else:
             cpds, prop = parse_cpds(program["cpds_text"]), parse_property_spec(None)
-        cold[row] = fingerprint(
-            cpds,
-            prop,
-            {"engine": ENGINE, "max_states_per_context": DEFAULT_STATE_LIMIT},
-        )
+        result = Cuba(cpds, prop).verify(max_rounds=budget).result
+        cold[row] = {
+            "fingerprint": fingerprint(
+                cpds,
+                prop,
+                {"engine": ENGINE, "max_states_per_context": DEFAULT_STATE_LIMIT},
+            ),
+            "verdict": result.verdict.value,
+            "bound": result.bound,
+        }
     return cold
 
 
@@ -95,11 +120,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cold",
         action="store_true",
-        help="print the programs' cold fingerprints as JSON and exit",
+        help="print the programs' cold fingerprints, verdicts and bounds "
+        "as JSON and exit",
     )
     args = parser.parse_args(argv)
     if args.cold:
-        print(json.dumps(_cold_fingerprints(), sort_keys=True))
+        print(json.dumps(_cold(), sort_keys=True))
         return 0
 
     cold = json.loads(
@@ -138,28 +164,65 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print("cuba serve never became healthy", file=sys.stderr)
                 return 2
-            hits_before = client.meter().get("service.prepare_memo_hits", 0)
+            before = client.meter()
             programs = _programs()
-            for row, program in programs.items():
+            resumable = set()
+            for row, (program, _budget) in programs.items():
                 submit = dict(
                     bp_text=program.get("bp_text"),
                     bp_init=program.get("bp_init"),
                     engine=ENGINE,
-                    max_rounds=1,
+                    max_rounds=SHALLOW_ROUNDS,
                 )
                 first = client.submit(program.get("cpds_text"), **submit)
                 second = client.submit(program.get("cpds_text"), **submit)
+                expected = cold[row]["fingerprint"]
                 failures += not _check(
-                    first["fingerprint"] == second["fingerprint"] == cold[row]
+                    first["fingerprint"] == second["fingerprint"] == expected
                     and second.get("cached") is True,
                     f"{row}: both job ids are the cold fingerprint "
-                    f"{cold[row][:12]}, the repeat is a store hit",
+                    f"{expected[:12]}, the repeat is a store hit",
                 )
-            hits = client.meter().get("service.prepare_memo_hits", 0) - hits_before
+                if not first["final"]:
+                    resumable.add(row)
+            hits = client.meter().get("service.prepare_memo_hits", 0) - before.get(
+                "service.prepare_memo_hits", 0
+            )
             failures += not _check(
                 hits == len(programs),
                 f"/meter service.prepare_memo_hits {hits} == "
                 f"{len(programs)} repeats",
+            )
+            for row, (program, budget) in programs.items():
+                deeper = client.submit(
+                    program.get("cpds_text"),
+                    bp_text=program.get("bp_text"),
+                    bp_init=program.get("bp_init"),
+                    engine=ENGINE,
+                    max_rounds=budget,
+                )
+                expected = cold[row]
+                how = "resumed" if row in resumable else "cached"
+                failures += not _check(
+                    deeper.get(how) is True
+                    and deeper["fingerprint"] == expected["fingerprint"]
+                    and (deeper["verdict"], deeper["bound"])
+                    == (expected["verdict"], expected["bound"]),
+                    f"{row}: the k={budget} resubmit is {how}, same id, "
+                    f"{deeper['verdict']}/{deeper['bound']} == cold "
+                    f"{expected['verdict']}/{expected['bound']}",
+                )
+            after = client.meter()
+            resumes = after.get("service.resumes", 0) - before.get(
+                "service.resumes", 0
+            )
+            rejects = after.get("service.snapshot_rejects", 0) - before.get(
+                "service.snapshot_rejects", 0
+            )
+            failures += not _check(
+                resumes == len(resumable) and rejects == 0,
+                f"/meter service.resumes {resumes} == {len(resumable)} "
+                f"resumable programs, service.snapshot_rejects {rejects} == 0",
             )
         finally:
             try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from repro.automata.intern import SymbolTable
 from repro.errors import ModelError
@@ -80,6 +80,29 @@ class PDS:
             by_trigger.setdefault((action.from_shared, action.read_symbol), []).append(action)
         self._actions.extend(actions)
         self._version += 1
+
+    def filtered(self, keep: Callable[[Action], bool], name: str = "") -> "PDS":
+        """The PDS over the same ``Q`` and ``Σ`` with only the actions
+        ``keep`` accepts, in their order here.
+
+        It equals what :meth:`add_actions` with the kept actions builds
+        on a PDS declaring this one's ``Q`` and ``Σ``, orders included,
+        but is cheaper: the actions were checked when they were added
+        here, and ``Q`` and ``Σ`` already hold every state and symbol
+        they mention, so only the trigger index is built again."""
+        sub = PDS(
+            self.initial_shared,
+            shared_states=self.shared_states,
+            alphabet=self.alphabet,
+            name=name,
+        )
+        kept = [action for action in self._actions if keep(action)]
+        by_trigger = sub._by_trigger
+        for action in kept:
+            by_trigger.setdefault((action.from_shared, action.read_symbol), []).append(action)
+        sub._actions = kept
+        sub._version += 1
+        return sub
 
     def rule(
         self,

@@ -67,16 +67,10 @@ def write_free_sub_pds(pds: PDS) -> PDS:
     """The thread's dynamics restricted to shared-preserving actions —
     what a thread can do between two writes, under *any* fixed shared
     state the environment leaves it in."""
-    sub = PDS(
-        pds.initial_shared,
-        shared_states=pds.shared_states,
-        alphabet=pds.alphabet,
+    return pds.filtered(
+        lambda action: action.to_shared == action.from_shared,
         name=f"{pds.name or 'pds'}-write-free",
     )
-    sub.add_actions(
-        [action for action in pds.actions if action.to_shared == action.from_shared]
-    )
-    return sub
 
 
 @register

@@ -16,8 +16,9 @@ persistent, resumable service:
   the stdlib-asyncio JSON-over-HTTP server around it (``cuba serve``);
 * :mod:`repro.service.executor` — the engine-run execution layer
   (PR 6): inline on the thread executor, or dispatched to a pool of
-  worker processes with the snapshot blobs as the IPC format
-  (``cuba serve --executor process``, the daemon default);
+  worker processes (``cuba serve --executor process``, the daemon
+  default).  A job carries the request's program source, which the run
+  compiles, and the snapshot blob it resumes from;
 * :mod:`repro.service.client` — the matching stdlib HTTP client
   (``cuba submit``), now multi-replica (PR 7): consistent-hash
   fingerprint-affinity routing, per-call connect/read timeouts, bounded

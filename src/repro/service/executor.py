@@ -1,5 +1,5 @@
 """Engine-run execution for the analysis service: in-thread or on a
-process pool, with the PR 5 snapshot codec as the IPC format.
+process pool.
 
 The service's four resolution layers (in-flight dedup, store hit,
 snapshot resume, fresh run) all stay parent-side in
@@ -7,18 +7,28 @@ snapshot resume, fresh run) all stay parent-side in
 the *engine run* itself, factored into one function so both execution
 modes share it verbatim:
 
-* :func:`execute_job` — restore-or-build an engine, run the requested
-  lane to the budget, and package the response plus (when the outcome is
-  resumable) a fresh snapshot blob.  The thread executor calls it
-  inline; METER bumps land directly on the process counters.
+* :func:`compile_program` — the one way the service turns request text
+  (``.cpds`` text, or a Boolean program and its ``init``) plus a
+  property spec into a ``(CPDS, Property)`` pair.  The parent calls it
+  to fingerprint a request the prepare memo has not seen; every engine
+  run calls it again at its start.
+* :func:`execute_job` — compile the job's program, restore-or-build an
+  engine, run the requested lane to the budget, and package the
+  response plus (when the outcome is resumable) a fresh snapshot blob.
+  The thread executor calls it inline; METER bumps land directly on
+  the process counters.
 * :class:`ProcessAnalysisExecutor` — ships the same
-  :class:`EngineJob` to a pool of worker processes.  The *stored
-  snapshot blob is the request message* (the parent checkpoints, the
-  worker restores and runs ``ensure_level`` via the engines' resume
-  path) and the *result snapshot blob is the reply message* — both in
-  the versioned ``CUSN`` framing of :mod:`repro.reach.snapshot`, so
-  the codec's version/kind validation doubles as IPC hygiene: a worker
-  on a mismatched codec surfaces as a
+  :class:`EngineJob` to a pool of worker processes.  The job is the
+  request's *program source*, its property spec, the budgets and the
+  stored snapshot blob: under 1 KB of program where the compiled
+  Boolean-program CPDSs pickle to up to 260 KB, and compiling the
+  source costs less than unpickling its CPDS.  The *stored snapshot
+  blob is the resume message* (the worker restores it against the CPDS
+  it compiled and runs ``ensure_level`` via the engines' resume path)
+  and the *result snapshot blob is the reply message* — both in the
+  versioned ``CUSN`` framing of :mod:`repro.reach.snapshot`, so the
+  codec's version/kind validation doubles as IPC hygiene: a worker on
+  a mismatched codec surfaces as a
   :class:`~repro.errors.SnapshotError` miss, never a poisoned cache.
 
 IPC protocol invariants (see ROADMAP Reference):
@@ -43,10 +53,11 @@ from dataclasses import dataclass, field
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.core.property import Property
+from repro.core.property import Property, property_from_spec
 from repro.core.result import Verdict, VerificationResult
 from repro.cpds.cpds import CPDS
-from repro.errors import CubaError, SnapshotError
+from repro.cpds.format import parse_cpds
+from repro.errors import CubaError, ServiceError, SnapshotError
 from repro.obs import trace
 from repro.obs.logs import get_logger
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
@@ -56,10 +67,50 @@ from repro.util.meter import METER
 _log = get_logger("service.executor")
 
 
+def parse_property_spec(spec: str | None) -> Property:
+    """The wire form of a property — the grammar shared with the CLI
+    (:func:`repro.core.property.property_from_spec`), re-raised as
+    :class:`ServiceError`: the service only accepts properties it can
+    content-address."""
+    try:
+        return property_from_spec(spec)
+    except ValueError as bad:
+        raise ServiceError(str(bad)) from bad
+
+
+def compile_program(program) -> tuple[CPDS, Property]:
+    """The CPDS and property a request names.  ``program`` is an
+    :class:`~repro.service.server.AnalysisRequest` or an
+    :class:`EngineJob`: anything with the ``cpds_text``, ``bp_text``,
+    ``bp_init`` and ``property_spec`` fields.  A Boolean program's own
+    property applies unless a spec overrides it; ``.cpds`` text without
+    a spec is trivially safe.  Raises :class:`~repro.errors.CubaError`
+    subclasses on malformed input; a Boolean program's compile is timed
+    by its ``bp.compile`` span."""
+    compiled_prop: Property | None = None
+    if program.cpds_text is not None:
+        cpds = parse_cpds(program.cpds_text)
+    else:
+        from repro.bp.translate import compile_source
+
+        compiled = compile_source(program.bp_text, init=program.bp_init or {})
+        cpds = compiled.cpds
+        compiled_prop = compiled.prop
+    if program.property_spec is not None or compiled_prop is None:
+        prop = parse_property_spec(program.property_spec)
+    else:
+        prop = compiled_prop
+    return cpds, prop
+
+
 @dataclass(slots=True)
 class EngineJob:
-    """One engine run, fully described by picklable values.
+    """One engine run, fully described by small picklable values: the
+    request's program text (exactly one of ``cpds_text`` or ``bp_text``
+    with its ``bp_init``) and property spec, which the run compiles
+    with :func:`compile_program`, the budgets, and the stored snapshot.
 
+    ``problem`` is the request's fingerprint, computed by the parent.
     ``engine`` is ``"auto"`` or any registered lane name
     (:mod:`repro.reach.registry`; aliases accepted).  ``snapshot`` is
     the parent's checkpoint of the stored engine (or ``None`` on a
@@ -67,9 +118,11 @@ class EngineJob:
     half of the IPC protocol.
     """
 
-    cpds: CPDS
-    prop: Property
     problem: str
+    cpds_text: str | None = None
+    bp_text: str | None = None
+    bp_init: dict | None = None
+    property_spec: str | None = None
     engine: str = "auto"
     max_rounds: int = 30
     max_states_per_context: int = DEFAULT_STATE_LIMIT
@@ -124,11 +177,12 @@ def describe_result(
     }
 
 
-def _restore(job: EngineJob):
-    """A warm engine from the job's snapshot message, or ``None`` when
-    there is nothing (or nothing decodable) to resume from.  The kind
-    byte resolves the lane through the registry, so a new lane's
-    snapshots resume with no changes here."""
+def _restore(job: EngineJob, cpds: CPDS):
+    """A warm engine over ``cpds`` (the job's compiled program) from
+    the job's snapshot message, or ``None`` when there is nothing (or
+    nothing decodable) to resume from.  The kind byte resolves the lane
+    through the registry, so a new lane's snapshots resume with no
+    changes here."""
     from repro.reach import registry
 
     if job.snapshot is None:
@@ -136,7 +190,7 @@ def _restore(job: EngineJob):
     try:
         cls = registry.engine_for_kind(snapshot_kind(job.snapshot))
         engine = cls.restore(
-            job.cpds, job.snapshot, max_states_per_context=job.max_states_per_context
+            cpds, job.snapshot, max_states_per_context=job.max_states_per_context
         )
     except (SnapshotError, CubaError) as broken:
         # Bad blob, or a kind byte no registered lane owns (a snapshot
@@ -158,9 +212,13 @@ def _restore(job: EngineJob):
 
 
 def execute_job(job: EngineJob) -> JobOutcome:
-    """Run one engine job to a verdict or budget (the shared core of
-    both execution modes; ``service.engine_runs`` is the *caller's*
-    bump — dedup accounting stays parent-side)."""
+    """Compile the job's program and run it to a verdict or budget (the
+    shared core of both execution modes; ``service.engine_runs`` is the
+    *caller's* bump — dedup accounting stays parent-side).
+
+    The compile is timed by a ``service.compile`` span but is not
+    engine time: ``engine_seconds`` and :attr:`JobOutcome.seconds`
+    cover the lane run alone."""
     if not trace.enabled():
         return _execute_job(job)
     with trace.span(
@@ -182,12 +240,14 @@ def _execute_job(job: EngineJob) -> JobOutcome:
     from repro.cuba.verifier import Cuba
     from repro.reach import registry
 
+    with trace.span("service.compile"):
+        cpds, prop = compile_program(job)
     started = time.perf_counter()
-    engine = _restore(job)
+    engine = _restore(job, cpds)
     resumed = engine is not None
     if job.engine == "auto":  # the Sec. 6 front-end
         verifier = Cuba(
-            job.cpds, job.prop, max_states_per_context=job.max_states_per_context
+            cpds, prop, max_states_per_context=job.max_states_per_context
         )
         result = verifier.verify(max_rounds=job.max_rounds, engine=engine).result
         engine = verifier.last_engine
@@ -207,7 +267,7 @@ def _execute_job(job: EngineJob) -> JobOutcome:
                 # building e.g. a wuba engine on a non-WCR model
                 # diverges into the state-limit guard instead of
                 # failing fast.
-                ensure_applicable(cls, job.cpds, job.prop)
+                ensure_applicable(cls, cpds, prop)
             except CubaError as precondition:
                 # A failed lane precondition is UNKNOWN for a reason
                 # deeper k cannot fix: the outcome is *final* (bound 0,
@@ -228,12 +288,10 @@ def _execute_job(job: EngineJob) -> JobOutcome:
                 )
             else:
                 engine = cls.create(
-                    job.cpds, max_states_per_context=job.max_states_per_context
+                    cpds, max_states_per_context=job.max_states_per_context
                 )
         if engine is not None:
-            result = run_lane(
-                engine, job.cpds, job.prop, max_rounds=job.max_rounds
-            )
+            result = run_lane(engine, cpds, prop, max_rounds=job.max_rounds)
 
     explored = engine.k if engine is not None else result.bound
     # UNKNOWN below the budget means the run stopped for a reason

@@ -5,9 +5,10 @@ point shares (the HTTP server below, ``cuba submit`` via the client,
 tests, and the quickstart demo).  A request is first named by its
 problem fingerprint — the store key — which the daemon-lifetime
 *prepare memo* answers from a digest of the request for any identity it
-has compiled before, so repeats compile nothing unless an engine has to
-run.  One ``run()`` call then resolves the request through four layers,
-cheapest first:
+has compiled before, so the service compiles a program only to name it
+the first time it sees it; an engine run compiles its own copy from the
+job it is handed.  One ``run()`` call then resolves the request through
+four layers, cheapest first:
 
 1. **In-flight dedup** — concurrent identical fingerprints join the one
    running analysis (``service.dedup_joins``); METER proves exactly one
@@ -45,9 +46,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.property import Property, property_from_spec
-from repro.cpds.cpds import CPDS
-from repro.cpds.format import parse_cpds
 from repro.errors import CubaError, ServiceError
 from repro.obs import trace
 from repro.obs.logs import audit, get_logger
@@ -58,8 +56,11 @@ from repro.reach import registry
 from repro.service.executor import (
     EngineJob,
     ProcessAnalysisExecutor,
+    compile_program,
     execute_job,
 )
+# Callers that speak the wire format import the property parser from here.
+from repro.service.executor import parse_property_spec  # noqa: F401
 from repro.service.fingerprint import fingerprint
 from repro.service.store import AnalysisStore
 from repro.util.caches import clear_runtime_caches
@@ -84,17 +85,6 @@ EXECUTOR_MODES = ("thread", "process")
 #: alive for a whole daemon lifetime would cost far more memory than
 #: the compile it saves.
 _PREPARE_MEMO_LIMIT = 4096
-
-
-def parse_property_spec(spec: str | None) -> Property:
-    """The wire form of a property — the grammar shared with the CLI
-    (:func:`repro.core.property.property_from_spec`), re-raised as
-    :class:`ServiceError`: the service only accepts properties it can
-    content-address."""
-    try:
-        return property_from_spec(spec)
-    except ValueError as bad:
-        raise ServiceError(str(bad)) from bad
 
 
 @dataclass(slots=True)
@@ -260,11 +250,12 @@ class AnalysisService:
                 METER.bump("service.prepare_memo_hits")
         return problem
 
-    def prepare(self, request: AnalysisRequest) -> tuple[str, CPDS, Property]:
-        """Parse/compile the CPDS, build the property, and find the
-        problem fingerprint: from the prepare memo when an earlier
-        request with the same identity computed it, else by hashing the
-        CPDS (and then memoized).  Raises
+    def prepare(self, request: AnalysisRequest) -> str:
+        """The problem fingerprint of ``request``: from the prepare memo
+        when an earlier request with the same identity computed it,
+        else by compiling the program (:func:`compile_program`) and
+        hashing the CPDS, then memoized.  The compiled program is
+        dropped: an engine run compiles its own from the job.  Raises
         :class:`~repro.errors.CubaError` subclasses on malformed input;
         a failed prepare is never memoized.  Timed as one
         ``service.prepare`` span (``memo``: the fingerprint came from
@@ -272,10 +263,10 @@ class AnalysisService:
         it."""
         with trace.span("service.prepare") as timing:
             key = request.prepare_key()
-            cpds, prop = self._compile(request)
             problem = self._memo_get(key)
             timing.set(memo=problem is not None)
             if problem is None:
+                cpds, prop = compile_program(request)
                 problem = fingerprint(
                     cpds,
                     prop,
@@ -285,7 +276,7 @@ class AnalysisService:
                     },
                 )
                 self._memo_put(key, problem)
-            return problem, cpds, prop
+            return problem
 
     def _memo_get(self, key: bytes) -> str | None:
         with self._lock:
@@ -296,48 +287,35 @@ class AnalysisService:
 
     def _memo_put(self, key: bytes, problem: str) -> None:
         with self._lock:
-            self._prepare_memo[key] = problem
-            self._prepare_memo.move_to_end(key)
-            if len(self._prepare_memo) > _PREPARE_MEMO_LIMIT:
-                self._prepare_memo.popitem(last=False)
-
-    @staticmethod
-    def _compile(request: AnalysisRequest) -> tuple[CPDS, Property]:
-        compiled_prop: Property | None = None
-        if request.cpds_text is not None:
-            cpds = parse_cpds(request.cpds_text)
-        else:
-            from repro.bp.translate import compile_source
-
-            compiled = compile_source(request.bp_text, init=request.bp_init or {})
-            cpds = compiled.cpds
-            compiled_prop = compiled.prop
-        if request.property_spec is not None or compiled_prop is None:
-            prop = parse_property_spec(request.property_spec)
-        else:
-            prop = compiled_prop
-        return cpds, prop
+            memo = self._prepare_memo
+            # Evict before inserting, so that not even a reader outside
+            # the lock sees the memo above its bound.
+            if key not in memo and len(memo) >= _PREPARE_MEMO_LIMIT:
+                memo.popitem(last=False)
+            memo[key] = problem
+            memo.move_to_end(key)
 
     def run(
         self,
         request: AnalysisRequest,
-        prepared: tuple[str, CPDS | None, Property | None] | None = None,
+        prepared: tuple[str, str] | None = None,
         enqueued_at: float | None = None,
     ) -> dict:
         """Resolve one request to a response dict (blocking).
 
-        ``prepared`` optionally carries what the caller already knows
-        of this request, so callers that needed the fingerprint up
-        front (the HTTP submit path hands it out as the job id) don't
-        parse and hash the program twice: an earlier :meth:`prepare`
-        result, or ``(problem, None, None)`` after a :meth:`memoized`
-        hit.  Without it the prepare memo is asked first.  The program
-        is compiled at most once, and only when an engine has to run:
-        a store hit or a dedup join on a memoized fingerprint compiles
-        nothing.  ``enqueued_at`` is the
-        submit-time ``perf_counter`` reading (the HTTP layer passes it),
-        so the response's ``queue_seconds`` separates executor queueing
-        from engine time.
+        ``prepared`` optionally carries the fingerprint a caller that
+        needed it up front already found (the HTTP submit path hands it
+        out as the job id), so the request is not named twice:
+        ``(problem, "memo")`` after a :meth:`memoized` hit,
+        ``(problem, "compiled")`` after a :meth:`prepare` that compiled
+        — the audit line's ``prepare`` field.  Without it the prepare
+        memo is asked first.  Here the parent compiles only to
+        fingerprint a request the memo has not seen; a store hit or a
+        dedup join on a memoized fingerprint compiles nothing, and an
+        engine run compiles its program from the job.  ``enqueued_at``
+        is the submit-time ``perf_counter`` reading (the HTTP layer
+        passes it), so the response's ``queue_seconds`` separates
+        executor queueing from engine time.
 
         This wrapper is the service's observability choke point — it
         runs on the executor thread (not the event loop), so the span
@@ -411,18 +389,19 @@ class AnalysisService:
     def _resolve(
         self,
         request: AnalysisRequest,
-        prepared: tuple[str, CPDS | None, Property | None] | None,
+        prepared: tuple[str, str] | None,
         audit_fields: dict,
     ) -> dict:
         if prepared is None:
             problem = self.memoized(request)
             prepared = (
-                self.prepare(request) if problem is None else (problem, None, None)
+                (self.prepare(request), "compiled")
+                if problem is None
+                else (problem, "memo")
             )
-        problem, cpds, prop = prepared
         # How this request found its fingerprint: from the prepare memo,
         # or by compiling and hashing the program.
-        audit_fields["prepare"] = "memo" if cpds is None else "compiled"
+        problem, audit_fields["prepare"] = prepared
         while True:
             own_future: Future | None = None
             with self._lock:
@@ -456,13 +435,7 @@ class AnalysisService:
                     METER.bump("service.store_hits")
                     response = entry.result | {"cached": True}
                 else:
-                    if cpds is None:
-                        # An engine has to run: compile now, once (the
-                        # memo spares the fingerprint).
-                        _problem, cpds, prop = self.prepare(request)
-                    response = self._analyze(
-                        problem, cpds, prop, request, entry, audit_fields
-                    )
+                    response = self._analyze(problem, request, entry, audit_fields)
             except BaseException as failure:
                 with self._lock:
                     self._inflight.pop(problem, None)
@@ -502,17 +475,19 @@ class AnalysisService:
     def _analyze(
         self,
         problem: str,
-        cpds: CPDS,
-        prop: Property,
         request: AnalysisRequest,
         entry=None,
         audit_fields: dict | None = None,
     ) -> dict:
-        """One engine run through the configured executor.  The job is
-        self-contained (CPDS + property + budget + the stored snapshot
-        as the resume message); dedup accounting, the store write, and
-        snapshot-reply validation stay parent-side
-        (:mod:`repro.service.executor`).
+        """One engine run through the configured executor.  This is
+        the one place an :class:`EngineJob` is built, so the job keeps
+        one format in both execution modes: the request's program
+        source and property spec (the run compiles them), its budgets,
+        its fingerprint, and the stored snapshot as the resume message.
+        Dedup accounting, the store write, and snapshot-reply
+        validation stay parent-side (:mod:`repro.service.executor`).
+        So in thread mode a fresh run compiles twice: once in
+        :meth:`prepare` to fingerprint, once in the job.
 
         When the run resumes from a stored blob, a lease row pins that
         blob for the duration (acquired *before* the blob is fetched,
@@ -531,9 +506,11 @@ class AnalysisService:
                 )
         try:
             job = EngineJob(
-                cpds=cpds,
-                prop=prop,
                 problem=problem,
+                cpds_text=request.cpds_text,
+                bp_text=request.bp_text,
+                bp_init=request.bp_init,
+                property_spec=request.property_spec,
                 engine=request.engine,
                 max_rounds=request.max_rounds,
                 max_states_per_context=request.max_states_per_context,
@@ -851,12 +828,12 @@ class ServiceServer:
         # job without compiling; only a miss schedules a prepare.
         problem = self.service.memoized(request)
         if problem is None:
-            prepared = await loop.run_in_executor(
+            problem = await loop.run_in_executor(
                 self.service.executor, self.service.prepare, request
             )
-            problem = prepared[0]
+            prepared = (problem, "compiled")
         else:
-            prepared = (problem, None, None)
+            prepared = (problem, "memo")
         job = self._record_job(problem)
         task = loop.run_in_executor(
             self.service.executor,

@@ -17,7 +17,7 @@ from repro.models.proc2 import proc2_source
 from repro.models.registry import runnable_benchmarks
 from repro.models.stefan import stefan
 from repro.reach import ExplicitReach
-from repro.service import AnalysisService, AnalysisStore
+from repro.service.executor import compile_program
 from repro.service.fingerprint import cpds_digest
 from repro.service.server import AnalysisRequest
 
@@ -387,7 +387,7 @@ ROW_DIGESTS = {
 }
 
 #: ``cpds_digest`` of each service-mix program (the smallest
-#: configuration of every row), as ``AnalysisService.prepare`` builds it.
+#: configuration of every row), as the service's ``compile_program`` builds it.
 SERVICE_DIGESTS = {
     "1/Bluetooth-1":
         "558fe4e51324ebb95cf1cdd742379fefb58fd688a3f38eb1fd128935e3a341bc",
@@ -430,16 +430,9 @@ def test_row_digest_is_pinned(bench):
     assert cpds_digest(cpds) == ROW_DIGESTS[bench.name]
 
 
-@pytest.fixture(scope="module")
-def service(tmp_path_factory):
-    service = AnalysisService(AnalysisStore(tmp_path_factory.mktemp("store") / "s.sqlite"))
-    yield service
-    service.close()
-
-
 @pytest.mark.parametrize("row", sorted(SERVICE_PROGRAMS))
-def test_service_program_digest_is_pinned(service, row):
-    _problem, cpds, _prop = service.prepare(AnalysisRequest(**SERVICE_PROGRAMS[row]))
+def test_service_program_digest_is_pinned(row):
+    cpds, _prop = compile_program(AnalysisRequest(**SERVICE_PROGRAMS[row]))
     assert cpds_digest(cpds) == SERVICE_DIGESTS[row]
 
 

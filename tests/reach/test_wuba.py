@@ -25,7 +25,7 @@ from repro.core.result import Verdict
 from repro.errors import ContextExplosionError
 from repro.models import fig1_cpds, fig2_cpds
 from repro.models.random_gen import RandomSpec, random_cpds
-from repro.models.registry import smallest_per_row
+from repro.models.registry import runnable_benchmarks, smallest_per_row
 from repro.pds import PDS
 from repro.reach.wuba import WubaReach, write_free_sub_pds
 
@@ -180,6 +180,36 @@ class TestApplicability:
                 assert list(sub.trigger_index().items()) == list(
                     oracle.trigger_index().items()
                 )
+
+    @pytest.mark.parametrize(
+        "bench", runnable_benchmarks(), ids=lambda bench: bench.name
+    )
+    def test_write_free_sub_pds_equals_the_add_actions_build(self, bench):
+        """The filtered sub-PDS equals, field for field, the one a
+        validated ``add_actions`` call builds on a PDS declaring the
+        parent's ``Q`` and ``Σ``: every set, list and dict in the same
+        iteration order, and the same version."""
+
+        def fields(pds):
+            return {
+                name: list(value.items()) if isinstance(value, dict)
+                else list(value) if isinstance(value, (set, list))
+                else value
+                for name, value in vars(pds).items()
+            }
+
+        cpds, _prop = bench.build()
+        for pds in cpds.threads:
+            built = PDS(
+                pds.initial_shared,
+                shared_states=pds.shared_states,
+                alphabet=pds.alphabet,
+                name=f"{pds.name or 'pds'}-write-free",
+            )
+            built.add_actions(
+                [action for action in pds.actions if action.to_shared == action.from_shared]
+            )
+            assert fields(write_free_sub_pds(pds)) == fields(built)
 
     def test_thread_write_free_post_pins_shared(self):
         cpds = fig1_cpds()

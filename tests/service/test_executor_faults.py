@@ -98,7 +98,7 @@ class TestKilledWorker:
         assert isinstance(failure, CubaError)
         assert "worker" in str(failure) and "resubmit" in str(failure)
         # Nothing recorded: the parent cache is not poisoned.
-        problem, _cpds, _prop = service.prepare(request)
+        problem = service.prepare(request)
         assert service.store.get(problem) is None
         # The broken pool was retired (PR 4 eviction semantics) ...
         assert service._engine_executor._pool is None
@@ -187,7 +187,7 @@ class TestExecutorLifecycle:
         executor = ProcessAnalysisExecutor(workers=1)
         executor.close()
         with pytest.raises(CubaError, match="shut down"):
-            executor.run(EngineJob(cpds=None, prop=None, problem="x"))
+            executor.run(EngineJob(problem="x", cpds_text="unused"))
 
     def test_worker_count_is_validated(self):
         from repro.service.executor import ProcessAnalysisExecutor

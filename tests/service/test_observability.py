@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.cpds import format_cpds, parse_cpds
+from repro.cpds import format_cpds
 from repro.models import fig1_cpds
 from repro.models.dekker import dekker_source
 from repro.obs import trace
@@ -28,7 +28,6 @@ from repro.service import (
     ServiceServer,
 )
 from repro.service.executor import EngineJob, ProcessAnalysisExecutor
-from repro.service.server import parse_property_spec
 
 FIG1 = format_cpds(fig1_cpds())
 
@@ -229,13 +228,23 @@ class TestTraceEndpoint:
 
 
     def test_bp_submit_traces_prepare_around_compile(self, server, client):
+        """A fresh submit compiles to fingerprint, inside
+        ``service.prepare``, and again in its engine run, inside
+        ``service.compile`` (the thread executor runs the job inline)."""
         _raw(server, "POST", "/trace", {"enabled": True})
         client.submit(bp_text=dekker_source(), engine="explicit", max_rounds=2)
         _status, _headers, body = _raw(server, "GET", "/trace")
         events = json.loads(body)["traceEvents"]
+        by_id = {event["args"]["span_id"]: event for event in events}
         (prepare,) = [e for e in events if e["name"] == "service.prepare"]
-        (compile_,) = [e for e in events if e["name"] == "bp.compile"]
-        assert compile_["args"]["parent_id"] == prepare["args"]["span_id"]
+        compiles = [e for e in events if e["name"] == "bp.compile"]
+        assert sorted(by_id[e["args"]["parent_id"]]["name"] for e in compiles) == [
+            "service.compile", "service.prepare"
+        ]
+        (compile_,) = [
+            e for e in compiles
+            if e["args"]["parent_id"] == prepare["args"]["span_id"]
+        ]
         assert compile_["args"]["threads"] == 2
         assert compile_["args"]["rules"] > 0
         _raw(server, "POST", "/trace", {"enabled": False})
@@ -270,9 +279,10 @@ class TestTraceEndpoint:
     def test_resume_after_memo_hit_compiles_inside_the_request(
         self, server, client
     ):
-        """A deeper resubmit is named from the memo, then compiles once
-        for its engine run: that ``bp.compile`` nests in a
-        ``service.prepare`` under the ``service.request`` span."""
+        """A deeper resubmit is named from the memo, then compiles once,
+        in its engine run: that ``bp.compile`` nests in the
+        ``service.compile`` span of the ``service.engine_run`` under the
+        ``service.request`` span."""
         client.submit(bp_text=dekker_source(), engine="explicit", max_rounds=2)
         _raw(server, "POST", "/trace", {"enabled": True})
         response = client.submit(
@@ -283,12 +293,14 @@ class TestTraceEndpoint:
         events = json.loads(body)["traceEvents"]
         by_id = {event["args"]["span_id"]: event for event in events}
         (compile_,) = [e for e in events if e["name"] == "bp.compile"]
-        parent = by_id[compile_["args"]["parent_id"]]
-        assert parent["name"] == "service.prepare"
-        assert by_id[parent["args"]["parent_id"]]["name"] == "service.request"
-        prepares = [e for e in events if e["name"] == "service.prepare"]
-        assert len(prepares) == 2
-        assert all(e["args"]["memo"] is True for e in prepares)
+        chain = []
+        cursor = compile_["args"]["parent_id"]
+        while cursor is not None:
+            chain.append(by_id[cursor]["name"])
+            cursor = by_id[cursor]["args"]["parent_id"]
+        assert chain == ["service.compile", "service.engine_run", "service.request"]
+        (prepare,) = [e for e in events if e["name"] == "service.prepare"]
+        assert prepare["args"]["memo"] is True
         _raw(server, "POST", "/trace", {"enabled": False})
 
 
@@ -328,15 +340,13 @@ class TestTimingFields:
 
 class TestProcessExecutorSpans:
     def test_worker_spans_reparent_under_dispatch(self):
-        cpds = parse_cpds(FIG1)
-        prop = parse_property_spec("shared:3")
         executor = ProcessAnalysisExecutor(workers=1)
         trace.clear()
         trace.enable()
         try:
             outcome = executor.run(
                 EngineJob(
-                    cpds=cpds, prop=prop, problem="span-ship",
+                    problem="span-ship", cpds_text=FIG1, property_spec="shared:3",
                     engine="explicit", max_rounds=10,
                 )
             )
@@ -355,6 +365,9 @@ class TestProcessExecutorSpans:
         worker_names = {event["name"] for event in worker_events}
         assert "service.engine_run" in worker_names
         assert any(name.endswith(".level") for name in worker_names)
+        # The worker compiles the job's program inside its engine run.
+        (compile_,) = [e for e in worker_events if e["name"] == "service.compile"]
+        assert by_id[compile_["parent"]]["name"] == "service.engine_run"
         # Zero orphans: every worker span resolves to a local parent
         # chain ending at the dispatch span.
         for event in worker_events:

@@ -1,8 +1,9 @@
 """The prepare memo: request identity → problem fingerprint.
 
 A store hit or a dedup join on a request the daemon has prepared before
-must not compile or hash the program again; an engine run compiles it
-exactly once.  The memoized fingerprint must always be the one a cold
+must not compile or hash the program again.  The service compiles a
+program only to fingerprint a request the memo has not seen; every
+engine run compiles its own from the job, exactly once.  The memoized fingerprint must always be the one a cold
 :func:`~repro.service.fingerprint.fingerprint` computes, so the memo can
 change no store key.
 """
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-import repro.bp.translate as translate
+import repro.service.executor as executor_mod
 import repro.service.server as server_mod
 from repro.bp.translate import compile_source
 from repro.cpds import format_cpds, parse_cpds
@@ -66,10 +67,13 @@ def service(tmp_path):
 
 class Calls:
     """Counts the program compiles and fingerprint hashes the service
-    makes (the names it looks up at call time)."""
+    makes (the names it looks up at call time): ``compiles`` in the
+    service to fingerprint, ``job_compiles`` at the start of engine
+    runs."""
 
     def __init__(self, monkeypatch) -> None:
         self.compiles = 0
+        self.job_compiles = 0
         self.fingerprints = 0
 
         def counted(function, counter):
@@ -80,10 +84,12 @@ class Calls:
             return wrapper
 
         monkeypatch.setattr(
-            translate, "compile_source", counted(translate.compile_source, "compiles")
+            server_mod, "compile_program", counted(server_mod.compile_program, "compiles")
         )
         monkeypatch.setattr(
-            server_mod, "parse_cpds", counted(server_mod.parse_cpds, "compiles")
+            executor_mod,
+            "compile_program",
+            counted(executor_mod.compile_program, "job_compiles"),
         )
         monkeypatch.setattr(
             server_mod, "fingerprint", counted(server_mod.fingerprint, "fingerprints")
@@ -127,17 +133,21 @@ class TestCompileCounts:
         assert second["cached"] and not first["cached"]
         assert second["fingerprint"] == first["fingerprint"]
         assert (calls.compiles, calls.fingerprints) == (1, 1)
+        assert calls.job_compiles == 1
         assert work.get("service.prepare_memo_hits") == 1
 
     def test_resume_after_a_memo_hit_compiles_once(self, service, calls):
+        """The resume is named from the memo and compiles once, in its
+        job; the thread-mode fresh run before it compiled twice, once
+        to fingerprint and once in its job."""
         service.run(AnalysisRequest(bp_text=DEKKER, engine="explicit", max_rounds=2))
-        assert (calls.compiles, calls.fingerprints) == (1, 1)
+        assert (calls.compiles, calls.job_compiles, calls.fingerprints) == (1, 1, 1)
         with scoped() as work:
             deep = service.run(
                 AnalysisRequest(bp_text=DEKKER, engine="explicit", max_rounds=25)
             )
         assert deep["resumed"] and deep["verdict"] == "safe"
-        assert (calls.compiles, calls.fingerprints) == (2, 1)
+        assert (calls.compiles, calls.job_compiles, calls.fingerprints) == (1, 2, 1)
         assert work.get("service.prepare_memo_hits") == 1
         assert work.get("service.resumes") == 1
 
@@ -146,7 +156,7 @@ class TestCompileCounts:
         first's run; when it finds its fingerprint in the memo it
         compiles nothing."""
         request = AnalysisRequest(bp_text=DEKKER, engine="explicit", max_rounds=25)
-        problem, _cpds, _prop = service.prepare(request)
+        problem = service.prepare(request)
         joined = threading.Event()
         analyze = service._analyze
 
@@ -175,7 +185,7 @@ class TestCompileCounts:
         assert len(results) == 2
         assert sorted(bool(r.get("deduplicated")) for r in results) == [False, True]
         # prepare + the owner's engine compile; the joiner compiled nothing.
-        assert (calls.compiles, calls.fingerprints) == (2, 1)
+        assert (calls.compiles, calls.job_compiles, calls.fingerprints) == (1, 1, 1)
 
 
 class TestExactness:
@@ -185,12 +195,12 @@ class TestExactness:
         for engine in SERVICE_LANES:
             request = AnalysisRequest(**program, engine=engine)
             assert service.memoized(request) is None
-            problem, _cpds, _prop = service.prepare(request)
+            problem = service.prepare(request)
             cold = _cold_fingerprint(program, engine)
             assert problem == cold
             assert service.memoized(request) == cold
             # A prepare that finds the fingerprint in the memo agrees too.
-            assert service.prepare(request)[0] == cold
+            assert service.prepare(request) == cold
 
     def test_each_identity_field_makes_its_own_entry(self, service):
         base = {"bp_text": DEKKER, "bp_init": {"turn": 1}}
@@ -218,7 +228,7 @@ class TestExactness:
         alias = AnalysisRequest(bp_text=DEKKER, engine="wk", max_rounds=1)
         deeper = AnalysisRequest(bp_text=DEKKER, engine="wuba", max_rounds=30)
         assert first.prepare_key() == alias.prepare_key() == deeper.prepare_key()
-        problem, _cpds, _prop = service.prepare(first)
+        problem = service.prepare(first)
         assert service.memoized(alias) == service.memoized(deeper) == problem
         assert len(service._prepare_memo) == 1
         assert calls.fingerprints == 1
@@ -230,7 +240,7 @@ class TestExactness:
         as_bool = service.prepare(
             AnalysisRequest(bp_text=DEKKER, bp_init={"turn": True})
         )
-        assert as_bit[0] == as_bool[0]
+        assert as_bit == as_bool
         assert len(service._prepare_memo) == 2
 
 
@@ -265,7 +275,7 @@ class TestFailuresAreNotMemoized:
             service.prepare(request)
         assert service.memoized(request) is None
         monkeypatch.undo()
-        problem, _cpds, _prop = service.prepare(request)
+        problem = service.prepare(request)
         assert problem == _cold_fingerprint({"cpds_text": FIG1}, "auto")
 
 
@@ -278,7 +288,7 @@ class TestBound:
         )
         fingerprints = {}
         for request in (a, b):
-            fingerprints[request.property_spec] = service.prepare(request)[0]
+            fingerprints[request.property_spec] = service.prepare(request)
         assert service.memoized(a) is not None  # a is now the most recent
         service.prepare(c)
         assert len(service._prepare_memo) == 2
@@ -286,7 +296,7 @@ class TestBound:
         assert service.memoized(a) == fingerprints["shared:1"]
         assert calls.fingerprints == 3
         # The evicted identity comes back with the same fingerprint.
-        assert service.prepare(b)[0] == fingerprints["shared:2"]
+        assert service.prepare(b) == fingerprints["shared:2"]
         assert calls.fingerprints == 4
         assert len(service._prepare_memo) == 2
 
@@ -320,7 +330,7 @@ def test_concurrent_prepares_keep_the_bound_and_the_fingerprints(
             request = requests[(offset + step) % len(requests)]
             problem = service.memoized(request)
             if problem is None:
-                problem = service.prepare(request)[0]
+                problem = service.prepare(request)
             if problem != cold[request.property_spec]:
                 wrong.append((request.property_spec, problem))
             sizes.append(len(service._prepare_memo))
@@ -376,7 +386,7 @@ class TestHttpSubmit:
             second = client.submit(bp_text=DEKKER, engine="explicit", max_rounds=25)
         assert ticket["id"] == first["fingerprint"] == second["fingerprint"]
         assert second["cached"]
-        assert (calls.compiles, calls.fingerprints) == (1, 1)
+        assert (calls.compiles, calls.job_compiles, calls.fingerprints) == (1, 1, 1)
         assert work.get("service.prepare_memo_hits") == 2
 
     def test_malformed_submit_is_400_twice_and_never_stored(self, server):

@@ -247,10 +247,11 @@ class TestValidation:
 def test_repeated_prepares_agree_on_problem_and_program(service):
     """Repeated submissions of one program parse to equal CPDSs and one
     problem fingerprint, so they share the stored verdict."""
+    from repro.service.executor import compile_program
     from repro.service.fingerprint import cpds_digest
 
     request = AnalysisRequest(cpds_text=FIG1, property_spec="shared:3")
-    first_problem, first_cpds, _prop = service.prepare(request)
-    second_problem, second_cpds, _prop = service.prepare(request)
-    assert first_problem == second_problem
+    assert service.prepare(request) == service.prepare(request)
+    first_cpds, _prop = compile_program(request)
+    second_cpds, _prop = compile_program(request)
     assert cpds_digest(first_cpds) == cpds_digest(second_cpds)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.property import AlwaysSafe
 from repro.core.result import Verdict
+from repro.cpds import format_cpds
 from repro.cpds.cpds import CPDS
 from repro.errors import SnapshotError
 from repro.models import fig1_cpds, fig2_cpds
@@ -33,6 +33,8 @@ from repro.reach.snapshot import (
 from repro.service.executor import EngineJob, _restore, execute_job
 from repro.service.fingerprint import cpds_digest
 from repro.util.meter import scoped
+
+FIG1 = format_cpds(fig1_cpds())
 
 
 def _old_blob(version: int, kind: int = KIND_EXPLICIT) -> bytes:
@@ -52,21 +54,16 @@ class TestVersioning:
 
     def test_v1_blob_degrades_to_store_miss_in_executor(self):
         for version in (1, 2, 3):
-            job = EngineJob(
-                cpds=fig1_cpds(),
-                prop=AlwaysSafe(),
-                problem="p",
-                snapshot=_old_blob(version),
-            )
+            job = EngineJob(problem="p", cpds_text=FIG1, snapshot=_old_blob(version))
             with scoped() as delta:
-                assert _restore(job) is None
+                assert _restore(job, fig1_cpds()) is None
             assert delta["service.snapshot_rejects"] == 1
 
     def test_unknown_kind_byte_degrades_to_miss(self):
         blob = struct.pack("<4sHB", MAGIC, SNAPSHOT_VERSION, 99) + pickle.dumps({})
-        job = EngineJob(cpds=fig1_cpds(), prop=AlwaysSafe(), problem="p", snapshot=blob)
+        job = EngineJob(problem="p", cpds_text=FIG1, snapshot=blob)
         with scoped() as delta:
-            assert _restore(job) is None
+            assert _restore(job, fig1_cpds()) is None
         assert delta["service.snapshot_rejects"] == 1
 
 
@@ -127,7 +124,7 @@ def _trivial_copy(cpds: CPDS) -> CPDS:
 
 class TestExplicitSymmetryGroup:
     def test_blob_of_another_group_is_refused(self):
-        cpds, prop = _row("4/BST-Insert [2+1]")
+        cpds, _prop = _row("4/BST-Insert [2+1]")
         plain = _trivial_copy(cpds)
         assert cpds_digest(plain) == cpds_digest(cpds)
         engine = ExplicitReach(cpds)
@@ -142,9 +139,11 @@ class TestExplicitSymmetryGroup:
         with pytest.raises(SnapshotError, match="another thread-symmetry group"):
             ExplicitReach.restore(cpds, unreduced.snapshot())
         # The service treats the refusal as a store miss, never a resume.
-        job = EngineJob(cpds=plain, prop=prop, problem="p", snapshot=blob)
+        # ``_restore`` is handed the compiled CPDS, so the job needs no
+        # program text: no text spells this hand-built copy.
+        job = EngineJob(problem="p", snapshot=blob)
         with scoped() as delta:
-            assert _restore(job) is None
+            assert _restore(job, plain) is None
         assert delta["service.snapshot_rejects"] == 1
 
     def test_blob_of_the_same_permutations_but_another_shared_map_is_refused(self):
@@ -281,11 +280,9 @@ def test_resumed_blob_is_byte_identical_to_an_uninterrupted_one():
 
 class TestExecutorLaneDispatch:
     def test_wuba_job_end_to_end(self):
-        cpds = fig1_cpds()
         outcome = execute_job(
             EngineJob(
-                cpds=cpds,
-                prop=AlwaysSafe(),
+                cpds_text=FIG1,
                 problem="wuba-e2e",
                 engine="wuba",
                 max_rounds=4,
@@ -297,17 +294,13 @@ class TestExecutorLaneDispatch:
         assert snapshot_kind(outcome.snapshot) == KIND_WUBA
 
     def test_wuba_job_resumes_from_its_own_snapshot(self):
-        cpds = fig1_cpds()
         first = execute_job(
-            EngineJob(
-                cpds=cpds, prop=AlwaysSafe(), problem="p", engine="wuba", max_rounds=3
-            )
+            EngineJob(cpds_text=FIG1, problem="p", engine="wuba", max_rounds=3)
         )
         with scoped() as delta:
             second = execute_job(
                 EngineJob(
-                    cpds=cpds,
-                    prop=AlwaysSafe(),
+                    cpds_text=FIG1,
                     problem="p",
                     engine="wuba",
                     max_rounds=6,
@@ -320,8 +313,7 @@ class TestExecutorLaneDispatch:
     def test_lane_alias_accepted_by_job(self):
         outcome = execute_job(
             EngineJob(
-                cpds=fig1_cpds(),
-                prop=AlwaysSafe(),
+                cpds_text=FIG1,
                 problem="p",
                 engine="wk",
                 max_rounds=2,
@@ -332,11 +324,9 @@ class TestExecutorLaneDispatch:
     def test_cross_lane_snapshot_is_dropped_not_misused(self):
         # An explicit-lane blob offered to a wuba job: the registry
         # restores it faithfully, then the lane guard rejects it.
-        cpds = fig1_cpds()
         explicit = execute_job(
             EngineJob(
-                cpds=cpds,
-                prop=AlwaysSafe(),
+                cpds_text=FIG1,
                 problem="p",
                 engine="explicit",
                 max_rounds=3,
@@ -345,8 +335,7 @@ class TestExecutorLaneDispatch:
         with scoped() as delta:
             outcome = execute_job(
                 EngineJob(
-                    cpds=cpds,
-                    prop=AlwaysSafe(),
+                    cpds_text=FIG1,
                     problem="p",
                     engine="wuba",
                     max_rounds=3,
@@ -364,8 +353,7 @@ class TestExecutorLaneDispatch:
         with scoped() as delta:
             outcome = execute_job(
                 EngineJob(
-                    cpds=fig2_cpds(),
-                    prop=AlwaysSafe(),
+                    cpds_text=format_cpds(fig2_cpds()),
                     problem="p",
                     engine="wuba",
                     max_rounds=2,
