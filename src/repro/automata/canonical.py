@@ -280,7 +280,7 @@ def canonical_nfa(
     if isinstance(alphabet, SymbolTable):
         symbols = alphabet.symbols
     else:
-        symbols = tuple(sort_symbols(alphabet))
+        alphabet = symbols = tuple(sort_symbols(alphabet))
     if initial is not None:
         initial = list(initial)
     entry = frozenset(nfa.initial if initial is None else initial)
@@ -292,7 +292,7 @@ def canonical_nfa(
             METER.bump("canonical.cache_hits")
             return cached
     METER.bump("canonical.cache_misses")
-    bits, table = dense.canonical_form(nfa, symbols, initial=initial)
+    bits, table = dense.canonical_form(nfa, alphabet, initial=initial)
     with _lock:
         result = _intern(symbols, bits, table)
         _cache[key] = result

@@ -7,8 +7,10 @@ refinement (O(n²·m) per pass, a fresh key tuple per state per pass), and
 the canonical renumbering rebuilt the result once more.  This module
 fuses the pipeline: the subset construction writes *directly* into a
 contiguous ``rows[state][symbol] -> state`` int table (completing with a
-dead sink on the fly), Hopcroft's O(n log n) partition refinement runs on
-that table, and the canonical breadth-first renumbering is emitted as
+dead sink on the fly, and walking each subset's outgoing edges rather
+than probing every alphabet symbol), Hopcroft's O(n log n) partition
+refinement runs on that table, and the canonical breadth-first
+renumbering is emitted as
 plain tuples — the only :class:`~repro.automata.nfa.NFA` ever built is
 the final canonical DFA, constructed by the caller
 (:mod:`repro.automata.canonical`) from the returned table.
@@ -34,6 +36,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Hashable, Sequence
 
+from repro.automata.intern import SymbolTable
 from repro.automata.nfa import NFA
 from repro.obs import trace
 from repro.util.meter import METER
@@ -64,7 +67,7 @@ def form_cache_clear() -> None:
 
 
 def subset_tables(
-    nfa: NFA, symbols: Sequence[Symbol], initial=None
+    nfa: NFA, symbols: Sequence[Symbol] | SymbolTable, initial=None
 ) -> tuple[list[list[int]], list[bool]]:
     """Subset-construct a *complete* DFA as dense int tables.
 
@@ -73,7 +76,21 @@ def subset_tables(
     acceptance.  State 0 is the start (the ε-closure of ``initial`` /
     the automaton's initial states); a dead sink is appended only when
     some transition was missing.
+
+    Each subset walks its members' outgoing edges once, bucketing the
+    targets by symbol position (ε-edges and labels outside ``symbols``
+    are skipped), instead of probing every alphabet symbol: saturated
+    automata use a few symbols of a large alphabet per state.  New
+    subsets are numbered in ascending symbol position, so the tables are
+    the ones a symbol-major walk produces.  A
+    :class:`~repro.automata.intern.SymbolTable` lends its dense index;
+    a plain sequence is indexed per call.
     """
+    if isinstance(symbols, SymbolTable):
+        position = symbols.index
+    else:
+        position = {symbol: a for a, symbol in enumerate(symbols)}
+    width = len(position)
     delta = nfa._delta
     closure_of = nfa._closure_of
     accepting = nfa._accepting
@@ -87,19 +104,23 @@ def subset_tables(
     while i < len(subsets):
         current = subsets[i]
         i += 1
-        row: list[int] = []
-        for symbol in symbols:
-            raw: set = set()
-            for state in current:
-                targets = delta.get(state, _NO_EDGES).get(symbol)
-                if targets:
-                    raw.update(targets)
-            if not raw:
-                row.append(-1)
-                need_dead = True
-                continue
+        raw: dict[int, set] = {}
+        for state in current:
+            for label, targets in delta.get(state, _NO_EDGES).items():
+                a = position.get(label)
+                if a is None or not targets:
+                    continue
+                bucket = raw.get(a)
+                if bucket is None:
+                    raw[a] = set(targets)
+                else:
+                    bucket |= targets
+        row = [-1] * width
+        if len(raw) < width:
+            need_dead = True
+        for a in sorted(raw):
             closed: set = set()
-            for state in raw:
+            for state in raw[a]:
                 closed |= closure_of(state)
             key = frozenset(closed)
             j = index.get(key)
@@ -108,7 +129,7 @@ def subset_tables(
                 index[key] = j
                 subsets.append(key)
                 acc.append(not accepting.isdisjoint(key))
-            row.append(j)
+            row[a] = j
         rows.append(row)
     if need_dead:
         dead = len(rows)
@@ -116,7 +137,7 @@ def subset_tables(
             for a, target in enumerate(row):
                 if target < 0:
                     row[a] = dead
-        rows.append([dead] * len(symbols))
+        rows.append([dead] * width)
         acc.append(False)
     return rows, acc
 
@@ -196,7 +217,7 @@ def hopcroft(rows: list[list[int]], accepting: list[bool]) -> list[int]:
 
 
 def canonical_form(
-    nfa: NFA, symbols: Sequence[Symbol], initial=None
+    nfa: NFA, symbols: Sequence[Symbol] | SymbolTable, initial=None
 ) -> tuple[tuple[bool, ...], tuple[tuple[int, ...], ...]]:
     """Canonical minimal complete DFA as ``(accepting bits, table)``.
 
@@ -216,7 +237,7 @@ def canonical_form(
 
 
 def _canonical_form(
-    nfa: NFA, symbols: Sequence[Symbol], initial=None
+    nfa: NFA, symbols: Sequence[Symbol] | SymbolTable, initial=None
 ) -> tuple[tuple[bool, ...], tuple[tuple[int, ...], ...]]:
     rows, acc = subset_tables(nfa, symbols, initial=initial)
     key = (tuple(map(tuple, rows)), tuple(acc))

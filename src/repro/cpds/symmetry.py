@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+from repro.automata.intern import value_key
 from repro.cpds.state import GlobalState
 
 #: Largest group enumerated; a larger candidate set (six or more
@@ -51,9 +52,15 @@ class ThreadSymmetry:
     for the identity); ``mult[a][b]`` is the index of ``a ∘ b`` (apply
     ``b`` first); ``pools[i]`` is the smallest thread in thread ``i``'s
     orbit — threads of one orbit run the same template, so an engine
-    can let them share component numbering."""
+    can let them share component numbering; ``inverse[e]`` is the index
+    of ``e``'s inverse.
 
-    __slots__ = ("perms", "shared_maps", "mult", "pools")
+    :meth:`canonical_view` names the orbit of a thread view ``(thread,
+    shared)``.  Replicas share their alphabet, so a stack language
+    means the same in every replica and the group acts on a view
+    ``(thread, shared, L)`` through ``(thread, shared)`` alone."""
+
+    __slots__ = ("perms", "shared_maps", "mult", "pools", "inverse", "_views")
 
     def __init__(self, perms: list[tuple[int, ...]], shared_maps: list) -> None:
         self.perms = tuple(perms)
@@ -65,6 +72,9 @@ class ThreadSymmetry:
         )
         n = len(self.perms[0])
         self.pools = tuple(min(perm[i] for perm in self.perms) for i in range(n))
+        self.inverse = tuple(row.index(0) for row in self.mult)
+        #: canonical_view memo: (thread, shared) -> (element, thread0, shared0).
+        self._views: dict[tuple, tuple] = {}
 
     @property
     def order(self) -> int:
@@ -79,6 +89,26 @@ class ThreadSymmetry:
         for index, stack in enumerate(state.stacks):
             stacks[perm[index]] = stack
         return GlobalState(self.shared_maps[element][state.shared], tuple(stacks))
+
+    def canonical_view(self, thread: int, shared) -> tuple:
+        """``(element, thread0, shared0)``: the least ``(thread,
+        value_key(shared))`` in the orbit of the view ``(thread,
+        shared)``, and the first element ``h`` (in element order) with
+        ``h(thread, shared) = (thread0, shared0)``.  Memoized.  Every
+        member of an orbit gets the same ``(thread0, shared0)``, so it
+        keys work that depends on a view only up to symmetry: what the
+        canonical view computes, ``h⁻¹`` maps onto the member."""
+        key = (thread, shared)
+        found = self._views.get(key)
+        if found is None:
+            best = None
+            for element, perm in enumerate(self.perms):
+                image = self.shared_maps[element][shared] if element else shared
+                rank = (perm[thread], value_key(image))
+                if best is None or rank < best[0]:
+                    best = (rank, element, perm[thread], image)
+            found = self._views[key] = best[1:]
+        return found
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadSymmetry(order={self.order}, pools={self.pools})"

@@ -31,8 +31,9 @@ process.
 
 Naming convention (see ROADMAP Reference): dotted lowercase,
 ``<layer>.<phase>`` — ``service.request``, ``service.engine_run``,
-``executor.dispatch``, ``lane.run``, ``lane.applicable``,
-``cuba.generators``, ``<lane>.level`` (emitted by the
+``executor.dispatch`` (with ``executor.pickup`` and ``executor.reply``,
+the transport legs either side of the worker's spans), ``lane.run``,
+``lane.applicable``, ``cuba.generators``, ``<lane>.level`` (emitted by the
 :class:`~repro.reach.base.ReachabilityEngine` template method, so every
 lane — including future ones — inherits per-level spans for free),
 ``explicit.saturation``, ``explicit.decode``, ``symbolic.saturate``,
@@ -63,6 +64,7 @@ __all__ = [
     "enable",
     "enabled",
     "events",
+    "record",
     "span",
     "take",
     "write_chrome_trace",
@@ -165,7 +167,7 @@ class _Span:
         end = time.perf_counter()
         stack = _local.stack
         stack.pop()
-        record = {
+        _append({
             "name": self.name,
             "ts": self._start,
             "dur": end - self._start,
@@ -174,14 +176,18 @@ class _Span:
             "id": self._id,
             "parent": stack[-1] if stack else None,
             "args": self.args,
-        }
-        global dropped
-        with _lock:
-            if len(_events) < MAX_EVENTS:
-                _events.append(record)
-            else:
-                dropped += 1
+        })
         return False
+
+
+def _append(entry: dict) -> None:
+    """Buffer one finished span, or count it dropped when full."""
+    global dropped
+    with _lock:
+        if len(_events) < MAX_EVENTS:
+            _events.append(entry)
+        else:
+            dropped += 1
 
 
 def span(name: str, **args):
@@ -190,6 +196,25 @@ def span(name: str, **args):
     if not _enabled:
         return _NULL
     return _Span(name, args)
+
+
+def record(name: str, start: float, duration: float, **args) -> None:
+    """Record a span measured elsewhere: ``start`` on this process's
+    ``perf_counter`` clock, parented by the innermost open span (the
+    executor's transport legs, timed by stamps the job and its outcome
+    carry across the process boundary).  A no-op while disabled."""
+    if not _enabled:
+        return
+    _append({
+        "name": name,
+        "ts": start,
+        "dur": duration,
+        "pid": os.getpid(),
+        "tid": threading.get_ident(),
+        "id": next(_ids),
+        "parent": current_id(),
+        "args": args,
+    })
 
 
 def events() -> list[dict]:

@@ -16,8 +16,9 @@ frontier dedup, so plateau detection on ``T(Sk)`` terminates.
 Canonical signatures also drive cross-expansion reuse: the result of
 expanding thread ``i`` from ``⟨q|Ai⟩`` depends only on ``(i, q, L(Ai))``,
 so the batched advance memoizes saturations per ``(thread, shared,
-signature)`` instead of recomputing them whenever the same thread view
-recurs at a later context bound.  This is the sound granularity for
+signature)`` (orbit-canonical under the thread symmetry, see below)
+instead of recomputing them whenever the same thread view recurs at a
+later context bound.  This is the sound granularity for
 reuse — warm-starting one saturated PSA from a different entry control
 would mix languages (see the Performance notes in
 :mod:`repro.pds.saturation`).
@@ -25,10 +26,11 @@ would mix languages (see the Performance notes in
 Performance notes
 -----------------
 :meth:`SymbolicReach.advance` expands the frontier *batched*: the level's
-``(thread, shared, signature)`` views are grouped first and each unique
-view is saturated once per level, no matter how many symbolic states
-contain it (``batched=True``, the default).  The memo-free per-state
-path (``batched=False``) saturates every (state, thread) pair afresh
+orbit-canonical ``(thread, shared, signature)`` views are grouped first
+and each unique view is saturated once per level, no matter how many
+symbolic states contain it (``batched=True``, the default).  The
+memo-free per-state path (``batched=False``) saturates every (state,
+thread) pair afresh
 and is kept as the differential oracle; it cannot be snapshotted.
 METER records the grouping — ``symbolic.level_views`` vs
 ``symbolic.level_unique_views`` — and the memo makes
@@ -46,6 +48,38 @@ product *elements* are interned per ``(shared, tops)`` — on
 product-bound models (Proc-2) distinct profiles overlap so heavily that
 almost every product element is a dict hit instead of a fresh
 :class:`~repro.cpds.state.VisibleState`.
+
+Symmetry reduction
+------------------
+A verified thread-symmetry group ``G``
+(:func:`~repro.cpds.symmetry.verified_symmetry`; replica swaps the
+translator declares) acts on symbolic states as on global states:
+``g⟨q|A1..An⟩ = ⟨σ(q)|A'⟩`` with ``A'_π(i) = A_i``.  Replicas share
+their alphabet, so this is well defined on canonical automata, and an
+automorphism maps the successors of ``τ`` onto those of ``g(τ)``, so
+every level of ``(Sk)`` is a union of orbits.  The batched engine
+exploits that three ways, none of which changes a level, a ``T(Sk)``
+level or a verdict:
+
+* every new successor enters ``_seen`` and its level together with its
+  images, so levels stay closed under ``G`` and everything the
+  algorithms observe (``Sk``, ``T(Sk)``, snapshot rows) is the
+  unreduced engine's;
+* the frontier expands one state per orbit: the states an advance
+  found new, whose images it inserted alongside;
+* thread views are grouped by an orbit-canonical key ``(i0, q0, L)``,
+  the least ``(thread, value_key(shared))`` in the view's orbit
+  (:meth:`~repro.cpds.symmetry.ThreadSymmetry.canonical_view`).  Each
+  member view ``(i, q, L)`` keeps the element ``h`` mapping it onto the
+  key, and the key's expansion parts are mapped back through
+  ``σ_h⁻¹``.  Keying by the raw view would make
+  ``symbolic.level_unique_views`` depend on which orbit member the
+  frontier's iteration happened to pick.
+
+A restored blob may carry memo keys taken under another group (the
+same threads without declared candidates share the fingerprint); they
+are re-keyed by their canonical view.  ``stats()["symmetry_order"]`` is
+``|G|``; the per-state oracle (``batched=False``) never reduces.
 
 Unlike the explicit engine this one does not require finite context
 reachability: the sets ``γ(Sk)`` may be infinite (e.g. Stefan-1, whose
@@ -65,6 +99,7 @@ from repro.automata.canonical import (
 )
 from repro.cpds.cpds import CPDS
 from repro.cpds.state import GlobalState, VisibleState
+from repro.cpds.symmetry import trivial_symmetry, verified_symmetry
 from repro.errors import SnapshotError
 from repro.obs import trace
 from repro.pds.saturation import PostStarEngine
@@ -189,13 +224,21 @@ class SymbolicReach(ReachabilityEngine):
         self.cpds = cpds
         self._alphabets = [cpds.symbol_table(i) for i in range(cpds.n_threads)]
         self.batched = batched
+        #: The verified thread-symmetry group (see "Symmetry reduction"
+        #: in the module doc); the per-state oracle never reduces.
+        self.symmetry = (
+            verified_symmetry(cpds) if batched else trivial_symmetry(cpds.n_threads)
+        )
         #: ``levels[k]`` = symbolic states first produced at bound k.
         self.levels: list[frozenset[SymbolicState]] = []
         self._seen: set[SymbolicState] = set()
-        #: Cross-expansion memo of the batched advance: (thread, shared,
-        #: signature) -> splice parts (new shared, canonical automaton,
-        #: signature) — exact, because an expansion depends on nothing
-        #: else (see module doc).
+        #: One state per orbit of the last level, as the batched advance
+        #: found them (``None``: recompute from the level).
+        self._frontier: list[SymbolicState] | None = None
+        #: Cross-expansion memo of the batched advance: orbit-canonical
+        #: view (thread, shared, signature) -> splice parts (new shared,
+        #: canonical automaton, signature) — exact, because an expansion
+        #: depends on nothing else (see module doc).
         self._expansions: dict[tuple, tuple] = {}
         #: ``T(τ)`` product memo: (shared, per-thread tops) -> visible
         #: set.  Many symbolic states share one tops profile (especially
@@ -289,30 +332,93 @@ class SymbolicReach(ReachabilityEngine):
     def _advance_batched(
         self, frontier: frozenset[SymbolicState], fresh: set[SymbolicState]
     ) -> None:
-        """Group the frontier by unique thread view, expand each view
-        once, then splice the parts back into every containing state."""
-        consumers: dict[tuple, list[SymbolicState]] = {}
-        for symbolic in frontier:
-            for index in range(self.cpds.n_threads):
-                key = (index, symbolic.shared, symbolic.signatures[index])
-                consumers.setdefault(key, []).append(symbolic)
-        METER.bump("symbolic.level_views", sum(map(len, consumers.values())))
+        """Group the frontier's orbit representatives by orbit-canonical
+        thread view, expand each view once, map the parts onto every
+        member view and splice them into its state.  Each new successor
+        enters with its whole orbit, so the level stays closed under the
+        group."""
+        symmetry = self.symmetry
+        canonical_view = symmetry.canonical_view
+        n = self.cpds.n_threads
+        consumers: dict[tuple, list[tuple]] = {}
+        representatives = self._frontier
+        if representatives is None:
+            representatives = self._representatives(frontier)
+        found: list[SymbolicState] = []
+        for symbolic in representatives:
+            shared = symbolic.shared
+            signatures = symbolic.signatures
+            for index in range(n):
+                element, thread, canonical_shared = canonical_view(index, shared)
+                key = (thread, canonical_shared, signatures[index])
+                consumers.setdefault(key, []).append((symbolic, index, element))
+        METER.bump("symbolic.level_views", n * len(representatives))
         METER.bump("symbolic.level_unique_views", len(consumers))
         seen = self._seen
         memo = self._expansions
-        for key, states in consumers.items():
-            index = key[0]
+        inverse = symmetry.inverse
+        shared_maps = symmetry.shared_maps
+        images = range(1, symmetry.order)
+        for key, members in consumers.items():
             parts = memo.get(key)
             if parts is not None:
                 METER.bump("symbolic.expansion_cache_hits")
             else:
-                parts = self._expand_parts(key[1], states[0].automata[index], index)
+                symbolic, index, _element = members[0]
+                parts = self._expand_parts(key[1], symbolic.automata[index], key[0])
                 memo[key] = parts
-            for symbolic in states:
-                for successor in self._splice(symbolic, index, parts):
-                    if successor not in seen:
-                        seen.add(successor)
-                        fresh.add(successor)
+            mapped = {0: parts}
+            for symbolic, index, element in members:
+                member_parts = mapped.get(element)
+                if member_parts is None:
+                    back = shared_maps[inverse[element]]
+                    member_parts = mapped[element] = tuple(
+                        (back[shared], canonical, signature)
+                        for shared, canonical, signature in parts
+                    )
+                for successor in self._splice(symbolic, index, member_parts):
+                    if successor in seen:
+                        continue
+                    seen.add(successor)
+                    fresh.add(successor)
+                    found.append(successor)
+                    for other in images:
+                        image = self._image(successor, other)
+                        if image not in seen:
+                            seen.add(image)
+                            fresh.add(image)
+        self._frontier = found
+
+    def _image(self, symbolic: SymbolicState, element: int) -> SymbolicState:
+        """``g(τ)`` for group element ``element``: the shared state
+        through ``σ``, thread ``i``'s automaton moved to ``π(i)``."""
+        perm = self.symmetry.perms[element]
+        automata = [None] * len(perm)
+        signatures = [None] * len(perm)
+        for index, target in enumerate(perm):
+            automata[target] = symbolic.automata[index]
+            signatures[target] = symbolic.signatures[index]
+        return SymbolicState(
+            self.symmetry.shared_maps[element][symbolic.shared],
+            tuple(automata),
+            tuple(signatures),
+        )
+
+    def _representatives(self, level) -> list[SymbolicState]:
+        """One state per orbit of ``level`` (a union of orbits)."""
+        if self.symmetry.order == 1:
+            return list(level)
+        covered: set[SymbolicState] = set()
+        representatives = []
+        for symbolic in level:
+            if symbolic in covered:
+                continue
+            representatives.append(symbolic)
+            covered.update(
+                self._image(symbolic, element)
+                for element in range(1, self.symmetry.order)
+            )
+        return representatives
 
     # ------------------------------------------------------------------
     # Context expansion
@@ -396,6 +502,7 @@ class SymbolicReach(ReachabilityEngine):
             "levels": [len(level) for level in self.levels],
             "expansion_memo": len(self._expansions),
             "batched": self.batched,
+            "symmetry_order": self.symmetry.order,
         }
 
     # ------------------------------------------------------------------
@@ -518,23 +625,37 @@ class SymbolicReach(ReachabilityEngine):
             if not levels or levels[0] != initial_level:
                 raise SnapshotError("snapshot does not belong to this CPDS")
 
+            # A memo key taken under another group (a blob from the
+            # same threads without declared candidates) need not be
+            # orbit-canonical: it is re-keyed by its canonical view,
+            # its parts mapped along.
             keys, part_lens, part_pairs = payload["expansions"]
             memo = engine._expansions
+            canonical_view = engine.symmetry.canonical_view
+            shared_maps = engine.symmetry.shared_maps
             pair_cursor = 0
             for position, length in enumerate(part_lens):
                 thread, shared, sig = keys[3 * position : 3 * position + 3]
+                element, canonical_thread, canonical_shared = canonical_view(
+                    thread, shared_pool[shared]
+                )
+                forward = shared_maps[element] if element else None
                 parts = []
                 for _ in range(length):
                     part_shared = shared_pool[part_pairs[pair_cursor]]
+                    if forward is not None:
+                        part_shared = forward[part_shared]
                     dfa, signature = pair_for(part_pairs[pair_cursor + 1], thread)
                     parts.append((part_shared, dfa, signature))
                     pair_cursor += 2
-                memo[(thread, shared_pool[shared], pair_for(sig, thread)[1])] = (
-                    tuple(parts)
+                memo.setdefault(
+                    (canonical_thread, canonical_shared, pair_for(sig, thread)[1]),
+                    tuple(parts),
                 )
 
             engine.levels = levels
             engine._seen = set().union(*levels)
+            engine._frontier = None
             engine.visible_levels.clear()
             engine._visible_cumulative.clear()
             for level in levels:

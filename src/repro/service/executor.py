@@ -131,6 +131,9 @@ class EngineJob:
     #: home in :attr:`JobOutcome.spans` (set by the process executor
     #: from the parent's live tracing state).
     trace: bool = False
+    #: Wall-clock time the parent handed a traced job to the pool (the
+    #: start of the ``executor.pickup`` span).
+    sent_at: float = 0.0
 
 
 @dataclass
@@ -151,6 +154,11 @@ class JobOutcome:
     #: set); the parent re-parents them under its dispatch span via
     #: :func:`repro.obs.trace.adopt`, mirroring the METER-delta merge.
     spans: list = field(default_factory=list)
+    #: Wall-clock times a traced job reached the worker and its outcome
+    #: left it: the end of ``executor.pickup`` and the start of
+    #: ``executor.reply``.
+    picked_up_at: float = 0.0
+    replied_at: float = 0.0
 
 
 def describe_result(
@@ -326,8 +334,11 @@ def _execute_job(job: EngineJob) -> JobOutcome:
 def _execute_in_worker(job: EngineJob) -> JobOutcome:
     """Worker entry point: run the job and ship the METER delta home so
     the parent's counters stay executor-invariant."""
+    import time
+
     from repro.util.caches import clear_runtime_caches
 
+    picked_up = time.time()
     before = METER.snapshot()
     spans: list = []
     if job.trace:
@@ -344,6 +355,9 @@ def _execute_in_worker(job: EngineJob) -> JobOutcome:
         clear_runtime_caches()
     return_value.spans = spans
     return_value.meter = dict(METER.delta(before))
+    if job.trace:
+        return_value.picked_up_at = picked_up
+        return_value.replied_at = time.time()
     return return_value
 
 
@@ -390,7 +404,11 @@ class ProcessAnalysisExecutor:
         When the parent is tracing, the job is flagged so the worker
         records spans too; the reply's span records are re-based onto
         this process's clock and re-parented under the dispatch span
-        (span-shipping mirrors the METER-delta merge)."""
+        (span-shipping mirrors the METER-delta merge).  Wall-clock
+        stamps on the job and its outcome time the two transport legs
+        around them: ``executor.pickup`` (submit until the worker starts
+        the job: pickling, queueing, pool pickup) and ``executor.reply``
+        (the worker's return until the outcome is merged here)."""
         if not trace.enabled():
             return self._run(job)
         import time
@@ -399,9 +417,15 @@ class ProcessAnalysisExecutor:
         with trace.span("executor.dispatch", problem=job.problem):
             parent_id = trace.current_id()
             dispatched = time.perf_counter()
+            job.sent_at = time.time()
             outcome = self._run(job)
+            received, returned = time.perf_counter(), time.time()
+            pickup = max(0.0, outcome.picked_up_at - job.sent_at)
+            reply = max(0.0, returned - outcome.replied_at)
+            trace.record("executor.pickup", dispatched, pickup)
+            trace.record("executor.reply", received - reply, reply)
             if outcome.spans:
-                trace.adopt(outcome.spans, parent=parent_id, at=dispatched)
+                trace.adopt(outcome.spans, parent=parent_id, at=dispatched + pickup)
                 outcome.spans = []
         return outcome
 

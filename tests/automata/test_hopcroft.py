@@ -10,7 +10,9 @@ one of the minimizers.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ from repro.automata.canonical import (
     moore_canonical_form,
 )
 from repro.automata.dense import canonical_form, hopcroft, subset_tables
-from repro.automata.intern import sort_symbols
+from repro.automata.intern import SymbolTable, sort_symbols
 
 ALPHABET = ("a", "b")
 SYMBOLS = tuple(sort_symbols(ALPHABET))
@@ -110,6 +112,59 @@ class TestDenseTables:
         bits, table = canonical_form(nfa, sort_symbols(ALPHABET))
         assert bits == (True,)
         assert table == ((0, 0),)
+
+
+def symbol_major_tables(nfa, symbols, initial=None):
+    """The reference subset construction: every subset probes every
+    symbol in order and numbers new subsets as it meets them."""
+    start = nfa.epsilon_closure(nfa.initial if initial is None else initial)
+    index = {start: 0}
+    subsets = [start]
+    rows = []
+    acc = [bool(start & nfa.accepting)]
+    for current in subsets:  # grows while iterated
+        row = []
+        for symbol in symbols:
+            raw = set()
+            for state in current:
+                raw |= nfa.targets(state, symbol)
+            if not raw:
+                row.append(None)
+                continue
+            key = nfa.epsilon_closure(raw)
+            if key not in index:
+                index[key] = len(subsets)
+                subsets.append(key)
+                acc.append(bool(key & nfa.accepting))
+            row.append(index[key])
+        rows.append(row)
+    if any(None in row for row in rows):
+        dead = len(rows)
+        rows = [[dead if t is None else t for t in row] for row in rows]
+        rows.append([dead] * len(symbols))
+        acc.append(False)
+    return rows, acc
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_edge_driven_subsets_match_the_symbol_major_reference(seed):
+    """Random NFAs with ε-edges and labels outside the alphabet: the
+    edge-driven walk numbers subsets exactly like a symbol-major walk,
+    for a plain symbol sequence and for a :class:`SymbolTable`."""
+    rng = random.Random(seed)
+    symbols = tuple(sort_symbols(f"s{i}" for i in range(rng.randint(1, 6))))
+    labels = list(symbols) + [EPSILON, EPSILON, "outside", ("x", 1)]
+    n = rng.randint(1, 9)
+    nfa = NFA(
+        initial=rng.sample(range(n), rng.randint(1, min(2, n))),
+        accepting=rng.sample(range(n), rng.randint(0, n)),
+    )
+    for _ in range(rng.randint(0, 4 * n)):
+        nfa.add_transition(rng.randrange(n), rng.choice(labels), rng.randrange(n))
+    entry = [rng.randrange(n)] if seed % 3 == 0 else None
+    expected = symbol_major_tables(nfa, symbols, initial=entry)
+    assert subset_tables(nfa, symbols, initial=entry) == expected
+    assert subset_tables(nfa, SymbolTable(symbols), initial=entry) == expected
 
 
 class TestInverseEdgeCache:

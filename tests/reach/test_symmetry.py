@@ -1,4 +1,4 @@
-"""Symmetry reduction in the explicit lane is exact.
+"""Symmetry reduction in the explicit and symbolic lanes is exact.
 
 A translated program that runs one thread template several times
 declares its replica swaps (``CPDS.symmetry_candidates``); the batched
@@ -11,6 +11,12 @@ ground truths are the per-state oracle (``batched=False``, never
 reduced) and a batched run on the same threads without candidates (the
 trivial group).  Witness traces of non-representative states must
 replay through the CPDS semantics from the initial state.
+
+The batched symbolic engine expands one state per orbit of its
+frontier and keys its expansion memo by orbit-canonical thread views;
+its levels, ``T(Sk)`` levels and verdicts must be those of the same
+threads without candidates, and a blob of such a run (raw-view memo
+keys) must resume on the reduced engine.
 """
 
 import random
@@ -26,7 +32,9 @@ from repro.cuba import Cuba
 from repro.errors import ContextExplosionError
 from repro.models.registry import TABLE2
 from repro.pds.pds import PDS
+from repro.cuba.lanes import run_lane
 from repro.reach.explicit import ExplicitReach
+from repro.reach.symbolic import SymbolicReach
 from repro.reach.witness import validate_trace
 from repro.util.meter import scoped
 
@@ -414,3 +422,96 @@ def test_repacking_rewrites_the_image_entries(seed, copies):
     assert_same_observations(reduced, plain, [], 4)
     for state in plain.states_up_to(4):
         validate_trace(cpds, reduced.trace(state))
+
+
+# ----------------------------------------------------------------------
+# Symbolic lane
+# ----------------------------------------------------------------------
+#: Every runnable row whose translation declares replica swaps: the
+#: FCR rows above and Proc-2 [2+2•].
+SYMBOLIC_ROWS = tuple(
+    bench for bench in TABLE2 if not bench.skip_run and (
+        bench.config in ("1+2", "2+1", "2+2", "1•+2", "2+2•")
+    )
+)
+
+#: name -> symbolic.expansions of the reduced lane run.
+PINNED_EXPANSIONS = {
+    "5/FileCrawler [1•+2]": 281,
+    "7/Proc-2 [2+2•]": 21,
+}
+
+
+def assert_same_symbolic_levels(reduced, plain, k_max):
+    for k in range(k_max + 1):
+        assert reduced.levels[k] == plain.levels[k], f"k={k}"
+        assert reduced.visible_new_at(k) == plain.visible_new_at(k), f"k={k}"
+
+
+def test_symbolic_rows_are_the_ten_replicated_rows():
+    assert len(SYMBOLIC_ROWS) == 10
+    assert set(PINNED_EXPANSIONS) <= {bench.name for bench in SYMBOLIC_ROWS}
+
+
+@pytest.mark.parametrize("bench", SYMBOLIC_ROWS, ids=lambda b: b.name)
+def test_symbolic_reduced_matches_the_trivial_group(bench):
+    cpds, prop = bench.build()
+    reduced = SymbolicReach(cpds)
+    plain = SymbolicReach(trivial_copy(cpds))
+    with scoped() as work:
+        result = run_lane(reduced, cpds, prop, max_rounds=bench.max_rounds)
+    with scoped() as plain_work:
+        expected = run_lane(plain, cpds, prop, max_rounds=bench.max_rounds)
+    assert reduced.stats()["symmetry_order"] > 1
+    assert plain.stats()["symmetry_order"] == 1
+    assert (result.verdict, result.bound, result.method) == (
+        expected.verdict, expected.bound, expected.method
+    )
+    assert reduced.k == plain.k
+    assert_same_symbolic_levels(reduced, plain, reduced.k)
+    assert reduced.stats()["levels"] == plain.stats()["levels"]
+    # One expansion per orbit-canonical view, never more than unreduced.
+    assert work["symbolic.expansions"] < plain_work["symbolic.expansions"]
+    assert (
+        work["symbolic.expansions"] + work.get("symbolic.expansion_cache_hits", 0)
+        == work["symbolic.level_unique_views"]
+    )
+    if bench.name in PINNED_EXPANSIONS:
+        assert work["symbolic.expansions"] == PINNED_EXPANSIONS[bench.name]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_symbolic_random_replicated_models_reduce_exactly(seed):
+    copies = 3 if seed % 3 == 0 else 2
+    cpds = replicated_cpds(seed, copies=copies, loners=seed % 2)
+    plain_cpds = parse_cpds(format_cpds(cpds))
+    reduced = SymbolicReach(cpds)
+    plain = SymbolicReach(plain_cpds)
+    oracle = SymbolicReach(cpds, batched=False)
+    k_max = 3
+    for engine in (reduced, plain, oracle):
+        engine.ensure_level(k_max)
+    assert reduced.stats()["symmetry_order"] == (6 if copies == 3 else 2)
+    assert oracle.stats()["symmetry_order"] == 1
+    assert_same_symbolic_levels(reduced, plain, k_max)
+    assert_same_symbolic_levels(reduced, oracle, k_max)
+
+
+@pytest.mark.parametrize(
+    "name", ["5/FileCrawler [1•+2]", "7/Proc-2 [2+2•]", "1/Bluetooth-1 [1+2]"]
+)
+def test_symbolic_blob_with_raw_view_keys_resumes_reduced(name):
+    """A blob of the candidate-free run carries memo keys that are not
+    orbit-canonical; the reduced engine re-keys them on restore and
+    finishes with the uninterrupted levels."""
+    bench = next(b for b in SYMBOLIC_ROWS if b.name == name)
+    cpds, _prop = bench.build()
+    plain = SymbolicReach(trivial_copy(cpds))
+    plain.ensure_level(2)
+    restored = SymbolicReach.restore(cpds, plain.snapshot())
+    assert restored.stats()["symmetry_order"] > 1
+    assert len(restored._expansions) < len(plain._expansions)
+    uninterrupted = SymbolicReach(cpds)
+    uninterrupted.ensure_level(5)
+    restored.ensure_level(5)
+    assert_same_symbolic_levels(restored, uninterrupted, 5)

@@ -26,8 +26,12 @@ from repro.errors import ContextExplosionError
 from repro.models import fig1_cpds, fig2_cpds
 from repro.models.random_gen import RandomSpec, random_cpds
 from repro.models.registry import runnable_benchmarks, smallest_per_row
+from repro.cpds.state import GlobalState
 from repro.pds import PDS
+from repro.pds.semantics import successors as pds_successors
+from repro.pds.state import PDSState
 from repro.reach.wuba import WubaReach, write_free_sub_pds
+from repro.util.meter import METER, scoped
 
 
 def oracle_levels(cpds, max_writes: int, cap: int = 200_000):
@@ -104,6 +108,78 @@ class TestAgainstOracle:
         warm.ensure_level(5)
         cold.ensure_level(5)
         assert warm.levels == cold.levels
+
+
+class MemoFreeWuba(WubaReach):
+    """The reference write scan: every frontier state enumerates each
+    thread's successors with ``pds_successors`` and skips the
+    write-free ones, with no memo in between."""
+
+    def _advance(self) -> bool:
+        frontier = self.levels[-1]
+        seen = self._seen
+        fresh: dict = {}
+        writes = 0
+        for state in frontier:
+            for index, pds in enumerate(self.cpds.threads):
+                local = PDSState(state.shared, state.stacks[index])
+                for action, local_next in pds_successors(pds, local):
+                    if action.to_shared == state.shared:
+                        continue
+                    writes += 1
+                    stacks = list(state.stacks)
+                    stacks[index] = local_next.stack
+                    written = GlobalState(local_next.shared, tuple(stacks))
+                    if written in seen or written in fresh:
+                        continue
+                    for closed in self._close(written):
+                        if closed not in seen:
+                            fresh[closed] = None
+        METER.bump("wuba.level_writes", writes)
+        self._commit(tuple(fresh))
+        return bool(fresh)
+
+
+_WUBA_COUNTERS = ("wuba.expansions", "wuba.closure_cache_hits", "wuba.level_writes")
+
+
+def _memo_run(engine_class, cpds, depth: int):
+    with scoped() as work:
+        engine = engine_class(cpds)
+        engine.ensure_level(depth)
+    return engine.levels, [work.get(name, 0) for name in _WUBA_COUNTERS]
+
+
+def wcr_runnable_rows():
+    rows = []
+    for bench in runnable_benchmarks():
+        cpds, prop = bench.build()
+        if WubaReach.applicable(cpds, prop):
+            rows.append(pytest.param(cpds, id=bench.name))
+    return rows
+
+
+WCR_SPEC = RandomSpec(n_threads=3, rules_per_thread=5, push_bias=0.1)
+#: The first 20 seeds whose ``WCR_SPEC`` model is WCR.
+WCR_SEEDS = [
+    seed for seed in range(80) if WubaReach.applicable(random_cpds(seed, WCR_SPEC))
+][:20]
+
+
+class TestWriteMemo:
+    """The write memo changes no level, no discovery order and no
+    ``wuba.*`` counter: each level tuple and the counters equal a
+    memo-free scan's."""
+
+    @pytest.mark.parametrize("cpds", wcr_runnable_rows())
+    def test_registry_rows_match_the_memo_free_scan(self, cpds):
+        assert _memo_run(WubaReach, cpds, 8) == _memo_run(MemoFreeWuba, cpds, 8)
+
+    @pytest.mark.parametrize("seed", WCR_SEEDS)
+    def test_random_models_match_the_memo_free_scan(self, seed):
+        cpds = random_cpds(seed, WCR_SPEC)
+        levels, counters = _memo_run(WubaReach, cpds, 5)
+        assert (levels, counters) == _memo_run(MemoFreeWuba, cpds, 5)
 
 
 class TestFixpoint:

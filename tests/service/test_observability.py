@@ -375,3 +375,17 @@ class TestProcessExecutorSpans:
             while cursor["parent"] is not None:
                 cursor = by_id[cursor["parent"]]
             assert cursor["id"] == dispatch[0]["id"]
+        # The transport legs are named: the pickup leg ends where the
+        # worker's spans begin, and both legs and the engine run fit
+        # inside the dispatch span.
+        (pickup,) = [e for e in events if e["name"] == "executor.pickup"]
+        (reply,) = [e for e in events if e["name"] == "executor.reply"]
+        (engine_run,) = [e for e in worker_events if e["name"] == "service.engine_run"]
+        for leg in (pickup, reply):
+            assert leg["pid"] == os.getpid()
+            assert leg["parent"] == dispatch[0]["id"]
+            assert leg["dur"] >= 0.0
+        assert pickup["ts"] >= dispatch[0]["ts"]
+        assert abs(pickup["ts"] + pickup["dur"] - engine_run["ts"]) < 1e-9
+        assert pickup["dur"] + engine_run["dur"] + reply["dur"] <= dispatch[0]["dur"] + 1e-3
+        assert reply["ts"] + reply["dur"] <= dispatch[0]["ts"] + dispatch[0]["dur"]
