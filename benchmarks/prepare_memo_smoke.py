@@ -21,8 +21,10 @@ The script
    prints those as JSON), and
 5. resubmits each program with its row's full budget: a program whose
    shallow run was resumable must come back ``resumed``, any other as
-   a store hit, each under the same id and with the verdict and bound
-   of a cold in-process ``Cuba`` run at that budget; ``/meter`` must
+   a store hit, each under the same id and with the verdict, bound,
+   witness and witness trace of a cold in-process ``Cuba`` run at that
+   budget (a refutation's trace must survive the worker-side resume,
+   under another hash seed); ``/meter`` must
    then count one ``service.resumes`` per resumable program and no
    ``service.snapshot_rejects``.  The daemon's workers compile the
    programs themselves, so this proves that their CPDSs restore the
@@ -70,12 +72,14 @@ def _programs() -> dict[str, tuple[dict, int]]:
 
 
 def _cold() -> dict[str, dict]:
-    """Row name → the program's fingerprint, and the verdict and bound
-    of a cold in-process ``Cuba`` run at the row's full budget."""
+    """Row name → the program's fingerprint, and the verdict, bound,
+    witness and trace of a cold in-process ``Cuba`` run at the row's
+    full budget, the last two as the service records them."""
     from repro.bp.translate import compile_source
     from repro.cpds.format import parse_cpds
     from repro.cuba.verifier import Cuba
     from repro.pds.semantics import DEFAULT_STATE_LIMIT
+    from repro.service.executor import describe_result
     from repro.service.fingerprint import fingerprint
     from repro.service.server import parse_property_spec
 
@@ -89,6 +93,9 @@ def _cold() -> dict[str, dict]:
         else:
             cpds, prop = parse_cpds(program["cpds_text"]), parse_property_spec(None)
         result = Cuba(cpds, prop).verify(max_rounds=budget).result
+        record = describe_result(
+            result, problem="", kind="", explored=0, resumable=False
+        )
         cold[row] = {
             "fingerprint": fingerprint(
                 cpds,
@@ -97,6 +104,8 @@ def _cold() -> dict[str, dict]:
             ),
             "verdict": result.verdict.value,
             "bound": result.bound,
+            "witness": record["witness"],
+            "trace": record["trace"],
         }
     return cold
 
@@ -211,6 +220,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"{row}: the k={budget} resubmit is {how}, same id, "
                     f"{deeper['verdict']}/{deeper['bound']} == cold "
                     f"{expected['verdict']}/{expected['bound']}",
+                )
+                failures += not _check(
+                    (deeper.get("witness"), deeper.get("trace"))
+                    == (expected["witness"], expected["trace"]),
+                    f"{row}: witness {deeper.get('witness')} and its trace "
+                    f"== cold {expected['witness']}",
                 )
             after = client.meter()
             resumes = after.get("service.resumes", 0) - before.get(

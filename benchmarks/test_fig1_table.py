@@ -44,7 +44,7 @@ def test_fig1_reachability_table(benchmark, report_sink):
     )
 
     def explore():
-        engine = ExplicitReach(fig1_cpds(), track_traces=False)
+        engine = ExplicitReach(fig1_cpds())
         engine.ensure_level(6)
         return engine
 

@@ -17,7 +17,7 @@ from repro.util import render_table
 
 def print_reachability_table(levels: int = 6) -> None:
     """Regenerate the table of Fig. 1 (right)."""
-    engine = ExplicitReach(fig1_cpds(), track_traces=False)
+    engine = ExplicitReach(fig1_cpds())
     engine.ensure_level(levels)
     rows = []
     for k in range(levels + 1):

@@ -171,7 +171,7 @@ def cmd_table(args) -> int:
     # The table enumerates (Rk) explicitly, which diverges without FCR:
     # check the lane's precondition before building the engine.
     ensure_applicable(ExplicitReach, cpds)
-    engine = ExplicitReach(cpds, track_traces=False)
+    engine = ExplicitReach(cpds)
     engine.ensure_level(args.levels)
     rows = []
     for k in range(args.levels + 1):

@@ -365,7 +365,7 @@ class StateTable:
         """Dense id for an already-component-interned ``(qid, wids)``.
 
         NOTE: the view replay loop in
-        :meth:`repro.reach.explicit.ExplicitReach._advance_batched`
+        :meth:`repro.reach.explicit.ExplicitReach._replay`
         inlines this append protocol on packed keys (``_ids``/``_packed``/
         ``_states``/``_vkeys`` grow in lock-step, id == old
         ``len(_packed)``) — keep it in sync when changing the table

@@ -76,8 +76,9 @@ class ContextTree:
     whose moving thread shows this view, because a context never reads
     the frozen threads' stacks.  :meth:`deltas` derives (and memoizes
     per table era) the per-edge packed-key deltas the replay loop ORs
-    into a frozen global-state key; :meth:`visible_deltas` does the same
-    for visible keys, whose layout never changes.
+    into a frozen global-state key; :meth:`edge_rows` bundles them with
+    the visible-key deltas, parent positions and actions the loop also
+    reads.
     """
 
     __slots__ = (
@@ -89,8 +90,6 @@ class ContextTree:
         "wids",
         "actions",
         "_deltas",
-        "_vdeltas",
-        "_parent_pos",
         "_rows",
         "_images",
     )
@@ -113,8 +112,6 @@ class ContextTree:
         self.wids = wids
         self.actions = actions
         self._deltas: tuple[int, list[int]] | None = None
-        self._vdeltas: list[int] | None = None
-        self._parent_pos: list[int] | None = None
         self._rows: tuple[int, tuple] | None = None
         self._images: tuple[int, list] | None = None
 
@@ -142,22 +139,6 @@ class ContextTree:
             self._deltas = cached
         return cached[1]
 
-    def visible_deltas(self, table: StateTable) -> list[int]:
-        """Per-edge visible-key deltas ``(qid << vqshift) | (tid <<
-        off_i)`` (see "Visible keys" in :mod:`repro.cpds.interning`),
-        memoized: the layout is era-independent."""
-        cached = self._vdeltas
-        if cached is None:
-            vqshift = table._vqshift
-            off = table._voffs[self.thread]
-            wid_tops = table._wid_tops[self.thread]
-            cached = [
-                (qid << vqshift) | (wid_tops[wid] << off)
-                for qid, wid in zip(self.qids, self.wids)
-            ]
-            self._vdeltas = cached
-        return cached
-
     def image_deltas(self, table: StateTable) -> list[tuple[int, ...]]:
         """Per edge, the packed-key delta's image under each
         non-identity element of ``table``'s group: ``σ(qid)`` in the
@@ -182,36 +163,36 @@ class ContextTree:
             self._images = cached
         return cached[1]
 
-    def parent_positions(self) -> list[int]:
-        """Per-edge source-node index, flattened from ``offsets``
-        (memoized — geometry-independent).  Lets the witness-tracking
-        replay run one flat ``zip`` over the edge columns instead of a
-        nested node/edge walk."""
-        cached = self._parent_pos
-        if cached is None:
-            offsets = self.offsets
-            cached = []
-            extend = cached.extend
-            for node in range(len(offsets) - 1):
-                extend([node] * (offsets[node + 1] - offsets[node]))
-            self._parent_pos = cached
-        return cached
-
     def edge_rows(self, table: StateTable) -> tuple:
         """``(packed delta, visible delta, parent position, action)``
-        rows, one per edge — the witness-tracking replay loop's
-        iteration unit, memoized per table era like the deltas they
-        embed."""
+        rows, one per edge — the replay loop's iteration unit, memoized
+        per table era like the deltas they embed.  The visible delta is
+        ``(qid << vqshift) | (tid << off_i)`` (see "Visible keys" in
+        :mod:`repro.cpds.interning`); the parent position is the edge's
+        source node, flattened from ``offsets``, so the replay runs one
+        flat loop over the edges instead of a nested node/edge walk.
+        :func:`thread_view_post` seeds the memo as it saturates."""
         cached = self._rows
         era = table.era
         if cached is None or cached[0] != era:
+            vqshift = table._vqshift
+            off = table._voffs[self.thread]
+            wid_tops = table._wid_tops[self.thread]
+            offsets = self.offsets
             cached = (
                 era,
                 tuple(
                     zip(
                         self.deltas(table),
-                        self.visible_deltas(table),
-                        self.parent_positions(),
+                        [
+                            (qid << vqshift) | (wid_tops[wid] << off)
+                            for qid, wid in zip(self.qids, self.wids)
+                        ],
+                        [
+                            node
+                            for node in range(len(offsets) - 1)
+                            for _ in range(offsets[node + 1] - offsets[node])
+                        ],
                         self.actions,
                     )
                 ),
@@ -316,16 +297,10 @@ def thread_view_post(
     stack_id: int,
     max_states: int = DEFAULT_STATE_LIMIT,
     succ_memo: dict | None = None,
-    build_rows: bool = True,
 ) -> ContextTree:
     """Saturate one context of thread ``index`` from the interned local
     view ``(shared_id, stack_id)`` and return the flat array-encoded
-    tree.
-
-    ``build_rows=False`` skips seeding the witness-replay row memo (one
-    tuple per edge) — callers that never take the witness-tracking
-    replay path (``track_traces=False`` engines) save the allocation; ``edge_rows`` rebuilds lazily if
-    needed.
+    tree, its :meth:`ContextTree.edge_rows` memo seeded.
 
     This is the view-granular counterpart of :func:`thread_context_post`
     used by the view-batched explicit engine: the returned
@@ -355,14 +330,12 @@ def thread_view_post(
         # disabled path costs one module-attribute read and no frame.
         with trace.span("explicit.saturation", thread=index) as timing:
             tree = _thread_view_post(
-                cpds, table, index, shared_id, stack_id, max_states,
-                succ_memo, build_rows,
+                cpds, table, index, shared_id, stack_id, max_states, succ_memo
             )
             timing.set(states=len(tree.offsets) - 1)
             return tree
     return _thread_view_post(
-        cpds, table, index, shared_id, stack_id, max_states,
-        succ_memo, build_rows,
+        cpds, table, index, shared_id, stack_id, max_states, succ_memo
     )
 
 
@@ -374,7 +347,6 @@ def _thread_view_post(
     stack_id: int,
     max_states: int = DEFAULT_STATE_LIMIT,
     succ_memo: dict | None = None,
-    build_rows: bool = True,
 ) -> ContextTree:
     pds = cpds.thread(index)
     start = PDSState(table.shared(shared_id), table.stack(index, stack_id))
@@ -429,13 +401,12 @@ def _thread_view_post(
             qids_append(qid)
             wids_append(wid)
             actions_append(action)
-            if build_rows:
-                rows_append((
-                    (qid << qshift) | (wid << shift),
-                    (qid << vqshift) | (wid_tops[wid] << voff),
-                    pos,
-                    action,
-                ))
+            rows_append((
+                (qid << qshift) | (wid << shift),
+                (qid << vqshift) | (wid_tops[wid] << voff),
+                pos,
+                action,
+            ))
             nodes_append(local_next)
         pos += 1
         offsets_append(len(qids))
@@ -452,7 +423,7 @@ def _thread_view_post(
     # interning this very tree's components repacked the table (the
     # geometry captured above went stale — rare; the lazy rebuild in
     # ``edge_rows`` covers it).
-    if build_rows and table.era == era:
+    if table.era == era:
         tree._rows = (era, tuple(rows))
     return tree
 

@@ -68,6 +68,7 @@ from typing import TYPE_CHECKING
 
 from repro.cpds.state import VisibleState
 from repro.obs import trace
+from repro.pds.semantics import DEFAULT_STATE_LIMIT
 
 if TYPE_CHECKING:
     from repro.core.property import Property
@@ -183,8 +184,18 @@ class ReachabilityEngine(abc.ABC):
         *,
         max_states_per_context: int | None = None,
     ) -> "ReachabilityEngine":
-        """Construct a fresh engine from the uniform lane arguments."""
-        raise NotImplementedError
+        """Construct a fresh engine from the uniform lane arguments: the
+        divergence guard defaults to
+        :data:`~repro.pds.semantics.DEFAULT_STATE_LIMIT`.  A lane without
+        a guard overrides this."""
+        return cls(
+            cpds,
+            max_states_per_context=(
+                DEFAULT_STATE_LIMIT
+                if max_states_per_context is None
+                else max_states_per_context
+            ),
+        )
 
     @classmethod
     def restore(

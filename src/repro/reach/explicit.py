@@ -38,8 +38,10 @@ global product.  Three layers kill it:
   delta — no tuple allocation, no nested re-hashing, no ``GlobalState``
   materialized anywhere on the path.  The same loop fills the table's
   visible-key column (``vfrozen | vdelta``, see "Visible keys" in
-  :mod:`repro.cpds.interning`).  Keys are Python ints, so the one loop
-  serves every packing geometry, however wide adaptive repacks grow it.
+  :mod:`repro.cpds.interning`) and the witness parents: every batched
+  engine records them, so a refutation always comes with its path.
+  Keys are Python ints, so the one loop serves every packing geometry,
+  however wide adaptive repacks grow it.
 
 ``T(Rk)`` as visible keys
 -------------------------
@@ -80,9 +82,9 @@ thread), *unpruned* and memo-free — is kept behind ``batched=False`` as
 the differential oracle;
 ``tests/reach/test_batched_explicit.py`` proves the modes agree level
 for level on every FCR registry row and on randomized CPDSs, and
-``tests/reach/test_sharded_replay.py`` that the replay's two member
-loops (with and without witness parents) and a snapshot-restored
-engine agree level for level with equal METER work counts.
+``tests/reach/test_sharded_replay.py`` that the replay and a
+snapshot-restored engine agree level for level, witness parents
+included, with equal METER work counts.
 
 Symmetry reduction
 ------------------
@@ -122,8 +124,9 @@ representatives only:
   follows the reduced scan (a shared state's orbit is interned with
   it), so ``violation_at`` picks its violator by value
   (:func:`~repro.core.property.visible_token`), never by key.
-* **Witnesses.**  A parent is recorded as the ``_ids`` entry of the
-  parent key, i.e. (representative, element);
+* **Witnesses.**  Every batched engine records witness parents.  A
+  parent is recorded as the ``_ids`` entry of the parent key, i.e.
+  (representative, element);
   :meth:`ExplicitReach.trace` composes the elements up the chain and
   maps each step through them, so every witness is a real run from the
   initial state.  :meth:`ExplicitReach.find_visible` maps a visible
@@ -304,7 +307,6 @@ class ExplicitReach(ReachabilityEngine):
         self,
         cpds: CPDS,
         max_states_per_context: int = DEFAULT_STATE_LIMIT,
-        track_traces: bool = True,
         *,
         batched: bool = True,
     ) -> None:
@@ -351,15 +353,12 @@ class ExplicitReach(ReachabilityEngine):
         #: Witness parents in batched mode: id -> parent entry (the
         #: parent's ``_ids`` entry ``rep * |G| + element``; -1 for the
         #: root) and id -> the action taken; the thread is the mover.
-        #: ``None`` when traces are off.
-        track = track_traces and batched
-        self._parent_ids: array | None = array("q") if track else None
-        self._parent_actions: list | None = [] if track else None
-        #: The per-state oracle path's ``GlobalState``-keyed parents
-        #: (see :func:`thread_context_post`).
-        self._oracle_parents: dict | None = (
-            {} if track_traces and not batched else None
-        )
+        #: ``None`` on the per-state oracle, which keeps
+        #: ``GlobalState``-keyed parents instead (see
+        #: :func:`thread_context_post`).
+        self._parent_ids: array | None = array("q") if batched else None
+        self._parent_actions: list | None = [] if batched else None
+        self._oracle_parents: dict | None = None if batched else {}
         #: ``T(Rk)`` as visible keys (see the module docstring):
         #: key -> first level, the per-level sorted new keys, and the
         #: cumulative counts ``|T(R≤k)|``.
@@ -378,10 +377,10 @@ class ExplicitReach(ReachabilityEngine):
         self._movers.append(cpds.n_threads)
         self._level_ids.append((sid,))
         self._level_sizes.append(1 + self._add_orbit(sid))
-        if self._parent_ids is not None:
+        if batched:
             self._parent_ids.append(-1)
             self._parent_actions.append(None)
-        if self._oracle_parents is not None:
+        else:
             self._oracle_parents[initial] = None
         self._record_visible_keys(sid, sid + 1)
 
@@ -460,10 +459,10 @@ class ExplicitReach(ReachabilityEngine):
         and the engine is the only writer of global ids, so truncation
         restores exactly the pre-``advance`` state."""
         table = self.table
-        if self._parent_ids is not None:
+        if self.batched:
             del self._parent_ids[base:]
             del self._parent_actions[base:]
-        if self._oracle_parents is not None:
+        else:
             for sid in range(base, len(table)):
                 self._oracle_parents.pop(table.state(sid), None)
         table.truncate(base)
@@ -533,13 +532,13 @@ class ExplicitReach(ReachabilityEngine):
         self, tree: ContextTree, members: list[int], level: int, fresh: list[int]
     ) -> int:
         """Replay ``tree`` across the view's ``members``: each member's
-        frozen key ORed with each edge's delta, interning the misses.
-        A miss starts a new orbit, so every image also gets its entry
-        (``π(frozen) | π(delta)``, the member's permuted frozen key
-        computed on its first new orbit; with the trivial group there
-        are none).  Returns the number of image entries added.  An
-        intern hit is a known orbit, so the freshness test is the plain
-        ``key not in ids``."""
+        frozen key ORed with each edge's delta, interning the misses
+        with their witness parents.  A miss starts a new orbit, so every
+        image also gets its entry (``π(frozen) | π(delta)``, the
+        member's permuted frozen key computed on its first new orbit;
+        with the trivial group there are none).  Returns the number of
+        image entries added.  An intern hit is a known orbit, so the
+        freshness test is the plain ``key not in ids``."""
         table = self.table
         order = table.order
         # Saturating later views grows the component pools, which can
@@ -560,39 +559,11 @@ class ExplicitReach(ReachabilityEngine):
         parent_actions = self._parent_actions
         append_fresh = fresh.append
         deltas = tree.deltas(table)
-        image_rows = tree.image_deltas(table)
+        rows = tuple(zip(tree.edge_rows(table), tree.image_deltas(table)))
         added = 0
         # ``StateTable.intern_key`` inlined on packed keys (see the
-        # coupling note there): these loops run once per (member, tree
+        # coupling note there): this loop runs once per (member, tree
         # edge) and the call overhead is the hot-path cost.
-        if parent_ids is None:
-            # Only a new orbit reads the visible delta and the images.
-            rows = tuple(zip(deltas, zip(tree.visible_deltas(table), image_rows)))
-            for sid in members:
-                frozen = packed[sid] & low_mask & move_clear
-                vfrozen = vkeys[sid] & vclear
-                permuted = None
-                for delta, rest in rows:
-                    key = frozen | delta
-                    if key not in ids:
-                        vdelta, image_deltas = rest
-                        nsid = len(packed)
-                        ids[key] = entry = nsid * order
-                        packed.append(key)
-                        states.append(None)
-                        vkeys.append(vfrozen | vdelta)
-                        first_seen.append(level)
-                        append_fresh(nsid)
-                        if permuted is None:
-                            permuted = thread_images(frozen)
-                        for frozen_image, delta_image in zip(permuted, image_deltas):
-                            entry += 1
-                            image = frozen_image | delta_image
-                            if image not in ids:
-                                ids[image] = entry
-                                added += 1
-            return added
-        rows = tuple(zip(tree.edge_rows(table), image_rows))
         for sid in members:
             frozen = packed[sid] & low_mask & move_clear
             vfrozen = vkeys[sid] & vclear
@@ -652,7 +623,6 @@ class ExplicitReach(ReachabilityEngine):
                 self.cpds, self.table, index, qid, wid,
                 self.max_states_per_context,
                 succ_memo=self._succ_memos[index],
-                build_rows=self._parent_ids is not None,
             )
             METER.bump("explicit.context_cache_misses")
             cache[view] = trees[view] = tree
@@ -840,10 +810,8 @@ class ExplicitReach(ReachabilityEngine):
         rule ``σ`` maps the mover's rule to.  The elements compose along
         the chain, so every step is a real move from the initial state,
         which every element fixes."""
-        if self._oracle_parents is not None:
+        if not self.batched:
             return rebuild_trace(self._oracle_parents, target)
-        if self._parent_ids is None:
-            raise ValueError("engine was created with track_traces=False")
         table = self.table
         entry = table.id_of(target)
         order = table.order
@@ -959,20 +927,18 @@ class ExplicitReach(ReachabilityEngine):
                 )
             return found
 
+        # Parent rows in id order, root (parent -1) omitted.
         parent_ids = self._parent_ids
-        parent_rows = None
-        if parent_ids is not None:
-            # Rows in id order, root (parent -1) omitted.
-            children = array(
-                "q", (sid for sid, parent in enumerate(parent_ids) if parent >= 0)
-            )
-            actions = self._parent_actions
-            movers = self._movers
-            parent_rows = (
-                children,
-                array("q", (parent_ids[sid] for sid in children)),
-                array("I", (rule_id(movers[sid], actions[sid]) for sid in children)),
-            )
+        children = array(
+            "q", (sid for sid, parent in enumerate(parent_ids) if parent >= 0)
+        )
+        actions = self._parent_actions
+        movers = self._movers
+        parent_rows = (
+            children,
+            array("q", (parent_ids[sid] for sid in children)),
+            array("I", (rule_id(movers[sid], actions[sid]) for sid in children)),
+        )
 
         views = array("q")
         trees = []
@@ -989,7 +955,6 @@ class ExplicitReach(ReachabilityEngine):
             {
                 "n_threads": table.n_threads,
                 "max_states_per_context": self.max_states_per_context,
-                "track_traces": parent_ids is not None,
                 "symmetry": self.symmetry.perms,
                 "shared_maps": [array("q", row) for row in table.shared_images()],
                 "shareds": shareds,
@@ -1029,7 +994,6 @@ class ExplicitReach(ReachabilityEngine):
                     if max_states_per_context is None
                     else max_states_per_context
                 ),
-                track_traces=payload["track_traces"],
             )
             symmetry = engine.symmetry
             if tuple(payload["symmetry"]) != symmetry.perms:
@@ -1086,18 +1050,14 @@ class ExplicitReach(ReachabilityEngine):
                 [_rule_of(cpds.thread(thread), value) for value in values]
                 for thread, values in enumerate(payload["rules"])
             ]
-            parent_rows = payload["parents"]
-            if parent_rows is None:
-                engine._parent_ids = engine._parent_actions = None
-            else:
-                children, parent_entries, positions = parent_rows
-                parent_ids = array("q", [-1]) * len(table)
-                parent_actions = [None] * len(table)
-                for child, parent, position in zip(children, parent_entries, positions):
-                    parent_ids[child] = parent
-                    parent_actions[child] = rules[engine._movers[child]][position]
-                engine._parent_ids = parent_ids
-                engine._parent_actions = parent_actions
+            children, parent_entries, positions = payload["parents"]
+            parent_ids = array("q", [-1]) * len(table)
+            parent_actions = [None] * len(table)
+            for child, parent, position in zip(children, parent_entries, positions):
+                parent_ids[child] = parent
+                parent_actions[child] = rules[engine._movers[child]][position]
+            engine._parent_ids = parent_ids
+            engine._parent_actions = parent_actions
 
             views, trees = payload["trees"]
             cache = engine._tree_cache
@@ -1133,19 +1093,3 @@ class ExplicitReach(ReachabilityEngine):
         from repro.cuba.fcr import check_fcr
 
         return check_fcr(cpds).holds
-
-    @classmethod
-    def create(
-        cls,
-        cpds: CPDS,
-        *,
-        max_states_per_context: int | None = None,
-    ) -> "ExplicitReach":
-        return cls(
-            cpds,
-            max_states_per_context=(
-                DEFAULT_STATE_LIMIT
-                if max_states_per_context is None
-                else max_states_per_context
-            ),
-        )

@@ -1,7 +1,7 @@
 """Compatibility stub for the retired numpy replay backend.
 
 The explicit engine has one replay loop, the scalar packed-key loop in
-:meth:`repro.reach.explicit.ExplicitReach._advance_batched`; the numpy
+:meth:`repro.reach.explicit.ExplicitReach._replay`; the numpy
 broadcast that once lived here bought no speed on any measured
 workload and was deleted.  The only remaining caller is the repository
 benchmark (``perfbench/run.py``), which records

@@ -338,19 +338,3 @@ class WubaReach(ReachabilityEngine):
             shallow_configs_psa(write_free_sub_pds(pds)).language_is_finite()
             for pds in cpds.threads
         )
-
-    @classmethod
-    def create(
-        cls,
-        cpds: CPDS,
-        *,
-        max_states_per_context: int | None = None,
-    ) -> "WubaReach":
-        return cls(
-            cpds,
-            max_states_per_context=(
-                DEFAULT_STATE_LIMIT
-                if max_states_per_context is None
-                else max_states_per_context
-            ),
-        )

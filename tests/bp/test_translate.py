@@ -107,7 +107,7 @@ class TestAssertions:
 class TestSequentialSemantics:
     def run_states(self, source, levels=6, **kw):
         compiled = compile_source(source, **kw)
-        engine = ExplicitReach(compiled.cpds, track_traces=False)
+        engine = ExplicitReach(compiled.cpds)
         engine.ensure_level(levels)
         return compiled, engine
 

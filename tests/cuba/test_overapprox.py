@@ -84,7 +84,7 @@ class TestLemma12OnPaperModels:
     def test_fig1_visible_reach_inside_z(self):
         cpds = fig1_cpds()
         z = compute_z(cpds)
-        engine = ExplicitReach(cpds, track_traces=False)
+        engine = ExplicitReach(cpds)
         engine.ensure_level(8)
         assert engine.visible_up_to() <= z
 
@@ -168,7 +168,7 @@ def test_compute_z_matches_reference_on_table2(bench):
 @given(random_cpds())
 def test_lemma12_on_random_cpds(cpds):
     z = compute_z(cpds)
-    engine = ExplicitReach(cpds, max_states_per_context=3000, track_traces=False)
+    engine = ExplicitReach(cpds, max_states_per_context=3000)
     try:
         engine.ensure_level(4)
     except ContextExplosionError:
@@ -198,7 +198,7 @@ class TestAbstractSequence:
 
         cpds = fig1_cpds()
         levels = abstract_visible_levels(cpds)
-        engine = ExplicitReach(cpds, track_traces=False)
+        engine = ExplicitReach(cpds)
         engine.ensure_level(6)
         for k in range(min(len(levels), 7)):
             assert engine.visible_up_to(k) <= levels[k], f"k={k}"
@@ -236,7 +236,7 @@ def test_abstract_levels_dominate_concrete(cpds):
     from repro.cuba import abstract_visible_levels
 
     levels = abstract_visible_levels(cpds)
-    engine = ExplicitReach(cpds, max_states_per_context=3000, track_traces=False)
+    engine = ExplicitReach(cpds, max_states_per_context=3000)
     try:
         engine.ensure_level(3)
     except ContextExplosionError:
@@ -313,7 +313,7 @@ def test_lazy_generator_test_matches_eager_at_each_new_plateau(build, lane):
 @given(random_cpds())
 def test_lazy_generator_test_matches_eager_on_random_cpds(cpds):
     z, eager = eager_oracle(cpds)
-    engine = ExplicitReach(cpds, max_states_per_context=3000, track_traces=False)
+    engine = ExplicitReach(cpds, max_states_per_context=3000)
     search = GeneratorSearch(cpds, generator_analysis(cpds))
     # Asked at every bound, not just at new plateaus: any growing
     # sequence of seen sets must get the eager answer.
@@ -332,7 +332,7 @@ def test_lazy_generator_test_matches_eager_on_random_cpds(cpds):
 
 def test_ex14_missing_generator_is_reported_again_until_seen():
     cpds = fig1_cpds()
-    engine = ExplicitReach(cpds, track_traces=False)
+    engine = ExplicitReach(cpds)
     engine.ensure_level(6)
     search = GeneratorSearch(cpds, generator_analysis(cpds))
     # T(R3) = T(R2) lacks ⟨0|1,6⟩ (Ex. 14); T(R6) = T(R5) has it.

@@ -33,8 +33,8 @@ def _levels(engine, k_max):
 @pytest.mark.parametrize("bench", FCR_BENCHES, ids=lambda b: b.row)
 def test_batched_levels_match_per_state_levels(bench):
     cpds, _prop = bench.build()
-    batched = ExplicitReach(cpds, track_traces=False)
-    per_state = ExplicitReach(cpds, track_traces=False, batched=False)
+    batched = ExplicitReach(cpds)
+    per_state = ExplicitReach(cpds, batched=False)
     assert _levels(batched, K) == _levels(per_state, K)
     for k in range(K + 1):
         assert batched.visible_up_to(k) == per_state.visible_up_to(k), f"k={k}"
@@ -47,10 +47,10 @@ def test_batched_matches_non_incremental_per_state(bench):
     """Cross both axes: a batched engine restored mid-run (its tree memo
     read back from the blob) vs the memo-free per-state seed path."""
     cpds, _prop = bench.build()
-    fast = ExplicitReach(cpds, track_traces=False)
+    fast = ExplicitReach(cpds)
     fast.ensure_level(1)
     resumed = ExplicitReach.restore(cpds, fast.snapshot())
-    naive = ExplicitReach(cpds, track_traces=False, batched=False)
+    naive = ExplicitReach(cpds, batched=False)
     assert _levels(resumed, K) == _levels(naive, K)
 
 
@@ -60,7 +60,7 @@ def test_one_expansion_per_unique_view_per_level(bench):
     local-view)`` shard is exactly one context saturation or one hit of
     the cross-level tree memo."""
     cpds, _prop = bench.build()
-    engine = ExplicitReach(cpds, track_traces=False)
+    engine = ExplicitReach(cpds)
     for _ in range(K):
         with scoped() as level_work:
             engine.advance()
@@ -82,9 +82,9 @@ def test_per_state_mode_expands_duplicates():
     bench = next(b for b in FCR_BENCHES if b.row.startswith("5/"))
     cpds, _prop = bench.build()
     with scoped() as batched_work:
-        ExplicitReach(cpds, track_traces=False).ensure_level(K)
+        ExplicitReach(cpds).ensure_level(K)
     with scoped() as per_state_work:
-        ExplicitReach(cpds, track_traces=False, batched=False).ensure_level(K)
+        ExplicitReach(cpds, batched=False).ensure_level(K)
     assert (
         per_state_work["explicit.expansions"] > batched_work["explicit.expansions"]
     )
@@ -100,10 +100,10 @@ def test_many_threads_views_do_not_alias(n_threads):
     )
     cpds = random_cpds(7, spec)
     batched = ExplicitReach(
-        cpds, max_states_per_context=200, track_traces=False
+        cpds, max_states_per_context=200
     )
     per_state = ExplicitReach(
-        cpds, max_states_per_context=200, track_traces=False, batched=False
+        cpds, max_states_per_context=200, batched=False
     )
     exploded = [False, False]
     for position, engine in enumerate((batched, per_state)):
@@ -124,10 +124,10 @@ def test_randomized_differential(seed):
     spec = RandomSpec(n_threads=2, n_shared=2, n_symbols=2, rules_per_thread=5)
     cpds = random_cpds(seed, spec)
     batched = ExplicitReach(
-        cpds, max_states_per_context=300, track_traces=False
+        cpds, max_states_per_context=300
     )
     per_state = ExplicitReach(
-        cpds, max_states_per_context=300, track_traces=False, batched=False
+        cpds, max_states_per_context=300, batched=False
     )
     exploded = [False, False]
     for position, engine in enumerate((batched, per_state)):
@@ -231,7 +231,7 @@ PINNED_REPLAY_WORK = {
 def test_replay_work_pinned(name):
     bench = next(b for b in TABLE2 if b.name == name)
     cpds, _prop = bench.build()
-    engine = ExplicitReach(cpds, track_traces=False)
+    engine = ExplicitReach(cpds)
     with scoped() as work:
         while not engine.plateaued_at(engine.k):
             engine.advance()
@@ -248,7 +248,7 @@ def test_level_views_count_the_grouped_cells(bench):
     any state produced by a context."""
     cpds, _prop = bench.build()
     n = cpds.n_threads
-    engine = ExplicitReach(cpds, track_traces=False)
+    engine = ExplicitReach(cpds)
     for _ in range(K):
         frontier = engine.level_sizes()[-1]
         with scoped() as level_work:

@@ -35,8 +35,8 @@ def _visible_sequence(engine, k_max):
 def test_explicit_and_symbolic_tsk_sequences_match(bench):
     cpds, _prop = bench.build()
     runs = {
-        "explicit+memo": ExplicitReach(cpds, track_traces=False),
-        "explicit": ExplicitReach(cpds, track_traces=False, batched=False),
+        "explicit+memo": ExplicitReach(cpds),
+        "explicit": ExplicitReach(cpds, batched=False),
         "symbolic+memo": SymbolicReach(cpds),
         "symbolic": SymbolicReach(cpds, batched=False),
     }
@@ -59,7 +59,7 @@ def test_symbolic_membership_matches_explicit_states(bench):
     """Spot check beyond projections: every explicitly reached global
     state is accepted by the symbolic state sets at the same bound."""
     cpds, _prop = bench.build()
-    explicit = ExplicitReach(cpds, track_traces=False)
+    explicit = ExplicitReach(cpds)
     symbolic = SymbolicReach(cpds)
     explicit.ensure_level(K)
     symbolic.ensure_level(K)

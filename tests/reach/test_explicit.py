@@ -113,11 +113,6 @@ class TestTraces:
             for state in level:
                 assert engine.trace(state).n_contexts <= k
 
-    def test_trace_requires_tracking(self):
-        reach = ExplicitReach(fig1_cpds(), track_traces=False)
-        with pytest.raises(ValueError):
-            reach.trace(fig1_cpds().initial_state())
-
     def test_trace_unknown_state(self, engine):
         with pytest.raises(KeyError):
             engine.trace(gs(0, [2], [4]))

@@ -48,9 +48,7 @@ class TestThreeWayDifferential:
     @pytest.mark.parametrize("bench", FCR_BENCHES, ids=lambda b: b.row)
     def test_registry_rows(self, bench):
         cpds, _prop = bench.build()
-        per_state, memo, restored = (
-            make() for make in _three_engines(cpds, track_traces=False)
-        )
+        per_state, memo, restored = (make() for make in _three_engines(cpds))
         assert _levels(per_state, K) == _levels(memo, K) == _levels(restored, K)
         for k in range(K + 1):
             assert (
@@ -67,9 +65,7 @@ class TestThreeWayDifferential:
         cpds = random_cpds(seed, spec)
         engines = []
         exploded = []
-        for make in _three_engines(
-            cpds, max_states_per_context=300, track_traces=False
-        ):
+        for make in _three_engines(cpds, max_states_per_context=300):
             try:
                 engine = make()
                 engine.ensure_level(K)

@@ -56,10 +56,10 @@ def _advance_to(engine, k_max):
 def test_pruned_engine_matches_per_state_oracle(seed, spec):
     cpds = random_cpds(seed, spec)
     pruned = ExplicitReach(
-        cpds, max_states_per_context=MAX_STATES, track_traces=False
+        cpds, max_states_per_context=MAX_STATES
     )
     oracle = ExplicitReach(
-        cpds, max_states_per_context=MAX_STATES, track_traces=False, batched=False
+        cpds, max_states_per_context=MAX_STATES, batched=False
     )
     assert _advance_to(pruned, K) == _advance_to(oracle, K)
     assert pruned.k == oracle.k

@@ -1,24 +1,23 @@
-"""Tracked ≡ untracked replay differential and snapshot resume.
+"""Tracked ≡ restored replay differential and snapshot resume.
 
-The batched explicit advance replays each context tree through one of
-two member loops: without witness parents (``track_traces=False``) or
-with them.  Three engines run every case:
+The batched explicit advance replays each context tree through one
+member loop, which records witness parents.  Two engines run every
+case:
 
-* untracked batched;
 * tracked batched;
 * tracked batched, restored from its own k=1 snapshot and continued.
 
 They must produce identical levels (the same dense ids, hence the same
-movers), identical ``T(Rk)`` sequences and *exact* METER equality on
-the six work counters, phase by phase (levels up to 1, then up to
-``K``): the loops differ in the parent columns they fill, never in how
-much work they do, and a restore re-derives its derived state without
-touching a counter.  On every engine and phase the batching identity
-``expansions + context_cache_hits == level_unique_views`` holds.
+movers), identical witness parents, identical ``T(Rk)`` sequences and
+*exact* METER equality on the six work counters, phase by phase
+(levels up to 1, then up to ``K``): a restore re-derives its derived
+state without touching a counter.  On every engine and phase the
+batching identity ``expansions + context_cache_hits ==
+level_unique_views`` holds.
 
 Run on every FCR registry row and on 40 random CPDS seeds (non-FCR
-instances must diverge in all three engines), plus a tracked resume
-compared with an uninterrupted run.
+instances must diverge in both engines), plus a resume compared with
+an uninterrupted run.
 """
 
 import pytest
@@ -43,7 +42,7 @@ METER_KEYS = (
     "explicit.replay_pairs",
 )
 
-MODES = ("untracked", "tracked", "restored")
+MODES = ("tracked", "restored")
 
 
 def _phases(cpds, mode, max_states=None):
@@ -52,7 +51,7 @@ def _phases(cpds, mode, max_states=None):
     kwargs = {}
     if max_states is not None:
         kwargs["max_states_per_context"] = max_states
-    engine = ExplicitReach(cpds, track_traces=mode != "untracked", **kwargs)
+    engine = ExplicitReach(cpds, **kwargs)
     before = METER.snapshot()
     engine.ensure_level(1)
     first = METER.delta(before)
@@ -64,29 +63,24 @@ def _phases(cpds, mode, max_states=None):
 
 
 def _assert_agreement(engines, deltas, context=""):
-    untracked, tracked, restored = engines
-    assert untracked._level_ids == tracked._level_ids == restored._level_ids, (
+    tracked, restored = engines
+    assert tracked._level_ids == restored._level_ids, (
         f"{context}: level ids disagree"
     )
-    assert untracked._movers == tracked._movers == restored._movers, context
+    assert tracked._movers == restored._movers, context
     assert tracked._parent_ids == restored._parent_ids, context
     assert tracked._parent_actions == restored._parent_actions, context
-    assert untracked._parent_ids is None, context
     for k in range(K + 1):
-        assert (
-            untracked.states_new_at(k)
-            == tracked.states_new_at(k)
-            == restored.states_new_at(k)
-        ), f"{context} k={k}: levels disagree"
-        assert (
-            untracked.visible_new_at(k)
-            == tracked.visible_new_at(k)
-            == restored.visible_new_at(k)
-        ), f"{context} k={k}: visible projections disagree"
+        assert tracked.states_new_at(k) == restored.states_new_at(k), (
+            f"{context} k={k}: levels disagree"
+        )
+        assert tracked.visible_new_at(k) == restored.visible_new_at(k), (
+            f"{context} k={k}: visible projections disagree"
+        )
     for phase in range(2):
         for key in METER_KEYS:
             counts = [delta[phase].get(key, 0) for delta in deltas]
-            assert counts[0] == counts[1] == counts[2], (
+            assert counts[0] == counts[1], (
                 f"{context} phase {phase} METER {key}: {counts}"
             )
         for mode, delta in zip(MODES, deltas):
@@ -120,7 +114,7 @@ class TestThreeWayDifferential:
             except ContextExplosionError:
                 runs.append(None)
         exploded = [run is None for run in runs]
-        assert exploded[0] == exploded[1] == exploded[2], (
+        assert exploded[0] == exploded[1], (
             f"seed {seed}: divergence disagrees across engines: {exploded}"
         )
         if exploded[0]:
@@ -131,8 +125,8 @@ class TestThreeWayDifferential:
 
 class TestShardedSnapshotResume:
     def test_restore_carries_the_execution_knobs(self):
-        """A tracked blob restores tracked and continues identically to
-        an uninterrupted run: same ids, movers, witness parents and
+        """A blob restores with its witness parents and continues
+        identically to an uninterrupted run: same ids, movers, witness parents and
         traces, and the same snapshot payload at the deeper level (the
         bytes may differ only in how pickle shares equal objects)."""
         cpds, _prop = FCR_BENCHES[0].build()

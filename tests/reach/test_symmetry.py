@@ -115,8 +115,8 @@ def test_candidate_rows_are_the_nine_replicated_fcr_rows():
 @pytest.mark.parametrize("bench", CANDIDATE_ROWS, ids=lambda b: b.name)
 def test_reduced_matches_the_per_state_oracle(bench):
     cpds, prop = bench.build()
-    reduced = run_to(ExplicitReach(cpds, track_traces=False), ORACLE_K)
-    oracle = run_to(ExplicitReach(cpds, track_traces=False, batched=False), ORACLE_K)
+    reduced = run_to(ExplicitReach(cpds), ORACLE_K)
+    oracle = run_to(ExplicitReach(cpds, batched=False), ORACLE_K)
     assert reduced.table.order > 1
     assert oracle.table.order == 1
     assert_same_observations(reduced, oracle, [prop], ORACLE_K)
@@ -126,8 +126,8 @@ def test_reduced_matches_the_per_state_oracle(bench):
 @pytest.mark.parametrize("bench", CANDIDATE_ROWS, ids=lambda b: b.name)
 def test_reduced_matches_the_trivial_group_to_the_plateau(bench):
     cpds, prop = bench.build()
-    reduced = run_to(ExplicitReach(cpds, track_traces=False))
-    plain = run_to(ExplicitReach(trivial_copy(cpds), track_traces=False))
+    reduced = run_to(ExplicitReach(cpds))
+    plain = run_to(ExplicitReach(trivial_copy(cpds)))
     assert plain.table.order == 1
     assert reduced.k == plain.k
     # Equal levels are equal ``first_seen`` maps (checked against the
@@ -148,7 +148,7 @@ def test_orbit_images_meter_counts_the_image_entries():
     bench = next(b for b in CANDIDATE_ROWS if b.name == "4/BST-Insert [2+1]")
     cpds, _prop = bench.build()
     with scoped() as work:
-        engine = run_to(ExplicitReach(cpds, track_traces=False))
+        engine = run_to(ExplicitReach(cpds))
     assert len(engine.table) + work["explicit.orbit_images"] == engine.n_states
     # The batching identity holds under reduction too.
     assert (
@@ -214,7 +214,7 @@ def test_a_rule_dropped_from_one_replica_gives_the_trivial_group():
     actions = cpds.thread(2).actions
     broken = _rebuilt(cpds, 2, actions[:-1])
     assert verified_symmetry(broken).order == 1
-    engine = ExplicitReach(broken, track_traces=False)
+    engine = ExplicitReach(broken)
     assert engine.table.order == 1 and engine.stats()["symmetry_order"] == 1
 
 
@@ -355,9 +355,9 @@ def test_random_replicated_models_reduce_exactly(seed):
     k_max = 4
     engines = (
         ExplicitReach(cpds, max_states_per_context=500),
-        ExplicitReach(plain, max_states_per_context=500, track_traces=False),
+        ExplicitReach(plain, max_states_per_context=500),
         ExplicitReach(
-            cpds, max_states_per_context=500, track_traces=False, batched=False
+            cpds, max_states_per_context=500, batched=False
         ),
     )
     exploded = []

@@ -199,7 +199,7 @@ class TestFixpoint:
                 break
         else:
             pytest.skip("no Wk plateau within 40 writes")
-        explicit = ExplicitReach(cpds, track_traces=False)
+        explicit = ExplicitReach(cpds)
         for _ in range(60):
             explicit.advance()
             if explicit.plateaued_at(explicit.k):

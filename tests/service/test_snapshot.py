@@ -326,16 +326,17 @@ def test_snapshot_of_unknown_budget_run_resumes_to_safe():
     )
 
 
+def _reencode(blob, edit):
+    """``blob``'s explicit payload after ``edit``, framed again."""
+    _kind, payload = decode(blob, expected_kind=KIND_EXPLICIT)
+    edit(payload)
+    return _encode(KIND_EXPLICIT, payload)
+
+
 class TestMoverColumn:
     """The same-thread pruning column (payload key ``movers``) is a
     required part of the explicit payload: it round-trips exactly, and
     it also carries the witness threads."""
-
-    @staticmethod
-    def _reencode(blob, edit):
-        _kind, payload = decode(blob, expected_kind=KIND_EXPLICIT)
-        edit(payload)
-        return _encode(KIND_EXPLICIT, payload)
 
     @pytest.mark.parametrize("bench", FCR_ROWS, ids=lambda b: b.row)
     def test_roundtrip_preserves_movers(self, bench):
@@ -351,7 +352,7 @@ class TestMoverColumn:
         cpds = fig1_cpds()
         engine = ExplicitReach(cpds)
         engine.ensure_level(2)
-        blob = self._reencode(engine.snapshot(), lambda p: p.pop("movers"))
+        blob = _reencode(engine.snapshot(), lambda p: p.pop("movers"))
         with pytest.raises(SnapshotError, match="malformed"):
             ExplicitReach.restore(cpds, blob)
 
@@ -361,8 +362,46 @@ class TestMoverColumn:
         cpds = fig1_cpds()
         engine = ExplicitReach(cpds)
         engine.ensure_level(2)
-        blob = self._reencode(
+        blob = _reencode(
             engine.snapshot(), lambda p: p["movers"].pop()
+        )
+        with pytest.raises(SnapshotError):
+            ExplicitReach.restore(cpds, blob)
+
+
+class TestWitnessParentColumns:
+    """Every batched engine records witness parents, so every explicit
+    payload carries the parent columns and no ``track_traces`` option.
+    Blobs of the earlier shape, which carried that key, stay readable;
+    a blob without parents is refused."""
+
+    @pytest.mark.parametrize("bench", FCR_ROWS, ids=lambda b: b.row)
+    def test_blob_with_a_track_traces_key_restores(self, bench):
+        cpds, _prop = bench.build()
+        engine = ExplicitReach(cpds)
+        engine.ensure_level(1)
+        blob = _reencode(
+            engine.snapshot(), lambda p: p.update(track_traces=True)
+        )
+        resumed = ExplicitReach.restore(cpds, blob)
+        resumed.ensure_level(K)
+        uninterrupted = ExplicitReach(cpds)
+        uninterrupted.ensure_level(K)
+        assert resumed._level_ids == uninterrupted._level_ids
+        assert resumed._parent_ids == uninterrupted._parent_ids
+        assert resumed._parent_actions == uninterrupted._parent_actions
+        for state in sorted(uninterrupted.states_new_at(K), key=repr)[:5]:
+            assert resumed.trace(state) == uninterrupted.trace(state)
+
+    def test_blob_without_parents_is_refused(self):
+        from repro.models import fig1_cpds
+
+        cpds = fig1_cpds()
+        engine = ExplicitReach(cpds)
+        engine.ensure_level(2)
+        blob = _reencode(
+            engine.snapshot(),
+            lambda p: p.update(track_traces=False, parents=None),
         )
         with pytest.raises(SnapshotError):
             ExplicitReach.restore(cpds, blob)

@@ -52,7 +52,7 @@ class TestDefinition1Monotonicity:
     @settings(max_examples=40, deadline=None)
     @given(random_cpds())
     def test_visible_sequence_monotone(self, cpds):
-        engine = ExplicitReach(cpds, max_states_per_context=2000, track_traces=False)
+        engine = ExplicitReach(cpds, max_states_per_context=2000)
         try:
             engine.ensure_level(4)
         except ContextExplosionError:
@@ -92,7 +92,7 @@ class TestLemma7StutterFreeness:
     @settings(max_examples=40, deadline=None)
     @given(random_cpds())
     def test_plateau_implies_collapse(self, cpds):
-        engine = ExplicitReach(cpds, max_states_per_context=2000, track_traces=False)
+        engine = ExplicitReach(cpds, max_states_per_context=2000)
         try:
             engine.ensure_level(6)
         except ContextExplosionError:
@@ -105,7 +105,7 @@ class TestLemma7StutterFreeness:
 
     def test_fig1_never_plateaus(self):
         # Ex. 5: (Rk) diverges on Fig. 1.
-        engine = ExplicitReach(fig1_cpds(), track_traces=False)
+        engine = ExplicitReach(fig1_cpds())
         engine.ensure_level(8)
         for k in range(1, 9):
             assert not engine.plateaued_at(k)
@@ -154,7 +154,7 @@ class TestTheorem17FcrSoundness:
     @given(random_cpds())
     def test_fcr_implies_explicit_termination(self, cpds):
         assume(check_fcr(cpds).holds)
-        engine = ExplicitReach(cpds, max_states_per_context=100_000, track_traces=False)
+        engine = ExplicitReach(cpds, max_states_per_context=100_000)
         engine.ensure_level(4)  # must not raise ContextExplosionError
 
 
@@ -203,7 +203,7 @@ class TestEngineAgreement:
     @settings(max_examples=25, deadline=None)
     @given(random_cpds())
     def test_visible_levels_agree(self, cpds):
-        explicit = ExplicitReach(cpds, max_states_per_context=2000, track_traces=False)
+        explicit = ExplicitReach(cpds, max_states_per_context=2000)
         try:
             explicit.ensure_level(3)
         except ContextExplosionError:
