@@ -11,28 +11,24 @@ alphabet.
 Performance notes
 -----------------
 Canonicalization dominates the symbolic engine's per-expansion cost, and
-the same languages recur constantly across context expansions, so three
+the same languages recur constantly across context expansions, so two
 layers keep it cheap:
 
-1. **Structural memo (LRU).**  Calls are keyed by a *structural hash* —
-   the exact edge set reachable from the entry states, the reachable
-   accepting states, and the target alphabet — in a bounded LRU
-   (:data:`CANONICAL_CACHE_SIZE`).  A hit skips canonicalization
-   entirely.  Mutating an *input* automaton is safe: its structural key
-   changes, so stale entries can never be served.
-2. **Dense fused pipeline.**  Misses run the fused subset-construction →
-   completion → Hopcroft O(n log n) minimization of
-   :mod:`repro.automata.dense` over contiguous int tables, behind that
-   module's own exact ``(table, accepting) → form`` memo: structurally
-   different inputs that subset-construct to the same table skip
-   Hopcroft.  The seed's determinize → complete → Moore path (kept as
-   the differential oracle :func:`moore_canonical_form`) built three
-   intermediate automata per call and re-sorted symbols by ``repr()``.
+1. **Dense fused pipeline.**  Every call runs the fused
+   subset-construction → completion → Hopcroft O(n log n) minimization
+   of :mod:`repro.automata.dense` over contiguous int tables, behind
+   that module's exact ``(table, accepting) → form`` memo: inputs that
+   subset-construct to a known table skip Hopcroft.  The memo is keyed
+   by the table the call just built, so mutating an *input* automaton
+   can never serve a stale form.  The seed's determinize → complete →
+   Moore path (kept as the differential oracle
+   :func:`moore_canonical_form`) built three intermediate automata per
+   call and re-sorted symbols by ``repr()``.
    Symbol order now comes from the intern tables of
    :mod:`repro.automata.intern`.
-3. **Hash-consing.**  Every canonical result is interned by its canonical
-   table: language-equal automata — even ones with *different* structural
-   keys — share one immutable :class:`CanonicalNFA` and one
+2. **Hash-consing.**  Every canonical result is interned by its canonical
+   table: language-equal automata — however they were built — share one
+   immutable :class:`CanonicalNFA` and one
    :class:`Signature` object.  Signature hashes are precomputed and
    equality short-circuits on identity, so symbolic-state dedup degrades
    to pointer/int comparisons.  The interned DFA also memoizes the
@@ -47,7 +43,7 @@ caller does; copy first if you need to mutate).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from collections.abc import Hashable, Iterable
 from itertools import count
 
@@ -59,24 +55,15 @@ from repro.util.meter import METER
 
 Symbol = Hashable
 
-#: Bound on the number of memoized canonicalizations (LRU eviction).  The
-#: hash-cons table is *not* bounded: it holds one small DFA per distinct
-#: language ever seen, and stable identity is the point.
-CANONICAL_CACHE_SIZE = 4096
-
-_NO_EDGES: dict = {}
-
-_cache: OrderedDict[tuple, tuple["CanonicalNFA", "Signature"]] = OrderedDict()
 #: Hash-cons table: canonical (symbols, bits, table) -> interned pair.
+#: Not bounded: it holds one small DFA per distinct language ever seen,
+#: and stable identity is the point.
 _interned: dict[tuple, tuple["CanonicalNFA", "Signature"]] = {}
-#: Guards the memo and hash-cons tables.  The analysis
-#: service (PR 5) runs engines on a thread executor, which made these
-#: previously single-threaded globals concurrently mutated for the
-#: first time (``get`` → ``move_to_end`` must not race a clear or an
-#: eviction, and two threads must not intern two pairs for one
-#: language).  The heavy work — the dense pipeline itself — runs
-#: outside the lock; at worst two threads canonicalize the same miss
-#: and the second's result is discarded at intern time.
+#: Guards the hash-cons table: the analysis service can run engines on
+#: a thread executor, and two threads must not intern two pairs for one
+#: language.  The heavy work — the dense pipeline itself — runs outside
+#: the lock; at worst two threads canonicalize the same language and
+#: the second's result is discarded at intern time.
 _lock = threading.Lock()
 _token = count()
 
@@ -156,37 +143,10 @@ class CanonicalNFA(NFA):
 
 
 def canonical_cache_clear() -> None:
-    """Drop every memoized canonicalization and the hash-cons table
-    (test isolation; the shared runtime-cache cleanup)."""
+    """Drop the hash-cons table (test isolation; the shared
+    runtime-cache cleanup)."""
     with _lock:
-        _cache.clear()
         _interned.clear()
-
-
-def _structural_key(nfa: NFA, symbols: tuple, entry: frozenset) -> tuple:
-    """Exact fingerprint of the part of ``nfa`` a canonicalization sees:
-    every edge reachable from ``entry`` (ε included), the reachable
-    accepting states, and the target alphabet.  The traversal emits each
-    edge exactly once (deduplicated by construction); the key uses a
-    frozenset so automata built with different insertion orders — hence
-    different traversal orders — still share one cache entry."""
-    seen = set(entry)
-    work = deque(entry)
-    edges: list[tuple] = []
-    while work:
-        state = work.popleft()
-        for label, targets in nfa._delta.get(state, _NO_EDGES).items():
-            for target in targets:
-                edges.append((state, label, target))
-                if target not in seen:
-                    seen.add(target)
-                    work.append(target)
-    return (
-        entry,
-        symbols,
-        frozenset(edges),
-        frozenset(nfa.accepting & seen),
-    )
 
 
 def moore_canonical_form(
@@ -281,24 +241,9 @@ def canonical_nfa(
         symbols = alphabet.symbols
     else:
         alphabet = symbols = tuple(sort_symbols(alphabet))
-    if initial is not None:
-        initial = list(initial)
-    entry = frozenset(nfa.initial if initial is None else initial)
-    key = _structural_key(nfa, symbols, entry)
-    with _lock:
-        cached = _cache.get(key)
-        if cached is not None:
-            _cache.move_to_end(key)
-            METER.bump("canonical.cache_hits")
-            return cached
-    METER.bump("canonical.cache_misses")
     bits, table = dense.canonical_form(nfa, alphabet, initial=initial)
     with _lock:
-        result = _intern(symbols, bits, table)
-        _cache[key] = result
-        while len(_cache) > CANONICAL_CACHE_SIZE:
-            _cache.popitem(last=False)
-    return result
+        return _intern(symbols, bits, table)
 
 
 def canonical_signature(
@@ -307,7 +252,7 @@ def canonical_signature(
     """Return a hashable value identifying ``L(nfa)`` over ``alphabet``.
 
     ``initial`` overrides the automaton's entry states (forwarded to the
-    subset construction).  Shares the memo and hash-cons tables with
+    subset construction).  Shares the form memo and hash-cons table with
     :func:`canonical_nfa`.
     """
     return canonical_nfa(nfa, alphabet, initial=initial)[1]

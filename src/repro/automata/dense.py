@@ -18,8 +18,7 @@ the final canonical DFA, constructed by the caller
 One memo sits between the subset construction and Hopcroft.  Distinct
 NFAs routinely subset-construct to the *same* dense table (language-equal
 saturation results with different state names; the same frontier
-automaton rebuilt object-fresh every level), which the structural memo
-of :mod:`repro.automata.canonical` cannot see.  :func:`canonical_form`
+automaton rebuilt object-fresh every level).  :func:`canonical_form`
 keys a bounded LRU by the exact ``(rows, accepting)`` table and runs
 Hopcroft and the renumbering only on a miss (METER
 ``canonical.form_hits`` / ``canonical.form_misses``).  The key is the

@@ -287,10 +287,9 @@ def cmd_submit(args) -> int:
         response = client.submit(cpds_text=text, **kwargs)
     if args.no_wait:
         print(f"submitted: id={response['id']} status={response['status']}")
-        print(
-            f"poll with: cuba-status via GET http://{args.host}:{args.port}"
-            f"/result?id={response['id']}"
-        )
+        base = f"http://{args.host}:{args.port}"
+        print(f"status: GET {base}/status?id={response['id']}")
+        print(f"result: GET {base}/result?id={response['id']}")
         return 0
     source = (
         "store hit"

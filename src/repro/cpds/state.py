@@ -32,9 +32,9 @@ class GlobalState:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.stacks, tuple) or not all(
-            isinstance(stack, tuple) for stack in self.stacks
-        ):
+        # Only the container is checked, as for :class:`VisibleState`:
+        # a tuple holding a list fails at ``hash`` with a TypeError.
+        if not isinstance(self.stacks, tuple):
             object.__setattr__(
                 self, "stacks", tuple(tuple(stack) for stack in self.stacks)
             )
@@ -51,12 +51,13 @@ class GlobalState:
         """Thread ``index``'s thread state ``(q, w_index)``."""
         return PDSState(self.shared, self.stacks[index])
 
+    def tops(self) -> tuple[Symbol, ...]:
+        """``T(w1),...,T(wn)``: each stack's top, or ε when empty."""
+        return tuple(stack[0] if stack else EMPTY for stack in self.stacks)
+
     def visible(self) -> "VisibleState":
         """The projection ``T(s)`` (Eq. 1 extended to global states)."""
-        return VisibleState(
-            self.shared,
-            tuple(stack[0] if stack else EMPTY for stack in self.stacks),
-        )
+        return VisibleState(self.shared, self.tops())
 
     def max_stack_size(self) -> int:
         return max((len(stack) for stack in self.stacks), default=0)

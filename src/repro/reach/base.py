@@ -56,14 +56,35 @@ that answers them:
 ``visible_plateaued_at(k)``
     ``T(k−1) = T(k)``.
 ``visible_up_to(k)``
-    ``T(≤k)`` as a ``collections.abc.Set`` — a frozenset here, a lazily
-    decoded view on the explicit lane — for Thm. 11's generator test,
-    reports and external callers.
+    ``T(≤k)`` as a :class:`VisibleView` on every lane — for Thm. 11's
+    generator test, reports and external callers.
+
+``T(·)`` as visible keys
+------------------------
+The base class keeps one ledger of ``T(·)`` for every lane.  A lane
+hands :meth:`ReachabilityEngine._record_visible` the visible *keys* of
+each level's states — any hashable encoding of a visible state, with
+repeats — and names the encoding through two hooks:
+:meth:`~ReachabilityEngine._visible_key` (a :class:`VisibleState` to its
+key, or None if no state of the lane can project to it) and
+:meth:`~ReachabilityEngine._decode_visible` (back).  The default
+encoding is the ``(shared, tops)`` tuple: the symbolic lane feeds the
+elements of App. E's products ``{q} × T(A1) × … × T(An)`` straight
+from ``itertools.product``, the write-unbounded lane the projection of
+each global state.  The explicit lane's keys are its packed ints.
+
+The ledger maps every key to the level that first reached it and keeps
+each level's new keys and the cumulative counts ``|T(≤k)|``.  The
+plateau test compares counts, :class:`VisibleView` membership encodes
+the query and compares levels, and ``visible_new_at`` decodes a level
+on first use (memoized: levels are append-only).  Snapshots carry no
+ledger: a restored engine re-records its levels' keys.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Hashable, Iterable, Iterator, Set
 from typing import TYPE_CHECKING
 
 from repro.cpds.state import VisibleState
@@ -73,6 +94,45 @@ from repro.pds.semantics import DEFAULT_STATE_LIMIT
 if TYPE_CHECKING:
     from repro.core.property import Property
     from repro.cpds.cpds import CPDS
+
+
+class VisibleView(Set):
+    """``T(≤k)`` of an engine as a read-only set.
+
+    Membership encodes the queried :class:`VisibleState` into the
+    engine's visible key (never interning) and compares the level that
+    first reached it; ``len`` reads the cumulative key count.  Iteration
+    decodes lazily through the engine's per-level memo.  Set operators
+    return frozensets, and the view compares equal to the frozenset of
+    its elements.  The view of a computed bound never changes."""
+
+    __slots__ = ("_engine", "_k")
+
+    def __init__(self, engine: "ReachabilityEngine", k: int) -> None:
+        self._engine = engine
+        self._k = k
+
+    def __contains__(self, visible) -> bool:
+        if not isinstance(visible, VisibleState):
+            return False
+        key = self._engine._visible_key(visible)
+        if key is None:
+            return False
+        return self._engine._vlevel.get(key, self._k + 1) <= self._k
+
+    def __len__(self) -> int:
+        return self._engine._vcounts[self._k] if self._k >= 0 else 0
+
+    def __iter__(self) -> Iterator[VisibleState]:
+        for level in range(self._k + 1):
+            yield from self._engine.visible_new_at(level)
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        return frozenset(iterable)
+
+    def __repr__(self) -> str:
+        return f"VisibleView(k={self._k}, size={len(self)})"
 
 
 class ReachabilityEngine(abc.ABC):
@@ -88,8 +148,16 @@ class ReachabilityEngine(abc.ABC):
     cpds: "CPDS"
 
     def __init__(self) -> None:
-        self._visible_levels: list[frozenset[VisibleState]] = []
-        self._visible_cumulative: list[frozenset[VisibleState]] = []
+        self._clear_visible()
+
+    def _clear_visible(self) -> None:
+        """Empty the ``T(·)`` ledger (see "T(·) as visible keys"): key ->
+        first level, the per-level new keys, the cumulative counts
+        ``|T(≤k)|`` and the lazily decoded levels."""
+        self._vlevel: dict[Hashable, int] = {}
+        self._vnew: list[tuple[Hashable, ...]] = []
+        self._vcounts: list[int] = []
+        self._decoded_visible: list[frozenset[VisibleState] | None] = []
 
     # ------------------------------------------------------------------
     # Level mechanics
@@ -97,12 +165,7 @@ class ReachabilityEngine(abc.ABC):
     @property
     def k(self) -> int:
         """Largest context bound computed so far (−1 before the first)."""
-        return len(self._visible_levels) - 1
-
-    @property
-    def visible_levels(self) -> list[frozenset[VisibleState]]:
-        """``visible_levels[k]`` = visible states first seen at bound k."""
-        return self._visible_levels
+        return len(self._vcounts) - 1
 
     def advance(self) -> bool:
         """Compute the next level; return True iff it adds *any* new
@@ -129,38 +192,62 @@ class ReachabilityEngine(abc.ABC):
         while self.k < k:
             self.advance()
 
-    def _record_visible(self, new_visible: frozenset[VisibleState]) -> None:
-        previous = (
-            self._visible_cumulative[-1] if self._visible_cumulative else frozenset()
-        )
-        fresh = frozenset(new_visible) - previous
-        self._visible_levels.append(fresh)
-        self._visible_cumulative.append(previous | fresh)
+    def _record_visible(self, keys: Iterable[Hashable]) -> None:
+        """Record the next level of ``T(·)`` from the visible keys of
+        that level's states (repeats and earlier levels' keys allowed:
+        they are filtered here, in order)."""
+        vlevel = self._vlevel
+        level = len(self._vnew)
+        new = []
+        for key in keys:
+            if key not in vlevel:
+                vlevel[key] = level
+                new.append(key)
+        self._vnew.append(tuple(new))
+        self._vcounts.append(len(vlevel))
+        self._decoded_visible.append(None)
+
+    def _visible_key(self, visible: VisibleState) -> Hashable | None:
+        """The ledger key of ``visible`` (None: no state projects to
+        it); the ``(shared, tops)`` tuple unless the lane encodes."""
+        return (visible.shared, visible.tops)
+
+    def _decode_visible(self, key: Hashable) -> VisibleState:
+        """The visible state of a ledger key (inverse of
+        :meth:`_visible_key`)."""
+        return VisibleState(*key)
 
     # ------------------------------------------------------------------
     # Observations
     # ------------------------------------------------------------------
-    def visible_up_to(self, k: int | None = None) -> frozenset[VisibleState]:
-        """``T(Rk)`` — all visible states reachable within ``k`` contexts
+    @property
+    def visible_levels(self) -> list[frozenset[VisibleState]]:
+        """``visible_levels[k]`` = visible states first seen at bound k
+        (decoded lazily)."""
+        return [self.visible_new_at(k) for k in range(len(self._vnew))]
+
+    def visible_up_to(self, k: int | None = None) -> VisibleView:
+        """``T(≤k)`` — all visible states reached within bound ``k``
         (default: the latest computed bound)."""
-        if not self._visible_cumulative:
-            return frozenset()
-        if k is None:
-            return self._visible_cumulative[-1]
-        k = min(k, len(self._visible_cumulative) - 1)
-        if k < 0:
-            return frozenset()
-        return self._visible_cumulative[k]
+        k = self.k if k is None else min(k, self.k)
+        return VisibleView(self, max(k, -1))
 
     def visible_new_at(self, k: int) -> frozenset[VisibleState]:
-        """``T(Rk) \\ T(Rk−1)`` — visible states first reached at bound k."""
-        if 0 <= k < len(self._visible_levels):
-            return self._visible_levels[k]
-        return frozenset()
+        """``T(≤k) \\ T(≤k−1)`` — visible states first reached at bound
+        k, decoded from the level's new keys on first use."""
+        if not 0 <= k < len(self._vnew):
+            return frozenset()
+        decoded = self._decoded_visible[k]
+        if decoded is None:
+            decoded = frozenset(map(self._decode_visible, self._vnew[k]))
+            self._decoded_visible[k] = decoded
+        return decoded
 
     def visible_plateaued_at(self, k: int) -> bool:
-        """True iff ``T(Rk−1) = T(Rk)`` (a plateau, Table 1)."""
-        return k >= 1 and k <= self.k and not self.visible_new_at(k)
+        """True iff ``T(≤k−1) = T(≤k)`` (a plateau, Table 1), on key
+        counts."""
+        counts = self._vcounts
+        return 1 <= k < len(counts) and counts[k] == counts[k - 1]
 
     def violation_at(self, k: int, prop: "Property") -> VisibleState | None:
         """A visible state first reached at bound ``k`` that violates

@@ -45,19 +45,19 @@ global product.  Three layers kill it:
 
 ``T(Rk)`` as visible keys
 -------------------------
-Each level records its *new* visible keys — the distinct keys of its
-fresh states not seen at an earlier level — as a sorted int tuple, and
-``_vlevel`` maps every key to the level that first reached it.  The
-algorithms never need ``VisibleState`` objects for the three questions
-they ask (see :mod:`repro.reach.base`): :meth:`ExplicitReach.visible_plateaued_at`
-compares key counts, :meth:`ExplicitReach.violation_at` tests keys
+The lane keeps ``T(Rk)`` in the base class's ledger (see "T(·) as
+visible keys" in :mod:`repro.reach.base`), keyed by the table's packed
+visible ints: each level hands it the sorted distinct keys of its
+fresh states, and the two hooks encode and decode through the
+:class:`~repro.cpds.interning.StateTable`.  The algorithms never need
+``VisibleState`` objects for the three questions they ask: the plateau
+test compares key counts, :meth:`ExplicitReach.violation_at` tests keys
 directly for the property classes it knows (and decodes the level's
 new keys only for opaque predicates, else just the violators), and
-:meth:`ExplicitReach.visible_up_to`
-is a :class:`VisibleView` whose ``in`` encodes the query without
-interning, which is all Thm. 11's generator search asks of it.
-``visible_new_at`` / ``visible_levels`` decode lazily, with
-memoization, for the CLI, the service, snapshots and traces.
+``visible_up_to``'s :class:`~repro.reach.base.VisibleView` encodes an
+``in`` query without interning, which is all Thm. 11's generator
+search asks of it.  ``visible_new_at`` / ``visible_levels`` decode
+lazily, with memoization, for the CLI, the service and traces.
 
 Same-thread pruning
 -------------------
@@ -117,7 +117,7 @@ representatives only:
   ``G``-closure of each level's new visible keys (``T(g(s)) =
   g(T(s))``), so ``T(Rk)``, its per-level keys and counts,
   :meth:`ExplicitReach.violation_at`, the plateau test and
-  :class:`VisibleView` membership see the unreduced sets.
+  ``visible_up_to`` membership see the unreduced sets.
   ``level_sizes``, ``n_states`` and ``stats()["global_states"]`` count
   the distinct keys entered per level; ``levels``, ``first_seen`` and
   ``states_up_to`` decode every orbit.  The component numbering
@@ -147,7 +147,7 @@ the per-context divergence guard with
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Set
+from collections.abc import Iterator
 from itertools import repeat
 
 from repro.core.property import (
@@ -241,45 +241,6 @@ def _key_test(table: StateTable, prop: Property):
     return lambda key: violated_by(decode(key))
 
 
-class VisibleView(Set):
-    """``T(R≤k)`` of an :class:`ExplicitReach` as a read-only set.
-
-    Membership encodes the queried :class:`VisibleState` into a visible
-    key (never interning) and compares the level that first reached it;
-    ``len`` reads the cumulative key count.  Iteration decodes lazily
-    through the engine's per-level memo.  Set operators return
-    frozensets, and the view compares equal to the frozenset of its
-    elements.  The view of a computed bound never changes."""
-
-    __slots__ = ("_engine", "_k")
-
-    def __init__(self, engine: "ExplicitReach", k: int) -> None:
-        self._engine = engine
-        self._k = k
-
-    def __contains__(self, visible) -> bool:
-        if not isinstance(visible, VisibleState):
-            return False
-        key = self._engine.table.encode_visible(visible)
-        if key is None:
-            return False
-        return self._engine._vlevel.get(key, self._k + 1) <= self._k
-
-    def __len__(self) -> int:
-        return self._engine._vcounts[self._k] if self._k >= 0 else 0
-
-    def __iter__(self) -> Iterator[VisibleState]:
-        for level in range(self._k + 1):
-            yield from self._engine.visible_new_at(level)
-
-    @classmethod
-    def _from_iterable(cls, iterable) -> frozenset:
-        return frozenset(iterable)
-
-    def __repr__(self) -> str:
-        return f"VisibleView(k={self._k}, size={len(self)})"
-
-
 def _rule_of(pds, value: tuple):
     """``pds``'s rule equal to ``value`` = ``(from_shared, read,
     to_shared, write)``: a snapshot rule, or a witness step's image
@@ -359,15 +320,8 @@ class ExplicitReach(ReachabilityEngine):
         self._parent_ids: array | None = array("q") if batched else None
         self._parent_actions: list | None = [] if batched else None
         self._oracle_parents: dict | None = None if batched else {}
-        #: ``T(Rk)`` as visible keys (see the module docstring):
-        #: key -> first level, the per-level sorted new keys, and the
-        #: cumulative counts ``|T(R≤k)|``.
-        self._vlevel: dict[int, int] = {}
-        self._vnew: list[tuple[int, ...]] = []
-        self._vcounts: list[int] = []
-        #: Lazily decoded ``visible_new_at`` / ``levels`` (append-only,
-        #: so the memos never go stale).
-        self._decoded_visible: list[frozenset[VisibleState] | None] = []
+        #: Lazily decoded ``levels`` (append-only, so the memo never
+        #: goes stale).
         self._decoded_levels: list[frozenset[GlobalState]] = []
         self._first_seen_view: tuple[int, dict] | None = None
 
@@ -423,19 +377,21 @@ class ExplicitReach(ReachabilityEngine):
     def _record_visible_keys(self, start: int, stop: int) -> None:
         """Record the next level of ``T(Rk)`` from the visible keys of
         state ids ``start..stop-1`` (that level's states)."""
-        vlevel = self._vlevel
-        level = len(self._vnew)
-        new = set(self.table._vkeys[start:stop]).difference(vlevel)
+        new = set(self.table._vkeys[start:stop]).difference(self._vlevel)
         if new and self.table.order > 1:
             # ``T(g(s)) = g(T(s))``: the level's closure projects onto
             # the orbits of its representatives' keys, none of which an
             # earlier level (itself closed) holds.
             new.update(self.table.visible_images(new))
-        new = sorted(new)
-        vlevel.update(dict.fromkeys(new, level))
-        self._vnew.append(tuple(new))
-        self._vcounts.append(len(vlevel))
-        self._decoded_visible.append(None)
+        keys = sorted(new)
+        del new  # freed before the ledger builds its level: peak memory
+        self._record_visible(keys)
+
+    def _visible_key(self, visible: VisibleState) -> int | None:
+        return self.table.encode_visible(visible)
+
+    def _decode_visible(self, key: int) -> VisibleState:
+        return self.table.decode_visible(key)
 
     def _add_orbit(self, sid: int) -> int:
         """Give every orbit image of representative ``sid`` its
@@ -728,40 +684,6 @@ class ExplicitReach(ReachabilityEngine):
         """True iff ``Rk−1 = Rk``.  By Lemma 7 ``(Rk)`` is stutter-free,
         so a plateau here is already a collapse."""
         return k >= 1 and k <= self.k and not self._level_ids[k]
-
-    # -- T(Rk), read off the visible keys (see the module docstring) ----
-    @property
-    def k(self) -> int:
-        """Largest context bound computed so far."""
-        return len(self._level_ids) - 1
-
-    @property
-    def visible_levels(self) -> list[frozenset[VisibleState]]:
-        """``visible_levels[k]`` = visible states first seen at bound k
-        (decoded lazily)."""
-        return [self.visible_new_at(k) for k in range(len(self._vnew))]
-
-    def visible_new_at(self, k: int) -> frozenset[VisibleState]:
-        """``T(Rk) \\ T(Rk−1)``, decoded from the level's new keys on
-        first use."""
-        if not 0 <= k < len(self._vnew):
-            return frozenset()
-        decoded = self._decoded_visible[k]
-        if decoded is None:
-            decoded = frozenset(map(self.table.decode_visible, self._vnew[k]))
-            self._decoded_visible[k] = decoded
-        return decoded
-
-    def visible_up_to(self, k: int | None = None) -> VisibleView:
-        """``T(Rk)`` as a :class:`VisibleView` (default: the latest
-        computed bound)."""
-        k = self.k if k is None else min(k, self.k)
-        return VisibleView(self, max(k, -1))
-
-    def visible_plateaued_at(self, k: int) -> bool:
-        """True iff ``T(Rk−1) = T(Rk)``, on key counts."""
-        counts = self._vcounts
-        return 1 <= k < len(counts) and counts[k] == counts[k - 1]
 
     def violation_at(self, k: int, prop: Property) -> VisibleState | None:
         """The greatest violating visible state of level ``k``'s new
@@ -1072,10 +994,7 @@ class ExplicitReach(ReachabilityEngine):
 
             # Derive T(Rk)'s per-level visible keys from the restored key
             # column (a level's ids are one contiguous range).
-            engine._vlevel.clear()
-            engine._vnew.clear()
-            engine._vcounts.clear()
-            engine._decoded_visible.clear()
+            engine._clear_visible()
             start = 0
             for level in levels:
                 engine._record_visible_keys(start, start + len(level))

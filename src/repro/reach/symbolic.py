@@ -42,12 +42,13 @@ projections ``T(Ai)`` (:func:`nfa_tops`) and coreachability are cached
 on the canonical DFA — computed once per language, not per call.
 Alphabets are passed as per-thread
 :class:`~repro.automata.intern.SymbolTable` views, which skips symbol
-re-sorting in canonicalization.  The visible products ``T(τ)`` are
-doubly shared: whole products are memoized per tops profile, and the
-product *elements* are interned per ``(shared, tops)`` — on
-product-bound models (Proc-2) distinct profiles overlap so heavily that
-almost every product element is a dict hit instead of a fresh
-:class:`~repro.cpds.state.VisibleState`.
+re-sorting in canonicalization.  The visible products ``T(τ)`` keep
+no memo or intern table of their own: each fresh state's product
+elements go to the base class's ``T(·)`` ledger as ``(shared, tops)``
+keys straight from ``itertools.product`` (see "T(·) as visible keys" in
+:mod:`repro.reach.base`), which keeps each distinct key once and
+decodes a level's :class:`~repro.cpds.state.VisibleState` objects only
+when asked.
 
 Symmetry reduction
 ------------------
@@ -98,7 +99,7 @@ from repro.automata.canonical import (
     intern_canonical_form,
 )
 from repro.cpds.cpds import CPDS
-from repro.cpds.state import GlobalState, VisibleState
+from repro.cpds.state import GlobalState
 from repro.cpds.symmetry import trivial_symmetry, verified_symmetry
 from repro.errors import SnapshotError
 from repro.obs import trace
@@ -192,15 +193,19 @@ class SymbolicState:
             for automaton, stack in zip(self.automata, state.stacks)
         )
 
-    def visible_states(self) -> Iterator[VisibleState]:
-        """``T(τ) = {q} × T(A1) × ... × T(An)`` (App. E, Eq. 4)."""
-        per_thread = [nfa_tops(automaton) for automaton in self.automata]
-        for tops in itertools.product(*per_thread):
-            yield VisibleState(self.shared, tops)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = ",".join(str(len(a)) for a in self.automata)
         return f"SymbolicState(shared={self.shared!r}, |Ai|=[{sizes}])"
+
+
+def _visible_keys(level) -> Iterator[tuple]:
+    """The ``T(·)`` ledger keys ``(q, tops)`` of ``level``'s products
+    ``T(τ) = {q} × T(A1) × ... × T(An)`` (App. E, Eq. 4), repeats
+    included."""
+    for symbolic in level:
+        shared = symbolic.shared
+        for tops in itertools.product(*map(nfa_tops, symbolic.automata)):
+            yield (shared, tops)
 
 
 @register
@@ -240,18 +245,6 @@ class SymbolicReach(ReachabilityEngine):
         #: canonical automaton, signature) — exact, because an expansion
         #: depends on nothing else (see module doc).
         self._expansions: dict[tuple, tuple] = {}
-        #: ``T(τ)`` product memo: (shared, per-thread tops) -> visible
-        #: set.  Many symbolic states share one tops profile (especially
-        #: at higher thread counts), and the product blow-up dominates
-        #: models like Proc-2; the per-thread tops are already cached on
-        #: the canonical DFAs, so the key costs one tuple.
-        self._visible_memo: dict[tuple, frozenset[VisibleState]] = {}
-        #: Interned visible states: (shared, tops) -> the one
-        #: :class:`VisibleState`.  Distinct tops profiles overlap
-        #: heavily element-wise (on Proc-2, 51k product elements cover
-        #: 2.4k distinct visible states), so the product loop swaps
-        #: object construction for a dict hit almost always.
-        self._visible_intern: dict[tuple, VisibleState] = {}
 
         automata = []
         signatures = []
@@ -264,12 +257,7 @@ class SymbolicReach(ReachabilityEngine):
         )
         self.levels.append(frozenset([initial]))
         self._seen.add(initial)
-        self._record_visible(
-            self._visible_product(
-                initial.shared,
-                tuple(nfa_tops(automaton) for automaton in initial.automata),
-            )
-        )
+        self._record_visible(_visible_keys(self.levels[0]))
 
     # ------------------------------------------------------------------
     # Level mechanics
@@ -298,36 +286,8 @@ class SymbolicReach(ReachabilityEngine):
                             self._seen.add(successor)
                             fresh.add(successor)
         self.levels.append(frozenset(fresh))
-        visible: set[VisibleState] = set()
-        for symbolic in fresh:
-            visible |= self._visible_product(
-                symbolic.shared,
-                tuple(nfa_tops(automaton) for automaton in symbolic.automata),
-            )
-        self._record_visible(frozenset(visible))
+        self._record_visible(_visible_keys(fresh))
         return bool(fresh)
-
-    def _visible_product(self, shared: Shared, tops_profile: tuple) -> frozenset:
-        """``T(τ) = {q} × T(A1) × ... × T(An)`` (App. E, Eq. 4) —
-        the engine's memoized, interned form of
-        :meth:`SymbolicState.visible_states`: whole products are cached
-        per tops profile and the elements are interned per
-        ``(shared, tops)``, so repeated profiles cost a dict hit."""
-        key = (shared, tops_profile)
-        cached = self._visible_memo.get(key)
-        if cached is None:
-            intern = self._visible_intern
-            bucket = []
-            for tops in itertools.product(*tops_profile):
-                visible_key = (shared, tops)
-                state = intern.get(visible_key)
-                if state is None:
-                    state = VisibleState(shared, tops)
-                    intern[visible_key] = state
-                bucket.append(state)
-            cached = frozenset(bucket)
-            self._visible_memo[key] = cached
-        return cached
 
     def _advance_batched(
         self, frontier: frozenset[SymbolicState], fresh: set[SymbolicState]
@@ -656,16 +616,9 @@ class SymbolicReach(ReachabilityEngine):
             engine.levels = levels
             engine._seen = set().union(*levels)
             engine._frontier = None
-            engine.visible_levels.clear()
-            engine._visible_cumulative.clear()
+            engine._clear_visible()
             for level in levels:
-                visible: set = set()
-                for symbolic in level:
-                    visible |= engine._visible_product(
-                        symbolic.shared,
-                        tuple(nfa_tops(automaton) for automaton in symbolic.automata),
-                    )
-                engine._record_visible(frozenset(visible))
+                engine._record_visible(_visible_keys(level))
             return engine
 
     # ------------------------------------------------------------------

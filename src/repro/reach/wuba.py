@@ -204,7 +204,7 @@ class WubaReach(ReachabilityEngine):
     def _commit(self, level: tuple[GlobalState, ...]) -> None:
         self.levels.append(level)
         self._seen.update(level)
-        self._record_visible(frozenset(state.visible() for state in level))
+        self._record_visible((state.shared, state.tops()) for state in level)
 
     # ------------------------------------------------------------------
     # Observations
@@ -317,10 +317,11 @@ class WubaReach(ReachabilityEngine):
                 raise SnapshotError("snapshot does not belong to this CPDS")
             engine.levels = levels
             engine._seen = set().union(*levels)
-            engine.visible_levels.clear()
-            engine._visible_cumulative.clear()
+            engine._clear_visible()
             for level in levels:
-                engine._record_visible(frozenset(state.visible() for state in level))
+                engine._record_visible(
+                    (state.shared, state.tops()) for state in level
+                )
             return engine
 
     # ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Process-global runtime-cache lifecycle — one cleanup path for all.
 
-Several subsystems keep process-global caches: the canonicalization
-memo and hash-cons tables (:mod:`repro.automata.canonical`) and the
-dense-table form memo (:mod:`repro.automata.dense`).  Before the
+Several subsystems keep process-global caches: the canonical hash-cons
+table (:mod:`repro.automata.canonical`) and the dense-table form memo
+(:mod:`repro.automata.dense`).  Before the
 analysis service existed, only the benchmark runner cleared them (its
 cold-run contract); a long-lived daemon that never routed through the
 bench path would accumulate canonical tables without bound.
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 
 def clear_runtime_caches() -> None:
-    """Reset every process-global cache: the canonicalization memo and
-    hash-cons table, and the dense-table form memo."""
+    """Reset every process-global cache: the canonical hash-cons table
+    and the dense-table form memo."""
     from repro.automata import canonical, dense
 
     canonical.canonical_cache_clear()

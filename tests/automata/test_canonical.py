@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.automata import EPSILON, NFA, canonical_signature, determinize, language_equal
 from repro.automata.canonical import canonical_cache_clear, canonical_nfa
+from repro.util.caches import clear_runtime_caches
 from repro.util.meter import scoped
 
 ALPHABET = ("a", "b")
@@ -77,7 +78,7 @@ def test_signature_equality_iff_language_equality(left, right):
 
 
 # ---------------------------------------------------------------------------
-# Memoization: structural-hash cache of canonical_nfa/canonical_signature.
+# Memoization: the form memo and hash-cons table behind canonical_nfa.
 # ---------------------------------------------------------------------------
 
 
@@ -95,12 +96,16 @@ class TestCanonicalMemoization:
         assert sig1 is sig2
 
     def test_cache_hit_counted(self):
-        canonical_cache_clear()
+        # A repeat hits the dense form memo and the hash-cons table,
+        # and hands back the identical interned pair.
+        clear_runtime_caches()
         with scoped() as work:
-            canonical_nfa(ends_in_b(), ALPHABET)
-            canonical_nfa(ends_in_b(), ALPHABET)
-        assert work.get("canonical.cache_hits", 0) == 1
-        assert work.get("canonical.cache_misses", 0) == 1
+            first = canonical_nfa(ends_in_b(), ALPHABET)
+            second = canonical_nfa(ends_in_b(), ALPHABET)
+        assert second[0] is first[0] and second[1] is first[1]
+        assert work.get("canonical.form_misses", 0) == 1
+        assert work.get("canonical.form_hits", 0) == 1
+        assert work.get("canonical.intern_hits", 0) == 1
 
     def test_clear_forces_recomputation_with_equal_results(self):
         canonical_cache_clear()

@@ -1,5 +1,7 @@
 """Unit tests for global/visible states and the projection T."""
 
+import pytest
+
 from repro.cpds import GlobalState, VisibleState, project
 from repro.pds import EMPTY, PDSState
 
@@ -18,6 +20,12 @@ class TestGlobalState:
         state = GlobalState(0, [[1, 2], []])
         assert state.stacks == ((1, 2), ())
         assert hash(state)
+
+    def test_tuple_of_lists_fails_loudly(self):
+        # Only a non-tuple container is coerced; a tuple is trusted, so
+        # a list inside it cannot be hashed.
+        with pytest.raises(TypeError):
+            GlobalState(0, ([1], ()))
 
     def test_max_stack_size(self):
         assert GlobalState(0, ((1, 2, 3), (4,))).max_stack_size() == 3

@@ -4,7 +4,9 @@ suite.
 A lane that registers (:mod:`repro.reach.registry`) promises the full
 engine contract of :class:`~repro.reach.base.ReachabilityEngine` — the
 class attributes the dispatch surfaces read, ``applicable`` as the
-precondition, ``create``/``snapshot``/``restore`` for the service, and a ``stats`` schema the bench payloads persist.  These
+precondition, ``create``/``snapshot``/``restore`` for the service, a
+``stats`` schema the bench payloads persist, and ``T(·)`` through the
+base class's one ledger.  These
 tests are what "adding a lane is one module" rests on: a new
 ``@register``-decorated class passes or fails this file, not a trail of
 per-surface breakage.
@@ -17,9 +19,11 @@ import warnings
 import pytest
 
 from repro.bench.runner import _METER_PREFIXES
+from repro.cpds.state import VisibleState
 from repro.models import fig1_cpds
+from repro.pds.state import EMPTY
 from repro.reach import registry
-from repro.reach.base import ReachabilityEngine
+from repro.reach.base import ReachabilityEngine, VisibleView
 from repro.reach.snapshot import snapshot_kind
 from repro.service.executor import EngineJob
 from repro.service.server import _METER_WINDOW_PREFIXES
@@ -124,6 +128,35 @@ class TestContract:
         engine.advance()
         restored.advance()
         assert restored.visible_new_at(restored.k) == engine.visible_new_at(engine.k)
+
+    @pytest.mark.parametrize("lane", lane_params())
+    def test_visible_ledger(self, lane):
+        # Every lane keeps T(·) in the base class's one ledger and
+        # answers visible_up_to with its VisibleView.
+        cpds = fig1_cpds()
+        cls = registry.engine_class(lane)
+        if not cls.applicable(cpds):
+            pytest.skip(f"lane {lane} not applicable to fig1")
+        engine = cls.create(cpds)
+        engine.ensure_level(3)
+        everything = set(engine.visible_up_to())
+        stranger = VisibleState("never-a-shared-state", (EMPTY,) * cpds.n_threads)
+        union: set = set()
+        for k in range(engine.k + 1):
+            union |= engine.visible_new_at(k)
+            view = engine.visible_up_to(k)
+            assert isinstance(view, VisibleView)
+            assert len(view) == len(list(view)) == len(union)
+            assert view == union
+            for visible in everything:
+                assert (visible in view) == (visible in union)
+            assert stranger not in view
+        restored = cls.restore(cpds, engine.snapshot())
+        assert restored.k == engine.k
+        for k in range(engine.k + 1):
+            assert restored.visible_new_at(k) == engine.visible_new_at(k)
+            assert len(restored.visible_up_to(k)) == len(engine.visible_up_to(k))
+            assert restored.visible_plateaued_at(k) == engine.visible_plateaued_at(k)
 
     @pytest.mark.parametrize("lane", lane_params())
     def test_restore_signature_is_uniform(self, lane):

@@ -163,6 +163,24 @@ class TestServiceCommands:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_submit_no_wait_prints_the_poll_urls(self, fig1_file, capsys, monkeypatch):
+        class StubClient:
+            def __init__(self, host, port):
+                self.address = (host, port)
+
+            def submit(self, **kwargs):
+                assert kwargs["wait"] is False
+                return {"id": "abc123", "status": "queued"}
+
+        monkeypatch.setattr("repro.service.ServiceClient", StubClient)
+        code = main(["submit", fig1_file, "--port", "8765", "--no-wait"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "submitted: id=abc123 status=queued" in out
+        assert "GET http://127.0.0.1:8765/status?id=abc123" in out
+        assert "GET http://127.0.0.1:8765/result?id=abc123" in out
+        assert "cuba-status" not in out
+
     def test_submit_bad_init_is_a_usage_error(self, bad_bp_file, capsys):
         # The spec is parsed before any connection: port 9 is never used.
         code = main(["submit", bad_bp_file, "--port", "9", "--init", "x=abc"])
