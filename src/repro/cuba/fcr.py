@@ -7,14 +7,17 @@
 "the absence of loops ... implies their languages are finite").
 
 Both steps are linear and cheap on the threads FCR admits.  The
-saturation starts with the ``Q × Σ≤1`` seed edges already processed and
-drains only the push consequences
-(:func:`~repro.pds.saturation.shallow_configs_psa`); the cycle analysis
-is one Tarjan pass that computes usefulness only when some edge lies on
-a cycle (:func:`~repro.automata.finiteness.loop_analysis`), so an
-acyclic automaton — every thread for which FCR holds — skips it.  WCR
-(:meth:`repro.reach.wuba.WubaReach.applicable`) runs the same test on
-each thread's write-free sub-PDS.
+``Q × Σ≤1`` seed edges ``q --x--> sink`` are never built: they lie on
+no cycle and change no cycle's usefulness, so the saturation of the
+push rules' consequences alone decides both answers
+(:func:`~repro.pds.saturation.shallow_finiteness`; the exactness
+argument is invariant 5 of :mod:`repro.pds.saturation`).  The cycle
+analysis is one Tarjan pass that computes usefulness only when some
+edge lies on a cycle (:func:`~repro.automata.finiteness.loop_analysis`),
+so an acyclic automaton — every thread for which FCR holds — skips it.
+WCR (:meth:`repro.reach.wuba.WubaReach.applicable`) runs the same test
+on each thread's write-free sub-PDS.  The full automaton, seeds
+included, is :func:`thread_shallow_psa` (Fig. 4's table).
 
 When FCR holds the explicit engine may represent every ``Rk``
 extensionally; otherwise the symbolic engine must be used.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from repro.cpds.cpds import CPDS
 from repro.pds.pds import PDS
 from repro.pds.psa import PSA
-from repro.pds.saturation import shallow_configs_psa
+from repro.pds.saturation import shallow_configs_psa, shallow_finiteness
 
 
 def thread_shallow_psa(pds: PDS) -> PSA:
@@ -72,7 +75,7 @@ def check_fcr(cpds: CPDS) -> FCRReport:
     finite: list[bool] = []
     loops: list[bool] = []
     for pds in cpds.threads:
-        thread_finite, thread_loop = thread_shallow_psa(pds).finiteness()
+        thread_finite, thread_loop = shallow_finiteness(pds)
         finite.append(thread_finite)
         loops.append(thread_loop)
     return FCRReport(tuple(finite), tuple(loops))

@@ -39,6 +39,8 @@ class, the class supplies its tests and capabilities.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.core.property import Property
@@ -53,6 +55,7 @@ from repro.util.meter import METER
 
 __all__ = [
     "Convergence",
+    "applicable_span",
     "converge",
     "drive",
     "ensure_applicable",
@@ -64,14 +67,33 @@ __all__ = [
 ]
 
 
+#: The saturation work a precondition check does (FCR and WCR saturate
+#: shallow configurations), attached to its ``lane.applicable`` span.
+_PRECONDITION_WORK = ("post_star.edges_added", "post_star.rule_applications")
+
+
+@contextmanager
+def applicable_span(lane: str) -> Iterator[None]:
+    """A ``lane.applicable`` span whose args carry the METER deltas of
+    :data:`_PRECONDITION_WORK` over its body.  Callers enter it only
+    when tracing is on, so the untraced path reads no counter."""
+    before = [METER.get(name) for name in _PRECONDITION_WORK]
+    with trace.span("lane.applicable", lane=lane) as timing:
+        yield
+        timing.set(**{
+            name: METER.get(name) - start
+            for name, start in zip(_PRECONDITION_WORK, before)
+        })
+
+
 def precondition_holds(
     cls: type[ReachabilityEngine], cpds: CPDS, prop: Property | None = None
 ) -> bool:
-    """``cls.applicable(cpds, prop)``, under a ``lane.applicable`` span
+    """``cls.applicable(cpds, prop)``, under an :func:`applicable_span`
     when tracing is on."""
     if not trace.enabled():
         return cls.applicable(cpds, prop)
-    with trace.span("lane.applicable", lane=cls.lane):
+    with applicable_span(cls.lane):
         return cls.applicable(cpds, prop)
 
 

@@ -16,6 +16,7 @@ from collections import deque
 from collections.abc import Hashable, Iterator, Set as AbstractSet
 from dataclasses import dataclass
 
+from repro.automata.intern import value_key
 from repro.cpds.cpds import CPDS
 from repro.cpds.state import VisibleState
 from repro.cuba.generators import GeneratorAnalysis
@@ -151,7 +152,9 @@ class _LocalMoves(dict):
 
     Maps the ``(shared, top)`` bits of a key to the key deltas of that
     local state's Alg. 2 successors; an entry is built on first lookup,
-    so only local states ``Z`` actually visits are ever encoded.
+    so only local states ``Z`` actually visits are ever encoded.  The
+    deltas are sorted: the successors come from a frozenset, and the
+    DFS order over ``Z`` must not follow its hash order.
     """
 
     __slots__ = (
@@ -172,10 +175,10 @@ class _LocalMoves(dict):
     def __missing__(self, local: int) -> tuple[int, ...]:
         shared_ids, top_ids, shift = self._shared_ids, self._top_ids, self._shift
         source = (self._shared_of[local & self._shared_mask], self._tops_of[local >> shift])
-        deltas = tuple(
+        deltas = tuple(sorted(
             (shared_ids[shared] | top_ids[top] << shift) - local
             for shared, top in self._table.get(source, ())
-        )
+        ))
         self[local] = deltas
         return deltas
 
@@ -193,6 +196,12 @@ class _ZSpace:
     ``(shared, top_i)`` bits plus an integer delta.  Iterating yields
     each key of ``Z`` once, in DFS order, after pushing its successors;
     a caller may stop early and iterate again later to resume.
+
+    Ids follow :func:`~repro.automata.intern.value_key` order (with the
+    empty top first), never set order, so the DFS order — and with it
+    how far a :class:`GeneratorSearch` runs before it finds an unseen
+    generator (``overapprox.abstract_steps``) — is the same in every
+    process, whatever the hash seed.
     """
 
     __slots__ = (
@@ -201,7 +210,7 @@ class _ZSpace:
     )
 
     def __init__(self, cpds: CPDS) -> None:
-        shared_of = list(cpds.shared_states)
+        shared_of = sorted(cpds.shared_states, key=value_key)
         shared_ids = {shared: index for index, shared in enumerate(shared_of)}
         shift = _field_width(len(shared_of))
         shared_mask = (1 << shift) - 1
@@ -210,7 +219,7 @@ class _ZSpace:
         threads: list[tuple[int, _LocalMoves]] = []
         fields: list[tuple[int, int, list[Symbol], dict[Symbol, int]]] = []
         for pds, top in zip(cpds.threads, start.tops):
-            tops_of = [EMPTY, *pds.alphabet]
+            tops_of = [EMPTY, *sorted(pds.alphabet, key=value_key)]
             top_ids = {symbol: index for index, symbol in enumerate(tops_of)}
             top_mask = (1 << _field_width(len(tops_of))) - 1
             moves = _LocalMoves(

@@ -31,7 +31,13 @@ from repro.cuba.fcr import FCRReport, check_fcr
 # Unused here but kept as module attributes: the benchmark's per-layer
 # timers (perfbench/layers.py) rebind them by these names.
 from repro.cuba.generators import generator_analysis  # noqa: F401
-from repro.cuba.lanes import drive, not_applicable, precondition_holds, run_lane
+from repro.cuba.lanes import (
+    applicable_span,
+    drive,
+    not_applicable,
+    precondition_holds,
+    run_lane,
+)
 from repro.cuba.overapprox import compute_z  # noqa: F401
 from repro.obs import trace
 from repro.pds.semantics import DEFAULT_STATE_LIMIT
@@ -40,11 +46,11 @@ from repro.reach.base import ReachabilityEngine
 
 
 def _fcr_report(cpds: CPDS) -> FCRReport:
-    """:func:`check_fcr` — the explicit lane's precondition — under a
-    ``lane.applicable`` span when tracing is on."""
+    """:func:`check_fcr` — the explicit lane's precondition — under an
+    :func:`~repro.cuba.lanes.applicable_span` when tracing is on."""
     if not trace.enabled():
         return check_fcr(cpds)
-    with trace.span("lane.applicable", lane="explicit"):
+    with applicable_span("explicit"):
         return check_fcr(cpds)
 
 

@@ -33,7 +33,8 @@ Naming convention (see ROADMAP Reference): dotted lowercase,
 ``<layer>.<phase>`` — ``service.request``, ``service.engine_run``,
 ``executor.dispatch`` (with ``executor.pickup`` and ``executor.reply``,
 the transport legs either side of the worker's spans), ``lane.run``,
-``lane.applicable``, ``cuba.generators``, ``<lane>.level`` (emitted by the
+``lane.applicable`` (with the check's ``post_star.*`` work),
+``cuba.generators``, ``<lane>.level`` (emitted by the
 :class:`~repro.reach.base.ReachabilityEngine` template method, so every
 lane — including future ones — inherits per-level spans for free),
 ``explicit.saturation``, ``explicit.decode``, ``symbolic.saturate``,

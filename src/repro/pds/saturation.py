@@ -27,7 +27,8 @@ The production implementation is the worklist engine
 constructor, :meth:`~PostStarEngine.from_edges` or
 :meth:`~PostStarEngine.shallow`), :meth:`~PostStarEngine.drain` it once,
 then adopt its edge relation with :meth:`~PostStarEngine.detach_nfa`
-(:func:`post_star` and :func:`shallow_configs_psa` wrap exactly this).
+(:func:`post_star`, :func:`shallow_finiteness` and
+:func:`shallow_configs_psa` wrap exactly this).
 The direct transcription of the rules survives as
 :func:`post_star_naive`, the differential-testing oracle.
 
@@ -65,21 +66,33 @@ piece of work happen exactly once, and only where the entry reaches:
    of 714 on Bluetooth-3's first context of its second thread).
    :func:`post_star_naive` keeps the eager skeleton on purpose, so the
    differential harness checks lazy ≡ eager.
-5. **Shallow seeds start processed.**  The FCR/WCR premise saturates
+5. **Shallow seeds are never built.**  The FCR/WCR premise saturates
    ``Q × Σ≤1``, whose initial edges are the seeds ``q --x--> sink`` for
    every control ``q`` and ``x ∈ {ε} ∪ Σ``.  Controls have no in-edges
-   and ``sink`` has no out-edges, so no ε-join ever reads a seed, and
-   processing one derives only a control → ``sink`` edge (pop,
-   overwrite and the empty-stack rules), which is itself a seed, or a
-   push consequence ``p' --ρ0--> m`` / ``m --ρ1--> sink``.
-   :meth:`PostStarEngine.shallow` therefore enters every seed in
-   ``rel`` and ``seen`` with ``eps_into[sink] = Q``, as if popped,
-   and puts only each push rule's two consequences on the frontier;
-   one :meth:`~PostStarEngine.drain` then reaches exactly the edge set
-   of a cold saturation of ``psa_for_configs(pds, Q × Σ≤1)``.  The
-   seeds count in ``post_star.edges_added`` but not in
-   ``post_star.rule_applications`` (Bluetooth-1 [1+1]'s ``check_fcr``:
-   6,525 edges either way, 5,200 → 464 rule applications).
+   and ``sink`` has no out-edges, so the seeds are inert: no ε-join
+   ever reads one, and a seed premise derives only a control →
+   ``sink`` edge (pop, overwrite and the empty-stack rules), which is
+   itself a seed, or a push rule's consequences ``p' --ρ0--> m`` and
+   ``m --ρ1--> sink``.  Let ``S`` be the saturation of those push
+   consequences alone.  Then ``Seeds ∪ S`` is closed under every rule,
+   so it *is* ``post*(Q × Σ≤1)``, and its language is
+   ``L(S) ∪ Q × Σ≤1``.  A cycle can pass through neither a control nor
+   ``sink``, so every cycle lies in ``S``; and a state on a cycle is
+   reachable from a control (co-reachable to ``sink``) in ``S``
+   exactly when it is so in ``Seeds ∪ S``, since a seed only leads
+   from a control straight into ``sink``.  Finiteness and the loop
+   check are therefore decided on ``S`` alone:
+   :meth:`PostStarEngine.shallow` puts only the push consequences on
+   the frontier, a seed that ``S`` derives is processed once like any
+   other edge, and :func:`shallow_finiteness` reads the answer off the
+   drained ``S``.
+   :func:`shallow_configs_psa`, which must present the whole automaton,
+   adds the seeds after the drain; its edge set is that of a cold
+   saturation of ``psa_for_configs(pds, Q × Σ≤1)``.  On Bluetooth-1
+   [1+1]'s ``check_fcr`` this takes ``post_star.edges_added`` from
+   6,525 (5,805 of them seeds) to 951 (231 of them derived seeds), and
+   ``post_star.rule_applications`` from 464 to 656, because a derived
+   seed is now processed as a premise.
 
 An engine saturates one initial automaton.  Re-entering a saturated
 automaton from a different control state is **not** sound reuse,
@@ -243,20 +256,12 @@ class PostStarEngine:
 
     @classmethod
     def shallow(cls, pds: PDS) -> "PostStarEngine":
-        """Engine for ``post*(Q × Σ≤1)`` with every seed edge
-        ``q --x--> FINAL_SINK`` (``x ∈ {ε} ∪ Σ``) already *processed*
-        and only the push consequences on the frontier (Performance
-        notes, invariant 5); :meth:`drain` finishes the saturation."""
+        """Engine for the part ``S`` of ``post*(Q × Σ≤1)`` that is not a
+        seed ``q --x--> FINAL_SINK`` (``x ∈ {ε} ∪ Σ``): its frontier
+        holds only each push rule's consequences on its own seed
+        premise, and :meth:`drain` saturates them (Performance notes,
+        invariant 5).  The seeds themselves are never entered."""
         engine = cls.from_edges(pds, (), ())
-        labels = (EPSILON, *pds.alphabet)
-        rel = engine._rel
-        seen = engine._seen
-        for control in engine.controls:
-            rel[control] = {label: {FINAL_SINK} for label in labels}
-            seen.update([(control, label, FINAL_SINK) for label in labels])
-        engine._eps_into[FINAL_SINK] = set(engine.controls)
-        # Processing the seeds derives only seeds, except that each push
-        # rule fires on its own seed premise (from_shared, γ, FINAL_SINK).
         push = engine._push
         for action in pds.actions:
             if action.kind is ActionKind.PUSH:
@@ -509,16 +514,31 @@ def format_saturation_stats(stats: dict) -> str:
     return " ".join(parts) if parts else "no saturation work"
 
 
+def shallow_finiteness(pds: PDS) -> tuple[bool, bool]:
+    """``(language finite, has a loop)`` of ``post*(Q × Σ≤1)`` — the
+    FCR premise of Lemma 16/Thm 17 — decided on the seedless
+    saturation ``S`` (invariant 5 of the Performance notes): the
+    ``Q × Σ≤1`` seeds are finitely many, lie on no cycle and change no
+    cycle's usefulness, so they are never built."""
+    engine = PostStarEngine.shallow(pds)
+    return PSA(engine.detach_nfa(), engine.controls).finiteness()
+
+
 def shallow_configs_psa(pds: PDS) -> PSA:
-    """PSA for ``post*(Q × Σ≤1)`` — the FCR premise of Lemma 16/Thm 17.
+    """PSA for ``post*(Q × Σ≤1)`` — the automata of Fig. 4.
 
     Initial set: every shared state with an empty stack or any single
     stack symbol, i.e. the seed edges ``q --x--> FINAL_SINK`` for
-    ``x ∈ {ε} ∪ Σ``.  The engine starts with the seeds already processed
+    ``x ∈ {ε} ∪ Σ``.  The engine saturates the push consequences alone
     (:meth:`PostStarEngine.shallow`, invariant 5 of the Performance
-    notes), drains only the push consequences, and hands over its edge
-    relation without a copy.  The edge set equals
-    ``post_star(pds, psa_for_configs(pds, Q × Σ≤1))``.
+    notes) and the seeds are added to the drained automaton, so the
+    edge set equals ``post_star(pds, psa_for_configs(pds, Q × Σ≤1))``.
+    The preconditions only need :func:`shallow_finiteness`.
     """
     engine = PostStarEngine.shallow(pds)
-    return PSA(engine.detach_nfa(), engine.controls)
+    nfa = engine.detach_nfa()
+    labels = (EPSILON, *pds.alphabet)
+    nfa.add_transitions(
+        (control, label, FINAL_SINK) for control in engine.controls for label in labels
+    )
+    return PSA(nfa, engine.controls)

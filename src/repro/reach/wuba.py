@@ -68,7 +68,7 @@ from repro.pds.semantics import DEFAULT_STATE_LIMIT, successors as pds_successor
 from repro.pds.state import PDSState
 from repro.reach.base import ReachabilityEngine
 from repro.reach.registry import register
-from repro.reach.snapshot import KIND_WUBA, _encode, reading
+from repro.reach.snapshot import KIND_WUBA, _encode, hash_consed, reading
 from repro.util.meter import METER
 
 
@@ -247,7 +247,10 @@ class WubaReach(ReachabilityEngine):
         each level in discovery order as ``(shared, stack-ids...)`` rows
         against a pool of distinct per-thread stacks, plus the guard.
         The closure and write memos are pure semantic caches, rebuilt
-        on demand, so they are not persisted."""
+        on demand, so they are not persisted.  The stacks and shared
+        states are hash-consed, so the bytes depend on the levels alone:
+        a restored-and-advanced engine snapshots exactly as an
+        uninterrupted one."""
         stack_ids: dict = {}
         stack_pool: list = []
 
@@ -265,14 +268,15 @@ class WubaReach(ReachabilityEngine):
                 shared_rows.append(state.shared)
                 stack_rows.extend(stack_idx(stack) for stack in state.stacks)
 
+        memo: dict = {}
         return _encode(
             KIND_WUBA,
             {
                 "n_threads": self.cpds.n_threads,
                 "max_states_per_context": self.max_states_per_context,
-                "stack_pool": stack_pool,
+                "stack_pool": hash_consed(stack_pool, memo),
                 "level_lens": array("q", map(len, self.levels)),
-                "shared_rows": shared_rows,
+                "shared_rows": hash_consed(shared_rows, memo),
                 "stack_rows": stack_rows,
             },
         )
@@ -333,9 +337,8 @@ class WubaReach(ReachabilityEngine):
         checked like FCR via shallow-configuration finiteness on the
         write-free sub-PDS (sound for closures from arbitrary stacks by
         the same fresh-top decomposition as Thm. 17)."""
-        from repro.pds.saturation import shallow_configs_psa
+        from repro.pds.saturation import shallow_finiteness
 
         return all(
-            shallow_configs_psa(write_free_sub_pds(pds)).language_is_finite()
-            for pds in cpds.threads
+            shallow_finiteness(write_free_sub_pds(pds))[0] for pds in cpds.threads
         )

@@ -2,7 +2,11 @@
 a property-based check of Lemma 12 (T(R) ⊆ Z), and the lazy generator
 test (:class:`GeneratorSearch`) against the eager ``G ∩ Z ⊆ T(Rk)``."""
 
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -345,3 +349,40 @@ def test_ex14_missing_generator_is_reported_again_until_seen():
     assert not search.unseen(engine.visible_up_to(6))
     assert search.exhausted
     assert (search.z_size, search.generators) == (8, 2)  # Ex. 13 / Ex. 14
+
+
+STEPS_SCRIPT = """
+from repro.cuba.lanes import run_lane
+from repro.models.registry import smallest_per_row
+from repro.util.meter import scoped
+
+for bench in smallest_per_row():
+    if bench.name.split("/")[0] in ("3", "4", "5"):
+        cpds, prop = bench.build()
+        with scoped() as work:
+            run_lane("symbolic", cpds, prop, max_rounds=bench.max_rounds)
+        print(bench.name, work.get("overapprox.abstract_steps", 0))
+"""
+
+
+def test_abstract_steps_are_the_same_in_every_process():
+    """``Z``'s DFS numbers shared states and tops by value, so how far
+    the lazy generator search walks does not follow set order: two
+    processes on one hash seed (identity hashes differ) and another
+    seed count the same steps on the rows whose search stops early."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = []
+    for seed in ("0", "0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", STEPS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].split("\n")[:-1] == [
+        "3/Bluetooth-3 [1+1] 14",
+        "4/BST-Insert [1+1] 17",
+        "5/FileCrawler [1•+2] 21",
+    ]

@@ -1,13 +1,20 @@
 """Spans around the layers outside the engines' levels: the lane
-preconditions (``lane.applicable``, before the first level) and Alg. 3's
-generator test (``cuba.generators``, at each new plateau), plus the
-explicit lane's visible decode and the symbolic lane's saturation."""
+preconditions (``lane.applicable``, before the first level, carrying
+the check's post* work) and Alg. 3's generator test
+(``cuba.generators``, at each new plateau), plus the explicit lane's
+visible decode and the symbolic lane's saturation."""
+
+import pytest
 
 from repro.core.property import AlwaysSafe, SharedStateReachability
 from repro.cuba import Cuba
+from repro.cuba.fcr import check_fcr
 from repro.cuba.lanes import run_lane
 from repro.models import fig1_cpds, fig2_cpds
+from repro.models.registry import TABLE2
 from repro.obs import trace
+from repro.reach.wuba import WubaReach
+from repro.util.meter import scoped
 
 
 def _spans(run) -> list[dict]:
@@ -23,10 +30,18 @@ def _named(spans, name):
     return [span for span in spans if span["name"] == name]
 
 
+def _work(lane: str, edges: int, rules: int) -> dict:
+    return {
+        "lane": lane,
+        "post_star.edges_added": edges,
+        "post_star.rule_applications": rules,
+    }
+
+
 def test_auto_verify_explicit_pair():
     spans = _spans(lambda: Cuba(fig1_cpds(), AlwaysSafe()).verify(max_rounds=20))
     (applicable,) = _named(spans, "lane.applicable")
-    assert applicable["args"] == {"lane": "explicit"}
+    assert applicable["args"] == _work("explicit", 2, 0)
     # One generator test per new plateau of T(Rk) on Fig. 1: after level
     # 3 (rejected, Ex. 14) and after level 6 (collapse at 5).
     levels = {span["args"]["level"]: span for span in _named(spans, "explicit.level")}
@@ -48,7 +63,7 @@ def test_unsafe_run_never_tests_generators():
 def test_auto_verify_symbolic_route():
     spans = _spans(lambda: Cuba(fig2_cpds(), AlwaysSafe()).verify(max_rounds=12))
     assert [span["args"] for span in _named(spans, "lane.applicable")] == [
-        {"lane": "explicit"}
+        _work("explicit", 28, 22)
     ]
     assert [span["args"] for span in _named(spans, "cuba.generators")] == [
         {"lane": "symbolic"}
@@ -57,10 +72,61 @@ def test_auto_verify_symbolic_route():
 
 def test_run_lane_precondition_span():
     spans = _spans(lambda: run_lane("wuba", fig1_cpds(), AlwaysSafe(), max_rounds=20))
+    # Fig. 1's write-free sub-PDSs have no push rule: nothing to saturate.
     assert [span["args"] for span in _named(spans, "lane.applicable")] == [
-        {"lane": "wuba"}
+        _work("wuba", 0, 0)
     ]
     assert not _named(spans, "cuba.generators")  # scheme1 lane: no G ∩ Z
+
+
+def test_symbolic_precondition_does_no_saturation():
+    spans = _spans(lambda: run_lane("symbolic", fig2_cpds(), AlwaysSafe(), max_rounds=2))
+    assert [span["args"] for span in _named(spans, "lane.applicable")] == [
+        _work("symbolic", 0, 0)
+    ]
+
+
+def _bluetooth_1():
+    return next(b for b in TABLE2 if b.name == "1/Bluetooth-1 [1+1]").build()
+
+
+def _fcr(cpds, prop):
+    return check_fcr(cpds)
+
+
+def _verify(cpds, prop):
+    return Cuba(cpds, prop).verify(max_rounds=1)
+
+
+def _wuba(cpds, prop):
+    return run_lane("wuba", cpds, prop, max_rounds=1)
+
+
+@pytest.mark.parametrize("lane, check, run", [
+    ("explicit", _fcr, _verify),
+    ("wuba", WubaReach.applicable, _wuba),
+])
+def test_precondition_span_work_is_the_checks_meter_delta(lane, check, run):
+    """The span's args are exactly what METER counts for the same check
+    run untraced."""
+    cpds, prop = _bluetooth_1()
+    with scoped() as work:
+        check(cpds, prop)
+    assert work.get("post_star.edges_added", 0) > 0
+    (applicable,) = _named(_spans(lambda: run(cpds, prop)), "lane.applicable")
+    assert applicable["args"] == _work(
+        lane,
+        work.get("post_star.edges_added", 0),
+        work.get("post_star.rule_applications", 0),
+    )
+
+
+def test_fcr_span_on_bluetooth_1():
+    """The seedless FCR saturation of both threads (the seeds are
+    never built; see ``tests/pds/test_shallow_seeding.py``)."""
+    cpds, prop = _bluetooth_1()
+    (applicable,) = _named(_spans(lambda: _verify(cpds, prop)), "lane.applicable")
+    assert applicable["args"] == _work("explicit", 951, 656)
 
 
 def test_explicit_decode_span_per_level():

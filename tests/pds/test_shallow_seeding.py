@@ -1,12 +1,15 @@
-"""The seeded shallow saturation behind the FCR and WCR preconditions.
+"""The seedless shallow saturation behind the FCR and WCR preconditions.
 
-:func:`shallow_configs_psa` starts :class:`PostStarEngine` with every
-``Q × Σ≤1`` seed edge already processed and drains only the push
-consequences (invariant 5 of the saturation Performance notes).  It must
+:class:`PostStarEngine`'s shallow engine saturates only the push
+consequences of ``post*(Q × Σ≤1)`` and never builds the ``Q × Σ≤1``
+seed edges (invariant 5 of the saturation Performance notes).
+:func:`shallow_configs_psa` adds the seeds after the drain and must
 produce exactly the automaton of a cold ``post*`` over
-``psa_for_configs(pds, Q × Σ≤1)`` — on every runnable Table 2 thread,
-on each thread's write-free sub-PDS, and on random PDSs using every
-action kind — and decide finiteness as the naive oracle's automaton does.
+``psa_for_configs(pds, Q × Σ≤1)``; :func:`shallow_finiteness`, which
+decides on the seedless automaton, must give that automaton's
+``(finite, has_loop)`` — on every runnable Table 2 thread, on each
+thread's write-free sub-PDS, and on random PDSs using every action
+kind — and finiteness must match the naive oracle's automaton.
 """
 
 import pytest
@@ -17,7 +20,7 @@ from repro.cuba.fcr import check_fcr
 from repro.models.registry import runnable_benchmarks
 from repro.pds import PDS, PDSState, post_star, post_star_naive, psa_for_configs
 from repro.pds.action import ActionKind
-from repro.pds.saturation import shallow_configs_psa
+from repro.pds.saturation import shallow_configs_psa, shallow_finiteness
 from repro.reach.wuba import write_free_sub_pds
 from repro.util.meter import scoped
 
@@ -41,6 +44,12 @@ def _assert_same_automaton(pds: PDS) -> None:
     assert seeded.control_states == cold.control_states
 
 
+def _assert_same_finiteness(pds: PDS) -> None:
+    expected = post_star(pds, _shallow_configs(pds)).finiteness()
+    assert shallow_finiteness(pds) == expected
+    assert shallow_configs_psa(pds).finiteness() == expected
+
+
 ROWS = {bench.name: bench for bench in runnable_benchmarks()}
 
 
@@ -50,6 +59,14 @@ def test_table2_threads_match_cold_saturation(name):
     for pds in cpds.threads:
         _assert_same_automaton(pds)
         _assert_same_automaton(write_free_sub_pds(pds))
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_table2_seedless_finiteness_matches_cold_saturation(name):
+    cpds, _prop = ROWS[name].build()
+    for pds in cpds.threads:
+        _assert_same_finiteness(pds)
+        _assert_same_finiteness(write_free_sub_pds(pds))
 
 
 SHARED = (0, 1, 2)
@@ -95,18 +112,29 @@ def test_random_pds_matches_cold_saturation(pds):
 
 @settings(max_examples=150, deadline=None)
 @given(pds_with_every_kind())
+def test_random_pds_seedless_finiteness_matches_cold_saturation(pds):
+    _assert_same_finiteness(pds)
+    _assert_same_finiteness(write_free_sub_pds(pds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pds_with_every_kind())
 def test_finiteness_matches_naive_oracle(pds):
     naive = post_star_naive(pds, _shallow_configs(pds))
     assert shallow_configs_psa(pds).language_is_finite() == naive.language_is_finite()
+    assert shallow_finiteness(pds)[0] == naive.language_is_finite()
 
 
 def test_fcr_meter_on_bluetooth_1():
-    """The seeds count as edges but are never re-processed: the edge
-    count is the cold saturation's, the rule applications are only the
-    push consequences'."""
+    """The seeds are never built.  The cold saturation has 6,525 edges,
+    5,805 of them seeds (129 controls × (ε + 28 symbols) on thread 1,
+    × (ε + 15) on thread 2); the seedless one has 951, of which 231 are
+    seeds the push consequences derive.  Each derived seed is processed
+    once as a premise, so rule applications rise from 464 (push
+    consequences only) to 656."""
     cpds, _prop = ROWS["1/Bluetooth-1 [1+1]"].build()
     with scoped() as work:
         report = check_fcr(cpds)
     assert report.holds
-    assert work.get("post_star.edges_added", 0) == 6525
-    assert work.get("post_star.rule_applications", 0) == 464
+    assert work.get("post_star.edges_added", 0) == 951
+    assert work.get("post_star.rule_applications", 0) == 656

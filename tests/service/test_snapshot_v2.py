@@ -1,9 +1,9 @@
 """SNAPSHOT_VERSION 4 behaviour: old (v1–v3) blobs degrade to misses,
-the wuba kind round-trips, the executor resolves snapshots
-lane-agnostically through the registry, and explicit blobs carry their
-thread-symmetry group: a blob is refused by a CPDS whose verified group
-differs, resumes level for level, and a resumed engine's blob is
-byte-identical to an uninterrupted one's.
+the wuba kind round-trips and resumes byte-identically, the executor
+resolves snapshots lane-agnostically through the registry, and explicit
+blobs carry their thread-symmetry group: a blob is refused by a CPDS
+whose verified group differs, resumes level for level, and a resumed
+engine's blob is byte-identical to an uninterrupted one's.
 """
 
 import os
@@ -94,6 +94,25 @@ class TestWubaRoundTrip:
         restored = WubaReach.restore(cpds, engine.snapshot())
         assert restored.levels == engine.levels
         assert restored.visible_levels == engine.visible_levels
+
+    @pytest.mark.parametrize(
+        "bench",
+        [pytest.param(b, id=b.name) for b in smallest_per_row()],
+    )
+    def test_resumed_blob_is_byte_identical_to_an_uninterrupted_one(self, bench):
+        """The stack pool and shared rows are hash-consed, so a resumed
+        engine holding the blob's unpickled copies pickles exactly as
+        one holding the cpds's own objects."""
+        cpds, prop = bench.build()
+        if not WubaReach.applicable(cpds, prop):
+            pytest.skip("WCR fails")
+        straight = WubaReach(cpds)
+        straight.ensure_level(4)
+        part = WubaReach(cpds)
+        part.ensure_level(2)
+        resumed = WubaReach.restore(cpds, part.snapshot())
+        resumed.ensure_level(4)
+        assert resumed.snapshot() == straight.snapshot()
 
     def test_restore_against_a_different_cpds_is_rejected(self):
         engine = WubaReach(fig1_cpds())
