@@ -39,8 +39,6 @@ class, the class supplies its tests and capabilities.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.core.property import Property
@@ -68,22 +66,18 @@ __all__ = [
 
 
 #: The saturation work a precondition check does (FCR and WCR saturate
-#: shallow configurations), attached to its ``lane.applicable`` span.
-_PRECONDITION_WORK = ("post_star.edges_added", "post_star.rule_applications")
+#: shallow configurations): its ``lane.applicable`` span starts each
+#: count at 0 and :func:`~repro.pds.saturation.shallow_finiteness`
+#: tallies its own engine's work onto it.
+_NO_PRECONDITION_WORK = {"post_star.edges_added": 0, "post_star.rule_applications": 0}
 
 
-@contextmanager
-def applicable_span(lane: str) -> Iterator[None]:
-    """A ``lane.applicable`` span whose args carry the METER deltas of
-    :data:`_PRECONDITION_WORK` over its body.  Callers enter it only
-    when tracing is on, so the untraced path reads no counter."""
-    before = [METER.get(name) for name in _PRECONDITION_WORK]
-    with trace.span("lane.applicable", lane=lane) as timing:
-        yield
-        timing.set(**{
-            name: METER.get(name) - start
-            for name, start in zip(_PRECONDITION_WORK, before)
-        })
+def applicable_span(lane: str):
+    """A ``lane.applicable`` span whose args carry the check's own
+    ``post_star.*`` work.  The counts come from the check's engines,
+    not from METER, so concurrent engines on other threads add nothing
+    to them.  Callers enter it only when tracing is on."""
+    return trace.span("lane.applicable", lane=lane, **_NO_PRECONDITION_WORK)
 
 
 def precondition_holds(

@@ -33,7 +33,8 @@ Naming convention (see ROADMAP Reference): dotted lowercase,
 ``<layer>.<phase>`` — ``service.request``, ``service.engine_run``,
 ``executor.dispatch`` (with ``executor.pickup`` and ``executor.reply``,
 the transport legs either side of the worker's spans), ``lane.run``,
-``lane.applicable`` (with the check's ``post_star.*`` work),
+``lane.applicable`` (with the ``post_star.*`` work its shallow
+saturations :func:`tally`),
 ``cuba.generators``, ``<lane>.level`` (emitted by the
 :class:`~repro.reach.base.ReachabilityEngine` template method, so every
 lane — including future ones — inherits per-level spans for free),
@@ -68,6 +69,7 @@ __all__ = [
     "record",
     "span",
     "take",
+    "tally",
     "write_chrome_trace",
 ]
 
@@ -122,7 +124,7 @@ def _stack() -> list:
 def current_id() -> int | None:
     """The id of the innermost open span on this thread, or ``None``."""
     stack = getattr(_local, "stack", None)
-    return stack[-1] if stack else None
+    return stack[-1]._id if stack else None
 
 
 class _NullSpan:
@@ -160,7 +162,7 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         self._id = next(_ids)
-        _stack().append(self._id)
+        _stack().append(self)
         self._start = time.perf_counter()
         return self
 
@@ -175,7 +177,7 @@ class _Span:
             "pid": os.getpid(),
             "tid": threading.get_ident(),
             "id": self._id,
-            "parent": stack[-1] if stack else None,
+            "parent": stack[-1]._id if stack else None,
             "args": self.args,
         })
         return False
@@ -197,6 +199,21 @@ def span(name: str, **args):
     if not _enabled:
         return _NULL
     return _Span(name, args)
+
+
+def tally(counts: dict[str, int]) -> None:
+    """Add ``counts`` to the args of the innermost open span on this
+    thread: work a callee counted itself, credited to the phase that
+    called it.  Unlike a METER delta over the span, it cannot include
+    what other threads did meanwhile.  A no-op while disabled or
+    outside every span."""
+    if not _enabled:
+        return
+    stack = getattr(_local, "stack", None)
+    if stack:
+        args = stack[-1].args
+        for name, amount in counts.items():
+            args[name] = args.get(name, 0) + amount
 
 
 def record(name: str, start: float, duration: float, **args) -> None:

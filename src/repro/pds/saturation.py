@@ -131,6 +131,7 @@ from collections.abc import Hashable, Iterable
 
 from repro.automata import EPSILON, NFA
 from repro.errors import ModelError
+from repro.obs import trace
 from repro.pds.action import ActionKind
 from repro.pds.pds import PDS
 from repro.pds.psa import FINAL_SINK, PSA
@@ -215,6 +216,7 @@ class PostStarEngine:
         "_rel",
         "_eps_into",
         "_edges_accounted",
+        "rule_applications",
     )
 
     def __init__(
@@ -287,6 +289,8 @@ class PostStarEngine:
         self._eps_into: dict = {}
         #: edges already reported to METER (batched in :meth:`drain`)
         self._edges_accounted = 0
+        #: this engine's ``post_star.rule_applications`` so far
+        self.rule_applications = 0
 
         for src, label, dst in edges:
             self._push(src, label, dst)
@@ -382,6 +386,7 @@ class PostStarEngine:
 
         if rule_applications:
             METER.bump("post_star.rule_applications", rule_applications)
+            self.rule_applications += rule_applications
         if eps_propagations:
             METER.bump("post_star.eps_propagations", eps_propagations)
         edges = len(self._seen) - self._edges_accounted
@@ -519,9 +524,19 @@ def shallow_finiteness(pds: PDS) -> tuple[bool, bool]:
     FCR premise of Lemma 16/Thm 17 — decided on the seedless
     saturation ``S`` (invariant 5 of the Performance notes): the
     ``Q × Σ≤1`` seeds are finitely many, lie on no cycle and change no
-    cycle's usefulness, so they are never built."""
+    cycle's usefulness, so they are never built.
+
+    While tracing, the engine's own ``post_star.edges_added`` and
+    ``post_star.rule_applications`` are tallied on the innermost open
+    span (the precondition's ``lane.applicable``)."""
     engine = PostStarEngine.shallow(pds)
-    return PSA(engine.detach_nfa(), engine.controls).finiteness()
+    nfa = engine.detach_nfa()
+    if trace.enabled():
+        trace.tally({
+            "post_star.edges_added": len(engine._seen),
+            "post_star.rule_applications": engine.rule_applications,
+        })
+    return PSA(nfa, engine.controls).finiteness()
 
 
 def shallow_configs_psa(pds: PDS) -> PSA:

@@ -4,6 +4,8 @@ the check's post* work) and Alg. 3's generator test
 (``cuba.generators``, at each new plateau), plus the explicit lane's
 visible decode and the symbolic lane's saturation."""
 
+import threading
+
 import pytest
 
 from repro.core.property import AlwaysSafe, SharedStateReachability
@@ -13,6 +15,8 @@ from repro.cuba.lanes import run_lane
 from repro.models import fig1_cpds, fig2_cpds
 from repro.models.registry import TABLE2
 from repro.obs import trace
+from repro.pds.saturation import post_star
+from repro.reach import wuba
 from repro.reach.wuba import WubaReach
 from repro.util.meter import scoped
 
@@ -107,8 +111,8 @@ def _wuba(cpds, prop):
     ("wuba", WubaReach.applicable, _wuba),
 ])
 def test_precondition_span_work_is_the_checks_meter_delta(lane, check, run):
-    """The span's args are exactly what METER counts for the same check
-    run untraced."""
+    """In one thread, the span's args are exactly what METER counts for
+    the same check run untraced."""
     cpds, prop = _bluetooth_1()
     with scoped() as work:
         check(cpds, prop)
@@ -121,12 +125,28 @@ def test_precondition_span_work_is_the_checks_meter_delta(lane, check, run):
     )
 
 
-def test_fcr_span_on_bluetooth_1():
-    """The seedless FCR saturation of both threads (the seeds are
-    never built; see ``tests/pds/test_shallow_seeding.py``)."""
+def test_precondition_span_ignores_other_threads_work(monkeypatch):
+    """A saturation another thread runs while the check is open adds
+    nothing to the check's span (the service runs engines on a thread
+    pool, all bumping one METER)."""
     cpds, prop = _bluetooth_1()
-    (applicable,) = _named(_spans(lambda: _verify(cpds, prop)), "lane.applicable")
-    assert applicable["args"] == _work("explicit", 951, 656)
+    with scoped() as work:
+        WubaReach.applicable(cpds, prop)
+    sub_pds = wuba.write_free_sub_pds
+
+    def with_concurrent_saturation(pds):
+        other = threading.Thread(target=post_star, args=(pds,))
+        other.start()
+        other.join()
+        return sub_pds(pds)
+
+    monkeypatch.setattr(wuba, "write_free_sub_pds", with_concurrent_saturation)
+    with scoped() as traced:
+        (applicable,) = _named(_spans(lambda: _wuba(cpds, prop)), "lane.applicable")
+    assert traced["post_star.edges_added"] > work["post_star.edges_added"]
+    assert applicable["args"] == _work(
+        "wuba", work["post_star.edges_added"], work["post_star.rule_applications"]
+    )
 
 
 def test_explicit_decode_span_per_level():

@@ -55,6 +55,20 @@ class TestRecording:
         assert by_name["inner"]["parent"] == by_name["outer"]["id"]
         assert by_name["sibling"]["parent"] == by_name["outer"]["id"]
 
+    def test_tally_adds_to_the_innermost_open_span(self):
+        trace.tally({"work": 1})  # disabled: nothing to credit
+        trace.enable()
+        trace.tally({"work": 1})  # outside every span: dropped
+        with trace.span("outer", work=0):
+            with trace.span("inner"):
+                trace.tally({"work": 2})
+                trace.tally({"work": 3, "other": 1})
+            trace.tally({"work": 7})
+        by_name = {event["name"]: event for event in trace.events()}
+        assert set(by_name) == {"outer", "inner"}
+        assert by_name["inner"]["args"] == {"work": 5, "other": 1}
+        assert by_name["outer"]["args"] == {"work": 7}
+
     def test_exception_still_records_and_pops(self):
         trace.enable()
         try:
