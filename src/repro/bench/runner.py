@@ -648,7 +648,9 @@ def main(argv: list[str] | None = None) -> int:
         "'phases' field)",
     )
     parser.add_argument("--label", help="free-form label recorded in the payload")
-    parser.add_argument("--out", default=".", help="directory for BENCH_<stamp>.json")
+    parser.add_argument(
+        "--out", default=".", help="directory for BENCH_<stamp>.json, created if missing"
+    )
     parser.add_argument(
         "--merge-before",
         metavar="FILE",
@@ -670,6 +672,9 @@ def main(argv: list[str] | None = None) -> int:
         "--no-write", action="store_true", help="run and compare without writing"
     )
     args = parser.parse_args(argv)
+    if not args.no_write:
+        # Made before the suite runs, so a bad --out fails at once.
+        Path(args.out).mkdir(parents=True, exist_ok=True)
 
     payload = run_suite(
         quick=args.quick,

@@ -322,6 +322,9 @@ def cmd_loadtest(args) -> int:
         write_loadtest_json,
     )
 
+    # Made before the run, so a bad --out fails at once, not after it.
+    out_dir = Path(args.out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     payload = run_loadtest(
         replicas=args.replicas.split(",") if args.replicas else None,
         spawn=args.spawn,
@@ -334,7 +337,7 @@ def cmd_loadtest(args) -> int:
         seed=args.seed,
         executor=args.executor,
     )
-    path = write_loadtest_json(payload, args.out or ".")
+    path = write_loadtest_json(payload, out_dir)
     totals = payload["totals"]
     print(f"wrote {path}")
     print(
@@ -461,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--quick", action="store_true", help="with --json: smallest config per row"
     )
-    bench.add_argument("--out", help="with --json: output directory (default: cwd)")
+    bench.add_argument(
+        "--out", help="with --json: output directory, created if missing (default: cwd)"
+    )
     bench.add_argument(
         "--compare",
         metavar="FILE",
@@ -607,7 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --spawn: replica engine-run execution mode "
         "(default thread — cheap spawn for short runs)",
     )
-    loadtest.add_argument("--out", help="output directory (default: cwd)")
+    loadtest.add_argument(
+        "--out", help="output directory, created if missing (default: cwd)"
+    )
     loadtest.add_argument(
         "--compare",
         metavar="FILE",

@@ -33,13 +33,22 @@ from repro.pds.semantics import DEFAULT_STATE_LIMIT
 from repro.reach.base import ReachabilityEngine
 
 
+#: The work one generator test does: its ``cuba.generators`` span starts
+#: each count at 0 and :class:`~repro.cuba.overapprox.GeneratorSearch`
+#: tallies its own DFS steps and the local states whose Alg. 2 moves it
+#: built onto it.
+_NO_GENERATOR_WORK = {"overapprox.abstract_steps": 0, "overapprox.local_states": 0}
+
+
 class GeneratorTest:
     """Thm. 11's test ``G ∩ Z ⊆ T(R≤k)``, asked at each new plateau.
 
     The :class:`~repro.cuba.overapprox.GeneratorSearch` is built on the
     first call, so a run that never reaches a new plateau never touches
     ``Z``.  Each call runs under a ``cuba.generators`` span when tracing
-    is on.  Successive calls must pass growing ``seen`` sets.
+    is on, whose args carry the call's own abstract steps and the local
+    states whose moves it built.  Successive calls must pass growing
+    ``seen`` sets.
     """
 
     __slots__ = ("_cpds", "_lane", "_search")
@@ -54,7 +63,7 @@ class GeneratorTest:
         generator of ``Z`` is in ``seen``."""
         if not trace.enabled():
             return self._unseen(seen)
-        with trace.span("cuba.generators", lane=self._lane):
+        with trace.span("cuba.generators", lane=self._lane, **_NO_GENERATOR_WORK):
             return self._unseen(seen)
 
     def _unseen(self, seen: frozenset[VisibleState]) -> frozenset[VisibleState]:

@@ -15,9 +15,15 @@ argument is invariant 5 of :mod:`repro.pds.saturation`).  The cycle
 analysis is one Tarjan pass that computes usefulness only when some
 edge lies on a cycle (:func:`~repro.automata.finiteness.loop_analysis`),
 so an acyclic automaton — every thread for which FCR holds — skips it.
-WCR (:meth:`repro.reach.wuba.WubaReach.applicable`) runs the same test
-on each thread's write-free sub-PDS.  The full automaton, seeds
-included, is :func:`thread_shallow_psa` (Fig. 4's table).
+The test runs once per thread orbit of the CPDS's verified symmetry
+group (:func:`~repro.cpds.symmetry.verified_symmetry`): a replica's
+rules are the ``σ``-image of its orbit representative's over the same
+alphabet, and ``σ`` maps ``Q×Σ≤1`` onto itself, so both shallow
+automata are isomorphic and give the same answers.  WCR
+(:meth:`repro.reach.wuba.WubaReach.applicable`) runs the same test on
+each thread's write-free sub-PDS, thread by thread.  The full
+automaton, seeds included, is :func:`thread_shallow_psa` (Fig. 4's
+table).
 
 When FCR holds the explicit engine may represent every ``Rk``
 extensionally; otherwise the symbolic engine must be used.
@@ -28,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cpds.cpds import CPDS
+from repro.cpds.symmetry import verified_symmetry
 from repro.pds.pds import PDS
 from repro.pds.psa import PSA
 from repro.pds.saturation import shallow_configs_psa, shallow_finiteness
@@ -71,11 +78,20 @@ def check_fcr(cpds: CPDS) -> FCRReport:
     ``thread_finite`` uses the exact language-finiteness criterion
     (useful cycles pumping a real symbol); ``thread_has_loop`` records
     the paper's coarser graph-loop check of Fig. 4 for comparison.
+
+    The check runs once per thread orbit of the verified symmetry
+    group: thread ``i`` copies both answers from ``pools[i]``, the
+    least thread of its orbit.  That is exact, as the verification
+    proves thread ``i``'s rules to be the ``σ``-image of that thread's
+    over the same alphabet, and ``σ`` maps ``Q×Σ≤1`` onto itself, so
+    the two shallow automata are isomorphic.
     """
-    finite: list[bool] = []
-    loops: list[bool] = []
-    for pds in cpds.threads:
-        thread_finite, thread_loop = shallow_finiteness(pds)
-        finite.append(thread_finite)
-        loops.append(thread_loop)
-    return FCRReport(tuple(finite), tuple(loops))
+    pools = verified_symmetry(cpds).pools
+    answers: list[tuple[bool, bool]] = []
+    for index, pds in enumerate(cpds.threads):
+        pool = pools[index]
+        answers.append(shallow_finiteness(pds) if pool == index else answers[pool])
+    return FCRReport(
+        tuple(finite for finite, _loop in answers),
+        tuple(loop for _finite, loop in answers),
+    )

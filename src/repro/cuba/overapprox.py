@@ -8,6 +8,12 @@ its reachable set ``Z`` overapproximates the reachable visible states
 ``T(R)`` (Lemma 12) and is used to bound the reachable generators
 ``G ∩ T(R) ⊆ G ∩ Z``.  :class:`GeneratorSearch` answers Thm. 11's test
 ``G ∩ Z ⊆ T(R≤k)`` without building ``Z`` unless it has to.
+
+:func:`build_abstraction` is Alg. 2's definitional form: every rule's
+move, built up front.  ``Z``'s DFS (:class:`_ZSpace`) builds the same
+moves per visited local state instead (:class:`_LocalMoves`, from the
+PDS's trigger index), so a search that stops after a few abstract
+steps pays for those steps only.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 from repro.automata.intern import value_key
 from repro.cpds.cpds import CPDS
 from repro.cpds.state import VisibleState
-from repro.cuba.generators import GeneratorAnalysis
+from repro.cuba.generators import GeneratorAnalysis, generator_analysis
+from repro.obs import trace
 from repro.pds.action import ActionKind
 from repro.pds.pds import PDS
 from repro.pds.state import EMPTY
@@ -148,23 +155,31 @@ def abstract_bug_lower_bound(cpds: CPDS, prop) -> int | None:
 
 
 class _LocalMoves(dict):
-    """One thread's moves in :class:`_ZSpace`'s packed-key space.
+    """One thread's Alg. 2 moves in :class:`_ZSpace`'s packed-key space.
 
     Maps the ``(shared, top)`` bits of a key to the key deltas of that
-    local state's Alg. 2 successors; an entry is built on first lookup,
-    so only local states ``Z`` actually visits are ever encoded.  The
-    deltas are sorted: the successors come from a frozenset, and the
-    DFS order over ``Z`` must not follow its hash order.
+    local state's Alg. 2 successors.  An entry is built when the DFS
+    first visits the local state, from the rules the PDS's
+    :meth:`~repro.pds.pds.PDS.trigger_index` lists for it, so the moves
+    of local states ``Z`` never visits are never built: each rule
+    ``(q,w) → (q',w')`` gives ``(q', T(w'))``, and one that leaves the
+    stack empty also gives ``(q', ρ)`` for every emerging ``ρ`` —
+    :func:`build_abstraction`'s transitions, one source at a time.  The
+    deltas are sorted, so the DFS order over ``Z`` does not follow the
+    hash order of a set.
     """
 
     __slots__ = (
-        "_table", "_shared_ids", "_shared_of", "_shared_mask",
+        "_rules", "_emerging", "_shared_ids", "_shared_of", "_shared_mask",
         "_top_ids", "_tops_of", "_shift",
     )
 
-    def __init__(self, table, shared_ids, shared_of, shared_mask, top_ids, tops_of, shift):
+    def __init__(
+        self, pds, emerging, shared_ids, shared_of, shared_mask, top_ids, tops_of, shift
+    ):
         super().__init__()
-        self._table = table
+        self._rules = pds.trigger_index()
+        self._emerging = emerging
         self._shared_ids = shared_ids
         self._shared_of = shared_of
         self._shared_mask = shared_mask
@@ -174,11 +189,16 @@ class _LocalMoves(dict):
 
     def __missing__(self, local: int) -> tuple[int, ...]:
         shared_ids, top_ids, shift = self._shared_ids, self._top_ids, self._shift
-        source = (self._shared_of[local & self._shared_mask], self._tops_of[local >> shift])
-        deltas = tuple(sorted(
-            (shared_ids[shared] | top_ids[top] << shift) - local
-            for shared, top in self._table.get(source, ())
-        ))
+        top = self._tops_of[local >> shift]
+        trigger = (self._shared_of[local & self._shared_mask], None if top is EMPTY else top)
+        targets: set[int] = set()
+        for action in self._rules.get(trigger, ()):
+            to_shared = shared_ids[action.to_shared]
+            write = action.write
+            targets.add(to_shared | top_ids[write[0] if write else EMPTY] << shift)
+            if not write:  # stack left empty: emerging candidates
+                targets.update(to_shared | top_ids[rho] << shift for rho in self._emerging)
+        deltas = tuple(sorted(target - local for target in targets))
         self[local] = deltas
         return deltas
 
@@ -197,6 +217,12 @@ class _ZSpace:
     each key of ``Z`` once, in DFS order, after pushing its successors;
     a caller may stop early and iterate again later to resume.
 
+    Thread ``i``'s moves are built per visited local state
+    (:class:`_LocalMoves`) from its PDS's trigger index and
+    ``emerging[i]``, the symbols a push of thread ``i`` writes under
+    its top (:attr:`GeneratorAnalysis.emerging`); a search that stops
+    early builds the moves of the few local states it visited only.
+
     Ids follow :func:`~repro.automata.intern.value_key` order (with the
     empty top first), never set order, so the DFS order — and with it
     how far a :class:`GeneratorSearch` runs before it finds an unseen
@@ -209,7 +235,7 @@ class _ZSpace:
         "_shared_of", "_shared_ids", "_shared_mask",
     )
 
-    def __init__(self, cpds: CPDS) -> None:
+    def __init__(self, cpds: CPDS, emerging: tuple[frozenset[Symbol], ...]) -> None:
         shared_of = sorted(cpds.shared_states, key=value_key)
         shared_ids = {shared: index for index, shared in enumerate(shared_of)}
         shift = _field_width(len(shared_of))
@@ -218,13 +244,12 @@ class _ZSpace:
         initial = shared_ids[start.shared]
         threads: list[tuple[int, _LocalMoves]] = []
         fields: list[tuple[int, int, list[Symbol], dict[Symbol, int]]] = []
-        for pds, top in zip(cpds.threads, start.tops):
+        for pds, top, unders in zip(cpds.threads, start.tops, emerging):
             tops_of = [EMPTY, *sorted(pds.alphabet, key=value_key)]
             top_ids = {symbol: index for index, symbol in enumerate(tops_of)}
             top_mask = (1 << _field_width(len(tops_of))) - 1
             moves = _LocalMoves(
-                build_abstraction(pds).transitions,
-                shared_ids, shared_of, shared_mask, top_ids, tops_of, shift,
+                pds, unders, shared_ids, shared_of, shared_mask, top_ids, tops_of, shift,
             )
             threads.append((shared_mask | top_mask << shift, moves))
             fields.append((shift, top_mask, tops_of, top_ids))
@@ -258,6 +283,11 @@ class _ZSpace:
     def expanded(self) -> int:
         """Keys yielded so far (each expanded before it is yielded)."""
         return len(self.seen) - len(self._work)
+
+    @property
+    def local_states(self) -> int:
+        """Local states whose moves have been built, over all threads."""
+        return sum(len(moves) for _mask, moves in self._threads)
 
     def decode(self, key: int) -> VisibleState:
         return VisibleState(
@@ -297,11 +327,12 @@ def compute_z(cpds: CPDS) -> frozenset[VisibleState]:
     Starts from the projection of the CPDS initial state (the paper
     starts ``M2`` in ``⟨0|1,4⟩`` for Fig. 1) and explores exhaustively —
     the state space is contained in ``Q × Σ≤1_1 × ... × Σ≤1_n``.  The
-    exploration runs over packed integers (:class:`_ZSpace`); each
+    exploration runs over packed integers (:class:`_ZSpace`, with the
+    emerging sets of :func:`generator_analysis`); each
     :class:`VisibleState` is built once, when the finished set is
     decoded.
     """
-    space = _ZSpace(cpds)
+    space = _ZSpace(cpds, generator_analysis(cpds).emerging)
     deque(space, maxlen=0)
     METER.bump("overapprox.abstract_steps", len(space.seen))
     return space.states()
@@ -318,13 +349,16 @@ class GeneratorSearch:
     resume where it stopped.  The answer "all of ``G ∩ Z`` is seen"
     is given only once ``Z`` is exhausted, so it is exactly the eager
     test's answer — provided the ``seen`` sets of successive calls only
-    grow (a generator once seen is never checked again).
+    grow (a generator once seen is never checked again).  While tracing,
+    each call tallies its own ``overapprox.abstract_steps`` and
+    ``overapprox.local_states`` (the local states whose moves it built)
+    on the innermost open span, Alg. 3's ``cuba.generators``.
     """
 
     __slots__ = ("_space", "_tests", "_pending", "generators", "exhausted")
 
     def __init__(self, cpds: CPDS, analysis: GeneratorAnalysis) -> None:
-        self._space = _ZSpace(cpds)
+        self._space = _ZSpace(cpds, analysis.emerging)
         self._tests = self._space.generator_bits(analysis)
         self._pending: frozenset[VisibleState] = frozenset()
         #: Generators found so far: ``|G ∩ Z|`` once :attr:`exhausted`.
@@ -352,7 +386,7 @@ class GeneratorSearch:
 
     def _search(self, seen: AbstractSet[VisibleState]) -> frozenset[VisibleState]:
         space, tests = self._space, self._tests
-        before = space.expanded
+        before, built = space.expanded, space.local_states
         try:
             for key in space:
                 for mask, bits in tests:
@@ -365,4 +399,10 @@ class GeneratorSearch:
             self.exhausted = True
             return frozenset()
         finally:
-            METER.bump("overapprox.abstract_steps", space.expanded - before)
+            steps = space.expanded - before
+            METER.bump("overapprox.abstract_steps", steps)
+            if trace.enabled():
+                trace.tally({
+                    "overapprox.abstract_steps": steps,
+                    "overapprox.local_states": space.local_states - built,
+                })

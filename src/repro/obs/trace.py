@@ -34,9 +34,11 @@ Naming convention (see ROADMAP Reference): dotted lowercase,
 ``executor.dispatch`` (with ``executor.pickup`` and ``executor.reply``,
 the transport legs either side of the worker's spans), ``lane.run``,
 ``lane.applicable`` (with the ``post_star.*`` work its shallow
-saturations :func:`tally`),
-``cuba.generators``, ``<lane>.level`` (emitted by the
-:class:`~repro.reach.base.ReachabilityEngine` template method, so every
+saturations :func:`tally`, one per thread orbit for FCR),
+``cuba.generators`` (with the ``overapprox.abstract_steps`` and
+``overapprox.local_states`` its search tallies), ``<lane>.level``
+(emitted by the :class:`~repro.reach.base.ReachabilityEngine`
+template method, so every
 lane — including future ones — inherits per-level spans for free),
 ``explicit.saturation``, ``explicit.decode``, ``symbolic.saturate``,
 ``canonical.form`` (one per dense canonicalization, form-memo hits

@@ -1,9 +1,15 @@
-"""Tests for the FCR condition — golden verdicts from Fig. 4 / Ex. 15."""
+"""Tests for the FCR condition — golden verdicts from Fig. 4 / Ex. 15,
+and the check's one run per thread orbit."""
+
+import pytest
 
 from repro.cpds import CPDS
-from repro.cuba import check_fcr, thread_shallow_psa
-from repro.models import fig1_cpds, fig2_cpds
+from repro.cpds.symmetry import verified_symmetry
+from repro.cuba import check_fcr, fcr, thread_shallow_psa
+from repro.models import fig1_cpds, fig2_cpds, runnable_benchmarks
+from repro.models.registry import TABLE2
 from repro.pds import PDS
+from repro.pds.saturation import shallow_finiteness
 
 
 class TestFig4Verdicts:
@@ -67,3 +73,31 @@ class TestMixedCases:
         pds.rule(0, "a", 1, ("b",))
         pds.rule(1, "b", 0, ("a",))
         assert check_fcr(CPDS([pds], initial_stacks=[("a",)])).holds
+
+
+class TestOncePerOrbit:
+    @pytest.mark.parametrize("bench", runnable_benchmarks(), ids=lambda bench: bench.name)
+    def test_report_is_every_threads_own_check(self, bench):
+        cpds, _prop = bench.build()
+        answers = [shallow_finiteness(pds) for pds in cpds.threads]
+        report = check_fcr(cpds)
+        assert report.thread_finite == tuple(finite for finite, _loop in answers)
+        assert report.thread_has_loop == tuple(loop for _finite, loop in answers)
+
+    def test_replicas_are_checked_once(self, monkeypatch):
+        cpds, _prop = next(b for b in TABLE2 if b.name == "1/Bluetooth-1 [1+2]").build()
+        plain = CPDS(cpds.threads, cpds.initial_stacks, name=cpds.name)
+        checked = []
+
+        def counted(pds):
+            checked.append(pds)
+            return shallow_finiteness(pds)
+
+        monkeypatch.setattr(fcr, "shallow_finiteness", counted)
+        pools = verified_symmetry(cpds).pools
+        assert len(set(pools)) < cpds.n_threads  # the replicas form one orbit
+        report = check_fcr(cpds)
+        assert checked == [cpds.thread(index) for index in sorted(set(pools))]
+        checked.clear()
+        assert check_fcr(plain) == report
+        assert checked == list(cpds.threads)  # trivial group: every thread

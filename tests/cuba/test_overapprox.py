@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpds import CPDS, VisibleState
-from repro.cuba import build_abstraction, compute_z, generator_analysis
-from repro.cuba.overapprox import GeneratorSearch
+from repro.cuba import build_abstraction, compute_z, generator_analysis, overapprox
+from repro.cuba.overapprox import GeneratorSearch, _ZSpace
 from repro.errors import ContextExplosionError
 from repro.models import fig1_cpds, fig2_cpds, runnable_benchmarks
 from repro.pds import EMPTY, PDS
+from repro.pds.action import ActionKind
 from repro.reach import ExplicitReach, registry
 from repro.util.meter import METER
 
@@ -119,6 +120,65 @@ class TestEmergingOnEmptyWrite:
 
 
 # ---------------------------------------------------------------------------
+# The DFS's lazily built moves against the eager Alg. 2 system.
+# ---------------------------------------------------------------------------
+
+def check_lazy_moves(cpds: CPDS) -> None:
+    """For every thread and every ``(q, top) ∈ Q×Σ≤1``, the moves
+    :class:`_ZSpace` builds on first visit decode to
+    ``build_abstraction(pds).successors((q, top))``."""
+    space = _ZSpace(cpds, generator_analysis(cpds).emerging)
+    for index, pds in enumerate(cpds.threads):
+        abstraction = build_abstraction(pds)
+        _mask, moves = space._threads[index]
+        shift, _top_mask, tops_of, top_ids = space._fields[index]
+        for shared in cpds.shared_states:
+            for top in tops_of:
+                local = space._shared_ids[shared] | top_ids[top] << shift
+                lazy = frozenset(
+                    space.decode(local + delta).thread_visible(index)
+                    for delta in moves[local]
+                )
+                assert lazy == abstraction.successors((shared, top)), (index, shared, top)
+
+
+@pytest.mark.parametrize("bench", runnable_benchmarks(), ids=lambda bench: bench.name)
+def test_lazy_moves_match_build_abstraction_on_table2(bench):
+    check_lazy_moves(bench.build()[0])
+
+
+#: One rule of each of the five kinds: pop, overwrite, push,
+#: empty-stack overwrite and empty-stack push.
+RULE_SHAPES = (("a", ()), ("a", ("b",)), ("a", ("b", "c")), (None, ()), (None, ("c",)))
+
+
+@st.composite
+def five_kind_cpds(draw):
+    symbols = st.sampled_from(["a", "b", "c"])
+    states = st.sampled_from([0, 1, 2])
+    threads = []
+    for _t in range(draw(st.integers(min_value=1, max_value=2))):
+        pds = PDS(initial_shared=0, shared_states={0, 1, 2}, alphabet={"a", "b", "c"})
+        shapes = [*RULE_SHAPES, *draw(st.lists(st.sampled_from(RULE_SHAPES), max_size=8))]
+        for read, write in shapes:
+            pds.rule(
+                draw(states),
+                None if read is None else draw(symbols),
+                draw(states),
+                tuple(draw(symbols) for _ in write),
+            )
+        threads.append(pds)
+    return CPDS(threads, initial_stacks=[()] * len(threads))
+
+
+@settings(max_examples=80, deadline=None)
+@given(five_kind_cpds())
+def test_lazy_moves_match_build_abstraction_on_random_pds(cpds):
+    assert {action.kind for pds in cpds.threads for action in pds.actions} == set(ActionKind)
+    check_lazy_moves(cpds)
+
+
+# ---------------------------------------------------------------------------
 # Lemma 12 as a property: T(Rk) ⊆ Z on random CPDS.
 # ---------------------------------------------------------------------------
 
@@ -157,13 +217,24 @@ def test_compute_z_matches_reference_on_random_cpds(cpds):
 Z_SIZES = {"4/BST-Insert [2+2]": 158_783}
 
 
+def refuse_eager_abstraction(monkeypatch) -> None:
+    """Make :func:`build_abstraction` raise: ``Z``'s DFS must build
+    each visited local state's moves itself."""
+    def refuse(pds):
+        raise AssertionError("the eager Alg. 2 build ran")
+
+    monkeypatch.setattr(overapprox, "build_abstraction", refuse)
+
+
 @pytest.mark.parametrize("bench", runnable_benchmarks(), ids=lambda bench: bench.name)
-def test_compute_z_matches_reference_on_table2(bench):
+def test_compute_z_matches_reference_on_table2(bench, monkeypatch):
     cpds, _prop = bench.build()
+    reference = reference_z(cpds)
+    refuse_eager_abstraction(monkeypatch)
     before = METER.snapshot()
     z = compute_z(cpds)
     steps = METER.delta(before).get("overapprox.abstract_steps", 0)
-    assert z == reference_z(cpds)
+    assert z == reference
     assert steps == len(z)  # one abstract step per state of Z
     assert len(z) == Z_SIZES.get(bench.name, len(z))
 
@@ -285,7 +356,8 @@ DIFFERENTIAL = [
 
 
 @pytest.mark.parametrize(("build", "lane"), DIFFERENTIAL)
-def test_lazy_generator_test_matches_eager_at_each_new_plateau(build, lane):
+def test_lazy_generator_test_matches_eager_at_each_new_plateau(build, lane, monkeypatch):
+    refuse_eager_abstraction(monkeypatch)
     cpds = build()
     z, eager = eager_oracle(cpds)
     engine = registry.create(lane, cpds)

@@ -1,8 +1,9 @@
 """Spans around the layers outside the engines' levels: the lane
 preconditions (``lane.applicable``, before the first level, carrying
 the check's post* work) and Alg. 3's generator test
-(``cuba.generators``, at each new plateau), plus the explicit lane's
-visible decode and the symbolic lane's saturation."""
+(``cuba.generators``, at each new plateau, carrying its own DFS work),
+plus the explicit lane's visible decode and the symbolic lane's
+saturation."""
 
 import threading
 
@@ -42,6 +43,14 @@ def _work(lane: str, edges: int, rules: int) -> dict:
     }
 
 
+def _search(lane: str, steps: int, local_states: int) -> dict:
+    return {
+        "lane": lane,
+        "overapprox.abstract_steps": steps,
+        "overapprox.local_states": local_states,
+    }
+
+
 def test_auto_verify_explicit_pair():
     spans = _spans(lambda: Cuba(fig1_cpds(), AlwaysSafe()).verify(max_rounds=20))
     (applicable,) = _named(spans, "lane.applicable")
@@ -50,7 +59,10 @@ def test_auto_verify_explicit_pair():
     # 3 (rejected, Ex. 14) and after level 6 (collapse at 5).
     levels = {span["args"]["level"]: span for span in _named(spans, "explicit.level")}
     first, second = _named(spans, "cuba.generators")
-    assert first["args"] == second["args"] == {"lane": "explicit"}
+    # Each carries its own DFS steps (8 in all: |Z|, Ex. 13) and the
+    # local states whose Alg. 2 moves it built.
+    assert first["args"] == _search("explicit", 2, 3)
+    assert second["args"] == _search("explicit", 6, 9)
     assert levels[3]["ts"] + levels[3]["dur"] <= first["ts"]
     assert first["ts"] + first["dur"] <= levels[4]["ts"]
     assert levels[6]["ts"] + levels[6]["dur"] <= second["ts"]
@@ -70,7 +82,7 @@ def test_auto_verify_symbolic_route():
         _work("explicit", 28, 22)
     ]
     assert [span["args"] for span in _named(spans, "cuba.generators")] == [
-        {"lane": "symbolic"}
+        _search("symbolic", 37, 20)
     ]
 
 

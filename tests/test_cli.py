@@ -232,3 +232,51 @@ class TestBench:
         out = capsys.readouterr().out
         assert "9/Dekker" in out
         assert "safe" in out
+
+
+class TestOutDirectory:
+    """``--out`` is made (or refused) before any run starts: a missing
+    directory used to fail only after the whole suite had run."""
+
+    def test_bench_json_makes_out_before_the_suite(self, tmp_path, monkeypatch, capsys):
+        import repro.bench.runner as runner
+
+        out = tmp_path / "new" / "dir"
+        runs = []
+
+        def stub_suite(**_kwargs):
+            runs.append(out.is_dir())
+            return {"stamp": "STUB", "workloads": [], "totals": {}}
+
+        monkeypatch.setattr(runner, "run_suite", stub_suite)
+        assert main(["bench", "--json", "--out", str(out)]) == 0
+        assert runs == [True]
+        assert (out / "BENCH_STUB.json").is_file()
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        assert main(["bench", "--json", "--out", str(blocked)]) == 3
+        assert runs == [True]  # refused before a second run
+        assert "error:" in capsys.readouterr().err
+
+    def test_loadtest_makes_out_before_the_run(self, tmp_path, monkeypatch, capsys):
+        from collections import defaultdict
+
+        import repro.service.loadtest as loadtest
+
+        out = tmp_path / "new" / "dir"
+        runs = []
+
+        def stub_loadtest(**_kwargs):
+            runs.append(out.is_dir())
+            return {"stamp": "STUB", "elapsed": 0.0, "replicas": 1,
+                    "totals": defaultdict(int)}
+
+        monkeypatch.setattr(loadtest, "run_loadtest", stub_loadtest)
+        assert main(["loadtest", "--out", str(out)]) == 0
+        assert runs == [True]
+        assert (out / "LOADTEST_STUB.json").is_file()
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        assert main(["loadtest", "--out", str(blocked)]) == 3
+        assert runs == [True]  # refused before a second run
+        assert "error:" in capsys.readouterr().err
